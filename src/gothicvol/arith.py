@@ -331,29 +331,6 @@ def dirichlet_convolve(f, g, N: int) -> list[Fraction]:
     return out
 
 
-def moebius_table(N: int) -> list[int]:
-    """mu(n) for 0 <= n <= N via a linear sieve (index 0 unused)."""
-    mu = [0] * (N + 1)
-    if N >= 1:
-        mu[1] = 1
-    primes = []
-    composite = bytearray(N + 1)
-    for i in range(2, N + 1):
-        if not composite[i]:
-            primes.append(i)
-            mu[i] = -1
-        for p in primes:
-            ip = i * p
-            if ip > N:
-                break
-            composite[ip] = 1
-            if i % p == 0:
-                mu[ip] = 0
-                break
-            mu[ip] = -mu[i]
-    return mu
-
-
 # ---------------------------------------------------------------------------
 # Bulk sieve tables (exact; int64 only where the bound provably fits)
 # ---------------------------------------------------------------------------
@@ -363,7 +340,7 @@ def sigma_table(N: int) -> np.ndarray:
     """sigma_1(n) for 0 <= n <= N as int64 (entry 0 unused).
 
     sigma(n) < n * (1 + ln n) for n >= 3, so entries fit int64 for any N that
-    fits in memory; the prefix-sum bound is asserted in sigma_prefix.
+    fits in memory; sigma_prefix enforces the prefix-sum bound.
     """
     sig = np.zeros(N + 1, dtype=np.int64)
     for d in range(1, N + 1):
@@ -374,8 +351,10 @@ def sigma_table(N: int) -> np.ndarray:
 @lru_cache(maxsize=4)
 def sigma_prefix(N: int) -> np.ndarray:
     """Prefix sums S(x) = sum_{e<=x} sigma(e) for 0 <= x <= N, int64."""
-    # sum sigma(e) ~ (pi^2/12) N^2, far below 2^63 for any N we sieve.
-    assert N < 3 * 10**9, "sigma prefix sums would overflow int64"
+    # sum sigma(e) ~ (pi^2/12) N^2 stays below 2^63 for N < 3 * 10^9; refuse
+    # larger N before sigma_table allocates anything.
+    if N >= 3 * 10**9:
+        raise ValueError(f"sigma prefix sums up to N = {N} would overflow int64")
     return np.cumsum(sigma_table(N))
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -25,8 +24,6 @@ from .arith import PiQuantity
 from .counting import Locus
 
 _LOCI = {"h2": Locus.H2, "p3": Locus.P3, "p4": Locus.P4, "gothic": Locus.G}
-_MODE_NAMES = {"exact": "exact", "main": "main_term", "main_term": "main_term",
-               "leading": "leading", "remark": "remark"}
 
 
 def _frac_str(x: Fraction) -> str:
@@ -156,7 +153,7 @@ def _cmd_ideals(args):
 
 
 def _cmd_chi(args):
-    D, mode = args.D, _MODE_NAMES[args.mode]
+    D, mode = args.D, euler.MODES[args.mode]
     fam = args.family
     if fam == "x":
         value, empty = euler.chi_X(D), False
@@ -184,7 +181,7 @@ def _cmd_chi(args):
 
 
 def _cmd_smm(args):
-    cover = counting.smm(_LOCI[args.locus], args.m, _MODE_NAMES[args.surrogate])
+    cover = counting.smm(_LOCI[args.locus], args.m, euler.MODES[args.surrogate])
     result = {
         "m": cover.m,
         "total": cover.total,
@@ -197,12 +194,12 @@ def _cmd_smm(args):
 
 
 def _cmd_cd(args):
-    value = counting.cd_count(_LOCI[args.locus], args.d, _MODE_NAMES[args.surrogate])
+    value = counting.cd_count(_LOCI[args.locus], args.d, euler.MODES[args.surrogate])
     return {"locus": args.locus, "d": args.d, "surrogate": args.surrogate}, value, None
 
 
 def _cmd_oracle_h2(args):
-    value = counting.h2_permutation_oracle(args.d, threads=args.threads)
+    value = counting.h2_permutation_oracle(args.d)
     return {"d": args.d}, value, None
 
 
@@ -212,7 +209,7 @@ def _cmd_sk(args):
 
 def _cmd_volume(args):
     est = volume.volume_estimate(
-        _LOCI[args.locus], args.dmax, args.mode, _MODE_NAMES[args.surrogate]
+        _LOCI[args.locus], args.dmax, args.mode, euler.MODES[args.surrogate]
     )
     result = {
         "locus": args.locus,
@@ -240,7 +237,7 @@ def _cmd_verify(args):
         print(line, file=sys.stderr)
         lines.append(line)
 
-    results = verify.run_suite(args.suite, threads=args.threads, report=report)
+    results = verify.run_suite(args.suite, report=report)
     ok = all(r.ok for r in results)
     result = {
         "suite": args.suite,
@@ -275,8 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--csv", action="store_true", help="emit series results as CSV")
     common.add_argument("--float", action="store_true",
                         help="render exact values as decimals")
-    common.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="parallelism cap (default: available cores)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_parser(name, **kw):
@@ -315,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--j", type=int, default=1)
     p.add_argument("--d", type=int, default=0, help="for family=xbr: the square root of D")
-    p.add_argument("--mode", choices=tuple(_MODE_NAMES), default="exact")
+    p.add_argument("--mode", choices=tuple(euler.MODES), default="exact")
     p.set_defaults(fn=_cmd_chi)
 
     p = add_parser("smm", help="|S_{m,m}| split by contributing curve")

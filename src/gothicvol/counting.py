@@ -18,17 +18,20 @@ Masur-Veech volume.
 The genus-2 oracle counts pairs (h, v) of permutations of d letters with
 <h, v> transitive and commutator h v h^-1 v^-1 a single 3-cycle, weighted by
 1/d! -- i.e. square-tiled surfaces in H(2) counted with weight 1/|Aut|.  It
-must agree exactly with cd_count(H2, d).
+must agree exactly with cd_count(H2, d).  It runs in one process: S_d is built
+once as an int8 array, and each conjugacy-class representative h is tested
+against every v at once by array comparisons.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import factorial
+
+import numpy as np
 
 from .arith import divisors, nu, sigma
 from .euler import chi_G, chi_W2, chi_W4, chi_W6
@@ -151,74 +154,64 @@ def _centralizer_size(part: tuple[int, ...]) -> int:
     return size
 
 
-def _count_for_rep(args: tuple[int, tuple[int, ...], str]) -> tuple[int, int]:
-    """(#v passing, centralizer size) for one conjugacy-class representative h."""
-    d, part, convention = args
-    h = _perm_from_cycle_type(part, d)
-    hinv = [0] * d
-    for i, hi in enumerate(h):
-        hinv[hi] = i
-    rng = range(d)
-    flipped = convention == "vh"
-    count = 0
-    for v in itertools.permutations(rng):
-        vinv = [0] * d
-        for i, vi in enumerate(v):
-            vinv[vi] = i
-        if flipped:  # v h v^-1 h^-1 instead of h v h^-1 v^-1
-            a, ainv, b, binv = v, vinv, h, hinv
-        else:
-            a, ainv, b, binv = h, hinv, v, vinv
-        # commutator w = a b a^-1 b^-1, then require exactly one 3-cycle
-        moved = 0
-        for i in rng:
-            if a[b[ainv[binv[i]]]] != i:
-                moved += 1
-                if moved > 3:
-                    break
-        if moved != 3:
-            continue
-        # transitivity of <h, v> on the d letters
-        seen = 1
-        stack = [0]
-        visited = bytearray(d)
-        visited[0] = 1
-        while stack:
-            i = stack.pop()
-            for j in (h[i], v[i]):
-                if not visited[j]:
-                    visited[j] = 1
-                    seen += 1
-                    stack.append(j)
-        if seen == d:
-            count += 1
-    return count, _centralizer_size(part)
+def _symmetric_group(d: int) -> np.ndarray:
+    """All d! permutations of range(d), one per row of an int8 array."""
+    flat = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(d))),
+        dtype=np.int8,
+        count=factorial(d) * d,
+    )
+    return flat.reshape(factorial(d), d)
 
 
-def h2_permutation_oracle(
-    d: int, threads: int = 1, commutator: str = "hv"
-) -> Fraction:
+def _transitive(h: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Per row v of ``vs``: does <h, v> act transitively on the d letters?
+
+    Grows the orbit of letter 0 by boolean closure: j joins once h(j) or v(j)
+    is in it.  Each round that does not close the orbit adds a letter, so
+    d - 1 rounds reach every letter of a transitive group.
+    """
+    d = h.shape[0]
+    reached = np.zeros(vs.shape, dtype=bool)
+    reached[:, 0] = True
+    for _ in range(d - 1):
+        reached = reached | reached[:, h] | np.take_along_axis(reached, vs, axis=1)
+    return reached.all(axis=1)
+
+
+def h2_permutation_oracle(d: int, commutator: str = "hv") -> Fraction:
     """Weighted count of degree-d square-tiled surfaces in H(2), from scratch.
 
     Counts pairs (h, v) in S_d x S_d with <h, v> transitive whose commutator
     h v h^-1 v^-1 has exactly one nontrivial cycle, of length 3, and divides
-    by d! (h runs over conjugacy-class representatives weighted by class
-    size, so the total is sum over classes of count / |centralizer|).
+    by d!.  h runs over conjugacy-class representatives weighted by class
+    size, so the total is sum over classes of count / |centralizer|; v runs
+    over all of S_d at once, as the rows of one int8 array.  The commutator
+    moves v(j) iff h(v(h^-1 j)) != v(j), so one array comparison gives the
+    number of moved points of every v; transitivity is then tested on the
+    pairs whose commutator moves exactly three points.
 
     ``commutator='vh'`` counts with the conjugate convention v h v^-1 h^-1
-    instead; both conventions give identical counts.
+    instead, evaluated straight from its definition on the table of inverse
+    permutations; both conventions give identical counts.
     """
     if not 1 <= d <= 10:
         raise ValueError("oracle is cost-guarded to 1 <= d <= 10")
     if commutator not in ("hv", "vh"):
         raise ValueError("commutator must be 'hv' or 'vh'")
-    jobs = [(d, part, commutator) for part in _partitions(d)]
-    if threads > 1 and d >= 7:
-        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
-            results = list(pool.map(_count_for_rep, jobs))
-    else:
-        results = [_count_for_rep(job) for job in jobs]
+    vs = _symmetric_group(d)
+    if commutator == "vh":
+        vinvs = np.argsort(vs, axis=1).astype(np.int8)
+        letters = np.arange(d, dtype=np.int8)
     total = Fraction(0)
-    for count, centralizer in results:
-        total += Fraction(count, centralizer)
+    for part in _partitions(d):
+        h = np.array(_perm_from_cycle_type(part, d), dtype=np.int8)
+        hinv = np.argsort(h)
+        if commutator == "hv":
+            moved = np.count_nonzero(h[vs[:, hinv]] != vs, axis=1)
+        else:  # i is moved iff v(h(v^-1(h^-1 i))) != i
+            w = np.take_along_axis(vs, h[vinvs[:, hinv]], axis=1)
+            moved = np.count_nonzero(w != letters, axis=1)
+        count = np.count_nonzero(_transitive(h, vs[moved == 3]))
+        total += Fraction(count, _centralizer_size(part))
     return total

@@ -40,10 +40,23 @@ from fractions import Fraction
 
 from .arith import divisors, moebius, sigma, sl2_order
 from .ideals import component_list
-from .prototypes import conductor_decompose, e_value
+from .prototypes import _validate_discriminant, conductor_decompose, e_value
 from .qforms import e_square_table, ek_coeff
 
-MODES = ("exact", "main_term", "leading", "remark")
+# Every accepted spelling of a mode, mapped to its canonical name; "main" is
+# the command line's short spelling of main_term.
+MODES = {"exact": "exact", "main": "main_term", "main_term": "main_term",
+         "leading": "leading", "remark": "remark"}
+
+
+def surrogate_mode(name: str) -> str:
+    """Canonical name of a square-discriminant surrogate; 'exact' is refused."""
+    mode = MODES.get(name)
+    if mode is None or mode == "exact":
+        raise ValueError(
+            f"unknown surrogate {name!r}; pick one of 'main', 'leading', 'remark'"
+        )
+    return mode
 
 # chi(X_{d^2}(b_r)) / chi(X_{d^2}) by gcd(6, d); also the gothic coefficient
 # -chi coefficient table is 3/2 times this.
@@ -78,11 +91,6 @@ class EulerCharRecord:
 def _is_square(D: int) -> int | None:
     r = math.isqrt(D)
     return r if r * r == D else None
-
-
-def _validate_discriminant(D: int) -> None:
-    if D < 1 or D % 4 in (2, 3):
-        raise ValueError(f"{D} is not a discriminant")
 
 
 def _conductor(D: int) -> int:
@@ -236,7 +244,7 @@ def chi_G(D: int, r: int = 1, mode: str = "exact") -> EulerCharRecord:
     """chi(G_D^r) per the four-case formula; square discriminants offer the
     main_term / leading / remark surrogates (remark: r = 1 only)."""
     _validate_discriminant(D)
-    if mode not in MODES:
+    if mode not in MODES.values():
         raise ValueError(f"unknown mode {mode!r}")
     d = _is_square(D)
     if d is None:

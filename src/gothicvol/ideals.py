@@ -257,7 +257,8 @@ def symplectic_divisors(M) -> tuple[int, int]:
                 break
             addmul(base, stray, 1)
     e1, e2 = divs
-    assert e2 % e1 == 0
+    if e2 % e1:
+        raise AssertionError(f"elementary divisors {e1}, {e2}: e1 does not divide e2")
     return e1, e2
 
 

@@ -40,7 +40,7 @@ class CheckResult:
     detail: str = ""
 
 
-_CHECKS: list[tuple[str, str, Callable[..., str | None]]] = []
+_CHECKS: list[tuple[str, str, Callable[[], str | None]]] = []
 
 
 def _check(name: str, suite: str):
@@ -56,7 +56,7 @@ def _check(name: str, suite: str):
 # ---------------------------------------------------------------------------
 
 @_check("sl2_order multiplicative on coprime pairs up to 500", "arith")
-def _sl2_multiplicative(threads: int = 1):
+def _sl2_multiplicative():
     atab = sl2_order_table(500 * 500)
     small = sl2_order_table(500)
     for m in range(1, 501):
@@ -67,7 +67,7 @@ def _sl2_multiplicative(threads: int = 1):
 
 
 @_check("(sigma * a)(n) = sigma_3(n) for n <= 10^4", "arith")
-def _sigma_conv_identity(threads: int = 1):
+def _sigma_conv_identity():
     N = 10**4
     atab = sl2_order_table(N)
     f = [Fraction(0)] + [Fraction(sigma(1, n)) for n in range(1, N + 1)]
@@ -79,7 +79,7 @@ def _sigma_conv_identity(threads: int = 1):
 
 
 @_check("moebius inversion roundtrip at N = 2000", "arith")
-def _moebius_roundtrip(threads: int = 1):
+def _moebius_roundtrip():
     N = 2000
     # deterministic pseudo-random exact rationals
     f = [Fraction(0)] + [
@@ -94,7 +94,7 @@ def _moebius_roundtrip(threads: int = 1):
 
 
 @_check("hermite_sublattices: sigma(n) forms, each of index n, n <= 200", "arith")
-def _hermite_count(threads: int = 1):
+def _hermite_count():
     for n in range(1, 201):
         forms = hermite_sublattices(n)
         assert len(forms) == sigma(1, n), n
@@ -105,7 +105,7 @@ def _hermite_count(threads: int = 1):
 
 
 @_check("a(d) = p^(3v-2)(p^2-1) a(d_p) for all p | d, d <= 2000", "arith")
-def _a_recursion(threads: int = 1):
+def _a_recursion():
     atab = sl2_order_table(2000)
     for d in range(2, 2001):
         for p, _ in arith.factorize(d):
@@ -120,7 +120,7 @@ def _a_recursion(threads: int = 1):
 # ---------------------------------------------------------------------------
 
 @_check("prototype invariants and b -> -b parity, D <= 5000, k in {1,6}", "prototypes")
-def _prototype_invariants(threads: int = 1):
+def _prototype_invariants():
     checked = 0
     for D in range(4, 5001):
         if D % 4 in (2, 3):
@@ -145,7 +145,7 @@ def _prototype_invariants(threads: int = 1):
 
 
 @_check("fundamental non-square D <= 1000: e(D,1) equals e_1(D)", "prototypes")
-def _fundamental_matches_qexp(threads: int = 1):
+def _fundamental_matches_qexp():
     for D in range(5, 1001):
         if D % 4 in (2, 3) or math.isqrt(D) ** 2 == D:
             continue
@@ -162,7 +162,7 @@ def _fundamental_matches_qexp(threads: int = 1):
 # ---------------------------------------------------------------------------
 
 @_check("F_k series product equals divisor-sum e_k(n), n <= 4000, k in {1,6}", "qforms")
-def _product_vs_direct(threads: int = 1):
+def _product_vs_direct():
     N = 4000
     sig = arith.sigma_table(N)
     for k in (1, 6):
@@ -181,7 +181,7 @@ def _product_vs_direct(threads: int = 1):
 
 
 @_check("e_k(D) = sum_{m|f} e(D/m^2, k), all valid D <= 4000, k in {1,6}", "qforms")
-def _e_and_a(threads: int = 1):
+def _e_and_a():
     for D in range(4, 4001):
         if D % 4 in (2, 3):
             continue
@@ -191,7 +191,7 @@ def _e_and_a(threads: int = 1):
 
 
 @_check("empty residue class gives zero coefficient, k = 6, n <= 1000", "qforms")
-def _empty_class_zero(threads: int = 1):
+def _empty_class_zero():
     for n in range(1001):
         bs = [b for b in range(-math.isqrt(n), math.isqrt(n) + 1) if (n - b * b) % 24 == 0]
         if not bs:
@@ -204,7 +204,7 @@ def _empty_class_zero(threads: int = 1):
 # ---------------------------------------------------------------------------
 
 @_check("gauss sums vanish beyond r = nu_p(d^2) + 2, p <= 50, d <= 200", "zagier")
-def _gamma_truncation(threads: int = 1):
+def _gamma_truncation():
     ps = [p for p in range(2, 51) if arith.is_prime(p)]
     for p in ps:
         for d in range(1, 201):
@@ -215,7 +215,7 @@ def _gamma_truncation(threads: int = 1):
 
 
 @_check("euler factor reduction rules from P_1", "zagier")
-def _euler_factor_reduction(threads: int = 1):
+def _euler_factor_reduction():
     for d in range(1, 101):
         p1_2 = zagier.euler_factor(1, 2, d).value
         g2 = zagier.gauss_gamma(2, 1, d)
@@ -228,14 +228,14 @@ def _euler_factor_reduction(threads: int = 1):
 
 
 @_check("ebar_1 divisor sum equals Euler product with zeta tail, d <= 500", "zagier")
-def _ebar1_routes(threads: int = 1):
+def _ebar1_routes():
     for d in range(1, 501):
         assert zagier.ebar1_exact(d) == zagier.ebar1_via_euler_product(d), d
     return "both exact routes equal"
 
 
 @_check("(12/5) moebius-sum of ebar_1(m^2) equals a(d), d <= 2000", "zagier")
-def _ebar1_quadruple_convolution(threads: int = 1):
+def _ebar1_quadruple_convolution():
     atab = sl2_order_table(2000)
     ebar = [Fraction(0)] * 2001
     for m in range(1, 2001):
@@ -247,7 +247,7 @@ def _ebar1_quadruple_convolution(threads: int = 1):
 
 
 @_check("technical lemma identity, k in {2,3,6}, d <= 500", "zagier")
-def _technical_lemma(threads: int = 1):
+def _technical_lemma():
     for k in (2, 3, 6):
         for d in range(1, 501):
             assert zagier.check_technical_lemma(k, d), (k, d)
@@ -255,7 +255,7 @@ def _technical_lemma(threads: int = 1):
 
 
 @_check("moebius-summed ebar_6 equals kappa(d) a(d)/60 exactly, d <= 1000", "zagier")
-def _ebar6_kappa(threads: int = 1):
+def _ebar6_kappa():
     # The raw ratio ebar_6(d^2) * 60 / a(d) tends to kappa(d) only along
     # d coprime to 6; in the other classes it converges to a factorisation-
     # dependent constant (deviations up to ~30%).  The main-term statement
@@ -302,7 +302,7 @@ def _lattice_hnf(gens) -> tuple:
 
 
 @_check("ideal bases: membership and index 6 in the order, d <= 200, r | 6", "ideals")
-def _ideal_bases(threads: int = 1):
+def _ideal_bases():
     for d in range(2, 201):
         for r in (1, 2, 3, 6):
             spec = ideals.ideal_basis(d, 6, r)
@@ -313,7 +313,7 @@ def _ideal_bases(threads: int = 1):
 
 
 @_check("ideal_equal matches brute-force lattice equality, d <= 100", "ideals")
-def _ideal_equal_brute(threads: int = 1):
+def _ideal_equal_brute():
     for d in range(2, 101):
         rs = (1, 2, 3, 6)
         hnfs = {r: _lattice_hnf(ideals.ideal_basis(d, 6, r).basis) for r in rs}
@@ -324,7 +324,7 @@ def _ideal_equal_brute(threads: int = 1):
 
 
 @_check("galois conjugation swaps b_r and b_{6/r}, d <= 100", "ideals")
-def _galois_swap(threads: int = 1):
+def _galois_swap():
     for d in range(2, 101):
         for r in (1, 2, 3, 6):
             src = ideals.ideal_basis(d, 6, r)
@@ -337,7 +337,7 @@ def _galois_swap(threads: int = 1):
 
 
 @_check("class_count = sigma_0(6/(d,6)) = deduplicated ideal count, d <= 500", "ideals")
-def _class_count_dedup(threads: int = 1):
+def _class_count_dedup():
     for d in range(2, 501):
         distinct = []
         for r in (1, 2, 3, 6):
@@ -349,7 +349,7 @@ def _class_count_dedup(threads: int = 1):
 
 
 @_check("trace pairing has symplectic type (1,6), d <= 200", "ideals")
-def _symplectic_type(threads: int = 1):
+def _symplectic_type():
     for d in range(2, 201):
         for r in ideals.component_list(d):
             M = ideals.gram_matrix(d, 6, r)
@@ -359,7 +359,7 @@ def _symplectic_type(threads: int = 1):
 
 
 @_check("polarization restriction = (lcm(d,r), lcm(d,6/r)), d <= 500", "ideals")
-def _polarization(threads: int = 1):
+def _polarization():
     for d in range(2, 501):
         for r in ideals.component_list(d):
             got = ideals.polarization_restriction(d, 6, r)
@@ -372,7 +372,7 @@ def _polarization(threads: int = 1):
 # ---------------------------------------------------------------------------
 
 @_check("chi(X_{d^2}) = a(d)/72 against the mu-sum definition, d <= 5000", "euler")
-def _chi_x_square(threads: int = 1):
+def _chi_x_square():
     for d in range(1, 5001):
         mu_sum = sum(Fraction(moebius(r), r * r) for r in divisors(d))
         assert euler.chi_X_square(d) == Fraction(d**3, 72) * mu_sum, d
@@ -380,7 +380,7 @@ def _chi_x_square(threads: int = 1):
 
 
 @_check("-6 chi(W_{m^2}(2)) is a nonnegative integer, zero iff m = 2, m <= 2000", "euler")
-def _w2_integrality(threads: int = 1):
+def _w2_integrality():
     for m in range(2, 2001):
         v = -6 * euler.chi_W2(m * m)
         assert v.denominator == 1 and v >= 0, m
@@ -389,7 +389,7 @@ def _w2_integrality(threads: int = 1):
 
 
 @_check("gothic non-square non-emptiness exactly on the residue set, D <= 2000", "euler")
-def _gothic_residues(threads: int = 1):
+def _gothic_residues():
     for D in range(5, 2001):
         if D % 4 in (2, 3) or math.isqrt(D) ** 2 == D:
             continue
@@ -401,7 +401,7 @@ def _gothic_residues(threads: int = 1):
 
 
 @_check("main_term vs leading gap, scaled by d^(5/2), half-range check, d <= 2000", "euler")
-def _main_vs_leading(threads: int = 1):
+def _main_vs_leading():
     dmax = 2000
     euler.precompute_e_square(6, dmax)
     gaps = [0.0] * (dmax + 1)
@@ -416,7 +416,7 @@ def _main_vs_leading(threads: int = 1):
 
 
 @_check("components offered by chi_G(d^2, r) equal component_list(d), d <= 200", "euler")
-def _chi_g_components(threads: int = 1):
+def _chi_g_components():
     for d in range(2, 201):
         offered = []
         for r in (1, 2, 3, 6):
@@ -430,7 +430,7 @@ def _chi_g_components(threads: int = 1):
 
 
 @_check("remark values sit inside the boundary sandwich, d <= 500", "euler")
-def _remark_sandwich(threads: int = 1):
+def _remark_sandwich():
     euler.precompute_e_square(6, 500)
     for d in range(2, 501):
         main = euler.chi_G(d * d, 1, "main_term").value
@@ -445,16 +445,16 @@ def _remark_sandwich(threads: int = 1):
 # ---------------------------------------------------------------------------
 
 @_check("permutation oracle equals cd_count(H2, d), d = 1..8", "counting")
-def _oracle_vs_cd(threads: int = 1):
+def _oracle_vs_cd():
     for d in range(1, 9):
-        got = counting.h2_permutation_oracle(d, threads=threads)
+        got = counting.h2_permutation_oracle(d)
         want = counting.cd_count(Locus.H2, d)
         assert got == want, (d, got, want)
     return "exact equality through d = 8"
 
 
 @_check("commutator convention invariance, d <= 6", "counting")
-def _commutator_convention(threads: int = 1):
+def _commutator_convention():
     for d in range(1, 7):
         assert counting.h2_permutation_oracle(d) == counting.h2_permutation_oracle(
             d, commutator="vh"
@@ -463,7 +463,7 @@ def _commutator_convention(threads: int = 1):
 
 
 @_check("smm/cd consistency and hermite tie-back, d <= 200", "counting")
-def _smm_cd_consistency(threads: int = 1):
+def _smm_cd_consistency():
     for locus in (Locus.H2, Locus.P4):
         totals = {m: counting.smm(locus, m).total for m in range(1, 201)}
         for d in range(1, 201):
@@ -478,14 +478,14 @@ def _smm_cd_consistency(threads: int = 1):
 
 
 @_check("gothic leading smm totals are nonnegative, m <= 5000", "counting")
-def _gothic_leading_nonneg(threads: int = 1):
+def _gothic_leading_nonneg():
     for m in range(1, 5001):
         assert counting.smm(Locus.G, m, "leading").total >= 0, m
     return "no negative weighted counts"
 
 
 @_check("P3 second component appears iff m = 2 mod 4, with (m/2)^2 = 1 mod 8", "counting")
-def _p3_gating(threads: int = 1):
+def _p3_gating():
     for m in range(1, 501):
         cover = counting.smm(Locus.P3, m)
         has_second = any(comp == 2 for _, _, comp, _ in cover.contributions)
@@ -500,7 +500,7 @@ def _p3_gating(threads: int = 1):
 # ---------------------------------------------------------------------------
 
 @_check("(sigma * a)(d) = sigma_3(d) termwise and S_1 at 10^5", "volume")
-def _s1_identity(threads: int = 1):
+def _s1_identity():
     import numpy as np
 
     N = 10**5
@@ -520,7 +520,7 @@ def _s1_identity(threads: int = 1):
 
 
 @_check("S_k asymptotics: ratio in [0.99, 1.01] at 10^5, O(1/D) deviation", "volume")
-def _sk_asymptotics(threads: int = 1):
+def _sk_asymptotics():
     N = 10**5
     for k in (1, 2, 3, 6):
         c = volume.sk_asymptotic_constant(k).to_float()
@@ -539,7 +539,7 @@ def _sk_asymptotics(threads: int = 1):
 
 
 @_check("P4 direct equals closed at every D <= 2000; P3 and gothic too", "volume")
-def _direct_vs_closed(threads: int = 1):
+def _direct_vs_closed():
     Dmax = 2000
     s1 = volume.sk_prefix(1, Dmax)
     s2 = volume.sk_prefix(2, Dmax)
@@ -562,7 +562,7 @@ def _direct_vs_closed(threads: int = 1):
 
 
 @_check("gothic closed summands match their exact limits within 2% at D = 4000", "volume")
-def _gothic_summands(threads: int = 1):
+def _gothic_summands():
     D = 4000
     details = []
     for r in (1, 2, 3, 6):
@@ -580,7 +580,7 @@ def _gothic_summands(threads: int = 1):
 
 
 @_check("volume estimators inside the acceptance tolerances", "volume")
-def _estimator_errors(threads: int = 1):
+def _estimator_errors():
     h2 = volume.volume_estimate(Locus.H2, 4000)
     assert h2.relative_error <= 0.01, h2.relative_error
     p3 = volume.volume_estimate(Locus.P3, 4000)
@@ -596,7 +596,7 @@ def _estimator_errors(threads: int = 1):
 
 
 @_check("AEZ conversion constants are reproduced exactly", "volume")
-def _aez_constants(threads: int = 1):
+def _aez_constants():
     p3 = volume.convert_convention(Locus.P3)
     p4 = volume.convert_convention(Locus.P4)
     assert (p3.coeff, p3.pi_power) == (Fraction(5, 9), 4)
@@ -623,7 +623,7 @@ SUITES = (
 
 
 def run_suite(
-    suite: str = "all", threads: int = 1, report=print, stop_on_failure: bool = True
+    suite: str = "all", report=print, stop_on_failure: bool = True
 ) -> list[CheckResult]:
     """Run the named suite (or all), reporting one line per check.
 
@@ -638,7 +638,7 @@ def run_suite(
             continue
         t0 = time.perf_counter()
         try:
-            detail = fn(threads=threads) or ""
+            detail = fn() or ""
             ok = True
         except AssertionError as exc:
             detail = f"FAILED at {exc.args[0] if exc.args else '?'}"

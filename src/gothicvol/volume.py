@@ -43,10 +43,7 @@ from .arith import (
     sl2_order_table,
 )
 from .counting import Locus, smm
-from .euler import precompute_e_square
-
-_SURROGATES = {"main": "main_term", "main_term": "main_term",
-               "leading": "leading", "remark": "remark"}
+from .euler import precompute_e_square, surrogate_mode
 
 
 @dataclass
@@ -140,7 +137,7 @@ def convert_convention(locus: Locus) -> PiQuantity:
 
 def smm_totals(locus: Locus, mmax: int, surrogate: str = "main_term") -> list[Fraction]:
     """|S_{m,m}| totals for 1 <= m <= mmax (entry 0 unused)."""
-    mode = _SURROGATES[surrogate]
+    mode = surrogate_mode(surrogate)
     if locus is Locus.G:
         precompute_e_square(6, mmax)
     totals = [Fraction(0)] * (mmax + 1)
@@ -244,7 +241,7 @@ def volume_estimate(
         raise ValueError("need D >= 12")
     if mode not in ("direct", "closed"):
         raise ValueError("mode must be 'direct' or 'closed'")
-    surrogate = _SURROGATES[surrogate]
+    surrogate = surrogate_mode(surrogate)
     if surrogate == "remark" and locus is not Locus.G:
         raise ValueError("the remark surrogate applies to the gothic locus only")
     dim = locus.complex_dim

@@ -243,3 +243,9 @@ def test_sigma_tables_match_pointwise():
     atab = arith.sl2_order_table(N)
     for n in range(1, N + 1):
         assert atab[n] == sl2_order(n)
+
+
+def test_sigma_prefix_refuses_int64_overflow():
+    # raised before sigma_table allocates the 3 * 10^9 sieve
+    with pytest.raises(ValueError):
+        arith.sigma_prefix(3 * 10**9)

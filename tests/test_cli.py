@@ -129,6 +129,8 @@ def test_invalid_input_exits_2(capsys):
     capsys.readouterr()
     assert main(["chi", "--family", "g", "--D", "25", "--mode", "exact"]) == 2
     capsys.readouterr()
+    assert main(["sk", "--k", "1", "--D", str(3 * 10**9)]) == 2  # int64 guard
+    capsys.readouterr()
 
 
 def test_unknown_subcommand_exits_2(capsys):

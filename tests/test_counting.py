@@ -109,12 +109,14 @@ def test_oracle_matches_all_pairs_reference():
 
 
 def test_oracle_matches_cd_count():
-    for d in range(1, 8):
-        assert h2_permutation_oracle(d) == cd_count(Locus.H2, d), d
+    for commutator in ("hv", "vh"):
+        for d in range(1, 10):
+            got = h2_permutation_oracle(d, commutator=commutator)
+            assert got == cd_count(Locus.H2, d), (commutator, d)
 
 
 def test_oracle_commutator_conventions_agree():
-    for d in range(1, 6):
+    for d in range(1, 8):
         assert h2_permutation_oracle(d) == h2_permutation_oracle(d, commutator="vh")
 
 

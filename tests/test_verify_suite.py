@@ -4,14 +4,11 @@ This exercises every module invariant at its full stated range; the unit
 test files cover the same ground at smaller ranges with independent oracles.
 """
 
-import os
-
 from gothicvol import verify
 
 
 def test_full_verify_suite_passes():
-    threads = min(4, os.cpu_count() or 1)
-    results = verify.run_suite("all", threads=threads, report=None)
+    results = verify.run_suite("all", report=None)
     failures = [r for r in results if not r.ok]
     assert not failures, failures
     # every suite must have contributed at least one check

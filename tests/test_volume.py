@@ -135,6 +135,8 @@ def test_volume_estimate_structure():
         volume_estimate(Locus.H2, 8)
     with pytest.raises(ValueError):
         volume_estimate(Locus.H2, 100, "direct", "remark")
+    with pytest.raises(ValueError):  # exact is a mode, not a surrogate
+        volume_estimate(Locus.H2, 100, "direct", "exact")
 
 
 def test_volume_estimate_remark_mode_runs():
