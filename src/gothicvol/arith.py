@@ -164,7 +164,18 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
                 e += 1
             out.append((p, e))
         return tuple(out)
-    # trial division fallback for inputs beyond the sieve
+    return trial_factorize(n)
+
+
+def trial_factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorisation of n >= 1 by trial division, without the sieve.
+
+    The fallback of factorize beyond the sieve bound, and the route for a
+    single small n whose caller must not pay for building the sieve.
+    """
+    if n < 1:
+        raise ValueError(f"trial_factorize expects n >= 1, got {n}")
+    out = []
     m = n
     for p in (2, 3):
         if m % p == 0:

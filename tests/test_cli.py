@@ -1,6 +1,7 @@
 """The command line front end: JSON contract, CSV emission, exit codes."""
 
 import json
+import math
 
 import pytest
 
@@ -129,8 +130,19 @@ def test_invalid_input_exits_2(capsys):
     capsys.readouterr()
     assert main(["chi", "--family", "g", "--D", "25", "--mode", "exact"]) == 2
     capsys.readouterr()
-    assert main(["sk", "--k", "1", "--D", str(3 * 10**9)]) == 2  # int64 guard
+    assert main(["sk", "--k", "1", "--D", str(10**12 + 1)]) == 2  # closed-path bound
     capsys.readouterr()
+
+
+def test_sk_beyond_the_sieve_range(capsys):
+    # 3 * 10^9 is past every int64 table; the closed path answers exactly
+    D = 3 * 10**9
+    code, out = run_cli(capsys, "sk", "--k", "1", "--D", str(D))
+    assert code == 0
+    value = json.loads(out)["result"]
+    assert isinstance(value, int)
+    c = math.pi**4 / 360  # S_1(D) / D^4 -> pi^4 / 360
+    assert abs(value / (c * D**4) - 1) <= 8.0 / D
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -3,10 +3,11 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gothicvol import volume
-from gothicvol.arith import sigma, sl2_order
+from gothicvol.arith import jordan2_table, sigma, sigma_prefix, sl2_order
 from gothicvol.counting import Locus
 from gothicvol.volume import (
     GOTHIC_SUMMAND_LIMITS,
@@ -14,21 +15,26 @@ from gothicvol.volume import (
     convert_convention,
     direct_prefix,
     gothic_closed_summand,
+    sigma3_sum,
     sk_asymptotic_constant,
     sk_prefix,
     sk_sum,
+    t_sum,
     volume_estimate,
     volume_exact,
 )
 
 
-def brute_sk(k, D):
+def brute_sk_prefix(k, Dmax):
+    """S_k(D) for every D <= Dmax straight from the definition."""
+    out = [0] * (Dmax + 1)
     total = 0
-    for d in range(1, D + 1):
+    for d in range(1, Dmax + 1):
         for m in range(1, d + 1):
             if d % m == 0 and m % k == 0:
                 total += sigma(1, d // m) * sl2_order(m)
-    return total
+        out[d] = total
+    return out
 
 
 def test_sk_examples():
@@ -38,15 +44,53 @@ def test_sk_examples():
 
 
 def test_sk_brute_force():
-    for k in (1, 2, 3, 6):
-        for D in (1, 5, 20, 50):
-            assert sk_sum(k, D) == brute_sk(k, D), (k, D)
+    # k up to 12 covers the non-squarefree k = 4, 8, 9, 12
+    Dmax = 60
+    for k in range(1, 13):
+        brute = brute_sk_prefix(k, Dmax)
+        for D in range(1, Dmax + 1):
+            assert sk_sum(k, D) == brute[D], (k, D)
 
 
 def test_sk_prefix_consistency():
-    pre = sk_prefix(6, 200)
-    for D in (1, 10, 100, 200):
-        assert pre[D] == sk_sum(6, D)
+    # the table route is the oracle for the hyperbola route
+    Dmax = 2000
+    for k in (1, 2, 3, 6):
+        pre = sk_prefix(k, Dmax)
+        for D in range(1, Dmax + 1):
+            assert sk_sum(k, D) == pre[D], (k, D)
+
+
+def test_t_sum_matches_table_route():
+    Dmax = 1000
+    jtab = jordan2_table(Dmax)
+    ssig = sigma_prefix(Dmax)
+    for D in range(1, Dmax + 1):
+        want = sum(jtab[m] * int(ssig[D // m]) for m in range(1, D + 1))
+        assert t_sum(D) == want, D
+
+
+def test_sigma3_sum_matches_naive_sum():
+    # q^3 floor(x/q) <= x q^2, so the row sum is below x^4 < 2^63 for x <= 10^4
+    xmax = 10**4
+    q = np.arange(1, xmax + 1, dtype=np.int64)
+    for x in range(0, xmax + 1):
+        head = q[:x]
+        assert sigma3_sum(x) == int((head**3 * (x // head)).sum()), x
+
+
+def test_closed_sums_refuse_beyond_bound():
+    assert volume.CLOSED_MAX_D == 10**12
+    # the bound itself is accepted; S_k(k) = a(k) sigma(1)
+    assert sk_sum(10**12, 10**12) == sl2_order(10**12)
+    with pytest.raises(ValueError):
+        sk_sum(1, 10**12 + 1)
+    with pytest.raises(ValueError):
+        t_sum(10**12 + 1)
+    with pytest.raises(ValueError):  # refused before the smaller checkpoints run
+        volume_estimate(Locus.H2, 10**12 + 1, "closed")
+    with pytest.raises(ValueError):
+        sk_sum(0, 10)
 
 
 def test_sk_constants():
