@@ -16,9 +16,12 @@ Key objects:
     hermite_sublattices(n) -- Hermite normal forms (a, s; 0, c) of index n
     PiQuantity             -- exact rational times an integer power of pi
 
-A smallest-prime-factor sieve (default bound 10^7, override with the
-GOTHICVOL_SIEVE_BOUND environment variable) backs factorisation; inputs beyond
-the sieve bound fall back to trial division.
+A smallest-prime-factor sieve backs factorisation.  It is sized to the
+request: the first build has 2^16 entries, and it grows geometrically to the
+largest n that factorize sees, up to the sieve bound (default 10^7, override
+with the GOTHICVOL_SIEVE_BOUND environment variable).  Inputs beyond the bound
+fall back to trial division.  The numpy tables (the sieve, sigma_table and
+sigma_prefix) are read-only.
 """
 
 from __future__ import annotations
@@ -116,7 +119,8 @@ class FactoredInteger:
 # ---------------------------------------------------------------------------
 
 _spf: np.ndarray | None = None
-_spf_bound = 0
+_spf_bound = 0  # the sieve covers 0 <= n < _spf_bound
+_SPF_MIN_SIZE = 2**16
 
 
 def sieve_bound() -> int:
@@ -127,44 +131,55 @@ def sieve_bound() -> int:
     return DEFAULT_SIEVE_BOUND
 
 
-def _ensure_sieve(bound: int | None = None) -> np.ndarray:
+def _ensure_sieve(size: int) -> np.ndarray:
+    """Grow the SPF sieve to cover 0 <= n < size, and return it.
+
+    A build has at least _SPF_MIN_SIZE entries and at least twice the last
+    one, so a run that asks for ever larger n pays for O(log) builds of a
+    geometric series; no build exceeds sieve_bound().
+    """
     global _spf, _spf_bound
-    want = sieve_bound() if bound is None else bound
-    if _spf is None or _spf_bound < want:
-        spf = np.zeros(want, dtype=np.int32)
-        for p in range(2, math.isqrt(want - 1) + 1):
-            if spf[p] == 0:
-                sl = spf[p * p :: p]
-                sl[sl == 0] = p
-        idx = np.arange(want, dtype=np.int32)
-        mask = spf == 0
-        spf[mask] = idx[mask]  # remaining zeros are primes (or 0, 1)
-        _spf, _spf_bound = spf, want
+    if size > _spf_bound:
+        size = min(max(size, 2 * _spf_bound, _SPF_MIN_SIZE), sieve_bound())
+        if size > _spf_bound:
+            spf = np.zeros(size, dtype=np.int32)
+            for p in range(2, math.isqrt(size - 1) + 1):
+                if spf[p] == 0:
+                    sl = spf[p * p :: p]
+                    sl[sl == 0] = p
+            idx = np.arange(size, dtype=np.int32)
+            mask = spf == 0
+            spf[mask] = idx[mask]  # remaining zeros are primes (or 0, 1)
+            spf.flags.writeable = False
+            _spf, _spf_bound = spf, size
     return _spf
 
 
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorisation of n >= 1 as ((p1, e1), (p2, e2), ...), p1 < p2 < ...
 
-    Uses the SPF sieve below its bound, trial division above it.
+    Uses the SPF sieve below the sieve bound, growing it to n when needed, and
+    trial division above the bound.
     """
     if n < 1:
         raise ValueError(f"factorize expects n >= 1, got {n}")
     if n == 1:
         return ()
+    if n >= _spf_bound:
+        if n >= sieve_bound():
+            return trial_factorize(n)
+        _ensure_sieve(n + 1)
+    spf = _spf
     out = []
-    if n < _spf_bound or n < sieve_bound():
-        spf = _ensure_sieve()
-        m = n
-        while m > 1:
-            p = int(spf[m])
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out.append((p, e))
-        return tuple(out)
-    return trial_factorize(n)
+    m = n
+    while m > 1:
+        p = int(spf[m])
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        out.append((p, e))
+    return tuple(out)
 
 
 def trial_factorize(n: int) -> tuple[tuple[int, int], ...]:
@@ -348,25 +363,37 @@ def dirichlet_convolve(f, g, N: int) -> list[Fraction]:
 
 @lru_cache(maxsize=4)
 def sigma_table(N: int) -> np.ndarray:
-    """sigma_1(n) for 0 <= n <= N as int64 (entry 0 unused).
+    """sigma_1(n) for 0 <= n <= N as a read-only int64 array (entry 0 unused).
 
-    sigma(n) < n * (1 + ln n) for n >= 3, so entries fit int64 for any N that
-    fits in memory; sigma_prefix enforces the prefix-sum bound.
+    A pair sieve in isqrt(N) steps: every divisor pair d * q = n with d <= q
+    adds d + q at n, and d = q counts d once.  sigma(n) < n * (1 + ln n) for
+    n >= 3, so entries fit int64 for any N that fits in memory; sigma_prefix
+    enforces the prefix-sum bound.
     """
-    sig = np.zeros(N + 1, dtype=np.int64)
-    for d in range(1, N + 1):
-        sig[d::d] += d
+    if N < 0:
+        raise ValueError(f"sigma_table expects N >= 0, got {N}")
+    # the pairs d = 1: 1 + n at every n >= 2, and 1 at n = 1
+    sig = np.arange(1, N + 2, dtype=np.int64)
+    sig[0] = 0
+    if N >= 1:
+        sig[1] = 1
+    for d in range(2, math.isqrt(N) + 1):
+        sig[d * d :: d] += np.arange(2 * d, N // d + d + 1, dtype=np.int64)
+        sig[d * d] -= d
+    sig.flags.writeable = False
     return sig
 
 
 @lru_cache(maxsize=4)
 def sigma_prefix(N: int) -> np.ndarray:
-    """Prefix sums S(x) = sum_{e<=x} sigma(e) for 0 <= x <= N, int64."""
+    """Prefix sums S(x) = sum_{e<=x} sigma(e) for 0 <= x <= N, read-only int64."""
     # sum sigma(e) ~ (pi^2/12) N^2 stays below 2^63 for N < 3 * 10^9; refuse
     # larger N before sigma_table allocates anything.
     if N >= 3 * 10**9:
         raise ValueError(f"sigma prefix sums up to N = {N} would overflow int64")
-    return np.cumsum(sigma_table(N))
+    pre = np.cumsum(sigma_table(N))
+    pre.flags.writeable = False
+    return pre
 
 
 @lru_cache(maxsize=4)
@@ -375,9 +402,7 @@ def sl2_order_table(N: int) -> list[int]:
     out = [0] * (N + 1)
     if N >= 1:
         out[1] = 1
-    spf_needed = N < sieve_bound()
-    if spf_needed:
-        _ensure_sieve()
+    _ensure_sieve(N + 1)  # one build at the final size, capped by the bound
     for m in range(2, N + 1):
         out[m] = sl2_order(m)
     return out

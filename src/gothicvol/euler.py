@@ -10,7 +10,7 @@ formulas:
                           by gcd(6, d) in {1, 2, 3, 6}
     chi(R_D^r)          = -e(D, 6) / (6 c_D)
     chi(W_D(2))         = -(9/2) chi(X_D)                  (D > 4 non-square)
-    chi(W_{d^2}(2))     = -d^2 (d-2)/16 * sum_{r|d} mu(r)/r^2
+    chi(W_{d^2}(2))     = -d^2 (d-2)/16 * sum_{r|d} mu(r)/r^2 = -(d-2) J_2(d)/16
     chi(W_D^j(4))       = -(5/2) chi(X_D) if f odd, -(15/4) chi(X_D) if f even
     chi(W_D(6))         = -7 chi(X_D)
     chi(G_D^j)          = -(3/2, 9/4, 2, 3 by gcd(6,f)) chi(X_D) - 2 chi(R^j)
@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import divisors, moebius, sigma, sl2_order
+from .arith import divisors, jordan2, moebius, sigma, sl2_order
 from .ideals import component_list
 from .prototypes import _validate_discriminant, conductor_decompose, e_value
 from .qforms import e_square_table, ek_coeff
@@ -195,9 +195,8 @@ def chi_W2(D: int) -> Fraction:
     if d is not None:
         if d < 2:
             raise ValueError("W_1(2) is undefined")
-        return Fraction(-d * d * (d - 2), 16) * sum(
-            Fraction(moebius(r), r * r) for r in divisors(d)
-        )
+        # d^2 sum_{r|d} mu(r)/r^2 = J_2(d)
+        return Fraction(-(d - 2) * jordan2(d), 16)
     if D <= 4:
         raise ValueError("need D > 4")
     return Fraction(-9, 2) * chi_X_nonsquare(D)

@@ -20,7 +20,8 @@ arith.sigma stays standard).  The identity
 ties these coefficients to the prototype counts and is the primary
 anti-bug oracle between the two modules: see check_e_and_a.  Moebius
 inversion of the same identity gives the fast exact evaluation of e(d^2, k)
-used by the volume harness (e_square_table).
+used by the volume harness (e_square_table).  The square tables work on the
+integers e_k(m^2) + 1/12 in int64 numpy arrays, up to m = SQUARE_TABLE_MAX_M.
 """
 
 from __future__ import annotations
@@ -29,11 +30,19 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import arith
-from .arith import divisors, moebius, sigma
+from .arith import divisors, sigma
 from .prototypes import conductor_decompose, e_value
 
 _SIGMA0 = Fraction(-1, 24)  # sigma(0) convention inside e_k only
+
+# For m <= 5 * 10^4, e_k(m^2) + 1/12 is a sum of at most 2m values
+# sigma(n) < n (1 + ln n) with n <= m^2/4 + 1, so below 1.4e15; the in-place
+# Moebius inversion of e_square_table keeps every entry below that times
+# 1 + tau(d^2) <= 946.  Both stay far inside int64.
+SQUARE_TABLE_MAX_M = 5 * 10**4
 
 
 @dataclass
@@ -110,23 +119,28 @@ def ek_coeff(k: int, n: int) -> Fraction:
 
 
 def ek_square_table(k: int, mmax: int) -> list[Fraction]:
-    """e_k(m^2) for 0 <= m <= mmax (entry 0 unused), via a sigma sieve."""
-    if mmax < 1:
-        raise ValueError("mmax must be >= 1")
-    sig = arith.sigma_table(mmax * mmax // (4 * k) + 1)
+    """e_k(m^2) for 0 <= m <= mmax (entry 0 unused), via a sigma sieve.
+
+    Of the terms b in [-m, m], b = +-m give sigma(0) = -1/24 each, and b, -b
+    give equal terms, so e_k(m^2) + 1/12 = 2 sum_{0<=b<m} - (the b = 0 term)
+    is an integer: one numpy sum per m over the b with b^2 = m^2 mod 4k.
+    """
+    if k < 1 or mmax < 1:
+        raise ValueError("need k >= 1 and mmax >= 1")
+    if mmax > SQUARE_TABLE_MAX_M:
+        raise ValueError(f"mmax = {mmax} is beyond the int64 bound {SQUARE_TABLE_MAX_M}")
+    four_k = 4 * k
+    sig = arith.sigma_table(mmax * mmax // four_k + 1)
+    bsq = np.arange(mmax, dtype=np.int64) ** 2
+    bsq_res = bsq % four_k
     out = [Fraction(0)] * (mmax + 1)
     for m in range(1, mmax + 1):
         n = m * m
-        acc = 0  # integer part; the only fractional terms are sigma(0) at b = +-m
-        for b in range(m - 1, -1, -1):
-            rem = n - b * b
-            if rem % (4 * k) == 0:
-                acc += int(sig[rem // (4 * k)])
-        # b and -b contribute equally for b > 0; b = 0 contributes once
-        doubled = 2 * acc
-        if n % (4 * k) == 0:
-            doubled -= int(sig[n // (4 * k)])
-        out[m] = doubled + 2 * _SIGMA0  # b = +-m give sigma(0) each
+        rems = n - bsq[:m][bsq_res[:m] == n % four_k]
+        shifted = 2 * int(sig[rems // four_k].sum())
+        if n % four_k == 0:
+            shifted -= int(sig[n // four_k])
+        out[m] = Fraction(12 * shifted - 1, 12)
     return out
 
 
@@ -135,12 +149,21 @@ def e_square_table(k: int, dmax: int) -> list[Fraction]:
 
     e(d^2, k) = sum_{m | d} mu(d/m) e_k(m^2); exact because the relation
     e_k(D) = sum_{m|f} e(D/m^2, k) is an identity of the coefficients
-    (verified against prototype enumeration by check_e_and_a).
+    (verified against prototype enumeration by check_e_and_a).  The inversion
+    runs in place on the integers f(m) = e_k(m^2) + 1/12, by
+    f[2d::d] -= f[d] for d = 1, 2, ...; since sum_{m|d} mu(d/m) = [d = 1],
+    the 1/12 comes back at d = 1 only.
     """
-    ek = ek_square_table(k, dmax)
-    out = [Fraction(0)] * (dmax + 1)
-    for d in range(1, dmax + 1):
-        out[d] = sum((moebius(d // m) * ek[m] for m in divisors(d)), Fraction(0))
+    ek = ek_square_table(k, dmax)  # refuses dmax > SQUARE_TABLE_MAX_M
+    # e_k(m^2) = (12 f(m) - 1) / 12 in lowest terms, so f = (numerator + 1) / 12
+    f = np.fromiter(
+        ((x.numerator + 1) // 12 for x in ek), dtype=np.int64, count=dmax + 1
+    )
+    for d in range(1, dmax // 2 + 1):
+        f[2 * d :: d] -= f[d]
+    out = [Fraction(v) for v in f.tolist()]
+    out[0] = Fraction(0)
+    out[1] -= Fraction(1, 12)
     return out
 
 

@@ -4,8 +4,10 @@ The volume of the area-1 locus is the limit of (1/D^dim) sum_{d<=D} |C_d|,
 where |C_d| = sum_{m|d} sigma(d/m) |S_{m,m}| counts torus covers of degree d.
 Two evaluation paths are implemented:
 
-    direct -- sum the cover counts of ``counting`` (exact Fractions all the
-              way; floats only in the final division by D^dim);
+    direct -- sum the cover counts of ``counting`` exactly: Fraction totals
+              |S_{m,m}|, scaled to integers for one dot product with the
+              sigma prefix sums; floats only in the final division by D^dim.
+              D is refused beyond DIRECT_MAX_D;
     closed -- the locus-specific combinations of the sums
 
                   S_k(D) = sum_{d<=D} sum_{m|d, k|m} sigma(d/m) a(m)
@@ -43,7 +45,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
+from operator import mul
+
+import numpy as np
 
 from .arith import (
     PiQuantity,
@@ -76,6 +81,12 @@ class VolumeEstimate:
 # The stated reach of the closed path (S_6(10^12) takes one to two seconds).
 # Larger D is refused before any work rather than left to run for minutes.
 CLOSED_MAX_D = 10**12
+
+# The stated reach of the direct path.  Gothic at D builds
+# sigma_table(D^2/24 + 1), about 530 MB of int64 at 40000 (1.5 times that
+# while the pair sieve runs); the square tables stop at
+# qforms.SQUARE_TABLE_MAX_M.  Larger D is refused before any allocation.
+DIRECT_MAX_D = 40000
 
 
 def _faulhaber1(n: int) -> int:
@@ -234,14 +245,20 @@ def smm_totals(locus: Locus, mmax: int, surrogate: str = "main_term") -> list[Fr
 
 
 def direct_raw_sum(totals: list[Fraction], D: int) -> Fraction:
-    """sum_{d<=D} |C_d| = sum_{m<=D} |S_{m,m}| * (sum_{e<=D/m} sigma(e))."""
-    ssig = sigma_prefix(D)
-    acc = Fraction(0)
-    for m in range(1, D + 1):
-        t = totals[m]
-        if t:
-            acc += t * int(ssig[D // m])
-    return acc
+    """sum_{d<=D} |C_d| = sum_{m<=D} |S_{m,m}| * (sum_{e<=D/m} sigma(e)).
+
+    The prefix sums come from one sigma_prefix(len(totals) - 1), which every
+    D up to the end of ``totals`` shares.  The totals are scaled once by their
+    common denominator, so the sum is one Python-int dot product.
+    """
+    if not 0 <= D < len(totals):
+        raise ValueError(f"need 0 <= D < {len(totals)}, the length of totals")
+    ssig = sigma_prefix(len(totals) - 1)
+    ts = totals[1 : D + 1]
+    den = lcm(*(t.denominator for t in ts))
+    scaled = [t.numerator * (den // t.denominator) for t in ts]
+    counts = ssig[D // np.arange(1, D + 1)].tolist()
+    return Fraction(sum(map(mul, scaled, counts)), den)
 
 
 def direct_prefix(locus: Locus, Dmax: int, surrogate: str = "main_term") -> list[Fraction]:
@@ -330,6 +347,8 @@ def volume_estimate(
         raise ValueError("mode must be 'direct' or 'closed'")
     if mode == "closed":
         _check_closed_bound(D)
+    elif D > DIRECT_MAX_D:
+        raise ValueError(f"D = {D} is beyond the direct-path bound {DIRECT_MAX_D}")
     surrogate = surrogate_mode(surrogate)
     if surrogate == "remark" and locus is not Locus.G:
         raise ValueError("the remark surrogate applies to the gothic locus only")

@@ -4,8 +4,13 @@ Expected values are either hand-checkable or frozen from an independent
 brute-force oracle computed in this file (divisor loops, matrix enumeration).
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -249,3 +254,62 @@ def test_sigma_prefix_refuses_int64_overflow():
     # raised before sigma_table allocates the 3 * 10^9 sieve
     with pytest.raises(ValueError):
         arith.sigma_prefix(3 * 10**9)
+
+
+def test_sigma_table_pair_sieve_matches_sigma():
+    # every N <= 400, then perfect squares, where the pair d = q sits at N
+    ref = [0] + [sigma(1, n) for n in range(1, 4097)]
+    for N in [*range(401), 441, 1024, 2025, 4096]:
+        assert arith.sigma_table(N).tolist() == ref[: N + 1], N
+
+
+def test_cached_tables_are_read_only():
+    factorize(360)
+    for table in (arith.sigma_table(100), arith.sigma_prefix(100), arith._spf):
+        with pytest.raises(ValueError):
+            table[5] = 0
+    assert arith.sigma_table(100)[5] == 6
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Reports how far the SPF sieve has grown after each factorisation, and which
+# inputs went to trial division.
+_SIEVE_SIZING = """
+import json
+from gothicvol import arith
+
+trial = arith.trial_factorize
+trialled = []
+
+def counted_trial(n):
+    trialled.append(n)
+    return trial(n)
+
+arith.trial_factorize = counted_trial
+doc = {"cap": arith.sieve_bound()}
+doc["small"] = [arith.factorize(360), arith._spf_bound]
+doc["large"] = [arith.factorize(9_999_991) == trial(9_999_991), arith._spf_bound]
+doc["huge"] = [arith.factorize(10**14 + 37) == trial(10**14 + 37), arith._spf_bound]
+doc["trialled"] = trialled
+print(json.dumps(doc))
+"""
+
+
+def test_sieve_grows_to_the_request_in_a_fresh_process():
+    env = {k: v for k, v in os.environ.items() if k != arith.SIEVE_BOUND_ENV}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SIEVE_SIZING],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    doc = json.loads(proc.stdout)
+    assert doc["cap"] == arith.DEFAULT_SIEVE_BOUND
+    factors, bound = doc["small"]
+    assert factors == [[2, 3], [3, 2], [5, 1]]
+    assert 361 <= bound <= 2**17
+    ok, bound = doc["large"]
+    assert ok and 9_999_991 < bound <= doc["cap"]
+    ok, bound = doc["huge"]
+    assert ok and bound == doc["large"][1]
+    assert doc["trialled"] == [10**14 + 37]

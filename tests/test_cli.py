@@ -132,6 +132,10 @@ def test_invalid_input_exits_2(capsys):
     capsys.readouterr()
     assert main(["sk", "--k", "1", "--D", str(10**12 + 1)]) == 2  # closed-path bound
     capsys.readouterr()
+    # direct-path bound, checked before any table is built
+    assert main(["volume", "--locus", "gothic", "--dmax", "1000000000",
+                 "--mode", "direct"]) == 2
+    capsys.readouterr()
 
 
 def test_sk_beyond_the_sieve_range(capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from gothicvol import euler
-from gothicvol.arith import sl2_order
+from gothicvol.arith import divisors, moebius, sl2_order
 from gothicvol.euler import (
     c_D,
     chi_G,
@@ -148,3 +148,12 @@ def test_invalid_discriminants_rejected():
             chi_W2(D)
         with pytest.raises(ValueError):
             chi_G(D)
+
+
+def test_chi_w2_square_matches_moebius_sum():
+    # -d^2 (d-2)/16 sum_{r|d} mu(r)/r^2, the formula before the J_2 closed form
+    for d in range(2, 501):
+        expected = Fraction(-d * d * (d - 2), 16) * sum(
+            Fraction(moebius(r), r * r) for r in divisors(d)
+        )
+        assert chi_W2(d * d) == expected, d

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from gothicvol.arith import divisors, moebius
 from gothicvol.prototypes import e_value
 from gothicvol.qforms import (
+    SQUARE_TABLE_MAX_M,
     QExpansion,
     check_e_and_a,
     e_square_table,
@@ -64,6 +66,30 @@ def test_ek_square_table_matches_pointwise():
         tab = ek_square_table(k, 60)
         for m in range(1, 61):
             assert tab[m] == ek_coeff(k, m * m), (k, m)
+
+
+def test_ek_square_table_matches_divisor_sum():
+    for k in (1, 2, 3, 6):
+        tab = ek_square_table(k, 150)
+        for m in range(1, 151):
+            assert tab[m] == ek_coeff(k, m * m), (k, m)
+
+
+def test_e_square_table_matches_moebius_sum():
+    for k in (1, 2, 3, 6):
+        ek = [None] + [ek_coeff(k, m * m) for m in range(1, 201)]
+        tab = e_square_table(k, 200)
+        for d in range(1, 201):
+            expected = sum((moebius(d // m) * ek[m] for m in divisors(d)), Fraction(0))
+            assert tab[d] == expected, (k, d)
+
+
+def test_square_tables_refuse_beyond_int64_bound():
+    # refused before the sigma table of about 6 * 10^8 entries is built
+    with pytest.raises(ValueError):
+        ek_square_table(1, SQUARE_TABLE_MAX_M + 1)
+    with pytest.raises(ValueError):
+        e_square_table(6, SQUARE_TABLE_MAX_M + 1)
 
 
 def test_e_square_table_matches_enumeration():

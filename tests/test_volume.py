@@ -149,6 +149,33 @@ def test_direct_equals_closed_for_p3():
         assert prefix[D] == closed_raw_sum(Locus.P3, D), D
 
 
+@pytest.mark.parametrize(
+    "locus, surrogate",
+    [(Locus.H2, "main"), (Locus.P3, "main"), (Locus.P4, "main"),
+     (Locus.G, "main"), (Locus.G, "leading"), (Locus.G, "remark")],
+)
+def test_direct_prefix_matches_direct_raw_sum(locus, surrogate):
+    # the divisor-sum route against the sigma-prefix dot product
+    Dmax = 300
+    prefix = direct_prefix(locus, Dmax, surrogate)
+    totals = volume.smm_totals(locus, Dmax, surrogate)
+    for D in range(Dmax + 1):
+        assert prefix[D] == volume.direct_raw_sum(totals, D), D
+
+
+def test_direct_path_refuses_beyond_bound():
+    # the gothic sigma table at the bound, with the pair sieve's temporary,
+    # stays under 1 GB
+    assert 16000 <= volume.DIRECT_MAX_D
+    assert (volume.DIRECT_MAX_D**2 // 24 + 2) * 8 * 3 // 2 < 2**30
+    # refused before smm_totals allocates anything
+    for locus in Locus:
+        with pytest.raises(ValueError):
+            volume_estimate(locus, volume.DIRECT_MAX_D + 1, "direct")
+    with pytest.raises(ValueError):
+        volume.direct_raw_sum([Fraction(0)] * 11, 11)
+
+
 def test_gothic_direct_leading_equals_closed():
     totals = volume.smm_totals(Locus.G, 240, "leading")
     for D in (60, 120, 240):
