@@ -3,8 +3,8 @@
 Everything downstream (prototype counts, q-expansions, Euler characteristics,
 volume sums) is built on the functions in this module.  All user-visible values
 are exact: rationals are ``fractions.Fraction`` (always reduced, positive
-denominator), integers are Python arbitrary-precision ints.  Fixed-width numpy
-arrays appear only in sieve tables whose entries provably fit in int64.
+denominator), integers are Python arbitrary-precision ints.  Fixed-width
+arrays appear only in sieve tables whose entries provably fit their type.
 
 Key objects:
     moebius(n)             -- Moebius function
@@ -20,19 +20,23 @@ A smallest-prime-factor sieve backs factorisation.  It is sized to the
 request: the first build has 2^16 entries, and it grows geometrically to the
 largest n that factorize sees, up to the sieve bound (default 10^7, override
 with the GOTHICVOL_SIEVE_BOUND environment variable).  Inputs beyond the bound
-fall back to trial division.  The numpy tables (the sieve, sigma_table and
-sigma_prefix) are read-only.
+fall back to trial division.  The sieve is a stdlib array("i") behind a
+read-only memoryview, so factorisation never imports numpy; numpy is loaded
+only by sigma_table and sigma_prefix, whose int64 results are read-only too.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # The universal exact scalar.  fractions.Fraction already guarantees the two
 # invariants we need: lowest terms and positive denominator.
@@ -118,7 +122,7 @@ class FactoredInteger:
 # Smallest-prime-factor sieve
 # ---------------------------------------------------------------------------
 
-_spf: np.ndarray | None = None
+_spf: memoryview | None = None  # spf[n] for composite n, 0 for n < 2 and primes
 _spf_bound = 0  # the sieve covers 0 <= n < _spf_bound
 _SPF_MIN_SIZE = 2**16
 
@@ -127,31 +131,37 @@ def sieve_bound() -> int:
     """The configured sieve bound (environment override wins)."""
     raw = os.environ.get(SIEVE_BOUND_ENV)
     if raw:
-        return max(4, int(raw))
+        try:
+            return max(4, int(raw))
+        except ValueError:
+            raise ValueError(f"{SIEVE_BOUND_ENV} must be an integer, got {raw!r}") from None
     return DEFAULT_SIEVE_BOUND
 
 
-def _ensure_sieve(size: int) -> np.ndarray:
+def _ensure_sieve(size: int) -> memoryview:
     """Grow the SPF sieve to cover 0 <= n < size, and return it.
 
     A build has at least _SPF_MIN_SIZE entries and at least twice the last
     one, so a run that asks for ever larger n pays for O(log) builds of a
-    geometric series; no build exceeds sieve_bound().
+    geometric series; no build exceeds sieve_bound().  The primes p up to
+    isqrt(size - 1) write p at p^2, p^2 + p, ... in decreasing order, so the
+    smallest prime factor of each composite is written last.
     """
     global _spf, _spf_bound
     if size > _spf_bound:
         size = min(max(size, 2 * _spf_bound, _SPF_MIN_SIZE), sieve_bound())
         if size > _spf_bound:
-            spf = np.zeros(size, dtype=np.int32)
-            for p in range(2, math.isqrt(size - 1) + 1):
-                if spf[p] == 0:
-                    sl = spf[p * p :: p]
-                    sl[sl == 0] = p
-            idx = np.arange(size, dtype=np.int32)
-            mask = spf == 0
-            spf[mask] = idx[mask]  # remaining zeros are primes (or 0, 1)
-            spf.flags.writeable = False
-            _spf, _spf_bound = spf, size
+            root = math.isqrt(size - 1)
+            composite = bytearray(root + 1)
+            primes = []
+            for p in range(2, root + 1):
+                if not composite[p]:
+                    primes.append(p)
+                    composite[p * p :: p] = b"\x01" * len(range(p * p, root + 1, p))
+            spf = array("i", [0]) * size
+            for p in reversed(primes):
+                spf[p * p :: p] = array("i", [p]) * len(range(p * p, size, p))
+            _spf, _spf_bound = memoryview(spf).toreadonly(), size
     return _spf
 
 
@@ -173,7 +183,7 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     out = []
     m = n
     while m > 1:
-        p = int(spf[m])
+        p = spf[m] or m  # 0 marks a prime
         e = 0
         while m % p == 0:
             m //= p
@@ -370,6 +380,8 @@ def sigma_table(N: int) -> np.ndarray:
     n >= 3, so entries fit int64 for any N that fits in memory; sigma_prefix
     enforces the prefix-sum bound.
     """
+    import numpy as np
+
     if N < 0:
         raise ValueError(f"sigma_table expects N >= 0, got {N}")
     # the pairs d = 1: 1 + n at every n >= 2, and 1 at n = 1
@@ -391,32 +403,35 @@ def sigma_prefix(N: int) -> np.ndarray:
     # larger N before sigma_table allocates anything.
     if N >= 3 * 10**9:
         raise ValueError(f"sigma prefix sums up to N = {N} would overflow int64")
-    pre = np.cumsum(sigma_table(N))
+    sig = sigma_table(N)
+    import numpy as np
+
+    pre = np.cumsum(sig)
     pre.flags.writeable = False
     return pre
 
 
 @lru_cache(maxsize=4)
-def sl2_order_table(N: int) -> list[int]:
-    """a(m) for 0 <= m <= N as exact Python ints (entry 0 unused)."""
+def sl2_order_table(N: int) -> tuple[int, ...]:
+    """a(m) for 0 <= m <= N as exact Python ints (entry 0 unused), read-only."""
     out = [0] * (N + 1)
     if N >= 1:
         out[1] = 1
     _ensure_sieve(N + 1)  # one build at the final size, capped by the bound
     for m in range(2, N + 1):
         out[m] = sl2_order(m)
-    return out
+    return tuple(out)
 
 
 @lru_cache(maxsize=4)
-def jordan2_table(N: int) -> list[int]:
-    """J_2(m) for 0 <= m <= N as exact Python ints (entry 0 unused)."""
+def jordan2_table(N: int) -> tuple[int, ...]:
+    """J_2(m) for 0 <= m <= N as exact Python ints (entry 0 unused), read-only."""
     out = [0] * (N + 1)
     if N >= 1:
         out[1] = 1
     for m in range(2, N + 1):
         out[m] = jordan2(m)
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -30,11 +30,13 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import factorial
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .arith import divisors, nu, sigma
 from .euler import chi_G, chi_W2, chi_W4, chi_W6
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Locus(Enum):
@@ -156,6 +158,8 @@ def _centralizer_size(part: tuple[int, ...]) -> int:
 
 def _symmetric_group(d: int) -> np.ndarray:
     """All d! permutations of range(d), one per row of an int8 array."""
+    import numpy as np
+
     flat = np.fromiter(
         itertools.chain.from_iterable(itertools.permutations(range(d))),
         dtype=np.int8,
@@ -171,6 +175,8 @@ def _transitive(h: np.ndarray, vs: np.ndarray) -> np.ndarray:
     is in it.  Each round that does not close the orbit adds a letter, so
     d - 1 rounds reach every letter of a transitive group.
     """
+    import numpy as np
+
     d = h.shape[0]
     reached = np.zeros(vs.shape, dtype=bool)
     reached[:, 0] = True
@@ -199,6 +205,8 @@ def h2_permutation_oracle(d: int, commutator: str = "hv") -> Fraction:
         raise ValueError("oracle is cost-guarded to 1 <= d <= 10")
     if commutator not in ("hv", "vh"):
         raise ValueError("commutator must be 'hv' or 'vh'")
+    import numpy as np
+
     vs = _symmetric_group(d)
     if commutator == "vh":
         vinvs = np.argsort(vs, axis=1).astype(np.int8)

@@ -108,14 +108,14 @@ def chi_X_square(d: int) -> Fraction:
     return Fraction(sl2_order(d), 72)
 
 
-_E_CACHE: dict[int, list[Fraction]] = {}
+_E_CACHE: dict[int, tuple[Fraction, ...]] = {}
 
 
 def precompute_e_square(k: int, dmax: int) -> None:
     """Warm the exact e(d^2, k) cache in bulk (the volume harness hot path)."""
     cached = _E_CACHE.get(k)
     if cached is None or len(cached) <= dmax:
-        _E_CACHE[k] = e_square_table(k, dmax)
+        _E_CACHE[k] = tuple(e_square_table(k, dmax))
 
 
 def e_square(d: int, k: int) -> Fraction:

@@ -30,8 +30,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import arith
 from .arith import divisors, sigma
 from .prototypes import conductor_decompose, e_value
@@ -131,6 +129,8 @@ def ek_square_table(k: int, mmax: int) -> list[Fraction]:
         raise ValueError(f"mmax = {mmax} is beyond the int64 bound {SQUARE_TABLE_MAX_M}")
     four_k = 4 * k
     sig = arith.sigma_table(mmax * mmax // four_k + 1)
+    import numpy as np
+
     bsq = np.arange(mmax, dtype=np.int64) ** 2
     bsq_res = bsq % four_k
     out = [Fraction(0)] * (mmax + 1)
@@ -155,6 +155,8 @@ def e_square_table(k: int, dmax: int) -> list[Fraction]:
     the 1/12 comes back at d = 1 only.
     """
     ek = ek_square_table(k, dmax)  # refuses dmax > SQUARE_TABLE_MAX_M
+    import numpy as np
+
     # e_k(m^2) = (12 f(m) - 1) / 12 in lowest terms, so f = (numerator + 1) / 12
     f = np.fromiter(
         ((x.numerator + 1) // 12 for x in ek), dtype=np.int64, count=dmax + 1

@@ -48,8 +48,6 @@ from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
 
-import numpy as np
-
 from .arith import (
     PiQuantity,
     divisors,
@@ -254,6 +252,8 @@ def direct_raw_sum(totals: list[Fraction], D: int) -> Fraction:
     if not 0 <= D < len(totals):
         raise ValueError(f"need 0 <= D < {len(totals)}, the length of totals")
     ssig = sigma_prefix(len(totals) - 1)
+    import numpy as np
+
     ts = totals[1 : D + 1]
     den = lcm(*(t.denominator for t in ts))
     scaled = [t.numerator * (den // t.denominator) for t in ts]

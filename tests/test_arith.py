@@ -265,10 +265,35 @@ def test_sigma_table_pair_sieve_matches_sigma():
 
 def test_cached_tables_are_read_only():
     factorize(360)
-    for table in (arith.sigma_table(100), arith.sigma_prefix(100), arith._spf):
+    for table in (arith.sigma_table(100), arith.sigma_prefix(100)):
         with pytest.raises(ValueError):
             table[5] = 0
     assert arith.sigma_table(100)[5] == 6
+    # the SPF sieve is a read-only memoryview, which raises TypeError
+    assert arith._spf.readonly
+    with pytest.raises(TypeError):
+        arith._spf[6] = 0
+    assert arith._spf[6] == 2
+
+
+def test_list_tables_are_read_only():
+    for table in (arith.sl2_order_table(100), arith.jordan2_table(100)):
+        with pytest.raises(TypeError):
+            table[5] = 0
+    assert arith.sl2_order_table(100)[5] == 120
+    assert arith.jordan2_table(100)[5] == 24
+
+
+def test_sieve_matches_trial_division_across_a_regrow(monkeypatch):
+    # start from no sieve, so the ascending n grow it from 2^16 past 2^17
+    monkeypatch.delenv(arith.SIEVE_BOUND_ENV, raising=False)
+    monkeypatch.setattr(arith, "_spf", None)
+    monkeypatch.setattr(arith, "_spf_bound", 0)
+    sizes = set()
+    for n in range(1, 2**17 + 64):
+        assert factorize(n) == arith.trial_factorize(n), n
+        sizes.add(arith._spf_bound)
+    assert sizes == {0, 2**16, 2**17, 2**18}
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -296,14 +321,19 @@ print(json.dumps(doc))
 """
 
 
-def test_sieve_grows_to_the_request_in_a_fresh_process():
+def _fresh_process(code, **env_overrides):
     env = {k: v for k, v in os.environ.items() if k != arith.SIEVE_BOUND_ENV}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.update(env_overrides)
     proc = subprocess.run(
-        [sys.executable, "-c", _SIEVE_SIZING],
+        [sys.executable, "-c", code],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
-    doc = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_sieve_grows_to_the_request_in_a_fresh_process():
+    doc = _fresh_process(_SIEVE_SIZING)
     assert doc["cap"] == arith.DEFAULT_SIEVE_BOUND
     factors, bound = doc["small"]
     assert factors == [[2, 3], [3, 2], [5, 1]]
@@ -313,3 +343,26 @@ def test_sieve_grows_to_the_request_in_a_fresh_process():
     ok, bound = doc["huge"]
     assert ok and bound == doc["large"][1]
     assert doc["trialled"] == [10**14 + 37]
+
+
+# Factorises every n <= 300 and one n above the sieve bound under a tiny bound.
+_TINY_BOUND = """
+import json
+from gothicvol import arith
+
+cap = arith.sieve_bound()
+ns = [*range(1, 301), 6 * (cap + 1)]
+print(json.dumps({
+    "cap": cap,
+    "wrong": [n for n in ns if arith.factorize(n) != arith.trial_factorize(n)],
+    "sieve": arith._spf_bound,
+}))
+"""
+
+
+@pytest.mark.parametrize("bound", [4, 5, 30, 65537])
+def test_sieve_at_tiny_bounds_in_a_fresh_process(bound):
+    doc = _fresh_process(_TINY_BOUND, **{arith.SIEVE_BOUND_ENV: str(bound)})
+    assert doc["cap"] == bound
+    assert doc["wrong"] == []
+    assert 0 < doc["sieve"] <= bound

@@ -2,10 +2,27 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from gothicvol.arith import SIEVE_BOUND_ENV
 from gothicvol.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def fresh_process(args, **env_overrides):
+    """Run ``python <args>`` with this checkout's package and a clean sieve bound."""
+    env = {k: v for k, v in os.environ.items() if k != SIEVE_BOUND_ENV}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.update(env_overrides)
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
 
 
 def run_cli(capsys, *argv):
@@ -136,6 +153,48 @@ def test_invalid_input_exits_2(capsys):
     assert main(["volume", "--locus", "gothic", "--dmax", "1000000000",
                  "--mode", "direct"]) == 2
     capsys.readouterr()
+    for dmax in ("0", "-5"):
+        assert main(["zagier", "--what", "ebar", "--dmax", dmax]) == 2
+        capsys.readouterr()
+
+
+def test_bad_sieve_bound_names_the_variable():
+    proc = fresh_process(["-m", "gothicvol", "e", "--D", "5", "--k", "1"],
+                         **{SIEVE_BOUND_ENV: "abc"})
+    assert proc.returncode == 2
+    assert SIEVE_BOUND_ENV in proc.stderr and "'abc'" in proc.stderr
+
+
+# Runs each argv through cli.main in one process and reports, after each,
+# its exit code and whether numpy has been imported so far.
+_NUMPY_LOADS = """
+import contextlib, io, json, sys
+from gothicvol.cli import main
+
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    loaded.append([code, "numpy" in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_only_array_requests_import_numpy():
+    no_arrays = [
+        ["sk", "--k", "6", "--D", "300000"],
+        ["volume", "--locus", "gothic", "--dmax", "100000", "--mode", "closed"],
+        ["e", "--D", "57", "--k", "6"],
+        ["proto", "--D", "105", "--k", "1"],
+        ["chi", "--family", "g", "--D", "97"],
+        ["ideals", "--d", "30"],
+        ["qexp", "--series", "ek", "--k", "6", "--N", "200"],
+    ]
+    # the control: a direct volume builds the sigma prefix-sum array
+    direct = ["volume", "--locus", "h2", "--dmax", "20", "--mode", "direct"]
+    proc = fresh_process(["-c", _NUMPY_LOADS, json.dumps([*no_arrays, direct])])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, False]] * len(no_arrays) + [[0, True]]
 
 
 def test_sk_beyond_the_sieve_range(capsys):

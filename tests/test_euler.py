@@ -19,6 +19,7 @@ from gothicvol.euler import (
     chi_boundary_gap,
 )
 from gothicvol.prototypes import e_value
+from gothicvol.qforms import e_square_table
 
 
 def test_chi_x_square_examples():
@@ -157,3 +158,11 @@ def test_chi_w2_square_matches_moebius_sum():
             Fraction(moebius(r), r * r) for r in divisors(d)
         )
         assert chi_W2(d * d) == expected, d
+
+
+def test_e_square_cache_is_read_only():
+    euler.precompute_e_square(6, 30)
+    cache = euler._E_CACHE[6]
+    with pytest.raises(TypeError):
+        cache[5] = Fraction(0)
+    assert cache[5] == e_square_table(6, 5)[5]
