@@ -3,8 +3,8 @@
 Everything downstream (prototype counts, q-expansions, Euler characteristics,
 volume sums) is built on the functions in this module.  All user-visible values
 are exact: rationals are ``fractions.Fraction`` (always reduced, positive
-denominator), integers are Python arbitrary-precision ints.  Fixed-width
-arrays appear only in sieve tables whose entries provably fit their type.
+denominator), integers are Python arbitrary-precision ints.  The one fixed-width
+array is the smallest-prime-factor sieve, whose entries fit its type.
 
 Key objects:
     moebius(n)             -- Moebius function
@@ -21,8 +21,9 @@ request: the first build has 2^16 entries, and it grows geometrically to the
 largest n that factorize sees, up to the sieve bound (default 10^7, override
 with the GOTHICVOL_SIEVE_BOUND environment variable).  Inputs beyond the bound
 fall back to trial division.  The sieve is a stdlib array("i") behind a
-read-only memoryview, so factorisation never imports numpy; numpy is loaded
-only by sigma_table and sigma_prefix, whose int64 results are read-only too.
+read-only memoryview.  The bulk tables (sigma_table, sigma_prefix,
+sl2_order_table, jordan2_table, moebius_table) are read-only tuples of Python
+ints, each built in one O(N) pass over the sieve; nothing here imports numpy.
 """
 
 from __future__ import annotations
@@ -33,10 +34,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
+from itertools import accumulate
 
 # The universal exact scalar.  fractions.Fraction already guarantees the two
 # invariants we need: lowest terms and positive denominator.
@@ -368,70 +366,84 @@ def dirichlet_convolve(f, g, N: int) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# Bulk sieve tables (exact; int64 only where the bound provably fits)
+# Bulk tables of multiplicative functions (exact Python ints)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=4)
-def sigma_table(N: int) -> np.ndarray:
-    """sigma_1(n) for 0 <= n <= N as a read-only int64 array (entry 0 unused).
+def _least_primes(N: int) -> list[int]:
+    """The smallest prime factor of n for 0 <= n <= N, or 0 where n < 2 or n is
+    prime.  Read from the SPF sieve; n past the sieve bound is trial-factorised."""
+    least = _ensure_sieve(N + 1)[: N + 1].tolist()
+    for n in range(len(least), N + 1):
+        p = trial_factorize(n)[0][0]
+        least.append(p if p < n else 0)
+    return least
 
-    A pair sieve in isqrt(N) steps: every divisor pair d * q = n with d <= q
-    adds d + q at n, and d = q counts d once.  sigma(n) < n * (1 + ln n) for
-    n >= 3, so entries fit int64 for any N that fits in memory; sigma_prefix
-    enforces the prefix-sum bound.
+
+def _multiplicative_table(N: int, step) -> tuple[int, ...]:
+    """f(n) for 0 <= n <= N (f(0) = 0) of a multiplicative f, read-only.
+
+    ``step(p, f(p^(e-1)))`` gives f(p^e), starting from f(1) = 1.  One pass in
+    increasing n: with p the smallest prime of n and p^e || n,
+    f(n) = f(n / p^e) f(p^e), both entries already in the table unless n = p^e.
     """
-    import numpy as np
-
     if N < 0:
-        raise ValueError(f"sigma_table expects N >= 0, got {N}")
-    # the pairs d = 1: 1 + n at every n >= 2, and 1 at n = 1
-    sig = np.arange(1, N + 2, dtype=np.int64)
-    sig[0] = 0
+        raise ValueError(f"a table needs N >= 0, got {N}")
+    least = _least_primes(N)
+    out = [0] * (N + 1)
+    head = [0] * (N + 1)  # head[n] = p^e, the full power of n's smallest prime
     if N >= 1:
-        sig[1] = 1
-    for d in range(2, math.isqrt(N) + 1):
-        sig[d * d :: d] += np.arange(2 * d, N // d + d + 1, dtype=np.int64)
-        sig[d * d] -= d
-    sig.flags.writeable = False
-    return sig
+        out[1] = 1
+    for n in range(2, N + 1):
+        p = least[n] or n
+        m = n // p
+        if m % p:
+            head[n] = p
+            out[n] = out[m] * out[p] if m > 1 else step(p, 1)
+        else:
+            q = head[m] * p
+            head[n] = q
+            out[n] = step(p, out[m]) if q == n else out[n // q] * out[q]
+    return tuple(out)
 
 
 @lru_cache(maxsize=4)
-def sigma_prefix(N: int) -> np.ndarray:
-    """Prefix sums S(x) = sum_{e<=x} sigma(e) for 0 <= x <= N, read-only int64."""
-    # sum sigma(e) ~ (pi^2/12) N^2 stays below 2^63 for N < 3 * 10^9; refuse
-    # larger N before sigma_table allocates anything.
-    if N >= 3 * 10**9:
-        raise ValueError(f"sigma prefix sums up to N = {N} would overflow int64")
-    sig = sigma_table(N)
-    import numpy as np
+def sigma_table(N: int) -> tuple[int, ...]:
+    """sigma_1(n) for 0 <= n <= N as exact Python ints (entry 0 unused), read-only."""
+    return _multiplicative_table(N, lambda p, prev: p * prev + 1)
 
-    pre = np.cumsum(sig)
-    pre.flags.writeable = False
-    return pre
+
+@lru_cache(maxsize=4)
+def sigma_prefix(N: int) -> tuple[int, ...]:
+    """Prefix sums S(x) = sum_{e<=x} sigma(e) for 0 <= x <= N, read-only."""
+    # a table of 3 * 10^9 entries would need hundreds of gigabytes; refuse it
+    # before sigma_table allocates anything
+    if N >= 3 * 10**9:
+        raise ValueError(f"sigma prefix sums up to N = {N} are beyond the bound 3 * 10^9")
+    return tuple(accumulate(sigma_table(N)))
 
 
 @lru_cache(maxsize=4)
 def sl2_order_table(N: int) -> tuple[int, ...]:
-    """a(m) for 0 <= m <= N as exact Python ints (entry 0 unused), read-only."""
-    out = [0] * (N + 1)
-    if N >= 1:
-        out[1] = 1
-    _ensure_sieve(N + 1)  # one build at the final size, capped by the bound
-    for m in range(2, N + 1):
-        out[m] = sl2_order(m)
-    return tuple(out)
+    """a(m) for 0 <= m <= N as exact Python ints (entry 0 unused), read-only.
+
+    a(p) = p^3 - p and a(p^e) = p^3 a(p^(e-1)).
+    """
+    return _multiplicative_table(N, lambda p, prev: p**3 * prev if prev > 1 else p**3 - p)
 
 
 @lru_cache(maxsize=4)
 def jordan2_table(N: int) -> tuple[int, ...]:
-    """J_2(m) for 0 <= m <= N as exact Python ints (entry 0 unused), read-only."""
-    out = [0] * (N + 1)
-    if N >= 1:
-        out[1] = 1
-    for m in range(2, N + 1):
-        out[m] = jordan2(m)
-    return tuple(out)
+    """J_2(m) for 0 <= m <= N as exact Python ints (entry 0 unused), read-only.
+
+    J_2(p) = p^2 - 1 and J_2(p^e) = p^2 J_2(p^(e-1)).
+    """
+    return _multiplicative_table(N, lambda p, prev: p * p * prev if prev > 1 else p * p - 1)
+
+
+@lru_cache(maxsize=4)
+def moebius_table(N: int) -> tuple[int, ...]:
+    """mu(m) for 0 <= m <= N (entry 0 unused), read-only."""
+    return _multiplicative_table(N, lambda p, prev: -1 if prev == 1 else 0)
 
 
 # ---------------------------------------------------------------------------

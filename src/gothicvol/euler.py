@@ -41,7 +41,7 @@ from fractions import Fraction
 from .arith import divisors, jordan2, moebius, sigma, sl2_order
 from .ideals import component_list
 from .prototypes import _validate_discriminant, conductor_decompose, e_value
-from .qforms import e_square_table, ek_coeff
+from .qforms import e_square_twelfths, ek_coeff
 
 # Every accepted spelling of a mode, mapped to its canonical name; "main" is
 # the command line's short spelling of main_term.
@@ -112,14 +112,16 @@ _E_CACHE: dict[int, tuple[Fraction, ...]] = {}
 
 
 def precompute_e_square(k: int, dmax: int) -> None:
-    """Warm the exact e(d^2, k) cache in bulk (the volume harness hot path)."""
+    """Warm the exact e(d^2, k) cache in bulk, for k in {1, 6}, from
+    qforms.e_square_twelfths."""
     cached = _E_CACHE.get(k)
     if cached is None or len(cached) <= dmax:
-        _E_CACHE[k] = tuple(e_square_table(k, dmax))
+        _E_CACHE[k] = tuple(Fraction(v, 12) for v in e_square_twelfths(k, dmax))
 
 
 def e_square(d: int, k: int) -> Fraction:
-    """Exact e(d^2, k), via the q-expansion route with Moebius inversion."""
+    """Exact e(d^2, k): from the bulk cache when precompute_e_square has
+    covered d, else by the Moebius sum over the divisor sums e_k(m^2)."""
     cached = _E_CACHE.get(k)
     if cached is not None and d < len(cached):
         return cached[d]

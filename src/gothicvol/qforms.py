@@ -19,16 +19,28 @@ arith.sigma stays standard).  The identity
 
 ties these coefficients to the prototype counts and is the primary
 anti-bug oracle between the two modules: see check_e_and_a.  Moebius
-inversion of the same identity gives the fast exact evaluation of e(d^2, k)
-used by the volume harness (e_square_table).  The square tables work on the
-integers e_k(m^2) + 1/12 in int64 numpy arrays, up to m = SQUARE_TABLE_MAX_M.
+inversion of the same identity gives e(d^2, k) for every d <= dmax at once,
+along two routes:
+
+    e_square_twelfths  -- the production route, 12 e(d^2, k) as exact ints
+                          for k in {1, 6}: Besge's identity closes k = 1, and
+                          k = 6 comes from four level-6 divisor convolutions,
+                          each one Python-int Kronecker product; sigma is
+                          needed only up to dmax, and numpy is never loaded;
+    e_square_table     -- the oracle for any k, from ek_square_table, which
+                          sums a sigma table up to dmax^2/4k in int64 numpy
+                          arrays, up to m = SQUARE_TABLE_MAX_M.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import add, sub
 
 from . import arith
 from .arith import divisors, sigma
@@ -41,6 +53,12 @@ _SIGMA0 = Fraction(-1, 24)  # sigma(0) convention inside e_k only
 # Moebius inversion of e_square_table keeps every entry below that times
 # 1 + tau(d^2) <= 946.  Both stay far inside int64.
 SQUARE_TABLE_MAX_M = 5 * 10**4
+
+# The level-6 convolution sums C(n) <= sum_{u+v=n} sigma(u) sigma(v)
+# = (5 sigma_3(n) + (1 - 6n) sigma(n))/12 < (5/12) zeta(3) n^3 < 0.5009 n^3
+# (Besge), so every C(n) with n <= 3 * 10^6 is below 1.36e19 < 2^64 and fits
+# one 64-bit Kronecker slot.
+CONVOLUTION_MAX_N = 3 * 10**6
 
 
 @dataclass
@@ -128,8 +146,9 @@ def ek_square_table(k: int, mmax: int) -> list[Fraction]:
     if mmax > SQUARE_TABLE_MAX_M:
         raise ValueError(f"mmax = {mmax} is beyond the int64 bound {SQUARE_TABLE_MAX_M}")
     four_k = 4 * k
-    sig = arith.sigma_table(mmax * mmax // four_k + 1)
     import numpy as np
+
+    sig = np.asarray(arith.sigma_table(mmax * mmax // four_k + 1), dtype=np.int64)
 
     bsq = np.arange(mmax, dtype=np.int64) ** 2
     bsq_res = bsq % four_k
@@ -167,6 +186,119 @@ def e_square_table(k: int, dmax: int) -> list[Fraction]:
     out[0] = Fraction(0)
     out[1] -= Fraction(1, 12)
     return out
+
+
+def _kronecker_product(xs, ys, n_out: int) -> array:
+    """c[n] = sum_{i+j=n} xs[i] ys[j] for 0 <= n < n_out, as array("Q").
+
+    Each sequence is packed into one Python int with a 64-bit slot per entry,
+    and the product is unpacked slot by slot.  Entries are nonnegative, so a
+    carry only moves upward: every c[n] with n < n_out is exact as long as
+    all of them are below 2^64, whatever the slots above n_out hold.
+    """
+    little = sys.byteorder == "little"
+
+    def pack(seq) -> int:
+        slots = array("Q", seq[:n_out])
+        if not little:
+            slots.byteswap()
+        return int.from_bytes(slots, "little")
+
+    out = array("Q")
+    out.frombytes((pack(xs) * pack(ys)).to_bytes(16 * n_out, "little")[: 8 * n_out])
+    if not little:
+        out.byteswap()
+    return out
+
+
+def _convolution_sum(sig, nmax: int, a: int, b: int, x_residues) -> list[int]:
+    """C(n) = sum_{ax+by=n, x,y>=1} sigma(x) sigma(y) for 0 <= n <= nmax, with
+    x restricted to the residues x_residues mod 6/a (a, b divide 6).
+
+    Put x = (6/a) x' + i and y = (6/b) y' + j: then ax + by = 6(x' + y') + s
+    with s = ai + bj, so each pair (i, j) is one short convolution of length
+    about nmax/6.  ``sig`` has sig[0] = 0, which drops x = 0 and y = 0.
+    """
+    A, B = 6 // a, 6 // b
+    out = [0] * (nmax + 1)
+    for i in x_residues:
+        for j in range(B):
+            s = a * i + b * j
+            if s > nmax:
+                continue
+            n_out = (nmax - s) // 6 + 1
+            conv = _kronecker_product(sig[i::A], sig[j::B], n_out)
+            out[s::6] = map(add, out[s::6], conv)
+    return out
+
+
+def e6_square_twelfths(dmax: int) -> tuple[int, ...]:
+    """12 e(d^2, 6) for 0 <= d <= dmax (entry 0 unused), as exact ints.
+
+    With u = (m - b)/2, v = (m + b)/2 in the divisor sum of e_6(m^2), the
+    terms b = +-m give -1/12 and the rest are sigma(uv/6) over u + v = m with
+    6 | uv.  Splitting 6 | uv by gcd(u, 6) and expanding
+    sigma(xy) = sum_{g | (x,y)} mu(g) g sigma(x/g) sigma(y/g) gives
+
+        e_6(m^2) + 1/12 = sum_{g | m} mu(g) g [C_{6,1}(m/g) + [3 !| g] C_{2,3}(m/g)
+                            + [2 !| g] C_{3,2}(m/g) + [(g,6) = 1] C_{1,6}(m/g)]
+
+    with C_{a,b}(n) = sum_{ax+by=n} sigma(x) sigma(y), x restricted by
+    3 !| x, 2 !| x and (x, 6) = 1 in the last three.  Moebius inversion over
+    m | d, in place as in e_square_table, then gives e(d^2, 6) + [d = 1]/12.
+    sigma is needed only up to dmax.  Refuses dmax > CONVOLUTION_MAX_N, the
+    bound of the 64-bit Kronecker slot, before anything is built.
+    """
+    if dmax < 1:
+        raise ValueError(f"need dmax >= 1, got {dmax}")
+    if dmax > CONVOLUTION_MAX_N:
+        raise ValueError(
+            f"dmax = {dmax} is beyond the 64-bit convolution bound {CONVOLUTION_MAX_N}"
+        )
+    sig = arith.sigma_table(dmax)
+    c61 = _convolution_sum(sig, dmax, 6, 1, (0,))
+    c23 = _convolution_sum(sig, dmax, 2, 3, (1, 2))
+    c32 = _convolution_sum(sig, dmax, 3, 2, (1,))
+    c16 = _convolution_sum(sig, dmax, 1, 6, (1, 5))
+    # the bracket by the class of g: (g,6) = 1, g even, 3 | g, 6 | g
+    k2 = list(map(add, c61, c23))
+    k3 = list(map(add, c61, c32))
+    by_class = (list(map(add, k2, map(add, c32, c16))), k2, k3, c61)
+    mu = arith.moebius_table(dmax)
+    f = [0] * (dmax + 1)
+    for g in range(1, dmax + 1):
+        if mu[g]:
+            k = by_class[(g % 2 == 0) + 2 * (g % 3 == 0)]
+            f[g::g] = map(add, f[g::g], map((mu[g] * g).__mul__, k[1 : dmax // g + 1]))
+    for d in range(1, dmax // 2 + 1):
+        f[2 * d :: d] = map(sub, f[2 * d :: d], repeat(f[d]))
+    twelfths = [12 * v for v in f]
+    twelfths[1] -= 1
+    return tuple(twelfths)
+
+
+def e1_square_twelfths(dmax: int) -> tuple[int, ...]:
+    """12 e(d^2, 1) = 5 a(d) - 6 J_2(d) for 0 <= d <= dmax (entry 0 unused).
+
+    Besge's identity sum_{u+v=n} sigma(u) sigma(v)
+    = (5 sigma_3(n) + (1 - 6n) sigma(n))/12 (Ramanujan, Trans. Cambridge
+    Phil. Soc. 22, 1916), Moebius-inverted over the squares, gives
+    e(d^2, 1) = (5/12) a(d) - J_2(d)/2; at d = 1 that is -1/12.
+    """
+    if dmax < 1:
+        raise ValueError(f"need dmax >= 1, got {dmax}")
+    atab = arith.sl2_order_table(dmax)
+    jtab = arith.jordan2_table(dmax)
+    return (0, *(5 * atab[d] - 6 * jtab[d] for d in range(1, dmax + 1)))
+
+
+def e_square_twelfths(k: int, dmax: int) -> tuple[int, ...]:
+    """12 e(d^2, k) for 0 <= d <= dmax as exact ints, for k in {1, 6}."""
+    if k == 1:
+        return e1_square_twelfths(dmax)
+    if k == 6:
+        return e6_square_twelfths(dmax)
+    raise ValueError(f"e_square_twelfths covers k in {{1, 6}}, got {k}")
 
 
 def check_e_and_a(D: int, k: int) -> bool:

@@ -189,7 +189,7 @@ def _product_vs_direct():
                 rem = n - b * b
                 if rem % (4 * k) == 0:
                     m = rem // (4 * k)
-                    total += Fraction(-1, 24) if m == 0 else int(sig[m])
+                    total += Fraction(-1, 24) if m == 0 else sig[m]
             if fk.coeff(n) != total:
                 raise AssertionError((k, n))
     return "Cauchy product vs divisor sums, both k"
@@ -214,6 +214,20 @@ def _empty_class_zero():
             if qforms.ek_coeff(6, n) != 0:
                 raise AssertionError(n)
     return "scanned n <= 1000"
+
+
+@_check("e(d^2, k) in twelfths equals the square tables, d <= 4000, k in {1,6}", "qforms")
+def _e_square_routes():
+    # k = 6: level-6 convolution sums against the D^2/24 sigma-table route;
+    # k = 1: Besge's closed form 5 a(d) - 6 J_2(d) against the D^2/4 route
+    dmax = 4000
+    for k in (1, 6):
+        new = qforms.e_square_twelfths(k, dmax)
+        old = qforms.e_square_table(k, dmax)
+        for d in range(1, dmax + 1):
+            if Fraction(new[d], 12) != old[d]:
+                raise AssertionError((k, d))
+    return "convolution route (k = 6) and Besge (k = 1) exact at every d"
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +575,7 @@ def _s1_identity():
         sig3[q::q] += q**3  # max sigma_3 here ~ 2.5e15, safely inside int64
     total = 0
     for d in range(1, N + 1):
-        conv = sum(int(sig[d // m]) * atab[m] for m in divisors(d))
+        conv = sum(sig[d // m] * atab[m] for m in divisors(d))
         s3 = int(sig3[d])
         if conv != s3:
             raise AssertionError(d)

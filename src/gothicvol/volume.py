@@ -4,10 +4,13 @@ The volume of the area-1 locus is the limit of (1/D^dim) sum_{d<=D} |C_d|,
 where |C_d| = sum_{m|d} sigma(d/m) |S_{m,m}| counts torus covers of degree d.
 Two evaluation paths are implemented:
 
-    direct -- sum the cover counts of ``counting`` exactly: Fraction totals
-              |S_{m,m}|, scaled to integers for one dot product with the
-              sigma prefix sums; floats only in the final division by D^dim.
-              D is refused beyond DIRECT_MAX_D;
+    direct -- sum the cover counts exactly: the totals L |S_{m,m}| are
+              Python ints over one denominator L per locus and surrogate,
+              built from the a(m), J_2(m) and 12 e(m^2, 6) tables, and one
+              dot product with the sigma prefix sums gives the raw sum;
+              floats only in the final division by D^dim.  No table is
+              longer than D + 1, and numpy is never loaded.  D is refused
+              beyond DIRECT_MAX_D;
     closed -- the locus-specific combinations of the sums
 
                   S_k(D) = sum_{d<=D} sum_{m|d, k|m} sigma(d/m) a(m)
@@ -45,20 +48,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt, lcm
-from operator import mul
+from math import isqrt
+from operator import add, mul
 
 from .arith import (
     PiQuantity,
     divisors,
     factorize,
+    jordan2_table,
     sigma,
     sigma_prefix,
     sl2_order_table,
     trial_factorize,
 )
 from .counting import Locus, smm
-from .euler import precompute_e_square, surrogate_mode
+from .euler import KAPPA_PRIME, REMARK_COEFF, X_BR_RATIO, surrogate_mode
+from .qforms import e6_square_twelfths
 
 
 @dataclass
@@ -80,11 +85,12 @@ class VolumeEstimate:
 # Larger D is refused before any work rather than left to run for minutes.
 CLOSED_MAX_D = 10**12
 
-# The stated reach of the direct path.  Gothic at D builds
-# sigma_table(D^2/24 + 1), about 530 MB of int64 at 40000 (1.5 times that
-# while the pair sieve runs); the square tables stop at
-# qforms.SQUARE_TABLE_MAX_M.  Larger D is refused before any allocation.
-DIRECT_MAX_D = 40000
+# The stated reach of the direct path: the largest D whose slowest request,
+# gothic main or remark, stays within 15 s and 800 MB cold on 2 cores (the
+# cost of gothic at the old bound 40000).  Measured at 250000: 10-12.5 s and
+# 150 MB, mostly the Kronecker products of e(d^2, 6); 300000 took 13-18.5 s.
+# Far below qforms.CONVOLUTION_MAX_N.  Larger D is refused before any work.
+DIRECT_MAX_D = 250000
 
 
 def _faulhaber1(n: int) -> int:
@@ -231,39 +237,120 @@ def convert_convention(locus: Locus) -> PiQuantity:
 # Direct path
 # ---------------------------------------------------------------------------
 
-def smm_totals(locus: Locus, mmax: int, surrogate: str = "main_term") -> list[Fraction]:
-    """|S_{m,m}| totals for 1 <= m <= mmax (entry 0 unused)."""
+@dataclass(frozen=True)
+class SmmTotals:
+    """|S_{m,m}| = numerators[m] / denominator for 0 <= m <= mmax (entry 0 is 0)."""
+
+    numerators: tuple[int, ...]
+    denominator: int
+
+
+_GCD6_BY_RESIDUE = (6, 1, 2, 3, 2, 1)  # gcd(6, h) by h mod 6
+
+
+def _by_residue(L: int, coeff) -> tuple[int, ...]:
+    """L * coeff(gcd(6, h)) indexed by h mod 6; each must be an integer."""
+    out = []
+    for g in _GCD6_BY_RESIDUE:
+        x = L * Fraction(coeff(g))
+        if x.denominator != 1:
+            raise ArithmeticError(f"{L} * {coeff(g)} is not an integer")
+        out.append(x.numerator)
+    return tuple(out)
+
+
+def _gothic_curve_counts(h_max: int, mode: str) -> tuple[int, list[int]]:
+    """(L, G) with G[h] = -6 L chi(G_{h^2}) for 1 <= h <= h_max, in ``mode``
+    (main_term or leading; no remark term), entry 0 is 0.
+
+    leading:   -6 chi = 6 kappa'(g) a(h);
+    main_term: -6 chi = (ratio(g)/8) a(h) - (2/c(g)) e(h^2, 6), with
+               c(g) = sigma_0(6/g) the number of ideals of norm 6,
+    where g = gcd(6, h) and ratio is euler.X_BR_RATIO.
+    """
+    atab = sl2_order_table(h_max)
+    if mode == "leading":
+        L = 720
+        ca = _by_residue(L, lambda g: 6 * KAPPA_PRIME[g])
+        return L, [ca[h % 6] * atab[h] for h in range(h_max + 1)]
+    L = 48
+    ca = _by_residue(L, lambda g: X_BR_RATIO[g] / 8)
+    # e(h^2, 6) = e12[h] / 12
+    ce = _by_residue(L, lambda g: Fraction(-2, 12 * sigma(0, 6 // g)))
+    e12 = e6_square_twelfths(h_max)
+    return L, [0] + [ca[h % 6] * atab[h] + ce[h % 6] * e12[h] for h in range(1, h_max + 1)]
+
+
+def smm_totals(locus: Locus, mmax: int, surrogate: str = "main_term") -> SmmTotals:
+    """|S_{m,m}| for 1 <= m <= mmax as Python ints over one denominator.
+
+    Every |S_{m,m}| is -6 chi of at most four curves (counting.smm), and
+    each chi is a fixed rational combination of a(h), J_2(h) and e(h^2, 6)
+    with a small denominator, so L |S_{m,m}| is an integer for one L per
+    locus and surrogate.  Built from whole tables; e(h^2, 6) only for the
+    gothic main_term and remark surrogates, the only ones that read it.
+    """
     mode = surrogate_mode(surrogate)
-    if locus is Locus.G:
-        precompute_e_square(6, mmax)
-    totals = [Fraction(0)] * (mmax + 1)
-    for m in range(1, mmax + 1):
-        totals[m] = smm(locus, m, mode).total
-    return totals
+    if mmax < 1:
+        raise ValueError(f"need mmax >= 1, got {mmax}")
+    ms = range(1, mmax + 1)
+    if locus is Locus.H2:
+        # -6 chi(W_{m^2}(2)) = 3 (m - 2) J_2(m) / 8, counted for m > 2 only
+        jtab = jordan2_table(mmax)
+        return SmmTotals(tuple(3 * (m - 2) * jtab[m] if m > 2 else 0
+                               for m in range(mmax + 1)), 8)
+    atab = sl2_order_table(mmax)
+    if locus is Locus.P3:
+        # -6 chi(W^1_{m^2}(4)) = 5 a(m)/24 (m odd) or 5 a(m)/16 (m even),
+        # plus -6 chi(W^2_{h^2}(4)) = 5 a(h)/24 at h = m/2 iff m = 2 mod 4
+        t = [0] + [(15 if m % 2 == 0 else 10) * atab[m] for m in ms]
+        t[2::4] = map(add, t[2::4], (10 * x for x in atab[1::2]))
+        return SmmTotals(tuple(t), 48)
+    if locus is Locus.P4:
+        # -6 chi(W_{h^2}(6)) = 7 a(h)/12 at h = m/2, for even m
+        t = [0] * (mmax + 1)
+        t[2::2] = (7 * x for x in atab[1 : mmax // 2 + 1])
+        return SmmTotals(tuple(t), 12)
+    if locus is not Locus.G:
+        raise ValueError(f"unsupported locus {locus}")
+    L, curve = _gothic_curve_counts(mmax, "leading" if mode == "leading" else "main_term")
+    t = list(curve)  # the component r = 1, at h = m
+    if mode == "remark":
+        # r = 1 gains -6 (REMARK/h) chi(X_{h^2}(b_1)) = -(REMARK ratio/12) J_2(h),
+        # as a(h)/h = J_2(h); not at h = 2, where the main term is kept
+        jtab = jordan2_table(mmax)
+        cj = _by_residue(L, lambda g: -REMARK_COEFF[g] * X_BR_RATIO[g] / 12)
+        t[1:] = (x + cj[m % 6] * jtab[m] if m != 2 else x for m, x in zip(ms, t[1:]))
+    # r = 2 iff nu_2(m) = 1 (m = 2 mod 4), r = 3 iff nu_3(m) = 1 (m = 3, 6
+    # mod 9), r = 6 iff both (m = 6, 30 mod 36); each at h = m/r
+    for start, step, r in ((2, 4, 2), (3, 9, 3), (6, 9, 3), (6, 36, 6), (30, 36, 6)):
+        t[start::step] = map(add, t[start::step], curve[start // r :: step // r])
+    return SmmTotals(tuple(t), L)
 
 
-def direct_raw_sum(totals: list[Fraction], D: int) -> Fraction:
+def direct_raw_sum(totals: SmmTotals, D: int) -> Fraction:
     """sum_{d<=D} |C_d| = sum_{m<=D} |S_{m,m}| * (sum_{e<=D/m} sigma(e)).
 
-    The prefix sums come from one sigma_prefix(len(totals) - 1), which every
-    D up to the end of ``totals`` shares.  The totals are scaled once by their
-    common denominator, so the sum is one Python-int dot product.
+    The prefix sums come from one sigma_prefix(mmax), which every D up to
+    the end of ``totals`` shares; the sum is one Python-int dot product over
+    the common denominator of the totals.
     """
-    if not 0 <= D < len(totals):
-        raise ValueError(f"need 0 <= D < {len(totals)}, the length of totals")
-    ssig = sigma_prefix(len(totals) - 1)
-    import numpy as np
-
-    ts = totals[1 : D + 1]
-    den = lcm(*(t.denominator for t in ts))
-    scaled = [t.numerator * (den // t.denominator) for t in ts]
-    counts = ssig[D // np.arange(1, D + 1)].tolist()
-    return Fraction(sum(map(mul, scaled, counts)), den)
+    t = totals.numerators
+    if not 0 <= D < len(t):
+        raise ValueError(f"need 0 <= D < {len(t)}, the length of totals")
+    ssig = sigma_prefix(len(t) - 1)
+    counts = map(ssig.__getitem__, map(D.__floordiv__, range(1, D + 1)))
+    return Fraction(sum(map(mul, t[1 : D + 1], counts)), totals.denominator)
 
 
 def direct_prefix(locus: Locus, Dmax: int, surrogate: str = "main_term") -> list[Fraction]:
-    """Partial sums sum_{d<=D} |C_d| for every D <= Dmax (entry 0 = 0)."""
-    totals = smm_totals(locus, Dmax, surrogate)
+    """Partial sums sum_{d<=D} |C_d| for every D <= Dmax (entry 0 = 0).
+
+    The oracle for smm_totals and direct_raw_sum: |S_{m,m}| from
+    counting.smm per m, and |C_d| by the divisor sum over m | d.
+    """
+    mode = surrogate_mode(surrogate)
+    totals = [Fraction(0)] + [smm(locus, m, mode).total for m in range(1, Dmax + 1)]
     out = [Fraction(0)] * (Dmax + 1)
     acc = Fraction(0)
     for d in range(1, Dmax + 1):

@@ -42,7 +42,7 @@ from .arith import (
     nu,
     sl2_order,
 )
-from .qforms import e_square_table
+from .qforms import e1_square_twelfths, e6_square_twelfths
 
 # zeta(2)/zeta(4) = prod_p (1 + p^-2) = 15/pi^2
 _ZETA2_OVER_ZETA4 = PiQuantity(Fraction(15), -2)
@@ -222,17 +222,21 @@ class AsymptoticReport:
 
 
 def asymptotic_check_e(d_max: int) -> AsymptoticReport:
-    """Deviation report for e(d^2, 1) and e(d^2, 6), d <= d_max."""
+    """Deviation report for e(d^2, 1) and e(d^2, 6), d <= d_max.
+
+    e(d^2, 1) is Besge's closed form, e(d^2, 6) the level-6 convolution route.
+    """
     if d_max < 24:
         raise ValueError("d_max must be >= 24")
-    e1 = e_square_table(1, d_max)
-    e6 = e_square_table(6, d_max)
+    e1 = e1_square_twelfths(d_max)
+    e6 = e6_square_twelfths(d_max)
     delta1 = [0.0] * (d_max + 1)
     delta6 = [0.0] * (d_max + 1)
     for d in range(1, d_max + 1):
         a = sl2_order(d)
-        delta1[d] = float(abs(e1[d] - Fraction(5, 12) * a)) / float(d) ** 2.5
-        delta6[d] = float(abs(e6[d] - kappa(d) * Fraction(a, 60))) / float(d) ** 2.5
+        scale = float(d) ** 2.5
+        delta1[d] = float(abs(Fraction(e1[d] - 5 * a, 12))) / scale
+        delta6[d] = float(abs(Fraction(e6[d], 12) - kappa(d) * Fraction(a, 60))) / scale
     half, quarter = d_max // 2, d_max // 4
     up1 = max(delta1[half + 1 :])
     lo1 = max(delta1[quarter + 1 : half + 1])

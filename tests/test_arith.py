@@ -257,16 +257,35 @@ def test_sigma_prefix_refuses_int64_overflow():
 
 
 def test_sigma_table_pair_sieve_matches_sigma():
-    # every N <= 400, then perfect squares, where the pair d = q sits at N
+    # every N <= 400, then perfect squares and prime powers at the end
     ref = [0] + [sigma(1, n) for n in range(1, 4097)]
     for N in [*range(401), 441, 1024, 2025, 4096]:
-        assert arith.sigma_table(N).tolist() == ref[: N + 1], N
+        assert list(arith.sigma_table(N)) == ref[: N + 1], N
+
+
+def test_multiplicative_tables_match_scalars():
+    N = 3000
+    assert list(arith.moebius_table(N))[1:] == [moebius(n) for n in range(1, N + 1)]
+    assert list(arith.jordan2_table(N))[1:] == [jordan2(n) for n in range(1, N + 1)]
+    assert list(arith.sl2_order_table(N))[1:] == [sl2_order(n) for n in range(1, N + 1)]
+    assert arith.sigma_prefix(N)[N] == sum(sigma(1, n) for n in range(1, N + 1))
+
+
+def test_multiplicative_table_past_the_sieve_bound(monkeypatch):
+    # a sieve of 50 entries: every n >= 50 takes its smallest prime from
+    # trial division
+    monkeypatch.setenv(arith.SIEVE_BOUND_ENV, "50")
+    monkeypatch.setattr(arith, "_spf", None)
+    monkeypatch.setattr(arith, "_spf_bound", 0)
+    table = arith._multiplicative_table(400, lambda p, prev: p * prev + 1)
+    assert arith._spf_bound == 50
+    assert list(table) == [0] + [sigma(1, n) for n in range(1, 401)]
 
 
 def test_cached_tables_are_read_only():
     factorize(360)
     for table in (arith.sigma_table(100), arith.sigma_prefix(100)):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             table[5] = 0
     assert arith.sigma_table(100)[5] == 6
     # the SPF sieve is a read-only memoryview, which raises TypeError
@@ -277,7 +296,8 @@ def test_cached_tables_are_read_only():
 
 
 def test_list_tables_are_read_only():
-    for table in (arith.sl2_order_table(100), arith.jordan2_table(100)):
+    for table in (arith.sl2_order_table(100), arith.jordan2_table(100),
+                  arith.moebius_table(100)):
         with pytest.raises(TypeError):
             table[5] = 0
     assert arith.sl2_order_table(100)[5] == 120

@@ -189,10 +189,14 @@ def test_only_array_requests_import_numpy():
         ["chi", "--family", "g", "--D", "97"],
         ["ideals", "--d", "30"],
         ["qexp", "--series", "ek", "--k", "6", "--N", "200"],
+        ["volume", "--locus", "gothic", "--dmax", "200", "--mode", "direct",
+         "--surrogate", "main"],
+        ["volume", "--locus", "h2", "--dmax", "20", "--mode", "direct"],
+        ["zagier", "--what", "asymptotic", "--dmax", "100"],
     ]
-    # the control: a direct volume builds the sigma prefix-sum array
-    direct = ["volume", "--locus", "h2", "--dmax", "20", "--mode", "direct"]
-    proc = fresh_process(["-c", _NUMPY_LOADS, json.dumps([*no_arrays, direct])])
+    # the control: the permutation oracle builds an int8 array
+    oracle = ["oracle-h2", "--d", "4"]
+    proc = fresh_process(["-c", _NUMPY_LOADS, json.dumps([*no_arrays, oracle])])
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[0, False]] * len(no_arrays) + [[0, True]]
 

@@ -5,13 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from gothicvol.arith import divisors, moebius
+from gothicvol import qforms
+from gothicvol.arith import divisors, moebius, sigma
 from gothicvol.prototypes import e_value
 from gothicvol.qforms import (
+    CONVOLUTION_MAX_N,
     SQUARE_TABLE_MAX_M,
     QExpansion,
     check_e_and_a,
+    e1_square_twelfths,
+    e6_square_twelfths,
     e_square_table,
+    e_square_twelfths,
     ek_coeff,
     ek_square_table,
     fk_expansion,
@@ -90,6 +95,61 @@ def test_square_tables_refuse_beyond_int64_bound():
         ek_square_table(1, SQUARE_TABLE_MAX_M + 1)
     with pytest.raises(ValueError):
         e_square_table(6, SQUARE_TABLE_MAX_M + 1)
+
+
+def test_e6_convolution_route_matches_square_table():
+    new = e6_square_twelfths(1000)
+    old = e_square_table(6, 1000)
+    assert new[1] == -1
+    for d in range(1, 1001):
+        assert Fraction(new[d], 12) == old[d], d
+
+
+def test_e6_convolution_route_matches_moebius_sum():
+    new = e6_square_twelfths(200)
+    ek = [None] + [ek_coeff(6, m * m) for m in range(1, 201)]
+    for d in range(1, 201):
+        expected = sum((moebius(d // m) * ek[m] for m in divisors(d)), Fraction(0))
+        assert Fraction(new[d], 12) == expected, d
+
+
+def test_besge_closed_form_matches_square_table():
+    new = e1_square_twelfths(1000)
+    old = e_square_table(1, 1000)
+    for d in range(1, 1001):
+        assert Fraction(new[d], 12) == old[d], d
+    assert e_square_twelfths(1, 50) == new[:51]
+    assert e_square_twelfths(6, 50) == e6_square_twelfths(50)
+    with pytest.raises(ValueError):
+        e_square_twelfths(2, 50)
+
+
+@pytest.mark.parametrize(
+    "a, b, x_residues, allowed",
+    [(6, 1, (0,), lambda x: True), (2, 3, (1, 2), lambda x: x % 3 != 0),
+     (3, 2, (1,), lambda x: x % 2 == 1), (1, 6, (1, 5), lambda x: x % 6 in (1, 5))],
+)
+def test_convolution_sums_match_brute_force(a, b, x_residues, allowed):
+    nmax = 300
+    sig = [0] + [sigma(1, n) for n in range(1, nmax + 1)]
+    got = qforms._convolution_sum(tuple(sig), nmax, a, b, x_residues)
+    assert got[0] == 0
+    for n in range(1, nmax + 1):
+        want = sum(sig[x] * sig[(n - a * x) // b] for x in range(1, n // a + 1)
+                   if allowed(x) and n - a * x >= b and (n - a * x) % b == 0)
+        assert got[n] == want, n
+        # the level-1 sum of Besge bounds every C(n) (the slot bound's premise)
+        assert 12 * want <= 5 * sigma(3, n) + (1 - 6 * n) * sigma(1, n), n
+
+
+def test_convolution_slot_bound():
+    # C(n) < (5/12) zeta(3) n^3 with zeta(3) < 1.2021 stays below 2^64 up to
+    # the bound, and the bound is refused before anything is packed
+    assert Fraction(5, 12) * Fraction(12021, 10000) * CONVOLUTION_MAX_N**3 < 2**64
+    with pytest.raises(ValueError):
+        e6_square_twelfths(CONVOLUTION_MAX_N + 1)
+    with pytest.raises(ValueError):
+        e6_square_twelfths(0)
 
 
 def test_e_square_table_matches_enumeration():

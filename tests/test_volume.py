@@ -1,14 +1,20 @@
 """S_k sums, exact targets, estimator plumbing and the AEZ converter."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gothicvol import volume
+from gothicvol import counting, euler, qforms, volume
 from gothicvol.arith import jordan2_table, sigma, sigma_prefix, sl2_order
 from gothicvol.counting import Locus
+from gothicvol.qforms import e_square_table
 from gothicvol.volume import (
     GOTHIC_SUMMAND_LIMITS,
     closed_raw_sum,
@@ -23,6 +29,8 @@ from gothicvol.volume import (
     volume_estimate,
     volume_exact,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def brute_sk_prefix(k, Dmax):
@@ -163,17 +171,65 @@ def test_direct_prefix_matches_direct_raw_sum(locus, surrogate):
         assert prefix[D] == volume.direct_raw_sum(totals, D), D
 
 
-def test_direct_path_refuses_beyond_bound():
-    # the gothic sigma table at the bound, with the pair sieve's temporary,
-    # stays under 1 GB
-    assert 16000 <= volume.DIRECT_MAX_D
-    assert (volume.DIRECT_MAX_D**2 // 24 + 2) * 8 * 3 // 2 < 2**30
-    # refused before smm_totals allocates anything
+def test_direct_path_refuses_beyond_bound(monkeypatch):
+    # e(d^2, 6) at the bound stays inside the 64-bit convolution slot
+    assert 40000 <= volume.DIRECT_MAX_D <= qforms.CONVOLUTION_MAX_N
+    # refused before smm_totals builds anything
+    def no_tables(*args):
+        raise AssertionError("smm_totals ran beyond the direct-path bound")
+
+    monkeypatch.setattr(volume, "smm_totals", no_tables)
     for locus in Locus:
         with pytest.raises(ValueError):
             volume_estimate(locus, volume.DIRECT_MAX_D + 1, "direct")
     with pytest.raises(ValueError):
-        volume.direct_raw_sum([Fraction(0)] * 11, 11)
+        volume.direct_raw_sum(volume.SmmTotals((0,) * 11, 1), 11)
+
+
+@pytest.mark.parametrize(
+    "locus, surrogate",
+    [(Locus.H2, "main_term"), (Locus.P3, "main_term"), (Locus.P4, "main_term"),
+     (Locus.G, "main_term"), (Locus.G, "leading"), (Locus.G, "remark")],
+)
+def test_integer_totals_match_smm(monkeypatch, locus, surrogate):
+    # counting.smm reads e(d^2, 6) from the square-table oracle here, so the
+    # two sides share no e route
+    mmax = 2000
+    monkeypatch.setitem(euler._E_CACHE, 6, tuple(e_square_table(6, mmax)))
+    totals = volume.smm_totals(locus, mmax, surrogate)
+    assert len(totals.numerators) == mmax + 1 and totals.numerators[0] == 0
+    assert all(isinstance(t, int) for t in totals.numerators)
+    for m in range(1, mmax + 1):
+        want = counting.smm(locus, m, surrogate).total
+        assert Fraction(totals.numerators[m], totals.denominator) == want, m
+
+
+# Reports, after smm_totals of each gothic surrogate in one fresh process, how
+# often e(d^2, 6) was built and whether the euler cache holds anything.
+_E_BUILDS = """
+import json
+from gothicvol import euler, volume
+from gothicvol.counting import Locus
+
+built = []
+route = volume.e6_square_twelfths
+volume.e6_square_twelfths = lambda dmax: built.append(dmax) or route(dmax)
+report = []
+for surrogate in ("leading", "main", "remark"):
+    volume.smm_totals(Locus.G, 300, surrogate)
+    report.append([surrogate, list(built), dict(euler._E_CACHE)])
+print(json.dumps(report))
+"""
+
+
+def test_gothic_leading_builds_no_e_table():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _E_BUILDS], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(proc.stdout) == [
+        ["leading", [], {}], ["main", [300], {}], ["remark", [300, 300], {}]
+    ]
 
 
 def test_gothic_direct_leading_equals_closed():
