@@ -371,11 +371,10 @@ def dirichlet_convolve(f, g, N: int) -> list[Fraction]:
 
 def _least_primes(N: int) -> list[int]:
     """The smallest prime factor of n for 0 <= n <= N, or 0 where n < 2 or n is
-    prime.  Read from the SPF sieve; n past the sieve bound is trial-factorised."""
+    a prime inside the sieve.  Read from the SPF sieve; n past the sieve bound
+    is trial-factorised."""
     least = _ensure_sieve(N + 1)[: N + 1].tolist()
-    for n in range(len(least), N + 1):
-        p = trial_factorize(n)[0][0]
-        least.append(p if p < n else 0)
+    least += (trial_factorize(n)[0][0] for n in range(len(least), N + 1))
     return least
 
 

@@ -156,6 +156,9 @@ def test_invalid_input_exits_2(capsys):
     for dmax in ("0", "-5"):
         assert main(["zagier", "--what", "ebar", "--dmax", dmax]) == 2
         capsys.readouterr()
+    # beyond the asymptotic report's bound, checked before any table is built
+    assert main(["zagier", "--what", "asymptotic", "--dmax", "250001"]) == 2
+    capsys.readouterr()
 
 
 def test_bad_sieve_bound_names_the_variable():

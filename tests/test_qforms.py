@@ -142,10 +142,15 @@ def test_convolution_sums_match_brute_force(a, b, x_residues, allowed):
         assert 12 * want <= 5 * sigma(3, n) + (1 - 6 * n) * sigma(1, n), n
 
 
-def test_convolution_slot_bound():
+def test_convolution_slot_bound(monkeypatch):
     # C(n) < (5/12) zeta(3) n^3 with zeta(3) < 1.2021 stays below 2^64 up to
-    # the bound, and the bound is refused before anything is packed
+    # the bound, and the bound is refused before anything is built
     assert Fraction(5, 12) * Fraction(12021, 10000) * CONVOLUTION_MAX_N**3 < 2**64
+
+    def no_tables(N):
+        raise AssertionError("a table was built beyond the convolution bound")
+
+    monkeypatch.setattr(qforms.arith, "sigma_table", no_tables)
     with pytest.raises(ValueError):
         e6_square_twelfths(CONVOLUTION_MAX_N + 1)
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from gothicvol import zagier
 from gothicvol.arith import PiQuantity, nu, sl2_order
 from gothicvol.zagier import (
     asymptotic_check_e,
@@ -113,6 +114,16 @@ def test_asymptotic_report_shape():
     assert rep.range_max(1, 33, 64) == rep.delta1_upper_max
     with pytest.raises(ValueError):
         asymptotic_check_e(10)
+
+
+def test_asymptotic_report_refuses_beyond_bound(monkeypatch):
+    def no_tables(dmax):
+        raise AssertionError("a table was built beyond the report's bound")
+
+    monkeypatch.setattr(zagier, "e1_square_twelfths", no_tables)
+    monkeypatch.setattr(zagier, "e6_square_twelfths", no_tables)
+    with pytest.raises(ValueError):
+        asymptotic_check_e(zagier.ASYMPTOTIC_MAX_D + 1)
 
 
 def test_truncation_of_gamma_beyond_bound():
