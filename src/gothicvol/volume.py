@@ -8,9 +8,9 @@ Two evaluation paths are implemented:
               Python ints over one denominator L per locus and surrogate,
               built from the a(m), J_2(m) and 12 e(m^2, 6) tables, and one
               dot product with the sigma prefix sums gives the raw sum;
-              floats only in the final division by D^dim.  No table is
-              longer than D + 1, and numpy is never loaded.  D is refused
-              beyond DIRECT_MAX_D;
+              floats only in the final division by D^dim.  Every table
+              has D + 1 entries (the SPF sieve at least 2^16), and numpy is
+              never loaded.  D is refused beyond DIRECT_MAX_D;
     closed -- the locus-specific combinations of the sums
 
                   S_k(D) = sum_{d<=D} sum_{m|d, k|m} sigma(d/m) a(m)
