@@ -28,8 +28,8 @@ along two routes:
                           each one Python-int Kronecker product; sigma is
                           needed only up to dmax, and numpy is never loaded;
     e_square_table     -- the oracle for any k, from ek_square_table, which
-                          sums a sigma table up to dmax^2/4k in int64 numpy
-                          arrays, up to m = SQUARE_TABLE_MAX_M.
+                          sums its own int64 sigma array up to dmax^2/4k,
+                          up to m = SQUARE_TABLE_MAX_M.
 """
 
 from __future__ import annotations
@@ -148,7 +148,15 @@ def ek_square_table(k: int, mmax: int) -> list[Fraction]:
     four_k = 4 * k
     import numpy as np
 
-    sig = np.asarray(arith.sigma_table(mmax * mmax // four_k + 1), dtype=np.int64)
+    # sigma(n) for n <= N from the divisor pairs (d, n/d) with d <= sqrt(N),
+    # as a local int64 array: a cached tuple of 4 * 10^6 Python ints would
+    # cost a quarter of a gigabyte.  The pairs (1, n) give the start 1 + n.
+    N = mmax * mmax // four_k + 1
+    sig = np.arange(1, N + 2, dtype=np.int64)
+    sig[:2] = (0, 1)
+    for d in range(2, math.isqrt(N) + 1):
+        sig[d * d] += d
+        sig[d * (d + 1) :: d] += np.arange(2 * d + 1, d + N // d + 1)
 
     bsq = np.arange(mmax, dtype=np.int64) ** 2
     bsq_res = bsq % four_k

@@ -1,8 +1,11 @@
 """Consolidated cross-oracle verification suite.
 
 Every invariant stated for the library's modules, at its full stated range,
-as a flat list of named checks.  The CLI subcommand ``verify`` and the test
-suite both run these; the runner stops loudly at the first violation.
+as a registry of named checks keyed by name.  ``run_check(name)`` runs one
+check and times it; ``run_suite`` runs a suite (or all of them) in
+registration order and stops loudly at the first violation.  The CLI
+subcommand ``verify`` runs every check fresh; the test suite runs each one
+once per session and names the checks its acceptance criteria rest on.
 
 The checks are deliberately redundant with independent routes: prototype
 enumeration against modular-form coefficients, divisor-sum formulas against
@@ -40,12 +43,16 @@ class CheckResult:
     detail: str = ""
 
 
-_CHECKS: list[tuple[str, str, Callable[[], str | None]]] = []
+# check name -> (suite, body); a body raises on a violation and may return a detail
+_CHECKS: dict[str, tuple[str, Callable[[], str | None]]] = {}
 
 
 def _check(name: str, suite: str):
+    if name in _CHECKS:
+        raise ValueError(f"duplicate check name {name!r}")
+
     def deco(fn):
-        _CHECKS.append((name, suite, fn))
+        _CHECKS[name] = (suite, fn)
         return fn
 
     return deco
@@ -178,19 +185,10 @@ def _fundamental_matches_qexp():
 @_check("F_k series product equals divisor-sum e_k(n), n <= 4000, k in {1,6}", "qforms")
 def _product_vs_direct():
     N = 4000
-    sig = arith.sigma_table(N)
     for k in (1, 6):
         fk = qforms.fk_expansion(k, N)
         for n in range(N + 1):
-            # inline the divisor sum against the sieve (ek_coeff, but fast)
-            B = math.isqrt(n)
-            total = Fraction(0)
-            for b in range(-B, B + 1):
-                rem = n - b * b
-                if rem % (4 * k) == 0:
-                    m = rem // (4 * k)
-                    total += Fraction(-1, 24) if m == 0 else sig[m]
-            if fk.coeff(n) != total:
+            if fk.coeff(n) != qforms.ek_coeff(k, n):
                 raise AssertionError((k, n))
     return "Cauchy product vs divisor sums, both k"
 
@@ -694,17 +692,27 @@ def _aez_constants():
 # runner
 # ---------------------------------------------------------------------------
 
-SUITES = (
-    "all",
-    "arith",
-    "prototypes",
-    "qforms",
-    "zagier",
-    "ideals",
-    "euler",
-    "counting",
-    "volume",
-)
+SUITES = ("all", *dict.fromkeys(suite for suite, _ in _CHECKS.values()))
+
+
+def run_check(name: str) -> CheckResult:
+    """Run the named check once and time it.
+
+    A violation (AssertionError) is a FAIL at the place the check names; any
+    other exception is a FAIL too, with a detail that starts with its type.
+    """
+    suite, fn = _CHECKS[name]
+    t0 = time.perf_counter()
+    try:
+        detail = fn() or ""
+        ok = True
+    except AssertionError as exc:
+        detail = f"FAILED at {exc.args[0] if exc.args else '?'}"
+        ok = False
+    except Exception as exc:
+        detail = f"{type(exc).__name__}: {exc}"
+        ok = False
+    return CheckResult(name, suite, ok, time.perf_counter() - t0, detail)
 
 
 def run_suite(
@@ -718,21 +726,14 @@ def run_suite(
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     results = []
-    for name, group, fn in _CHECKS:
+    for name, (group, _) in _CHECKS.items():
         if suite != "all" and group != suite:
             continue
-        t0 = time.perf_counter()
-        try:
-            detail = fn() or ""
-            ok = True
-        except AssertionError as exc:
-            detail = f"FAILED at {exc.args[0] if exc.args else '?'}"
-            ok = False
-        elapsed = time.perf_counter() - t0
-        results.append(CheckResult(name, group, ok, elapsed, detail))
-        status = "PASS" if ok else "FAIL"
+        r = run_check(name)
+        results.append(r)
         if report:
-            report(f"[{status}] ({group}) {name} [{elapsed:.2f}s] {detail}")
-        if not ok and stop_on_failure:
+            status = "PASS" if r.ok else "FAIL"
+            report(f"[{status}] ({group}) {name} [{r.elapsed_s:.2f}s] {r.detail}")
+        if not r.ok and stop_on_failure:
             break
     return results

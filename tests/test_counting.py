@@ -115,11 +115,6 @@ def test_oracle_matches_cd_count():
             assert got == cd_count(Locus.H2, d), (commutator, d)
 
 
-def test_oracle_commutator_conventions_agree():
-    for d in range(1, 8):
-        assert h2_permutation_oracle(d) == h2_permutation_oracle(d, commutator="vh")
-
-
 def test_oracle_guard():
     with pytest.raises(ValueError):
         h2_permutation_oracle(11)

@@ -97,6 +97,17 @@ def test_square_tables_refuse_beyond_int64_bound():
         e_square_table(6, SQUARE_TABLE_MAX_M + 1)
 
 
+def test_square_tables_build_no_cached_sigma_table(monkeypatch):
+    # the oracle sums its own local sigma array: the cached tuple for
+    # e_square_table(1, 4000) alone would hold 4 * 10^6 Python ints
+    def no_tables(N):
+        raise AssertionError("the square tables built a cached sigma table")
+
+    monkeypatch.setattr(qforms.arith, "sigma_table", no_tables)
+    tab = e_square_table(1, 100)
+    assert tab[1:] == [Fraction(v, 12) for v in e1_square_twelfths(100)[1:]]
+
+
 def test_e6_convolution_route_matches_square_table():
     new = e6_square_twelfths(1000)
     old = e_square_table(6, 1000)

@@ -1,7 +1,9 @@
-"""Run the consolidated cross-oracle suite end to end.
+"""Run the consolidated cross-oracle suite end to end, one test per check.
 
 This exercises every module invariant at its full stated range; the unit
 test files cover the same ground at smaller ranges with independent oracles.
+Each check body runs once per session (the ``check`` fixture memoises it), so
+the acceptance criteria that name a check share its result.
 """
 
 import json
@@ -10,7 +12,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from gothicvol import verify
+from gothicvol.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -33,12 +38,10 @@ print(json.dumps({"optimize": sys.flags.optimize,
 """
 
 
-def test_full_verify_suite_passes():
-    results = verify.run_suite("all", report=None)
-    failures = [r for r in results if not r.ok]
-    assert not failures, failures
-    # every suite must have contributed at least one check
-    assert {r.suite for r in results} == set(verify.SUITES) - {"all"}
+@pytest.mark.parametrize("name", list(verify._CHECKS))
+def test_check(check, name):
+    result = check(name)
+    assert result.ok, result.detail
 
 
 def test_checks_fail_under_python_O():
@@ -57,3 +60,26 @@ def test_checks_fail_under_python_O():
         "(sigma * a)(n) = sigma_3(n) for n <= 10^4",
         "a(d) = p^(3v-2)(p^2-1) a(d_p) for all p | d, d <= 2000",
     ]
+
+
+def test_check_that_raises_is_a_failed_check(monkeypatch, capsys):
+    # an exception other than AssertionError is a FAIL with its type named:
+    # exit 1 with the JSON document, not exit 2 for an input error
+    def broken_table(N):
+        raise ValueError("table builder regressed")
+
+    monkeypatch.setattr(verify, "sl2_order_table", broken_table)
+    code = main(["verify", "--suite", "arith"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert (doc["result"]["passed"], doc["result"]["failed"]) == (0, 1)
+    assert doc["result"]["checks"][0]["detail"] == "ValueError: table builder regressed"
+
+
+def test_registry_refuses_duplicate_names():
+    with pytest.raises(ValueError, match="duplicate check name"):
+        verify._check(next(iter(verify._CHECKS)), "arith")
+    assert verify.SUITES == (
+        "all", "arith", "prototypes", "qforms", "zagier", "ideals", "euler",
+        "counting", "volume",
+    )
