@@ -13,9 +13,55 @@ Modules:
     volume     -- S_k sums, direct/closed volume estimators, exact targets
     verify     -- the consolidated cross-oracle invariant suite
     cli        -- machine-readable command line front end
+
+The package root holds the vocabulary that the command line parser and the
+closed volume path share, so that neither loads ``euler`` or ``counting``:
+
+    Locus          -- the four loci (H(2), Prym P3 / P4, gothic), also
+                      ``counting.Locus``
+    MODES          -- every accepted spelling of a surrogate mode, mapped to
+                      its canonical name, also ``euler.MODES``
+    surrogate_mode -- the canonical name of a square-discriminant surrogate,
+                      also ``euler.surrogate_mode``
+
+``cli`` and ``volume`` import a module that only some subcommands need inside
+the functions that call it, so a command line request loads only what its
+subcommand runs.
 """
+
+from enum import Enum
 
 from .arith import ExactRational, PiQuantity
 
-__all__ = ["ExactRational", "PiQuantity"]
+__all__ = ["ExactRational", "Locus", "MODES", "PiQuantity", "surrogate_mode"]
 __version__ = "0.1.0"
+
+
+class Locus(Enum):
+    H2 = "h2"
+    P3 = "p3"
+    P4 = "p4"
+    G = "gothic"
+
+    @property
+    def complex_dim(self) -> int:
+        # dim H(2) = 2g + n - 1 = 4; the Prym and gothic loci are
+        # four-dimensional affine invariant manifolds.  This exponent drives
+        # the D^dim normalisation of the volume estimator.
+        return 4
+
+
+# Every accepted spelling of a mode, mapped to its canonical name; "main" is
+# the command line's short spelling of main_term.
+MODES = {"exact": "exact", "main": "main_term", "main_term": "main_term",
+         "leading": "leading", "remark": "remark"}
+
+
+def surrogate_mode(name: str) -> str:
+    """Canonical name of a square-discriminant surrogate; 'exact' is refused."""
+    mode = MODES.get(name)
+    if mode is None or mode == "exact":
+        raise ValueError(
+            f"unknown surrogate {name!r}; pick one of 'main', 'leading', 'remark'"
+        )
+    return mode

@@ -8,6 +8,10 @@ results (q-expansion tables, zagier scans, volume checkpoints) can be emitted
 as CSV with ``--csv``.
 
 Exit codes: 0 success, 2 input validation failure, 1 internal check failure.
+
+Each handler imports the modules it runs, so a request loads only what its
+subcommand needs: ``sk`` and ``volume --mode closed`` load arith and volume
+alone, and only ``verify`` loads the invariant suite.
 """
 
 from __future__ import annotations
@@ -19,9 +23,8 @@ import sys
 import time
 from fractions import Fraction
 
-from . import arith, counting, euler, ideals, prototypes, qforms, verify, volume, zagier
+from . import MODES, Locus, arith
 from .arith import PiQuantity
-from .counting import Locus
 
 _LOCI = {"h2": Locus.H2, "p3": Locus.P3, "p4": Locus.P4, "gothic": Locus.G}
 
@@ -82,6 +85,8 @@ def _emit(args, command: str, inputs: dict, result, started: float, csv_rows=Non
 # ---------------------------------------------------------------------------
 
 def _cmd_proto(args):
+    from . import prototypes
+
     protos = prototypes.enumerate_prototypes(args.D, args.k)
     result = {
         "count": len(protos),
@@ -93,10 +98,14 @@ def _cmd_proto(args):
 
 
 def _cmd_e(args):
+    from . import prototypes
+
     return {"D": args.D, "k": args.k}, prototypes.e_value(args.D, args.k), None
 
 
 def _cmd_qexp(args):
+    from . import qforms
+
     N = args.N
     if args.series == "theta":
         coeffs = qforms.theta_expansion(N).coeffs
@@ -105,6 +114,8 @@ def _cmd_qexp(args):
     elif args.series == "fk":
         coeffs = qforms.fk_expansion(args.k, N).coeffs
     else:  # ek: the divisor-sum route
+        if N < 1:
+            raise ValueError("truncation bound must be >= 1")
         coeffs = [qforms.ek_coeff(args.k, n) for n in range(N + 1)]
     inputs = {"series": args.series, "k": args.k, "N": N}
     rows = [(n, c) for n, c in enumerate(coeffs)]
@@ -112,6 +123,8 @@ def _cmd_qexp(args):
 
 
 def _cmd_zagier(args):
+    from . import zagier
+
     inputs = {"what": args.what, "dmax": args.dmax}
     if args.what == "asymptotic":
         rep = zagier.asymptotic_check_e(args.dmax)
@@ -136,9 +149,12 @@ def _cmd_zagier(args):
 
 
 def _cmd_ideals(args):
+    from . import ideals
+
     d, n = args.d, args.n
+    class_count = ideals.class_count(d, n)  # refuses a bad d or n first
     comps = []
-    for r in ideals.component_list(d) if n == 6 else [r for r in arith.divisors(n)]:
+    for r in ideals.component_list(d) if n == 6 else arith.divisors(n):
         spec = ideals.ideal_basis(d, n, r)
         M = ideals.gram_matrix(d, n, r)
         comps.append(
@@ -149,13 +165,14 @@ def _cmd_ideals(args):
                 "polarization": list(ideals.polarization_restriction(d, n, r)),
             }
         )
-    result = {"d": d, "n": n, "class_count": ideals.class_count(d, n),
-              "components": comps}
+    result = {"d": d, "n": n, "class_count": class_count, "components": comps}
     return {"d": d, "n": n}, result, None
 
 
 def _cmd_chi(args):
-    D, mode = args.D, euler.MODES[args.mode]
+    from . import euler
+
+    D, mode = args.D, MODES[args.mode]
     fam = args.family
     if fam == "x":
         value, empty = euler.chi_X(D), False
@@ -183,7 +200,9 @@ def _cmd_chi(args):
 
 
 def _cmd_smm(args):
-    cover = counting.smm(_LOCI[args.locus], args.m, euler.MODES[args.surrogate])
+    from . import counting
+
+    cover = counting.smm(_LOCI[args.locus], args.m, MODES[args.surrogate])
     result = {
         "m": cover.m,
         "total": cover.total,
@@ -196,22 +215,30 @@ def _cmd_smm(args):
 
 
 def _cmd_cd(args):
-    value = counting.cd_count(_LOCI[args.locus], args.d, euler.MODES[args.surrogate])
+    from . import counting
+
+    value = counting.cd_count(_LOCI[args.locus], args.d, MODES[args.surrogate])
     return {"locus": args.locus, "d": args.d, "surrogate": args.surrogate}, value, None
 
 
 def _cmd_oracle_h2(args):
+    from . import counting
+
     value = counting.h2_permutation_oracle(args.d)
     return {"d": args.d}, value, None
 
 
 def _cmd_sk(args):
+    from . import volume
+
     return {"k": args.k, "D": args.D}, volume.sk_sum(args.k, args.D), None
 
 
 def _cmd_volume(args):
+    from . import volume
+
     est = volume.volume_estimate(
-        _LOCI[args.locus], args.dmax, args.mode, euler.MODES[args.surrogate]
+        _LOCI[args.locus], args.dmax, args.mode, MODES[args.surrogate]
     )
     result = {
         "locus": args.locus,
@@ -233,6 +260,8 @@ def _cmd_volume(args):
 
 
 def _cmd_verify(args):
+    from . import verify
+
     lines: list[str] = []
 
     def report(line):
@@ -312,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--j", type=int, default=1)
     p.add_argument("--d", type=int, default=0, help="for family=xbr: the square root of D")
-    p.add_argument("--mode", choices=tuple(euler.MODES), default="exact")
+    p.add_argument("--mode", choices=tuple(MODES), default="exact")
     p.set_defaults(fn=_cmd_chi)
 
     p = add_parser("smm", help="|S_{m,m}| split by contributing curve")
@@ -344,7 +373,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_volume)
 
     p = add_parser("verify", help="run the cross-oracle invariant suite")
-    p.add_argument("--suite", choices=verify.SUITES, default="all")
+    # no choices here: run_suite refuses an unknown suite and lists them all,
+    # and naming them would load the suite for every request
+    p.add_argument("--suite", default="all",
+                   help="one suite, or all (the default); an unknown name exits 2 "
+                   "with the list")
     p.set_defaults(fn=_cmd_verify)
 
     return ap

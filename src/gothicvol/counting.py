@@ -27,30 +27,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from math import factorial
 from typing import TYPE_CHECKING
 
+from . import Locus
 from .arith import divisors, nu, sigma
 from .euler import chi_G, chi_W2, chi_W4, chi_W6
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-class Locus(Enum):
-    H2 = "h2"
-    P3 = "p3"
-    P4 = "p4"
-    G = "gothic"
-
-    @property
-    def complex_dim(self) -> int:
-        # dim H(2) = 2g + n - 1 = 4; the Prym and gothic loci are
-        # four-dimensional affine invariant manifolds.  This exponent drives
-        # the D^dim normalisation of the volume estimator.
-        return 4
 
 
 @dataclass(frozen=True)

@@ -38,25 +38,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import MODES, surrogate_mode  # defined in the package root, kept here as euler.*
 from .arith import divisors, jordan2, moebius, sigma, sl2_order
 from .ideals import component_list
 from .prototypes import _validate_discriminant, conductor_decompose, e_value
 from .qforms import e_square_twelfths, ek_coeff
-
-# Every accepted spelling of a mode, mapped to its canonical name; "main" is
-# the command line's short spelling of main_term.
-MODES = {"exact": "exact", "main": "main_term", "main_term": "main_term",
-         "leading": "leading", "remark": "remark"}
-
-
-def surrogate_mode(name: str) -> str:
-    """Canonical name of a square-discriminant surrogate; 'exact' is refused."""
-    mode = MODES.get(name)
-    if mode is None or mode == "exact":
-        raise ValueError(
-            f"unknown surrogate {name!r}; pick one of 'main', 'leading', 'remark'"
-        )
-    return mode
 
 # chi(X_{d^2}(b_r)) / chi(X_{d^2}) by gcd(6, d); also the gothic coefficient
 # -chi coefficient table is 3/2 times this.

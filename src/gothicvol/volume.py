@@ -51,6 +51,7 @@ from fractions import Fraction
 from math import isqrt
 from operator import add, mul
 
+from . import Locus, surrogate_mode
 from .arith import (
     PiQuantity,
     divisors,
@@ -61,9 +62,6 @@ from .arith import (
     sl2_order_table,
     trial_factorize,
 )
-from .counting import Locus, smm
-from .euler import KAPPA_PRIME, REMARK_COEFF, X_BR_RATIO, surrogate_mode
-from .qforms import e6_square_twelfths
 
 
 @dataclass
@@ -268,6 +266,9 @@ def _gothic_curve_counts(h_max: int, mode: str) -> tuple[int, list[int]]:
                c(g) = sigma_0(6/g) the number of ideals of norm 6,
     where g = gcd(6, h) and ratio is euler.X_BR_RATIO.
     """
+    from .euler import KAPPA_PRIME, X_BR_RATIO
+    from .qforms import e6_square_twelfths
+
     atab = sl2_order_table(h_max)
     if mode == "leading":
         L = 720
@@ -318,6 +319,8 @@ def smm_totals(locus: Locus, mmax: int, surrogate: str = "main_term") -> SmmTota
     if mode == "remark":
         # r = 1 gains -6 (REMARK/h) chi(X_{h^2}(b_1)) = -(REMARK ratio/12) J_2(h),
         # as a(h)/h = J_2(h); not at h = 2, where the main term is kept
+        from .euler import REMARK_COEFF, X_BR_RATIO
+
         jtab = jordan2_table(mmax)
         cj = _by_residue(L, lambda g: -REMARK_COEFF[g] * X_BR_RATIO[g] / 12)
         t[1:] = (x + cj[m % 6] * jtab[m] if m != 2 else x for m, x in zip(ms, t[1:]))
@@ -349,6 +352,8 @@ def direct_prefix(locus: Locus, Dmax: int, surrogate: str = "main_term") -> list
     The oracle for smm_totals and direct_raw_sum: |S_{m,m}| from
     counting.smm per m, and |C_d| by the divisor sum over m | d.
     """
+    from .counting import smm
+
     mode = surrogate_mode(surrogate)
     totals = [Fraction(0)] + [smm(locus, m, mode).total for m in range(1, Dmax + 1)]
     out = [Fraction(0)] * (Dmax + 1)

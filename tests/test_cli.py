@@ -159,6 +159,14 @@ def test_invalid_input_exits_2(capsys):
     # beyond the asymptotic report's bound, checked before any table is built
     assert main(["zagier", "--what", "asymptotic", "--dmax", "250001"]) == 2
     capsys.readouterr()
+    for N in ("-1", "0"):  # the same truncation bound as theta, g2 and fk
+        assert main(["qexp", "--series", "ek", "--k", "1", "--N", N]) == 2
+        capsys.readouterr()
+    # n is validated before its divisors are listed
+    for n in ("0", "-6", "4"):
+        assert main(["ideals", "--d", "5", "--n", n]) == 2
+        err = capsys.readouterr().err
+        assert f"n = {n} must be a squarefree positive integer" in err, err
 
 
 def test_bad_sieve_bound_names_the_variable():
@@ -202,6 +210,87 @@ def test_only_array_requests_import_numpy():
     proc = fresh_process(["-c", _NUMPY_LOADS, json.dumps([*no_arrays, oracle])])
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[0, False]] * len(no_arrays) + [[0, True]]
+
+
+# Runs one argv through cli.main and reports its exit code and the gothicvol
+# modules loaded by then.
+_MODULES_LOADED = """
+import contextlib, io, json, sys
+from gothicvol.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("gothicvol"))]))
+"""
+
+
+def test_each_request_loads_only_what_its_subcommand_runs():
+    closed = {"gothicvol", "gothicvol.arith", "gothicvol.cli", "gothicvol.volume"}
+    sk = ("sk", "--k", "6", "--D", "300000")
+    gothic_closed = ("volume", "--locus", "gothic", "--dmax", "100000", "--mode", "closed")
+    e = ("e", "--D", "17", "--k", "1")
+    others = [
+        ("proto", "--D", "17", "--k", "1"),
+        ("qexp", "--series", "fk", "--k", "1", "--N", "20"),
+        ("zagier", "--dmax", "3"),
+        ("ideals", "--d", "5"),
+        ("chi", "--family", "g", "--D", "97"),
+        ("smm", "--locus", "gothic", "--m", "6"),
+        ("cd", "--locus", "h2", "--d", "6"),
+        ("oracle-h2", "--d", "3"),
+        ("volume", "--locus", "gothic", "--dmax", "200", "--mode", "direct"),
+    ]
+    loaded = {}
+    for argv in (sk, gothic_closed, e, *others):
+        proc = fresh_process(["-c", _MODULES_LOADED, json.dumps(argv)])
+        assert proc.returncode == 0, proc.stderr
+        code, modules = json.loads(proc.stdout)
+        assert code == 0, argv
+        loaded[argv] = set(modules)
+    assert loaded[sk] == closed
+    assert loaded[gothic_closed] == closed
+    unused = {f"gothicvol.{m}" for m in ("euler", "counting", "volume", "verify", "zagier")}
+    assert not loaded[e] & unused, loaded[e]
+    for argv, modules in loaded.items():
+        assert "gothicvol.verify" not in modules, argv
+
+
+def test_unknown_suite_exits_2_and_lists_every_suite():
+    from gothicvol.verify import SUITES
+
+    proc = fresh_process(["-m", "gothicvol", "verify", "--suite", "bogus"])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "bogus" in proc.stderr
+    for suite in SUITES:
+        assert repr(suite) in proc.stderr, suite
+
+
+SUBCOMMANDS = ("proto", "e", "qexp", "zagier", "ideals", "chi", "smm", "cd",
+               "oracle-h2", "sk", "volume", "verify")
+
+
+def help_text(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0, argv
+    return capsys.readouterr().out
+
+
+def test_every_subcommand_has_help(capsys):
+    top = help_text(capsys)
+    assert "{" + ",".join(SUBCOMMANDS) + "}" in top
+    for command in SUBCOMMANDS:
+        assert help_text(capsys, command).startswith(f"usage: gothicvol {command} ")
+
+
+def test_help_choices_of_locus_mode_and_surrogate(capsys):
+    loci = "--locus {h2,p3,p4,gothic}"
+    surrogates = "--surrogate {main,leading,remark}"
+    for command in ("volume", "smm", "cd"):
+        text = help_text(capsys, command)
+        assert loci in text and surrogates in text, command
+    assert "--mode {direct,closed}" in help_text(capsys, "volume")
+    assert "--mode {exact,main,main_term,leading,remark}" in help_text(capsys, "chi")
 
 
 def test_sk_beyond_the_sieve_range(capsys):

@@ -208,12 +208,12 @@ def test_integer_totals_match_smm(monkeypatch, locus, surrogate):
 # often e(d^2, 6) was built and whether the euler cache holds anything.
 _E_BUILDS = """
 import json
-from gothicvol import euler, volume
+from gothicvol import euler, qforms, volume
 from gothicvol.counting import Locus
 
 built = []
-route = volume.e6_square_twelfths
-volume.e6_square_twelfths = lambda dmax: built.append(dmax) or route(dmax)
+route = qforms.e6_square_twelfths
+qforms.e6_square_twelfths = lambda dmax: built.append(dmax) or route(dmax)
 report = []
 for surrogate in ("leading", "main", "remark"):
     volume.smm_totals(Locus.G, 300, surrogate)
