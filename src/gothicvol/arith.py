@@ -34,7 +34,8 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import add, mul
 
 # The universal exact scalar.  fractions.Fraction already guarantees the two
 # invariants we need: lowest terms and positive denominator.
@@ -345,23 +346,21 @@ def is_squarefree(n: int) -> bool:
 # Dirichlet convolution on 1-indexed coefficient sequences
 # ---------------------------------------------------------------------------
 
-def dirichlet_convolve(f, g, N: int) -> list[Fraction]:
+def dirichlet_convolve(f, g, N: int) -> list:
     """(f*g)(n) = sum_{ab=n} f(a) g(b) for 1 <= n <= N, exact.
 
-    Sequences are 1-indexed dense arrays (index 0 unused) of ExactRational;
-    both inputs must be defined up to N.
+    Sequences are 1-indexed dense arrays (index 0 unused) of Python ints or
+    ExactRational; both inputs must be defined up to N.  Ints in give ints
+    out.  Each nonzero f(a) adds f(a) g(b) along the multiples of a in one
+    slice update.
     """
     if len(f) < N + 1 or len(g) < N + 1:
         raise ValueError("sequences must be defined up to N (1-indexed)")
-    out = [Fraction(0)] * (N + 1)
+    out = [0] * (N + 1)
     for a in range(1, N + 1):
         fa = f[a]
-        if not fa:
-            continue
-        for b in range(1, N // a + 1):
-            gb = g[b]
-            if gb:
-                out[a * b] += fa * gb
+        if fa:
+            out[a::a] = map(add, out[a::a], map(mul, repeat(fa), g[1 : N // a + 1]))
     return out
 
 

@@ -138,12 +138,7 @@ def _cmd_zagier(args):
         }
         rows = [(d, rep.delta1[d], rep.delta6[d]) for d in range(1, args.dmax + 1)]
         return inputs, result, (("d", "delta1", "delta6"), rows)
-    if args.dmax < 1:
-        raise ValueError(f"need dmax >= 1, got {args.dmax}")
-    rows = [
-        (d, zagier.ebar1_exact(d), zagier.ebar6_exact(d))
-        for d in range(1, args.dmax + 1)
-    ]
+    rows = zagier.ebar_rows(args.dmax)
     result = {"rows": [{"d": d, "ebar1": a, "ebar6": b} for d, a, b in rows]}
     return inputs, result, (("d", "ebar1", "ebar6"), rows)
 

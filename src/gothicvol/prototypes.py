@@ -87,15 +87,14 @@ def conductor_decompose(D: int) -> DiscriminantDecomposition:
     raise AssertionError(f"no fundamental decomposition found for {D}")
 
 
-def enumerate_prototypes(D: int, k: int) -> list[Prototype]:
-    """All prototypes [a, b, c] for (D, k), ordered by increasing b then a."""
+def _prototype_triples(D: int, k: int):
+    """Yield (a, b, c) for every prototype of (D, k), by increasing b then a."""
     _validate_discriminant(D)
     if D < 2:
         raise ValueError("prototype enumeration needs D >= 2 (e(1,k) is a convention)")
     if k < 1:
         raise ValueError("k must be a positive integer")
     f = conductor_decompose(D).f
-    out = []
     bmax = math.isqrt(D - 1)  # |b| < sqrt(D), strictly: a*(-c) > 0
     for b in range(-bmax, bmax + 1):
         rem = D - b * b
@@ -112,12 +111,16 @@ def enumerate_prototypes(D: int, k: int) -> list[Prototype]:
             for (p, e), i in zip(fac, exps):
                 c0 *= p ** ((e - i) // 2)
             if math.gcd(gb, c0) == 1:
-                out.append(Prototype(a, b, -(n // a), k, D))
-    return out
+                yield a, b, -(n // a)
+
+
+def enumerate_prototypes(D: int, k: int) -> list[Prototype]:
+    """All prototypes [a, b, c] for (D, k), ordered by increasing b then a."""
+    return [Prototype(a, b, c, k, D) for a, b, c in _prototype_triples(D, k)]
 
 
 def e_value(D: int, k: int) -> Fraction:
     """e(D, k) = sum of a over the prototype set; e(1, k) = -1/12."""
     if D == 1:
         return Fraction(-1, 12)
-    return Fraction(sum(p.a for p in enumerate_prototypes(D, k)))
+    return Fraction(sum(a for a, _, _ in _prototype_triples(D, k)))

@@ -26,9 +26,9 @@ from .arith import (
     divisors,
     hermite_sublattices,
     moebius,
+    moebius_table,
     nu,
     sigma,
-    sl2_order,
     sl2_order_table,
 )
 from .counting import Locus
@@ -269,22 +269,29 @@ def _ebar1_routes():
 
 @_check("(12/5) moebius-sum of ebar_1(m^2) equals a(d), d <= 2000", "zagier")
 def _ebar1_quadruple_convolution():
-    atab = sl2_order_table(2000)
-    ebar = [Fraction(0)] * 2001
-    for m in range(1, 2001):
-        ebar[m] = zagier.ebar1_exact(m)
-    for d in range(1, 2001):
-        s = sum((moebius(d // m) * ebar[m] for m in divisors(d)), Fraction(0))
-        if Fraction(12, 5) * s != atab[d]:
+    # on the integer scale E = (12/5) ebar_1: sum_{m|d} mu(d/m) E(m) = a(d)
+    N = 2000
+    s = arith.dirichlet_convolve(moebius_table(N), zagier.ebar1_five_twelfths(N), N)
+    atab = sl2_order_table(N)
+    for d in range(1, N + 1):
+        if s[d] != atab[d]:
             raise AssertionError(d)
     return "exact quadruple-convolution identity"
 
 
 @_check("technical lemma identity, k in {2,3,6}, d <= 500", "zagier")
 def _technical_lemma():
+    # both sides as Moebius sieves over E = (12/5) ebar_1
+    N = 500
+    mu = moebius_table(N)
+    e1 = zagier.ebar1_five_twelfths(N)
+    rhs = arith.dirichlet_convolve(mu, e1, N)
     for k in (2, 3, 6):
-        for d in range(1, 501):
-            if not zagier.check_technical_lemma(k, d):
+        parts = [0] + [arith.coprime_part(m, k) for m in range(1, N + 1)]
+        twisted = [0] + [(m // parts[m]) ** 3 * e1[parts[m]] for m in range(1, N + 1)]
+        lhs = arith.dirichlet_convolve(mu, twisted, N)
+        for d in range(1, N + 1):
+            if lhs[d] != zagier.lemma_factor(k, d) * rhs[parts[d]]:
                 raise AssertionError((k, d))
     return "all 1500 cases"
 
@@ -296,21 +303,20 @@ def _ebar6_kappa():
     # dependent constant (deviations up to ~30%).  The main-term statement
     # behind the e(d^2, 6) asymptotics is the moebius-summed one, and that
     # turns out to be an exact identity, checked here for every d <= 1000.
-    ebar = [Fraction(0)] * 1001
-    for m in range(1, 1001):
-        ebar[m] = zagier.ebar6_exact(m)
-    atab = sl2_order_table(1000)
-    for d in range(1, 1001):
-        s = sum((moebius(d // m) * ebar[m] for m in divisors(d)), Fraction(0))
-        if 60 * s != zagier.kappa(d) * atab[d]:
+    # All on the integer scale e6 = 60 ebar_6.
+    e6 = zagier.ebar6_sixtieths(zagier.ebar1_five_twelfths(2000))
+    atab = sl2_order_table(2000)
+    N = 1000
+    s = arith.dirichlet_convolve(moebius_table(N), e6, N)
+    for d in range(1, N + 1):
+        kap = zagier.kappa(d)
+        if s[d] * kap.denominator != kap.numerator * atab[d]:
             raise AssertionError(d)
-    # the coprime-to-6 raw ratio does approach 1/30: within 10% for d >= 500
+    # the coprime-to-6 raw ratio ebar_6 * 30 / a(d) = e6 / (2 a(d)) does
+    # approach 1: within 10% for d >= 500
     for d in range(500, 2001):
         if math.gcd(6, d) == 1:
-            ratio = ebar[d] * 30 / atab[d] if d <= 1000 else (
-                zagier.ebar6_exact(d) * 30 / sl2_order(d)
-            )
-            if not abs(ratio - 1) < Fraction(1, 10):
+            if not 5 * abs(e6[d] - 2 * atab[d]) < atab[d]:
                 raise AssertionError(d)
     return "exact identity in all classes; (6,d)=1 raw ratio within 10%"
 
@@ -420,9 +426,12 @@ def _polarization():
 
 @_check("chi(X_{d^2}) = a(d)/72 against the mu-sum definition, d <= 5000", "euler")
 def _chi_x_square():
-    for d in range(1, 5001):
-        mu_sum = sum(Fraction(moebius(r), r * r) for r in divisors(d))
-        if euler.chi_X_square(d) != Fraction(d**3, 72) * mu_sum:
+    # 72 chi(X_{d^2}) against the integer d * sum_{r|d} mu(r) (d/r)^2
+    N = 5000
+    squares = [n * n for n in range(N + 1)]
+    mu_sum = arith.dirichlet_convolve(moebius_table(N), squares, N)
+    for d in range(1, N + 1):
+        if 72 * euler.chi_X_square(d) != d * mu_sum[d]:
             raise AssertionError(d)
     return "both formulas agree"
 

@@ -20,9 +20,21 @@ a PiQuantity (rational times pi^-2), while
 
     ebar_k(d^2) = pi^2/(72 k^2) * d^3 * e*_k(d^2)
 
-is an exact rational (the pi powers cancel).  ebar_1 also has the independent
-divisor-sum form (5/12) d^3 sum_{ac | d} mu(a) / (c^3 a^2); both routes are
-exposed and must agree exactly.
+is an exact rational (the pi powers cancel).  This is the Euler-product route.
+
+ebar_1 also has the independent divisor-sum form
+(5/12) d^3 sum_{ac | d} mu(a) / (c^3 a^2), the divisor-sum route.  Its inner
+c-sum closes to sigma_3, so with the denominators cleared it is an integer:
+
+    E(d) = (12/5) ebar_1(d^2) = sum_{a | d} mu(a) a sigma_3(d/a),
+    60 ebar_6(d^2) = 25 E(d) - 15 (d/d_2)^3 E(d_2) - 20 (d/d_3)^3 E(d_3)
+                     + 12 (d/d_6)^3 E(d_6).
+
+The divisor-sum route works on these integers: per d in ebar1_exact and
+ebar6_exact, which build one Fraction at the end, and for every d <= N at
+once in the tables ebar1_five_twelfths (one Dirichlet-product sieve of
+mu(a) a with sigma_3, never a closed form at prime powers) and
+ebar6_sixtieths.  Both routes are exposed and must agree exactly.
 """
 
 from __future__ import annotations
@@ -34,12 +46,15 @@ from fractions import Fraction
 from .arith import (
     PiQuantity,
     coprime_part,
+    dirichlet_convolve,
     divisors,
     factorize,
     is_prime,
     is_squarefree,
     moebius,
+    moebius_table,
     nu,
+    sigma,
     sl2_order,
 )
 from .qforms import e1_square_twelfths, e6_square_twelfths
@@ -109,6 +124,8 @@ def estar1(d: int) -> PiQuantity:
 
 def estar6(d: int) -> PiQuantity:
     """e*_6(d^2) = 36 (e*_1(d^2) - 3/5 e*_1(d_2^2) - 4/5 e*_1(d_3^2) + 12/25 e*_1(d_6^2))."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
     d2, d3, d6 = coprime_part(d, 2), coprime_part(d, 3), coprime_part(d, 6)
     return 36 * (
         estar1(d)
@@ -118,18 +135,51 @@ def estar6(d: int) -> PiQuantity:
     )
 
 
+def _ebar1_five_twelfths_at(d: int) -> int:
+    """E(d) = (12/5) ebar_1(d^2) = sum_{a|d} mu(a) a sigma_3(d/a), for d >= 1."""
+    return sum(mu * a * sigma(3, d // a) for a in divisors(d) if (mu := moebius(a)))
+
+
+def _ebar6_sixtieths_at(d: int, e1) -> int:
+    """60 ebar_6(d^2), given E = (12/5) ebar_1 as the callable ``e1``."""
+    d2, d3, d6 = coprime_part(d, 2), coprime_part(d, 3), coprime_part(d, 6)
+    return (
+        25 * e1(d)
+        - 15 * (d // d2) ** 3 * e1(d2)
+        - 20 * (d // d3) ** 3 * e1(d3)
+        + 12 * (d // d6) ** 3 * e1(d6)
+    )
+
+
+def ebar1_five_twelfths(N: int) -> tuple[int, ...]:
+    """E(d) = (12/5) ebar_1(d^2) for 0 <= d <= N (entry 0 is 0), read-only.
+
+    One Dirichlet-product sieve of mu(a) a with sigma_3, where sigma_3 is
+    itself a divisor sieve: no value comes from a closed form at prime powers.
+    """
+    if N < 0:
+        raise ValueError(f"a table needs N >= 0, got {N}")
+    sigma3 = [0] * (N + 1)
+    for q in range(1, N + 1):
+        sigma3[q::q] = map((q**3).__add__, sigma3[q::q])
+    mu = moebius_table(N)
+    return tuple(dirichlet_convolve([m * a for a, m in enumerate(mu)], sigma3, N))
+
+
+def ebar6_sixtieths(e1: tuple[int, ...]) -> tuple[int, ...]:
+    """60 ebar_6(d^2) for 0 <= d < len(e1) (entry 0 is 0), read-only, from the
+    table ``e1 = ebar1_five_twelfths(N)``."""
+    return (0, *(_ebar6_sixtieths_at(d, e1.__getitem__) for d in range(1, len(e1))))
+
+
 def ebar1_exact(d: int) -> Fraction:
-    """ebar_1(d^2) = (5/12) d^3 sum_{a,c >= 1, ac | d} mu(a) / (c^3 a^2), exact."""
+    """ebar_1(d^2) = (5/12) d^3 sum_{a,c >= 1, ac | d} mu(a) / (c^3 a^2), exact.
+
+    Evaluated as (5/12) sum_{a|d} mu(a) a sigma_3(d/a): the c-sum is sigma_3.
+    """
     if d < 1:
         raise ValueError("d must be >= 1")
-    acc = Fraction(0)
-    for a in divisors(d):
-        mu = moebius(a)
-        if mu == 0:
-            continue
-        for c in divisors(d // a):
-            acc += Fraction(mu, c**3 * a * a)
-    return Fraction(5, 12) * d**3 * acc
+    return Fraction(5 * _ebar1_five_twelfths_at(d), 12)
 
 
 def ebar1_via_euler_product(d: int) -> Fraction:
@@ -143,13 +193,27 @@ def ebar6_exact(d: int) -> Fraction:
     ebar_6(d^2) = ebar_1(d^2) - 3/5 (d/d_2)^3 ebar_1(d_2^2)
                   - 4/5 (d/d_3)^3 ebar_1(d_3^2) + 12/25 (d/d_6)^3 ebar_1(d_6^2)
     """
-    d2, d3, d6 = coprime_part(d, 2), coprime_part(d, 3), coprime_part(d, 6)
-    return (
-        ebar1_exact(d)
-        - Fraction(3, 5) * (d // d2) ** 3 * ebar1_exact(d2)
-        - Fraction(4, 5) * (d // d3) ** 3 * ebar1_exact(d3)
-        + Fraction(12, 25) * (d // d6) ** 3 * ebar1_exact(d6)
-    )
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    return Fraction(_ebar6_sixtieths_at(d, _ebar1_five_twelfths_at), 60)
+
+
+# The stated reach of ``zagier --what ebar``: at 200000 the request takes
+# 6.8-7.9 s and 178 MB cold on 2 cores, most of it in the Fractions and the
+# JSON of the rows (the two tables take 1.5 s).  Larger d_max is refused
+# before any table is built.
+EBAR_MAX_D = 200000
+
+
+def ebar_rows(d_max: int) -> list[tuple[int, Fraction, Fraction]]:
+    """(d, ebar_1(d^2), ebar_6(d^2)) for 1 <= d <= d_max, from the tables."""
+    if d_max < 1:
+        raise ValueError(f"need dmax >= 1, got {d_max}")
+    if d_max > EBAR_MAX_D:
+        raise ValueError(f"d_max = {d_max} is beyond the bound {EBAR_MAX_D}")
+    e1 = ebar1_five_twelfths(d_max)
+    e6 = ebar6_sixtieths(e1)
+    return [(d, Fraction(5 * e1[d], 12), Fraction(e6[d], 60)) for d in range(1, d_max + 1)]
 
 
 def ebar6_via_euler_product(d: int) -> Fraction:
@@ -166,33 +230,41 @@ def check_technical_lemma(k: int, d: int) -> bool:
               * sum_{m | d_k} mu(d_k/m) ebar_1(m^2).
 
     (The right-hand Moebius factor runs over d_k, the k-coprime part of d;
-    with mu(d/m) there the identity fails, e.g. at k = 2, d = 4.)
+    with mu(d/m) there the identity fails, e.g. at k = 2, d = 4.)  Both sides
+    are compared as integers, on the scale E = (12/5) ebar_1.
     """
     if not is_squarefree(k):
         raise ValueError(f"k = {k} must be squarefree")
     if d < 1:
         raise ValueError("d must be >= 1")
-    lhs = Fraction(0)
+    e1 = _ebar1_five_twelfths_at
+    lhs = 0
     for m in divisors(d):
         mu = moebius(d // m)
         if mu:
             mk = coprime_part(m, k)
-            lhs += mu * Fraction(m // mk) ** 3 * ebar1_exact(mk)
+            lhs += mu * (m // mk) ** 3 * e1(mk)
     dk = coprime_part(d, k)
+    rhs = sum(moebius(dk // m) * e1(m) for m in divisors(dk))
+    return lhs == lemma_factor(k, d) * rhs
+
+
+def lemma_factor(k: int, d: int) -> int:
+    """prod_{p | (k,d)} p^(3 nu_p(d) - 3) (p^3 - 1), the factor of the technical lemma."""
     factor = 1
     for p, _ in factorize(math.gcd(k, d)):
         factor *= p ** (3 * nu(p, d) - 3) * (p**3 - 1)
-    rhs = factor * sum(
-        (moebius(dk // m) * ebar1_exact(m) for m in divisors(dk)), Fraction(0)
-    )
-    return lhs == rhs
+    return factor
+
+
+_KAPPA = {1: Fraction(2), 2: Fraction(3, 2), 3: Fraction(4, 3), 6: Fraction(1)}
 
 
 def kappa(d: int) -> Fraction:
     """Leading constant of e(d^2, 6) / (a(d)/60), by the class of gcd(6, d)."""
-    return {1: Fraction(2), 2: Fraction(3, 2), 3: Fraction(4, 3), 6: Fraction(1)}[
-        math.gcd(6, d)
-    ]
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    return _KAPPA[math.gcd(6, d)]
 
 
 @dataclass

@@ -11,6 +11,7 @@ import pytest
 
 from gothicvol.arith import SIEVE_BOUND_ENV
 from gothicvol.cli import main
+from gothicvol.zagier import EBAR_MAX_D
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -153,7 +154,8 @@ def test_invalid_input_exits_2(capsys):
     assert main(["volume", "--locus", "gothic", "--dmax", "1000000000",
                  "--mode", "direct"]) == 2
     capsys.readouterr()
-    for dmax in ("0", "-5"):
+    # beyond the ebar rows' bound as well: exit 2 before any table is built
+    for dmax in ("0", "-5", str(EBAR_MAX_D + 1)):
         assert main(["zagier", "--what", "ebar", "--dmax", dmax]) == 2
         capsys.readouterr()
     # beyond the asymptotic report's bound, checked before any table is built

@@ -19,23 +19,40 @@ from gothicvol.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Runs the arith suite with one wrong entry injected into the a(d) tables.
+# Runs one suite with one wrong entry injected into a table: the table
+# builder named by sys.argv[2], an attribute of the module sys.argv[1], is
+# replaced by one whose entry 7 is off by one.
 _FAULT_INJECTION = """
 import json, sys
-from gothicvol import verify
+from gothicvol import verify, zagier
 
-real = verify.sl2_order_table
+owner = {"verify": verify, "zagier": zagier}[sys.argv[1]]
+real = getattr(owner, sys.argv[2])
 
 def wrong_table(N):
     table = list(real(N))
     table[7] += 1
     return table
 
-verify.sl2_order_table = wrong_table
-results = verify.run_suite("arith", report=None, stop_on_failure=False)
+setattr(owner, sys.argv[2], wrong_table)
+results = verify.run_suite(sys.argv[3], report=None, stop_on_failure=False)
 print(json.dumps({"optimize": sys.flags.optimize,
                   "failed": [r.name for r in results if not r.ok]}))
 """
+
+
+def _failed_under_python_O(owner, table, suite):
+    """The checks of ``suite`` that fail under ``python -O`` with the table
+    ``owner.table`` off by one at entry 7."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _FAULT_INJECTION, owner, table, suite],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    doc = json.loads(proc.stdout)
+    assert doc["optimize"] == 1
+    return doc["failed"]
 
 
 @pytest.mark.parametrize("name", list(verify._CHECKS))
@@ -47,18 +64,20 @@ def test_check(check, name):
 def test_checks_fail_under_python_O():
     # python -O strips assert statements; the checks must still catch a
     # wrong a(d) table
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", _FAULT_INJECTION],
-        env=env, capture_output=True, text=True, timeout=300, check=True,
-    )
-    doc = json.loads(proc.stdout)
-    assert doc["optimize"] == 1
-    assert doc["failed"] == [
+    assert _failed_under_python_O("verify", "sl2_order_table", "arith") == [
         "sl2_order multiplicative on coprime pairs up to 500",
         "(sigma * a)(n) = sigma_3(n) for n <= 10^4",
         "a(d) = p^(3v-2)(p^2-1) a(d_p) for all p | d, d <= 2000",
+    ]
+
+
+def test_integer_ebar_checks_fail_under_python_O():
+    # the integer sieves over the (12/5) ebar_1 table still catch one wrong
+    # entry; the technical lemma holds for any function in place of ebar_1,
+    # and the Euler-product comparison reads ebar1_exact, not the table
+    assert _failed_under_python_O("zagier", "ebar1_five_twelfths", "zagier") == [
+        "(12/5) moebius-sum of ebar_1(m^2) equals a(d), d <= 2000",
+        "moebius-summed ebar_6 equals kappa(d) a(d)/60 exactly, d <= 1000",
     ]
 
 

@@ -1,23 +1,60 @@
 """Gauss sums, Euler factors and the exact ebar evaluations."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
 from gothicvol import zagier
-from gothicvol.arith import PiQuantity, nu, sl2_order
+from gothicvol.arith import PiQuantity, coprime_part, divisors, moebius, nu, sl2_order
+from gothicvol.cli import main
 from gothicvol.zagier import (
     asymptotic_check_e,
     check_technical_lemma,
     ebar1_exact,
+    ebar1_five_twelfths,
     ebar1_via_euler_product,
     ebar6_exact,
+    ebar6_sixtieths,
     ebar6_via_euler_product,
     estar1,
+    estar6,
     euler_factor,
     gauss_gamma,
     kappa,
 )
+
+REF_MAX_D = 1000
+
+
+def _ebar1_definition(d):
+    """(5/12) d^3 sum_{ac|d} mu(a) / (c^3 a^2), one Fraction per term."""
+    acc = Fraction(0)
+    for a in divisors(d):
+        mu = moebius(a)
+        if mu:
+            for c in divisors(d // a):
+                acc += Fraction(mu, c**3 * a * a)
+    return Fraction(5, 12) * d**3 * acc
+
+
+def _ebar6_combination(d, ebar1):
+    """The four-term combination of ebar_1 values, in Fractions."""
+    d2, d3, d6 = coprime_part(d, 2), coprime_part(d, 3), coprime_part(d, 6)
+    return (
+        ebar1[d]
+        - Fraction(3, 5) * (d // d2) ** 3 * ebar1[d2]
+        - Fraction(4, 5) * (d // d3) ** 3 * ebar1[d3]
+        + Fraction(12, 25) * (d // d6) ** 3 * ebar1[d6]
+    )
+
+
+@pytest.fixture(scope="module")
+def reference():
+    """ebar_1 and ebar_6 for d <= REF_MAX_D from the definition, in Fractions."""
+    ebar1 = {d: _ebar1_definition(d) for d in range(1, REF_MAX_D + 1)}
+    ebar6 = {d: _ebar6_combination(d, ebar1) for d in ebar1}
+    return ebar1, ebar6
 
 
 def test_gamma_case_table():
@@ -132,3 +169,65 @@ def test_truncation_of_gamma_beyond_bound():
             v = 2 * nu(p, d)
             for r in range(v + 3, v + 6):
                 assert gauss_gamma(p, r, d) == 0
+
+
+def test_integer_ebar1_equals_the_definition(reference):
+    ebar1, _ = reference
+    table = ebar1_five_twelfths(REF_MAX_D)
+    assert len(table) == REF_MAX_D + 1 and table[0] == 0
+    for d in range(1, REF_MAX_D + 1):
+        assert ebar1_exact(d) == ebar1[d], d
+        assert Fraction(5 * table[d], 12) == ebar1[d], d
+
+
+def test_integer_ebar6_equals_the_fraction_combination(reference):
+    _, ebar6 = reference
+    table = ebar6_sixtieths(ebar1_five_twelfths(REF_MAX_D))
+    assert len(table) == REF_MAX_D + 1 and table[0] == 0
+    for d in range(1, REF_MAX_D + 1):
+        assert ebar6_exact(d) == ebar6[d], d
+        assert Fraction(table[d], 60) == ebar6[d], d
+
+
+def test_tables_are_read_only_tuples():
+    e1 = ebar1_five_twelfths(30)
+    e6 = ebar6_sixtieths(e1)
+    for table in (e1, e6):
+        assert isinstance(table, tuple)
+        with pytest.raises(TypeError):
+            table[1] = 0
+    assert ebar1_five_twelfths(0) == (0,) and ebar6_sixtieths((0,)) == (0,)
+    with pytest.raises(ValueError):
+        ebar1_five_twelfths(-1)
+
+
+def test_cli_ebar_rows_equal_the_reference(capsys, reference):
+    ebar1, ebar6 = reference
+
+    def text(x):
+        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+    assert main(["zagier", "--what", "ebar", "--dmax", "100"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["result"] == {"rows": [
+        {"d": d, "ebar1": text(ebar1[d]), "ebar6": text(ebar6[d])} for d in range(1, 101)
+    ]}
+
+
+def test_ebar_rows_refuse_beyond_bound_before_any_table(monkeypatch):
+    def no_tables(N):
+        raise AssertionError("a table was built beyond the bound")
+
+    monkeypatch.setattr(zagier, "ebar1_five_twelfths", no_tables)
+    with pytest.raises(ValueError, match="beyond the bound"):
+        zagier.ebar_rows(zagier.EBAR_MAX_D + 1)
+    with pytest.raises(ValueError, match="need dmax >= 1"):
+        zagier.ebar_rows(0)
+
+
+@pytest.mark.parametrize("fn", [kappa, ebar6_exact, estar6, ebar6_via_euler_product,
+                                ebar1_exact, ebar1_via_euler_product])
+def test_nonpositive_d_is_refused(fn):
+    for d in (0, -3):
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            fn(d)
