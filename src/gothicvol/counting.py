@@ -18,25 +18,29 @@ Masur-Veech volume.
 The genus-2 oracle counts pairs (h, v) of permutations of d letters with
 <h, v> transitive and commutator h v h^-1 v^-1 a single 3-cycle, weighted by
 1/d! -- i.e. square-tiled surfaces in H(2) counted with weight 1/|Aut|.  It
-must agree exactly with cd_count(H2, d).  It runs in one process: S_d is built
-once as an int8 array, and each conjugacy-class representative h is tested
-against every v at once by array comparisons.
+must agree exactly with cd_count(H2, d), and it uses no Euler characteristic.
+h runs over one representative per cycle type, its cycles consecutive
+blocks, and c over the 3-cycles.  h v h^-1 v^-1 = c is the same as
+v h^-1 v^-1 = h^-1 c, which has a solution iff h^-1 c has the cycle type of
+h; the solutions are then one coset v0 Z(h), |Z(h)| = prod l^(m_l) m_l!.  An
+element of Z(h) permutes the h-cycles of each length and rotates each one,
+and whether <h, v0 z> is transitive depends on that block permutation alone,
+so each block permutation that joins all the h-cycles (a bit-mask closure)
+stands for prod l^(m_l) solutions.  Only solutions are visited (at d = 8
+about 36k, where trying every v against every class takes 887k pairs), in
+pure Python: neither numpy nor ``euler`` is loaded.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
-from math import factorial
-from typing import TYPE_CHECKING
+from math import factorial, prod
 
 from . import Locus
 from .arith import divisors, nu, sigma
-from .euler import chi_G, chi_W2, chi_W4, chi_W6
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -55,6 +59,16 @@ def sts_count(chi: Fraction) -> Fraction:
     return -6 * Fraction(chi)
 
 
+@cache
+def _euler():
+    """The ``euler`` module, imported on the first ``smm`` call, so the
+    permutation oracle runs without it; a cached call costs a twentieth of an
+    import statement in ``smm``, which ``verify`` calls thousands of times."""
+    from . import euler
+
+    return euler
+
+
 def smm(locus: Locus, m: int, mode: str = "main_term") -> CoverCount:
     """|S_{m,m}(locus)| by the distribution rules, as curve contributions.
 
@@ -64,19 +78,20 @@ def smm(locus: Locus, m: int, mode: str = "main_term") -> CoverCount:
     """
     if m < 1:
         raise ValueError("need m >= 1")
+    euler = _euler()
     parts: list[tuple[str, int, int | None, Fraction]] = []
     if locus is Locus.H2:
         if m > 2:
-            parts.append(("W2", m * m, None, sts_count(chi_W2(m * m))))
+            parts.append(("W2", m * m, None, sts_count(euler.chi_W2(m * m))))
     elif locus is Locus.P3:
-        parts.append(("W4", m * m, 1, sts_count(chi_W4(m * m, 1, "main_term").value)))
+        parts.append(("W4", m * m, 1, sts_count(euler.chi_W4(m * m, 1, "main_term").value)))
         if m % 4 == 2:
             h = m // 2
-            parts.append(("W4", h * h, 2, sts_count(chi_W4(h * h, 2, "main_term").value)))
+            parts.append(("W4", h * h, 2, sts_count(euler.chi_W4(h * h, 2, "main_term").value)))
     elif locus is Locus.P4:
         if m % 2 == 0:
             h = m // 2
-            parts.append(("W6", h * h, None, sts_count(chi_W6(h * h, "main_term").value)))
+            parts.append(("W6", h * h, None, sts_count(euler.chi_W6(h * h, "main_term").value)))
     elif locus is Locus.G:
         rs = [1]
         if nu(2, m) == 1:
@@ -93,7 +108,7 @@ def smm(locus: Locus, m: int, mode: str = "main_term") -> CoverCount:
                 # it exceeds the main term (the one chi > 0 artifact of the
                 # conjectural formula); fall back to the sandwich lower bound
                 rmode = "main_term"
-            parts.append(("G", h * h, r, sts_count(chi_G(h * h, r, rmode).value)))
+            parts.append(("G", h * h, r, sts_count(euler.chi_G(h * h, r, rmode).value)))
     total = sum((c for *_ignored, c in parts), Fraction(0))
     return CoverCount(m, tuple(parts), total)
 
@@ -142,33 +157,101 @@ def _centralizer_size(part: tuple[int, ...]) -> int:
     return size
 
 
-def _symmetric_group(d: int) -> np.ndarray:
-    """All d! permutations of range(d), one per row of an int8 array."""
-    import numpy as np
-
-    flat = np.fromiter(
-        itertools.chain.from_iterable(itertools.permutations(range(d))),
-        dtype=np.int8,
-        count=factorial(d) * d,
-    )
-    return flat.reshape(factorial(d), d)
+def _three_cycles(d: int):
+    """Every 3-cycle of range(d), as a permutation tuple."""
+    for a, b, c in itertools.combinations(range(d), 3):
+        for x, y, z in ((a, b, c), (a, c, b)):
+            p = list(range(d))
+            p[x], p[y], p[z] = y, z, x
+            yield tuple(p)
 
 
-def _transitive(h: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Per row v of ``vs``: does <h, v> act transitively on the d letters?
+def _cycles(p: tuple[int, ...]) -> list[list[int]]:
+    """The cycles of p, each listed from its least point as x, p(x), p(p(x)), ..."""
+    seen = [False] * len(p)
+    cycles = []
+    for start in range(len(p)):
+        if not seen[start]:
+            cycle = []
+            x = start
+            while not seen[x]:
+                seen[x] = True
+                cycle.append(x)
+                x = p[x]
+            cycles.append(cycle)
+    return cycles
 
-    Grows the orbit of letter 0 by boolean closure: j joins once h(j) or v(j)
-    is in it.  Each round that does not close the orbit adds a letter, so
-    d - 1 rounds reach every letter of a transitive group.
+
+def _transitive_solutions(part: tuple[int, ...], c: tuple[int, ...], commutator: str) -> int:
+    """Number of v in S_d with <h, v> transitive and commutator c, where h is
+    the representative of cycle type ``part`` whose cycles are consecutive
+    blocks.
+
+    With ``commutator='hv'``, h v h^-1 v^-1 = c reads v s v^-1 = t for
+    s = h^-1, t = h^-1 c; with 'vh', v h v^-1 h^-1 = c reads the same for
+    s = h, t = c h.  A solution exists iff t has the cycle type of s, and the
+    solutions are then the coset v0 Z(h): v0 maps each cycle of s onto a cycle
+    of t of the same length, and z in Z(h) permutes the h-cycles of each
+    length (the block permutation pi) and rotates each one.  Under v0 z the
+    h-cycle A is carried into the h-cycles that v0 meets on pi(A), whatever
+    the rotations, so transitivity is a bit-mask closure over the blocks that
+    depends on pi alone, and every transitive pi stands for prod l^(m_l)
+    solutions.
     """
-    import numpy as np
-
-    d = h.shape[0]
-    reached = np.zeros(vs.shape, dtype=bool)
-    reached[:, 0] = True
-    for _ in range(d - 1):
-        reached = reached | reached[:, h] | np.take_along_axis(reached, vs, axis=1)
-    return reached.all(axis=1)
+    d = len(c)
+    h = _perm_from_cycle_type(part, d)
+    hinv = [0] * d
+    for x, y in enumerate(h):
+        hinv[y] = x
+    if commutator == "hv":
+        s, t = hinv, [hinv[c[x]] for x in range(d)]
+    else:
+        s, t = h, [c[h[x]] for x in range(d)]
+    free: dict[int, list[list[int]]] = {}  # the t-cycles not yet paired, by length
+    for cycle in _cycles(t):
+        free.setdefault(len(cycle), []).append(cycle)
+    # v0 s^i(a) = t^i(b), a the first point of an h-block and b of its t-cycle
+    v0 = [0] * d
+    block_of = [0] * d
+    pos = 0
+    for block, length in enumerate(part):
+        targets = free.get(length)
+        if not targets:
+            return 0  # t does not have the cycle type of s
+        target = targets.pop()
+        x = pos
+        for y in target:
+            v0[x] = y
+            x = s[x]
+        for x in range(pos, pos + length):
+            block_of[x] = block
+        pos += length
+    meets = [0] * len(part)  # per h-block, the h-blocks v0 maps it into
+    for x in range(d):
+        meets[block_of[x]] |= 1 << block_of[v0[x]]
+    # blocks of equal length are consecutive, as part is non-increasing
+    classes = []
+    pos = 0
+    for _, group in itertools.groupby(part):
+        m = len(list(group))
+        blocks = range(pos, pos + m)
+        classes.append([tuple(meets[i] for i in pi) for pi in itertools.permutations(blocks)])
+        pos += m
+    full = (1 << len(part)) - 1
+    transitive = 0
+    for choice in itertools.product(*classes):
+        image = sum(choice, ())
+        seen = 1
+        todo = [0]
+        for block in todo:  # grows while it is read: each block is visited once
+            fresh = image[block] & ~seen
+            seen |= fresh
+            while fresh:
+                low = fresh & -fresh
+                todo.append(low.bit_length() - 1)
+                fresh ^= low
+        transitive += seen == full
+    return transitive * prod(part)  # the rotations of each h-cycle
 
 
 def h2_permutation_oracle(d: int, commutator: str = "hv") -> Fraction:
@@ -177,35 +260,20 @@ def h2_permutation_oracle(d: int, commutator: str = "hv") -> Fraction:
     Counts pairs (h, v) in S_d x S_d with <h, v> transitive whose commutator
     h v h^-1 v^-1 has exactly one nontrivial cycle, of length 3, and divides
     by d!.  h runs over conjugacy-class representatives weighted by class
-    size, so the total is sum over classes of count / |centralizer|; v runs
-    over all of S_d at once, as the rows of one int8 array.  The commutator
-    moves v(j) iff h(v(h^-1 j)) != v(j), so one array comparison gives the
-    number of moved points of every v; transitivity is then tested on the
-    pairs whose commutator moves exactly three points.
+    size, so the total is sum over classes of count / |centralizer|; for each
+    3-cycle c only the v that solve the commutator equation are visited, one
+    centraliser coset per c (see ``_transitive_solutions``).
 
     ``commutator='vh'`` counts with the conjugate convention v h v^-1 h^-1
-    instead, evaluated straight from its definition on the table of inverse
-    permutations; both conventions give identical counts.
+    instead, by solving its own equation v h v^-1 = c h; both conventions
+    give identical counts.
     """
     if not 1 <= d <= 10:
         raise ValueError("oracle is cost-guarded to 1 <= d <= 10")
     if commutator not in ("hv", "vh"):
         raise ValueError("commutator must be 'hv' or 'vh'")
-    import numpy as np
-
-    vs = _symmetric_group(d)
-    if commutator == "vh":
-        vinvs = np.argsort(vs, axis=1).astype(np.int8)
-        letters = np.arange(d, dtype=np.int8)
     total = Fraction(0)
     for part in _partitions(d):
-        h = np.array(_perm_from_cycle_type(part, d), dtype=np.int8)
-        hinv = np.argsort(h)
-        if commutator == "hv":
-            moved = np.count_nonzero(h[vs[:, hinv]] != vs, axis=1)
-        else:  # i is moved iff v(h(v^-1(h^-1 i))) != i
-            w = np.take_along_axis(vs, h[vinvs[:, hinv]], axis=1)
-            moved = np.count_nonzero(w != letters, axis=1)
-        count = np.count_nonzero(_transitive(h, vs[moved == 3]))
+        count = sum(_transitive_solutions(part, c, commutator) for c in _three_cycles(d))
         total += Fraction(count, _centralizer_size(part))
     return total

@@ -281,7 +281,11 @@ def _ebar1_quadruple_convolution():
 
 @_check("technical lemma identity, k in {2,3,6}, d <= 500", "zagier")
 def _technical_lemma():
-    # both sides as Moebius sieves over E = (12/5) ebar_1
+    # both sides as Moebius sieves over E = (12/5) ebar_1.  This holds for
+    # any arithmetic function in place of E: split each m | d as m' s with
+    # m' | d_k, s | d/d_k, and the left side is J_3(d/d_k) times the right
+    # side's Moebius sum (random integers for E pass all 1500 cases).  So it
+    # checks lemma_factor and the Moebius bookkeeping, not ebar_1 itself.
     N = 500
     mu = moebius_table(N)
     e1 = zagier.ebar1_five_twelfths(N)

@@ -232,6 +232,12 @@ def check_technical_lemma(k: int, d: int) -> bool:
     (The right-hand Moebius factor runs over d_k, the k-coprime part of d;
     with mu(d/m) there the identity fails, e.g. at k = 2, d = 4.)  Both sides
     are compared as integers, on the scale E = (12/5) ebar_1.
+
+    The identity holds for any arithmetic function in place of E: writing
+    each m | d as m' s with m' | d_k and s | d/d_k turns the left side into
+    J_3(d/d_k) sum_{m'|d_k} mu(d_k/m') E(m'), and J_3(d/d_k) is the lemma
+    factor.  So this checks ``lemma_factor`` and the Moebius bookkeeping, not
+    the values of ebar_1.
     """
     if not is_squarefree(k):
         raise ValueError(f"k = {k} must be squarefree")

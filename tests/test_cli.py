@@ -164,6 +164,10 @@ def test_invalid_input_exits_2(capsys):
     for N in ("-1", "0"):  # the same truncation bound as theta, g2 and fk
         assert main(["qexp", "--series", "ek", "--k", "1", "--N", N]) == 2
         capsys.readouterr()
+    # the permutation oracle's cost guard, before any permutation is built
+    for d in ("0", "11"):
+        assert main(["oracle-h2", "--d", d]) == 2
+        capsys.readouterr()
     # n is validated before its divisors are listed
     for n in ("0", "-6", "4"):
         assert main(["ideals", "--d", "5", "--n", n]) == 2
@@ -179,7 +183,8 @@ def test_bad_sieve_bound_names_the_variable():
 
 
 # Runs each argv through cli.main in one process and reports, after each,
-# its exit code and whether numpy has been imported so far.
+# its exit code and whether numpy has been imported so far; then the same
+# after a control that builds an array.
 _NUMPY_LOADS = """
 import contextlib, io, json, sys
 from gothicvol.cli import main
@@ -189,6 +194,10 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
     loaded.append([code, "numpy" in sys.modules])
+from gothicvol.qforms import ek_square_table
+
+ek_square_table(1, 10)  # the control: this one builds a numpy array
+loaded.append([0, "numpy" in sys.modules])
 print(json.dumps(loaded))
 """
 
@@ -206,10 +215,11 @@ def test_only_array_requests_import_numpy():
          "--surrogate", "main"],
         ["volume", "--locus", "h2", "--dmax", "20", "--mode", "direct"],
         ["zagier", "--what", "asymptotic", "--dmax", "100"],
+        ["smm", "--locus", "gothic", "--m", "24"],
+        ["cd", "--locus", "h2", "--d", "6"],
+        ["oracle-h2", "--d", "6"],
     ]
-    # the control: the permutation oracle builds an int8 array
-    oracle = ["oracle-h2", "--d", "4"]
-    proc = fresh_process(["-c", _NUMPY_LOADS, json.dumps([*no_arrays, oracle])])
+    proc = fresh_process(["-c", _NUMPY_LOADS, json.dumps(no_arrays)])
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[0, False]] * len(no_arrays) + [[0, True]]
 
@@ -231,6 +241,7 @@ def test_each_request_loads_only_what_its_subcommand_runs():
     sk = ("sk", "--k", "6", "--D", "300000")
     gothic_closed = ("volume", "--locus", "gothic", "--dmax", "100000", "--mode", "closed")
     e = ("e", "--D", "17", "--k", "1")
+    oracle = ("oracle-h2", "--d", "5")
     others = [
         ("proto", "--D", "17", "--k", "1"),
         ("qexp", "--series", "fk", "--k", "1", "--N", "20"),
@@ -239,11 +250,10 @@ def test_each_request_loads_only_what_its_subcommand_runs():
         ("chi", "--family", "g", "--D", "97"),
         ("smm", "--locus", "gothic", "--m", "6"),
         ("cd", "--locus", "h2", "--d", "6"),
-        ("oracle-h2", "--d", "3"),
         ("volume", "--locus", "gothic", "--dmax", "200", "--mode", "direct"),
     ]
     loaded = {}
-    for argv in (sk, gothic_closed, e, *others):
+    for argv in (sk, gothic_closed, e, oracle, *others):
         proc = fresh_process(["-c", _MODULES_LOADED, json.dumps(argv)])
         assert proc.returncode == 0, proc.stderr
         code, modules = json.loads(proc.stdout)
@@ -253,6 +263,8 @@ def test_each_request_loads_only_what_its_subcommand_runs():
     assert loaded[gothic_closed] == closed
     unused = {f"gothicvol.{m}" for m in ("euler", "counting", "volume", "verify", "zagier")}
     assert not loaded[e] & unused, loaded[e]
+    assert loaded[oracle] == {"gothicvol", "gothicvol.arith", "gothicvol.cli",
+                              "gothicvol.counting"}
     for argv, modules in loaded.items():
         assert "gothicvol.verify" not in modules, argv
 

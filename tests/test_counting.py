@@ -1,11 +1,24 @@
 """Cover counts per locus and the brute-force permutation oracle."""
 
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
-from gothicvol.counting import Locus, cd_count, h2_permutation_oracle, smm, sts_count
+from gothicvol.counting import (
+    Locus,
+    _partitions,
+    _perm_from_cycle_type,
+    _three_cycles,
+    _transitive_solutions,
+    cd_count,
+    h2_permutation_oracle,
+    smm,
+    sts_count,
+)
 from gothicvol.euler import chi_W2
 
 
@@ -38,6 +51,88 @@ def brute_oracle(d):
             if len(seen) == d:
                 count += 1
     return Fraction(count, math.factorial(d))
+
+
+def _inverse(p):
+    inv = [0] * len(p)
+    for i, x in enumerate(p):
+        inv[x] = i
+    return inv
+
+
+def _orbit_is_everything(h, v):
+    seen = {0}
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in (h[i], v[i]):
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == len(h)
+
+
+@cache
+def class_brute_force(d):
+    """Per convention: (cycle type of h, 3-cycle c) -> the number of v in S_d
+    with <h, v> transitive whose commutator is c, h the class representative
+    and v every permutation, each commutator evaluated from its definition."""
+    counts = {"hv": Counter(), "vh": Counter()}
+    letters = range(d)
+    for part in _partitions(d):
+        h = _perm_from_cycle_type(part, d)
+        hinv = _inverse(h)
+        for v in itertools.permutations(letters):
+            vinv = _inverse(v)
+            commutators = {
+                "hv": tuple(h[v[hinv[vinv[x]]]] for x in letters),  # h v h^-1 v^-1
+                "vh": tuple(v[h[vinv[hinv[x]]]] for x in letters),  # v h v^-1 h^-1
+            }
+            for convention, w in commutators.items():
+                # three moved points: a 3-cycle
+                if sum(w[x] != x for x in letters) == 3 and _orbit_is_everything(h, v):
+                    counts[convention][part, w] += 1
+    return counts
+
+
+def _class_weight(part):
+    """|Z(h)| for h of cycle type part: prod l^(m_l) m_l!."""
+    size = 1
+    for length in set(part):
+        mult = part.count(length)
+        size *= length**mult * math.factorial(mult)
+    return size
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_coset_oracle_matches_class_brute_force(d):
+    # d = 6 and 7 are the first sizes with repeated cycles of length >= 2,
+    # as in (2, 2, 2) and (3, 3)
+    for commutator in ("hv", "vh"):
+        counts = class_brute_force(d)[commutator]
+        want = sum((Fraction(n, _class_weight(part)) for (part, _), n in counts.items()),
+                   Fraction(0))
+        assert h2_permutation_oracle(d, commutator) == want, commutator
+
+
+@pytest.mark.parametrize("d", range(3, 8))
+def test_coset_counts_per_three_cycle_match_class_brute_force(d):
+    # one count per (class, c): the two conventions solve different
+    # equations, as [v, h] = [h, v]^-1, though their totals agree
+    for commutator in ("hv", "vh"):
+        got = Counter()
+        for part in _partitions(d):
+            for c in _three_cycles(d):
+                got[part, c] = _transitive_solutions(part, c, commutator)
+        assert +got == class_brute_force(d)[commutator], commutator
+
+
+def test_three_cycles_are_every_three_cycle():
+    for d in range(1, 7):
+        cycles = list(_three_cycles(d))
+        assert len(set(cycles)) == len(cycles) == 2 * math.comb(d, 3)
+        for c in cycles:
+            assert sum(c[x] != x for x in range(d)) == 3
 
 
 def test_sts_count():
