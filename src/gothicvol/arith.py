@@ -237,16 +237,6 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-def divisor_factorizations(n: int):
-    """Yield (d, exponents) for every divisor d of n, where ``exponents``
-    lists the exponent of d at each prime of n (in factorize(n) order)."""
-    fac = factorize(n)
-    stack = [(1, ())]
-    for p, e in fac:
-        stack = [(d * p**i, exps + (i,)) for d, exps in stack for i in range(e + 1)]
-    return fac, stack
-
-
 def nu(p: int, n: int) -> int:
     """p-adic valuation of n >= 1."""
     if n < 1:

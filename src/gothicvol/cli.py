@@ -11,7 +11,8 @@ Exit codes: 0 success, 2 input validation failure, 1 internal check failure.
 
 Each handler imports the modules it runs, so a request loads only what its
 subcommand needs: ``sk`` and ``volume --mode closed`` load arith and volume
-alone, and only ``verify`` loads the invariant suite.
+alone, and only ``verify`` loads the invariant suite, whose checks in turn
+load only the modules of the suite that runs.
 """
 
 from __future__ import annotations

@@ -26,8 +26,9 @@ h; the solutions are then one coset v0 Z(h), |Z(h)| = prod l^(m_l) m_l!.  An
 element of Z(h) permutes the h-cycles of each length and rotates each one,
 and whether <h, v0 z> is transitive depends on that block permutation alone,
 so each block permutation that joins all the h-cycles (a bit-mask closure)
-stands for prod l^(m_l) solutions.  Only solutions are visited (at d = 8
-about 36k, where trying every v against every class takes 887k pairs), in
+stands for prod l^(m_l) solutions.  Conjugating by z in Z(h) carries the
+solutions for c onto those for z c z^-1, so c runs over one 3-cycle per
+Z(h)-orbit, weighted by the orbit's size.  Only solutions are visited, in
 pure Python: neither numpy nor ``euler`` is loaded.
 """
 
@@ -158,12 +159,52 @@ def _centralizer_size(part: tuple[int, ...]) -> int:
 
 
 def _three_cycles(d: int):
-    """Every 3-cycle of range(d), as a permutation tuple."""
-    for a, b, c in itertools.combinations(range(d), 3):
-        for x, y, z in ((a, b, c), (a, c, b)):
-            p = list(range(d))
-            p[x], p[y], p[z] = y, z, x
-            yield tuple(p)
+    """Every 3-cycle of range(d) once, as the triple (x, y, w) of x -> y -> w -> x."""
+    for x, y, w in itertools.combinations(range(d), 3):
+        yield x, y, w
+        yield x, w, y
+
+
+@cache
+def _three_cycle_orbits(part: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """One 3-cycle of each orbit of Z(h) on the 3-cycles, as a permutation
+    tuple, with the orbit's size; h is the representative of cycle type
+    ``part`` whose cycles are consecutive blocks.
+
+    z in Z(h) permutes the h-cycles of each length and rotates each one, so
+    it carries the ordered triple (x, y, w) onto every triple with the same
+    h-cycle lengths, the same pairs in a shared h-cycle and the same offsets
+    within each shared h-cycle, and onto no other.  A 3-cycle's key is the
+    least such description over its three rotations.  Cached per cycle type:
+    the oracle's guard d <= 10 bounds the cache to 138 types, and both
+    conventions share it.
+    """
+    d = sum(part)
+    length = []
+    start = []  # per point: the first point of its h-cycle
+    for size in part:
+        start += [len(length)] * size
+        length += [size] * size
+    # rel[x][y]: the offset of y after x within their h-cycle, -1 if apart
+    rel = [
+        [(y - x) % length[x] if start[x] == start[y] else -1 for y in range(d)]
+        for x in range(d)
+    ]
+    orbits: dict[tuple, list] = {}  # key -> [representative, orbit size]
+    for x, y, w in _three_cycles(d):
+        key = min(
+            (length[x], length[y], length[w], rel[x][y], rel[x][w], rel[y][w]),
+            (length[y], length[w], length[x], rel[y][w], rel[y][x], rel[w][x]),
+            (length[w], length[x], length[y], rel[w][x], rel[w][y], rel[x][y]),
+        )
+        orbit = orbits.setdefault(key, [(x, y, w), 0])
+        orbit[1] += 1
+    out = []
+    for (x, y, w), size in orbits.values():
+        c = list(range(d))
+        c[x], c[y], c[w] = y, w, x
+        out.append((tuple(c), size))
+    return tuple(out)
 
 
 def _cycles(p: tuple[int, ...]) -> list[list[int]]:
@@ -260,9 +301,11 @@ def h2_permutation_oracle(d: int, commutator: str = "hv") -> Fraction:
     Counts pairs (h, v) in S_d x S_d with <h, v> transitive whose commutator
     h v h^-1 v^-1 has exactly one nontrivial cycle, of length 3, and divides
     by d!.  h runs over conjugacy-class representatives weighted by class
-    size, so the total is sum over classes of count / |centralizer|; for each
-    3-cycle c only the v that solve the commutator equation are visited, one
-    centraliser coset per c (see ``_transitive_solutions``).
+    size, so the total is sum over classes of count / |centralizer|.  c runs
+    over one 3-cycle per Z(h)-orbit, times the orbit's size (see
+    ``_three_cycle_orbits``), and for each only the v that solve the
+    commutator equation are visited, one centraliser coset per c (see
+    ``_transitive_solutions``).
 
     ``commutator='vh'`` counts with the conjugate convention v h v^-1 h^-1
     instead, by solving its own equation v h v^-1 = c h; both conventions
@@ -272,8 +315,12 @@ def h2_permutation_oracle(d: int, commutator: str = "hv") -> Fraction:
         raise ValueError("oracle is cost-guarded to 1 <= d <= 10")
     if commutator not in ("hv", "vh"):
         raise ValueError("commutator must be 'hv' or 'vh'")
-    total = Fraction(0)
+    # over d!: the class of h has d!/|Z(h)| members
+    pairs = 0
     for part in _partitions(d):
-        count = sum(_transitive_solutions(part, c, commutator) for c in _three_cycles(d))
-        total += Fraction(count, _centralizer_size(part))
-    return total
+        count = sum(
+            size * _transitive_solutions(part, c, commutator)
+            for c, size in _three_cycle_orbits(part)
+        )
+        pairs += count * (factorial(d) // _centralizer_size(part))
+    return Fraction(pairs, factorial(d))

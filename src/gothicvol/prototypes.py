@@ -7,8 +7,12 @@ A prototype for the pair (D, k) is an integer triple [a, b, c] with
 where D = f^2 D_0 with conductor f, and c = c0^2 c' with c' squarefree.
 The weighted count e(D, k) is the sum of a over all prototypes; by convention
 e(1, k) = -1/12.  Enumeration runs b over |b| < sqrt(D) with b^2 = D mod 4k
-and splits (D - b^2)/(4k) into ordered factor pairs a * (-c), so the output
-order is increasing b, then increasing a.
+and splits n = (D - b^2)/(4k) into ordered factor pairs a * (-c), so the
+output order is increasing b, then increasing a.  Only the admissible a are
+built: a prime p divides c0 iff nu_p(n/a) >= 2, so at each prime p of
+gcd(f, b) the exponent of p in a runs over nu_p(n) - 1 and nu_p(n) alone,
+and every other prime is free.  e(D, k) sums each row's admissible a one by
+one, without building triples or sorting them.
 
 The independent cross-check against these counts is the modular-form
 coefficient route in ``qforms`` (see check_e_and_a there).
@@ -20,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import divisor_factorizations, divisors, factorize, squarefree_decompose
+from .arith import divisors, factorize, squarefree_decompose
 
 
 @dataclass(frozen=True)
@@ -87,8 +91,31 @@ def conductor_decompose(D: int) -> DiscriminantDecomposition:
     raise AssertionError(f"no fundamental decomposition found for {D}")
 
 
-def _prototype_triples(D: int, k: int):
-    """Yield (a, b, c) for every prototype of (D, k), by increasing b then a."""
+def _admissible_divisors(n: int, gb: int) -> list[int]:
+    """Every divisor a of n >= 1 for which c0 is prime to gb, unsorted, where
+    c0 is the largest integer with c0^2 | n/a.
+
+    A prime p divides c0 iff nu_p(n/a) >= 2.  So at each prime p of n that
+    divides gb, the exponent of p in a runs over nu_p(n) - 1 and nu_p(n) only;
+    at every other prime it runs over 0..nu_p(n).  No other divisor is built.
+    """
+    divs = [1]
+    for p, e in factorize(n):
+        if gb % p:
+            powers = [1]
+            for _ in range(e):
+                powers.append(powers[-1] * p)
+        else:
+            low = p ** (e - 1)
+            powers = [low, low * p]
+        divs = [d * q for d in divs for q in powers]
+    return divs
+
+
+def _prototype_rows(D: int, k: int):
+    """Yield (b, n, divisors) for every b with |b| < sqrt(D) and
+    b^2 = D mod 4k, by increasing b: n = (D - b^2)/(4k) and ``divisors`` are
+    the admissible a of that row, unsorted (see ``_admissible_divisors``)."""
     _validate_discriminant(D)
     if D < 2:
         raise ValueError("prototype enumeration needs D >= 2 (e(1,k) is a convention)")
@@ -101,17 +128,15 @@ def _prototype_triples(D: int, k: int):
         if rem % (4 * k):
             continue
         n = rem // (4 * k)
-        gb = math.gcd(f, abs(b))
-        # walk divisors a of n with their exponent vectors so the squarefree
-        # part of c = -n/a comes straight out of the exponents
-        fac, divs = divisor_factorizations(n)
+        yield b, n, _admissible_divisors(n, math.gcd(f, abs(b)))
+
+
+def _prototype_triples(D: int, k: int):
+    """Yield (a, b, c) for every prototype of (D, k), by increasing b then a."""
+    for b, n, divs in _prototype_rows(D, k):
         divs.sort()
-        for a, exps in divs:
-            c0 = 1
-            for (p, e), i in zip(fac, exps):
-                c0 *= p ** ((e - i) // 2)
-            if math.gcd(gb, c0) == 1:
-                yield a, b, -(n // a)
+        for a in divs:
+            yield a, b, -(n // a)
 
 
 def enumerate_prototypes(D: int, k: int) -> list[Prototype]:
@@ -120,7 +145,15 @@ def enumerate_prototypes(D: int, k: int) -> list[Prototype]:
 
 
 def e_value(D: int, k: int) -> Fraction:
-    """e(D, k) = sum of a over the prototype set; e(1, k) = -1/12."""
+    """e(D, k) = sum of a over the prototype set; e(1, k) = -1/12.
+
+    Each row's admissible divisors are summed one by one, never by a divisor
+    sum formula, so this count stays independent of the modular-form route
+    that ``qforms.check_e_and_a`` compares it with.
+    """
+    _validate_discriminant(D)
+    if k < 1:
+        raise ValueError("k must be a positive integer")
     if D == 1:
         return Fraction(-1, 12)
-    return Fraction(sum(a for a, _, _ in _prototype_triples(D, k)))
+    return Fraction(sum(sum(divs) for _, _, divs in _prototype_rows(D, k)))

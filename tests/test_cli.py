@@ -146,6 +146,10 @@ def test_zagier_asymptotic_report(capsys):
 def test_invalid_input_exits_2(capsys):
     assert main(["e", "--D", "7", "--k", "1"]) == 2  # 7 = 3 mod 4
     capsys.readouterr()
+    # k is checked before the e(1, k) = -1/12 convention is returned
+    for D in ("1", "5"):
+        assert main(["e", "--D", D, "--k", "0"]) == 2
+        assert "k must be a positive integer" in capsys.readouterr().err
     assert main(["chi", "--family", "g", "--D", "25", "--mode", "exact"]) == 2
     capsys.readouterr()
     assert main(["sk", "--k", "1", "--D", str(10**12 + 1)]) == 2  # closed-path bound
@@ -242,6 +246,7 @@ def test_each_request_loads_only_what_its_subcommand_runs():
     gothic_closed = ("volume", "--locus", "gothic", "--dmax", "100000", "--mode", "closed")
     e = ("e", "--D", "17", "--k", "1")
     oracle = ("oracle-h2", "--d", "5")
+    suite = {name: ("verify", "--suite", name) for name in ("ideals", "zagier", "euler")}
     others = [
         ("proto", "--D", "17", "--k", "1"),
         ("qexp", "--series", "fk", "--k", "1", "--N", "20"),
@@ -252,8 +257,9 @@ def test_each_request_loads_only_what_its_subcommand_runs():
         ("cd", "--locus", "h2", "--d", "6"),
         ("volume", "--locus", "gothic", "--dmax", "200", "--mode", "direct"),
     ]
+    requests = (sk, gothic_closed, e, oracle, *others)
     loaded = {}
-    for argv in (sk, gothic_closed, e, oracle, *others):
+    for argv in (*requests, *suite.values()):
         proc = fresh_process(["-c", _MODULES_LOADED, json.dumps(argv)])
         assert proc.returncode == 0, proc.stderr
         code, modules = json.loads(proc.stdout)
@@ -265,8 +271,15 @@ def test_each_request_loads_only_what_its_subcommand_runs():
     assert not loaded[e] & unused, loaded[e]
     assert loaded[oracle] == {"gothicvol", "gothicvol.arith", "gothicvol.cli",
                               "gothicvol.counting"}
-    for argv, modules in loaded.items():
-        assert "gothicvol.verify" not in modules, argv
+    for argv in requests:
+        assert "gothicvol.verify" not in loaded[argv], argv
+    # each verify check imports the modules it calls
+    assert loaded[suite["ideals"]] == {"gothicvol", "gothicvol.arith", "gothicvol.cli",
+                                       "gothicvol.ideals", "gothicvol.verify"}
+    assert not loaded[suite["zagier"]] & {"gothicvol.counting", "gothicvol.euler",
+                                          "gothicvol.ideals", "gothicvol.volume"}
+    assert not loaded[suite["euler"]] & {"gothicvol.counting", "gothicvol.volume",
+                                         "gothicvol.zagier"}
 
 
 def test_unknown_suite_exits_2_and_lists_every_suite():

@@ -12,6 +12,7 @@ from gothicvol.counting import (
     Locus,
     _partitions,
     _perm_from_cycle_type,
+    _three_cycle_orbits,
     _three_cycles,
     _transitive_solutions,
     cd_count,
@@ -115,6 +116,14 @@ def test_coset_oracle_matches_class_brute_force(d):
         assert h2_permutation_oracle(d, commutator) == want, commutator
 
 
+def _cycle_permutation(d, cycle):
+    """The permutation tuple of the 3-cycle x -> y -> w -> x."""
+    x, y, w = cycle
+    p = list(range(d))
+    p[x], p[y], p[w] = y, w, x
+    return tuple(p)
+
+
 @pytest.mark.parametrize("d", range(3, 8))
 def test_coset_counts_per_three_cycle_match_class_brute_force(d):
     # one count per (class, c): the two conventions solve different
@@ -122,17 +131,46 @@ def test_coset_counts_per_three_cycle_match_class_brute_force(d):
     for commutator in ("hv", "vh"):
         got = Counter()
         for part in _partitions(d):
-            for c in _three_cycles(d):
+            for cycle in _three_cycles(d):
+                c = _cycle_permutation(d, cycle)
                 got[part, c] = _transitive_solutions(part, c, commutator)
         assert +got == class_brute_force(d)[commutator], commutator
 
 
 def test_three_cycles_are_every_three_cycle():
     for d in range(1, 7):
-        cycles = list(_three_cycles(d))
+        cycles = [_cycle_permutation(d, cycle) for cycle in _three_cycles(d)]
         assert len(set(cycles)) == len(cycles) == 2 * math.comb(d, 3)
         for c in cycles:
             assert sum(c[x] != x for x in range(d)) == 3
+
+
+def test_three_cycle_orbit_sizes_sum_to_every_three_cycle():
+    for d in range(1, 11):
+        for part in _partitions(d):
+            sizes = [size for _, size in _three_cycle_orbits(part)]
+            assert sum(sizes) == d * (d - 1) * (d - 2) // 3, part
+
+
+@pytest.mark.parametrize("d", range(3, 7))
+def test_three_cycle_orbits_are_the_centralizer_orbits(d):
+    # Z(h) from its definition, every z in S_d with z h = h z, and each
+    # orbit by conjugating its representative with all of Z(h)
+    for part in _partitions(d):
+        h = _perm_from_cycle_type(part, d)
+        centralizer = [z for z in itertools.permutations(range(d))
+                       if all(z[h[x]] == h[z[x]] for x in range(d))]
+        assert len(centralizer) == _class_weight(part)
+        covered = set()
+        for c, size in _three_cycle_orbits(part):
+            orbit = set()
+            for z in centralizer:
+                zinv = _inverse(z)
+                orbit.add(tuple(z[c[zinv[x]]] for x in range(d)))  # z c z^-1
+            assert len(orbit) == size, (part, c)
+            assert not orbit & covered, (part, c)
+            covered |= orbit
+        assert covered == {_cycle_permutation(d, cycle) for cycle in _three_cycles(d)}
 
 
 def test_sts_count():

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from gothicvol import arith, prototypes, qforms
+from gothicvol.arith import factorize
 from gothicvol.prototypes import (
     DiscriminantDecomposition,
     conductor_decompose,
@@ -54,6 +56,27 @@ def brute_prototypes(D, k):
             if math.gcd(math.gcd(f, abs(b)), c0) == 1:
                 out.add((a, b, c))
     return out
+
+
+def filter_walk(D, k):
+    """Reference: every divisor a of each row's n with its exponent vector,
+    kept when gcd(gcd(f, b), c0) = 1 (the enumeration before the walk over
+    admissible exponents), by increasing b then a."""
+    f = conductor_decompose(D).f
+    bmax = math.isqrt(D - 1)
+    for b in range(-bmax, bmax + 1):
+        rem = D - b * b
+        if rem % (4 * k):
+            continue
+        n = rem // (4 * k)
+        fac = factorize(n)
+        divs = [(1, ())]
+        for p, e in fac:
+            divs = [(a * p**i, exps + (i,)) for a, exps in divs for i in range(e + 1)]
+        for a, exps in sorted(divs):
+            c0 = math.prod(p ** ((e - i) // 2) for (p, e), i in zip(fac, exps))
+            if math.gcd(math.gcd(f, abs(b)), c0) == 1:
+                yield a, b, -(n // a)
 
 
 def test_conductor_examples():
@@ -108,6 +131,13 @@ def test_validation():
         enumerate_prototypes(7, 1)
     with pytest.raises(ValueError):
         enumerate_prototypes(1, 1)
+    # k is checked before the D = 1 convention is returned
+    for D in (1, 5):
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="k must be a positive integer"):
+                e_value(D, k)
+    with pytest.raises(ValueError):
+        e_value(3, 1)
 
 
 def test_against_box_scan_oracle():
@@ -117,6 +147,64 @@ def test_against_box_scan_oracle():
         for k in (1, 6):
             got = {(p.a, p.b, p.c) for p in enumerate_prototypes(D, k)}
             assert got == brute_prototypes(D, k), (D, k)
+
+
+def brute_nu(p, n):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def has_boundary_row(D, k):
+    """Some row has a prime p | gcd(f, b) with nu_p(n) >= 3, so the walk
+    drops exponents of p from a there."""
+    f = brute_conductor(D)
+    for b in range(-math.isqrt(D - 1), math.isqrt(D - 1) + 1):
+        rem = D - b * b
+        if rem % (4 * k) == 0:
+            n, g = rem // (4 * k), math.gcd(f, abs(b))
+            if any(g % p == 0 and brute_nu(p, n) >= 3 for p in range(2, g + 1)):
+                return True
+    return False
+
+
+# (D, k) past the range above, each with a row where p | gcd(f, b) and
+# nu_p(n) >= 3: p = 2 up to nu = 7, p = 3 up to nu = 4, p = 5 and p = 7
+@pytest.mark.parametrize("D, k", [(160, 1), (189, 1), (324, 1), (500, 1), (528, 1),
+                                  (1372, 1), (192, 6), (648, 6), (784, 6), (1944, 6)])
+def test_box_scan_where_the_walk_drops_exponents(D, k):
+    assert has_boundary_row(D, k)
+    got = {(p.a, p.b, p.c) for p in enumerate_prototypes(D, k)}
+    assert got == brute_prototypes(D, k)
+    assert e_value(D, k) == sum(a for a, _, _ in got)
+
+
+def test_walk_equals_the_filter_walk():
+    for D in range(2, 2001):
+        if D % 4 in (2, 3):
+            continue
+        for k in (1, 6):
+            want = list(filter_walk(D, k))
+            got = [(p.a, p.b, p.c) for p in enumerate_prototypes(D, k)]
+            assert got == want, (D, k)  # the same triples in the same order
+            assert e_value(D, k) == sum(a for a, _, _ in want), (D, k)
+
+
+def test_e_value_uses_no_divisor_sum_formula(monkeypatch):
+    # check_e_and_a compares e_value with qforms.ek_coeff, a sigma route;
+    # e_value must reach its count without either
+    want = {(D, k): e_value(D, k) for D in (5, 12, 45, 160, 189, 648) for k in (1, 6)}
+
+    def forbidden(*args):
+        raise AssertionError("divisor-sum formula called")
+
+    monkeypatch.setattr(arith, "sigma", forbidden)
+    monkeypatch.setattr(prototypes, "sigma", forbidden, raising=False)
+    monkeypatch.setattr(qforms, "ek_coeff", forbidden)
+    for (D, k), value in want.items():
+        assert e_value(D, k) == value
 
 
 def test_every_prototype_validates():
