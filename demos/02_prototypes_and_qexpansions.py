@@ -15,14 +15,14 @@ from gothicvol.prototypes import conductor_decompose, e_value, enumerate_prototy
 from gothicvol.qforms import check_e_and_a, ek_coeff, fk_expansion
 
 print("prototypes for D = 5, k = 1:")
-for p in enumerate_prototypes(5, 1):
-    print("   ", [p.a, p.b, p.c])
+for a, b, c in enumerate_prototypes(5, 1):
+    print("   ", [a, b, c])
 print("e(5,1) =", e_value(5, 1))
 print()
 
 print("prototypes for D = 33, k = 1 (a-weighted count e(33,1) =", e_value(33, 1), "):")
-for p in enumerate_prototypes(33, 1):
-    print("   ", [p.a, p.b, p.c])
+for a, b, c in enumerate_prototypes(33, 1):
+    print("   ", [a, b, c])
 print()
 
 # the q-expansion of F_1 around q = e^(pi i tau)

@@ -31,8 +31,8 @@ from gothicvol.zagier import (
 )
 
 print("gamma_{2^r}(1) for r = 0..4:", [str(gauss_gamma(2, r, 1)) for r in range(5)])
-print("local factor P_1(2, 1) =", euler_factor(1, 2, 1).value)
-print("local factor P_1(3, 1) =", euler_factor(1, 3, 1).value)
+print("local factor P_1(2, 1) =", euler_factor(1, 2, 1))
+print("local factor P_1(3, 1) =", euler_factor(1, 3, 1))
 print("e*_1(1) =", estar1(1), " ->  ebar_1(1) =", ebar1_exact(1))
 print()
 

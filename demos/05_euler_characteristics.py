@@ -23,6 +23,7 @@ from gothicvol.euler import (
     chi_X_nonsquare,
     chi_X_square,
     chi_boundary_gap,
+    is_empty,
 )
 
 print("Hilbert modular surfaces:")
@@ -38,25 +39,21 @@ for D in (5, 8, 9, 16, 25):
 print()
 
 print("Prym curves in genus 3 and 4:")
-print("   chi(W_13(4)):", "empty" if chi_W4(13, 1).empty else chi_W4(13, 1).value)
-print("   chi(W_17^1(4)) =", chi_W4(17, 1).value, " (two components, equal chi)")
-print("   chi(W_8(6))  =", chi_W6(8).value)
+print("   chi(W_13(4)):", "empty" if is_empty("w4", 13) else chi_W4(13, 1))
+print("   chi(W_17^1(4)) =", chi_W4(17, 1), " (two components, equal chi)")
+print("   chi(W_8(6))  =", chi_W6(8))
 print()
 
 print("gothic curves, non-square discriminants:")
 for D in (8, 12, 33, 73):
-    rec = chi_G(D, 1)
-    print(f"   chi(G_{D}^1) =", "empty" if rec.empty else rec.value)
+    print(f"   chi(G_{D}^1) =", "empty" if is_empty("g", D) else chi_G(D, 1))
 print()
 
 print("square discriminant surrogates at d = 5 (D = 25):")
-main = chi_G(25, 1, "main_term")
-lead = chi_G(25, 1, "leading")
-remark = chi_G(25, 1, "remark")
-print("   main_term:", main.value)
-print("   leading:  ", lead.value)
-print("   remark:   ", remark.value)
-print("   sandwich width (eps = 9):", chi_boundary_gap(5, 1))
+print("   main_term:", chi_G(25, 1, "main_term"))
+print("   leading:  ", chi_G(25, 1, "leading"))
+print("   remark:   ", chi_G(25, 1, "remark"))
+print("   sandwich width (9/d) chi(X(b_1)):", chi_boundary_gap(5, 1))
 print()
 
 print("reducible locus: chi(R_25^r) =", chi_R(25, "main_term"),

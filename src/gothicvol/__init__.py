@@ -31,9 +31,9 @@ subcommand runs.
 
 from enum import Enum
 
-from .arith import ExactRational, PiQuantity
+from .arith import PiQuantity
 
-__all__ = ["ExactRational", "Locus", "MODES", "PiQuantity", "surrogate_mode"]
+__all__ = ["Locus", "MODES", "PiQuantity", "surrogate_mode"]
 __version__ = "0.1.0"
 
 

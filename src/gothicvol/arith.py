@@ -18,18 +18,17 @@ Key objects:
 
 A smallest-prime-factor sieve backs factorisation.  It is sized to the
 request: the first build has 2^16 entries, and it grows geometrically to the
-largest n that factorize sees, up to the sieve bound (default 10^7, override
-with the GOTHICVOL_SIEVE_BOUND environment variable).  Inputs beyond the bound
-fall back to trial division.  The sieve is a stdlib array("i") behind a
-read-only memoryview.  The bulk tables (sigma_table, sigma_prefix,
-sl2_order_table, jordan2_table, moebius_table) are read-only tuples of Python
-ints, each built in one O(N) pass over the sieve; nothing here imports numpy.
+largest n that factorize sees, up to the constant bound SIEVE_BOUND = 10^7.
+Inputs beyond the bound fall back to trial division.  The sieve is a stdlib
+array("i") behind a read-only memoryview.  The bulk tables (sigma_table,
+sigma_prefix, sl2_order_table, jordan2_table, moebius_table) are read-only
+tuples of Python ints, each built in one O(N) pass over the sieve; nothing
+here imports numpy.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,12 +36,7 @@ from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import add, mul
 
-# The universal exact scalar.  fractions.Fraction already guarantees the two
-# invariants we need: lowest terms and positive denominator.
-ExactRational = Fraction
-
-DEFAULT_SIEVE_BOUND = 10**7
-SIEVE_BOUND_ENV = "GOTHICVOL_SIEVE_BOUND"
+SIEVE_BOUND = 10**7
 
 
 # ---------------------------------------------------------------------------
@@ -101,22 +95,6 @@ class PiQuantity:
         return f"{self.coeff}*pi^{self.pi_power}"
 
 
-@dataclass(frozen=True)
-class FactoredInteger:
-    """A positive integer together with its prime factorisation.
-
-    ``factors`` is a tuple of (prime, exponent) pairs with strictly increasing
-    primes; the product of the prime powers equals ``value``.
-    """
-
-    value: int
-    factors: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def of(cls, n: int) -> "FactoredInteger":
-        return cls(n, factorize(n))
-
-
 # ---------------------------------------------------------------------------
 # Smallest-prime-factor sieve
 # ---------------------------------------------------------------------------
@@ -127,14 +105,8 @@ _SPF_MIN_SIZE = 2**16
 
 
 def sieve_bound() -> int:
-    """The configured sieve bound (environment override wins)."""
-    raw = os.environ.get(SIEVE_BOUND_ENV)
-    if raw:
-        try:
-            return max(4, int(raw))
-        except ValueError:
-            raise ValueError(f"{SIEVE_BOUND_ENV} must be an integer, got {raw!r}") from None
-    return DEFAULT_SIEVE_BOUND
+    """The largest sieve factorize builds, SIEVE_BOUND entries."""
+    return SIEVE_BOUND
 
 
 def _ensure_sieve(size: int) -> memoryview:
@@ -340,7 +312,7 @@ def dirichlet_convolve(f, g, N: int) -> list:
     """(f*g)(n) = sum_{ab=n} f(a) g(b) for 1 <= n <= N, exact.
 
     Sequences are 1-indexed dense arrays (index 0 unused) of Python ints or
-    ExactRational; both inputs must be defined up to N.  Ints in give ints
+    Fractions; both inputs must be defined up to N.  Ints in give ints
     out.  Each nonzero f(a) adds f(a) g(b) along the multiples of a in one
     slice update.
     """

@@ -92,10 +92,9 @@ def _cmd_proto(args):
     result = {
         "count": len(protos),
         "a_sum": prototypes.e_value(args.D, args.k),
-        "prototypes": [[p.a, p.b, p.c] for p in protos],
+        "prototypes": protos,
     }
-    rows = [(p.a, p.b, p.c) for p in protos]
-    return {"D": args.D, "k": args.k}, result, (("a", "b", "c"), rows)
+    return {"D": args.D, "k": args.k}, result, (("a", "b", "c"), protos)
 
 
 def _cmd_e(args):
@@ -171,26 +170,24 @@ def _cmd_chi(args):
     D, mode = args.D, MODES[args.mode]
     fam = args.family
     if fam == "x":
-        value, empty = euler.chi_X(D), False
+        value = euler.chi_X(D)
     elif fam == "xbr":
         d = args.d or math.isqrt(D)
         if d * d != D:
             raise ValueError("family=xbr needs a square D (or pass --d)")
-        value, empty = euler.chi_X_br(d, args.r), False
+        value = euler.chi_X_br(d, args.r)
     elif fam == "w2":
-        value, empty = euler.chi_W2(D), False
+        value = euler.chi_W2(D)
     elif fam == "w4":
-        rec = euler.chi_W4(D, args.j, mode)
-        value, empty = rec.value, rec.empty
+        value = euler.chi_W4(D, args.j, mode)
     elif fam == "w6":
-        rec = euler.chi_W6(D, mode)
-        value, empty = rec.value, rec.empty
+        value = euler.chi_W6(D, mode)
     elif fam == "r":
-        value, empty = euler.chi_R(D, mode), False
+        value = euler.chi_R(D, mode)
     else:  # g
-        rec = euler.chi_G(D, args.r, mode)
-        value, empty = rec.value, rec.empty
-    result = {"family": fam, "D": D, "mode": mode, "value": value, "empty": empty}
+        value = euler.chi_G(D, args.r, mode)
+    result = {"family": fam, "D": D, "mode": mode, "value": value,
+              "empty": euler.is_empty(fam, D)}
     inputs = {"family": fam, "D": D, "r": args.r, "j": args.j, "mode": args.mode}
     return inputs, result, None
 

@@ -85,14 +85,14 @@ def smm(locus: Locus, m: int, mode: str = "main_term") -> CoverCount:
         if m > 2:
             parts.append(("W2", m * m, None, sts_count(euler.chi_W2(m * m))))
     elif locus is Locus.P3:
-        parts.append(("W4", m * m, 1, sts_count(euler.chi_W4(m * m, 1, "main_term").value)))
+        parts.append(("W4", m * m, 1, sts_count(euler.chi_W4(m * m, 1, "main_term"))))
         if m % 4 == 2:
             h = m // 2
-            parts.append(("W4", h * h, 2, sts_count(euler.chi_W4(h * h, 2, "main_term").value)))
+            parts.append(("W4", h * h, 2, sts_count(euler.chi_W4(h * h, 2, "main_term"))))
     elif locus is Locus.P4:
         if m % 2 == 0:
             h = m // 2
-            parts.append(("W6", h * h, None, sts_count(euler.chi_W6(h * h, "main_term").value)))
+            parts.append(("W6", h * h, None, sts_count(euler.chi_W6(h * h, "main_term"))))
     elif locus is Locus.G:
         rs = [1]
         if nu(2, m) == 1:
@@ -109,7 +109,7 @@ def smm(locus: Locus, m: int, mode: str = "main_term") -> CoverCount:
                 # it exceeds the main term (the one chi > 0 artifact of the
                 # conjectural formula); fall back to the sandwich lower bound
                 rmode = "main_term"
-            parts.append(("G", h * h, r, sts_count(euler.chi_G(h * h, r, rmode).value)))
+            parts.append(("G", h * h, r, sts_count(euler.chi_G(h * h, r, rmode))))
     total = sum((c for *_ignored, c in parts), Fraction(0))
     return CoverCount(m, tuple(parts), total)
 

@@ -35,7 +35,6 @@ the volume estimators match the direct sums term by term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import MODES, surrogate_mode  # defined in the package root, kept here as euler.*
@@ -64,23 +63,38 @@ GOTHIC_RESIDUES = {0, 1, 4, 9, 12, 16}
 _C_D_NONSQUARE = {0: 1, 12: 1, 4: 2, 9: 2, 16: 2, 1: 4}
 
 
-@dataclass(frozen=True)
-class EulerCharRecord:
-    family: str  # one of X, X_br, W2, W4, W6, R, G
-    D: int
-    component: int | None
-    mode: str
-    value: Fraction
-    empty: bool = False
-
-
 def _is_square(D: int) -> int | None:
     r = math.isqrt(D)
     return r if r * r == D else None
 
 
-def _conductor(D: int) -> int:
-    return conductor_decompose(D).f
+def is_empty(family: str, D: int) -> bool:
+    """Whether the curve family, named as by ``chi --family``, is empty at D.
+
+    W_D(4) ("w4") is empty when D = 5 mod 8 and G_D ("g") when D mod 24 is
+    outside GOTHIC_RESIDUES, which no square is.  No other family is ever
+    empty.  The chi_* functions give an empty curve chi = 0.
+    """
+    if family == "w4":
+        return D % 8 == 5
+    if family == "g":
+        return D % 24 not in GOTHIC_RESIDUES
+    return False
+
+
+def _check_mode(d: int | None, mode: str, surrogates: tuple[str, ...] = ("main_term",)) -> None:
+    """Refuse a mode that the branch of D does not offer: a non-square D
+    (d is None) takes 'exact' only, a square D = d^2 one of ``surrogates``."""
+    if d is None:
+        if mode != "exact":
+            raise ValueError("non-square discriminants use mode='exact'")
+    elif mode not in surrogates:
+        if len(surrogates) == 1:
+            raise ValueError(f"square discriminants require mode={surrogates[0]!r}")
+        choices = ", ".join(map(repr, surrogates))
+        raise ValueError(
+            f"square discriminants have no unconditional formula; pick mode in {{{choices}}}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -163,13 +177,9 @@ def chi_R(D: int, mode: str = "exact") -> Fraction:
     """chi(R_D^r) = -e(D, 6) / (6 c_D); square D is a main-term surrogate."""
     _validate_discriminant(D)
     d = _is_square(D)
-    if d is not None:
-        if mode != "main_term":
-            raise ValueError("square discriminants require mode='main_term'")
-        return -e_square(d, 6) / (6 * c_D(D))
-    if mode != "exact":
-        raise ValueError("non-square discriminants use mode='exact'")
-    return -e_value(D, 6) / (6 * c_D(D))
+    _check_mode(d, mode)
+    e = e_value(D, 6) if d is None else e_square(d, 6)
+    return -e / (6 * c_D(D))
 
 
 # ---------------------------------------------------------------------------
@@ -190,88 +200,66 @@ def chi_W2(D: int) -> Fraction:
     return Fraction(-9, 2) * chi_X_nonsquare(D)
 
 
-def chi_W4(D: int, j: int = 1, mode: str = "exact") -> EulerCharRecord:
-    """chi(W_D^j(4)): empty if D = 5 mod 8, one component if D = 0,4 mod 8,
+def chi_W4(D: int, j: int = 1, mode: str = "exact") -> Fraction:
+    """chi(W_D^j(4)): empty (0) if D = 5 mod 8, one component if D = 0,4 mod 8,
     two if D = 1 mod 8; -(5/2) chi(X_D) when the conductor is odd, -(15/4)
     when it is even.  Square discriminants require mode='main_term'."""
     _validate_discriminant(D)
-    if D % 8 == 5:
-        return EulerCharRecord("W4", D, None, mode, Fraction(0), empty=True)
+    if is_empty("w4", D):
+        return Fraction(0)
     if j == 2 and D % 8 != 1:
         raise ValueError(f"W_D(4) has a single component for D = {D}")
     if j not in (1, 2):
         raise ValueError("component j must be 1 or 2")
-    d = _is_square(D)
-    if d is not None:
-        if mode != "main_term":
-            raise ValueError("square discriminants require mode='main_term'")
-        factor = Fraction(-5, 2) if d % 2 else Fraction(-15, 4)
-        return EulerCharRecord("W4", D, j, mode, factor * chi_X_square(d))
-    if mode != "exact":
-        raise ValueError("non-square discriminants use mode='exact'")
-    f = _conductor(D)
-    factor = Fraction(-5, 2) if f % 2 else Fraction(-15, 4)
-    return EulerCharRecord("W4", D, j, mode, factor * chi_X_nonsquare(D))
+    _check_mode(_is_square(D), mode)
+    factor = Fraction(-5, 2) if conductor_decompose(D).f % 2 else Fraction(-15, 4)
+    return factor * chi_X(D)
 
 
-def chi_W6(D: int, mode: str = "exact") -> EulerCharRecord:
+def chi_W6(D: int, mode: str = "exact") -> Fraction:
     """chi(W_D(6)) = -7 chi(X_D); irreducible.  Squares are main-term."""
     _validate_discriminant(D)
-    d = _is_square(D)
-    if d is not None:
-        if mode != "main_term":
-            raise ValueError("square discriminants require mode='main_term'")
-        return EulerCharRecord("W6", D, None, mode, -7 * chi_X_square(d))
-    if mode != "exact":
-        raise ValueError("non-square discriminants use mode='exact'")
-    return EulerCharRecord("W6", D, None, mode, -7 * chi_X_nonsquare(D))
+    _check_mode(_is_square(D), mode)
+    return -7 * chi_X(D)
 
 
-def chi_G(D: int, r: int = 1, mode: str = "exact") -> EulerCharRecord:
-    """chi(G_D^r) per the four-case formula; square discriminants offer the
-    main_term / leading / remark surrogates (remark: r = 1 only)."""
+def chi_G(D: int, r: int = 1, mode: str = "exact") -> Fraction:
+    """chi(G_D^r) per the four-case formula, 0 where G_D is empty; square
+    discriminants offer the main_term / leading / remark surrogates (remark:
+    r = 1 only)."""
     _validate_discriminant(D)
     if mode not in MODES.values():
         raise ValueError(f"unknown mode {mode!r}")
     d = _is_square(D)
+    _check_mode(d, mode, ("main_term", "leading", "remark"))
     if d is None:
-        if mode != "exact":
-            raise ValueError("non-square discriminants use mode='exact'")
-        if D % 24 not in GOTHIC_RESIDUES:
-            return EulerCharRecord("G", D, None, mode, Fraction(0), empty=True)
+        if is_empty("g", D):
+            return Fraction(0)
         if not 1 <= r <= c_D(D):
             raise ValueError(f"component index {r} out of range for D = {D}")
-        f = _conductor(D)
-        coeff = Fraction(3, 2) * X_BR_RATIO[math.gcd(6, f)]
-        value = -coeff * chi_X_nonsquare(D) - 2 * chi_R(D)
-        return EulerCharRecord("G", D, r, mode, value)
-    # squares: all residues d^2 mod 24 lie in the non-emptiness set
-    if mode == "exact":
-        raise ValueError(
-            "square discriminants have no unconditional formula; "
-            "pick mode in {'main_term', 'leading', 'remark'}"
-        )
+        coeff = Fraction(3, 2) * X_BR_RATIO[math.gcd(6, conductor_decompose(D).f)]
+        return -coeff * chi_X_nonsquare(D) - 2 * chi_R(D)
     valid = [1, 2, 3, 6] if d == 1 else component_list(d)
     if r not in valid:
         raise ValueError(f"r = {r} does not name a component for d = {d}")
     g6 = math.gcd(6, d)
     if mode == "leading":
-        return EulerCharRecord("G", D, r, mode, -KAPPA_PRIME[g6] * sl2_order(d))
+        return -KAPPA_PRIME[g6] * sl2_order(d)
     value = Fraction(-3, 2) * chi_X_br(d, r) - 2 * chi_R(D, "main_term")
     if mode == "remark":
         if r != 1:
             raise ValueError("the remark formula is stated for r = 1 only")
         value += Fraction(REMARK_COEFF[g6], d) * chi_X_br(d, 1)
-    return EulerCharRecord("G", D, r, mode, value)
+    return value
 
 
-def chi_boundary_gap(d: int, r: int, eps: Fraction = Fraction(9)) -> Fraction:
-    """Width (eps/d) chi(X_{d^2}(b_r)) of the square-discriminant sandwich.
+def chi_boundary_gap(d: int, r: int) -> Fraction:
+    """Width (9/d) chi(X_{d^2}(b_r)) of the square-discriminant sandwich.
 
-    The default eps = 9 is the largest remark coefficient, so the remark
-    values sit inside the sandwich by construction while main_term values
-    still face a real assertion.
+    9 is the largest remark coefficient, so the remark values sit inside the
+    sandwich by construction while main_term values still face a real
+    assertion.
     """
     if d < 2:
         raise ValueError("need d >= 2")
-    return Fraction(eps) / d * chi_X_br(d, r)
+    return Fraction(max(REMARK_COEFF.values()), d) * chi_X_br(d, r)

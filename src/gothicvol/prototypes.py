@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import divisors, factorize, squarefree_decompose
+from .arith import divisors, factorize
 
 
 @dataclass(frozen=True)
@@ -35,25 +35,6 @@ class DiscriminantDecomposition:
     f: int
     D0: int
     is_square: bool
-
-
-@dataclass(frozen=True)
-class Prototype:
-    a: int
-    b: int
-    c: int
-    k: int
-    D: int
-
-    def validate(self) -> bool:
-        """Re-check the two defining invariants of this triple."""
-        if not (self.a > 0 > self.c):
-            return False
-        if self.b * self.b - 4 * self.k * self.a * self.c != self.D:
-            return False
-        f = conductor_decompose(self.D).f
-        c0, _ = squarefree_decompose(self.c)
-        return math.gcd(math.gcd(f, abs(self.b)), c0) == 1
 
 
 def _validate_discriminant(D: int) -> None:
@@ -131,17 +112,9 @@ def _prototype_rows(D: int, k: int):
         yield b, n, _admissible_divisors(n, math.gcd(f, abs(b)))
 
 
-def _prototype_triples(D: int, k: int):
-    """Yield (a, b, c) for every prototype of (D, k), by increasing b then a."""
-    for b, n, divs in _prototype_rows(D, k):
-        divs.sort()
-        for a in divs:
-            yield a, b, -(n // a)
-
-
-def enumerate_prototypes(D: int, k: int) -> list[Prototype]:
-    """All prototypes [a, b, c] for (D, k), ordered by increasing b then a."""
-    return [Prototype(a, b, c, k, D) for a, b, c in _prototype_triples(D, k)]
+def enumerate_prototypes(D: int, k: int) -> list[tuple[int, int, int]]:
+    """All prototypes (a, b, c) for (D, k), ordered by increasing b then a."""
+    return [(a, b, -(n // a)) for b, n, divs in _prototype_rows(D, k) for a in sorted(divs)]
 
 
 def e_value(D: int, k: int) -> Fraction:

@@ -140,6 +140,8 @@ def _a_recursion():
 def _prototype_invariants():
     from . import prototypes
 
+    # c = c0^2 c' is decomposed, and c' tested squarefree, once per distinct c
+    c0_of: dict[int, int] = {}
     checked = 0
     for D in range(4, 5001):
         if D % 4 in (2, 3):
@@ -147,22 +149,20 @@ def _prototype_invariants():
         f = prototypes.conductor_decompose(D).f
         for k in (1, 6):
             protos = prototypes.enumerate_prototypes(D, k)
-            pos = neg = 0
-            for p in protos:
-                if not p.a > 0 > p.c:
-                    raise AssertionError((D, k, p))
-                if p.b * p.b - 4 * k * p.a * p.c != D:
-                    raise AssertionError((D, k, p))
-                c0, cp = arith.squarefree_decompose(p.c)
-                if not (c0 * c0 * cp == p.c and arith.is_squarefree(abs(cp))):
-                    raise AssertionError((D, k, p))
-                if math.gcd(math.gcd(f, abs(p.b)), c0) != 1:
-                    raise AssertionError((D, k, p))
-                if p.b > 0:
-                    pos += 1
-                elif p.b < 0:
-                    neg += 1
-            if pos != neg:
+            for a, b, c in protos:
+                if not a > 0 > c:
+                    raise AssertionError((D, k, (a, b, c)))
+                if b * b - 4 * k * a * c != D:
+                    raise AssertionError((D, k, (a, b, c)))
+                c0 = c0_of.get(c)
+                if c0 is None:
+                    c0, cp = arith.squarefree_decompose(c)
+                    if not (c0 * c0 * cp == c and arith.is_squarefree(abs(cp))):
+                        raise AssertionError((D, k, (a, b, c)))
+                    c0_of[c] = c0
+                if math.gcd(math.gcd(f, abs(b)), c0) != 1:
+                    raise AssertionError((D, k, (a, b, c)))
+            if sum(b > 0 for _, b, _ in protos) != sum(b < 0 for _, b, _ in protos):
                 raise AssertionError((D, k))
             checked += len(protos)
     return f"{checked} prototypes re-verified"
@@ -266,14 +266,14 @@ def _euler_factor_reduction():
     from . import zagier
 
     for d in range(1, 101):
-        p1_2 = zagier.euler_factor(1, 2, d).value
+        p1_2 = zagier.euler_factor(1, 2, d)
         g2 = zagier.gauss_gamma(2, 1, d)
         for k in (2, 6):
-            if zagier.euler_factor(k, 2, d).value != 4 * p1_2 - 3 - 3 * g2:
+            if zagier.euler_factor(k, 2, d) != 4 * p1_2 - 3 - 3 * g2:
                 raise AssertionError((k, d))
-        p1_3 = zagier.euler_factor(1, 3, d).value
+        p1_3 = zagier.euler_factor(1, 3, d)
         for k in (3, 6):
-            if zagier.euler_factor(k, 3, d).value != 9 * p1_3 - 8:
+            if zagier.euler_factor(k, 3, d) != 9 * p1_3 - 8:
                 raise AssertionError((k, d))
     return "p = 2 and p = 3 rules, d <= 100"
 
@@ -501,12 +501,10 @@ def _gothic_residues():
     for D in range(5, 2001):
         if D % 4 in (2, 3) or math.isqrt(D) ** 2 == D:
             continue
-        rec = euler.chi_G(D, 1, "exact")
-        if rec.empty != (D % 24 not in euler.GOTHIC_RESIDUES):
+        # a curve has chi < 0, and an empty one chi = 0
+        chi = euler.chi_G(D, 1, "exact")
+        if not (chi < 0 if D % 24 in euler.GOTHIC_RESIDUES else chi == 0):
             raise AssertionError(D)
-        if not rec.empty:
-            if not rec.value < 0:
-                raise AssertionError(D)
     return "emptiness scan"
 
 
@@ -518,8 +516,8 @@ def _main_vs_leading():
     euler.precompute_e_square(6, dmax)
     gaps = [0.0] * (dmax + 1)
     for d in range(1, dmax + 1):
-        main = euler.chi_G(d * d, 1, "main_term").value
-        lead = euler.chi_G(d * d, 1, "leading").value
+        main = euler.chi_G(d * d, 1, "main_term")
+        lead = euler.chi_G(d * d, 1, "leading")
         gaps[d] = float(abs(main - lead)) / float(d) ** 2.5
     hi = max(gaps[dmax // 2 + 1 :])
     lo = max(gaps[dmax // 4 + 1 : dmax // 2 + 1])
@@ -551,8 +549,8 @@ def _remark_sandwich():
 
     euler.precompute_e_square(6, 500)
     for d in range(2, 501):
-        main = euler.chi_G(d * d, 1, "main_term").value
-        remark = euler.chi_G(d * d, 1, "remark").value
+        main = euler.chi_G(d * d, 1, "main_term")
+        remark = euler.chi_G(d * d, 1, "remark")
         gap = euler.chi_boundary_gap(d, 1)
         if not main <= remark <= main + gap:
             raise AssertionError(d)
@@ -641,22 +639,17 @@ def _p3_gating():
 def _s1_identity():
     from . import volume
 
-    import numpy as np
-
     N = 10**5
     atab = sl2_order_table(N)
     sig = arith.sigma_table(N)
-    sig3 = np.zeros(N + 1, dtype=np.int64)
+    # sigma_3 by a divisor sieve, independent of the multiplicative tables
+    sig3 = [0] * (N + 1)
     for q in range(1, N + 1):
-        sig3[q::q] += q**3  # max sigma_3 here ~ 2.5e15, safely inside int64
-    total = 0
+        sig3[q::q] = map((q**3).__add__, sig3[q::q])
     for d in range(1, N + 1):
-        conv = sum(sig[d // m] * atab[m] for m in divisors(d))
-        s3 = int(sig3[d])
-        if conv != s3:
+        if sum(sig[d // m] * atab[m] for m in divisors(d)) != sig3[d]:
             raise AssertionError(d)
-        total += s3
-    if volume.sk_sum(1, N) != total:
+    if volume.sk_sum(1, N) != sum(sig3):
         raise AssertionError(("S_1", N))
     return "prefix sums of sigma_3 match S_1"
 

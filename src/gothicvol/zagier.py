@@ -63,14 +63,6 @@ from .qforms import e1_square_twelfths, e6_square_twelfths
 _ZETA2_OVER_ZETA4 = PiQuantity(Fraction(15), -2)
 
 
-@dataclass(frozen=True)
-class EulerFactor:
-    """The finite local factor P_k(p, d^2) of the Euler product of e*_k."""
-
-    p: int
-    value: Fraction
-
-
 def gauss_gamma(p: int, r: int, d: int) -> Fraction:
     """gamma_{p^r}(d^2) for a square argument, by the case tables above."""
     if not is_prime(p):
@@ -93,8 +85,10 @@ def gauss_gamma(p: int, r: int, d: int) -> Fraction:
     return Fraction(0)
 
 
-def euler_factor(k: int, p: int, d: int) -> EulerFactor:
-    """P_k(p, d^2) = 1 + sum_j gcd(p^j, 2k)^2 p^(-2j) gamma_{p^j}(d^2), exact.
+def euler_factor(k: int, p: int, d: int) -> Fraction:
+    """The local factor P_k(p, d^2), exact:
+
+        P_k(p, d^2) = 1 + sum_j gcd(p^j, 2k)^2 p^(-2j) gamma_{p^j}(d^2).
 
     The sum stops at j = nu_p(d^2) + 2 because all later Gauss sums vanish.
     """
@@ -108,7 +102,7 @@ def euler_factor(k: int, p: int, d: int) -> EulerFactor:
         if g:
             w = math.gcd(p**j, 2 * k)
             total += Fraction(w * w, p ** (2 * j)) * g
-    return EulerFactor(p, total)
+    return total
 
 
 def estar1(d: int) -> PiQuantity:
@@ -118,7 +112,7 @@ def estar1(d: int) -> PiQuantity:
     primes = {2} | {p for p, _ in factorize(d)}
     coeff = Fraction(1)
     for p in sorted(primes):
-        coeff *= euler_factor(1, p, d).value / (1 + Fraction(1, p * p))
+        coeff *= euler_factor(1, p, d) / (1 + Fraction(1, p * p))
     return _ZETA2_OVER_ZETA4 * coeff
 
 

@@ -192,14 +192,14 @@ def test_hermite_sublattices_are_distinct_index_n():
             assert a * c == n
 
 
-def test_factorize_and_factored_integer():
+def test_factorize_examples():
     assert factorize(1) == ()
     assert factorize(360) == ((2, 3), (3, 2), (5, 1))
-    fi = arith.FactoredInteger.of(360)
-    assert fi.value == 360
-    assert math.prod(p**e for p, e in fi.factors) == 360
-    primes = [p for p, _ in fi.factors]
-    assert primes == sorted(primes)
+    for n in range(1, 2000):
+        factors = factorize(n)
+        assert math.prod(p**e for p, e in factors) == n
+        primes = [p for p, _ in factors]
+        assert primes == sorted(set(primes))
 
 
 def test_factorize_beyond_sieve_uses_trial_division():
@@ -274,7 +274,7 @@ def test_multiplicative_tables_match_scalars():
 def test_multiplicative_table_past_the_sieve_bound(monkeypatch):
     # a sieve of 50 entries: every n >= 50 takes its smallest prime from
     # trial division
-    monkeypatch.setenv(arith.SIEVE_BOUND_ENV, "50")
+    monkeypatch.setattr(arith, "SIEVE_BOUND", 50)
     monkeypatch.setattr(arith, "_spf", None)
     monkeypatch.setattr(arith, "_spf_bound", 0)
     table = arith._multiplicative_table(400, lambda p, prev: p * prev + 1)
@@ -306,7 +306,6 @@ def test_list_tables_are_read_only():
 
 def test_sieve_matches_trial_division_across_a_regrow(monkeypatch):
     # start from no sieve, so the ascending n grow it from 2^16 past 2^17
-    monkeypatch.delenv(arith.SIEVE_BOUND_ENV, raising=False)
     monkeypatch.setattr(arith, "_spf", None)
     monkeypatch.setattr(arith, "_spf_bound", 0)
     sizes = set()
@@ -341,12 +340,11 @@ print(json.dumps(doc))
 """
 
 
-def _fresh_process(code, **env_overrides):
-    env = {k: v for k, v in os.environ.items() if k != arith.SIEVE_BOUND_ENV}
+def _fresh_process(code, *args):
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    env.update(env_overrides)
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, *args],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     return json.loads(proc.stdout)
@@ -354,7 +352,7 @@ def _fresh_process(code, **env_overrides):
 
 def test_sieve_grows_to_the_request_in_a_fresh_process():
     doc = _fresh_process(_SIEVE_SIZING)
-    assert doc["cap"] == arith.DEFAULT_SIEVE_BOUND
+    assert doc["cap"] == arith.SIEVE_BOUND == 10**7
     factors, bound = doc["small"]
     assert factors == [[2, 3], [3, 2], [5, 1]]
     assert 361 <= bound <= 2**17
@@ -365,11 +363,13 @@ def test_sieve_grows_to_the_request_in_a_fresh_process():
     assert doc["trialled"] == [10**14 + 37]
 
 
-# Factorises every n <= 300 and one n above the sieve bound under a tiny bound.
+# Factorises every n <= 300 and one n above the sieve bound under the tiny
+# bound sys.argv[1], set before the first factorisation.
 _TINY_BOUND = """
-import json
+import json, sys
 from gothicvol import arith
 
+arith.SIEVE_BOUND = int(sys.argv[1])
 cap = arith.sieve_bound()
 ns = [*range(1, 301), 6 * (cap + 1)]
 print(json.dumps({
@@ -382,7 +382,7 @@ print(json.dumps({
 
 @pytest.mark.parametrize("bound", [4, 5, 30, 65537])
 def test_sieve_at_tiny_bounds_in_a_fresh_process(bound):
-    doc = _fresh_process(_TINY_BOUND, **{arith.SIEVE_BOUND_ENV: str(bound)})
+    doc = _fresh_process(_TINY_BOUND, str(bound))
     assert doc["cap"] == bound
     assert doc["wrong"] == []
     assert 0 < doc["sieve"] <= bound

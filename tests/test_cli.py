@@ -9,18 +9,18 @@ from pathlib import Path
 
 import pytest
 
-from gothicvol.arith import SIEVE_BOUND_ENV
 from gothicvol.cli import main
 from gothicvol.zagier import EBAR_MAX_D
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+# The benchmark's recorded requests and their JSON results, read only.
+ANSWERS = Path(__file__).resolve().parents[1] / "perfbench" / "answers.json"
 
 
-def fresh_process(args, **env_overrides):
-    """Run ``python <args>`` with this checkout's package and a clean sieve bound."""
-    env = {k: v for k, v in os.environ.items() if k != SIEVE_BOUND_ENV}
+def fresh_process(args):
+    """Run ``python <args>`` with this checkout's package."""
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    env.update(env_overrides)
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
     )
@@ -40,6 +40,16 @@ def test_e_subcommand(capsys):
     assert doc["inputs"] == {"D": 5, "k": 1}
     assert doc["result"] == "2"
     assert isinstance(doc["elapsed_ms"], int)
+
+
+def test_recorded_answers_replay_unchanged(capsys):
+    # each key is a request's argv joined by spaces, each value its "result"
+    answers = json.loads(ANSWERS.read_text())
+    assert answers
+    for request, want in answers.items():
+        code, out = run_cli(capsys, *request.split(" "))
+        assert code == 0, request
+        assert json.loads(out)["result"] == want, request
 
 
 def test_proto_csv(capsys):
@@ -177,13 +187,6 @@ def test_invalid_input_exits_2(capsys):
         assert main(["ideals", "--d", "5", "--n", n]) == 2
         err = capsys.readouterr().err
         assert f"n = {n} must be a squarefree positive integer" in err, err
-
-
-def test_bad_sieve_bound_names_the_variable():
-    proc = fresh_process(["-m", "gothicvol", "e", "--D", "5", "--k", "1"],
-                         **{SIEVE_BOUND_ENV: "abc"})
-    assert proc.returncode == 2
-    assert SIEVE_BOUND_ENV in proc.stderr and "'abc'" in proc.stderr
 
 
 # Runs each argv through cli.main in one process and reports, after each,

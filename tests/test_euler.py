@@ -57,23 +57,22 @@ def test_chi_w2():
 
 
 def test_chi_w4_components_and_values():
-    rec = chi_W4(13, 1)  # 13 = 5 mod 8: empty
-    assert rec.empty and rec.value == 0
-    assert chi_W4(17, 1).value == Fraction(-5, 2) * chi_X_nonsquare(17)
-    assert chi_W4(17, 2).value == chi_W4(17, 1).value
+    assert chi_W4(13, 1) == 0 and euler.is_empty("w4", 13)  # 13 = 5 mod 8
+    assert chi_W4(17, 1) == Fraction(-5, 2) * chi_X_nonsquare(17)
+    assert chi_W4(17, 2) == chi_W4(17, 1)
     with pytest.raises(ValueError):
         chi_W4(12, 2)  # second component needs D = 1 mod 8
-    assert chi_W4(16, 1, "main_term").value == Fraction(-15, 4) * chi_X_square(4)
-    assert chi_W4(8, 1).value == Fraction(-5, 2) * chi_X_nonsquare(8)  # 8 fundamental
-    assert chi_W4(32, 1).value == Fraction(-15, 4) * chi_X_nonsquare(32)  # f = 2
+    assert chi_W4(16, 1, "main_term") == Fraction(-15, 4) * chi_X_square(4)
+    assert chi_W4(8, 1) == Fraction(-5, 2) * chi_X_nonsquare(8)  # 8 fundamental
+    assert chi_W4(32, 1) == Fraction(-15, 4) * chi_X_nonsquare(32)  # f = 2
     with pytest.raises(ValueError):
         chi_W4(16, 1, "exact")
 
 
 def test_chi_w6():
-    assert chi_W6(8).value == Fraction(-7, 6)
-    assert chi_W6(4, "main_term").value == Fraction(-7, 12)
-    assert chi_W6(5).value == Fraction(-7, 15)
+    assert chi_W6(8) == Fraction(-7, 6)
+    assert chi_W6(4, "main_term") == Fraction(-7, 12)
+    assert chi_W6(5) == Fraction(-7, 15)
 
 
 def test_chi_r_and_c_d():
@@ -91,12 +90,10 @@ def test_chi_r_and_c_d():
 
 
 def test_chi_g_nonsquare():
-    assert chi_G(8).empty
-    rec = chi_G(12, 1)
-    assert rec.value == Fraction(-3, 2) * chi_X_nonsquare(12) - 2 * chi_R(12)
-    # (6, f) cases scale the coefficient
-    rec33 = chi_G(33, 1)  # 33 = 9 mod 24, f = 1
-    assert rec33.value == Fraction(-3, 2) * chi_X_nonsquare(33) - 2 * chi_R(33)
+    assert chi_G(8) == 0 and euler.is_empty("g", 8)
+    assert chi_G(12, 1) == Fraction(-3, 2) * chi_X_nonsquare(12) - 2 * chi_R(12)
+    # (6, f) cases scale the coefficient; 33 = 9 mod 24, f = 1
+    assert chi_G(33, 1) == Fraction(-3, 2) * chi_X_nonsquare(33) - 2 * chi_R(33)
     with pytest.raises(ValueError):
         chi_G(73, 5)  # only c_D = 4 components
     with pytest.raises(ValueError):
@@ -104,12 +101,10 @@ def test_chi_g_nonsquare():
 
 
 def test_chi_g_square_modes():
-    lead = chi_G(25, 1, "leading")
-    assert lead.value == -Fraction(13, 720) * sl2_order(5) == Fraction(-13, 6)
+    assert chi_G(25, 1, "leading") == -Fraction(13, 720) * sl2_order(5) == Fraction(-13, 6)
     main = chi_G(25, 1, "main_term")
-    assert main.value == Fraction(-3, 2) * chi_X_br(5, 1) - 2 * chi_R(25, "main_term")
-    remark = chi_G(25, 1, "remark")
-    assert remark.value == main.value + Fraction(2, 5) * chi_X_br(5, 1)
+    assert main == Fraction(-3, 2) * chi_X_br(5, 1) - 2 * chi_R(25, "main_term")
+    assert chi_G(25, 1, "remark") == main + Fraction(2, 5) * chi_X_br(5, 1)
     with pytest.raises(ValueError):
         chi_G(25, 2, "remark")  # remark is r = 1 only
     with pytest.raises(ValueError):
@@ -118,8 +113,7 @@ def test_chi_g_square_modes():
 
 def test_chi_g_negativity_nonempty():
     for D in (12, 28, 33, 40, 48, 73, 97):
-        rec = chi_G(D, 1)
-        assert not rec.empty and rec.value < 0
+        assert not euler.is_empty("g", D) and chi_G(D, 1) < 0
 
 
 def test_boundary_gap():
@@ -129,18 +123,18 @@ def test_boundary_gap():
         assert gap > 0
     # remark - main = (coeff/d) chi_br <= gap since coeff <= 9
     for d in (5, 8, 9, 12):
-        main = chi_G(d * d, 1, "main_term").value
-        remark = chi_G(d * d, 1, "remark").value
+        main = chi_G(d * d, 1, "main_term")
+        remark = chi_G(d * d, 1, "remark")
         assert 0 <= remark - main <= chi_boundary_gap(d, 1)
 
 
 def test_d_equals_one_value_chain():
     # the degenerate discriminant feeds the volume sums in surrogate modes
-    assert chi_W4(1, 1, "main_term").value == Fraction(-5, 2) * Fraction(1, 72)
-    assert chi_W6(1, "main_term").value == Fraction(-7, 72)
+    assert chi_W4(1, 1, "main_term") == Fraction(-5, 2) * Fraction(1, 72)
+    assert chi_W6(1, "main_term") == Fraction(-7, 72)
     assert chi_R(1, "main_term") == Fraction(1, 288)
-    assert chi_G(1, 1, "main_term").value == Fraction(-1, 36)
-    assert chi_G(1, 1, "leading").value == Fraction(-13, 720)
+    assert chi_G(1, 1, "main_term") == Fraction(-1, 36)
+    assert chi_G(1, 1, "leading") == Fraction(-13, 720)
 
 
 def test_invalid_discriminants_rejected():
@@ -166,3 +160,33 @@ def test_e_square_cache_is_read_only():
     with pytest.raises(TypeError):
         cache[5] = Fraction(0)
     assert cache[5] == e_square_table(6, 5)[5]
+
+
+def test_every_chi_is_a_fraction_and_empty_curves_are_zero():
+    for D in range(5, 400):
+        if D % 4 in (2, 3) or euler._is_square(D) is not None:
+            continue
+        assert euler.is_empty("w4", D) == (D % 8 == 5)
+        assert euler.is_empty("g", D) == (D % 24 not in (0, 1, 4, 9, 12, 16))
+        values = {"w4": chi_W4(D), "w6": chi_W6(D), "g": chi_G(D), "w2": chi_W2(D)}
+        for family, value in values.items():
+            assert type(value) is Fraction, (family, D)
+            assert (value == 0) == euler.is_empty(family, D), (family, D)
+    for d in range(1, 40):
+        D = d * d
+        assert not euler.is_empty("w4", D) and not euler.is_empty("g", D)
+        for mode in ("main_term", "leading", "remark"):
+            assert type(chi_G(D, 1, mode)) is Fraction
+        assert type(chi_W4(D, 1, "main_term")) is type(chi_W6(D, "main_term")) is Fraction
+
+
+def test_mode_errors_name_the_branch():
+    for chi in (lambda D, m: chi_W4(D, 1, m), chi_W6, chi_R, lambda D, m: chi_G(D, 1, m)):
+        with pytest.raises(ValueError, match="non-square discriminants use mode='exact'"):
+            chi(12, "main_term")
+    for chi in (lambda D, m: chi_W4(D, 1, m), chi_W6, chi_R):
+        with pytest.raises(ValueError, match="square discriminants require mode='main_term'"):
+            chi(25, "exact")
+    with pytest.raises(ValueError, match="square discriminants have no unconditional formula; "
+                       "pick mode in {'main_term', 'leading', 'remark'}"):
+        chi_G(25, 1, "exact")

@@ -55,6 +55,25 @@ def _failed_under_python_O(owner, table, suite):
     return doc["failed"]
 
 
+# Runs the S_1 check in a process where importing numpy fails.
+_S1_WITHOUT_NUMPY = """
+import json, sys
+sys.modules["numpy"] = None
+from gothicvol import verify
+
+r = verify.run_check("(sigma * a)(d) = sigma_3(d) termwise and S_1 at 10^5")
+print(json.dumps([r.ok, r.detail]))
+"""
+
+
+def test_s1_identity_runs_without_numpy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _S1_WITHOUT_NUMPY], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    assert json.loads(proc.stdout) == [True, "prefix sums of sigma_3 match S_1"]
+
+
 @pytest.mark.parametrize("name", list(verify._CHECKS))
 def test_check(check, name):
     result = check(name)

@@ -82,9 +82,9 @@ def test_gamma_rejects_non_prime():
 
 
 def test_euler_factor_examples():
-    assert euler_factor(1, 2, 1).value == Fraction(5, 2)
-    assert euler_factor(1, 3, 1).value == Fraction(10, 9)
-    assert euler_factor(6, 3, 1).value == 2  # 9 * 10/9 - 8
+    assert euler_factor(1, 2, 1) == Fraction(5, 2)
+    assert euler_factor(1, 3, 1) == Fraction(10, 9)
+    assert euler_factor(6, 3, 1) == 2  # 9 * 10/9 - 8
 
 
 def test_euler_factor_rejects_non_squarefree_k():
@@ -96,7 +96,7 @@ def test_p1_at_coprime_prime_is_1_plus_p_minus_2():
     for p in (3, 5, 7, 11):
         for d in (1, 2, 4):
             if d % p:
-                assert euler_factor(1, p, d).value == 1 + Fraction(1, p * p)
+                assert euler_factor(1, p, d) == 1 + Fraction(1, p * p)
 
 
 def test_estar1_is_pi_minus_2_quantity():
