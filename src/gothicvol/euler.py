@@ -30,6 +30,9 @@ relative size O(1/d).  Those values are therefore typed by a ``mode``:
 The d = 1 degenerate discriminant is allowed in surrogate modes through the
 value chain chi(X_1) = 1/72, e(1, k) = -1/12, so that the closed S_k forms of
 the volume estimators match the direct sums term by term.
+
+At a square D = d^2, chi(R_D) reads e(d^2, 6) from e_square's one
+self-growing table, which refuses d > E_SQUARE_MAX_D before any build.
 """
 
 from __future__ import annotations
@@ -38,10 +41,10 @@ import math
 from fractions import Fraction
 
 from . import MODES, surrogate_mode  # defined in the package root, kept here as euler.*
-from .arith import divisors, jordan2, moebius, sigma, sl2_order
+from .arith import jordan2, sigma, sl2_order
 from .ideals import component_list
 from .prototypes import _validate_discriminant, conductor_decompose, e_value
-from .qforms import e_square_twelfths, ek_coeff
+from .qforms import e_square_twelfths
 
 # chi(X_{d^2}(b_r)) / chi(X_{d^2}) by gcd(6, d); also the gothic coefficient
 # -chi coefficient table is 3/2 times this.
@@ -108,26 +111,31 @@ def chi_X_square(d: int) -> Fraction:
     return Fraction(sl2_order(d), 72)
 
 
-_E_CACHE: dict[int, tuple[Fraction, ...]] = {}
+E_SQUARE_MAX_D = 250000  # the reach of e_square, the direct path's DIRECT_MAX_D
+
+# 12 e(d^2, k) for 0 <= d < len(_E_CACHE[k]), from qforms.e_square_twelfths
+_E_CACHE: dict[int, tuple[int, ...]] = {}
 
 
 def precompute_e_square(k: int, dmax: int) -> None:
-    """Warm the exact e(d^2, k) cache in bulk, for k in {1, 6}, from
-    qforms.e_square_twelfths."""
-    cached = _E_CACHE.get(k)
-    if cached is None or len(cached) <= dmax:
-        _E_CACHE[k] = tuple(Fraction(v, 12) for v in e_square_twelfths(k, dmax))
+    """Grow the table of 12 e(d^2, k), for k in {1, 6}, to cover dmax.
+
+    A build covers at least 64 values of d and at least twice the last one,
+    so rising lookups pay for O(log) builds of a geometric series; no build
+    exceeds E_SQUARE_MAX_D, and dmax beyond it is refused first.
+    """
+    if dmax > E_SQUARE_MAX_D:
+        raise ValueError(f"d = {dmax} is beyond the e(d^2, k) bound {E_SQUARE_MAX_D}")
+    cached = _E_CACHE.get(k, ())
+    if len(cached) <= dmax:
+        size = min(max(dmax, 2 * (len(cached) - 1), 64), E_SQUARE_MAX_D)
+        _E_CACHE[k] = e_square_twelfths(k, size)
 
 
 def e_square(d: int, k: int) -> Fraction:
-    """Exact e(d^2, k): from the bulk cache when precompute_e_square has
-    covered d, else by the Moebius sum over the divisor sums e_k(m^2)."""
-    cached = _E_CACHE.get(k)
-    if cached is not None and d < len(cached):
-        return cached[d]
-    return sum(
-        (moebius(d // m) * ek_coeff(k, m * m) for m in divisors(d)), Fraction(0)
-    )
+    """Exact e(d^2, k), for k in {1, 6}, from the self-growing table."""
+    precompute_e_square(k, d)
+    return Fraction(_E_CACHE[k][d], 12)
 
 
 def chi_X_nonsquare(D: int) -> Fraction:

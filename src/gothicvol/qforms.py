@@ -20,16 +20,17 @@ arith.sigma stays standard).  The identity
 ties these coefficients to the prototype counts and is the primary
 anti-bug oracle between the two modules: see check_e_and_a.  Moebius
 inversion of the same identity gives e(d^2, k) for every d <= dmax at once,
-along two routes:
+along two routes, both in Python ints without numpy:
 
     e_square_twelfths  -- the production route, 12 e(d^2, k) as exact ints
                           for k in {1, 6}: Besge's identity closes k = 1, and
                           k = 6 comes from four level-6 divisor convolutions,
-                          each one Python-int Kronecker product; sigma is
-                          needed only up to dmax, and numpy is never loaded;
+                          each one Kronecker product; sigma is needed only up
+                          to dmax.  e1_convolution_twelfths is its k = 1
+                          oracle, the level-1 convolution without Besge;
     e_square_table     -- the oracle for any k, from ek_square_table, which
-                          sums its own int64 sigma array up to dmax^2/4k,
-                          up to m = SQUARE_TABLE_MAX_M.
+                          sums its own array("q") sigma sieve up to
+                          dmax^2/4k, up to m = SQUARE_TABLE_MAX_M.
 """
 
 from __future__ import annotations
@@ -48,11 +49,10 @@ from .prototypes import conductor_decompose, e_value
 
 _SIGMA0 = Fraction(-1, 24)  # sigma(0) convention inside e_k only
 
-# For m <= 5 * 10^4, e_k(m^2) + 1/12 is a sum of at most 2m values
-# sigma(n) < n (1 + ln n) with n <= m^2/4 + 1, so below 1.4e15; the in-place
-# Moebius inversion of e_square_table keeps every entry below that times
-# 1 + tau(d^2) <= 946.  Both stay far inside int64.
-SQUARE_TABLE_MAX_M = 5 * 10**4
+# The sigma sieve of ek_square_table has m^2/4k + 2 entries of 8 bytes, so
+# at this bound 2.5 * 10^7 entries (200 MB) for k = 1; every sigma(n) there
+# is below n (1 + ln n) < 2^63.
+SQUARE_TABLE_MAX_M = 10**4
 
 # The level-6 convolution sums C(n) <= sum_{u+v=n} sigma(u) sigma(v)
 # = (5 sigma_3(n) + (1 - 6n) sigma(n))/12 < (5/12) zeta(3) n^3 < 0.5009 n^3
@@ -139,36 +139,46 @@ def ek_square_table(k: int, mmax: int) -> list[Fraction]:
 
     Of the terms b in [-m, m], b = +-m give sigma(0) = -1/24 each, and b, -b
     give equal terms, so e_k(m^2) + 1/12 = 2 sum_{0<=b<m} - (the b = 0 term)
-    is an integer: one numpy sum per m over the b with b^2 = m^2 mod 4k.
+    is an integer.  b^2 mod 4k depends only on b mod 2k, so the sum runs over
+    the classes r mod 2k with r^2 = m^2 mod 4k, and then (m^2 - b^2)/4k is
+    m^2 // 4k - b^2 // 4k.
     """
     if k < 1 or mmax < 1:
         raise ValueError("need k >= 1 and mmax >= 1")
     if mmax > SQUARE_TABLE_MAX_M:
-        raise ValueError(f"mmax = {mmax} is beyond the int64 bound {SQUARE_TABLE_MAX_M}")
-    four_k = 4 * k
-    import numpy as np
+        raise ValueError(f"mmax = {mmax} is beyond the sieve bound {SQUARE_TABLE_MAX_M}")
+    two_k, four_k = 2 * k, 4 * k
 
     # sigma(n) for n <= N from the divisor pairs (d, n/d) with d <= sqrt(N),
-    # as a local int64 array: a cached tuple of 4 * 10^6 Python ints would
-    # cost a quarter of a gigabyte.  The pairs (1, n) give the start 1 + n.
+    # as a local array: a cached tuple of 2.5 * 10^7 Python ints would cost
+    # a gigabyte.  The pairs (1, n) give the start 1 + n.
     N = mmax * mmax // four_k + 1
-    sig = np.arange(1, N + 2, dtype=np.int64)
-    sig[:2] = (0, 1)
+    sig = array("q", range(1, N + 2))
+    sig[:2] = array("q", (0, 1))
     for d in range(2, math.isqrt(N) + 1):
         sig[d * d] += d
-        sig[d * (d + 1) :: d] += np.arange(2 * d + 1, d + N // d + 1)
+        pairs = slice(d * (d + 1), None, d)
+        sig[pairs] = array("q", map(add, sig[pairs], range(2 * d + 1, d + N // d + 1)))
 
-    bsq = np.arange(mmax, dtype=np.int64) ** 2
-    bsq_res = bsq % four_k
+    roots = [[r for r in range(two_k) if (r * r - m * m) % four_k == 0] for m in range(two_k)]
+    quot = [b * b // four_k for b in range(mmax)]
     out = [Fraction(0)] * (mmax + 1)
     for m in range(1, mmax + 1):
-        n = m * m
-        rems = n - bsq[:m][bsq_res[:m] == n % four_k]
-        shifted = 2 * int(sig[rems // four_k].sum())
-        if n % four_k == 0:
-            shifted -= int(sig[n // four_k])
+        q = m * m // four_k
+        shifted = 2 * sum(
+            sum(map(sig.__getitem__, map(q.__sub__, quot[r:m:two_k]))) for r in roots[m % two_k]
+        )
+        if m * m % four_k == 0:
+            shifted -= sig[q]
         out[m] = Fraction(12 * shifted - 1, 12)
     return out
+
+
+def _moebius_invert(f: list[int]) -> None:
+    """f(d) <- sum_{m | d} mu(d/m) f(m) for 1 <= d < len(f), in place, by
+    f[2d::d] -= f[d] for d = 1, 2, ..."""
+    for d in range(1, (len(f) - 1) // 2 + 1):
+        f[2 * d :: d] = map(sub, f[2 * d :: d], repeat(f[d]))
 
 
 def e_square_table(k: int, dmax: int) -> list[Fraction]:
@@ -177,21 +187,13 @@ def e_square_table(k: int, dmax: int) -> list[Fraction]:
     e(d^2, k) = sum_{m | d} mu(d/m) e_k(m^2); exact because the relation
     e_k(D) = sum_{m|f} e(D/m^2, k) is an identity of the coefficients
     (verified against prototype enumeration by check_e_and_a).  The inversion
-    runs in place on the integers f(m) = e_k(m^2) + 1/12, by
-    f[2d::d] -= f[d] for d = 1, 2, ...; since sum_{m|d} mu(d/m) = [d = 1],
-    the 1/12 comes back at d = 1 only.
+    runs in place on the integers f(m) = e_k(m^2) + 1/12; since
+    sum_{m|d} mu(d/m) = [d = 1], the 1/12 comes back at d = 1 only.
     """
-    ek = ek_square_table(k, dmax)  # refuses dmax > SQUARE_TABLE_MAX_M
-    import numpy as np
-
     # e_k(m^2) = (12 f(m) - 1) / 12 in lowest terms, so f = (numerator + 1) / 12
-    f = np.fromiter(
-        ((x.numerator + 1) // 12 for x in ek), dtype=np.int64, count=dmax + 1
-    )
-    for d in range(1, dmax // 2 + 1):
-        f[2 * d :: d] -= f[d]
-    out = [Fraction(v) for v in f.tolist()]
-    out[0] = Fraction(0)
+    f = [(x.numerator + 1) // 12 for x in ek_square_table(k, dmax)]
+    _moebius_invert(f)
+    out = list(map(Fraction, f))
     out[1] -= Fraction(1, 12)
     return out
 
@@ -240,6 +242,39 @@ def _convolution_sum(sig, nmax: int, a: int, b: int, x_residues) -> list[int]:
     return out
 
 
+def _slot_sigma_table(dmax: int) -> tuple[int, ...]:
+    """arith.sigma_table(dmax), after refusing dmax < 1 and dmax beyond
+    CONVOLUTION_MAX_N, the bound of the 64-bit Kronecker slot."""
+    if dmax < 1:
+        raise ValueError(f"need dmax >= 1, got {dmax}")
+    if dmax > CONVOLUTION_MAX_N:
+        raise ValueError(
+            f"dmax = {dmax} is beyond the 64-bit convolution bound {CONVOLUTION_MAX_N}"
+        )
+    return arith.sigma_table(dmax)
+
+
+def _twelfths_from_sums(by_class, dmax: int) -> tuple[int, ...]:
+    """12 e(d^2, k) for 0 <= d <= dmax (entry 0 unused), given
+
+        e_k(m^2) + 1/12 = sum_{g | m} mu(g) g K_g(m/g)
+
+    where K_g is by_class[i] with i = 0, 1, 2, 3 as (g, 6) = 1, g even, 3 | g,
+    6 | g.  Moebius inversion over m | d, in place, then gives
+    e(d^2, k) + [d = 1]/12.
+    """
+    mu = arith.moebius_table(dmax)
+    f = [0] * (dmax + 1)
+    for g in range(1, dmax + 1):
+        if mu[g]:
+            k = by_class[(g % 2 == 0) + 2 * (g % 3 == 0)]
+            f[g::g] = map(add, f[g::g], map((mu[g] * g).__mul__, k[1 : dmax // g + 1]))
+    _moebius_invert(f)
+    twelfths = [12 * v for v in f]
+    twelfths[1] -= 1
+    return tuple(twelfths)
+
+
 def e6_square_twelfths(dmax: int) -> tuple[int, ...]:
     """12 e(d^2, 6) for 0 <= d <= dmax (entry 0 unused), as exact ints.
 
@@ -252,37 +287,31 @@ def e6_square_twelfths(dmax: int) -> tuple[int, ...]:
                             + [2 !| g] C_{3,2}(m/g) + [(g,6) = 1] C_{1,6}(m/g)]
 
     with C_{a,b}(n) = sum_{ax+by=n} sigma(x) sigma(y), x restricted by
-    3 !| x, 2 !| x and (x, 6) = 1 in the last three.  Moebius inversion over
-    m | d, in place as in e_square_table, then gives e(d^2, 6) + [d = 1]/12.
-    sigma is needed only up to dmax.  Refuses dmax > CONVOLUTION_MAX_N, the
-    bound of the 64-bit Kronecker slot, before anything is built.
+    3 !| x, 2 !| x and (x, 6) = 1 in the last three.  sigma is needed only up
+    to dmax.  Refuses dmax > CONVOLUTION_MAX_N before anything is built.
     """
-    if dmax < 1:
-        raise ValueError(f"need dmax >= 1, got {dmax}")
-    if dmax > CONVOLUTION_MAX_N:
-        raise ValueError(
-            f"dmax = {dmax} is beyond the 64-bit convolution bound {CONVOLUTION_MAX_N}"
-        )
-    sig = arith.sigma_table(dmax)
+    sig = _slot_sigma_table(dmax)
     c61 = _convolution_sum(sig, dmax, 6, 1, (0,))
     c23 = _convolution_sum(sig, dmax, 2, 3, (1, 2))
     c32 = _convolution_sum(sig, dmax, 3, 2, (1,))
     c16 = _convolution_sum(sig, dmax, 1, 6, (1, 5))
-    # the bracket by the class of g: (g,6) = 1, g even, 3 | g, 6 | g
     k2 = list(map(add, c61, c23))
     k3 = list(map(add, c61, c32))
-    by_class = (list(map(add, k2, map(add, c32, c16))), k2, k3, c61)
-    mu = arith.moebius_table(dmax)
-    f = [0] * (dmax + 1)
-    for g in range(1, dmax + 1):
-        if mu[g]:
-            k = by_class[(g % 2 == 0) + 2 * (g % 3 == 0)]
-            f[g::g] = map(add, f[g::g], map((mu[g] * g).__mul__, k[1 : dmax // g + 1]))
-    for d in range(1, dmax // 2 + 1):
-        f[2 * d :: d] = map(sub, f[2 * d :: d], repeat(f[d]))
-    twelfths = [12 * v for v in f]
-    twelfths[1] -= 1
-    return tuple(twelfths)
+    return _twelfths_from_sums((list(map(add, k2, map(add, c32, c16))), k2, k3, c61), dmax)
+
+
+def e1_convolution_twelfths(dmax: int) -> tuple[int, ...]:
+    """12 e(d^2, 1) for 0 <= d <= dmax (entry 0 unused), without Besge.
+
+    As in e6_square_twelfths with u + v = m and uv = (m^2 - b^2)/4:
+
+        e_1(m^2) + 1/12 = sum_{g | m} mu(g) g C_{1,1}(m/g),
+
+    C_{1,1}(n) = sum_{x+y=n} sigma(x) sigma(y), one Kronecker product of the
+    sigma table up to dmax with itself.  The oracle for e1_square_twelfths.
+    """
+    sig = _slot_sigma_table(dmax)
+    return _twelfths_from_sums((_kronecker_product(sig, sig, dmax + 1),) * 4, dmax)
 
 
 def e1_square_twelfths(dmax: int) -> tuple[int, ...]:

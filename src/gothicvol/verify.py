@@ -81,9 +81,8 @@ def _sl2_multiplicative():
 def _sigma_conv_identity():
     N = 10**4
     atab = sl2_order_table(N)
-    f = [Fraction(0)] + [Fraction(sigma(1, n)) for n in range(1, N + 1)]
-    g = [Fraction(0)] + [Fraction(atab[n]) for n in range(1, N + 1)]
-    conv = arith.dirichlet_convolve(f, g, N)
+    f = [0] + [sigma(1, n) for n in range(1, N + 1)]
+    conv = arith.dirichlet_convolve(f, atab, N)
     for n in range(1, N + 1):
         if conv[n] != sigma(3, n):
             raise AssertionError(n)
@@ -231,15 +230,16 @@ def _empty_class_zero():
 def _e_square_routes():
     from . import qforms
 
-    # k = 6: level-6 convolution sums against the D^2/24 sigma-table route;
-    # k = 1: Besge's closed form 5 a(d) - 6 J_2(d) against the D^2/4 route
+    # k = 6: level-6 convolution sums against the D^2/24 sigma-sieve route;
+    # k = 1: Besge's closed form 5 a(d) - 6 J_2(d) against the level-1 sums
     dmax = 4000
-    for k in (1, 6):
-        new = qforms.e_square_twelfths(k, dmax)
-        old = qforms.e_square_table(k, dmax)
-        for d in range(1, dmax + 1):
-            if Fraction(new[d], 12) != old[d]:
-                raise AssertionError((k, d))
+    new = qforms.e_square_twelfths(6, dmax)
+    old = qforms.e_square_table(6, dmax)
+    for d in range(1, dmax + 1):
+        if Fraction(new[d], 12) != old[d]:
+            raise AssertionError((6, d))
+    if qforms.e_square_twelfths(1, dmax) != qforms.e1_convolution_twelfths(dmax):
+        raise AssertionError((1, dmax))
     return "convolution route (k = 6) and Besge (k = 1) exact at every d"
 
 
@@ -302,27 +302,18 @@ def _ebar1_quadruple_convolution():
     return "exact quadruple-convolution identity"
 
 
-@_check("technical lemma identity, k in {2,3,6}, d <= 500", "zagier")
-def _technical_lemma():
+@_check("e*_6(d^2) Euler product equals the four-term e*_1 combination, d <= 500", "zagier")
+def _estar6_routes():
     from . import zagier
 
-    # both sides as Moebius sieves over E = (12/5) ebar_1.  This holds for
-    # any arithmetic function in place of E: split each m | d as m' s with
-    # m' | d_k, s | d/d_k, and the left side is J_3(d/d_k) times the right
-    # side's Moebius sum (random integers for E pass all 1500 cases).  So it
-    # checks lemma_factor and the Moebius bookkeeping, not ebar_1 itself.
+    # the product of P_6(p, d^2) over p | 6d with the 15/pi^2 tail, against
+    # estar6's combination of e*_1 at d, d_2, d_3, d_6 (each e*_1 built once)
     N = 500
-    mu = moebius_table(N)
-    e1 = zagier.ebar1_five_twelfths(N)
-    rhs = arith.dirichlet_convolve(mu, e1, N)
-    for k in (2, 3, 6):
-        parts = [0] + [arith.coprime_part(m, k) for m in range(1, N + 1)]
-        twisted = [0] + [(m // parts[m]) ** 3 * e1[parts[m]] for m in range(1, N + 1)]
-        lhs = arith.dirichlet_convolve(mu, twisted, N)
-        for d in range(1, N + 1):
-            if lhs[d] != zagier.lemma_factor(k, d) * rhs[parts[d]]:
-                raise AssertionError((k, d))
-    return "all 1500 cases"
+    e1 = [None] + [zagier.estar1(d) for d in range(1, N + 1)]
+    for d in range(1, N + 1):
+        if zagier.estar_euler_product(6, d) != zagier.estar6(d, e1.__getitem__):
+            raise AssertionError(d)
+    return "exact at every d"
 
 
 @_check("moebius-summed ebar_6 equals kappa(d) a(d)/60 exactly, d <= 1000", "zagier")
@@ -513,7 +504,6 @@ def _main_vs_leading():
     from . import euler
 
     dmax = 2000
-    euler.precompute_e_square(6, dmax)
     gaps = [0.0] * (dmax + 1)
     for d in range(1, dmax + 1):
         main = euler.chi_G(d * d, 1, "main_term")
@@ -547,7 +537,6 @@ def _chi_g_components():
 def _remark_sandwich():
     from . import euler
 
-    euler.precompute_e_square(6, 500)
     for d in range(2, 501):
         main = euler.chi_G(d * d, 1, "main_term")
         remark = euler.chi_G(d * d, 1, "remark")

@@ -90,42 +90,55 @@ def euler_factor(k: int, p: int, d: int) -> Fraction:
 
         P_k(p, d^2) = 1 + sum_j gcd(p^j, 2k)^2 p^(-2j) gamma_{p^j}(d^2).
 
-    The sum stops at j = nu_p(d^2) + 2 because all later Gauss sums vanish.
+    The sum stops at J = nu_p(d^2) + 2 because all later Gauss sums vanish;
+    the Gauss sums are integers, so the sum is one numerator over p^(2J).
     """
     if not is_squarefree(k):
         raise ValueError(f"k = {k} must be squarefree")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    total = Fraction(1)
-    for j in range(1, 2 * nu(p, d) + 3):
+    J = 2 * nu(p, d) + 2
+    total = p ** (2 * J)
+    for j in range(1, J + 1):
         g = gauss_gamma(p, j, d)
         if g:
             w = math.gcd(p**j, 2 * k)
-            total += Fraction(w * w, p ** (2 * j)) * g
-    return total
+            total += w * w * int(g) * p ** (2 * (J - j))
+    return Fraction(total, p ** (2 * J))
+
+
+def estar_euler_product(k: int, d: int) -> PiQuantity:
+    """e*_k(d^2) = prod_p P_k(p, d^2) as an exact rational times pi^-2.
+
+    For p not dividing 2kd the factor is 1 + p^-2, so the product over those
+    p is 15/pi^2 divided by the factors 1 + p^-2 at p | 2kd.
+    """
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    num = den = 1
+    for p, _ in factorize(2 * k * d):
+        factor = euler_factor(k, p, d)  # divided by 1 + p^-2 = (p^2 + 1)/p^2
+        num *= factor.numerator * p * p
+        den *= factor.denominator * (p * p + 1)
+    return _ZETA2_OVER_ZETA4 * Fraction(num, den)
 
 
 def estar1(d: int) -> PiQuantity:
     """e*_1(d^2) as an exact rational times pi^-2 (Euler product with zeta tail)."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    primes = {2} | {p for p, _ in factorize(d)}
-    coeff = Fraction(1)
-    for p in sorted(primes):
-        coeff *= euler_factor(1, p, d) / (1 + Fraction(1, p * p))
-    return _ZETA2_OVER_ZETA4 * coeff
+    return estar_euler_product(1, d)
 
 
-def estar6(d: int) -> PiQuantity:
-    """e*_6(d^2) = 36 (e*_1(d^2) - 3/5 e*_1(d_2^2) - 4/5 e*_1(d_3^2) + 12/25 e*_1(d_6^2))."""
+def estar6(d: int, e1=estar1) -> PiQuantity:
+    """e*_6(d^2) = 36 (e*_1(d^2) - 3/5 e*_1(d_2^2) - 4/5 e*_1(d_3^2) + 12/25 e*_1(d_6^2)),
+    with e*_1(m^2) read from the callable ``e1``."""
     if d < 1:
         raise ValueError("d must be >= 1")
     d2, d3, d6 = coprime_part(d, 2), coprime_part(d, 3), coprime_part(d, 6)
     return 36 * (
-        estar1(d)
-        - Fraction(3, 5) * estar1(d2)
-        - Fraction(4, 5) * estar1(d3)
-        + Fraction(12, 25) * estar1(d6)
+        e1(d)
+        - Fraction(3, 5) * e1(d2)
+        - Fraction(4, 5) * e1(d3)
+        + Fraction(12, 25) * e1(d6)
     )
 
 
@@ -213,48 +226,6 @@ def ebar_rows(d_max: int) -> list[tuple[int, Fraction, Fraction]]:
 def ebar6_via_euler_product(d: int) -> Fraction:
     """ebar_6(d^2) through pi^2/(72*36) * d^3 * e*_6(d^2)."""
     return (PiQuantity(Fraction(d**3, 72 * 36), 2) * estar6(d)).as_rational()
-
-
-def check_technical_lemma(k: int, d: int) -> bool:
-    """Verify the Moebius-sum reduction of e*_1 at k-coprime parts, on the
-    exact ebar_1 scale where the pi powers cancel:
-
-        sum_{m|d} mu(d/m) (m/m_k)^3 ebar_1(m_k^2)
-            = prod_{p | (k,d)} p^(3 nu_p(d) - 3) (p^3 - 1)
-              * sum_{m | d_k} mu(d_k/m) ebar_1(m^2).
-
-    (The right-hand Moebius factor runs over d_k, the k-coprime part of d;
-    with mu(d/m) there the identity fails, e.g. at k = 2, d = 4.)  Both sides
-    are compared as integers, on the scale E = (12/5) ebar_1.
-
-    The identity holds for any arithmetic function in place of E: writing
-    each m | d as m' s with m' | d_k and s | d/d_k turns the left side into
-    J_3(d/d_k) sum_{m'|d_k} mu(d_k/m') E(m'), and J_3(d/d_k) is the lemma
-    factor.  So this checks ``lemma_factor`` and the Moebius bookkeeping, not
-    the values of ebar_1.
-    """
-    if not is_squarefree(k):
-        raise ValueError(f"k = {k} must be squarefree")
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    e1 = _ebar1_five_twelfths_at
-    lhs = 0
-    for m in divisors(d):
-        mu = moebius(d // m)
-        if mu:
-            mk = coprime_part(m, k)
-            lhs += mu * (m // mk) ** 3 * e1(mk)
-    dk = coprime_part(d, k)
-    rhs = sum(moebius(dk // m) * e1(m) for m in divisors(dk))
-    return lhs == lemma_factor(k, d) * rhs
-
-
-def lemma_factor(k: int, d: int) -> int:
-    """prod_{p | (k,d)} p^(3 nu_p(d) - 3) (p^3 - 1), the factor of the technical lemma."""
-    factor = 1
-    for p, _ in factorize(math.gcd(k, d)):
-        factor *= p ** (3 * nu(p, d) - 3) * (p**3 - 1)
-    return factor
 
 
 _KAPPA = {1: Fraction(2), 2: Fraction(3, 2), 3: Fraction(4, 3), 6: Fraction(1)}

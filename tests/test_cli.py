@@ -190,32 +190,33 @@ def test_invalid_input_exits_2(capsys):
 
 
 # Runs each argv through cli.main in one process and reports, after each,
-# its exit code and whether numpy has been imported so far; then the same
-# after a control that builds an array.
+# its exit code and which watched modules have been imported so far; then the
+# same after a control that imports a watched module.
 _NUMPY_LOADS = """
 import contextlib, io, json, sys
 from gothicvol.cli import main
 
+WATCHED = {"numpy", "colorsys"}
 loaded = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
-    loaded.append([code, "numpy" in sys.modules])
-from gothicvol.qforms import ek_square_table
+    loaded.append([code, sorted(WATCHED & sys.modules.keys())])
+import colorsys  # the control: a module no request loads
 
-ek_square_table(1, 10)  # the control: this one builds a numpy array
-loaded.append([0, "numpy" in sys.modules])
+loaded.append([0, sorted(WATCHED & sys.modules.keys())])
 print(json.dumps(loaded))
 """
 
 
-def test_only_array_requests_import_numpy():
-    no_arrays = [
+def test_no_request_imports_numpy():
+    requests = [
         ["sk", "--k", "6", "--D", "300000"],
         ["volume", "--locus", "gothic", "--dmax", "100000", "--mode", "closed"],
         ["e", "--D", "57", "--k", "6"],
         ["proto", "--D", "105", "--k", "1"],
         ["chi", "--family", "g", "--D", "97"],
+        ["chi", "--family", "r", "--D", "3600", "--mode", "main"],
         ["ideals", "--d", "30"],
         ["qexp", "--series", "ek", "--k", "6", "--N", "200"],
         ["volume", "--locus", "gothic", "--dmax", "200", "--mode", "direct",
@@ -226,9 +227,9 @@ def test_only_array_requests_import_numpy():
         ["cd", "--locus", "h2", "--d", "6"],
         ["oracle-h2", "--d", "6"],
     ]
-    proc = fresh_process(["-c", _NUMPY_LOADS, json.dumps(no_arrays)])
+    proc = fresh_process(["-c", _NUMPY_LOADS, json.dumps(requests)])
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[0, False]] * len(no_arrays) + [[0, True]]
+    assert json.loads(proc.stdout) == [[0, []]] * len(requests) + [[0, ["colorsys"]]]
 
 
 # Runs one argv through cli.main and reports its exit code and the gothicvol

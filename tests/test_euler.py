@@ -6,6 +6,7 @@ import pytest
 
 from gothicvol import euler
 from gothicvol.arith import divisors, moebius, sl2_order
+from gothicvol.cli import main
 from gothicvol.euler import (
     c_D,
     chi_G,
@@ -19,7 +20,7 @@ from gothicvol.euler import (
     chi_boundary_gap,
 )
 from gothicvol.prototypes import e_value
-from gothicvol.qforms import e_square_table
+from gothicvol.qforms import e6_square_twelfths, e_square_table
 
 
 def test_chi_x_square_examples():
@@ -158,8 +159,45 @@ def test_e_square_cache_is_read_only():
     euler.precompute_e_square(6, 30)
     cache = euler._E_CACHE[6]
     with pytest.raises(TypeError):
-        cache[5] = Fraction(0)
-    assert cache[5] == e_square_table(6, 5)[5]
+        cache[5] = 0
+    assert cache[5] == 12 * e_square_table(6, 5)[5]
+
+
+def test_e_square_table_grows_geometrically(monkeypatch):
+    asked = []
+
+    def recorded(k, dmax):
+        asked.append(dmax)
+        return e6_square_twelfths(dmax)
+
+    monkeypatch.setattr(euler, "_E_CACHE", {})
+    monkeypatch.setattr(euler, "e_square_twelfths", recorded)
+    want = e6_square_twelfths(1000)
+    for d in range(1, 1001):
+        assert euler.e_square(d, 6) == Fraction(want[d], 12), d
+    assert asked == [64, 128, 256, 512, 1024]
+
+
+def test_e_square_refuses_beyond_its_bound_before_any_build(monkeypatch, capsys):
+    asked = []
+
+    def recorded(k, dmax):
+        asked.append(dmax)
+        return (0,) * (dmax + 1)  # stands in for the table, which is not built
+
+    monkeypatch.setattr(euler, "_E_CACHE", {6: (0,) * 200001})
+    monkeypatch.setattr(euler, "e_square_twelfths", recorded)
+    bound = euler.E_SQUARE_MAX_D
+    with pytest.raises(ValueError):
+        euler.e_square(bound + 1, 6)
+    assert asked == []
+    assert euler.e_square(bound, 6) == 0  # the growth stops at the bound
+    assert asked == [bound]
+    D = str((bound + 1) ** 2)
+    for family in ("r", "g"):
+        assert main(["chi", "--family", family, "--D", D, "--mode", "main"]) == 2
+    assert "beyond the e(d^2, k) bound" in capsys.readouterr().err
+    assert asked == [bound]
 
 
 def test_every_chi_is_a_fraction_and_empty_curves_are_zero():

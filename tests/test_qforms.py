@@ -13,6 +13,7 @@ from gothicvol.qforms import (
     SQUARE_TABLE_MAX_M,
     QExpansion,
     check_e_and_a,
+    e1_convolution_twelfths,
     e1_square_twelfths,
     e6_square_twelfths,
     e_square_table,
@@ -90,7 +91,7 @@ def test_e_square_table_matches_moebius_sum():
 
 
 def test_square_tables_refuse_beyond_int64_bound():
-    # refused before the sigma table of about 6 * 10^8 entries is built
+    # refused before the sigma sieve of about 2.5 * 10^7 entries is built
     with pytest.raises(ValueError):
         ek_square_table(1, SQUARE_TABLE_MAX_M + 1)
     with pytest.raises(ValueError):
@@ -98,7 +99,7 @@ def test_square_tables_refuse_beyond_int64_bound():
 
 
 def test_square_tables_build_no_cached_sigma_table(monkeypatch):
-    # the oracle sums its own local sigma array: the cached tuple for
+    # the oracle sums its own local sigma sieve: the cached tuple for
     # e_square_table(1, 4000) alone would hold 4 * 10^6 Python ints
     def no_tables(N):
         raise AssertionError("the square tables built a cached sigma table")
@@ -130,6 +131,8 @@ def test_besge_closed_form_matches_square_table():
     for d in range(1, 1001):
         assert Fraction(new[d], 12) == old[d], d
     assert e_square_twelfths(1, 50) == new[:51]
+    # the level-1 convolution reaches the same values without Besge
+    assert e1_convolution_twelfths(1000) == new
     assert e_square_twelfths(6, 50) == e6_square_twelfths(50)
     with pytest.raises(ValueError):
         e_square_twelfths(2, 50)
@@ -162,10 +165,11 @@ def test_convolution_slot_bound(monkeypatch):
         raise AssertionError("a table was built beyond the convolution bound")
 
     monkeypatch.setattr(qforms.arith, "sigma_table", no_tables)
-    with pytest.raises(ValueError):
-        e6_square_twelfths(CONVOLUTION_MAX_N + 1)
-    with pytest.raises(ValueError):
-        e6_square_twelfths(0)
+    for route in (e6_square_twelfths, e1_convolution_twelfths):
+        with pytest.raises(ValueError):
+            route(CONVOLUTION_MAX_N + 1)
+        with pytest.raises(ValueError):
+            route(0)
 
 
 def test_e_square_table_matches_enumeration():

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from gothicvol import verify
+from gothicvol import verify, zagier
 from gothicvol.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -55,23 +55,29 @@ def _failed_under_python_O(owner, table, suite):
     return doc["failed"]
 
 
-# Runs the S_1 check in a process where importing numpy fails.
-_S1_WITHOUT_NUMPY = """
+# Runs the qforms and volume suites, the square-table oracles and the S_1
+# check among them, in a process where importing numpy fails.
+_SUITES_WITHOUT_NUMPY = """
 import json, sys
 sys.modules["numpy"] = None
 from gothicvol import verify
 
-r = verify.run_check("(sigma * a)(d) = sigma_3(d) termwise and S_1 at 10^5")
-print(json.dumps([r.ok, r.detail]))
+results = [r for suite in ("qforms", "volume")
+           for r in verify.run_suite(suite, report=None, stop_on_failure=False)]
+print(json.dumps([[r.name, r.ok, r.detail] for r in results]))
 """
 
 
 def test_s1_identity_runs_without_numpy():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _S1_WITHOUT_NUMPY], env=env,
+    proc = subprocess.run([sys.executable, "-c", _SUITES_WITHOUT_NUMPY], env=env,
                           capture_output=True, text=True, timeout=300, check=True)
-    assert json.loads(proc.stdout) == [True, "prefix sums of sigma_3 match S_1"]
+    results = json.loads(proc.stdout)
+    names = [name for name, (suite, _) in verify._CHECKS.items() if suite in ("qforms", "volume")]
+    assert [name for name, _, _ in results] == names
+    assert all(ok for _, ok, _ in results), results
+    assert [True, "prefix sums of sigma_3 match S_1"] in [r[1:] for r in results]
 
 
 @pytest.mark.parametrize("name", list(verify._CHECKS))
@@ -92,12 +98,25 @@ def test_checks_fail_under_python_O():
 
 def test_integer_ebar_checks_fail_under_python_O():
     # the integer sieves over the (12/5) ebar_1 table still catch one wrong
-    # entry; the technical lemma holds for any function in place of ebar_1,
-    # and the Euler-product comparison reads ebar1_exact, not the table
+    # entry; the two Euler-product checks read ebar1_exact and the local
+    # factors, not the table
     assert _failed_under_python_O("zagier", "ebar1_five_twelfths", "zagier") == [
         "(12/5) moebius-sum of ebar_1(m^2) equals a(d), d <= 2000",
         "moebius-summed ebar_6 equals kappa(d) a(d)/60 exactly, d <= 1000",
     ]
+
+
+def test_estar6_check_fails_on_one_wrong_euler_factor(monkeypatch):
+    real = zagier.euler_factor
+
+    def wrong_factor(k, p, d):
+        return real(k, p, d) + ((k, p, d) == (6, 3, 9))
+
+    monkeypatch.setattr(zagier, "euler_factor", wrong_factor)
+    result = verify.run_check(
+        "e*_6(d^2) Euler product equals the four-term e*_1 combination, d <= 500"
+    )
+    assert (result.ok, result.detail) == (False, "FAILED at 9")
 
 
 def test_check_that_raises_is_a_failed_check(monkeypatch, capsys):

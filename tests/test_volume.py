@@ -193,10 +193,10 @@ def test_direct_path_refuses_beyond_bound(monkeypatch):
      (Locus.G, "main_term"), (Locus.G, "leading"), (Locus.G, "remark")],
 )
 def test_integer_totals_match_smm(monkeypatch, locus, surrogate):
-    # counting.smm reads e(d^2, 6) from the square-table oracle here, so the
-    # two sides share no e route
+    # counting.smm reads 12 e(d^2, 6) from the square-table oracle here, so
+    # the two sides share no e route
     mmax = 2000
-    monkeypatch.setitem(euler._E_CACHE, 6, tuple(e_square_table(6, mmax)))
+    monkeypatch.setitem(euler._E_CACHE, 6, tuple(int(12 * e) for e in e_square_table(6, mmax)))
     totals = volume.smm_totals(locus, mmax, surrogate)
     assert len(totals.numerators) == mmax + 1 and totals.numerators[0] == 0
     assert all(isinstance(t, int) for t in totals.numerators)

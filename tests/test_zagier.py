@@ -10,7 +10,6 @@ from gothicvol.arith import PiQuantity, coprime_part, divisors, moebius, nu, sl2
 from gothicvol.cli import main
 from gothicvol.zagier import (
     asymptotic_check_e,
-    check_technical_lemma,
     ebar1_exact,
     ebar1_five_twelfths,
     ebar1_via_euler_product,
@@ -19,6 +18,7 @@ from gothicvol.zagier import (
     ebar6_via_euler_product,
     estar1,
     estar6,
+    estar_euler_product,
     euler_factor,
     gauss_gamma,
     kappa,
@@ -128,12 +128,14 @@ def test_ebar6_examples_and_route_equality():
         assert ebar6_exact(d) == ebar6_via_euler_product(d), d
 
 
-def test_technical_lemma_examples():
-    assert check_technical_lemma(2, 3)  # coprime case, both sides identical
-    assert check_technical_lemma(2, 4)  # factor 2^3 * 7
-    assert check_technical_lemma(6, 12)  # two-prime product
+def test_estar6_euler_product_matches_four_term_combination():
+    # the product of P_6(p, d^2) over p | 6d against estar6's e*_1 combination
+    table = [None] + [estar1(d) for d in range(1, 61)]
+    for d in range(1, 61):
+        assert estar_euler_product(1, d) == estar1(d), d
+        assert estar_euler_product(6, d) == estar6(d) == estar6(d, table.__getitem__), d
     with pytest.raises(ValueError):
-        check_technical_lemma(4, 3)
+        estar_euler_product(6, 0)
 
 
 def test_kappa_values():
