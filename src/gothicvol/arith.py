@@ -56,7 +56,8 @@ class PiQuantity:
     pi_power: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
+        if not isinstance(self.coeff, Fraction):
+            object.__setattr__(self, "coeff", Fraction(self.coeff))
 
     def __mul__(self, other):
         if isinstance(other, PiQuantity):

@@ -38,7 +38,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 from . import Locus
 from .arith import divisors, nu, sigma
@@ -57,7 +57,7 @@ def sts_count(chi: Fraction) -> Fraction:
     """Number of minimal torus covers of degree and area m on a curve: -6 chi."""
     if chi > 0:
         raise ValueError("Teichmueller curves have chi <= 0")
-    return -6 * Fraction(chi)
+    return Fraction(-6 * chi.numerator, chi.denominator)
 
 
 @cache
@@ -94,12 +94,13 @@ def smm(locus: Locus, m: int, mode: str = "main_term") -> CoverCount:
             h = m // 2
             parts.append(("W6", h * h, None, sts_count(euler.chi_W6(h * h, "main_term"))))
     elif locus is Locus.G:
+        two, three = nu(2, m) == 1, nu(3, m) == 1
         rs = [1]
-        if nu(2, m) == 1:
+        if two:
             rs.append(2)
-        if nu(3, m) == 1:
+        if three:
             rs.append(3)
-        if nu(2, m) == 1 and nu(3, m) == 1:
+        if two and three:
             rs.append(6)
         for r in rs:
             h = m // r
@@ -110,7 +111,12 @@ def smm(locus: Locus, m: int, mode: str = "main_term") -> CoverCount:
                 # conjectural formula); fall back to the sandwich lower bound
                 rmode = "main_term"
             parts.append(("G", h * h, r, sts_count(euler.chi_G(h * h, r, rmode))))
-    total = sum((c for *_ignored, c in parts), Fraction(0))
+    counts = [c for *_ignored, c in parts]
+    if len(counts) == 1:
+        total = counts[0]
+    else:
+        den = lcm(*(c.denominator for c in counts))
+        total = Fraction(sum(c.numerator * (den // c.denominator) for c in counts), den)
     return CoverCount(m, tuple(parts), total)
 
 

@@ -41,9 +41,9 @@ import math
 from fractions import Fraction
 
 from . import MODES, surrogate_mode  # defined in the package root, kept here as euler.*
-from .arith import jordan2, sigma, sl2_order
+from .arith import jordan2, sl2_order
 from .ideals import component_list
-from .prototypes import _validate_discriminant, conductor_decompose, e_value
+from .prototypes import _e_sum, _validate_discriminant, conductor_decompose, e_value
 from .qforms import e_square_twelfths
 
 # chi(X_{d^2}(b_r)) / chi(X_{d^2}) by gcd(6, d); also the gothic coefficient
@@ -64,6 +64,8 @@ REMARK_COEFF = {1: 2, 2: 6, 3: 3, 6: 9}
 # Gothic non-emptiness residues and component counts for non-square D
 GOTHIC_RESIDUES = {0, 1, 4, 9, 12, 16}
 _C_D_NONSQUARE = {0: 1, 12: 1, 4: 2, 9: 2, 16: 2, 1: 4}
+# c_D = sigma_0(6/(d, 6)) for square D = d^2, by gcd(6, d)
+_C_D_SQUARE = {1: 4, 2: 2, 3: 2, 6: 1}
 
 
 def _is_square(D: int) -> int | None:
@@ -174,7 +176,7 @@ def c_D(D: int) -> int:
     table of the gothic theorem for non-squares (errors outside it)."""
     d = _is_square(D)
     if d is not None:
-        return sigma(0, 6 // math.gcd(d, 6))
+        return _C_D_SQUARE[math.gcd(d, 6)]
     m = D % 24
     if m not in _C_D_NONSQUARE:
         raise ValueError(f"c_D undefined: D = {D} is outside the gothic residue table")
@@ -213,13 +215,13 @@ def chi_W4(D: int, j: int = 1, mode: str = "exact") -> Fraction:
     two if D = 1 mod 8; -(5/2) chi(X_D) when the conductor is odd, -(15/4)
     when it is even.  Square discriminants require mode='main_term'."""
     _validate_discriminant(D)
-    if is_empty("w4", D):
-        return Fraction(0)
     if j == 2 and D % 8 != 1:
         raise ValueError(f"W_D(4) has a single component for D = {D}")
     if j not in (1, 2):
         raise ValueError("component j must be 1 or 2")
     _check_mode(_is_square(D), mode)
+    if is_empty("w4", D):
+        return Fraction(0)
     factor = Fraction(-5, 2) if conductor_decompose(D).f % 2 else Fraction(-15, 4)
     return factor * chi_X(D)
 
@@ -234,7 +236,15 @@ def chi_W6(D: int, mode: str = "exact") -> Fraction:
 def chi_G(D: int, r: int = 1, mode: str = "exact") -> Fraction:
     """chi(G_D^r) per the four-case formula, 0 where G_D is empty; square
     discriminants offer the main_term / leading / remark surrogates (remark:
-    r = 1 only)."""
+    r = 1 only).
+
+    The value is one numerator over one denominator.  At a non-square D,
+    -(3/2) ratio chi(X_D) - 2 chi(R_D) = -ratio e(D, 1)/20 + e(D, 6)/(3 c_D).
+    At D = d^2 (E = 12 e(d^2, 6), a = a(d), ratio = X_BR_RATIO[gcd(6, d)]),
+    main_term -(3/2) chi(X_{d^2}(b_r)) - 2 chi(R_D) = -ratio a/48 + E/(36 c_D)
+    and remark adds (REMARK_COEFF/d) chi(X_{d^2}(b_1)) = REMARK_COEFF ratio
+    a/(72 d).  An empty G_D accepts component 1 only.
+    """
     _validate_discriminant(D)
     if mode not in MODES.values():
         raise ValueError(f"unknown mode {mode!r}")
@@ -242,23 +252,35 @@ def chi_G(D: int, r: int = 1, mode: str = "exact") -> Fraction:
     _check_mode(d, mode, ("main_term", "leading", "remark"))
     if d is None:
         if is_empty("g", D):
+            if r != 1:
+                raise ValueError(f"component index {r} out of range for D = {D}")
             return Fraction(0)
-        if not 1 <= r <= c_D(D):
+        c = c_D(D)
+        if not 1 <= r <= c:
             raise ValueError(f"component index {r} out of range for D = {D}")
-        coeff = Fraction(3, 2) * X_BR_RATIO[math.gcd(6, conductor_decompose(D).f)]
-        return -coeff * chi_X_nonsquare(D) - 2 * chi_R(D)
+        f = conductor_decompose(D).f
+        ratio = X_BR_RATIO[math.gcd(6, f)]
+        rn, rd = ratio.numerator, ratio.denominator
+        num = 20 * rd * _e_sum(D, 6, f) - 3 * c * rn * _e_sum(D, 1, f)
+        return Fraction(num, 60 * rd * c)
     valid = [1, 2, 3, 6] if d == 1 else component_list(d)
     if r not in valid:
         raise ValueError(f"r = {r} does not name a component for d = {d}")
     g6 = math.gcd(6, d)
+    a = sl2_order(d)
     if mode == "leading":
-        return -KAPPA_PRIME[g6] * sl2_order(d)
-    value = Fraction(-3, 2) * chi_X_br(d, r) - 2 * chi_R(D, "main_term")
-    if mode == "remark":
-        if r != 1:
-            raise ValueError("the remark formula is stated for r = 1 only")
-        value += Fraction(REMARK_COEFF[g6], d) * chi_X_br(d, 1)
-    return value
+        kappa = KAPPA_PRIME[g6]
+        return Fraction(-kappa.numerator * a, kappa.denominator)
+    precompute_e_square(6, d)
+    ratio = X_BR_RATIO[g6]
+    rn, rd = ratio.numerator, ratio.denominator
+    c = _C_D_SQUARE[g6]
+    num = 4 * rd * _E_CACHE[6][d] - 3 * c * rn * a  # over 144 rd c
+    if mode != "remark":
+        return Fraction(num, 144 * rd * c)
+    if r != 1:
+        raise ValueError("the remark formula is stated for r = 1 only")
+    return Fraction(d * num + 2 * c * REMARK_COEFF[g6] * rn * a, 144 * rd * c * d)
 
 
 def chi_boundary_gap(d: int, r: int) -> Fraction:

@@ -12,7 +12,9 @@ output order is increasing b, then increasing a.  Only the admissible a are
 built: a prime p divides c0 iff nu_p(n/a) >= 2, so at each prime p of
 gcd(f, b) the exponent of p in a runs over nu_p(n) - 1 and nu_p(n) alone,
 and every other prime is free.  e(D, k) sums each row's admissible a one by
-one, without building triples or sorting them.
+one, without building triples or sorting them.  The rows of b and -b have
+the same n and the same gcd(f, |b|), so e(D, k) walks b >= 0 only and counts
+each row with b > 0 twice; enumerate_prototypes walks every b.
 
 The independent cross-check against these counts is the modular-form
 coefficient route in ``qforms`` (see check_e_and_a there).
@@ -117,6 +119,23 @@ def enumerate_prototypes(D: int, k: int) -> list[tuple[int, int, int]]:
     return [(a, b, -(n // a)) for b, n, divs in _prototype_rows(D, k) for a in sorted(divs)]
 
 
+def _e_sum(D: int, k: int, f: int) -> int:
+    """e(D, k) as an int for a discriminant D >= 2 of conductor f and k >= 1.
+
+    b runs over 0 <= b < sqrt(D) with b = D mod 2 (b^2 = D mod 4 forces it);
+    the row of b > 0 stands for the row of -b too.
+    """
+    four_k = 4 * k
+    total = 0
+    for b in range(D % 2, math.isqrt(D - 1) + 1, 2):
+        rem = D - b * b
+        if rem % four_k:
+            continue
+        row = sum(_admissible_divisors(rem // four_k, math.gcd(f, b)))
+        total += 2 * row if b else row
+    return total
+
+
 def e_value(D: int, k: int) -> Fraction:
     """e(D, k) = sum of a over the prototype set; e(1, k) = -1/12.
 
@@ -129,4 +148,4 @@ def e_value(D: int, k: int) -> Fraction:
         raise ValueError("k must be a positive integer")
     if D == 1:
         return Fraction(-1, 12)
-    return Fraction(sum(sum(divs) for _, _, divs in _prototype_rows(D, k)))
+    return Fraction(_e_sum(D, k, conductor_decompose(D).f))

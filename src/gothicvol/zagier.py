@@ -63,6 +63,17 @@ from .qforms import e1_square_twelfths, e6_square_twelfths
 _ZETA2_OVER_ZETA4 = PiQuantity(Fraction(15), -2)
 
 
+def _gamma(p: int, r: int, v: int) -> int:
+    """gamma_{p^r}(d^2) for a prime p and r >= 1, given v = nu_p(d^2)."""
+    if p == 2:
+        if r % 2 == 0:
+            return 2 ** (r // 2) if v == r - 2 else 0
+        return 2 ** ((r - 1) // 2) if v >= r - 1 else 0
+    if r % 2 == 0:
+        return p ** (r // 2 - 1) * (p - 1) if v >= r else 0
+    return p ** ((r - 1) // 2) if v == r - 1 else 0
+
+
 def gauss_gamma(p: int, r: int, d: int) -> Fraction:
     """gamma_{p^r}(d^2) for a square argument, by the case tables above."""
     if not is_prime(p):
@@ -71,18 +82,7 @@ def gauss_gamma(p: int, r: int, d: int) -> Fraction:
         raise ValueError("need r >= 0 and d >= 1")
     if r == 0:
         return Fraction(1)
-    v = 2 * nu(p, d)  # nu_p(d^2)
-    if p == 2:
-        if r % 2 == 0 and v == r - 2:
-            return Fraction(2 ** (r // 2))
-        if r % 2 == 1 and v >= r - 1:
-            return Fraction(2 ** ((r - 1) // 2))
-        return Fraction(0)
-    if r % 2 == 0 and v >= r:
-        return Fraction(p ** (r // 2 - 1) * (p - 1))
-    if r % 2 == 1 and v == r - 1:
-        return Fraction(p ** ((r - 1) // 2))
-    return Fraction(0)
+    return Fraction(_gamma(p, r, 2 * nu(p, d)))
 
 
 def euler_factor(k: int, p: int, d: int) -> Fraction:
@@ -97,13 +97,14 @@ def euler_factor(k: int, p: int, d: int) -> Fraction:
         raise ValueError(f"k = {k} must be squarefree")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    J = 2 * nu(p, d) + 2
+    v = 2 * nu(p, d)
+    J = v + 2
     total = p ** (2 * J)
     for j in range(1, J + 1):
-        g = gauss_gamma(p, j, d)
+        g = _gamma(p, j, v)
         if g:
             w = math.gcd(p**j, 2 * k)
-            total += w * w * int(g) * p ** (2 * (J - j))
+            total += w * w * g * p ** (2 * (J - j))
     return Fraction(total, p ** (2 * J))
 
 

@@ -99,6 +99,21 @@ def test_chi_subcommand(capsys):
     assert json.loads(out)["result"]["value"] == "-13/6"
 
 
+def test_empty_curves_check_mode_and_component(capsys):
+    # W_13(4) and G_5 are empty; the mode and the component are still checked
+    for argv, err in (
+        (["--family", "w4", "--D", "13", "--mode", "main"], "use mode='exact'"),
+        (["--family", "w4", "--D", "13", "--j", "5"], "component j must be 1 or 2"),
+        (["--family", "g", "--D", "5", "--r", "9"], "component index 9 out of range"),
+    ):
+        assert main(["chi", *argv]) == 2, argv
+        assert err in capsys.readouterr().err, argv
+    for family, D in (("w4", "13"), ("g", "5")):
+        code, out = run_cli(capsys, "chi", "--family", family, "--D", D)
+        result = json.loads(out)["result"]
+        assert code == 0 and result["empty"] is True and result["value"] == "0"
+
+
 def test_ideals_subcommand(capsys):
     code, out = run_cli(capsys, "ideals", "--d", "5")
     assert code == 0

@@ -20,7 +20,7 @@ from gothicvol.counting import (
     smm,
     sts_count,
 )
-from gothicvol.euler import chi_W2
+from gothicvol.euler import chi_G, chi_W2, chi_W4, chi_W6
 
 
 def brute_oracle(d):
@@ -171,6 +171,28 @@ def test_three_cycle_orbits_are_the_centralizer_orbits(d):
             assert not orbit & covered, (part, c)
             covered |= orbit
         assert covered == {_cycle_permutation(d, cycle) for cycle in _three_cycles(d)}
+
+
+def test_smm_total_is_minus_six_times_the_chi_of_its_parts():
+    # the composed Fraction sum is the oracle for the one-denominator total
+    for mode in ("main_term", "leading", "remark"):
+        for locus in Locus:
+            for m in range(1, 301):
+                cover = smm(locus, m, mode)
+                chis = []
+                for family, D, r, count in cover.contributions:
+                    if family == "W2":
+                        chi = chi_W2(D)
+                    elif family == "W4":
+                        chi = chi_W4(D, r, "main_term")
+                    elif family == "W6":
+                        chi = chi_W6(D, "main_term")
+                    else:
+                        fallback = mode == "remark" and (r != 1 or D == 4)
+                        chi = chi_G(D, r, "main_term" if fallback else mode)
+                    assert count == -6 * chi, (locus, m, mode, family, D, r)
+                    chis.append(chi)
+                assert cover.total == -6 * sum(chis, Fraction(0)), (locus, m, mode)
 
 
 def test_sts_count():

@@ -1,11 +1,12 @@
 """The Euler-characteristic formulas and their mode semantics."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from gothicvol import euler
-from gothicvol.arith import divisors, moebius, sl2_order
+from gothicvol.arith import divisors, moebius, sigma, sl2_order
 from gothicvol.cli import main
 from gothicvol.euler import (
     c_D,
@@ -70,6 +71,18 @@ def test_chi_w4_components_and_values():
         chi_W4(16, 1, "exact")
 
 
+def test_empty_curves_check_mode_and_component():
+    # emptiness is a value: the checks of a non-empty D still apply
+    assert chi_W4(13, 1) == chi_W4(13) == 0
+    for j, mode in ((1, "main_term"), (2, "exact"), (5, "exact")):
+        with pytest.raises(ValueError):
+            chi_W4(13, j, mode)
+    assert chi_G(5, 1) == 0 and euler.is_empty("g", 5)
+    for r, mode in ((9, "exact"), (2, "exact"), (0, "exact"), (1, "main_term")):
+        with pytest.raises(ValueError):
+            chi_G(5, r, mode)
+
+
 def test_chi_w6():
     assert chi_W6(8) == Fraction(-7, 6)
     assert chi_W6(4, "main_term") == Fraction(-7, 12)
@@ -99,6 +112,36 @@ def test_chi_g_nonsquare():
         chi_G(73, 5)  # only c_D = 4 components
     with pytest.raises(ValueError):
         chi_G(12, 1, "main_term")
+
+
+def test_chi_g_nonsquare_matches_composed_formula():
+    # the readable composition is the oracle for the one-numerator form
+    for D in range(5, 3001):
+        if D % 4 in (2, 3) or euler._is_square(D) is not None:
+            continue
+        if euler.is_empty("g", D):
+            assert chi_G(D) == 0, D
+            continue
+        ratio = euler.X_BR_RATIO[math.gcd(6, euler.conductor_decompose(D).f)]
+        want = Fraction(-3, 2) * ratio * chi_X_nonsquare(D) - 2 * chi_R(D)
+        for r in range(1, c_D(D) + 1):
+            assert chi_G(D, r) == want, (D, r)
+
+
+def test_chi_g_square_matches_composed_formula():
+    for d in range(1, 1001):
+        D, g6 = d * d, math.gcd(6, d)
+        assert c_D(D) == sigma(0, 6 // g6)
+        for r in ([1, 2, 3, 6] if d == 1 else euler.component_list(d)):
+            main = Fraction(-3, 2) * chi_X_br(d, r) - 2 * chi_R(D, "main_term")
+            assert chi_G(D, r, "main_term") == main, (d, r)
+            assert chi_G(D, r, "leading") == -euler.KAPPA_PRIME[g6] * sl2_order(d), (d, r)
+            if r == 1:
+                remark = main + Fraction(euler.REMARK_COEFF[g6], d) * chi_X_br(d, 1)
+                assert chi_G(D, r, "remark") == remark, d
+            else:
+                with pytest.raises(ValueError, match="r = 1 only"):
+                    chi_G(D, r, "remark")
 
 
 def test_chi_g_square_modes():

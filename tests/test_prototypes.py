@@ -185,6 +185,10 @@ def test_walk_equals_the_filter_walk():
             want = list(filter_walk(D, k))
             assert enumerate_prototypes(D, k) == want, (D, k)  # the same triples in the same order
             assert e_value(D, k) == sum(a for a, _, _ in want), (D, k)
+        if D <= 1000:
+            # e_value walks b >= 0 only; the filter walk takes every b
+            for k in (2, 3):
+                assert e_value(D, k) == sum(a for a, _, _ in filter_walk(D, k)), (D, k)
 
 
 def test_e_value_uses_no_divisor_sum_formula(monkeypatch):

@@ -1,6 +1,7 @@
 """Gauss sums, Euler factors and the exact ebar evaluations."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -85,6 +86,19 @@ def test_euler_factor_examples():
     assert euler_factor(1, 2, 1) == Fraction(5, 2)
     assert euler_factor(1, 3, 1) == Fraction(10, 9)
     assert euler_factor(6, 3, 1) == 2  # 9 * 10/9 - 8
+
+
+def test_euler_factor_equals_the_definitional_sum():
+    # summed three levels past J = nu_p(d^2) + 2, where every Gauss sum vanishes
+    for p in (2, 3, 5, 7, 11, 13):
+        for d in range(1, 301):
+            top = 2 * nu(p, d) + 5
+            for k in (1, 2, 3, 6):
+                want = 1 + sum(
+                    Fraction(math.gcd(p**j, 2 * k) ** 2, p ** (2 * j)) * gauss_gamma(p, j, d)
+                    for j in range(1, top + 1)
+                )
+                assert euler_factor(k, p, d) == want, (k, p, d)
 
 
 def test_euler_factor_rejects_non_squarefree_k():
