@@ -113,6 +113,7 @@ def smm(locus: Locus, m: int, mode: str = "main_term") -> CoverCount:
             parts.append(("G", h * h, r, sts_count(euler.chi_G(h * h, r, rmode))))
     counts = [c for *_ignored, c in parts]
     if len(counts) == 1:
+        # most calls have one part; the lcm form below costs one more Fraction
         total = counts[0]
     else:
         den = lcm(*(c.denominator for c in counts))

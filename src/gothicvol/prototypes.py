@@ -13,8 +13,9 @@ built: a prime p divides c0 iff nu_p(n/a) >= 2, so at each prime p of
 gcd(f, b) the exponent of p in a runs over nu_p(n) - 1 and nu_p(n) alone,
 and every other prime is free.  e(D, k) sums each row's admissible a one by
 one, without building triples or sorting them.  The rows of b and -b have
-the same n and the same gcd(f, |b|), so e(D, k) walks b >= 0 only and counts
-each row with b > 0 twice; enumerate_prototypes walks every b.
+the same n and the same gcd(f, |b|), so both walk b >= 0 only: e(D, k)
+counts each row with b > 0 twice, and enumerate_prototypes emits the rows
+of b > 0 mirrored to -b, in reverse, before the rows of b >= 0.
 
 The independent cross-check against these counts is the modular-form
 coefficient route in ``qforms`` (see check_e_and_a there).
@@ -95,45 +96,40 @@ def _admissible_divisors(n: int, gb: int) -> list[int]:
     return divs
 
 
-def _prototype_rows(D: int, k: int):
-    """Yield (b, n, divisors) for every b with |b| < sqrt(D) and
-    b^2 = D mod 4k, by increasing b: n = (D - b^2)/(4k) and ``divisors`` are
-    the admissible a of that row, unsorted (see ``_admissible_divisors``)."""
+def _prototype_rows(D: int, k: int, f: int):
+    """Yield (b, n, divisors) for every b with 0 <= b < sqrt(D) and
+    b^2 = D mod 4k, by increasing b, for a discriminant D >= 2 of conductor
+    f and k >= 1: n = (D - b^2)/(4k) and ``divisors`` are the admissible a
+    of that row, unsorted (see ``_admissible_divisors``).  The row of -b is
+    the row of b with b negated.
+
+    b^2 = D mod 4 forces b = D mod 2, so b steps by 2.
+    """
+    four_k = 4 * k
+    for b in range(D % 2, math.isqrt(D - 1) + 1, 2):  # b < sqrt(D): a*(-c) > 0
+        rem = D - b * b
+        if rem % four_k:
+            continue
+        n = rem // four_k
+        yield b, n, _admissible_divisors(n, math.gcd(f, b))
+
+
+def enumerate_prototypes(D: int, k: int) -> list[tuple[int, int, int]]:
+    """All prototypes (a, b, c) for (D, k), ordered by increasing b then a."""
     _validate_discriminant(D)
     if D < 2:
         raise ValueError("prototype enumeration needs D >= 2 (e(1,k) is a convention)")
     if k < 1:
         raise ValueError("k must be a positive integer")
-    f = conductor_decompose(D).f
-    bmax = math.isqrt(D - 1)  # |b| < sqrt(D), strictly: a*(-c) > 0
-    for b in range(-bmax, bmax + 1):
-        rem = D - b * b
-        if rem % (4 * k):
-            continue
-        n = rem // (4 * k)
-        yield b, n, _admissible_divisors(n, math.gcd(f, abs(b)))
-
-
-def enumerate_prototypes(D: int, k: int) -> list[tuple[int, int, int]]:
-    """All prototypes (a, b, c) for (D, k), ordered by increasing b then a."""
-    return [(a, b, -(n // a)) for b, n, divs in _prototype_rows(D, k) for a in sorted(divs)]
+    rows = [(b, n, sorted(divs)) for b, n, divs in _prototype_rows(D, k, conductor_decompose(D).f)]
+    rows = [(-b, n, divs) for b, n, divs in reversed(rows) if b] + rows
+    return [(a, b, -(n // a)) for b, n, divs in rows for a in divs]
 
 
 def _e_sum(D: int, k: int, f: int) -> int:
-    """e(D, k) as an int for a discriminant D >= 2 of conductor f and k >= 1.
-
-    b runs over 0 <= b < sqrt(D) with b = D mod 2 (b^2 = D mod 4 forces it);
-    the row of b > 0 stands for the row of -b too.
-    """
-    four_k = 4 * k
-    total = 0
-    for b in range(D % 2, math.isqrt(D - 1) + 1, 2):
-        rem = D - b * b
-        if rem % four_k:
-            continue
-        row = sum(_admissible_divisors(rem // four_k, math.gcd(f, b)))
-        total += 2 * row if b else row
-    return total
+    """e(D, k) as an int for a discriminant D >= 2 of conductor f and k >= 1:
+    each row of b > 0 stands for the row of -b too."""
+    return sum(2 * sum(divs) if b else sum(divs) for b, _, divs in _prototype_rows(D, k, f))
 
 
 def e_value(D: int, k: int) -> Fraction:

@@ -264,9 +264,9 @@ def _gothic_curve_counts(h_max: int, mode: str) -> tuple[int, list[int]]:
     leading:   -6 chi = 6 kappa'(g) a(h);
     main_term: -6 chi = (ratio(g)/8) a(h) - (2/c(g)) e(h^2, 6), with
                c(g) = sigma_0(6/g) the number of ideals of norm 6,
-    where g = gcd(6, h) and ratio is euler.X_BR_RATIO.
+    where g = gcd(6, h), ratio is euler.X_BR_RATIO and c is euler._C_D_SQUARE.
     """
-    from .euler import KAPPA_PRIME, X_BR_RATIO
+    from .euler import _C_D_SQUARE, KAPPA_PRIME, X_BR_RATIO
     from .qforms import e6_square_twelfths
 
     atab = sl2_order_table(h_max)
@@ -277,7 +277,7 @@ def _gothic_curve_counts(h_max: int, mode: str) -> tuple[int, list[int]]:
     L = 48
     ca = _by_residue(L, lambda g: X_BR_RATIO[g] / 8)
     # e(h^2, 6) = e12[h] / 12
-    ce = _by_residue(L, lambda g: Fraction(-2, 12 * sigma(0, 6 // g)))
+    ce = _by_residue(L, lambda g: Fraction(-2, 12 * _C_D_SQUARE[g]))
     e12 = e6_square_twelfths(h_max)
     return L, [0] + [ca[h % 6] * atab[h] + ce[h % 6] * e12[h] for h in range(1, h_max + 1)]
 
