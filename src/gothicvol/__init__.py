@@ -26,7 +26,12 @@ closed volume path share, so that neither loads ``euler`` or ``counting``:
 
 ``cli`` and ``volume`` import a module that only some subcommands need inside
 the functions that call it, so a command line request loads only what its
-subcommand runs.
+subcommand runs.  Below them, ``euler`` loads ``qforms`` when its e(d^2, k)
+table first grows and ``ideals`` at its first component check at a square
+discriminant, ``zagier`` loads ``qforms`` inside ``asymptotic_check_e``, and
+``counting`` loads ``euler`` at its first ``smm``.  The records are plain
+classes (namedtuple subclasses when frozen), so no module loads
+``dataclasses``.
 """
 
 from enum import Enum

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
@@ -43,26 +42,46 @@ SIEVE_BOUND = 10**7
 # pi-multiples
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class PiQuantity:
     """An exact rational coefficient times an integer power of pi.
 
     Represents values such as 13*pi^4/31104 or 30*pi^-2 without rounding.
     Multiplication adds pi-powers; addition is defined only between equal
     pi-powers (adding pi^4 to pi^2 has no exact rational representation).
+    Immutable and hashable; the coefficient is always a Fraction.
     """
 
-    coeff: Fraction
-    pi_power: int = 0
+    __slots__ = ("coeff", "pi_power")
 
-    def __post_init__(self):
-        if not isinstance(self.coeff, Fraction):
-            object.__setattr__(self, "coeff", Fraction(self.coeff))
+    def __init__(self, coeff: Fraction, pi_power: int = 0):
+        if not isinstance(coeff, Fraction):
+            coeff = Fraction(coeff)
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "pi_power", pi_power)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of PiQuantity")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of PiQuantity")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.coeff, self.pi_power) == (other.coeff, other.pi_power)
+
+    def __hash__(self):
+        return hash((self.coeff, self.pi_power))
+
+    def __reduce__(self):  # copy and pickle without __setattr__
+        return PiQuantity, (self.coeff, self.pi_power)
 
     def __mul__(self, other):
         if isinstance(other, PiQuantity):
             return PiQuantity(self.coeff * other.coeff, self.pi_power + other.pi_power)
-        return PiQuantity(self.coeff * Fraction(other), self.pi_power)
+        if not isinstance(other, Fraction):
+            other = Fraction(other)
+        return PiQuantity(self.coeff * other, self.pi_power)
 
     __rmul__ = __mul__
 
@@ -196,10 +215,16 @@ def trial_factorize(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def is_prime(n: int) -> bool:
+    """Primality of n: one sieve lookup below the sieve bound, growing the
+    sieve to n as factorize does, and trial division above the bound."""
     if n < 2:
         return False
-    fac = factorize(n)
-    return len(fac) == 1 and fac[0][1] == 1
+    if n >= _spf_bound:
+        if n >= sieve_bound():
+            fac = trial_factorize(n)
+            return len(fac) == 1 and fac[0][1] == 1
+        _ensure_sieve(n + 1)
+    return _spf[n] == 0
 
 
 def divisors(n: int) -> list[int]:

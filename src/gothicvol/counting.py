@@ -35,7 +35,7 @@ pure Python: neither numpy nor ``euler`` is loaded.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from fractions import Fraction
 from math import factorial, lcm, prod
@@ -44,13 +44,12 @@ from . import Locus
 from .arith import divisors, nu, sigma
 
 
-@dataclass(frozen=True)
-class CoverCount:
-    """|S_{m,m}| split by contributing curve: entries (family, D, component, count)."""
+class CoverCount(namedtuple("CoverCount", ("m", "contributions", "total"))):
+    """|S_{m,m}| split by contributing curve: an immutable, hashable tuple
+    (m, contributions, total), whose contributions are (family, D, component,
+    count) tuples and whose total is a Fraction."""
 
-    m: int
-    contributions: tuple[tuple[str, int, int | None, Fraction], ...]
-    total: Fraction
+    __slots__ = ()
 
 
 def sts_count(chi: Fraction) -> Fraction:

@@ -39,12 +39,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 
 from . import MODES, surrogate_mode  # defined in the package root, kept here as euler.*
 from .arith import jordan2, sl2_order
-from .ideals import component_list
 from .prototypes import _e_sum, _validate_discriminant, conductor_decompose, e_value
-from .qforms import e_square_twelfths
 
 # chi(X_{d^2}(b_r)) / chi(X_{d^2}) by gcd(6, d); also the gothic coefficient
 # -chi coefficient table is 3/2 times this.
@@ -130,6 +129,8 @@ def precompute_e_square(k: int, dmax: int) -> None:
         raise ValueError(f"d = {dmax} is beyond the e(d^2, k) bound {E_SQUARE_MAX_D}")
     cached = _E_CACHE.get(k, ())
     if len(cached) <= dmax:
+        from .qforms import e_square_twelfths
+
         size = min(max(dmax, 2 * (len(cached) - 1), 64), E_SQUARE_MAX_D)
         _E_CACHE[k] = e_square_twelfths(k, size)
 
@@ -156,12 +157,23 @@ def chi_X(D: int) -> Fraction:
     return chi_X_square(d) if d is not None else chi_X_nonsquare(D)
 
 
+@cache
+def _ideals():
+    """The ``ideals`` module, imported on the first component check at a
+    square D, so the other requests run without it; a cached call costs a
+    twentieth of an import statement in ``chi_G``, which the euler and
+    counting suites call about 7000 times each."""
+    from . import ideals
+
+    return ideals
+
+
 def chi_X_br(d: int, r: int) -> Fraction:
     """chi(X_{d^2}(b_r)): the (1,6)-polarised surface, independent of r.
 
     r must name a component (r in component_list(d)); d = 1 accepts any r | 6.
     """
-    valid = [1, 2, 3, 6] if d == 1 else component_list(d)
+    valid = [1, 2, 3, 6] if d == 1 else _ideals().component_list(d)
     if r not in valid:
         raise ValueError(f"r = {r} does not name a component for d = {d}")
     return X_BR_RATIO[math.gcd(6, d)] * chi_X_square(d)
@@ -263,7 +275,7 @@ def chi_G(D: int, r: int = 1, mode: str = "exact") -> Fraction:
         rn, rd = ratio.numerator, ratio.denominator
         num = 20 * rd * _e_sum(D, 6, f) - 3 * c * rn * _e_sum(D, 1, f)
         return Fraction(num, 60 * rd * c)
-    valid = [1, 2, 3, 6] if d == 1 else component_list(d)
+    valid = [1, 2, 3, 6] if d == 1 else _ideals().component_list(d)
     if r not in valid:
         raise ValueError(f"r = {r} does not name a component for d = {d}")
     g6 = math.gcd(6, d)

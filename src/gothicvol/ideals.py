@@ -23,17 +23,15 @@ stays an integer; the type is read off after dividing the form by d.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .arith import is_squarefree, sigma
 
 
-@dataclass(frozen=True)
-class QuadPair:
-    """An element (a1, a2) of Z + Z."""
+class QuadPair(namedtuple("QuadPair", ("a1", "a2"))):
+    """An element (a1, a2) of Z + Z; an immutable, hashable tuple."""
 
-    a1: int
-    a2: int
+    __slots__ = ()
 
     def norm(self) -> int:
         return self.a1 * self.a2
@@ -59,18 +57,16 @@ def _trace_product(x: QuadPair, y: QuadPair) -> int:
     return x.a1 * y.a1 + x.a2 * y.a2
 
 
-@dataclass(frozen=True)
-class IdealSpec:
-    """The ideal b_r of norm n in O_{d^2}, with its 2x2 integer basis.
+class IdealSpec(namedtuple("IdealSpec", ("d", "n", "r", "basis"))):
+    """The ideal b_r of norm n in O_{d^2}, with its 2x2 integer basis; an
+    immutable, hashable tuple (d, n, r, basis).
 
-    ``basis`` holds the two generators as columns, i.e. elements of Z + Z.
-    The index of the generated lattice in O_{d^2} equals n.
+    ``basis`` holds the two generators as columns, i.e. elements of Z + Z
+    (a tuple of two QuadPair).  The index of the generated lattice in
+    O_{d^2} equals n.
     """
 
-    d: int
-    n: int
-    r: int
-    basis: tuple[QuadPair, QuadPair]
+    __slots__ = ()
 
     def index_in_order(self) -> int:
         """|det| of the basis in O_{d^2}-coordinates (1,1), (0,d)."""

@@ -24,20 +24,19 @@ coefficient route in ``qforms`` (see check_e_and_a there).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .arith import divisors, factorize
 
 
-@dataclass(frozen=True)
-class DiscriminantDecomposition:
-    """D = f^2 * D0 with D0 a fundamental discriminant, or D0 = 1 for squares."""
+class DiscriminantDecomposition(
+    namedtuple("DiscriminantDecomposition", ("D", "f", "D0", "is_square"))
+):
+    """D = f^2 * D0 with D0 a fundamental discriminant, or D0 = 1 for squares;
+    an immutable, hashable tuple (D, f, D0, is_square)."""
 
-    D: int
-    f: int
-    D0: int
-    is_square: bool
+    __slots__ = ()
 
 
 def _validate_discriminant(D: int) -> None:

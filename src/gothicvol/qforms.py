@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import add, sub
@@ -61,12 +60,23 @@ SQUARE_TABLE_MAX_M = 10**4
 CONVOLUTION_MAX_N = 3 * 10**6
 
 
-@dataclass
 class QExpansion:
-    """Dense 0-indexed coefficient array; valid exponents are 0..truncation."""
+    """Dense 0-indexed coefficient array; valid exponents are 0..truncation.
+    Two expansions are equal when their coefficients and truncations are."""
 
-    coeffs: list[Fraction]
-    truncation: int
+    __slots__ = ("coeffs", "truncation")
+
+    def __init__(self, coeffs: list[Fraction], truncation: int):
+        self.coeffs = coeffs
+        self.truncation = truncation
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.coeffs, self.truncation) == (other.coeffs, other.truncation)
+
+    def __repr__(self):
+        return f"QExpansion(coeffs={self.coeffs!r}, truncation={self.truncation!r})"
 
     @classmethod
     def from_coeffs(cls, coeffs) -> "QExpansion":

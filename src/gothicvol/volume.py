@@ -46,7 +46,7 @@ by the factor chains 2^4 * 2^3 * 3! (P3) and 2^8 * 2^3 (P4), giving
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
 from operator import add, mul
@@ -64,19 +64,42 @@ from .arith import (
 )
 
 
-@dataclass
 class VolumeEstimate:
-    locus: Locus
-    D: int
-    mode: str
-    surrogate: str
-    value: float
-    extrapolated: float
-    exact_target: PiQuantity
-    relative_error: float
-    extrapolated_relative_error: float
-    series: list[tuple[int, float]] = field(default_factory=list)
-    series_exact: list[tuple[int, Fraction]] = field(default_factory=list, repr=False)
+    """A volume estimate at D: its value, the extrapolation, the exact target
+    and the checkpoint series, as float (``series``) and exact raw sums
+    (``series_exact``, left out of the repr).  Each estimate gets its own
+    series lists, and two estimates are equal when all their fields are."""
+
+    __slots__ = ("locus", "D", "mode", "surrogate", "value", "extrapolated",
+                 "exact_target", "relative_error", "extrapolated_relative_error",
+                 "series", "series_exact")
+
+    def __init__(self, locus: Locus, D: int, mode: str, surrogate: str, value: float,
+                 extrapolated: float, exact_target: PiQuantity, relative_error: float,
+                 extrapolated_relative_error: float,
+                 series: list[tuple[int, float]] | None = None,
+                 series_exact: list[tuple[int, Fraction]] | None = None):
+        self.locus = locus
+        self.D = D
+        self.mode = mode
+        self.surrogate = surrogate
+        self.value = value
+        self.extrapolated = extrapolated
+        self.exact_target = exact_target
+        self.relative_error = relative_error
+        self.extrapolated_relative_error = extrapolated_relative_error
+        self.series = [] if series is None else series
+        self.series_exact = [] if series_exact is None else series_exact
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ([getattr(self, name) for name in self.__slots__]
+                == [getattr(other, name) for name in self.__slots__])
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__[:-1])
+        return f"VolumeEstimate({shown})"
 
 
 # The stated reach of the closed path (S_6(10^12) takes one to two seconds).
@@ -235,12 +258,11 @@ def convert_convention(locus: Locus) -> PiQuantity:
 # Direct path
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SmmTotals:
-    """|S_{m,m}| = numerators[m] / denominator for 0 <= m <= mmax (entry 0 is 0)."""
+class SmmTotals(namedtuple("SmmTotals", ("numerators", "denominator"))):
+    """|S_{m,m}| = numerators[m] / denominator for 0 <= m <= mmax (entry 0 is 0);
+    an immutable, hashable tuple (numerators, denominator)."""
 
-    numerators: tuple[int, ...]
-    denominator: int
+    __slots__ = ()
 
 
 _GCD6_BY_RESIDUE = (6, 1, 2, 3, 2, 1)  # gcd(6, h) by h mod 6

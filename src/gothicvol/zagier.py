@@ -40,7 +40,6 @@ ebar6_sixtieths.  Both routes are exposed and must agree exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import (
@@ -57,7 +56,6 @@ from .arith import (
     sigma,
     sl2_order,
 )
-from .qforms import e1_square_twelfths, e6_square_twelfths
 
 # zeta(2)/zeta(4) = prod_p (1 + p^-2) = 15/pi^2
 _ZETA2_OVER_ZETA4 = PiQuantity(Fraction(15), -2)
@@ -239,7 +237,6 @@ def kappa(d: int) -> Fraction:
     return _KAPPA[math.gcd(6, d)]
 
 
-@dataclass
 class AsymptoticReport:
     """Scaled deviations of e(d^2, k) from its main term, for k = 1 and 6.
 
@@ -247,18 +244,37 @@ class AsymptoticReport:
     delta6[d] = |e(d^2,6) - kappa(d) a(d) / 60| / d^(5/2)
 
     with the half-range maxima max over (d_max/2, d_max] and the previous
-    half-range (d_max/4, d_max/2], plus their ratio.
+    half-range (d_max/4, d_max/2], plus their ratio.  The delta lists are
+    left out of the repr; two reports are equal when all their fields are.
     """
 
-    d_max: int
-    delta1: list[float] = field(repr=False)
-    delta6: list[float] = field(repr=False)
-    delta1_upper_max: float = 0.0
-    delta1_lower_max: float = 0.0
-    delta1_ratio: float = 0.0
-    delta6_upper_max: float = 0.0
-    delta6_lower_max: float = 0.0
-    delta6_ratio: float = 0.0
+    __slots__ = ("d_max", "delta1", "delta6", "delta1_upper_max", "delta1_lower_max",
+                 "delta1_ratio", "delta6_upper_max", "delta6_lower_max", "delta6_ratio")
+
+    def __init__(self, d_max: int, delta1: list[float], delta6: list[float],
+                 delta1_upper_max: float = 0.0, delta1_lower_max: float = 0.0,
+                 delta1_ratio: float = 0.0, delta6_upper_max: float = 0.0,
+                 delta6_lower_max: float = 0.0, delta6_ratio: float = 0.0):
+        self.d_max = d_max
+        self.delta1 = delta1
+        self.delta6 = delta6
+        self.delta1_upper_max = delta1_upper_max
+        self.delta1_lower_max = delta1_lower_max
+        self.delta1_ratio = delta1_ratio
+        self.delta6_upper_max = delta6_upper_max
+        self.delta6_lower_max = delta6_lower_max
+        self.delta6_ratio = delta6_ratio
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ([getattr(self, name) for name in self.__slots__]
+                == [getattr(other, name) for name in self.__slots__])
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self.__slots__ if name not in ("delta1", "delta6"))
+        return f"AsymptoticReport({shown})"
 
     def range_max(self, k: int, lo: int, hi: int) -> float:
         deltas = self.delta1 if k == 1 else self.delta6
@@ -280,6 +296,8 @@ def asymptotic_check_e(d_max: int) -> AsymptoticReport:
         raise ValueError("d_max must be >= 24")
     if d_max > ASYMPTOTIC_MAX_D:
         raise ValueError(f"d_max = {d_max} is beyond the bound {ASYMPTOTIC_MAX_D}")
+    from .qforms import e1_square_twelfths, e6_square_twelfths
+
     e1 = e1_square_twelfths(d_max)
     e6 = e6_square_twelfths(d_max)
     delta1 = [0.0] * (d_max + 1)

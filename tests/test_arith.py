@@ -23,6 +23,7 @@ from gothicvol.arith import (
     divisors,
     factorize,
     hermite_sublattices,
+    is_prime,
     jordan2,
     moebius,
     sigma,
@@ -313,6 +314,32 @@ def test_sieve_matches_trial_division_across_a_regrow(monkeypatch):
         assert factorize(n) == arith.trial_factorize(n), n
         sizes.add(arith._spf_bound)
     assert sizes == {0, 2**16, 2**17, 2**18}
+
+
+def test_is_prime_is_the_factorisation_definition_across_a_regrow(monkeypatch):
+    # start from no sieve, so is_prime itself grows it from 2^16 past 2^17
+    monkeypatch.setattr(arith, "_spf", None)
+    monkeypatch.setattr(arith, "_spf_bound", 0)
+    sizes = set()
+    for n in range(-3, 2**17 + 2):
+        prime = is_prime(n)
+        sizes.add(arith._spf_bound)
+        fac = factorize(n) if n >= 1 else ()
+        assert prime == (len(fac) == 1 and fac[0][1] == 1), n
+    assert sizes == {0, 2**16, 2**17, 2**18}
+    assert not any(is_prime(n) for n in (-7, -2, -1, 0, 1))
+
+
+def test_is_prime_past_the_sieve_bound_uses_trial_division(monkeypatch):
+    def no_sieve(size):
+        raise AssertionError(f"a sieve of {size} entries was asked for")
+
+    monkeypatch.setattr(arith, "_ensure_sieve", no_sieve)
+    assert arith.SIEVE_BOUND <= 10_000_001
+    assert is_prime(10_000_019) and is_prime(2_147_483_647)  # 2^31 - 1
+    assert not is_prime(10_000_001)  # 11 * 909091
+    assert not is_prime(10_000_021)  # 97 * 103093
+    assert not is_prime(3163**2)  # 10004569, the square of a prime
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -206,12 +206,14 @@ def test_invalid_input_exits_2(capsys):
 
 # Runs each argv through cli.main in one process and reports, after each,
 # its exit code and which watched modules have been imported so far; then the
-# same after a control that imports a watched module.
+# same after a control that imports a watched module.  Besides numpy, it
+# watches dataclasses and the inspect module that dataclasses loads: at about
+# 10 ms they were the largest import of a request's start-up.
 _NUMPY_LOADS = """
 import contextlib, io, json, sys
 from gothicvol.cli import main
 
-WATCHED = {"numpy", "colorsys"}
+WATCHED = {"numpy", "dataclasses", "inspect", "colorsys"}
 loaded = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -241,6 +243,8 @@ def test_no_request_imports_numpy():
         ["smm", "--locus", "gothic", "--m", "24"],
         ["cd", "--locus", "h2", "--d", "6"],
         ["oracle-h2", "--d", "6"],
+        ["verify", "--suite", "zagier"],
+        ["verify", "--suite", "ideals"],
     ]
     proc = fresh_process(["-c", _NUMPY_LOADS, json.dumps(requests)])
     assert proc.returncode == 0, proc.stderr
@@ -272,7 +276,9 @@ def test_each_request_loads_only_what_its_subcommand_runs():
         ("zagier", "--dmax", "3"),
         ("ideals", "--d", "5"),
         ("chi", "--family", "g", "--D", "97"),
+        ("chi", "--family", "x", "--D", "144"),
         ("smm", "--locus", "gothic", "--m", "6"),
+        ("smm", "--locus", "h2", "--m", "6"),
         ("cd", "--locus", "h2", "--d", "6"),
         ("volume", "--locus", "gothic", "--dmax", "200", "--mode", "direct"),
     ]
@@ -292,6 +298,15 @@ def test_each_request_loads_only_what_its_subcommand_runs():
                               "gothicvol.counting"}
     for argv in requests:
         assert "gothicvol.verify" not in loaded[argv], argv
+    # only square discriminants read the e(d^2, k) table and name components
+    square_only = {"gothicvol.qforms", "gothicvol.ideals"}
+    for argv in (("chi", "--family", "g", "--D", "97"), ("chi", "--family", "x", "--D", "144"),
+                 ("smm", "--locus", "h2", "--m", "6")):
+        assert not loaded[argv] & square_only, (argv, loaded[argv])
+    assert loaded[("smm", "--locus", "gothic", "--m", "6")] >= square_only
+    # only the asymptotic report reads qforms' e(d^2, k) routes
+    for argv in (("zagier", "--dmax", "3"), suite["zagier"]):
+        assert not loaded[argv] & {"gothicvol.qforms", "gothicvol.prototypes"}, argv
     # each verify check imports the modules it calls
     assert loaded[suite["ideals"]] == {"gothicvol", "gothicvol.arith", "gothicvol.cli",
                                        "gothicvol.ideals", "gothicvol.verify"}

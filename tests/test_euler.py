@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gothicvol import euler
+from gothicvol import euler, ideals, qforms
 from gothicvol.arith import divisors, moebius, sigma, sl2_order
 from gothicvol.cli import main
 from gothicvol.euler import (
@@ -132,7 +132,7 @@ def test_chi_g_square_matches_composed_formula():
     for d in range(1, 1001):
         D, g6 = d * d, math.gcd(6, d)
         assert c_D(D) == sigma(0, 6 // g6)
-        for r in ([1, 2, 3, 6] if d == 1 else euler.component_list(d)):
+        for r in ([1, 2, 3, 6] if d == 1 else ideals.component_list(d)):
             main = Fraction(-3, 2) * chi_X_br(d, r) - 2 * chi_R(D, "main_term")
             assert chi_G(D, r, "main_term") == main, (d, r)
             assert chi_G(D, r, "leading") == -euler.KAPPA_PRIME[g6] * sl2_order(d), (d, r)
@@ -214,7 +214,7 @@ def test_e_square_table_grows_geometrically(monkeypatch):
         return e6_square_twelfths(dmax)
 
     monkeypatch.setattr(euler, "_E_CACHE", {})
-    monkeypatch.setattr(euler, "e_square_twelfths", recorded)
+    monkeypatch.setattr(qforms, "e_square_twelfths", recorded)
     want = e6_square_twelfths(1000)
     for d in range(1, 1001):
         assert euler.e_square(d, 6) == Fraction(want[d], 12), d
@@ -229,7 +229,7 @@ def test_e_square_refuses_beyond_its_bound_before_any_build(monkeypatch, capsys)
         return (0,) * (dmax + 1)  # stands in for the table, which is not built
 
     monkeypatch.setattr(euler, "_E_CACHE", {6: (0,) * 200001})
-    monkeypatch.setattr(euler, "e_square_twelfths", recorded)
+    monkeypatch.setattr(qforms, "e_square_twelfths", recorded)
     bound = euler.E_SQUARE_MAX_D
     with pytest.raises(ValueError):
         euler.e_square(bound + 1, 6)

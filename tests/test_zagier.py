@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from gothicvol import zagier
+from gothicvol import qforms, zagier
 from gothicvol.arith import PiQuantity, coprime_part, divisors, moebius, nu, sl2_order
 from gothicvol.cli import main
 from gothicvol.zagier import (
@@ -173,8 +173,8 @@ def test_asymptotic_report_refuses_beyond_bound(monkeypatch):
     def no_tables(dmax):
         raise AssertionError("a table was built beyond the report's bound")
 
-    monkeypatch.setattr(zagier, "e1_square_twelfths", no_tables)
-    monkeypatch.setattr(zagier, "e6_square_twelfths", no_tables)
+    monkeypatch.setattr(qforms, "e1_square_twelfths", no_tables)
+    monkeypatch.setattr(qforms, "e6_square_twelfths", no_tables)
     with pytest.raises(ValueError):
         asymptotic_check_e(zagier.ASYMPTOTIC_MAX_D + 1)
 
