@@ -11,7 +11,9 @@ Modules:
     euler      -- every Euler-characteristic formula, with surrogate modes
     counting   -- square-tiled counts |S_{m,m}|, |C_d| and the H(2) oracle
     volume     -- S_k sums, direct/closed volume estimators, exact targets
-    verify     -- the consolidated cross-oracle invariant suite
+    verify     -- the consolidated cross-oracle invariant suite: registry
+                  and runner
+    checks     -- the bodies of the verify checks, one module per suite
     cli        -- machine-readable command line front end
 
 The package root holds the vocabulary that the command line parser and the
@@ -25,13 +27,15 @@ closed volume path share, so that neither loads ``euler`` or ``counting``:
                       also ``euler.surrogate_mode``
 
 ``cli`` and ``volume`` import a module that only some subcommands need inside
-the functions that call it, so a command line request loads only what its
+the functions that call it, and ``cli`` builds the argument parser of the
+requested subcommand alone, so a command line request loads only what its
 subcommand runs.  Below them, ``euler`` loads ``qforms`` when its e(d^2, k)
-table first grows and ``ideals`` at its first component check at a square
-discriminant, ``zagier`` loads ``qforms`` inside ``asymptotic_check_e``, and
-``counting`` loads ``euler`` at its first ``smm``.  The records are plain
-classes (namedtuple subclasses when frozen), so no module loads
-``dataclasses``.
+table first grows (it names the components at a square discriminant by its
+own divisor rule, without ``ideals``), ``zagier`` loads ``qforms`` inside
+``asymptotic_check_e``, ``counting`` loads ``euler`` at its first ``smm``,
+and ``verify`` loads the ``checks`` module of each suite it runs.  The
+records are plain classes (namedtuple subclasses when frozen), so no module
+loads ``dataclasses``.
 """
 
 from enum import Enum

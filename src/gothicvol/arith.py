@@ -251,13 +251,31 @@ def nu(p: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 def moebius(n: int) -> int:
-    """mu(n): 0 if a square divides n, else (-1)^(number of prime factors)."""
+    """mu(n): 0 if a square divides n, else (-1)^(number of prime factors).
+
+    Walks the SPF sieve, growing it as factorize does, and stops at the
+    first repeated prime; past the sieve bound it trial-factorises n.
+    """
     if n < 1:
         raise ValueError(f"moebius expects n >= 1, got {n}")
-    fac = factorize(n)
-    if any(e > 1 for _, e in fac):
-        return 0
-    return -1 if len(fac) % 2 else 1
+    if n == 1:
+        return 1
+    if n >= _spf_bound:
+        if n >= sieve_bound():
+            fac = trial_factorize(n)
+            if any(e > 1 for _, e in fac):
+                return 0
+            return -1 if len(fac) % 2 else 1
+        _ensure_sieve(n + 1)
+    spf = _spf
+    mu = 1
+    while n > 1:
+        p = spf[n] or n  # 0 marks a prime
+        n //= p
+        if n % p == 0:
+            return 0
+        mu = -mu
+    return mu
 
 
 def sigma(k: int, n: int) -> int:

@@ -1,0 +1,88 @@
+"""Checks of the ``euler`` suite: chi(X_{d^2}), W_{m^2}(2) integrality and the
+gothic values, with ``ideals`` as the independent rule for the components."""
+
+from __future__ import annotations
+
+import math
+
+from .. import arith, euler, ideals
+from ..arith import moebius_table
+from ..verify import _check
+
+
+@_check("chi(X_{d^2}) = a(d)/72 against the mu-sum definition, d <= 5000", "euler")
+def _chi_x_square():
+    # 72 chi(X_{d^2}) against the integer d * sum_{r|d} mu(r) (d/r)^2
+    N = 5000
+    squares = [n * n for n in range(N + 1)]
+    mu_sum = arith.dirichlet_convolve(moebius_table(N), squares, N)
+    for d in range(1, N + 1):
+        if 72 * euler.chi_X_square(d) != d * mu_sum[d]:
+            raise AssertionError(d)
+    return "both formulas agree"
+
+
+@_check("-6 chi(W_{m^2}(2)) is a nonnegative integer, zero iff m = 2, m <= 2000", "euler")
+def _w2_integrality():
+    for m in range(2, 2001):
+        v = -6 * euler.chi_W2(m * m)
+        if not (v.denominator == 1 and v >= 0):
+            raise AssertionError(m)
+        if (v == 0) != (m == 2):
+            raise AssertionError(m)
+    return "orbifold counts are honest integers"
+
+
+@_check("gothic non-square non-emptiness exactly on the residue set, D <= 2000", "euler")
+def _gothic_residues():
+    for D in range(5, 2001):
+        if D % 4 in (2, 3) or math.isqrt(D) ** 2 == D:
+            continue
+        # a curve has chi < 0, and an empty one chi = 0
+        chi = euler.chi_G(D, 1, "exact")
+        if not (chi < 0 if D % 24 in euler.GOTHIC_RESIDUES else chi == 0):
+            raise AssertionError(D)
+    return "emptiness scan"
+
+
+@_check("main_term vs leading gap, scaled by d^(5/2), half-range check, d <= 2000", "euler")
+def _main_vs_leading():
+    dmax = 2000
+    # one e(d^2, 6) build for the whole range, not one per doubling of d
+    euler.precompute_e_square(6, dmax)
+    gaps = [0.0] * (dmax + 1)
+    for d in range(1, dmax + 1):
+        main = euler.chi_G(d * d, 1, "main_term")
+        lead = euler.chi_G(d * d, 1, "leading")
+        gaps[d] = float(abs(main - lead)) / float(d) ** 2.5
+    hi = max(gaps[dmax // 2 + 1 :])
+    lo = max(gaps[dmax // 4 + 1 : dmax // 2 + 1])
+    if not hi <= lo:
+        raise AssertionError((hi, lo))
+    return f"max gap {max(gaps):.4f}, upper half {hi:.4f} <= lower half {lo:.4f}"
+
+
+@_check("components offered by chi_G(d^2, r) equal component_list(d), d <= 200", "euler")
+def _chi_g_components():
+    for d in range(2, 201):
+        offered = []
+        for r in (1, 2, 3, 6):
+            try:
+                euler.chi_G(d * d, r, "main_term")
+                offered.append(r)
+            except ValueError:
+                pass
+        if offered != ideals.component_list(d):
+            raise AssertionError(d)
+    return "validation mirrors the ideal classes"
+
+
+@_check("remark values sit inside the boundary sandwich, d <= 500", "euler")
+def _remark_sandwich():
+    for d in range(2, 501):
+        main = euler.chi_G(d * d, 1, "main_term")
+        remark = euler.chi_G(d * d, 1, "remark")
+        gap = euler.chi_boundary_gap(d, 1)
+        if not main <= remark <= main + gap:
+            raise AssertionError(d)
+    return "main <= remark <= main + (9/d) chi(X(b_r))"

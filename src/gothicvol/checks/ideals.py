@@ -1,0 +1,104 @@
+"""Checks of the ``ideals`` suite: ideal bases, equality, Galois conjugation,
+class counts, symplectic type and polarisation."""
+
+from __future__ import annotations
+
+import math
+
+from .. import ideals
+from ..verify import _check
+
+
+def _lattice_hnf(gens) -> tuple:
+    """HNF of the lattice spanned by two QuadPairs (for brute-force equality)."""
+    a, b = (gens[0].a1, gens[0].a2), (gens[1].a1, gens[1].a2)
+    rows = [list(a), list(b)]
+    # integer row reduction to upper triangular
+    while rows[1][0]:
+        if rows[0][0] == 0 or (rows[1][0] and abs(rows[1][0]) < abs(rows[0][0])):
+            rows[0], rows[1] = rows[1], rows[0]
+        q = rows[1][0] // rows[0][0]
+        rows[1] = [x - q * y for x, y in zip(rows[1], rows[0])]
+    if rows[0][0] < 0:
+        rows[0] = [-x for x in rows[0]]
+    if rows[1][1] < 0:
+        rows[1] = [-x for x in rows[1]]
+    if rows[1][1]:
+        rows[0][1] %= rows[1][1]
+    return tuple(rows[0]), tuple(rows[1])
+
+
+@_check("ideal bases: membership and index 6 in the order, d <= 200, r | 6", "ideals")
+def _ideal_bases():
+    for d in range(2, 201):
+        for r in (1, 2, 3, 6):
+            spec = ideals.ideal_basis(d, 6, r)
+            for g in spec.basis:
+                if not ideals.ideal_membership(spec, g):
+                    raise AssertionError((d, r))
+            if spec.index_in_order() != 6:
+                raise AssertionError((d, r))
+    return "all divisors r of 6"
+
+
+@_check("ideal_equal matches brute-force lattice equality, d <= 100", "ideals")
+def _ideal_equal_brute():
+    for d in range(2, 101):
+        rs = (1, 2, 3, 6)
+        hnfs = {r: _lattice_hnf(ideals.ideal_basis(d, 6, r).basis) for r in rs}
+        for r in rs:
+            for s in rs:
+                if ideals.ideal_equal(d, 6, r, s) != (hnfs[r] == hnfs[s]):
+                    raise AssertionError((d, r, s))
+    return "lcm criterion vs HNF comparison"
+
+
+@_check("galois conjugation swaps b_r and b_{6/r}, d <= 100", "ideals")
+def _galois_swap():
+    for d in range(2, 101):
+        for r in (1, 2, 3, 6):
+            src = ideals.ideal_basis(d, 6, r)
+            dst = ideals.ideal_basis(d, 6, ideals.galois_conjugate(r, 6))
+            for g in src.basis:
+                if not ideals.ideal_membership(dst, g.conjugate()):
+                    raise AssertionError((d, r))
+            for g in dst.basis:
+                if not ideals.ideal_membership(src, g.conjugate()):
+                    raise AssertionError((d, r))
+    return "membership of conjugated generators both ways"
+
+
+@_check("class_count = sigma_0(6/(d,6)) = deduplicated ideal count, d <= 500", "ideals")
+def _class_count_dedup():
+    for d in range(2, 501):
+        distinct = []
+        for r in (1, 2, 3, 6):
+            if not any(ideals.ideal_equal(d, 6, r, s) for s in distinct):
+                distinct.append(r)
+        if ideals.class_count(d, 6) != len(distinct):
+            raise AssertionError(d)
+        if sorted(distinct) != ideals.component_list(d):
+            raise AssertionError(d)
+    return "dedup by ideal_equal matches the sigma_0 rule"
+
+
+@_check("trace pairing has symplectic type (1,6), d <= 200", "ideals")
+def _symplectic_type():
+    for d in range(2, 201):
+        for r in ideals.component_list(d):
+            M = ideals.gram_matrix(d, 6, r)
+            if not all(M[i][j] == -M[j][i] for i in range(4) for j in range(4)):
+                raise AssertionError((d, r))
+            if ideals.symplectic_divisors(M) != (1, 6):
+                raise AssertionError((d, r))
+    return "congruence reduction on every component"
+
+
+@_check("polarization restriction = (lcm(d,r), lcm(d,6/r)), d <= 500", "ideals")
+def _polarization():
+    for d in range(2, 501):
+        for r in ideals.component_list(d):
+            got = ideals.polarization_restriction(d, 6, r)
+            if got != (math.lcm(d, r), math.lcm(d, 6 // r)):
+                raise AssertionError((d, r, got))
+    return "eigenform sublattice pairing on every component"

@@ -1,0 +1,54 @@
+"""Checks of the ``prototypes`` suite: prototype invariants and e(D, 1) at
+conductor 1."""
+
+from __future__ import annotations
+
+import math
+
+from .. import arith, prototypes, qforms
+from ..verify import _check
+
+
+@_check("prototype invariants and b -> -b parity, D <= 5000, k in {1,6}", "prototypes")
+def _prototype_invariants():
+    # c = c0^2 c' is decomposed, and c' tested squarefree, once per distinct c
+    c0_of: dict[int, int] = {}
+    checked = 0
+    for D in range(4, 5001):
+        if D % 4 in (2, 3):
+            continue
+        f = prototypes.conductor_decompose(D).f
+        for k in (1, 6):
+            protos = prototypes.enumerate_prototypes(D, k)
+            for a, b, c in protos:
+                if not a > 0 > c:
+                    raise AssertionError((D, k, (a, b, c)))
+                if b * b - 4 * k * a * c != D:
+                    raise AssertionError((D, k, (a, b, c)))
+                c0 = c0_of.get(c)
+                if c0 is None:
+                    c0, cp = arith.squarefree_decompose(c)
+                    if not (c0 * c0 * cp == c and arith.is_squarefree(abs(cp))):
+                        raise AssertionError((D, k, (a, b, c)))
+                    c0_of[c] = c0
+                if math.gcd(math.gcd(f, abs(b)), c0) != 1:
+                    raise AssertionError((D, k, (a, b, c)))
+            if sum(b > 0 for _, b, _ in protos) != sum(b < 0 for _, b, _ in protos):
+                raise AssertionError((D, k))
+            checked += len(protos)
+    return f"{checked} prototypes re-verified"
+
+
+@_check("fundamental non-square D <= 1000: e(D,1) equals e_1(D)", "prototypes")
+def _fundamental_matches_qexp():
+    for D in range(5, 1001):
+        if D % 4 in (2, 3) or math.isqrt(D) ** 2 == D:
+            continue
+        if prototypes.conductor_decompose(D).f != 1:
+            continue
+        e = prototypes.e_value(D, 1)
+        if e != qforms.ek_coeff(1, D):
+            raise AssertionError(D)
+        if not (e / 30).denominator <= 30:
+            raise AssertionError(D)
+    return "single-term Moebius inversion at conductor 1"

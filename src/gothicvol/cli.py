@@ -9,10 +9,11 @@ as CSV with ``--csv``.
 
 Exit codes: 0 success, 2 input validation failure, 1 internal check failure.
 
-Each handler imports the modules it runs, so a request loads only what its
+Each handler imports the modules it runs, and ``main`` builds the parser of
+the requested subcommand alone, so a request loads and sets up only what its
 subcommand needs: ``sk`` and ``volume --mode closed`` load arith and volume
-alone, and only ``verify`` loads the invariant suite, whose checks in turn
-load only the modules of the suite that runs.
+alone, and only ``verify`` loads the invariant suite, which loads the check
+module of each suite it runs and the library modules those checks call.
 """
 
 from __future__ import annotations
@@ -283,7 +284,56 @@ class _VerifyFailure(Exception):
         self.result = result
 
 
-def build_parser() -> argparse.ArgumentParser:
+_INT = {"type": int, "required": True}
+_LOCUS = ("--locus", {"choices": tuple(_LOCI), "required": True})
+_SURROGATE = ("--surrogate", {"choices": ("main", "leading", "remark"), "default": "main"})
+
+# subcommand -> (help, handler, its own arguments as (flag, add_argument keywords))
+_SUBCOMMANDS = {
+    "proto": ("enumerate the prototype set P_k(D)", _cmd_proto,
+              (("--D", _INT), ("--k", _INT))),
+    "e": ("the weighted count e(D, k)", _cmd_e, (("--D", _INT), ("--k", _INT))),
+    "qexp": ("q-expansion coefficients (exact rationals)", _cmd_qexp,
+             (("--series", {"choices": ("theta", "g2", "fk", "ek"), "required": True}),
+              ("--k", {"type": int, "default": 1}),
+              ("--N", _INT))),
+    "zagier": ("ebar_1 / ebar_6 values and asymptotic reports", _cmd_zagier,
+               (("--what", {"choices": ("ebar", "asymptotic"), "default": "ebar"}),
+                ("--dmax", _INT))),
+    "ideals": ("ideal bases, class counts, polarizations", _cmd_ideals,
+               (("--d", _INT), ("--n", {"type": int, "default": 6}))),
+    "chi": ("Euler characteristics chi(...)", _cmd_chi,
+            (("--family", {"choices": ("x", "xbr", "w2", "w4", "w6", "r", "g"),
+                           "required": True}),
+             ("--D", _INT),
+             ("--r", {"type": int, "default": 1}),
+             ("--j", {"type": int, "default": 1}),
+             ("--d", {"type": int, "default": 0,
+                      "help": "for family=xbr: the square root of D"}),
+             ("--mode", {"choices": tuple(MODES), "default": "exact"}))),
+    "smm": ("|S_{m,m}| split by contributing curve", _cmd_smm,
+            (_LOCUS, ("--m", _INT), _SURROGATE)),
+    "cd": ("|C_d|: all torus covers of degree d", _cmd_cd,
+           (_LOCUS, ("--d", _INT), _SURROGATE)),
+    "oracle-h2": ("permutation-pair count for H(2)", _cmd_oracle_h2, (("--d", _INT),)),
+    "sk": ("the divisor-convolution sum S_k(D)", _cmd_sk, (("--k", _INT), ("--D", _INT))),
+    "volume": ("Masur-Veech volume estimate", _cmd_volume,
+               (_LOCUS, ("--dmax", _INT),
+                ("--mode", {"choices": ("direct", "closed"), "default": "direct"}),
+                _SURROGATE)),
+    # no choices for --suite: run_suite refuses an unknown suite and lists
+    # them all, and naming them here would load verify for every request
+    "verify": ("run the cross-oracle invariant suite", _cmd_verify,
+               (("--suite", {"default": "all",
+                             "help": "one suite, or all (the default); an unknown name "
+                                     "exits 2 with the list"}),)),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command line parser: with every subcommand, or, given the name of
+    one, with that subcommand alone, which parses its arguments alike and
+    shows the same usage and help."""
     ap = argparse.ArgumentParser(
         prog="gothicvol",
         description="Euler characteristics of arithmetic Teichmueller curves "
@@ -296,88 +346,24 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--csv", action="store_true", help="emit series results as CSV")
     common.add_argument("--float", action="store_true",
                         help="render exact values as decimals")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
-
-    p = add_parser("proto", help="enumerate the prototype set P_k(D)")
-    p.add_argument("--D", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(fn=_cmd_proto)
-
-    p = add_parser("e", help="the weighted count e(D, k)")
-    p.add_argument("--D", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(fn=_cmd_e)
-
-    p = add_parser("qexp", help="q-expansion coefficients (exact rationals)")
-    p.add_argument("--series", choices=("theta", "g2", "fk", "ek"), required=True)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--N", type=int, required=True)
-    p.set_defaults(fn=_cmd_qexp)
-
-    p = add_parser("zagier", help="ebar_1 / ebar_6 values and asymptotic reports")
-    p.add_argument("--what", choices=("ebar", "asymptotic"), default="ebar")
-    p.add_argument("--dmax", type=int, required=True)
-    p.set_defaults(fn=_cmd_zagier)
-
-    p = add_parser("ideals", help="ideal bases, class counts, polarizations")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, default=6)
-    p.set_defaults(fn=_cmd_ideals)
-
-    p = add_parser("chi", help="Euler characteristics chi(...)")
-    p.add_argument("--family", choices=("x", "xbr", "w2", "w4", "w6", "r", "g"),
-                   required=True)
-    p.add_argument("--D", type=int, required=True)
-    p.add_argument("--r", type=int, default=1)
-    p.add_argument("--j", type=int, default=1)
-    p.add_argument("--d", type=int, default=0, help="for family=xbr: the square root of D")
-    p.add_argument("--mode", choices=tuple(MODES), default="exact")
-    p.set_defaults(fn=_cmd_chi)
-
-    p = add_parser("smm", help="|S_{m,m}| split by contributing curve")
-    p.add_argument("--locus", choices=tuple(_LOCI), required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--surrogate", choices=("main", "leading", "remark"), default="main")
-    p.set_defaults(fn=_cmd_smm)
-
-    p = add_parser("cd", help="|C_d|: all torus covers of degree d")
-    p.add_argument("--locus", choices=tuple(_LOCI), required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--surrogate", choices=("main", "leading", "remark"), default="main")
-    p.set_defaults(fn=_cmd_cd)
-
-    p = add_parser("oracle-h2", help="permutation-pair count for H(2)")
-    p.add_argument("--d", type=int, required=True)
-    p.set_defaults(fn=_cmd_oracle_h2)
-
-    p = add_parser("sk", help="the divisor-convolution sum S_k(D)")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--D", type=int, required=True)
-    p.set_defaults(fn=_cmd_sk)
-
-    p = add_parser("volume", help="Masur-Veech volume estimate")
-    p.add_argument("--locus", choices=tuple(_LOCI), required=True)
-    p.add_argument("--dmax", type=int, required=True)
-    p.add_argument("--mode", choices=("direct", "closed"), default="direct")
-    p.add_argument("--surrogate", choices=("main", "leading", "remark"), default="main")
-    p.set_defaults(fn=_cmd_volume)
-
-    p = add_parser("verify", help="run the cross-oracle invariant suite")
-    # no choices here: run_suite refuses an unknown suite and lists them all,
-    # and naming them would load the suite for every request
-    p.add_argument("--suite", default="all",
-                   help="one suite, or all (the default); an unknown name exits 2 "
-                   "with the list")
-    p.set_defaults(fn=_cmd_verify)
-
+    # a lone subcommand is still listed with all of them in the usage line
+    every = None if command is None else "{" + ",".join(_SUBCOMMANDS) + "}"
+    sub = ap.add_subparsers(dest="command", required=True, metavar=every)
+    for name, (help_text, fn, arguments) in _SUBCOMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, parents=[common], help=help_text)
+            for flag, kwargs in arguments:
+                p.add_argument(flag, **kwargs)
+            p.set_defaults(fn=fn)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # build the requested subcommand's parser alone; --help, nothing or an
+    # unknown name gets them all
+    ap = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     args = ap.parse_args(argv)
     started = time.perf_counter()
     try:

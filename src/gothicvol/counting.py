@@ -54,7 +54,7 @@ class CoverCount(namedtuple("CoverCount", ("m", "contributions", "total"))):
 
 def sts_count(chi: Fraction) -> Fraction:
     """Number of minimal torus covers of degree and area m on a curve: -6 chi."""
-    if chi > 0:
+    if chi.numerator > 0:
         raise ValueError("Teichmueller curves have chi <= 0")
     return Fraction(-6 * chi.numerator, chi.denominator)
 
@@ -124,10 +124,10 @@ def cd_count(locus: Locus, d: int, mode: str = "main_term") -> Fraction:
     """|C_d| = sum_{m|d} sigma(d/m) |S_{m,m}|: all torus covers of degree d."""
     if d < 1:
         raise ValueError("need d >= 1")
-    return sum(
-        (sigma(1, d // m) * smm(locus, m, mode).total for m in divisors(d)),
-        Fraction(0),
-    )
+    # the terms as ints over the least common denominator, as in smm
+    terms = [(sigma(1, d // m), smm(locus, m, mode).total) for m in divisors(d)]
+    den = lcm(*(t.denominator for _, t in terms))
+    return Fraction(sum(w * t.numerator * (den // t.denominator) for w, t in terms), den)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache
 
 from . import MODES, surrogate_mode  # defined in the package root, kept here as euler.*
 from .arith import jordan2, sl2_order
@@ -157,25 +156,20 @@ def chi_X(D: int) -> Fraction:
     return chi_X_square(d) if d is not None else chi_X_nonsquare(D)
 
 
-@cache
-def _ideals():
-    """The ``ideals`` module, imported on the first component check at a
-    square D, so the other requests run without it; a cached call costs a
-    twentieth of an import statement in ``chi_G``, which the euler and
-    counting suites call about 7000 times each."""
-    from . import ideals
-
-    return ideals
+def _check_component(d: int, r: int) -> None:
+    """Refuse an r that names no component of G_{d^2}: the components are the
+    r dividing 6/(6, d), one per ideal of norm 6 (so c_D = sigma_0(6/(d, 6)),
+    as in _C_D_SQUARE); d = 1 accepts any r | 6."""
+    if r < 1 or (6 // math.gcd(6, d)) % r:
+        raise ValueError(f"r = {r} does not name a component for d = {d}")
 
 
 def chi_X_br(d: int, r: int) -> Fraction:
     """chi(X_{d^2}(b_r)): the (1,6)-polarised surface, independent of r.
 
-    r must name a component (r in component_list(d)); d = 1 accepts any r | 6.
+    r must name a component (r | 6/(6, d), which is ideals.component_list(d)).
     """
-    valid = [1, 2, 3, 6] if d == 1 else _ideals().component_list(d)
-    if r not in valid:
-        raise ValueError(f"r = {r} does not name a component for d = {d}")
+    _check_component(d, r)
     return X_BR_RATIO[math.gcd(6, d)] * chi_X_square(d)
 
 
@@ -275,9 +269,7 @@ def chi_G(D: int, r: int = 1, mode: str = "exact") -> Fraction:
         rn, rd = ratio.numerator, ratio.denominator
         num = 20 * rd * _e_sum(D, 6, f) - 3 * c * rn * _e_sum(D, 1, f)
         return Fraction(num, 60 * rd * c)
-    valid = [1, 2, 3, 6] if d == 1 else _ideals().component_list(d)
-    if r not in valid:
-        raise ValueError(f"r = {r} does not name a component for d = {d}")
+    _check_component(d, r)
     g6 = math.gcd(6, d)
     a = sl2_order(d)
     if mode == "leading":

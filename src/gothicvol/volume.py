@@ -289,13 +289,14 @@ def _gothic_curve_counts(h_max: int, mode: str) -> tuple[int, list[int]]:
     where g = gcd(6, h), ratio is euler.X_BR_RATIO and c is euler._C_D_SQUARE.
     """
     from .euler import _C_D_SQUARE, KAPPA_PRIME, X_BR_RATIO
-    from .qforms import e6_square_twelfths
 
     atab = sl2_order_table(h_max)
     if mode == "leading":
         L = 720
         ca = _by_residue(L, lambda g: 6 * KAPPA_PRIME[g])
         return L, [ca[h % 6] * atab[h] for h in range(h_max + 1)]
+    from .qforms import e6_square_twelfths
+
     L = 48
     ca = _by_residue(L, lambda g: X_BR_RATIO[g] / 8)
     # e(h^2, 6) = e12[h] / 12

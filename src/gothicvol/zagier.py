@@ -57,10 +57,6 @@ from .arith import (
     sl2_order,
 )
 
-# zeta(2)/zeta(4) = prod_p (1 + p^-2) = 15/pi^2
-_ZETA2_OVER_ZETA4 = PiQuantity(Fraction(15), -2)
-
-
 def _gamma(p: int, r: int, v: int) -> int:
     """gamma_{p^r}(d^2) for a prime p and r >= 1, given v = nu_p(d^2)."""
     if p == 2:
@@ -83,6 +79,20 @@ def gauss_gamma(p: int, r: int, d: int) -> Fraction:
     return Fraction(_gamma(p, r, 2 * nu(p, d)))
 
 
+def _euler_factor_ints(k: int, p: int, d: int) -> tuple[int, int]:
+    """(N, p^(2J)) with P_k(p, d^2) = N / p^(2J), for a prime p and a
+    squarefree k; J = nu_p(d^2) + 2 because all later Gauss sums vanish."""
+    v = 2 * nu(p, d)
+    J = v + 2
+    total = p ** (2 * J)
+    for j in range(1, J + 1):
+        g = _gamma(p, j, v)
+        if g:
+            w = math.gcd(p**j, 2 * k)
+            total += w * w * g * p ** (2 * (J - j))
+    return total, p ** (2 * J)
+
+
 def euler_factor(k: int, p: int, d: int) -> Fraction:
     """The local factor P_k(p, d^2), exact:
 
@@ -95,31 +105,29 @@ def euler_factor(k: int, p: int, d: int) -> Fraction:
         raise ValueError(f"k = {k} must be squarefree")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    v = 2 * nu(p, d)
-    J = v + 2
-    total = p ** (2 * J)
-    for j in range(1, J + 1):
-        g = _gamma(p, j, v)
-        if g:
-            w = math.gcd(p**j, 2 * k)
-            total += w * w * g * p ** (2 * (J - j))
-    return Fraction(total, p ** (2 * J))
+    return Fraction(*_euler_factor_ints(k, p, d))
 
 
 def estar_euler_product(k: int, d: int) -> PiQuantity:
     """e*_k(d^2) = prod_p P_k(p, d^2) as an exact rational times pi^-2.
 
     For p not dividing 2kd the factor is 1 + p^-2, so the product over those
-    p is 15/pi^2 divided by the factors 1 + p^-2 at p | 2kd.
+    p is 15/pi^2 divided by the factors 1 + p^-2 at p | 2kd.  The local
+    factors are multiplied as integer numerators and denominators, and the
+    product is one Fraction.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    num = den = 1
-    for p, _ in factorize(2 * k * d):
-        factor = euler_factor(k, p, d)  # divided by 1 + p^-2 = (p^2 + 1)/p^2
-        num *= factor.numerator * p * p
-        den *= factor.denominator * (p * p + 1)
-    return _ZETA2_OVER_ZETA4 * Fraction(num, den)
+    primes = factorize(2 * k * d)
+    if not is_squarefree(k):
+        raise ValueError(f"k = {k} must be squarefree")
+    num, den = 15, 1  # zeta(2)/zeta(4) = 15/pi^2
+    for p, _ in primes:
+        # the factor, divided by 1 + p^-2 = (p^2 + 1)/p^2
+        fnum, fden = _euler_factor_ints(k, p, d)
+        num *= fnum * p * p
+        den *= fden * (p * p + 1)
+    return PiQuantity(Fraction(num, den), -2)
 
 
 def estar1(d: int) -> PiQuantity:
@@ -129,16 +137,18 @@ def estar1(d: int) -> PiQuantity:
 
 def estar6(d: int, e1=estar1) -> PiQuantity:
     """e*_6(d^2) = 36 (e*_1(d^2) - 3/5 e*_1(d_2^2) - 4/5 e*_1(d_3^2) + 12/25 e*_1(d_6^2)),
-    with e*_1(m^2) read from the callable ``e1``."""
+    with e*_1(m^2) read from the callable ``e1``; the four terms are summed
+    as integers over one denominator."""
     if d < 1:
         raise ValueError("d must be >= 1")
     d2, d3, d6 = coprime_part(d, 2), coprime_part(d, 3), coprime_part(d, 6)
-    return 36 * (
-        e1(d)
-        - Fraction(3, 5) * e1(d2)
-        - Fraction(4, 5) * e1(d3)
-        + Fraction(12, 25) * e1(d6)
-    )
+    terms = ((25, e1(d)), (-15, e1(d2)), (-20, e1(d3)), (12, e1(d6)))
+    power = terms[0][1].pi_power
+    if any(e.pi_power != power for _, e in terms):
+        raise ValueError("the e*_1 values must carry one power of pi")
+    den = math.lcm(*(e.coeff.denominator for _, e in terms))
+    num = sum(c * e.coeff.numerator * (den // e.coeff.denominator) for c, e in terms)
+    return PiQuantity(Fraction(36 * num, 25 * den), power)
 
 
 def _ebar1_five_twelfths_at(d: int) -> int:

@@ -342,6 +342,34 @@ def test_is_prime_past_the_sieve_bound_uses_trial_division(monkeypatch):
     assert not is_prime(3163**2)  # 10004569, the square of a prime
 
 
+def test_moebius_is_the_factorisation_definition_across_a_regrow(monkeypatch):
+    # start from no sieve, so moebius itself grows it from 2^16 past 2^17
+    monkeypatch.setattr(arith, "_spf", None)
+    monkeypatch.setattr(arith, "_spf_bound", 0)
+    sizes = set()
+    for n in range(1, 2**17 + 2):
+        mu = moebius(n)
+        sizes.add(arith._spf_bound)
+        fac = factorize(n)
+        want = 0 if any(e > 1 for _, e in fac) else (-1) ** len(fac)
+        assert mu == want, n
+    assert sizes == {0, 2**16, 2**17, 2**18}
+
+
+def test_moebius_past_the_sieve_bound_uses_trial_division(monkeypatch):
+    def no_sieve(size):
+        raise AssertionError(f"a sieve of {size} entries was asked for")
+
+    monkeypatch.setattr(arith, "_ensure_sieve", no_sieve)
+    assert arith.SIEVE_BOUND <= 10_000_001
+    assert moebius(10_000_019) == -1  # prime
+    assert moebius(10_000_001) == 1  # 11 * 909091
+    assert moebius(2_147_483_647) == -1  # 2^31 - 1, prime
+    assert moebius(3163**2 * 2) == 0
+    with pytest.raises(ValueError, match="moebius expects n >= 1"):
+        moebius(-4)
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Reports how far the SPF sieve has grown after each factorisation, and which

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from gothicvol.cli import main
+from gothicvol.cli import build_parser, main
 from gothicvol.zagier import EBAR_MAX_D
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -269,7 +269,10 @@ def test_each_request_loads_only_what_its_subcommand_runs():
     gothic_closed = ("volume", "--locus", "gothic", "--dmax", "100000", "--mode", "closed")
     e = ("e", "--D", "17", "--k", "1")
     oracle = ("oracle-h2", "--d", "5")
-    suite = {name: ("verify", "--suite", name) for name in ("ideals", "zagier", "euler")}
+    suite = {name: ("verify", "--suite", name)
+             for name in ("ideals", "zagier", "euler", "counting")}
+    gothic_leading = ("volume", "--locus", "gothic", "--dmax", "200", "--mode", "direct",
+                      "--surrogate", "leading")
     others = [
         ("proto", "--D", "17", "--k", "1"),
         ("qexp", "--series", "fk", "--k", "1", "--N", "20"),
@@ -281,6 +284,7 @@ def test_each_request_loads_only_what_its_subcommand_runs():
         ("smm", "--locus", "h2", "--m", "6"),
         ("cd", "--locus", "h2", "--d", "6"),
         ("volume", "--locus", "gothic", "--dmax", "200", "--mode", "direct"),
+        gothic_leading,
     ]
     requests = (sk, gothic_closed, e, oracle, *others)
     loaded = {}
@@ -303,15 +307,21 @@ def test_each_request_loads_only_what_its_subcommand_runs():
     for argv in (("chi", "--family", "g", "--D", "97"), ("chi", "--family", "x", "--D", "144"),
                  ("smm", "--locus", "h2", "--m", "6")):
         assert not loaded[argv] & square_only, (argv, loaded[argv])
-    assert loaded[("smm", "--locus", "gothic", "--m", "6")] >= square_only
+    # the component rule is euler's own, so only the ideals requests and the
+    # euler suite's cross-check load ideals
+    gothic_smm = loaded[("smm", "--locus", "gothic", "--m", "6")]
+    assert "gothicvol.qforms" in gothic_smm and "gothicvol.ideals" not in gothic_smm
+    assert "gothicvol.ideals" not in loaded[suite["counting"]]
+    # the leading surrogate reads no e(d^2, 6) table
+    assert "gothicvol.qforms" not in loaded[gothic_leading]
     # only the asymptotic report reads qforms' e(d^2, k) routes
     for argv in (("zagier", "--dmax", "3"), suite["zagier"]):
         assert not loaded[argv] & {"gothicvol.qforms", "gothicvol.prototypes"}, argv
-    # each verify check imports the modules it calls
-    assert loaded[suite["ideals"]] == {"gothicvol", "gothicvol.arith", "gothicvol.cli",
-                                       "gothicvol.ideals", "gothicvol.verify"}
-    assert not loaded[suite["zagier"]] & {"gothicvol.counting", "gothicvol.euler",
-                                          "gothicvol.ideals", "gothicvol.volume"}
+    # a suite loads its own check module and the modules its checks call
+    runner = {"gothicvol", "gothicvol.arith", "gothicvol.cli", "gothicvol.verify",
+              "gothicvol.checks"}
+    assert loaded[suite["ideals"]] == runner | {"gothicvol.checks.ideals", "gothicvol.ideals"}
+    assert loaded[suite["zagier"]] == runner | {"gothicvol.checks.zagier", "gothicvol.zagier"}
     assert not loaded[suite["euler"]] & {"gothicvol.counting", "gothicvol.volume",
                                          "gothicvol.zagier"}
 
@@ -342,6 +352,17 @@ def test_every_subcommand_has_help(capsys):
     assert "{" + ",".join(SUBCOMMANDS) + "}" in top
     for command in SUBCOMMANDS:
         assert help_text(capsys, command).startswith(f"usage: gothicvol {command} ")
+
+
+def test_a_lone_subcommand_parser_keeps_the_full_usage_line(capsys):
+    # main builds the parser of the requested subcommand alone; its errors
+    # still show every subcommand, as the full parser's do
+    with pytest.raises(SystemExit) as exc:
+        main(["e", "--D", "5", "--k", "1", "extra"])
+    assert exc.value.code == 2
+    usage = build_parser().format_usage()
+    assert "{" + ",".join(SUBCOMMANDS) + "}" in usage
+    assert capsys.readouterr().err == usage + "gothicvol: error: unrecognized arguments: extra\n"
 
 
 def test_help_choices_of_locus_mode_and_surrogate(capsys):

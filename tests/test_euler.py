@@ -50,6 +50,25 @@ def test_chi_x_br_ratios():
         chi_X_br(6, 2)  # 2 is not a component for d = 0 mod 6
 
 
+def test_component_rule_equals_the_ideal_classes():
+    # euler names the components by r | 6/(6, d), without ideals; the ideal
+    # classes of norm 6 are the independent rule
+    for d in range(2, 10**4 + 1):
+        offered = []
+        for r in (1, 2, 3, 6):
+            try:
+                chi_X_br(d, r)
+                offered.append(r)
+            except ValueError:
+                pass
+        assert offered == ideals.component_list(d), d
+    for r in (-6, -1, 0, 4, 12):
+        with pytest.raises(ValueError, match="does not name a component"):
+            chi_X_br(1, r)
+        with pytest.raises(ValueError, match="does not name a component"):
+            chi_G(25, r, "main_term")
+
+
 def test_chi_w2():
     assert chi_W2(9) == Fraction(-1, 2)
     assert chi_W2(4) == 0

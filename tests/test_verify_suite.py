@@ -15,18 +15,19 @@ from pathlib import Path
 import pytest
 
 from gothicvol import verify, zagier
+from gothicvol.checks import arith as arith_checks
 from gothicvol.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Runs one suite with one wrong entry injected into a table: the table
-# builder named by sys.argv[2], an attribute of the module sys.argv[1], is
-# replaced by one whose entry 7 is off by one.
+# builder named by sys.argv[2], an attribute of the module gothicvol.<sys.argv[1]>,
+# is replaced by one whose entry 7 is off by one.
 _FAULT_INJECTION = """
-import json, sys
-from gothicvol import verify, zagier
+import importlib, json, sys
+from gothicvol import verify
 
-owner = {"verify": verify, "zagier": zagier}[sys.argv[1]]
+owner = importlib.import_module("gothicvol." + sys.argv[1])
 real = getattr(owner, sys.argv[2])
 
 def wrong_table(N):
@@ -74,13 +75,13 @@ def test_s1_identity_runs_without_numpy():
     proc = subprocess.run([sys.executable, "-c", _SUITES_WITHOUT_NUMPY], env=env,
                           capture_output=True, text=True, timeout=300, check=True)
     results = json.loads(proc.stdout)
-    names = [name for name, (suite, _) in verify._CHECKS.items() if suite in ("qforms", "volume")]
+    names = verify.check_names("qforms") + verify.check_names("volume")
     assert [name for name, _, _ in results] == names
     assert all(ok for _, ok, _ in results), results
     assert [True, "prefix sums of sigma_3 match S_1"] in [r[1:] for r in results]
 
 
-@pytest.mark.parametrize("name", list(verify._CHECKS))
+@pytest.mark.parametrize("name", verify.check_names())
 def test_check(check, name):
     result = check(name)
     assert result.ok, result.detail
@@ -89,7 +90,7 @@ def test_check(check, name):
 def test_checks_fail_under_python_O():
     # python -O strips assert statements; the checks must still catch a
     # wrong a(d) table
-    assert _failed_under_python_O("verify", "sl2_order_table", "arith") == [
+    assert _failed_under_python_O("checks.arith", "sl2_order_table", "arith") == [
         "sl2_order multiplicative on coprime pairs up to 500",
         "(sigma * a)(n) = sigma_3(n) for n <= 10^4",
         "a(d) = p^(3v-2)(p^2-1) a(d_p) for all p | d, d <= 2000",
@@ -107,12 +108,14 @@ def test_integer_ebar_checks_fail_under_python_O():
 
 
 def test_estar6_check_fails_on_one_wrong_euler_factor(monkeypatch):
-    real = zagier.euler_factor
+    # the Euler product reads the integer local factors (numerator, p^(2J))
+    real = zagier._euler_factor_ints
 
     def wrong_factor(k, p, d):
-        return real(k, p, d) + ((k, p, d) == (6, 3, 9))
+        num, den = real(k, p, d)
+        return num + den * ((k, p, d) == (6, 3, 9)), den
 
-    monkeypatch.setattr(zagier, "euler_factor", wrong_factor)
+    monkeypatch.setattr(zagier, "_euler_factor_ints", wrong_factor)
     result = verify.run_check(
         "e*_6(d^2) Euler product equals the four-term e*_1 combination, d <= 500"
     )
@@ -125,7 +128,7 @@ def test_check_that_raises_is_a_failed_check(monkeypatch, capsys):
     def broken_table(N):
         raise ValueError("table builder regressed")
 
-    monkeypatch.setattr(verify, "sl2_order_table", broken_table)
+    monkeypatch.setattr(arith_checks, "sl2_order_table", broken_table)
     code = main(["verify", "--suite", "arith"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 1
@@ -135,7 +138,7 @@ def test_check_that_raises_is_a_failed_check(monkeypatch, capsys):
 
 def test_registry_refuses_duplicate_names():
     with pytest.raises(ValueError, match="duplicate check name"):
-        verify._check(next(iter(verify._CHECKS)), "arith")
+        verify._check(verify.check_names()[0], "arith")
     assert verify.SUITES == (
         "all", "arith", "prototypes", "qforms", "zagier", "ideals", "euler",
         "counting", "volume",

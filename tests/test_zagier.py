@@ -152,6 +152,11 @@ def test_estar6_euler_product_matches_four_term_combination():
         estar_euler_product(6, 0)
 
 
+def test_estar6_refuses_mixed_powers_of_pi():
+    with pytest.raises(ValueError, match="one power of pi"):
+        estar6(2, lambda m: PiQuantity(Fraction(1), -2 if m == 2 else 0))
+
+
 def test_kappa_values():
     assert kappa(5) == 2
     assert kappa(4) == Fraction(3, 2)
