@@ -136,6 +136,27 @@ def test_check_that_raises_is_a_failed_check(monkeypatch, capsys):
     assert doc["result"]["checks"][0]["detail"] == "ValueError: table builder regressed"
 
 
+# Loads one suite, then every suite, in a fresh process and prints the suite
+# of each check in the order check_names() gives for all.
+_ORDER_AFTER_ONE_SUITE = """
+import json
+from gothicvol import verify
+
+verify.check_names("volume")
+print(json.dumps([verify._CHECKS[name][0] for name in verify.check_names()]))
+"""
+
+
+def test_all_runs_suite_by_suite_whichever_suite_loaded_first():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _ORDER_AFTER_ONE_SUITE], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    suites = json.loads(proc.stdout)
+    assert list(dict.fromkeys(suites)) == list(verify.SUITES[1:])
+    assert suites == sorted(suites, key=verify.SUITES.index)
+
+
 def test_registry_refuses_duplicate_names():
     with pytest.raises(ValueError, match="duplicate check name"):
         verify._check(verify.check_names()[0], "arith")

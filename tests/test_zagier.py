@@ -104,6 +104,8 @@ def test_euler_factor_equals_the_definitional_sum():
 def test_euler_factor_rejects_non_squarefree_k():
     with pytest.raises(ValueError):
         euler_factor(4, 2, 1)
+    with pytest.raises(ValueError, match="k = 4 must be squarefree"):
+        estar_euler_product(4, 1)
 
 
 def test_p1_at_coprime_prime_is_1_plus_p_minus_2():
@@ -152,7 +154,9 @@ def test_estar6_euler_product_matches_four_term_combination():
         estar_euler_product(6, 0)
 
 
-def test_estar6_refuses_mixed_powers_of_pi():
+def test_estar6_keeps_the_power_of_pi_of_its_terms():
+    # d = 2: d_2 = d_6 = 1, d_3 = 2, so 36 (2 - 3/5 - 8/5 + 12/25) = 252/25
+    assert estar6(2, lambda m: PiQuantity(Fraction(m), 0)) == PiQuantity(Fraction(252, 25), 0)
     with pytest.raises(ValueError, match="one power of pi"):
         estar6(2, lambda m: PiQuantity(Fraction(1), -2 if m == 2 else 0))
 
