@@ -18,9 +18,10 @@ under the Prym double covers come out exactly from the conversion chains.
 
 from gothicvol.counting import Locus
 from gothicvol.volume import (
-    GOTHIC_SUMMAND_LIMITS,
+    CLOSED_ROWS,
+    closed_limit,
     convert_convention,
-    gothic_closed_summand,
+    sk_sum,
     volume_estimate,
     volume_exact,
 )
@@ -36,10 +37,11 @@ for locus in (Locus.H2, Locus.P3, Locus.P4, Locus.G):
           f"extrapolated {est.extrapolated_relative_error:.2e})")
     print()
 
-print("gothic closed-form summands vs their exact limits at D =", D, ":")
+print("gothic closed-form summands vs the exact limits of their rows at D =", D, ":")
 for r in (1, 2, 3, 6):
-    got = float(gothic_closed_summand(r, D // r)) / D**4
-    want = GOTHIC_SUMMAND_LIMITS[r]
+    rows = [row for row in CLOSED_ROWS[Locus.G] if row[2] == r]
+    got = float(sum(c * sk_sum(k, D // r) for c, k, _ in rows)) / D**4
+    want = closed_limit(rows)
     print(f"   r = {r}: {got:.3e} -> {want} = {want.to_float():.3e}")
 print()
 

@@ -4,8 +4,10 @@ estimators and the AEZ conversion."""
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
+from math import gcd, lcm
 
-from .. import Locus, arith, volume
+from .. import Locus, arith, euler, volume, zagier
 from ..arith import divisors, sl2_order_table
 from ..verify import _check
 
@@ -52,51 +54,66 @@ def _sk_asymptotics():
 @_check("P4 direct equals closed at every D <= 2000; P3 and gothic too", "volume")
 def _direct_vs_closed():
     Dmax = 2000
-    s1 = volume.sk_prefix(1, Dmax)
-    s2 = volume.sk_prefix(2, Dmax)
-    p4 = volume.direct_prefix(Locus.P4, Dmax)
-    p3 = volume.direct_prefix(Locus.P3, Dmax)
+    S = {k: volume.sk_prefix(k, Dmax) for k in (1, 2, 3, 6)}
+    # T(D) = sum_{n<=D} n sigma(n), since sum_{ab=n} a^2 b = n sigma(n)
+    T = list(accumulate(n * s for n, s in enumerate(arith.sigma_table(Dmax))))
     for D in range(1, Dmax + 1):
-        # the table route is the oracle for the hyperbola route of sk_sum
-        if s1[D] != volume.sk_sum(1, D):
-            raise AssertionError(("S_1", D))
-        if s2[D] != volume.sk_sum(2, D):
-            raise AssertionError(("S_2", D))
-        if p4[D] != Fraction(7, 12) * s1[D // 2]:
-            raise AssertionError(("P4", D))
-        closed_p3 = (
-            Fraction(5, 24) * s1[D]
-            + Fraction(5, 48) * s2[D]
-            + Fraction(5, 24) * (s1[D // 2] - s2[D // 2])
-        )
-        if p3[D] != closed_p3:
-            raise AssertionError(("P3", D))
-    # gothic leading: agreement up to floor-boundary terms, bounded by D^3
-    totals = volume.smm_totals(Locus.G, Dmax, "leading")
-    for D in (500, 1000, 1500, 2000):
-        gap = abs(volume.direct_raw_sum(totals, D) - volume.closed_raw_sum(Locus.G, D))
-        if not gap <= D**3:
-            raise AssertionError((D, gap))
-    return "P4/P3 exact at every D; gothic gap within O(D^3)"
+        # the table routes are the oracles for the hyperbola routes
+        if any(S[k][D] != volume.sk_sum(k, D) for k in S) or T[D] != volume.t_sum(D):
+            raise AssertionError(("S_k or T", D))
+    ssig = arith.sigma_prefix(Dmax)
+    for locus, surrogate in ((Locus.P4, "main"), (Locus.P3, "main"),
+                             (Locus.G, "leading"), (Locus.H2, "main")):
+        # each locus's rows through the table routes, over one denominator L
+        rows = volume.CLOSED_ROWS[locus]
+        L = lcm(*(c.denominator for c, _, _ in rows))
+        scaled = [(int(c * L), k, r) for c, k, r in rows]
+        direct = volume.direct_prefix(locus, Dmax, surrogate)
+        for D in range(1, Dmax + 1):
+            closed = Fraction(sum(n * S[k][D // r] for n, k, r in scaled), L)
+            gap = 0
+            if locus is Locus.H2:  # closed also counts m = 1 (-6 chi = -3/8), direct m >= 3
+                closed -= Fraction(3, 4) * T[D]
+                gap = Fraction(3, 8) * ssig[D]
+            if direct[D] - closed != gap:
+                raise AssertionError((locus.value, D))
+            # closed_raw_sum reads the same rows, leaving out D // r = 0
+            if D in (1, 2, 3, 5, 6, 7, Dmax) and volume.closed_raw_sum(locus, D) != closed:
+                raise AssertionError((locus.value, "closed_raw_sum", D))
+    return "P3, P4 and gothic leading equal at every D; H(2) apart by its m = 1 term"
 
 
 @_check("gothic closed summands match their exact limits within 2% at D = 4000", "volume")
 def _gothic_summands():
+    # kappa'(g) from the X_{d^2}(b_r) ratio and the e(d^2, 6) constant
+    for g in (1, 2, 3, 6):
+        want = euler.X_BR_RATIO[g] / 48 - zagier.kappa(g) / (180 * euler._C_D_SQUARE[g])
+        if euler.KAPPA_PRIME[g] != want:
+            raise AssertionError(("kappa'", g))
+    # the gothic rows: component r weights h = m/r by 6 kappa'(g), g = gcd(6, h),
+    # on the classes with gcd(g, r) = 1, and inclusion-exclusion over k | 6
+    # turns the weights into coefficients of S_k
+    derived = tuple(
+        (sum(arith.moebius(k // g) * 6 * euler.KAPPA_PRIME[g]
+             for g in (1, 2, 3, 6) if k % g == 0 and gcd(g, r) == 1), k, r)
+        for r in (1, 2, 3, 6) for k in (1, 2, 3, 6)
+    )
+    rows = volume.CLOSED_ROWS[Locus.G]
+    if derived != rows:
+        raise AssertionError(("gothic rows", set(rows) ^ set(derived)))
+    for locus in Locus:
+        if volume.closed_limit(volume.CLOSED_ROWS[locus]) != volume.volume_exact(locus):
+            raise AssertionError(("limit", locus.value))
     D = 4000
     details = []
     for r in (1, 2, 3, 6):
-        got = float(volume.gothic_closed_summand(r, D // r)) / D**4
-        want = volume.GOTHIC_SUMMAND_LIMITS[r].to_float()
+        part = [row for row in rows if row[2] == r]
+        got = float(sum(c * volume.sk_sum(k, D // r) for c, k, _ in part)) / D**4
+        want = volume.closed_limit(part).to_float()
         rel = abs(got - want) / want
         if not rel <= 0.02:
             raise AssertionError((r, rel))
         details.append(f"r={r}: {rel:.4f}")
-    total = sum(
-        (volume.GOTHIC_SUMMAND_LIMITS[r] for r in (2, 3, 6)),
-        volume.GOTHIC_SUMMAND_LIMITS[1],
-    )
-    if not (total.coeff == Fraction(13, 31104) and total.pi_power == 4):
-        raise AssertionError(total)
     return "; ".join(details)
 
 

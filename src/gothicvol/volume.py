@@ -11,17 +11,10 @@ Two evaluation paths are implemented:
               floats only in the final division by D^dim.  Every table
               has D + 1 entries (the SPF sieve at least 2^16), and numpy is
               never loaded.  D is refused beyond DIRECT_MAX_D;
-    closed -- the locus-specific combinations of the sums
-
-                  S_k(D) = sum_{d<=D} sum_{m|d, k|m} sigma(d/m) a(m)
-
-              H(2):  (3/8) S_1(D) - (3/4) T(D),  T the Jordan-totient analogue
-              P3:    (5/24) S_1(D) + (5/48) S_2(D)
-                        + (5/24)(S_1(D/2) - S_2(D/2))
-              P4:    (7/12) S_1(D/2)
-              G:     sum over r of an inclusion-exclusion combination at D/r,
-                     one row per component class, each pinned against its
-                     exact large-D limit.
+    closed -- the sums S_k(D) = sum_{d<=D} sum_{m|d, k|m} sigma(d/m) a(m),
+              combined by one table of rows (coeff, k, r) per locus,
+              CLOSED_ROWS, each the term coeff * S_k(D // r); H(2) adds
+              -(3/4) T(D), T the Jordan-totient analogue.
 
 The closed path needs no sieve table.  Since (sigma * a) = sigma_3,
 
@@ -34,8 +27,9 @@ T(D) = sum_{ab<=D} a^2 b.  Both are exact Python-int Dirichlet hyperbola sums
 with Faulhaber closed forms, O(sqrt D) steps each, up to D = 10^12.  The
 table route (sk_prefix) stays as the oracle.
 
-S_k(D) ~ pi^4 D^4 / 360 times prod (p+1)/(p^2+p+1) over primes p | k.  Since
-the leading error of the partial sums is O(1/D) relative, the estimator also
+S_k(D) ~ c_k D^4 for every k >= 1 (sk_asymptotic_constant) and T(D) = O(D^3),
+so the rows also give each volume exactly, as sum coeff c_k / r^4
+(closed_limit).  The raw estimator's error is O(1/D) relative, so it also
 reports the Richardson extrapolation 2 V(D) - V(D/2).
 
 Exact targets: vol H(2) = pi^4/960, P3 = 5 pi^4/6912, P4 = 7 pi^4/69120,
@@ -48,14 +42,13 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from operator import add, mul
 
 from . import Locus, surrogate_mode
 from .arith import (
     PiQuantity,
     divisors,
-    factorize,
     jordan2_table,
     sigma,
     sigma_prefix,
@@ -221,12 +214,13 @@ def sk_prefix(k: int, Dmax: int) -> list[int]:
 
 
 def sk_asymptotic_constant(k: int) -> PiQuantity:
-    """S_k(D)/D^4 -> pi^4/360 * prod_{p | k} (p+1)/(p^2+p+1)."""
-    if k not in (1, 2, 3, 6):
-        raise ValueError("supported k: 1, 2, 3, 6")
+    """c_k = lim S_k(D)/D^4 = pi^4/360 prod_{p^e || k} (p+1)/((p^2+p+1) p^(e-1)):
+    Sigma3(x) ~ pi^4 x^4/360, and g_k(p^j)/p^(4j) summed over j >= e."""
+    if k < 1:
+        raise ValueError("need k >= 1")
     coeff = Fraction(1, 360)
-    for p, _ in factorize(k):
-        coeff *= Fraction(p + 1, p * p + p + 1)
+    for p, e in trial_factorize(k):
+        coeff *= Fraction(p + 1, (p * p + p + 1) * p ** (e - 1))
     return PiQuantity(coeff, 4)
 
 
@@ -373,22 +367,19 @@ def direct_prefix(locus: Locus, Dmax: int, surrogate: str = "main_term") -> list
     """Partial sums sum_{d<=D} |C_d| for every D <= Dmax (entry 0 = 0).
 
     The oracle for smm_totals and direct_raw_sum: |S_{m,m}| from
-    counting.smm per m, and |C_d| by the divisor sum over m | d.
+    counting.smm per m, and |C_d| by the divisor sum over m | d, in ints.
     """
     from .counting import smm
 
     mode = surrogate_mode(surrogate)
-    totals = [Fraction(0)] + [smm(locus, m, mode).total for m in range(1, Dmax + 1)]
+    totals = [smm(locus, m, mode).total for m in range(1, Dmax + 1)]
+    L = lcm(*(t.denominator for t in totals))
+    t = [0] + [x.numerator * (L // x.denominator) for x in totals]  # L |S_{m,m}|
     out = [Fraction(0)] * (Dmax + 1)
-    acc = Fraction(0)
+    acc = 0
     for d in range(1, Dmax + 1):
-        cd = Fraction(0)
-        for m in divisors(d):
-            t = totals[m]
-            if t:
-                cd += sigma(1, d // m) * t
-        acc += cd
-        out[d] = acc
+        acc += sum(sigma(1, d // m) * t[m] for m in divisors(d) if t[m])
+        out[d] = Fraction(acc, L)
     return out
 
 
@@ -396,54 +387,39 @@ def direct_prefix(locus: Locus, Dmax: int, surrogate: str = "main_term") -> list
 # Closed path
 # ---------------------------------------------------------------------------
 
-# gothic inclusion-exclusion combinations: coefficients of (S_1, S_2, S_3, S_6)
-# evaluated at floor(D/r), obtained by splitting the m-sum over the congruence
-# classes of gcd(6, m/r) and collecting the kappa' leading constants.
-_GOTHIC_CLOSED = {
-    1: (Fraction(13, 720), (6, 3, 2, 1)),
-    2: (Fraction(13, 360), (3, -3, 1, -1)),
-    3: (Fraction(13, 240), (2, 1, -2, -1)),
-    6: (Fraction(13, 120), (1, -1, -1, 1)),
+# Each row (coeff, k, r) is the term coeff * S_k(D // r) of sum_{d<=D} |C_d|;
+# H(2) adds -(3/4) T(D).  Gothic component r counts h = m/r with g = gcd(6, h)
+# prime to r, weighted 6 kappa'(g) (euler.KAPPA_PRIME); inclusion-exclusion
+# over k | 6 gives the weights of (S_1, S_2, S_3, S_6), in units of 13 r/720.
+CLOSED_ROWS = {
+    Locus.H2: ((Fraction(3, 8), 1, 1),),
+    Locus.P3: ((Fraction(5, 24), 1, 1), (Fraction(5, 48), 2, 1),
+               (Fraction(5, 24), 1, 2), (Fraction(-5, 24), 2, 2)),
+    Locus.P4: ((Fraction(7, 12), 1, 2),),
+    Locus.G: tuple(
+        (Fraction(13 * r * w, 720), k, r)
+        for r, weights in ((1, (6, 3, 2, 1)), (2, (3, -3, 1, -1)),
+                           (3, (2, 1, -2, -1)), (6, (1, -1, -1, 1)))
+        for k, w in zip((1, 2, 3, 6), weights)
+    ),
 }
-
-# exact large-D limits of the four summands, as coefficients of pi^4
-GOTHIC_SUMMAND_LIMITS = {
-    1: PiQuantity(Fraction(17 * 43, 2**7 * 3**4 * 5**2 * 7), 4),
-    2: PiQuantity(Fraction(43, 2**8 * 3**4 * 5**2 * 7), 4),
-    3: PiQuantity(Fraction(17, 2**7 * 3**5 * 5**2 * 7), 4),
-    6: PiQuantity(Fraction(1, 2**8 * 3**5 * 5**2 * 7), 4),
-}
-
-
-def gothic_closed_summand(r: int, X: int) -> Fraction:
-    """The r-component closed form at argument X = floor(D/r)."""
-    coeff, weights = _GOTHIC_CLOSED[r]
-    if X < 1:
-        return Fraction(0)
-    s = [sk_sum(k, X) for k in (1, 2, 3, 6)]
-    return coeff * sum(w * v for w, v in zip(weights, s))
 
 
 def closed_raw_sum(locus: Locus, D: int) -> Fraction:
-    """The closed-form S_k combination for sum_{d<=D} |C_d|."""
+    """sum_{d<=D} |C_d| as the sum of the locus's CLOSED_ROWS at D, rows with
+    D // r = 0 left out, plus -(3/4) T(D) for H(2)."""
+    rows = CLOSED_ROWS[locus]
+    total = sum((c * sk_sum(k, D // r) for c, k, r in rows if D >= r), Fraction(0))
     if locus is Locus.H2:
-        return Fraction(3, 8) * sk_sum(1, D) - Fraction(3, 4) * t_sum(D)
-    if locus is Locus.P3:
-        half = D // 2
-        inner = (sk_sum(1, half) - sk_sum(2, half)) if half >= 1 else 0
-        return (
-            Fraction(5, 24) * sk_sum(1, D)
-            + Fraction(5, 48) * sk_sum(2, D)
-            + Fraction(5, 24) * inner
-        )
-    if locus is Locus.P4:
-        half = D // 2
-        return Fraction(7, 12) * (sk_sum(1, half) if half >= 1 else 0)
-    if locus is Locus.G:
-        return sum(
-            (gothic_closed_summand(r, D // r) for r in (1, 2, 3, 6)), Fraction(0)
-        )
-    raise ValueError(f"unsupported locus {locus}")
+        total -= Fraction(3, 4) * t_sum(D)
+    return total
+
+
+def closed_limit(rows) -> PiQuantity:
+    """The exact limit of sum coeff * S_k(D // r) / D^4 over ``rows`` (a
+    locus's CLOSED_ROWS or any part of them): sum coeff c_k / r^4."""
+    zero = PiQuantity(Fraction(0), 4)
+    return sum((sk_asymptotic_constant(k) * (c / r**4) for c, k, r in rows), zero)
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +443,8 @@ def volume_estimate(
     surrogate = surrogate_mode(surrogate)
     if surrogate == "remark" and locus is not Locus.G:
         raise ValueError("the remark surrogate applies to the gothic locus only")
+    if surrogate == "remark" and mode == "closed":
+        raise ValueError("the closed path has no remark term; use --mode direct")
     dim = locus.complex_dim
     checkpoints = [D // 8, D // 4, D // 2, D]
     if mode == "direct":

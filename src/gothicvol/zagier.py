@@ -68,15 +68,15 @@ def _gamma(p: int, r: int, v: int) -> int:
     return p ** ((r - 1) // 2) if v == r - 1 else 0
 
 
-def gauss_gamma(p: int, r: int, d: int) -> Fraction:
-    """gamma_{p^r}(d^2) for a square argument, by the case tables above."""
+def gauss_gamma(p: int, r: int, d: int) -> int:
+    """gamma_{p^r}(d^2) for a square argument, an integer, by the case tables."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if r < 0 or d < 1:
         raise ValueError("need r >= 0 and d >= 1")
     if r == 0:
-        return Fraction(1)
-    return Fraction(_gamma(p, r, 2 * nu(p, d)))
+        return 1
+    return _gamma(p, r, 2 * nu(p, d))
 
 
 def _euler_factor_ints(k: int, p: int, d: int) -> tuple[int, int]:

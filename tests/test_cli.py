@@ -183,6 +183,10 @@ def test_invalid_input_exits_2(capsys):
     assert main(["volume", "--locus", "gothic", "--dmax", "1000000000",
                  "--mode", "direct"]) == 2
     capsys.readouterr()
+    # the closed rows compute the leading sums only, so remark is refused
+    assert main(["volume", "--locus", "gothic", "--dmax", "2000", "--mode", "closed",
+                 "--surrogate", "remark"]) == 2
+    assert "the closed path has no remark term" in capsys.readouterr().err
     # beyond the ebar rows' bound as well: exit 2 before any table is built
     for dmax in ("0", "-5", str(EBAR_MAX_D + 1)):
         assert main(["zagier", "--what", "ebar", "--dmax", dmax]) == 2

@@ -16,11 +16,10 @@ from gothicvol.arith import jordan2_table, sigma, sigma_prefix, sl2_order
 from gothicvol.counting import Locus
 from gothicvol.qforms import e_square_table
 from gothicvol.volume import (
-    GOTHIC_SUMMAND_LIMITS,
-    closed_raw_sum,
+    CLOSED_ROWS,
+    closed_limit,
     convert_convention,
     direct_prefix,
-    gothic_closed_summand,
     sigma3_sum,
     sk_asymptotic_constant,
     sk_prefix,
@@ -108,8 +107,13 @@ def test_sk_constants():
     assert sk_asymptotic_constant(3).coeff == Fraction(4, 360 * 13)
     assert sk_asymptotic_constant(6).coeff == Fraction(12, 360 * 91)
     assert sk_asymptotic_constant(1).pi_power == 4
+    # the product formula beyond squarefree k and past the primes 2 and 3
+    D = 10**8
+    for k in (4, 5, 9, 12, 36):
+        ratio = sk_sum(k, D) / (sk_asymptotic_constant(k).to_float() * D**4)
+        assert abs(ratio - 1) < 1e-6, k
     with pytest.raises(ValueError):
-        sk_asymptotic_constant(5)
+        sk_asymptotic_constant(0)
 
 
 def test_volume_exact_targets():
@@ -120,18 +124,12 @@ def test_volume_exact_targets():
     assert all(volume_exact(l).pi_power == 4 for l in Locus)
 
 
-def test_gothic_summand_limits_add_up():
-    total = sum(
-        (GOTHIC_SUMMAND_LIMITS[r] for r in (2, 3, 6)), GOTHIC_SUMMAND_LIMITS[1]
-    )
-    assert total.coeff == Fraction(13, 31104)
-
-
 def test_gothic_closed_summands_approach_limits():
     D = 1200
     for r in (1, 2, 3, 6):
-        got = float(gothic_closed_summand(r, D // r)) / D**4
-        want = GOTHIC_SUMMAND_LIMITS[r].to_float()
+        rows = [row for row in CLOSED_ROWS[Locus.G] if row[2] == r]
+        got = float(sum(c * sk_sum(k, D // r) for c, k, _ in rows)) / D**4
+        want = closed_limit(rows).to_float()
         assert abs(got - want) / want < 0.05, r
 
 
@@ -144,18 +142,6 @@ def test_convert_convention():
     assert Fraction(7, 69120) * 2**11 == Fraction(28, 135)
     with pytest.raises(ValueError):
         convert_convention(Locus.H2)
-
-
-def test_direct_equals_closed_for_p4():
-    prefix = direct_prefix(Locus.P4, 240)
-    for D in range(1, 241):
-        assert prefix[D] == closed_raw_sum(Locus.P4, D), D
-
-
-def test_direct_equals_closed_for_p3():
-    prefix = direct_prefix(Locus.P3, 240)
-    for D in range(1, 241):
-        assert prefix[D] == closed_raw_sum(Locus.P3, D), D
 
 
 @pytest.mark.parametrize(
@@ -233,22 +219,6 @@ def test_gothic_leading_builds_no_e_table():
     ]
 
 
-def test_gothic_direct_leading_equals_closed():
-    totals = volume.smm_totals(Locus.G, 240, "leading")
-    for D in (60, 120, 240):
-        assert volume.direct_raw_sum(totals, D) == closed_raw_sum(Locus.G, D), D
-
-
-def test_h2_closed_minus_direct_is_the_m1_term():
-    # the closed form includes the degenerate m = 1 term -(3/8) sigma-sum
-    totals = volume.smm_totals(Locus.H2, 200)
-    from gothicvol.arith import sigma_prefix
-
-    for D in (50, 100, 200):
-        diff = closed_raw_sum(Locus.H2, D) - volume.direct_raw_sum(totals, D)
-        assert diff == Fraction(-3, 8) * int(sigma_prefix(D)[D])
-
-
 def test_volume_estimate_structure():
     est = volume_estimate(Locus.H2, 160)
     assert [Dc for Dc, _ in est.series] == [20, 40, 80, 160]
@@ -265,6 +235,8 @@ def test_volume_estimate_structure():
         volume_estimate(Locus.H2, 100, "direct", "remark")
     with pytest.raises(ValueError):  # exact is a mode, not a surrogate
         volume_estimate(Locus.H2, 100, "direct", "exact")
+    with pytest.raises(ValueError):  # the closed rows have no remark term
+        volume_estimate(Locus.G, 100, "closed", "remark")
 
 
 def test_volume_estimate_remark_mode_runs():
