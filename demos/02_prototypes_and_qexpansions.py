@@ -28,7 +28,7 @@ print()
 # the q-expansion of F_1 around q = e^(pi i tau)
 fk = fk_expansion(1, 40)
 print("F_1 coefficients e_1(n), n = 0..12:")
-print("  ", [str(fk.coeff(n)) for n in range(13)])
+print("  ", [str(c) for c in fk[:13]])
 print()
 
 # e_k(D) = sum_{m | f} e(D/m^2, k): at D = 45 the conductor is 3, so the

@@ -34,8 +34,9 @@ table first grows (it names the components at a square discriminant by its
 own divisor rule, without ``ideals``), ``zagier`` loads ``qforms`` inside
 ``asymptotic_check_e``, ``counting`` loads ``euler`` at its first ``smm``,
 and ``verify`` loads the ``checks`` module of each suite it runs.  The
-records are plain classes (namedtuple subclasses when frozen), so no module
-loads ``dataclasses``.
+records are namedtuple subclasses, all but ``PiQuantity``, a ``__slots__``
+class that does arithmetic, and the q-expansions are plain coefficient
+lists, so no module loads ``dataclasses``.
 """
 
 from enum import Enum

@@ -22,8 +22,8 @@ largest n that factorize sees, up to the constant bound SIEVE_BOUND = 10^7.
 Inputs beyond the bound fall back to trial division.  The sieve is a stdlib
 array("i") behind a read-only memoryview.  The bulk tables (sigma_table,
 sigma_prefix, sl2_order_table, jordan2_table, moebius_table) are read-only
-tuples of Python ints, each built in one O(N) pass over the sieve; nothing
-here imports numpy.
+tuples of Python ints, each built in one O(N) pass over the sieve, so they
+stop below SIEVE_BOUND too; nothing here imports numpy.
 """
 
 from __future__ import annotations
@@ -124,23 +124,18 @@ _spf_bound = 0  # the sieve covers 0 <= n < _spf_bound
 _SPF_MIN_SIZE = 2**16
 
 
-def sieve_bound() -> int:
-    """The largest sieve factorize builds, SIEVE_BOUND entries."""
-    return SIEVE_BOUND
-
-
 def _ensure_sieve(size: int) -> memoryview:
     """Grow the SPF sieve to cover 0 <= n < size, and return it.
 
     A build has at least _SPF_MIN_SIZE entries and at least twice the last
     one, so a run that asks for ever larger n pays for O(log) builds of a
-    geometric series; no build exceeds sieve_bound().  The primes p up to
+    geometric series; no build exceeds SIEVE_BOUND.  The primes p up to
     isqrt(size - 1) write p at p^2, p^2 + p, ... in decreasing order, so the
     smallest prime factor of each composite is written last.
     """
     global _spf, _spf_bound
     if size > _spf_bound:
-        size = min(max(size, 2 * _spf_bound, _SPF_MIN_SIZE), sieve_bound())
+        size = min(max(size, 2 * _spf_bound, _SPF_MIN_SIZE), SIEVE_BOUND)
         if size > _spf_bound:
             root = math.isqrt(size - 1)
             composite = bytearray(root + 1)
@@ -167,7 +162,7 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     if n == 1:
         return ()
     if n >= _spf_bound:
-        if n >= sieve_bound():
+        if n >= SIEVE_BOUND:
             return trial_factorize(n)
         _ensure_sieve(n + 1)
     spf = _spf
@@ -220,7 +215,7 @@ def is_prime(n: int) -> bool:
     if n < 2:
         return False
     if n >= _spf_bound:
-        if n >= sieve_bound():
+        if n >= SIEVE_BOUND:
             fac = trial_factorize(n)
             return len(fac) == 1 and fac[0][1] == 1
         _ensure_sieve(n + 1)
@@ -261,7 +256,7 @@ def moebius(n: int) -> int:
     if n == 1:
         return 1
     if n >= _spf_bound:
-        if n >= sieve_bound():
+        if n >= SIEVE_BOUND:
             fac = trial_factorize(n)
             if any(e > 1 for _, e in fac):
                 return 0
@@ -374,25 +369,21 @@ def dirichlet_convolve(f, g, N: int) -> list:
 # Bulk tables of multiplicative functions (exact Python ints)
 # ---------------------------------------------------------------------------
 
-def _least_primes(N: int) -> list[int]:
-    """The smallest prime factor of n for 0 <= n <= N, or 0 where n < 2 or n is
-    a prime inside the sieve.  Read from the SPF sieve; n past the sieve bound
-    is trial-factorised."""
-    least = _ensure_sieve(N + 1)[: N + 1].tolist()
-    least += (trial_factorize(n)[0][0] for n in range(len(least), N + 1))
-    return least
-
-
 def _multiplicative_table(N: int, step) -> tuple[int, ...]:
     """f(n) for 0 <= n <= N (f(0) = 0) of a multiplicative f, read-only.
 
     ``step(p, f(p^(e-1)))`` gives f(p^e), starting from f(1) = 1.  One pass in
     increasing n: with p the smallest prime of n and p^e || n,
     f(n) = f(n / p^e) f(p^e), both entries already in the table unless n = p^e.
+    The smallest primes come from the SPF sieve, so N >= SIEVE_BOUND is
+    refused before anything is allocated.
     """
     if N < 0:
         raise ValueError(f"a table needs N >= 0, got {N}")
-    least = _least_primes(N)
+    if N >= SIEVE_BOUND:
+        raise ValueError(f"a table up to N = {N} is beyond the sieve bound {SIEVE_BOUND}")
+    # the smallest prime factor of n, or 0 where n < 2 or n is prime
+    least = _ensure_sieve(N + 1)[: N + 1].tolist()
     out = [0] * (N + 1)
     head = [0] * (N + 1)  # head[n] = p^e, the full power of n's smallest prime
     if N >= 1:
@@ -419,10 +410,6 @@ def sigma_table(N: int) -> tuple[int, ...]:
 @lru_cache(maxsize=4)
 def sigma_prefix(N: int) -> tuple[int, ...]:
     """Prefix sums S(x) = sum_{e<=x} sigma(e) for 0 <= x <= N, read-only."""
-    # a table of 3 * 10^9 entries would need hundreds of gigabytes; refuse it
-    # before sigma_table allocates anything
-    if N >= 3 * 10**9:
-        raise ValueError(f"sigma prefix sums up to N = {N} are beyond the bound 3 * 10^9")
     return tuple(accumulate(sigma_table(N)))
 
 

@@ -49,7 +49,7 @@ def _gothic_residues():
 def _main_vs_leading():
     dmax = 2000
     # one e(d^2, 6) build for the whole range, not one per doubling of d
-    euler.precompute_e_square(6, dmax)
+    euler.precompute_e_square(dmax)
     gaps = [0.0] * (dmax + 1)
     for d in range(1, dmax + 1):
         main = euler.chi_G(d * d, 1, "main_term")

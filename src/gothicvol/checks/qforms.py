@@ -16,7 +16,7 @@ def _product_vs_direct():
     for k in (1, 6):
         fk = qforms.fk_expansion(k, N)
         for n in range(N + 1):
-            if fk.coeff(n) != qforms.ek_coeff(k, n):
+            if fk[n] != qforms.ek_coeff(k, n):
                 raise AssertionError((k, n))
     return "Cauchy product vs divisor sums, both k"
 
@@ -47,11 +47,11 @@ def _e_square_routes():
     # k = 6: level-6 convolution sums against the D^2/24 sigma-sieve route;
     # k = 1: Besge's closed form 5 a(d) - 6 J_2(d) against the level-1 sums
     dmax = 4000
-    new = qforms.e_square_twelfths(6, dmax)
+    new = qforms.e6_square_twelfths(dmax)
     old = qforms.e_square_table(6, dmax)
     for d in range(1, dmax + 1):
         if Fraction(new[d], 12) != old[d]:
             raise AssertionError((6, d))
-    if qforms.e_square_twelfths(1, dmax) != qforms.e1_convolution_twelfths(dmax):
+    if qforms.e1_square_twelfths(dmax) != qforms.e1_convolution_twelfths(dmax):
         raise AssertionError((1, dmax))
     return "convolution route (k = 6) and Besge (k = 1) exact at every d"

@@ -7,7 +7,8 @@ is passed), pi-multiples as {"coeff": "p/q", "pi_power": n}.  Series-shaped
 results (q-expansion tables, zagier scans, volume checkpoints) can be emitted
 as CSV with ``--csv``.
 
-Exit codes: 0 success, 2 input validation failure, 1 internal check failure.
+Exit codes: 0 success, 2 input validation failure (an unwritable ``--out``
+included), 1 internal check failure.
 
 Each handler imports the modules it runs, and ``main`` builds the parser of
 the requested subcommand alone, so a request loads and sets up only what its
@@ -109,11 +110,11 @@ def _cmd_qexp(args):
 
     N = args.N
     if args.series == "theta":
-        coeffs = qforms.theta_expansion(N).coeffs
+        coeffs = qforms.theta_expansion(N)
     elif args.series == "g2":
-        coeffs = qforms.g2k_expansion(args.k, N).coeffs
+        coeffs = qforms.g2k_expansion(args.k, N)
     elif args.series == "fk":
-        coeffs = qforms.fk_expansion(args.k, N).coeffs
+        coeffs = qforms.fk_expansion(args.k, N)
     else:  # ek: the divisor-sum route
         if N < 1:
             raise ValueError("truncation bound must be >= 1")
@@ -366,19 +367,23 @@ def main(argv=None) -> int:
     ap = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     args = ap.parse_args(argv)
     started = time.perf_counter()
+    code = 0
     try:
         inputs, result, csv_rows = args.fn(args)
     except _VerifyFailure as vf:
-        _emit(args, args.command, {"suite": args.suite}, vf.result, started)
-        return 1
+        code, inputs, result, csv_rows = 1, {"suite": args.suite}, vf.result, None
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 1
-    _emit(args, args.command, inputs, result, started, csv_rows)
-    return 0
+    try:
+        _emit(args, args.command, inputs, result, started, csv_rows)
+    except OSError as exc:  # an --out path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -31,8 +31,10 @@ The d = 1 degenerate discriminant is allowed in surrogate modes through the
 value chain chi(X_1) = 1/72, e(1, k) = -1/12, so that the closed S_k forms of
 the volume estimators match the direct sums term by term.
 
-At a square D = d^2, chi(R_D) reads e(d^2, 6) from e_square's one
-self-growing table, which refuses d > E_SQUARE_MAX_D before any build.
+At a square D = d^2, chi(R_D) and chi(G_D) read e(d^2, 6) from one
+self-growing tuple of 12 e(d^2, 6), which precompute_e_square grows and
+hands out; k = 6 is the only weight any formula asks for at a square.  It
+refuses d > E_SQUARE_MAX_D before any build.
 """
 
 from __future__ import annotations
@@ -113,31 +115,31 @@ def chi_X_square(d: int) -> Fraction:
 
 E_SQUARE_MAX_D = 250000  # the reach of e_square, the direct path's DIRECT_MAX_D
 
-# 12 e(d^2, k) for 0 <= d < len(_E_CACHE[k]), from qforms.e_square_twelfths
-_E_CACHE: dict[int, tuple[int, ...]] = {}
+# 12 e(d^2, 6) for 0 <= d < len(_E6_TWELFTHS), from qforms.e6_square_twelfths
+_E6_TWELFTHS: tuple[int, ...] = ()
 
 
-def precompute_e_square(k: int, dmax: int) -> None:
-    """Grow the table of 12 e(d^2, k), for k in {1, 6}, to cover dmax.
+def precompute_e_square(dmax: int) -> tuple[int, ...]:
+    """The table of 12 e(d^2, 6), grown to cover dmax.
 
     A build covers at least 64 values of d and at least twice the last one,
     so rising lookups pay for O(log) builds of a geometric series; no build
     exceeds E_SQUARE_MAX_D, and dmax beyond it is refused first.
     """
+    global _E6_TWELFTHS
     if dmax > E_SQUARE_MAX_D:
         raise ValueError(f"d = {dmax} is beyond the e(d^2, k) bound {E_SQUARE_MAX_D}")
-    cached = _E_CACHE.get(k, ())
-    if len(cached) <= dmax:
-        from .qforms import e_square_twelfths
+    if len(_E6_TWELFTHS) <= dmax:
+        from .qforms import e6_square_twelfths
 
-        size = min(max(dmax, 2 * (len(cached) - 1), 64), E_SQUARE_MAX_D)
-        _E_CACHE[k] = e_square_twelfths(k, size)
+        size = min(max(dmax, 2 * (len(_E6_TWELFTHS) - 1), 64), E_SQUARE_MAX_D)
+        _E6_TWELFTHS = e6_square_twelfths(size)
+    return _E6_TWELFTHS
 
 
-def e_square(d: int, k: int) -> Fraction:
-    """Exact e(d^2, k), for k in {1, 6}, from the self-growing table."""
-    precompute_e_square(k, d)
-    return Fraction(_E_CACHE[k][d], 12)
+def e_square(d: int) -> Fraction:
+    """Exact e(d^2, 6) from the self-growing table."""
+    return Fraction(precompute_e_square(d)[d], 12)
 
 
 def chi_X_nonsquare(D: int) -> Fraction:
@@ -194,7 +196,7 @@ def chi_R(D: int, mode: str = "exact") -> Fraction:
     _validate_discriminant(D)
     d = _is_square(D)
     _check_mode(d, mode)
-    e = e_value(D, 6) if d is None else e_square(d, 6)
+    e = e_value(D, 6) if d is None else e_square(d)
     return -e / (6 * c_D(D))
 
 
@@ -275,11 +277,10 @@ def chi_G(D: int, r: int = 1, mode: str = "exact") -> Fraction:
     if mode == "leading":
         kappa = KAPPA_PRIME[g6]
         return Fraction(-kappa.numerator * a, kappa.denominator)
-    precompute_e_square(6, d)
     ratio = X_BR_RATIO[g6]
     rn, rd = ratio.numerator, ratio.denominator
     c = _C_D_SQUARE[g6]
-    num = 4 * rd * _E_CACHE[6][d] - 3 * c * rn * a  # over 144 rd c
+    num = 4 * rd * precompute_e_square(d)[d] - 3 * c * rn * a  # over 144 rd c
     if mode != "remark":
         return Fraction(num, 144 * rd * c)
     if r != 1:

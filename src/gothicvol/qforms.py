@@ -1,7 +1,8 @@
 """Formal q-expansions of theta, G2 and the products F_k = G2(2k tau) theta(tau).
 
 Everything here is a formal power series in q = e^(pi i tau) with exact
-rational coefficients:
+rational coefficients, handed out as a plain list [c_0, ..., c_N] of
+Fractions, truncated at q^N = q^(len - 1):
 
     theta(tau)   = sum_l q^(l^2)                (coefficient 2 at positive
                                                  squares, 1 at q^0)
@@ -22,11 +23,11 @@ anti-bug oracle between the two modules: see check_e_and_a.  Moebius
 inversion of the same identity gives e(d^2, k) for every d <= dmax at once,
 along two routes, both in Python ints without numpy:
 
-    e_square_twelfths  -- the production route, 12 e(d^2, k) as exact ints
-                          for k in {1, 6}: Besge's identity closes k = 1, and
-                          k = 6 comes from four level-6 divisor convolutions,
-                          each one Kronecker product; sigma is needed only up
-                          to dmax.  e1_convolution_twelfths is its k = 1
+    e6_square_twelfths -- the production route, 12 e(d^2, 6) as exact ints
+                          from four level-6 divisor convolutions, each one
+                          Kronecker product; sigma is needed only up to
+                          dmax.  e1_square_twelfths closes k = 1 by Besge's
+                          identity, and e1_convolution_twelfths is its
                           oracle, the level-1 convolution without Besge;
     e_square_table     -- the oracle for any k, from ek_square_table, which
                           sums its own array("q") sigma sieve up to
@@ -60,49 +61,22 @@ SQUARE_TABLE_MAX_M = 10**4
 CONVOLUTION_MAX_N = 3 * 10**6
 
 
-class QExpansion:
-    """Dense 0-indexed coefficient array; valid exponents are 0..truncation.
-    Two expansions are equal when their coefficients and truncations are."""
-
-    __slots__ = ("coeffs", "truncation")
-
-    def __init__(self, coeffs: list[Fraction], truncation: int):
-        self.coeffs = coeffs
-        self.truncation = truncation
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.coeffs, self.truncation) == (other.coeffs, other.truncation)
-
-    def __repr__(self):
-        return f"QExpansion(coeffs={self.coeffs!r}, truncation={self.truncation!r})"
-
-    @classmethod
-    def from_coeffs(cls, coeffs) -> "QExpansion":
-        return cls(list(coeffs), len(coeffs) - 1)
-
-    def coeff(self, n: int) -> Fraction:
-        if not 0 <= n <= self.truncation:
-            raise IndexError(f"coefficient {n} beyond truncation {self.truncation}")
-        return self.coeffs[n]
-
-    def __mul__(self, other: "QExpansion") -> "QExpansion":
-        """Cauchy product, valid up to the smaller truncation bound."""
-        N = min(self.truncation, other.truncation)
-        out = [Fraction(0)] * (N + 1)
-        # exact naive product; skip zero coefficients (theta is very sparse)
-        for i, ci in enumerate(self.coeffs[: N + 1]):
-            if not ci:
-                continue
-            for j, cj in enumerate(other.coeffs[: N + 1 - i]):
-                if cj:
-                    out[i + j] += ci * cj
-        return QExpansion(out, N)
+def _cauchy_product(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """The coefficients of a * b up to the shorter truncation, exact."""
+    N = min(len(a), len(b)) - 1
+    out = [Fraction(0)] * (N + 1)
+    # exact naive product; skip zero coefficients (theta is very sparse)
+    for i, ci in enumerate(a[: N + 1]):
+        if not ci:
+            continue
+        for j, cj in enumerate(b[: N + 1 - i]):
+            if cj:
+                out[i + j] += ci * cj
+    return out
 
 
-def theta_expansion(N: int) -> QExpansion:
-    """theta = sum_l q^(l^2) up to q^N."""
+def theta_expansion(N: int) -> list[Fraction]:
+    """theta = sum_l q^(l^2): the coefficients of q^0 .. q^N."""
     if N < 1:
         raise ValueError("truncation bound must be >= 1")
     coeffs = [Fraction(0)] * (N + 1)
@@ -111,23 +85,23 @@ def theta_expansion(N: int) -> QExpansion:
     while l * l <= N:
         coeffs[l * l] = Fraction(2)
         l += 1
-    return QExpansion(coeffs, N)
+    return coeffs
 
 
-def g2k_expansion(k: int, N: int) -> QExpansion:
-    """G2(2k tau) in the q = e^(pi i tau) variable up to q^N."""
+def g2k_expansion(k: int, N: int) -> list[Fraction]:
+    """G2(2k tau) in the q = e^(pi i tau) variable: the coefficients of q^0 .. q^N."""
     if k < 1 or N < 1:
         raise ValueError("k and N must be >= 1")
     coeffs = [Fraction(0)] * (N + 1)
     coeffs[0] = _SIGMA0
     for a in range(1, N // (4 * k) + 1):
         coeffs[4 * k * a] = Fraction(sigma(1, a))
-    return QExpansion(coeffs, N)
+    return coeffs
 
 
-def fk_expansion(k: int, N: int) -> QExpansion:
-    """F_k = G2(2k tau) * theta(tau), by series multiplication."""
-    return g2k_expansion(k, N) * theta_expansion(N)
+def fk_expansion(k: int, N: int) -> list[Fraction]:
+    """F_k = G2(2k tau) * theta(tau) up to q^N, by series multiplication."""
+    return _cauchy_product(g2k_expansion(k, N), theta_expansion(N))
 
 
 def ek_coeff(k: int, n: int) -> Fraction:
@@ -337,15 +311,6 @@ def e1_square_twelfths(dmax: int) -> tuple[int, ...]:
     atab = arith.sl2_order_table(dmax)
     jtab = arith.jordan2_table(dmax)
     return (0, *(5 * atab[d] - 6 * jtab[d] for d in range(1, dmax + 1)))
-
-
-def e_square_twelfths(k: int, dmax: int) -> tuple[int, ...]:
-    """12 e(d^2, k) for 0 <= d <= dmax as exact ints, for k in {1, 6}."""
-    if k == 1:
-        return e1_square_twelfths(dmax)
-    if k == 6:
-        return e6_square_twelfths(dmax)
-    raise ValueError(f"e_square_twelfths covers k in {{1, 6}}, got {k}")
 
 
 def check_e_and_a(D: int, k: int) -> bool:

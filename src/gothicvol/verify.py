@@ -26,30 +26,16 @@ from __future__ import annotations
 
 import importlib
 import time
+from collections import namedtuple
 from collections.abc import Callable
 
 
-class CheckResult:
-    """The outcome of one check; two results are equal when all fields are."""
+class CheckResult(namedtuple("CheckResult", ("name", "suite", "ok", "elapsed_s", "detail"),
+                             defaults=("",))):
+    """The outcome of one check: an immutable, hashable tuple
+    (name, suite, ok, elapsed_s, detail)."""
 
-    __slots__ = ("name", "suite", "ok", "elapsed_s", "detail")
-
-    def __init__(self, name: str, suite: str, ok: bool, elapsed_s: float, detail: str = ""):
-        self.name = name
-        self.suite = suite
-        self.ok = ok
-        self.elapsed_s = elapsed_s
-        self.detail = detail
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ([getattr(self, name) for name in self.__slots__]
-                == [getattr(other, name) for name in self.__slots__])
-
-    def __repr__(self):
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"CheckResult({shown})"
+    __slots__ = ()
 
 
 # check name -> (suite, body); a body raises on a violation and may return a detail

@@ -57,41 +57,18 @@ from .arith import (
 )
 
 
-class VolumeEstimate:
+class VolumeEstimate(namedtuple("VolumeEstimate", (
+        "locus", "D", "mode", "surrogate", "value", "extrapolated", "exact_target",
+        "relative_error", "extrapolated_relative_error", "series", "series_exact"))):
     """A volume estimate at D: its value, the extrapolation, the exact target
     and the checkpoint series, as float (``series``) and exact raw sums
-    (``series_exact``, left out of the repr).  Each estimate gets its own
-    series lists, and two estimates are equal when all their fields are."""
+    (``series_exact``, left out of the repr); an immutable tuple, unhashable
+    because the series are lists."""
 
-    __slots__ = ("locus", "D", "mode", "surrogate", "value", "extrapolated",
-                 "exact_target", "relative_error", "extrapolated_relative_error",
-                 "series", "series_exact")
-
-    def __init__(self, locus: Locus, D: int, mode: str, surrogate: str, value: float,
-                 extrapolated: float, exact_target: PiQuantity, relative_error: float,
-                 extrapolated_relative_error: float,
-                 series: list[tuple[int, float]] | None = None,
-                 series_exact: list[tuple[int, Fraction]] | None = None):
-        self.locus = locus
-        self.D = D
-        self.mode = mode
-        self.surrogate = surrogate
-        self.value = value
-        self.extrapolated = extrapolated
-        self.exact_target = exact_target
-        self.relative_error = relative_error
-        self.extrapolated_relative_error = extrapolated_relative_error
-        self.series = [] if series is None else series
-        self.series_exact = [] if series_exact is None else series_exact
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ([getattr(self, name) for name in self.__slots__]
-                == [getattr(other, name) for name in self.__slots__])
+    __slots__ = ()
 
     def __repr__(self):
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__[:-1])
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields[:-1], self))
         return f"VolumeEstimate({shown})"
 
 

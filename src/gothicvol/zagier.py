@@ -40,6 +40,7 @@ ebar6_sixtieths.  Both routes are exposed and must agree exactly.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 from .arith import (
@@ -247,43 +248,25 @@ def kappa(d: int) -> Fraction:
     return _KAPPA[math.gcd(6, d)]
 
 
-class AsymptoticReport:
+class AsymptoticReport(namedtuple("AsymptoticReport", (
+        "d_max", "delta1", "delta6", "delta1_upper_max", "delta1_lower_max", "delta1_ratio",
+        "delta6_upper_max", "delta6_lower_max", "delta6_ratio"))):
     """Scaled deviations of e(d^2, k) from its main term, for k = 1 and 6.
 
     delta1[d] = |e(d^2,1) - (5/12) a(d)| / d^(5/2)
     delta6[d] = |e(d^2,6) - kappa(d) a(d) / 60| / d^(5/2)
 
     with the half-range maxima max over (d_max/2, d_max] and the previous
-    half-range (d_max/4, d_max/2], plus their ratio.  The delta lists are
-    left out of the repr; two reports are equal when all their fields are.
+    half-range (d_max/4, d_max/2], plus their ratio.  An immutable tuple,
+    unhashable because the delta lists are lists; they are left out of the
+    repr.
     """
 
-    __slots__ = ("d_max", "delta1", "delta6", "delta1_upper_max", "delta1_lower_max",
-                 "delta1_ratio", "delta6_upper_max", "delta6_lower_max", "delta6_ratio")
-
-    def __init__(self, d_max: int, delta1: list[float], delta6: list[float],
-                 delta1_upper_max: float = 0.0, delta1_lower_max: float = 0.0,
-                 delta1_ratio: float = 0.0, delta6_upper_max: float = 0.0,
-                 delta6_lower_max: float = 0.0, delta6_ratio: float = 0.0):
-        self.d_max = d_max
-        self.delta1 = delta1
-        self.delta6 = delta6
-        self.delta1_upper_max = delta1_upper_max
-        self.delta1_lower_max = delta1_lower_max
-        self.delta1_ratio = delta1_ratio
-        self.delta6_upper_max = delta6_upper_max
-        self.delta6_lower_max = delta6_lower_max
-        self.delta6_ratio = delta6_ratio
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ([getattr(self, name) for name in self.__slots__]
-                == [getattr(other, name) for name in self.__slots__])
+    __slots__ = ()
 
     def __repr__(self):
-        shown = ", ".join(f"{name}={getattr(self, name)!r}"
-                          for name in self.__slots__ if name not in ("delta1", "delta6"))
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self)
+                          if name not in ("delta1", "delta6"))
         return f"AsymptoticReport({shown})"
 
     def range_max(self, k: int, lo: int, hi: int) -> float:

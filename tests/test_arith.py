@@ -273,14 +273,23 @@ def test_multiplicative_tables_match_scalars():
 
 
 def test_multiplicative_table_past_the_sieve_bound(monkeypatch):
-    # a sieve of 50 entries: every n >= 50 takes its smallest prime from
-    # trial division
+    # a sieve of 50 entries: the tables stop at N = 49, and N = 50 is refused
+    # before the sieve or the table is allocated
+    def no_sieve(size):
+        raise AssertionError(f"a sieve of {size} entries was asked for")
+
+    def step(p, prev):
+        return p * prev + 1
+
     monkeypatch.setattr(arith, "SIEVE_BOUND", 50)
     monkeypatch.setattr(arith, "_spf", None)
     monkeypatch.setattr(arith, "_spf_bound", 0)
-    table = arith._multiplicative_table(400, lambda p, prev: p * prev + 1)
+    assert list(arith._multiplicative_table(49, step)) == [0] + [sigma(1, n) for n in range(1, 50)]
     assert arith._spf_bound == 50
-    assert list(table) == [0] + [sigma(1, n) for n in range(1, 401)]
+    monkeypatch.setattr(arith, "_ensure_sieve", no_sieve)
+    for N in (50, 51, 10**12):
+        with pytest.raises(ValueError, match="beyond the sieve bound 50"):
+            arith._multiplicative_table(N, step)
 
 
 def test_cached_tables_are_read_only():
@@ -386,7 +395,7 @@ def counted_trial(n):
     return trial(n)
 
 arith.trial_factorize = counted_trial
-doc = {"cap": arith.sieve_bound()}
+doc = {"cap": arith.SIEVE_BOUND}
 doc["small"] = [arith.factorize(360), arith._spf_bound]
 doc["large"] = [arith.factorize(9_999_991) == trial(9_999_991), arith._spf_bound]
 doc["huge"] = [arith.factorize(10**14 + 37) == trial(10**14 + 37), arith._spf_bound]
@@ -425,7 +434,7 @@ import json, sys
 from gothicvol import arith
 
 arith.SIEVE_BOUND = int(sys.argv[1])
-cap = arith.sieve_bound()
+cap = arith.SIEVE_BOUND
 ns = [*range(1, 301), 6 * (cap + 1)]
 print(json.dumps({
     "cap": cap,

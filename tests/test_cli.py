@@ -411,3 +411,14 @@ def test_out_file(tmp_path, capsys):
     code = main(["e", "--D", "5", "--k", "1", "--out", str(target)])
     assert code == 0
     assert json.loads(target.read_text())["result"] == "2"
+
+
+def test_unwritable_out_file_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code = main(["sk", "--k", "1", "--D", "100", "--out", str(target)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(target) in err[0]
+    assert not target.parent.exists()

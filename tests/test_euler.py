@@ -111,8 +111,8 @@ def test_chi_w6():
 def test_chi_r_and_c_d():
     # squares: c = sigma_0(6/(d,6))
     assert c_D(25) == 4 and c_D(36) == 1 and c_D(16) == 2
-    assert chi_R(25, "main_term") == -euler.e_square(5, 6) / 24
-    assert chi_R(36, "main_term") == -euler.e_square(6, 6) / 6
+    assert chi_R(25, "main_term") == -euler.e_square(5) / 24
+    assert chi_R(36, "main_term") == -euler.e_square(6) / 6
     # non-squares: the residue table
     assert c_D(12) == 1 and c_D(28) == 2 and c_D(33) == 2 and c_D(73) == 4
     assert chi_R(12) == -e_value(12, 6) / 6
@@ -218,8 +218,8 @@ def test_chi_w2_square_matches_moebius_sum():
 
 
 def test_e_square_cache_is_read_only():
-    euler.precompute_e_square(6, 30)
-    cache = euler._E_CACHE[6]
+    cache = euler.precompute_e_square(30)
+    assert cache is euler._E6_TWELFTHS
     with pytest.raises(TypeError):
         cache[5] = 0
     assert cache[5] == 12 * e_square_table(6, 5)[5]
@@ -228,32 +228,32 @@ def test_e_square_cache_is_read_only():
 def test_e_square_table_grows_geometrically(monkeypatch):
     asked = []
 
-    def recorded(k, dmax):
+    def recorded(dmax):
         asked.append(dmax)
         return e6_square_twelfths(dmax)
 
-    monkeypatch.setattr(euler, "_E_CACHE", {})
-    monkeypatch.setattr(qforms, "e_square_twelfths", recorded)
+    monkeypatch.setattr(euler, "_E6_TWELFTHS", ())
+    monkeypatch.setattr(qforms, "e6_square_twelfths", recorded)
     want = e6_square_twelfths(1000)
     for d in range(1, 1001):
-        assert euler.e_square(d, 6) == Fraction(want[d], 12), d
+        assert euler.e_square(d) == Fraction(want[d], 12), d
     assert asked == [64, 128, 256, 512, 1024]
 
 
 def test_e_square_refuses_beyond_its_bound_before_any_build(monkeypatch, capsys):
     asked = []
 
-    def recorded(k, dmax):
+    def recorded(dmax):
         asked.append(dmax)
         return (0,) * (dmax + 1)  # stands in for the table, which is not built
 
-    monkeypatch.setattr(euler, "_E_CACHE", {6: (0,) * 200001})
-    monkeypatch.setattr(qforms, "e_square_twelfths", recorded)
+    monkeypatch.setattr(euler, "_E6_TWELFTHS", (0,) * 200001)
+    monkeypatch.setattr(qforms, "e6_square_twelfths", recorded)
     bound = euler.E_SQUARE_MAX_D
     with pytest.raises(ValueError):
-        euler.e_square(bound + 1, 6)
+        euler.e_square(bound + 1)
     assert asked == []
-    assert euler.e_square(bound, 6) == 0  # the growth stops at the bound
+    assert euler.e_square(bound) == 0  # the growth stops at the bound
     assert asked == [bound]
     D = str((bound + 1) ** 2)
     for family in ("r", "g"):

@@ -17,7 +17,6 @@ from gothicvol.arith import PiQuantity
 from gothicvol.counting import CoverCount
 from gothicvol.ideals import IdealSpec, QuadPair
 from gothicvol.prototypes import DiscriminantDecomposition
-from gothicvol.qforms import QExpansion
 from gothicvol.verify import CheckResult
 from gothicvol.volume import SmmTotals, VolumeEstimate
 from gothicvol.zagier import AsymptoticReport
@@ -28,13 +27,18 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 def _estimate(**fields):
     args = dict(locus=Locus.H2, D=40, mode="direct", surrogate="main_term", value=1.0,
                 extrapolated=1.5, exact_target=PiQuantity(Fraction(1, 960), 4),
-                relative_error=0.25, extrapolated_relative_error=0.125)
+                relative_error=0.25, extrapolated_relative_error=0.125,
+                series=[(40, 1.0)], series_exact=[(40, Fraction(3))])
     args.update(fields)
     return VolumeEstimate(**args)
 
 
+def _report(delta6):
+    return AsymptoticReport(30, [0.0, 0.5], delta6, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
 # Each frozen record: two equal instances built apart, and one that differs in
-# its last field; its first field is assigned to below.
+# its last field.
 FROZEN = {
     "PiQuantity": (lambda: PiQuantity(Fraction(1, 3), 4), PiQuantity(Fraction(1, 3), 2)),
     "DiscriminantDecomposition": (lambda: DiscriminantDecomposition(45, 3, 5, False),
@@ -45,20 +49,21 @@ FROZEN = {
     "CoverCount": (lambda: CoverCount(6, (("x", 36, 1, Fraction(1)),), Fraction(1)),
                    CoverCount(6, (("x", 36, 1, Fraction(1)),), Fraction(2))),
     "SmmTotals": (lambda: SmmTotals((0, 3, 9), 48), SmmTotals((0, 3, 9), 12)),
-}
-
-# Each mutable record: two equal instances built apart, and one that differs
-# in a field left out of the repr where there is one.
-MUTABLE = {
-    "QExpansion": (lambda: QExpansion([Fraction(1), Fraction(0), Fraction(2)], 2),
-                   QExpansion([Fraction(1), Fraction(0), Fraction(2)], 1)),
-    "VolumeEstimate": (lambda: _estimate(series=[(40, 1.0)], series_exact=[(40, Fraction(3))]),
-                       _estimate(series=[(40, 1.0)], series_exact=[(40, Fraction(4))])),
-    "AsymptoticReport": (lambda: AsymptoticReport(30, [0.0, 0.5], [0.0, 0.25], 0.5),
-                         AsymptoticReport(30, [0.0, 0.5], [0.0, 0.75], 0.5)),
     "CheckResult": (lambda: CheckResult("c", "arith", True, 0.5),
                     CheckResult("c", "arith", True, 0.5, "why")),
 }
+
+# Each record with mutable (list) fields: two equal instances built apart, and
+# one that differs in a field left out of the repr.
+MUTABLE = {
+    "VolumeEstimate": (_estimate, _estimate(series_exact=[(40, Fraction(4))])),
+    "AsymptoticReport": (lambda: _report([0.0, 0.25]), _report([0.0, 0.75])),
+}
+
+# The first field of each record, assigned to below.
+FIRST_FIELD = {"PiQuantity": "coeff", "DiscriminantDecomposition": "D", "QuadPair": "a1",
+               "IdealSpec": "d", "CoverCount": "m", "SmmTotals": "numerators",
+               "CheckResult": "name", "VolumeEstimate": "locus", "AsymptoticReport": "d_max"}
 
 
 @pytest.mark.parametrize("name", [*FROZEN, *MUTABLE])
@@ -76,10 +81,8 @@ def test_frozen_records_hash_and_refuse_assignment(name):
     a, b = make(), make()
     assert hash(a) == hash(b)
     assert len({a, b, other}) == 2
-    field = {"PiQuantity": "coeff", "DiscriminantDecomposition": "D", "QuadPair": "a1",
-             "IdealSpec": "d", "CoverCount": "m", "SmmTotals": "numerators"}[name]
     with pytest.raises(AttributeError):
-        setattr(a, field, 7)
+        setattr(a, FIRST_FIELD[name], 7)
     with pytest.raises(AttributeError):
         a.extra = 7
     assert a == b
@@ -94,9 +97,26 @@ def test_records_survive_copy_and_pickle(name):
 
 @pytest.mark.parametrize("name", MUTABLE)
 def test_mutable_records_are_unhashable(name):
-    a = MUTABLE[name][0]()
+    # the record itself refuses assignment and new attributes like a frozen
+    # one; only its list fields keep it from hashing
+    a, b = MUTABLE[name][0](), MUTABLE[name][0]()
     with pytest.raises(TypeError):
         hash(a)
+    with pytest.raises(AttributeError):
+        setattr(a, FIRST_FIELD[name], 7)
+    with pytest.raises(AttributeError):
+        a.extra = 7
+    assert a == b
+
+
+@pytest.mark.parametrize("name", [*FROZEN, *MUTABLE])
+def test_records_are_namedtuples_except_pi_quantity(name):
+    cls = type({**FROZEN, **MUTABLE}[name][1])
+    if name == "PiQuantity":  # arithmetic, so no tuple concatenation or ordering
+        assert not issubclass(cls, tuple) and cls.__slots__ == ("coeff", "pi_power")
+    else:
+        assert issubclass(cls, tuple) and cls.__slots__ == ()
+        assert cls._fields[0] == FIRST_FIELD[name]
 
 
 def test_pi_quantity_coerces_its_coefficient():
@@ -107,14 +127,6 @@ def test_pi_quantity_coerces_its_coefficient():
     assert PiQuantity(half).coeff is half  # a Fraction is kept, not re-wrapped
     assert (PiQuantity(Fraction(1, 3), 2) * 3).coeff == 1
     assert type((PiQuantity(Fraction(1, 3), 2) * 3).coeff) is Fraction
-
-
-def test_volume_estimates_do_not_share_their_series():
-    a, b = _estimate(), _estimate()
-    assert a.series == [] and a.series_exact == []
-    a.series.append((40, 1.0))
-    a.series_exact.append((40, Fraction(1)))
-    assert b.series == [] and b.series_exact == []
 
 
 def test_record_reprs():
@@ -128,16 +140,14 @@ def test_record_reprs():
     assert repr(CoverCount(6, (), Fraction(1))) == (
         "CoverCount(m=6, contributions=(), total=Fraction(1, 1))")
     assert repr(SmmTotals((0, 3), 48)) == "SmmTotals(numerators=(0, 3), denominator=48)"
-    assert repr(QExpansion([Fraction(2)], 0)) == (
-        "QExpansion(coeffs=[Fraction(2, 1)], truncation=0)")
     assert repr(CheckResult("c", "arith", False, 0.5, "why")) == (
         "CheckResult(name='c', suite='arith', ok=False, elapsed_s=0.5, detail='why')")
     # the exact series and the delta lists stay out of the repr
-    assert repr(_estimate(series=[(40, 1.0)], series_exact=[(40, Fraction(3))])) == (
+    assert repr(_estimate()) == (
         "VolumeEstimate(locus=<Locus.H2: 'h2'>, D=40, mode='direct', surrogate='main_term', "
         "value=1.0, extrapolated=1.5, exact_target=1/960*pi^4, relative_error=0.25, "
         "extrapolated_relative_error=0.125, series=[(40, 1.0)])")
-    assert repr(AsymptoticReport(30, [0.0], [0.0], 0.5)) == (
+    assert repr(_report([0.0, 0.25])) == (
         "AsymptoticReport(d_max=30, delta1_upper_max=0.5, delta1_lower_max=0.0, "
         "delta1_ratio=0.0, delta6_upper_max=0.0, delta6_lower_max=0.0, delta6_ratio=0.0)")
 

@@ -182,7 +182,8 @@ def test_integer_totals_match_smm(monkeypatch, locus, surrogate):
     # counting.smm reads 12 e(d^2, 6) from the square-table oracle here, so
     # the two sides share no e route
     mmax = 2000
-    monkeypatch.setitem(euler._E_CACHE, 6, tuple(int(12 * e) for e in e_square_table(6, mmax)))
+    monkeypatch.setattr(euler, "_E6_TWELFTHS",
+                        tuple(int(12 * e) for e in e_square_table(6, mmax)))
     totals = volume.smm_totals(locus, mmax, surrogate)
     assert len(totals.numerators) == mmax + 1 and totals.numerators[0] == 0
     assert all(isinstance(t, int) for t in totals.numerators)
@@ -192,7 +193,7 @@ def test_integer_totals_match_smm(monkeypatch, locus, surrogate):
 
 
 # Reports, after smm_totals of each gothic surrogate in one fresh process, how
-# often e(d^2, 6) was built and whether the euler cache holds anything.
+# often e(d^2, 6) was built and whether the euler store holds anything.
 _E_BUILDS = """
 import json
 from gothicvol import euler, qforms, volume
@@ -204,7 +205,7 @@ qforms.e6_square_twelfths = lambda dmax: built.append(dmax) or route(dmax)
 report = []
 for surrogate in ("leading", "main", "remark"):
     volume.smm_totals(Locus.G, 300, surrogate)
-    report.append([surrogate, list(built), dict(euler._E_CACHE)])
+    report.append([surrogate, list(built), list(euler._E6_TWELFTHS)])
 print(json.dumps(report))
 """
 
@@ -215,7 +216,7 @@ def test_gothic_leading_builds_no_e_table():
     proc = subprocess.run([sys.executable, "-c", _E_BUILDS], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     assert json.loads(proc.stdout) == [
-        ["leading", [], {}], ["main", [300], {}], ["remark", [300, 300], {}]
+        ["leading", [], []], ["main", [300], []], ["remark", [300, 300], []]
     ]
 
 
