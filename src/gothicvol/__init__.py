@@ -21,10 +21,13 @@ closed volume path share, so that neither loads ``euler`` or ``counting``:
 
     Locus          -- the four loci (H(2), Prym P3 / P4, gothic), also
                       ``counting.Locus``
-    MODES          -- every accepted spelling of a surrogate mode, mapped to
-                      its canonical name, also ``euler.MODES``
-    surrogate_mode -- the canonical name of a square-discriminant surrogate,
-                      also ``euler.surrogate_mode``
+    MODES          -- every accepted spelling of a mode, mapped to its
+                      canonical name
+    SURROGATES     -- the square-discriminant surrogates each locus offers
+    surrogate_mode -- the canonical name of a surrogate that a locus offers
+
+Every locus entry point validates its surrogate through ``surrogate_mode``;
+``euler.check_mode`` reads the modes of each ``chi`` family, FAMILY_MODES.
 
 ``cli`` and ``volume`` import a module that only some subcommands need inside
 the functions that call it, and ``cli`` builds the argument parser of the
@@ -43,7 +46,7 @@ from enum import Enum
 
 from .arith import PiQuantity
 
-__all__ = ["Locus", "MODES", "PiQuantity", "surrogate_mode"]
+__all__ = ["Locus", "MODES", "PiQuantity", "SURROGATES", "surrogate_mode"]
 __version__ = "0.1.0"
 
 
@@ -67,11 +70,19 @@ MODES = {"exact": "exact", "main": "main_term", "main_term": "main_term",
          "leading": "leading", "remark": "remark"}
 
 
-def surrogate_mode(name: str) -> str:
-    """Canonical name of a square-discriminant surrogate; 'exact' is refused."""
+# The surrogates each locus offers.  H(2) is exact but keeps the label
+# main_term, which recorded answers carry.  Gothic closed main_term still
+# reports the leading sums, the only ones the closed rows compute, until the
+# recorded answers are re-recorded (ROADMAP item 2).
+SURROGATES = {Locus.H2: ("main_term",), Locus.P3: ("main_term",),
+              Locus.P4: ("main_term",), Locus.G: ("main_term", "leading", "remark")}
+
+
+def surrogate_mode(name: str, locus: Locus) -> str:
+    """Canonical name of a surrogate that ``locus`` offers; any other is refused."""
     mode = MODES.get(name)
-    if mode is None or mode == "exact":
-        raise ValueError(
-            f"unknown surrogate {name!r}; pick one of 'main', 'leading', 'remark'"
-        )
+    offered = SURROGATES[locus]
+    if mode not in offered:
+        raise ValueError(f"the {locus.value} locus has no surrogate {name!r}; "
+                         f"pick one of {', '.join(map(repr, offered))}")
     return mode

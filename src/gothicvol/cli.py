@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from fractions import Fraction
@@ -46,9 +45,7 @@ def _encode(value, as_float: bool):
         if as_float:
             return value.to_float()
         return {"coeff": _frac_str(value.coeff), "pi_power": value.pi_power}
-    if isinstance(value, float):
-        return value
-    if isinstance(value, int):
+    if isinstance(value, (float, int)):
         return value
     if isinstance(value, (list, tuple)):
         return [_encode(v, as_float) for v in value]
@@ -169,14 +166,13 @@ def _cmd_ideals(args):
 def _cmd_chi(args):
     from . import euler
 
-    D, mode = args.D, MODES[args.mode]
-    fam = args.family
+    D, mode, fam = args.D, MODES[args.mode], args.family
+    d = euler.check_mode(fam, D, mode)  # the square root of D, or None
     if fam == "x":
         value = euler.chi_X(D)
     elif fam == "xbr":
-        d = args.d or math.isqrt(D)
-        if d * d != D:
-            raise ValueError("family=xbr needs a square D (or pass --d)")
+        if d is None:
+            raise ValueError("family=xbr needs a square D")
         value = euler.chi_X_br(d, args.r)
     elif fam == "w2":
         value = euler.chi_W2(D)
@@ -197,7 +193,7 @@ def _cmd_chi(args):
 def _cmd_smm(args):
     from . import counting
 
-    cover = counting.smm(_LOCI[args.locus], args.m, MODES[args.surrogate])
+    cover = counting.smm(_LOCI[args.locus], args.m, args.surrogate)
     result = {
         "m": cover.m,
         "total": cover.total,
@@ -212,7 +208,7 @@ def _cmd_smm(args):
 def _cmd_cd(args):
     from . import counting
 
-    value = counting.cd_count(_LOCI[args.locus], args.d, MODES[args.surrogate])
+    value = counting.cd_count(_LOCI[args.locus], args.d, args.surrogate)
     return {"locus": args.locus, "d": args.d, "surrogate": args.surrogate}, value, None
 
 
@@ -232,9 +228,7 @@ def _cmd_sk(args):
 def _cmd_volume(args):
     from . import volume
 
-    est = volume.volume_estimate(
-        _LOCI[args.locus], args.dmax, args.mode, MODES[args.surrogate]
-    )
+    est = volume.volume_estimate(_LOCI[args.locus], args.dmax, args.mode, args.surrogate)
     result = {
         "locus": args.locus,
         "dmax": est.D,
@@ -309,8 +303,6 @@ _SUBCOMMANDS = {
              ("--D", _INT),
              ("--r", {"type": int, "default": 1}),
              ("--j", {"type": int, "default": 1}),
-             ("--d", {"type": int, "default": 0,
-                      "help": "for family=xbr: the square root of D"}),
              ("--mode", {"choices": tuple(MODES), "default": "exact"}))),
     "smm": ("|S_{m,m}| split by contributing curve", _cmd_smm,
             (_LOCUS, ("--m", _INT), _SURROGATE)),

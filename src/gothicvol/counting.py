@@ -40,7 +40,7 @@ from functools import cache
 from fractions import Fraction
 from math import factorial, lcm, prod
 
-from . import Locus
+from . import Locus, surrogate_mode
 from .arith import divisors, nu, sigma
 
 
@@ -72,12 +72,13 @@ def _euler():
 def smm(locus: Locus, m: int, mode: str = "main_term") -> CoverCount:
     """|S_{m,m}(locus)| by the distribution rules, as curve contributions.
 
-    ``mode`` selects the square-discriminant surrogate for the gothic locus
-    (main_term / leading / remark); H(2) values are exact, P3/P4 use their
-    main-term formulas.
+    ``mode`` is a surrogate the locus offers (SURROGATES): main_term, or for
+    the gothic locus also leading / remark; H(2) values are exact under the
+    main_term label, P3/P4 use their main-term formulas.
     """
     if m < 1:
         raise ValueError("need m >= 1")
+    mode = surrogate_mode(mode, locus)
     euler = _euler()
     parts: list[tuple[str, int, int | None, Fraction]] = []
     if locus is Locus.H2:
@@ -124,6 +125,7 @@ def cd_count(locus: Locus, d: int, mode: str = "main_term") -> Fraction:
     """|C_d| = sum_{m|d} sigma(d/m) |S_{m,m}|: all torus covers of degree d."""
     if d < 1:
         raise ValueError("need d >= 1")
+    mode = surrogate_mode(mode, locus)
     # the terms as ints over the least common denominator, as in smm
     terms = [(sigma(1, d // m), smm(locus, m, mode).total) for m in divisors(d)]
     den = lcm(*(t.denominator for _, t in terms))

@@ -17,9 +17,10 @@ formulas:
 
 For square discriminants the curve formulas (other than genus 2) are not
 unconditional: the Baily-Borel boundary contributes an unknown correction of
-relative size O(1/d).  Those values are therefore typed by a ``mode``:
+relative size O(1/d).  Those values are therefore typed by a ``mode``, and
+check_mode refuses a mode that the family's entry in FAMILY_MODES lacks:
 
-    exact      -- unconditional formula (non-square D; genus 2 squares)
+    exact      -- unconditional formula (non-square D; X, X(b_r), W(2) at squares)
     main_term  -- the boundary-free lower bound of the square-discriminant
                   sandwich, adopted as surrogate (default in volume sums)
     leading    -- the pure a(d) leading term with the kappa' constants
@@ -42,7 +43,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import MODES, surrogate_mode  # defined in the package root, kept here as euler.*
 from .arith import jordan2, sl2_order
 from .prototypes import _e_sum, _validate_discriminant, conductor_decompose, e_value
 
@@ -87,19 +87,27 @@ def is_empty(family: str, D: int) -> bool:
     return False
 
 
-def _check_mode(d: int | None, mode: str, surrogates: tuple[str, ...] = ("main_term",)) -> None:
-    """Refuse a mode that the branch of D does not offer: a non-square D
-    (d is None) takes 'exact' only, a square D = d^2 one of ``surrogates``."""
-    if d is None:
-        if mode != "exact":
+# The modes each family, named as by ``chi --family``, offers at a square D;
+# at a non-square D every family is exact.
+FAMILY_MODES = {"x": ("exact",), "xbr": ("exact",), "w2": ("exact",),
+                "w4": ("main_term",), "w6": ("main_term",), "r": ("main_term",),
+                "g": ("main_term", "leading", "remark")}
+
+
+def check_mode(family: str, D: int, mode: str) -> int | None:
+    """Refuse a D that is no discriminant and a mode that ``family`` does not
+    offer at D; return d for a square D = d^2, None for a non-square D."""
+    _validate_discriminant(D)
+    d = _is_square(D)
+    offered = ("exact",) if d is None else FAMILY_MODES[family]
+    if mode not in offered:
+        if d is None:
             raise ValueError("non-square discriminants use mode='exact'")
-    elif mode not in surrogates:
-        if len(surrogates) == 1:
-            raise ValueError(f"square discriminants require mode={surrogates[0]!r}")
-        choices = ", ".join(map(repr, surrogates))
-        raise ValueError(
-            f"square discriminants have no unconditional formula; pick mode in {{{choices}}}"
-        )
+        if len(offered) == 1:
+            raise ValueError(f"square discriminants require mode={offered[0]!r}")
+        raise ValueError("square discriminants have no unconditional formula; "
+                         f"pick mode in {{{', '.join(map(repr, offered))}}}")
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +201,7 @@ def c_D(D: int) -> int:
 
 def chi_R(D: int, mode: str = "exact") -> Fraction:
     """chi(R_D^r) = -e(D, 6) / (6 c_D); square D is a main-term surrogate."""
-    _validate_discriminant(D)
-    d = _is_square(D)
-    _check_mode(d, mode)
+    d = check_mode("r", D, mode)
     e = e_value(D, 6) if d is None else e_square(d)
     return -e / (6 * c_D(D))
 
@@ -206,8 +212,7 @@ def chi_R(D: int, mode: str = "exact") -> Fraction:
 
 def chi_W2(D: int) -> Fraction:
     """chi(W_D(2)); exact in both the square and non-square branch."""
-    _validate_discriminant(D)
-    d = _is_square(D)
+    d = check_mode("w2", D, "exact")
     if d is not None:
         if d < 2:
             raise ValueError("W_1(2) is undefined")
@@ -222,12 +227,11 @@ def chi_W4(D: int, j: int = 1, mode: str = "exact") -> Fraction:
     """chi(W_D^j(4)): empty (0) if D = 5 mod 8, one component if D = 0,4 mod 8,
     two if D = 1 mod 8; -(5/2) chi(X_D) when the conductor is odd, -(15/4)
     when it is even.  Square discriminants require mode='main_term'."""
-    _validate_discriminant(D)
+    check_mode("w4", D, mode)
     if j == 2 and D % 8 != 1:
         raise ValueError(f"W_D(4) has a single component for D = {D}")
     if j not in (1, 2):
         raise ValueError("component j must be 1 or 2")
-    _check_mode(_is_square(D), mode)
     if is_empty("w4", D):
         return Fraction(0)
     factor = Fraction(-5, 2) if conductor_decompose(D).f % 2 else Fraction(-15, 4)
@@ -236,15 +240,13 @@ def chi_W4(D: int, j: int = 1, mode: str = "exact") -> Fraction:
 
 def chi_W6(D: int, mode: str = "exact") -> Fraction:
     """chi(W_D(6)) = -7 chi(X_D); irreducible.  Squares are main-term."""
-    _validate_discriminant(D)
-    _check_mode(_is_square(D), mode)
+    check_mode("w6", D, mode)
     return -7 * chi_X(D)
 
 
 def chi_G(D: int, r: int = 1, mode: str = "exact") -> Fraction:
-    """chi(G_D^r) per the four-case formula, 0 where G_D is empty; square
-    discriminants offer the main_term / leading / remark surrogates (remark:
-    r = 1 only).
+    """chi(G_D^r) per the four-case formula, 0 where G_D is empty; at a square
+    D in one of the surrogates FAMILY_MODES["g"] (remark: r = 1 only).
 
     The value is one numerator over one denominator.  At a non-square D,
     -(3/2) ratio chi(X_D) - 2 chi(R_D) = -ratio e(D, 1)/20 + e(D, 6)/(3 c_D).
@@ -253,11 +255,7 @@ def chi_G(D: int, r: int = 1, mode: str = "exact") -> Fraction:
     and remark adds (REMARK_COEFF/d) chi(X_{d^2}(b_1)) = REMARK_COEFF ratio
     a/(72 d).  An empty G_D accepts component 1 only.
     """
-    _validate_discriminant(D)
-    if mode not in MODES.values():
-        raise ValueError(f"unknown mode {mode!r}")
-    d = _is_square(D)
-    _check_mode(d, mode, ("main_term", "leading", "remark"))
+    d = check_mode("g", D, mode)
     if d is None:
         if is_empty("g", D):
             if r != 1:

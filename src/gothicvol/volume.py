@@ -285,7 +285,7 @@ def smm_totals(locus: Locus, mmax: int, surrogate: str = "main_term") -> SmmTota
     locus and surrogate.  Built from whole tables; e(h^2, 6) only for the
     gothic main_term and remark surrogates, the only ones that read it.
     """
-    mode = surrogate_mode(surrogate)
+    mode = surrogate_mode(surrogate, locus)
     if mmax < 1:
         raise ValueError(f"need mmax >= 1, got {mmax}")
     ms = range(1, mmax + 1)
@@ -306,8 +306,6 @@ def smm_totals(locus: Locus, mmax: int, surrogate: str = "main_term") -> SmmTota
         t = [0] * (mmax + 1)
         t[2::2] = (7 * x for x in atab[1 : mmax // 2 + 1])
         return SmmTotals(tuple(t), 12)
-    if locus is not Locus.G:
-        raise ValueError(f"unsupported locus {locus}")
     L, curve = _gothic_curve_counts(mmax, "leading" if mode == "leading" else "main_term")
     t = list(curve)  # the component r = 1, at h = m
     if mode == "remark":
@@ -348,7 +346,7 @@ def direct_prefix(locus: Locus, Dmax: int, surrogate: str = "main_term") -> list
     """
     from .counting import smm
 
-    mode = surrogate_mode(surrogate)
+    mode = surrogate_mode(surrogate, locus)
     totals = [smm(locus, m, mode).total for m in range(1, Dmax + 1)]
     L = lcm(*(t.denominator for t in totals))
     t = [0] + [x.numerator * (L // x.denominator) for x in totals]  # L |S_{m,m}|
@@ -417,9 +415,7 @@ def volume_estimate(
         _check_closed_bound(D)
     elif D > DIRECT_MAX_D:
         raise ValueError(f"D = {D} is beyond the direct-path bound {DIRECT_MAX_D}")
-    surrogate = surrogate_mode(surrogate)
-    if surrogate == "remark" and locus is not Locus.G:
-        raise ValueError("the remark surrogate applies to the gothic locus only")
+    surrogate = surrogate_mode(surrogate, locus)
     if surrogate == "remark" and mode == "closed":
         raise ValueError("the closed path has no remark term; use --mode direct")
     dim = locus.complex_dim

@@ -55,7 +55,7 @@ from .arith import (
     moebius_table,
     nu,
     sigma,
-    sl2_order,
+    sl2_order_table,
 )
 
 def _gamma(p: int, r: int, v: int) -> int:
@@ -233,11 +233,6 @@ def ebar_rows(d_max: int) -> list[tuple[int, Fraction, Fraction]]:
     return [(d, Fraction(5 * e1[d], 12), Fraction(e6[d], 60)) for d in range(1, d_max + 1)]
 
 
-def ebar6_via_euler_product(d: int) -> Fraction:
-    """ebar_6(d^2) through pi^2/(72*36) * d^3 * e*_6(d^2)."""
-    return (PiQuantity(Fraction(d**3, 72 * 36), 2) * estar6(d)).as_rational()
-
-
 _KAPPA = {1: Fraction(2), 2: Fraction(3, 2), 3: Fraction(4, 3), 6: Fraction(1)}
 
 
@@ -293,13 +288,18 @@ def asymptotic_check_e(d_max: int) -> AsymptoticReport:
 
     e1 = e1_square_twelfths(d_max)
     e6 = e6_square_twelfths(d_max)
+    atab = sl2_order_table(d_max)
+    # kappa(d) = kn / kd by d mod 6, and e6[d] = 12 e(d^2, 6); each deviation
+    # is one int / int division, correctly rounded as float(Fraction) is
+    kappas = [(k.numerator, k.denominator) for k in map(kappa, (6, 1, 2, 3, 4, 5))]
     delta1 = [0.0] * (d_max + 1)
     delta6 = [0.0] * (d_max + 1)
     for d in range(1, d_max + 1):
-        a = sl2_order(d)
+        a = atab[d]
+        kn, kd = kappas[d % 6]
         scale = float(d) ** 2.5
-        delta1[d] = float(abs(Fraction(e1[d] - 5 * a, 12))) / scale
-        delta6[d] = float(abs(Fraction(e6[d], 12) - kappa(d) * Fraction(a, 60))) / scale
+        delta1[d] = abs(e1[d] - 5 * a) / 12 / scale
+        delta6[d] = abs(5 * kd * e6[d] - kn * a) / (60 * kd) / scale
     half, quarter = d_max // 2, d_max // 4
     up1 = max(delta1[half + 1 :])
     lo1 = max(delta1[quarter + 1 : half + 1])

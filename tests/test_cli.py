@@ -114,6 +114,36 @@ def test_empty_curves_check_mode_and_component(capsys):
         assert code == 0 and result["empty"] is True and result["value"] == "0"
 
 
+# Requests whose mode or surrogate the locus or family does not offer, and
+# the modes each error line must name
+REFUSED_MODES = (
+    (("volume", "--locus", "p3", "--dmax", "100", "--surrogate", "leading"), ("main_term",)),
+    (("volume", "--locus", "h2", "--dmax", "100", "--mode", "closed",
+      "--surrogate", "leading"), ("main_term",)),
+    (("smm", "--locus", "h2", "--m", "5", "--surrogate", "remark"), ("main_term",)),
+    (("cd", "--locus", "p4", "--d", "12", "--surrogate", "leading"), ("main_term",)),
+    (("chi", "--family", "x", "--D", "36", "--mode", "leading"), ("exact",)),
+    (("chi", "--family", "w2", "--D", "36", "--mode", "remark"), ("exact",)),
+    (("chi", "--family", "x", "--D", "37", "--mode", "main"), ("exact",)),
+)
+
+
+def test_a_mode_the_locus_or_family_does_not_offer_exits_2(capsys):
+    for argv, offered in REFUSED_MODES:
+        assert main(list(argv)) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        for mode in offered:
+            assert repr(mode) in err, (argv, err)
+    # xbr reads d from its square D; there is no --d
+    with pytest.raises(SystemExit) as exc:
+        main(["chi", "--family", "xbr", "--D", "36", "--d", "6"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --d 6" in capsys.readouterr().err
+    assert main(["chi", "--family", "xbr", "--D", "37"]) == 2
+    assert capsys.readouterr().err == "error: family=xbr needs a square D\n"
+
+
 def test_ideals_subcommand(capsys):
     code, out = run_cli(capsys, "ideals", "--d", "5")
     assert code == 0

@@ -16,7 +16,6 @@ from gothicvol.zagier import (
     ebar1_via_euler_product,
     ebar6_exact,
     ebar6_sixtieths,
-    ebar6_via_euler_product,
     estar1,
     estar6,
     estar_euler_product,
@@ -26,6 +25,12 @@ from gothicvol.zagier import (
 )
 
 REF_MAX_D = 1000
+
+
+def ebar6_via_euler_product(d):
+    """ebar_6(d^2) through pi^2/(72*36) * d^3 * e*_6(d^2): the Euler-product
+    route, the oracle of the four-term ebar_1 combination."""
+    return (PiQuantity(Fraction(d**3, 72 * 36), 2) * estar6(d)).as_rational()
 
 
 def _ebar1_definition(d):
