@@ -91,7 +91,7 @@ def _symplectic_type():
                 raise AssertionError((d, r))
             if ideals.symplectic_divisors(M) != (1, 6):
                 raise AssertionError((d, r))
-    return "congruence reduction on every component"
+    return "gcd of the entries and |Pfaffian| on every component"
 
 
 @_check("polarization restriction = (lcm(d,r), lcm(d,6/r)), d <= 500", "ideals")

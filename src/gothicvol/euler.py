@@ -162,6 +162,7 @@ def chi_X_nonsquare(D: int) -> Fraction:
 
 def chi_X(D: int) -> Fraction:
     """chi(X_D), dispatching on squareness."""
+    _validate_discriminant(D)
     d = _is_square(D)
     return chi_X_square(d) if d is not None else chi_X_nonsquare(D)
 
@@ -190,6 +191,7 @@ def chi_X_br(d: int, r: int) -> Fraction:
 def c_D(D: int) -> int:
     """Number of ideals of norm 6: sigma_0(6/(d,6)) for squares; the residue
     table of the gothic theorem for non-squares (errors outside it)."""
+    _validate_discriminant(D)
     d = _is_square(D)
     if d is not None:
         return _C_D_SQUARE[math.gcd(d, 6)]

@@ -7,17 +7,19 @@ n, the ideal of norm n attached to a divisor r | n is
 
     b_r = {(a1, a2) : a1 = a2 mod d, a1 = 0 mod r, a2 = 0 mod n/r},
 
-with Z-basis {(r*(d, n/r), b*n), (0, lcm(d, n/r))} where a*d + b*(n/r)
-= gcd(d, n/r).  Two ideals coincide iff lcm(r, g) = lcm(s, g) for g = (d, n),
-the Galois action is r -> n/r, and the number of distinct classes is
-sigma_0(n / (d, n)).
+with Z-basis {(r*g, b*n), (0, lcm(d, n/r))}, g = gcd(d, n/r), where b is
+the inverse of (n/r)/g mod d/g, taken in [0, d/g).  Two ideals coincide iff
+lcm(r, g) = lcm(s, g) for g = (d, n), the Galois action is r -> n/r, and the
+number of distinct classes is sigma_0(n / (d, n)).
 
 The trace pairing <(a, b), (x, y)> = tr(a y - b x) on b_r + O^dual is an
 integral symplectic form of type (1, n); restricting it to the two eigenform
 sublattices (vanishing second / first coordinate) produces the polarisation
 degrees (lcm(d, r), lcm(d, n/r)).  O^dual = (1/d) O_{d^2} is represented by
-the basis {(0, 1), (1/d)(-1, 1)}, scaled by d internally so every Gram entry
-stays an integer; the type is read off after dividing the form by d.
+the basis {(0, 1), (1/d)(-1, 1)}, scaled by d internally and the form
+divided back by d, so every Gram entry stays an integer.  The type (e1, e2)
+of a nondegenerate alternating 4x4 form has a closed form: e1 is the gcd of
+its entries and e1*e2 the absolute value of its Pfaffian.
 """
 
 from __future__ import annotations
@@ -94,29 +96,21 @@ def ideal_membership(spec: IdealSpec, x: QuadPair) -> bool:
 
 
 def ideal_basis(d: int, n: int, r: int) -> IdealSpec:
-    """Basis {(r*(d, n/r), b*n), (0, lcm(d, n/r))} with a*d + b*(n/r) = (d, n/r).
+    """Basis {(r*g, b*n), (0, lcm(d, n/r))} with g = (d, n/r) and
+    a*d + b*(n/r) = g.
 
-    Shifting b by d/g moves the first generator by a multiple of the second,
-    so b is normalised to its least nonnegative residue mod d/g to make the
-    basis canonical.
+    That equation fixes b only mod d/g, and shifting b by d/g moves the first
+    generator by a multiple of the second.  So the basis is made canonical by
+    taking b as its least nonnegative residue: the inverse of (n/r)/g mod d/g,
+    which is 0 when d/g = 1.
     """
     _validate(d, n, r)
     s = n // r
-    g, _, b = _xgcd(d, s)
-    b %= d // g
+    g = math.gcd(d, s)
+    b = pow(s // g, -1, d // g)
     gen1 = QuadPair(r * g, b * n)
     gen2 = QuadPair(0, math.lcm(d, s))
     return IdealSpec(d, n, r, (gen1, gen2))
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a x + b y = g = gcd(a, b)."""
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
 
 
 def ideal_equal(d: int, n: int, r: int, s: int) -> bool:
@@ -185,77 +179,23 @@ def gram_matrix(d: int, n: int, r: int) -> list[list[int]]:
 
 def symplectic_divisors(M) -> tuple[int, int]:
     """Elementary divisors (e1, e2), e1 | e2, of a nondegenerate antisymmetric
-    4x4 integer form, by integer congruence elimination to the canonical
-    block shape (0, e; -e, 0) + (0, e'; -e', 0)."""
-    n = len(M)
+    4x4 integer form.
+
+    The Frobenius normal form of a form of type (e1, e2) has the invariant
+    factors e1, e1, e2, e2: e1 is the gcd of the entries, and the Pfaffian
+    a01 a23 - a02 a13 + a03 a12 is +-e1 e2.  e1 | e2 holds because e1^2
+    divides every term of the Pfaffian.
+    """
     A = [[int(v) for v in row] for row in M]
-    if n != 4 or any(len(row) != 4 for row in A):
+    if len(M) != 4 or any(len(row) != 4 for row in A):
         raise ValueError("expected a 4x4 matrix")
     if any(A[i][j] != -A[j][i] for i in range(4) for j in range(4)):
         raise ValueError("matrix is not antisymmetric")
-
-    def swap(i, j):
-        A[i], A[j] = A[j], A[i]
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-
-    def addmul(i, j, q):
-        # basis_i += q * basis_j (congruence: row and column together)
-        for t in range(n):
-            A[i][t] += q * A[j][t]
-        for t in range(n):
-            A[t][i] += q * A[t][j]
-
-    divs = []
-    for base in (0, 2):
-        while True:
-            # move the smallest nonzero entry of the remaining block to (base, base+1)
-            best = None
-            for i in range(base, n):
-                for j in range(i + 1, n):
-                    if A[i][j] and (best is None or abs(A[i][j]) < abs(A[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                raise ValueError("degenerate form")
-            i, j = best
-            if i != base:
-                swap(i, base)  # j > i >= base, so column j is untouched
-            if j != base + 1:
-                swap(j, base + 1)
-            e = A[base][base + 1]
-            # reduce the rest of the pivot rows modulo e
-            dirty = False
-            for t in range(base + 2, n):
-                if A[base][t] % e:
-                    addmul(t, base + 1, -(A[base][t] // e))
-                    dirty = True
-                if A[base + 1][t] % e:
-                    addmul(t, base, A[base + 1][t] // e)
-                    dirty = True
-            if dirty:
-                continue
-            for t in range(base + 2, n):
-                if A[base][t]:
-                    addmul(t, base + 1, -(A[base][t] // e))
-                if A[base + 1][t]:
-                    addmul(t, base, A[base + 1][t] // e)
-            # pivot must divide the remaining block, else mix it in and retry
-            stray = None
-            for s in range(base + 2, n):
-                for t in range(s + 1, n):
-                    if A[s][t] % e:
-                        stray = s
-                        break
-                if stray is not None:
-                    break
-            if stray is None:
-                divs.append(abs(e))
-                break
-            addmul(base, stray, 1)
-    e1, e2 = divs
-    if e2 % e1:
-        raise AssertionError(f"elementary divisors {e1}, {e2}: e1 does not divide e2")
-    return e1, e2
+    pf = A[0][1] * A[2][3] - A[0][2] * A[1][3] + A[0][3] * A[1][2]
+    if pf == 0:
+        raise ValueError("degenerate form")
+    e1 = math.gcd(*(v for row in A for v in row))
+    return e1, abs(pf) // e1
 
 
 def _second_coord_kernel(gens: tuple[QuadPair, QuadPair], coord: int) -> QuadPair:

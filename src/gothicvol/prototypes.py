@@ -5,6 +5,9 @@ A prototype for the pair (D, k) is an integer triple [a, b, c] with
     a > 0 > c,    D = b^2 - 4*k*a*c,    gcd(f, b, c0) = 1,
 
 where D = f^2 D_0 with conductor f, and c = c0^2 c' with c' squarefree.
+f is read off the squarefree part of D: if D = s^2 t with t squarefree, then
+(f, D_0) = (s, t) when t = 1 mod 4 and (s/2, 4t) otherwise, and a square D
+has f = sqrt(D), D_0 = 1.
 The weighted count e(D, k) is the sum of a over all prototypes; by convention
 e(1, k) = -1/12.  Enumeration runs b over |b| < sqrt(D) with b^2 = D mod 4k
 and splits n = (D - b^2)/(4k) into ordered factor pairs a * (-c), so the
@@ -27,7 +30,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .arith import divisors, factorize
+from .arith import factorize, squarefree_decompose
 
 
 class DiscriminantDecomposition(
@@ -44,34 +47,21 @@ def _validate_discriminant(D: int) -> None:
         raise ValueError(f"{D} is not a discriminant (need D >= 1, D = 0,1 mod 4)")
 
 
-def is_fundamental(n: int) -> bool:
-    """Fundamental discriminant test for positive n > 1."""
-    if n % 4 == 1:
-        return all(e == 1 for _, e in factorize(n))
-    if n % 4 == 0:
-        m = n // 4
-        return m % 4 in (2, 3) and all(e == 1 for _, e in factorize(m))
-    return False
-
-
 def conductor_decompose(D: int) -> DiscriminantDecomposition:
     """Split D = f^2 * D0 with D0 fundamental; square D returns (f=sqrt(D), D0=1).
 
-    f is the largest integer such that D/f^2 is an integer = 0,1 mod 4 that is
-    fundamental (or 1, which happens exactly when D is a perfect square).
+    With D = c0^2 * c' and c' squarefree, (f, D0) = (c0, c') if c' = 1 mod 4
+    and (c0/2, 4c') otherwise; c0 is then even, as D = 0,1 mod 4 while
+    c' = 2,3 mod 4.
     """
     _validate_discriminant(D)
     r = math.isqrt(D)
     if r * r == D:
         return DiscriminantDecomposition(D, r, 1, True)
-    square_root_part = 1
-    for p, e in factorize(D):
-        square_root_part *= p ** (e // 2)
-    for f in sorted(divisors(square_root_part), reverse=True):
-        D0 = D // (f * f)
-        if D0 % 4 in (0, 1) and is_fundamental(D0):
-            return DiscriminantDecomposition(D, f, D0, False)
-    raise AssertionError(f"no fundamental decomposition found for {D}")
+    c0, cp = squarefree_decompose(D)
+    if cp % 4 == 1:
+        return DiscriminantDecomposition(D, c0, cp, False)
+    return DiscriminantDecomposition(D, c0 // 2, 4 * cp, False)
 
 
 def _admissible_divisors(n: int, gb: int) -> list[int]:

@@ -21,9 +21,8 @@ of the named checks.  What no check holds is asserted here ("here" below):
   7. here: asymptotic deviations of e(d^2, k): max over [1000, 2000] no
      larger than max over [250, 500], both finite
   8. S_k asymptotics at 10^5 within 1%, under 30 seconds
-  9. ideal/polarization suite exact for d <= 500: class counts (here also
-     == sigma_0(6/(d,6))), polarization pairs, symplectic type (to 200, and
-     here for 200 < d <= 500)
+  9. ideal/polarization suite exact for d <= 500: class counts, polarization
+     pairs, symplectic type (to 200, and here for 200 < d <= 500)
  10. AEZ convention constants reproduced exactly; here the P4 factor chain
 """
 
@@ -31,9 +30,8 @@ import math
 from fractions import Fraction
 
 from gothicvol import zagier
-from gothicvol.arith import sigma
 from gothicvol.counting import Locus
-from gothicvol.ideals import class_count, component_list, gram_matrix
+from gothicvol.ideals import component_list, gram_matrix
 from gothicvol.ideals import symplectic_divisors
 from gothicvol.volume import volume_estimate
 
@@ -122,7 +120,6 @@ def test_criterion_8_sk_asymptotics(check):
 
 
 def test_criterion_9_ideal_polarization_suite(check):
-    bad_count = [d for d in range(2, 501) if class_count(d, 6) != sigma(0, 6 // math.gcd(d, 6))]
     bad_type = [
         (d, r)
         for d in range(201, 501)
@@ -133,9 +130,8 @@ def test_criterion_9_ideal_polarization_suite(check):
         "class_count = sigma_0(6/(d,6)) = deduplicated ideal count, d <= 500",
         "polarization restriction = (lcm(d,r), lcm(d,6/r)), d <= 500",
         "trace pairing has symplectic type (1,6), d <= 200",
-    ], ok=not (bad_count or bad_type),
-        detail=f"class_count == sigma_0(6/(d,6)) for d <= 500 (violations {bad_count[:3]}); "
-               f"type (1,6) for 200 < d <= 500 (violations {bad_type[:3]})")
+    ], ok=not bad_type,
+        detail=f"type (1,6) for 200 < d <= 500 (violations {bad_type[:3]})")
 
 
 def test_criterion_10_convention_converter(check):

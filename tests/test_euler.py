@@ -15,6 +15,7 @@ from gothicvol.euler import (
     chi_W2,
     chi_W4,
     chi_W6,
+    chi_X,
     chi_X_br,
     chi_X_nonsquare,
     chi_X_square,
@@ -206,6 +207,9 @@ def test_invalid_discriminants_rejected():
             chi_W2(D)
         with pytest.raises(ValueError):
             chi_G(D)
+    for f, D in ((chi_X, -4), (c_D, -4), (chi_X, 0), (c_D, 7)):
+        with pytest.raises(ValueError, match="is not a discriminant"):
+            f(D)
 
 
 def test_chi_w2_square_matches_moebius_sum():

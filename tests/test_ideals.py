@@ -1,7 +1,7 @@
 """Ideals of the order O_{d^2}: bases, equality, Gram matrices, polarisation.
 
-The symplectic-divisor reduction is cross-checked against the independent
-gcd/Pfaffian oracle: e1 = gcd of the entries and e1*e2 = |Pf(M)|.
+symplectic_divisors reads e1 = gcd of the entries and e1*e2 = |Pf(M)|; it is
+checked on random unimodular congruences of block forms of known type.
 """
 
 import math
@@ -81,6 +81,12 @@ def test_basis_membership_and_index():
                 spec = ideal_basis(d, n, r)
                 assert all(ideal_membership(spec, g) for g in spec.basis)
                 assert spec.index_in_order() == n, (d, n, r)
+                # b is the least residue with b * (n/r)/g = 1 mod d/g
+                s = n // r
+                g = math.gcd(d, s)
+                b = spec.basis[0].a2 // n
+                assert 0 <= b < d // g, (d, n, r)
+                assert (b * (s // g) - 1) % (d // g) == 0, (d, n, r)
 
 
 def test_ideal_equal_examples():
@@ -149,6 +155,10 @@ def test_symplectic_divisors_rejects_bad_input():
     degenerate = [[0] * 4 for _ in range(4)]
     with pytest.raises(ValueError):
         symplectic_divisors(degenerate)
+    # rank 2: the entries have gcd 1 but the Pfaffian is 0
+    rank2 = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+    with pytest.raises(ValueError, match="degenerate form"):
+        symplectic_divisors(rank2)
 
 
 def test_polarization_examples():

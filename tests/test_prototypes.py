@@ -12,7 +12,6 @@ from gothicvol.prototypes import (
     conductor_decompose,
     e_value,
     enumerate_prototypes,
-    is_fundamental,
 )
 
 
@@ -97,7 +96,7 @@ def test_conductor_brute_force():
         assert dec.f == brute_conductor(D), D
         assert dec.f * dec.f * dec.D0 == D
         if not dec.is_square:
-            assert is_fundamental(dec.D0)
+            assert brute_is_fundamental(dec.D0)
 
 
 def test_enumeration_examples():
