@@ -11,6 +11,19 @@ from ..arith import hermite_sublattices, moebius, nu, sigma, sl2_order_table
 from ..verify import _check
 
 
+@_check("(sigma * a)(n) = sigma_3(n) for n <= 10^5", "arith")
+def _sigma_conv_identity():
+    N = 10**5
+    conv = arith.dirichlet_convolve(arith.sigma_table(N), sl2_order_table(N), N)
+    # sigma_3 by a divisor sieve, independent of the multiplicative tables
+    sig3 = [0] * (N + 1)
+    for q in range(1, N + 1):
+        sig3[q::q] = map((q**3).__add__, sig3[q::q])
+    if conv != sig3:
+        raise AssertionError(next(n for n in range(1, N + 1) if conv[n] != sig3[n]))
+    return f"dirichlet_convolve of sigma_table and sl2_order_table at N = {N}"
+
+
 @_check("sl2_order multiplicative on coprime pairs up to 500", "arith")
 def _sl2_multiplicative():
     atab = sl2_order_table(500 * 500)
@@ -21,18 +34,6 @@ def _sl2_multiplicative():
                 if atab[m * n] != small[m] * small[n]:
                     raise AssertionError((m, n))
     return "all coprime pairs m,n <= 500"
-
-
-@_check("(sigma * a)(n) = sigma_3(n) for n <= 10^4", "arith")
-def _sigma_conv_identity():
-    N = 10**4
-    atab = sl2_order_table(N)
-    f = [0] + [sigma(1, n) for n in range(1, N + 1)]
-    conv = arith.dirichlet_convolve(f, atab, N)
-    for n in range(1, N + 1):
-        if conv[n] != sigma(3, n):
-            raise AssertionError(n)
-    return f"dirichlet_convolve at N = {N}"
 
 
 @_check("moebius inversion roundtrip at N = 2000", "arith")

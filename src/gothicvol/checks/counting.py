@@ -3,10 +3,7 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .. import Locus, counting
-from ..arith import divisors, sigma
+from .. import Locus, counting, volume
 from ..verify import _check
 
 
@@ -32,18 +29,16 @@ def _commutator_convention():
 
 @_check("smm/cd consistency, d <= 200", "counting")
 def _smm_cd_consistency():
-    # the weight sigma(d/m) counts the index-d/m sublattices, which the arith
-    # check of hermite_sublattices ties back for every index n <= 200
-    for locus in (Locus.H2, Locus.P4):
-        totals = {m: counting.smm(locus, m).total for m in range(1, 201)}
+    # cd_count sums sigma(d/m) counting.smm(m) over m | d; the direct path's
+    # raw sums build |S_{m,m}| from whole tables and weight it by the sigma
+    # prefix sums, so each degree's difference is |C_d| by another route
+    for locus in Locus:
+        totals = volume.smm_totals(locus, 200)
+        raw = [volume.direct_raw_sum(totals, D) for D in range(201)]
         for d in range(1, 201):
-            direct = counting.cd_count(locus, d)
-            recomposed = sum(
-                (sigma(1, d // m) * totals[m] for m in divisors(d)), Fraction(0)
-            )
-            if direct != recomposed:
-                raise AssertionError((locus, d))
-    return "sigma-weighted recomposition"
+            if counting.cd_count(locus, d) != raw[d] - raw[d - 1]:
+                raise AssertionError((locus.value, d))
+    return "cd_count equals the per-degree differences of direct_raw_sum"
 
 
 @_check("gothic leading smm totals are nonnegative, m <= 5000", "counting")

@@ -24,8 +24,12 @@ The closed path needs no sieve table.  Since (sigma * a) = sigma_3,
 with g_k multiplicative, g_k(p^j) = (p^2 - 1) p^(j+2e-2) for p^e || k and
 j >= e (zero for j < e); likewise J_2 * sigma = Id_2 * Id gives
 T(D) = sum_{ab<=D} a^2 b.  Both are exact Python-int Dirichlet hyperbola sums
-with Faulhaber closed forms, O(sqrt D) steps each, up to D = 10^12.  The
-table route (sk_prefix) stays as the oracle.
+with Faulhaber closed forms, O(sqrt D) steps each, up to D = 10^12.
+
+Both paths have a table oracle, each the running sum of one Dirichlet product
+(arith.dirichlet_convolve) with a sigma list of its own, one scalar sigma per
+n: sk_prefix, a(m) [k | m] with sigma, for sk_sum; direct_prefix, the
+counting.smm totals with sigma, for smm_totals and direct_raw_sum.
 
 S_k(D) ~ c_k D^4 for every k >= 1 (sk_asymptotic_constant) and T(D) = O(D^3),
 so the rows also give each volume exactly, as sum coeff c_k / r^4
@@ -42,13 +46,14 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from itertools import accumulate
 from math import isqrt, lcm
 from operator import add, mul
 
 from . import Locus, surrogate_mode
 from .arith import (
     PiQuantity,
-    divisors,
+    dirichlet_convolve,
     jordan2_table,
     sigma,
     sigma_prefix,
@@ -173,21 +178,21 @@ def t_sum(D: int) -> int:
     return total
 
 
-def sk_prefix(k: int, Dmax: int) -> list[int]:
-    """S_k(D) for every D <= Dmax (entry 0 = 0), built incrementally.
+def _sigma_list(N: int) -> list[int]:
+    """sigma(n) for 0 <= n <= N (entry 0 = 0), one scalar arith.sigma per n:
+    the oracles' own sigma, apart from the sigma_table the direct path reads."""
+    return [0] + [sigma(1, n) for n in range(1, N + 1)]
 
-    The table route from the a(m) sieve table and sigma, kept as the
+
+def sk_prefix(k: int, Dmax: int) -> list[int]:
+    """S_k(D) for every D <= Dmax (entry 0 = 0): the running sum of the
+    Dirichlet product of a(m) [k | m] with sigma.
+
+    The table route from the a(m) sieve table and _sigma_list, kept as the
     independent oracle for sk_sum.
     """
-    atab = sl2_order_table(Dmax)
-    out = [0] * (Dmax + 1)
-    acc = 0
-    for d in range(1, Dmax + 1):
-        for m in divisors(d):
-            if m % k == 0:
-                acc += sigma(1, d // m) * atab[m]
-        out[d] = acc
-    return out
+    ak = [x if m % k == 0 else 0 for m, x in enumerate(sl2_order_table(Dmax))]
+    return list(accumulate(dirichlet_convolve(ak, _sigma_list(Dmax), Dmax)))
 
 
 def sk_asymptotic_constant(k: int) -> PiQuantity:
@@ -258,21 +263,21 @@ def _gothic_curve_counts(h_max: int, mode: str) -> tuple[int, list[int]]:
     main_term: -6 chi = (ratio(g)/8) a(h) - (2/c(g)) e(h^2, 6), with
                c(g) = sigma_0(6/g) the number of ideals of norm 6,
     where g = gcd(6, h), ratio is euler.X_BR_RATIO and c is euler._C_D_SQUARE.
+    e(h^2, 6) is read from euler.precompute_e_square, the store chi_G reads,
+    so a process builds that table once.
     """
-    from .euler import _C_D_SQUARE, KAPPA_PRIME, X_BR_RATIO
+    from .euler import _C_D_SQUARE, KAPPA_PRIME, X_BR_RATIO, precompute_e_square
 
     atab = sl2_order_table(h_max)
     if mode == "leading":
         L = 720
         ca = _by_residue(L, lambda g: 6 * KAPPA_PRIME[g])
         return L, [ca[h % 6] * atab[h] for h in range(h_max + 1)]
-    from .qforms import e6_square_twelfths
-
     L = 48
     ca = _by_residue(L, lambda g: X_BR_RATIO[g] / 8)
     # e(h^2, 6) = e12[h] / 12
     ce = _by_residue(L, lambda g: Fraction(-2, 12 * _C_D_SQUARE[g]))
-    e12 = e6_square_twelfths(h_max)
+    e12 = precompute_e_square(h_max)
     return L, [0] + [ca[h % 6] * atab[h] + ce[h % 6] * e12[h] for h in range(1, h_max + 1)]
 
 
@@ -283,7 +288,8 @@ def smm_totals(locus: Locus, mmax: int, surrogate: str = "main_term") -> SmmTota
     each chi is a fixed rational combination of a(h), J_2(h) and e(h^2, 6)
     with a small denominator, so L |S_{m,m}| is an integer for one L per
     locus and surrogate.  Built from whole tables; e(h^2, 6) only for the
-    gothic main_term and remark surrogates, the only ones that read it.
+    gothic main_term and remark surrogates, the only ones that read it, from
+    the euler store, which refuses mmax beyond euler.E_SQUARE_MAX_D.
     """
     mode = surrogate_mode(surrogate, locus)
     if mmax < 1:
@@ -342,7 +348,9 @@ def direct_prefix(locus: Locus, Dmax: int, surrogate: str = "main_term") -> list
     """Partial sums sum_{d<=D} |C_d| for every D <= Dmax (entry 0 = 0).
 
     The oracle for smm_totals and direct_raw_sum: |S_{m,m}| from
-    counting.smm per m, and |C_d| by the divisor sum over m | d, in ints.
+    counting.smm per m, scaled to ints L |S_{m,m}| over their common
+    denominator L, and |C_d| as the Dirichlet product of those with
+    _sigma_list, so it shares no table with the direct path.
     """
     from .counting import smm
 
@@ -350,12 +358,8 @@ def direct_prefix(locus: Locus, Dmax: int, surrogate: str = "main_term") -> list
     totals = [smm(locus, m, mode).total for m in range(1, Dmax + 1)]
     L = lcm(*(t.denominator for t in totals))
     t = [0] + [x.numerator * (L // x.denominator) for x in totals]  # L |S_{m,m}|
-    out = [Fraction(0)] * (Dmax + 1)
-    acc = 0
-    for d in range(1, Dmax + 1):
-        acc += sum(sigma(1, d // m) * t[m] for m in divisors(d) if t[m])
-        out[d] = Fraction(acc, L)
-    return out
+    cd = dirichlet_convolve(t, _sigma_list(Dmax), Dmax)  # L |C_d|
+    return [Fraction(x, L) for x in accumulate(cd)]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ of the named checks.  What no check holds is asserted here ("here" below):
   4. permutation oracle == cd_count(H2, d) for d = 1..8, under 2 minutes
   5. modular-form oracle: e_and_a for all valid D <= 4000, k in {1, 6};
      series product == ek_coeff up to n = 4000 (exact)
-  6. exact identities: sigma*a = sigma_3 to 10^4; the ebar_1 moebius identity
+  6. exact identities: sigma*a = sigma_3 to 10^5; the ebar_1 moebius identity
      to 2000; the e*_6 Euler product against the e*_1 combination, d <= 500;
      the a-recursion to 2000 (exact)
   7. here: asymptotic deviations of e(d^2, k): max over [1000, 2000] no
@@ -89,7 +89,7 @@ def test_criterion_5_modular_form_oracle(check):
 
 def test_criterion_6_exact_identities(check):
     criterion(6, check, [
-        "(sigma * a)(n) = sigma_3(n) for n <= 10^4",
+        "(sigma * a)(n) = sigma_3(n) for n <= 10^5",
         "(12/5) moebius-sum of ebar_1(m^2) equals a(d), d <= 2000",
         "e*_6(d^2) Euler product equals the four-term e*_1 combination, d <= 500",
         "a(d) = p^(3v-2)(p^2-1) a(d_p) for all p | d, d <= 2000",

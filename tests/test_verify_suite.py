@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from gothicvol import Locus, verify, volume, zagier
+from gothicvol import Locus, counting, verify, volume, zagier
 from gothicvol.checks import arith as arith_checks
 from gothicvol.cli import main
 
@@ -81,8 +81,8 @@ def test_checks_fail_under_python_O():
     # python -O strips assert statements; the checks must still catch a
     # wrong a(d) table
     assert _failed_under_python_O("checks.arith", "sl2_order_table", "arith") == [
+        "(sigma * a)(n) = sigma_3(n) for n <= 10^5",
         "sl2_order multiplicative on coprime pairs up to 500",
-        "(sigma * a)(n) = sigma_3(n) for n <= 10^4",
         "a(d) = p^(3v-2)(p^2-1) a(d_p) for all p | d, d <= 2000",
     ]
 
@@ -110,6 +110,20 @@ def test_estar6_check_fails_on_one_wrong_euler_factor(monkeypatch):
         "e*_6(d^2) Euler product equals the four-term e*_1 combination, d <= 500"
     )
     assert (result.ok, result.detail) == (False, "FAILED at 9")
+
+
+def test_smm_cd_check_fails_on_one_wrong_smm_total(monkeypatch):
+    # cd_count reads counting.smm, the direct raw sums do not: a wrong
+    # |S_{7,7}| shows at every degree d divisible by 7
+    real = counting.smm
+
+    def wrong_smm(locus, m, mode="main_term"):
+        cover = real(locus, m, mode)
+        return cover._replace(total=cover.total + 1) if m == 7 else cover
+
+    monkeypatch.setattr(counting, "smm", wrong_smm)
+    result = verify.run_check("smm/cd consistency, d <= 200")
+    assert (result.ok, result.detail) == (False, "FAILED at ('h2', 7)")
 
 
 def test_one_wrong_gothic_row_fails_both_closed_checks(monkeypatch):

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -179,12 +180,14 @@ def test_direct_path_refuses_beyond_bound(monkeypatch):
      (Locus.G, "main_term"), (Locus.G, "leading"), (Locus.G, "remark")],
 )
 def test_integer_totals_match_smm(monkeypatch, locus, surrogate):
-    # counting.smm reads 12 e(d^2, 6) from the square-table oracle here, so
-    # the two sides share no e route
+    # smm_totals builds 12 e(d^2, 6) by the production route, and then
+    # counting.smm reads it from the square-table oracle, so the two sides
+    # share no e route
     mmax = 2000
+    monkeypatch.setattr(euler, "_E6_TWELFTHS", ())
+    totals = volume.smm_totals(locus, mmax, surrogate)
     monkeypatch.setattr(euler, "_E6_TWELFTHS",
                         tuple(int(12 * e) for e in e_square_table(6, mmax)))
-    totals = volume.smm_totals(locus, mmax, surrogate)
     assert len(totals.numerators) == mmax + 1 and totals.numerators[0] == 0
     assert all(isinstance(t, int) for t in totals.numerators)
     for m in range(1, mmax + 1):
@@ -192,8 +195,9 @@ def test_integer_totals_match_smm(monkeypatch, locus, surrogate):
         assert Fraction(totals.numerators[m], totals.denominator) == want, m
 
 
-# Reports, after smm_totals of each gothic surrogate in one fresh process, how
-# often e(d^2, 6) was built and whether the euler store holds anything.
+# Reports, after smm_totals of each gothic surrogate in one fresh process and
+# then chi_G at a square, how often e(d^2, 6) was built and how many entries
+# the euler store holds.
 _E_BUILDS = """
 import json
 from gothicvol import euler, qforms, volume
@@ -205,19 +209,31 @@ qforms.e6_square_twelfths = lambda dmax: built.append(dmax) or route(dmax)
 report = []
 for surrogate in ("leading", "main", "remark"):
     volume.smm_totals(Locus.G, 300, surrogate)
-    report.append([surrogate, list(built), list(euler._E6_TWELFTHS)])
+    report.append([surrogate, list(built), len(euler._E6_TWELFTHS)])
+euler.chi_G(17 * 17, 1, "main_term")
+report.append(["chi_G", list(built), len(euler._E6_TWELFTHS)])
 print(json.dumps(report))
 """
 
 
-def test_gothic_leading_builds_no_e_table():
+@cache
+def _e_builds():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _E_BUILDS], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
-    assert json.loads(proc.stdout) == [
-        ["leading", [], []], ["main", [300], []], ["remark", [300, 300], []]
-    ]
+    return json.loads(proc.stdout)
+
+
+def test_gothic_leading_builds_no_e_table():
+    assert _e_builds()[0] == ["leading", [], 0]
+
+
+def test_gothic_totals_and_chi_share_one_e_table():
+    # main and remark read the euler store, and chi_G at d = 17 <= 300 finds
+    # it filled, so the process builds e(d^2, 6) once
+    assert _e_builds()[1:] == [["main", [300], 301], ["remark", [300], 301],
+                               ["chi_G", [300], 301]]
 
 
 def test_volume_estimate_structure():
