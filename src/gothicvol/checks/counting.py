@@ -3,7 +3,7 @@
 
 from __future__ import annotations
 
-from .. import Locus, counting, volume
+from .. import SURROGATES, Locus, counting, volume
 from ..verify import _check
 
 
@@ -32,19 +32,30 @@ def _smm_cd_consistency():
     # cd_count sums sigma(d/m) counting.smm(m) over m | d; the direct path's
     # raw sums build |S_{m,m}| from whole tables and weight it by the sigma
     # prefix sums, so each degree's difference is |C_d| by another route
+    tables = {(locus, s): volume.smm_totals(locus, 200, s)
+              for locus, offered in SURROGATES.items() for s in offered}
     for locus in Locus:
-        totals = volume.smm_totals(locus, 200)
+        totals = tables[locus, "main_term"]
         raw = [volume.direct_raw_sum(totals, D) for D in range(201)]
         for d in range(1, 201):
             if counting.cd_count(locus, d) != raw[d] - raw[d - 1]:
                 raise AssertionError((locus.value, d))
-    return "cd_count equals the per-degree differences of direct_raw_sum"
+    # and each counting.smm total equals its table entry, every surrogate
+    for (locus, s), totals in tables.items():
+        L, t = totals.denominator, totals.numerators
+        for m in range(1, 201):
+            x = counting.smm(locus, m, s).total
+            if x.numerator * L != t[m] * x.denominator:
+                raise AssertionError((locus.value, s, m))
+    return "cd_count equals the per-degree differences of direct_raw_sum, smm the tables"
 
 
 @_check("gothic leading smm totals are nonnegative, m <= 5000", "counting")
 def _gothic_leading_nonneg():
+    # the whole table; the check above ties it to counting.smm
+    t = volume.smm_totals(Locus.G, 5000, "leading").numerators
     for m in range(1, 5001):
-        if not counting.smm(Locus.G, m, "leading").total >= 0:
+        if not t[m] >= 0:
             raise AssertionError(m)
     return "no negative weighted counts"
 

@@ -17,7 +17,8 @@ def _chi_x_square():
     squares = [n * n for n in range(N + 1)]
     mu_sum = arith.dirichlet_convolve(moebius_table(N), squares, N)
     for d in range(1, N + 1):
-        if 72 * euler.chi_X_square(d) != d * mu_sum[d]:
+        x = euler.chi_X_square(d)
+        if 72 * x.numerator != d * mu_sum[d] * x.denominator:
             raise AssertionError(d)
     return "both formulas agree"
 
@@ -25,10 +26,12 @@ def _chi_x_square():
 @_check("-6 chi(W_{m^2}(2)) is a nonnegative integer, zero iff m = 2, m <= 2000", "euler")
 def _w2_integrality():
     for m in range(2, 2001):
-        v = -6 * euler.chi_W2(m * m)
-        if not (v.denominator == 1 and v >= 0):
+        # -6 chi = -6 n / q with chi = n / q in lowest terms
+        x = euler.chi_W2(m * m)
+        n, q = x.numerator, x.denominator
+        if not (6 * n % q == 0 and n <= 0):
             raise AssertionError(m)
-        if (v == 0) != (m == 2):
+        if (n == 0) != (m == 2):
             raise AssertionError(m)
     return "orbifold counts are honest integers"
 
@@ -48,13 +51,15 @@ def _gothic_residues():
 @_check("main_term vs leading gap, scaled by d^(5/2), half-range check, d <= 2000", "euler")
 def _main_vs_leading():
     dmax = 2000
-    # one e(d^2, 6) build for the whole range, not one per doubling of d
-    euler.precompute_e_square(dmax)
+    # the integer tables -6 L chi(G_{d^2}); the remark check and the counting
+    # suite tie them to chi_G.  |main - lead| = |Gl Lm - Gm Ll| / (6 Lm Ll),
+    # and an int true division rounds as float() of the Fraction does
+    Lm, main = euler._gothic_curve_counts(dmax, "main_term")
+    Ll, lead = euler._gothic_curve_counts(dmax, "leading")
+    den = 6 * Lm * Ll
     gaps = [0.0] * (dmax + 1)
     for d in range(1, dmax + 1):
-        main = euler.chi_G(d * d, 1, "main_term")
-        lead = euler.chi_G(d * d, 1, "leading")
-        gaps[d] = float(abs(main - lead)) / float(d) ** 2.5
+        gaps[d] = abs(lead[d] * Lm - main[d] * Ll) / den / float(d) ** 2.5
     hi = max(gaps[dmax // 2 + 1 :])
     lo = max(gaps[dmax // 4 + 1 : dmax // 2 + 1])
     if not hi <= lo:
@@ -79,8 +84,12 @@ def _chi_g_components():
 
 @_check("remark values sit inside the boundary sandwich, d <= 500", "euler")
 def _remark_sandwich():
+    # main_term chi_G against the integer table the gap check reads
+    L, table = euler._gothic_curve_counts(500, "main_term")
     for d in range(2, 501):
         main = euler.chi_G(d * d, 1, "main_term")
+        if -6 * L * main.numerator != table[d] * main.denominator:
+            raise AssertionError(d)
         remark = euler.chi_G(d * d, 1, "remark")
         gap = euler.chi_boundary_gap(d, 1)
         if not main <= remark <= main + gap:

@@ -13,7 +13,9 @@ distribution of these covers among curves depends on the locus:
 
 cd_count(locus, d) = sum_{m|d} sigma(d/m) |S_{m,m}| then counts all torus
 covers of degree d (minimal or not), the quantity whose partial sums give the
-Masur-Veech volume.
+Masur-Veech volume.  smm is the scalar route, one m at a time through the
+euler.chi_* values; volume.smm_totals builds the same totals as one integer
+table, its gothic curves from euler._gothic_curve_counts.
 
 The genus-2 oracle counts pairs (h, v) of permutations of d letters with
 <h, v> transitive and commutator h v h^-1 v^-1 a single 3-cycle, weighted by
@@ -41,7 +43,7 @@ from fractions import Fraction
 from math import factorial, lcm, prod
 
 from . import Locus, surrogate_mode
-from .arith import divisors, nu, sigma
+from .arith import divisors, sigma
 
 
 class CoverCount(namedtuple("CoverCount", ("m", "contributions", "total"))):
@@ -69,6 +71,12 @@ def _euler():
     return euler
 
 
+# The gothic components r that meet degree m, keyed by (nu_2(m) = 1,
+# nu_3(m) = 1), that is by (m = 2 mod 4, m = 3 or 6 mod 9)
+_GOTHIC_COMPONENTS = {(False, False): (1,), (True, False): (1, 2),
+                      (False, True): (1, 3), (True, True): (1, 2, 3, 6)}
+
+
 def smm(locus: Locus, m: int, mode: str = "main_term") -> CoverCount:
     """|S_{m,m}(locus)| by the distribution rules, as curve contributions.
 
@@ -94,15 +102,7 @@ def smm(locus: Locus, m: int, mode: str = "main_term") -> CoverCount:
             h = m // 2
             parts.append(("W6", h * h, None, sts_count(euler.chi_W6(h * h, "main_term"))))
     elif locus is Locus.G:
-        two, three = nu(2, m) == 1, nu(3, m) == 1
-        rs = [1]
-        if two:
-            rs.append(2)
-        if three:
-            rs.append(3)
-        if two and three:
-            rs.append(6)
-        for r in rs:
+        for r in _GOTHIC_COMPONENTS[m % 4 == 2, m % 9 in (3, 6)]:
             h = m // r
             rmode = mode
             if mode == "remark" and (r != 1 or h == 2):
@@ -111,11 +111,11 @@ def smm(locus: Locus, m: int, mode: str = "main_term") -> CoverCount:
                 # conjectural formula); fall back to the sandwich lower bound
                 rmode = "main_term"
             parts.append(("G", h * h, r, sts_count(euler.chi_G(h * h, r, rmode))))
-    counts = [c for *_ignored, c in parts]
-    if len(counts) == 1:
+    if len(parts) == 1:
         # most calls have one part; the lcm form below costs one more Fraction
-        total = counts[0]
+        total = parts[0][3]
     else:
+        counts = [part[3] for part in parts]
         den = lcm(*(c.denominator for c in counts))
         total = Fraction(sum(c.numerator * (den // c.denominator) for c in counts), den)
     return CoverCount(m, tuple(parts), total)

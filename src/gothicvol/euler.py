@@ -35,7 +35,11 @@ the volume estimators match the direct sums term by term.
 At a square D = d^2, chi(R_D) and chi(G_D) read e(d^2, 6) from one
 self-growing tuple of 12 e(d^2, 6), which precompute_e_square grows and
 hands out; k = 6 is the only weight any formula asks for at a square.  It
-refuses d > E_SQUARE_MAX_D before any build.
+refuses d > E_SQUARE_MAX_D before any build.  Every chi_* at a square D
+builds one Fraction from integers: a(d), 12 e(d^2, 6) and the small
+constants above.  _gothic_curve_counts gives the same gothic values as a
+whole table of integers -6 L chi(G_{h^2}), h <= N, for the main_term and
+leading surrogates; volume.smm_totals and the verify scans read it.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .arith import jordan2, sl2_order
+from .arith import jordan2, sl2_order, sl2_order_table
 from .prototypes import _e_sum, _validate_discriminant, conductor_decompose, e_value
 
 # chi(X_{d^2}(b_r)) / chi(X_{d^2}) by gcd(6, d); also the gothic coefficient
@@ -181,7 +185,10 @@ def chi_X_br(d: int, r: int) -> Fraction:
     r must name a component (r | 6/(6, d), which is ideals.component_list(d)).
     """
     _check_component(d, r)
-    return X_BR_RATIO[math.gcd(6, d)] * chi_X_square(d)
+    if d < 1:
+        raise ValueError("need d >= 1")
+    ratio = X_BR_RATIO[math.gcd(6, d)]
+    return Fraction(ratio.numerator * sl2_order(d), 72 * ratio.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +209,12 @@ def c_D(D: int) -> int:
 
 
 def chi_R(D: int, mode: str = "exact") -> Fraction:
-    """chi(R_D^r) = -e(D, 6) / (6 c_D); square D is a main-term surrogate."""
+    """chi(R_D^r) = -e(D, 6) / (6 c_D); square D is a main-term surrogate,
+    -E / (72 c_D) with E = 12 e(d^2, 6)."""
     d = check_mode("r", D, mode)
-    e = e_value(D, 6) if d is None else e_square(d)
-    return -e / (6 * c_D(D))
+    if d is not None:
+        return Fraction(-precompute_e_square(d)[d], 72 * _C_D_SQUARE[math.gcd(6, d)])
+    return -e_value(D, 6) / (6 * c_D(D))
 
 
 # ---------------------------------------------------------------------------
@@ -228,22 +237,29 @@ def chi_W2(D: int) -> Fraction:
 def chi_W4(D: int, j: int = 1, mode: str = "exact") -> Fraction:
     """chi(W_D^j(4)): empty (0) if D = 5 mod 8, one component if D = 0,4 mod 8,
     two if D = 1 mod 8; -(5/2) chi(X_D) when the conductor is odd, -(15/4)
-    when it is even.  Square discriminants require mode='main_term'."""
-    check_mode("w4", D, mode)
+    when it is even.  Square discriminants require mode='main_term'; at
+    D = d^2 the conductor is d and chi(X_D) = a(d)/72, so the value is
+    -5 a(d)/144 (d odd) or -5 a(d)/96 (d even)."""
+    d = check_mode("w4", D, mode)
     if j == 2 and D % 8 != 1:
         raise ValueError(f"W_D(4) has a single component for D = {D}")
     if j not in (1, 2):
         raise ValueError("component j must be 1 or 2")
+    if d is not None:
+        return Fraction(-5 * sl2_order(d), 144 if d % 2 else 96)
     if is_empty("w4", D):
         return Fraction(0)
     factor = Fraction(-5, 2) if conductor_decompose(D).f % 2 else Fraction(-15, 4)
-    return factor * chi_X(D)
+    return factor * chi_X_nonsquare(D)
 
 
 def chi_W6(D: int, mode: str = "exact") -> Fraction:
-    """chi(W_D(6)) = -7 chi(X_D); irreducible.  Squares are main-term."""
-    check_mode("w6", D, mode)
-    return -7 * chi_X(D)
+    """chi(W_D(6)) = -7 chi(X_D); irreducible.  Squares are main-term,
+    -7 a(d)/72 at D = d^2."""
+    d = check_mode("w6", D, mode)
+    if d is not None:
+        return Fraction(-7 * sl2_order(d), 72)
+    return -7 * chi_X_nonsquare(D)
 
 
 def chi_G(D: int, r: int = 1, mode: str = "exact") -> Fraction:
@@ -286,6 +302,45 @@ def chi_G(D: int, r: int = 1, mode: str = "exact") -> Fraction:
     if r != 1:
         raise ValueError("the remark formula is stated for r = 1 only")
     return Fraction(d * num + 2 * c * REMARK_COEFF[g6] * rn * a, 144 * rd * c * d)
+
+
+_GCD6_BY_RESIDUE = (6, 1, 2, 3, 2, 1)  # gcd(6, h) by h mod 6
+
+
+def _by_residue(L: int, coeff) -> tuple[int, ...]:
+    """L * coeff(gcd(6, h)) indexed by h mod 6; each must be an integer."""
+    out = []
+    for g in _GCD6_BY_RESIDUE:
+        x = L * Fraction(coeff(g))
+        if x.denominator != 1:
+            raise ArithmeticError(f"{L} * {coeff(g)} is not an integer")
+        out.append(x.numerator)
+    return tuple(out)
+
+
+def _gothic_curve_counts(h_max: int, mode: str) -> tuple[int, list[int]]:
+    """(L, G) with G[h] = -6 L chi(G_{h^2}) for 1 <= h <= h_max, in ``mode``
+    (main_term or leading; no remark term), entry 0 is 0.
+
+    leading:   -6 chi = 6 kappa'(g) a(h);
+    main_term: -6 chi = (ratio(g)/8) a(h) - (2/c(g)) e(h^2, 6), with
+               c(g) = sigma_0(6/g) the number of ideals of norm 6,
+    where g = gcd(6, h), ratio is X_BR_RATIO and c is _C_D_SQUARE: the
+    table form of chi_G at D = h^2, r = 1, which volume.smm_totals reads.
+    e(h^2, 6) is read from precompute_e_square, the store chi_G reads, so a
+    process builds that table once.
+    """
+    atab = sl2_order_table(h_max)
+    if mode == "leading":
+        L = 720
+        ca = _by_residue(L, lambda g: 6 * KAPPA_PRIME[g])
+        return L, [ca[h % 6] * atab[h] for h in range(h_max + 1)]
+    L = 48
+    ca = _by_residue(L, lambda g: X_BR_RATIO[g] / 8)
+    # e(h^2, 6) = e12[h] / 12
+    ce = _by_residue(L, lambda g: Fraction(-2, 12 * _C_D_SQUARE[g]))
+    e12 = precompute_e_square(h_max)
+    return L, [0] + [ca[h % 6] * atab[h] + ce[h % 6] * e12[h] for h in range(1, h_max + 1)]
 
 
 def chi_boundary_gap(d: int, r: int) -> Fraction:

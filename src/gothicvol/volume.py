@@ -6,7 +6,9 @@ Two evaluation paths are implemented:
 
     direct -- sum the cover counts exactly: the totals L |S_{m,m}| are
               Python ints over one denominator L per locus and surrogate,
-              built from the a(m), J_2(m) and 12 e(m^2, 6) tables, and one
+              built from the a(m), J_2(m) and 12 e(m^2, 6) tables (the
+              gothic curve counts -6 L chi(G_{h^2}) from
+              euler._gothic_curve_counts, beside chi_G), and one
               dot product with the sigma prefix sums gives the raw sum;
               floats only in the final division by D^dim.  Every table
               has D + 1 entries (the SPF sieve at least 2^16), and numpy is
@@ -241,46 +243,6 @@ class SmmTotals(namedtuple("SmmTotals", ("numerators", "denominator"))):
     __slots__ = ()
 
 
-_GCD6_BY_RESIDUE = (6, 1, 2, 3, 2, 1)  # gcd(6, h) by h mod 6
-
-
-def _by_residue(L: int, coeff) -> tuple[int, ...]:
-    """L * coeff(gcd(6, h)) indexed by h mod 6; each must be an integer."""
-    out = []
-    for g in _GCD6_BY_RESIDUE:
-        x = L * Fraction(coeff(g))
-        if x.denominator != 1:
-            raise ArithmeticError(f"{L} * {coeff(g)} is not an integer")
-        out.append(x.numerator)
-    return tuple(out)
-
-
-def _gothic_curve_counts(h_max: int, mode: str) -> tuple[int, list[int]]:
-    """(L, G) with G[h] = -6 L chi(G_{h^2}) for 1 <= h <= h_max, in ``mode``
-    (main_term or leading; no remark term), entry 0 is 0.
-
-    leading:   -6 chi = 6 kappa'(g) a(h);
-    main_term: -6 chi = (ratio(g)/8) a(h) - (2/c(g)) e(h^2, 6), with
-               c(g) = sigma_0(6/g) the number of ideals of norm 6,
-    where g = gcd(6, h), ratio is euler.X_BR_RATIO and c is euler._C_D_SQUARE.
-    e(h^2, 6) is read from euler.precompute_e_square, the store chi_G reads,
-    so a process builds that table once.
-    """
-    from .euler import _C_D_SQUARE, KAPPA_PRIME, X_BR_RATIO, precompute_e_square
-
-    atab = sl2_order_table(h_max)
-    if mode == "leading":
-        L = 720
-        ca = _by_residue(L, lambda g: 6 * KAPPA_PRIME[g])
-        return L, [ca[h % 6] * atab[h] for h in range(h_max + 1)]
-    L = 48
-    ca = _by_residue(L, lambda g: X_BR_RATIO[g] / 8)
-    # e(h^2, 6) = e12[h] / 12
-    ce = _by_residue(L, lambda g: Fraction(-2, 12 * _C_D_SQUARE[g]))
-    e12 = precompute_e_square(h_max)
-    return L, [0] + [ca[h % 6] * atab[h] + ce[h % 6] * e12[h] for h in range(1, h_max + 1)]
-
-
 def smm_totals(locus: Locus, mmax: int, surrogate: str = "main_term") -> SmmTotals:
     """|S_{m,m}| for 1 <= m <= mmax as Python ints over one denominator.
 
@@ -312,13 +274,13 @@ def smm_totals(locus: Locus, mmax: int, surrogate: str = "main_term") -> SmmTota
         t = [0] * (mmax + 1)
         t[2::2] = (7 * x for x in atab[1 : mmax // 2 + 1])
         return SmmTotals(tuple(t), 12)
+    from .euler import REMARK_COEFF, X_BR_RATIO, _by_residue, _gothic_curve_counts
+
     L, curve = _gothic_curve_counts(mmax, "leading" if mode == "leading" else "main_term")
     t = list(curve)  # the component r = 1, at h = m
     if mode == "remark":
         # r = 1 gains -6 (REMARK/h) chi(X_{h^2}(b_1)) = -(REMARK ratio/12) J_2(h),
         # as a(h)/h = J_2(h); not at h = 2, where the main term is kept
-        from .euler import REMARK_COEFF, X_BR_RATIO
-
         jtab = jordan2_table(mmax)
         cj = _by_residue(L, lambda g: -REMARK_COEFF[g] * X_BR_RATIO[g] / 12)
         t[1:] = (x + cj[m % 6] * jtab[m] if m != 2 else x for m, x in zip(ms, t[1:]))

@@ -428,7 +428,7 @@ def test_unknown_subcommand_exits_2(capsys):
 
 
 def test_verify_single_suite(capsys):
-    code = main(["verify", "--suite", "arith"])
+    code = main(["verify", "--suite", "ideals"])
     captured = capsys.readouterr()
     assert code == 0
     doc = json.loads(captured.out)

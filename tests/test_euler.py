@@ -294,3 +294,48 @@ def test_mode_errors_name_the_branch():
     with pytest.raises(ValueError, match="square discriminants have no unconditional formula; "
                        "pick mode in {'main_term', 'leading', 'remark'}"):
         chi_G(25, 1, "exact")
+
+
+def test_square_branches_match_the_composed_formulas():
+    # at D = d^2, chi_W4, chi_W6, chi_X_br and chi_R build one Fraction from
+    # a(d) or 12 e(d^2, 6); the compositions through chi_X_square, e_square
+    # and c_D are the reference
+    euler.precompute_e_square(2000)
+    for d in range(1, 2001):
+        D = d * d
+        x = chi_X_square(d)
+        w4 = (Fraction(-5, 2) if d % 2 else Fraction(-15, 4)) * x
+        for j in (1, 2) if D % 8 == 1 else (1,):
+            assert chi_W4(D, j, "main_term") == w4, (d, j)
+        assert chi_W6(D, "main_term") == -7 * x, d
+        assert chi_R(D, "main_term") == -euler.e_square(d) / (6 * c_D(D)), d
+        for r in divisors(6 // math.gcd(6, d)):
+            assert chi_X_br(d, r) == euler.X_BR_RATIO[math.gcd(6, d)] * x, (d, r)
+
+
+@pytest.mark.parametrize("chi, args, message", [
+    (chi_W4, (16, 2, "main_term"), "W_D(4) has a single component for D = 16"),
+    (chi_W4, (16, 2, "exact"), "square discriminants require mode='main_term'"),
+    (chi_W4, (16, 3, "main_term"), "component j must be 1 or 2"),
+    (chi_W4, (9, 3, "exact"), "square discriminants require mode='main_term'"),
+    (chi_W4, (0, 1, "main_term"), "0 is not a discriminant (need D >= 1, D = 0,1 mod 4)"),
+    (chi_W6, (16, "remark"), "square discriminants require mode='main_term'"),
+    (chi_W6, (15, "main_term"), "15 is not a discriminant (need D >= 1, D = 0,1 mod 4)"),
+    (chi_R, (16, "leading"), "square discriminants require mode='main_term'"),
+    (chi_R, (250001**2, "main_term"), "d = 250001 is beyond the e(d^2, k) bound 250000"),
+    (chi_X_br, (6, 2), "r = 2 does not name a component for d = 6"),
+    (chi_X_br, (0, 4), "r = 4 does not name a component for d = 0"),
+    (chi_X_br, (0, 1), "need d >= 1"),
+    (chi_X_br, (-5, 2), "need d >= 1"),
+])
+def test_square_branch_errors_keep_their_text_and_order(chi, args, message):
+    with pytest.raises(ValueError) as info:
+        chi(*args)
+    assert str(info.value) == message
+
+
+def test_chi_w4_single_component_error_on_the_command_line(capsys):
+    assert main(["chi", "--family", "w4", "--D", "16", "--j", "2", "--mode", "main"]) == 2
+    assert capsys.readouterr().err == "error: W_D(4) has a single component for D = 16\n"
+    assert main(["chi", "--family", "w4", "--D", "16", "--j", "2"]) == 2
+    assert capsys.readouterr().err == "error: square discriminants require mode='main_term'\n"

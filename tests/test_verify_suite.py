@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from gothicvol import Locus, counting, verify, volume, zagier
+from gothicvol import Locus, counting, euler, verify, volume, zagier
 from gothicvol.checks import arith as arith_checks
 from gothicvol.cli import main
 
@@ -124,6 +124,51 @@ def test_smm_cd_check_fails_on_one_wrong_smm_total(monkeypatch):
     monkeypatch.setattr(counting, "smm", wrong_smm)
     result = verify.run_check("smm/cd consistency, d <= 200")
     assert (result.ok, result.detail) == (False, "FAILED at ('h2', 7)")
+
+
+def test_smm_cd_check_fails_on_one_wrong_leading_smm(monkeypatch):
+    # cd_count reads the main_term surrogate only; the tie of counting.smm
+    # to smm_totals covers every surrogate
+    real = counting.smm
+
+    def wrong_smm(locus, m, mode="main_term"):
+        cover = real(locus, m, mode)
+        hit = (locus, m, mode) == (Locus.G, 7, "leading")
+        return cover._replace(total=cover.total + 1) if hit else cover
+
+    monkeypatch.setattr(counting, "smm", wrong_smm)
+    result = verify.run_check("smm/cd consistency, d <= 200")
+    assert (result.ok, result.detail) == (False, "FAILED at ('gothic', 'leading', 7)")
+
+
+def test_leading_check_fails_on_one_negative_table_entry(monkeypatch):
+    real = volume.smm_totals
+
+    def wrong_totals(locus, mmax, surrogate="main_term"):
+        totals = real(locus, mmax, surrogate)
+        t = list(totals.numerators)
+        t[4321] = -1
+        return totals._replace(numerators=tuple(t))
+
+    monkeypatch.setattr(volume, "smm_totals", wrong_totals)
+    result = verify.run_check("gothic leading smm totals are nonnegative, m <= 5000")
+    assert (result.ok, result.detail) == (False, "FAILED at 4321")
+
+
+def test_remark_check_fails_on_one_wrong_main_table_entry(monkeypatch):
+    # the remark check ties chi_G(d^2, 1, "main_term") to the integer table
+    # that the gap check and smm_totals read
+    real = euler._gothic_curve_counts
+
+    def wrong_counts(h_max, mode):
+        L, table = real(h_max, mode)
+        table = list(table)
+        table[7] += mode == "main_term"
+        return L, table
+
+    monkeypatch.setattr(euler, "_gothic_curve_counts", wrong_counts)
+    result = verify.run_check("remark values sit inside the boundary sandwich, d <= 500")
+    assert (result.ok, result.detail) == (False, "FAILED at 7")
 
 
 def test_one_wrong_gothic_row_fails_both_closed_checks(monkeypatch):
