@@ -125,7 +125,7 @@ def chi_X_square(d: int) -> Fraction:
     return Fraction(sl2_order(d), 72)
 
 
-E_SQUARE_MAX_D = 250000  # the reach of e_square, the direct path's DIRECT_MAX_D
+E_SQUARE_MAX_D = 250000  # the reach of the e(d^2, 6) table, the direct path's DIRECT_MAX_D
 
 # 12 e(d^2, 6) for 0 <= d < len(_E6_TWELFTHS), from qforms.e6_square_twelfths
 _E6_TWELFTHS: tuple[int, ...] = ()
@@ -147,11 +147,6 @@ def precompute_e_square(dmax: int) -> tuple[int, ...]:
         size = min(max(dmax, 2 * (len(_E6_TWELFTHS) - 1), 64), E_SQUARE_MAX_D)
         _E6_TWELFTHS = e6_square_twelfths(size)
     return _E6_TWELFTHS
-
-
-def e_square(d: int) -> Fraction:
-    """Exact e(d^2, 6) from the self-growing table."""
-    return Fraction(precompute_e_square(d)[d], 12)
 
 
 def chi_X_nonsquare(D: int) -> Fraction:

@@ -112,8 +112,9 @@ def test_chi_w6():
 def test_chi_r_and_c_d():
     # squares: c = sigma_0(6/(d,6))
     assert c_D(25) == 4 and c_D(36) == 1 and c_D(16) == 2
-    assert chi_R(25, "main_term") == -euler.e_square(5) / 24
-    assert chi_R(36, "main_term") == -euler.e_square(6) / 6
+    e12 = euler.precompute_e_square(6)  # 12 e(d^2, 6)
+    assert chi_R(25, "main_term") == Fraction(-e12[5], 12 * 24)
+    assert chi_R(36, "main_term") == Fraction(-e12[6], 12 * 6)
     # non-squares: the residue table
     assert c_D(12) == 1 and c_D(28) == 2 and c_D(33) == 2 and c_D(73) == 4
     assert chi_R(12) == -e_value(12, 6) / 6
@@ -240,7 +241,7 @@ def test_e_square_table_grows_geometrically(monkeypatch):
     monkeypatch.setattr(qforms, "e6_square_twelfths", recorded)
     want = e6_square_twelfths(1000)
     for d in range(1, 1001):
-        assert euler.e_square(d) == Fraction(want[d], 12), d
+        assert euler.precompute_e_square(d)[d] == want[d], d
     assert asked == [64, 128, 256, 512, 1024]
 
 
@@ -255,9 +256,9 @@ def test_e_square_refuses_beyond_its_bound_before_any_build(monkeypatch, capsys)
     monkeypatch.setattr(qforms, "e6_square_twelfths", recorded)
     bound = euler.E_SQUARE_MAX_D
     with pytest.raises(ValueError):
-        euler.e_square(bound + 1)
+        euler.precompute_e_square(bound + 1)
     assert asked == []
-    assert euler.e_square(bound) == 0  # the growth stops at the bound
+    assert euler.precompute_e_square(bound)[bound] == 0  # the growth stops at the bound
     assert asked == [bound]
     D = str((bound + 1) ** 2)
     for family in ("r", "g"):
@@ -298,7 +299,7 @@ def test_mode_errors_name_the_branch():
 
 def test_square_branches_match_the_composed_formulas():
     # at D = d^2, chi_W4, chi_W6, chi_X_br and chi_R build one Fraction from
-    # a(d) or 12 e(d^2, 6); the compositions through chi_X_square, e_square
+    # a(d) or 12 e(d^2, 6); the compositions through chi_X_square, e(d^2, 6)
     # and c_D are the reference
     euler.precompute_e_square(2000)
     for d in range(1, 2001):
@@ -308,7 +309,8 @@ def test_square_branches_match_the_composed_formulas():
         for j in (1, 2) if D % 8 == 1 else (1,):
             assert chi_W4(D, j, "main_term") == w4, (d, j)
         assert chi_W6(D, "main_term") == -7 * x, d
-        assert chi_R(D, "main_term") == -euler.e_square(d) / (6 * c_D(D)), d
+        e = Fraction(euler.precompute_e_square(d)[d], 12)
+        assert chi_R(D, "main_term") == -e / (6 * c_D(D)), d
         for r in divisors(6 // math.gcd(6, d)):
             assert chi_X_br(d, r) == euler.X_BR_RATIO[math.gcd(6, d)] * x, (d, r)
 
