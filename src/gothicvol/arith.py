@@ -206,7 +206,7 @@ def trial_factorize(n: int) -> tuple[tuple[int, int], ...]:
         f += 2 if f % 6 == 5 else 4  # 6k +- 1 wheel
     if m > 1:
         out.append((m, 1))
-    return tuple(sorted(out))
+    return tuple(out)
 
 
 def is_prime(n: int) -> bool:
@@ -231,7 +231,9 @@ def divisors(n: int) -> list[int]:
 
 
 def nu(p: int, n: int) -> int:
-    """p-adic valuation of n >= 1."""
+    """p-adic valuation of n >= 1, for p >= 2."""
+    if p < 2:
+        raise ValueError("nu expects p >= 2")
     if n < 1:
         raise ValueError("nu expects n >= 1")
     v = 0

@@ -17,16 +17,6 @@ def _oracle_vs_cd():
     return "exact equality through d = 8"
 
 
-@_check("commutator convention invariance, d <= 6", "counting")
-def _commutator_convention():
-    for d in range(1, 7):
-        if counting.h2_permutation_oracle(d) != counting.h2_permutation_oracle(
-            d, commutator="vh"
-        ):
-            raise AssertionError(d)
-    return "h v h^-1 v^-1 vs v h v^-1 h^-1"
-
-
 @_check("smm/cd consistency, d <= 200", "counting")
 def _smm_cd_consistency():
     # cd_count sums sigma(d/m) counting.smm(m) over m | d; the direct path's

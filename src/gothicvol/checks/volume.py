@@ -75,6 +75,24 @@ def _direct_vs_closed():
     return "P3, P4 and gothic leading equal at every D; H(2) apart by its m = 1 term"
 
 
+@_check("volume_estimate direct equals closed at the D = 4000 checkpoints", "volume")
+def _estimate_direct_vs_closed():
+    # the production direct path (smm_totals, direct_raw_sum) past the
+    # D <= 2000 range of the check above, through volume_estimate itself
+    for locus, surrogate in ((Locus.P3, "main"), (Locus.P4, "main"),
+                             (Locus.G, "leading"), (Locus.H2, "main")):
+        direct = volume.volume_estimate(locus, 4000, "direct", surrogate).series_exact
+        closed = volume.volume_estimate(locus, 4000, "closed", surrogate).series_exact
+        for (Dc, got), (_, want) in zip(direct, closed):
+            if locus is Locus.H2:
+                # closed also counts m = 1 (-6 chi = -3/8), direct m >= 3; its
+                # weight sum_{e<=Dc} sigma(e) is the plain sum_{q<=Dc} q floor(Dc/q)
+                want += Fraction(3, 8) * sum(q * (Dc // q) for q in range(1, Dc + 1))
+            if got != want:
+                raise AssertionError((locus.value, Dc))
+    return "P3, P4 and gothic leading equal at D = 500..4000; H(2) apart by its m = 1 term"
+
+
 @_check("gothic closed summands match their exact limits within 2% at D = 4000", "volume")
 def _gothic_summands():
     # kappa'(g) from the X_{d^2}(b_r) ratio and the e(d^2, 6) constant

@@ -28,8 +28,6 @@ from fractions import Fraction
 from . import MODES, Locus, arith
 from .arith import PiQuantity
 
-_LOCI = {"h2": Locus.H2, "p3": Locus.P3, "p4": Locus.P4, "gothic": Locus.G}
-
 
 def _frac_str(x: Fraction) -> str:
     x = Fraction(x)
@@ -193,7 +191,7 @@ def _cmd_chi(args):
 def _cmd_smm(args):
     from . import counting
 
-    cover = counting.smm(_LOCI[args.locus], args.m, args.surrogate)
+    cover = counting.smm(Locus(args.locus), args.m, args.surrogate)
     result = {
         "m": cover.m,
         "total": cover.total,
@@ -208,7 +206,7 @@ def _cmd_smm(args):
 def _cmd_cd(args):
     from . import counting
 
-    value = counting.cd_count(_LOCI[args.locus], args.d, args.surrogate)
+    value = counting.cd_count(Locus(args.locus), args.d, args.surrogate)
     return {"locus": args.locus, "d": args.d, "surrogate": args.surrogate}, value, None
 
 
@@ -228,7 +226,7 @@ def _cmd_sk(args):
 def _cmd_volume(args):
     from . import volume
 
-    est = volume.volume_estimate(_LOCI[args.locus], args.dmax, args.mode, args.surrogate)
+    est = volume.volume_estimate(Locus(args.locus), args.dmax, args.mode, args.surrogate)
     result = {
         "locus": args.locus,
         "dmax": est.D,
@@ -280,7 +278,7 @@ class _VerifyFailure(Exception):
 
 
 _INT = {"type": int, "required": True}
-_LOCUS = ("--locus", {"choices": tuple(_LOCI), "required": True})
+_LOCUS = ("--locus", {"choices": tuple(locus.value for locus in Locus), "required": True})
 _SURROGATE = ("--surrogate", {"choices": ("main", "leading", "remark"), "default": "main"})
 
 # subcommand -> (help, handler, its own arguments as (flag, add_argument keywords))

@@ -184,8 +184,7 @@ def _three_cycle_orbits(part: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], i
     h-cycle lengths, the same pairs in a shared h-cycle and the same offsets
     within each shared h-cycle, and onto no other.  A 3-cycle's key is the
     least such description over its three rotations.  Cached per cycle type:
-    the oracle's guard d <= 10 bounds the cache to 138 types, and both
-    conventions share it.
+    the oracle's guard d <= 10 bounds the cache to 138 types.
     """
     d = sum(part)
     length = []
@@ -231,31 +230,26 @@ def _cycles(p: tuple[int, ...]) -> list[list[int]]:
     return cycles
 
 
-def _transitive_solutions(part: tuple[int, ...], c: tuple[int, ...], commutator: str) -> int:
-    """Number of v in S_d with <h, v> transitive and commutator c, where h is
-    the representative of cycle type ``part`` whose cycles are consecutive
-    blocks.
+def _transitive_solutions(part: tuple[int, ...], c: tuple[int, ...]) -> int:
+    """Number of v in S_d with <h, v> transitive and h v h^-1 v^-1 = c, where
+    h is the representative of cycle type ``part`` whose cycles are
+    consecutive blocks.
 
-    With ``commutator='hv'``, h v h^-1 v^-1 = c reads v s v^-1 = t for
-    s = h^-1, t = h^-1 c; with 'vh', v h v^-1 h^-1 = c reads the same for
-    s = h, t = c h.  A solution exists iff t has the cycle type of s, and the
-    solutions are then the coset v0 Z(h): v0 maps each cycle of s onto a cycle
-    of t of the same length, and z in Z(h) permutes the h-cycles of each
-    length (the block permutation pi) and rotates each one.  Under v0 z the
-    h-cycle A is carried into the h-cycles that v0 meets on pi(A), whatever
-    the rotations, so transitivity is a bit-mask closure over the blocks that
-    depends on pi alone, and every transitive pi stands for prod l^(m_l)
-    solutions.
+    The equation reads v s v^-1 = t for s = h^-1, t = h^-1 c.  A solution
+    exists iff t has the cycle type of s, and the solutions are then the
+    coset v0 Z(h): v0 maps each cycle of s onto a cycle of t of the same
+    length, and z in Z(h) permutes the h-cycles of each length (the block
+    permutation pi) and rotates each one.  Under v0 z the h-cycle A is
+    carried into the h-cycles that v0 meets on pi(A), whatever the rotations,
+    so transitivity is a bit-mask closure over the blocks that depends on pi
+    alone, and every transitive pi stands for prod l^(m_l) solutions.
     """
     d = len(c)
     h = _perm_from_cycle_type(part, d)
-    hinv = [0] * d
+    s = [0] * d  # h^-1
     for x, y in enumerate(h):
-        hinv[y] = x
-    if commutator == "hv":
-        s, t = hinv, [hinv[c[x]] for x in range(d)]
-    else:
-        s, t = h, [c[h[x]] for x in range(d)]
+        s[y] = x
+    t = [s[c[x]] for x in range(d)]
     free: dict[int, list[list[int]]] = {}  # the t-cycles not yet paired, by length
     for cycle in _cycles(t):
         free.setdefault(len(cycle), []).append(cycle)
@@ -303,7 +297,7 @@ def _transitive_solutions(part: tuple[int, ...], c: tuple[int, ...], commutator:
     return transitive * prod(part)  # the rotations of each h-cycle
 
 
-def h2_permutation_oracle(d: int, commutator: str = "hv") -> Fraction:
+def h2_permutation_oracle(d: int) -> Fraction:
     """Weighted count of degree-d square-tiled surfaces in H(2), from scratch.
 
     Counts pairs (h, v) in S_d x S_d with <h, v> transitive whose commutator
@@ -314,20 +308,14 @@ def h2_permutation_oracle(d: int, commutator: str = "hv") -> Fraction:
     ``_three_cycle_orbits``), and for each only the v that solve the
     commutator equation are visited, one centraliser coset per c (see
     ``_transitive_solutions``).
-
-    ``commutator='vh'`` counts with the conjugate convention v h v^-1 h^-1
-    instead, by solving its own equation v h v^-1 = c h; both conventions
-    give identical counts.
     """
     if not 1 <= d <= 10:
         raise ValueError("oracle is cost-guarded to 1 <= d <= 10")
-    if commutator not in ("hv", "vh"):
-        raise ValueError("commutator must be 'hv' or 'vh'")
     # over d!: the class of h has d!/|Z(h)| members
     pairs = 0
     for part in _partitions(d):
         count = sum(
-            size * _transitive_solutions(part, c, commutator)
+            size * _transitive_solutions(part, c)
             for c, size in _three_cycle_orbits(part)
         )
         pairs += count * (factorial(d) // _centralizer_size(part))

@@ -66,8 +66,8 @@ KAPPA_PRIME = {
 REMARK_COEFF = {1: 2, 2: 6, 3: 3, 6: 9}
 
 # Gothic non-emptiness residues and component counts for non-square D
-GOTHIC_RESIDUES = {0, 1, 4, 9, 12, 16}
 _C_D_NONSQUARE = {0: 1, 12: 1, 4: 2, 9: 2, 16: 2, 1: 4}
+GOTHIC_RESIDUES = frozenset(_C_D_NONSQUARE)
 # c_D = sigma_0(6/(d, 6)) for square D = d^2, by gcd(6, d)
 _C_D_SQUARE = {1: 4, 2: 2, 3: 2, 6: 1}
 

@@ -35,17 +35,8 @@ class QuadPair(namedtuple("QuadPair", ("a1", "a2"))):
 
     __slots__ = ()
 
-    def norm(self) -> int:
-        return self.a1 * self.a2
-
-    def trace(self) -> int:
-        return self.a1 + self.a2
-
     def conjugate(self) -> "QuadPair":
         return QuadPair(self.a2, self.a1)
-
-    def in_order(self, d: int) -> bool:
-        return (self.a1 - self.a2) % d == 0
 
     def __add__(self, other: "QuadPair") -> "QuadPair":
         return QuadPair(self.a1 + other.a1, self.a2 + other.a2)

@@ -9,8 +9,8 @@ of the named checks.  What no check holds is asserted here ("here" below):
   1. gothic volume: direct/main at D = 2000 within 5%, Richardson within 1%;
      the four closed-form summands within 2% at D = 4000; under 5 minutes
   2. H(2) volume: direct at D = 4000 within 1%, under 10 seconds
-  3. P3/P4 volumes: direct at D = 4000 within 2%; P4 closed form equals the
-     direct path exactly at every D <= 2000, and here at the D = 4000
+  3. P3/P4 volumes: direct at D = 4000 within 2%; the closed forms equal
+     the direct path exactly at every D <= 2000 and at the D = 4000
      checkpoints
   4. permutation oracle == cd_count(H2, d) for d = 1..8, under 2 minutes
   5. modular-form oracle: e_and_a for all valid D <= 4000, k in {1, 6};
@@ -23,17 +23,14 @@ of the named checks.  What no check holds is asserted here ("here" below):
   8. S_k asymptotics at 10^5 within 1%, under 30 seconds
   9. ideal/polarization suite exact for d <= 500: class counts, polarization
      pairs, symplectic type (to 200, and here for 200 < d <= 500)
- 10. AEZ convention constants reproduced exactly; here the P4 factor chain
+ 10. AEZ convention constants reproduced exactly
 """
 
 import math
-from fractions import Fraction
 
 from gothicvol import zagier
-from gothicvol.counting import Locus
 from gothicvol.ideals import component_list, gram_matrix
 from gothicvol.ideals import symplectic_divisors
-from gothicvol.volume import volume_estimate
 
 ESTIMATOR = "volume estimators inside the acceptance tolerances"
 
@@ -67,13 +64,11 @@ def test_criterion_2_h2_volume(check):
 
 
 def test_criterion_3_prym_volumes(check):
-    p4d = volume_estimate(Locus.P4, 4000, "direct")
-    p4c = volume_estimate(Locus.P4, 4000, "closed")
-    exact_match = [v for _, v in p4d.series_exact] == [v for _, v in p4c.series_exact]
     criterion(3, check, [
         ESTIMATOR,
         "P4 direct equals closed at every D <= 2000; P3 and gothic too",
-    ], ok=exact_match, detail=f"P4 closed == direct at the D = 4000 checkpoints: {exact_match}")
+        "volume_estimate direct equals closed at the D = 4000 checkpoints",
+    ])
 
 
 def test_criterion_4_oracle_equivalence(check):
@@ -135,6 +130,4 @@ def test_criterion_9_ideal_polarization_suite(check):
 
 
 def test_criterion_10_convention_converter(check):
-    chain = Fraction(7, 69120) * 2**8 * 2**3 == Fraction(28, 135)
-    criterion(10, check, ["AEZ conversion constants are reproduced exactly"],
-              ok=chain, detail=f"P4 factor chain 7/69120 * 2^11 = 28/135: {chain}")
+    criterion(10, check, ["AEZ conversion constants are reproduced exactly"])

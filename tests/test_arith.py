@@ -26,6 +26,7 @@ from gothicvol.arith import (
     is_prime,
     jordan2,
     moebius,
+    nu,
     sigma,
     sl2_order,
     squarefree_decompose,
@@ -71,6 +72,15 @@ def test_moebius_brute_force():
 def test_moebius_rejects_zero():
     with pytest.raises(ValueError):
         moebius(0)
+
+
+def test_nu_examples_and_bad_arguments():
+    assert [nu(2, n) for n in (1, 2, 12, 1024)] == [0, 1, 2, 10]
+    assert nu(3, 162) == 4 and nu(7, 10) == 0
+    # p = 0 divided by zero and p = 1 looped forever; n = 0 loops too
+    for p, n in ((0, 5), (1, 5), (-2, 8), (2, 0)):
+        with pytest.raises(ValueError):
+            nu(p, n)
 
 
 def test_sigma_examples():

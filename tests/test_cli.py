@@ -409,6 +409,32 @@ def test_help_choices_of_locus_mode_and_surrogate(capsys):
     assert "--mode {exact,main,main_term,leading,remark}" in help_text(capsys, "chi")
 
 
+LOCUS_USAGE = {
+    "smm": """usage: gothicvol smm [-h] [--out FILE] [--csv] [--float] --locus
+                     {h2,p3,p4,gothic} --m M
+                     [--surrogate {main,leading,remark}]
+""",
+    "cd": """usage: gothicvol cd [-h] [--out FILE] [--csv] [--float] --locus
+                    {h2,p3,p4,gothic} --d D
+                    [--surrogate {main,leading,remark}]
+""",
+    "volume": """usage: gothicvol volume [-h] [--out FILE] [--csv] [--float] --locus
+                        {h2,p3,p4,gothic} --dmax DMAX [--mode {direct,closed}]
+                        [--surrogate {main,leading,remark}]
+""",
+}
+
+
+def test_locus_commands_keep_their_usage_text(capsys, monkeypatch):
+    # the --locus choices come from the Locus enum, in its order; the usage
+    # blocks are pinned at an 80-column terminal
+    monkeypatch.setenv("COLUMNS", "80")
+    for command, usage in LOCUS_USAGE.items():
+        text = help_text(capsys, command)
+        assert text.startswith(usage + "\n"), command
+        assert "\n  --locus {h2,p3,p4,gothic}\n" in text, command
+
+
 def test_sk_beyond_the_sieve_range(capsys):
     # 3 * 10^9 is past every int64 table; the closed path answers exactly
     D = 3 * 10**9

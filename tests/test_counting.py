@@ -76,24 +76,20 @@ def _orbit_is_everything(h, v):
 
 @cache
 def class_brute_force(d):
-    """Per convention: (cycle type of h, 3-cycle c) -> the number of v in S_d
-    with <h, v> transitive whose commutator is c, h the class representative
-    and v every permutation, each commutator evaluated from its definition."""
-    counts = {"hv": Counter(), "vh": Counter()}
+    """(cycle type of h, 3-cycle c) -> the number of v in S_d with <h, v>
+    transitive and h v h^-1 v^-1 = c, h the class representative and v every
+    permutation, the commutator evaluated from its definition."""
+    counts = Counter()
     letters = range(d)
     for part in _partitions(d):
         h = _perm_from_cycle_type(part, d)
         hinv = _inverse(h)
         for v in itertools.permutations(letters):
             vinv = _inverse(v)
-            commutators = {
-                "hv": tuple(h[v[hinv[vinv[x]]]] for x in letters),  # h v h^-1 v^-1
-                "vh": tuple(v[h[vinv[hinv[x]]]] for x in letters),  # v h v^-1 h^-1
-            }
-            for convention, w in commutators.items():
-                # three moved points: a 3-cycle
-                if sum(w[x] != x for x in letters) == 3 and _orbit_is_everything(h, v):
-                    counts[convention][part, w] += 1
+            w = tuple(h[v[hinv[vinv[x]]]] for x in letters)  # h v h^-1 v^-1
+            # three moved points: a 3-cycle
+            if sum(w[x] != x for x in letters) == 3 and _orbit_is_everything(h, v):
+                counts[part, w] += 1
     return counts
 
 
@@ -110,11 +106,9 @@ def _class_weight(part):
 def test_coset_oracle_matches_class_brute_force(d):
     # d = 6 and 7 are the first sizes with repeated cycles of length >= 2,
     # as in (2, 2, 2) and (3, 3)
-    for commutator in ("hv", "vh"):
-        counts = class_brute_force(d)[commutator]
-        want = sum((Fraction(n, _class_weight(part)) for (part, _), n in counts.items()),
-                   Fraction(0))
-        assert h2_permutation_oracle(d, commutator) == want, commutator
+    counts = class_brute_force(d)
+    want = sum((Fraction(n, _class_weight(part)) for (part, _), n in counts.items()), Fraction(0))
+    assert h2_permutation_oracle(d) == want
 
 
 def _cycle_permutation(d, cycle):
@@ -127,15 +121,13 @@ def _cycle_permutation(d, cycle):
 
 @pytest.mark.parametrize("d", range(3, 8))
 def test_coset_counts_per_three_cycle_match_class_brute_force(d):
-    # one count per (class, c): the two conventions solve different
-    # equations, as [v, h] = [h, v]^-1, though their totals agree
-    for commutator in ("hv", "vh"):
-        got = Counter()
-        for part in _partitions(d):
-            for cycle in _three_cycles(d):
-                c = _cycle_permutation(d, cycle)
-                got[part, c] = _transitive_solutions(part, c, commutator)
-        assert +got == class_brute_force(d)[commutator], commutator
+    # one count per (class, c), not only the orbit-weighted totals
+    got = Counter()
+    for part in _partitions(d):
+        for cycle in _three_cycles(d):
+            c = _cycle_permutation(d, cycle)
+            got[part, c] = _transitive_solutions(part, c)
+    assert +got == class_brute_force(d)
 
 
 def test_three_cycles_are_every_three_cycle():
@@ -265,17 +257,15 @@ def test_oracle_matches_all_pairs_reference():
 
 
 def test_oracle_matches_cd_count():
-    for commutator in ("hv", "vh"):
-        for d in range(1, 10):
-            got = h2_permutation_oracle(d, commutator=commutator)
-            assert got == cd_count(Locus.H2, d), (commutator, d)
+    for d in range(1, 10):
+        assert h2_permutation_oracle(d) == cd_count(Locus.H2, d), d
 
 
 def test_oracle_guard():
     with pytest.raises(ValueError):
         h2_permutation_oracle(11)
     with pytest.raises(ValueError):
-        h2_permutation_oracle(4, commutator="xy")
+        h2_permutation_oracle(0)
 
 
 def test_locus_dims():

@@ -155,6 +155,24 @@ def test_leading_check_fails_on_one_negative_table_entry(monkeypatch):
     assert (result.ok, result.detail) == (False, "FAILED at 4321")
 
 
+def test_estimate_check_fails_on_one_wrong_p3_total_past_2000(monkeypatch):
+    # one P3 numerator off by one at m = 3000, past the D <= 2000 range of
+    # the other direct-vs-closed check, shows at the last checkpoint only
+    real = volume.smm_totals
+
+    def wrong_totals(locus, mmax, surrogate="main_term"):
+        totals = real(locus, mmax, surrogate)
+        if locus is not Locus.P3 or mmax < 3000:
+            return totals
+        t = list(totals.numerators)
+        t[3000] += 1
+        return totals._replace(numerators=tuple(t))
+
+    monkeypatch.setattr(volume, "smm_totals", wrong_totals)
+    result = verify.run_check("volume_estimate direct equals closed at the D = 4000 checkpoints")
+    assert (result.ok, result.detail) == (False, "FAILED at ('p3', 4000)")
+
+
 def test_remark_check_fails_on_one_wrong_main_table_entry(monkeypatch):
     # the remark check ties chi_G(d^2, 1, "main_term") to the integer table
     # that the gap check and smm_totals read
