@@ -11,17 +11,18 @@ All sums are exact integers/rationals; floats appear only in the final
 division.  The raw estimator converges like 1/D, so the Richardson
 extrapolation 2 V(D) - V(D/2) sharpens the confirmation by an order of
 magnitude.  The closed path evaluates the same partial sums for H(2), the
-Prym loci and the leading-order gothic count in O(sqrt D) exact steps, so the
-1/D law can be followed out to D = 10^9.  The AEZ-normalised volumes of the quadratic-differential strata
+Prym loci and the leading-order gothic count as at most four terms
+coeff * Sigma3(D // m), m | 6, each in O(sqrt D) exact steps, so the 1/D law
+can be followed out to D = 10^9.  The AEZ-normalised volumes of the quadratic-differential strata
 under the Prym double covers come out exactly from the conversion chains.
 """
 
 from gothicvol.counting import Locus
 from gothicvol.volume import (
-    CLOSED_ROWS,
+    CLOSED_TERMS,
     closed_limit,
     convert_convention,
-    sk_sum,
+    sigma3_sum,
     volume_estimate,
     volume_exact,
 )
@@ -37,15 +38,19 @@ for locus in (Locus.H2, Locus.P3, Locus.P4, Locus.G):
           f"extrapolated {est.extrapolated_relative_error:.2e})")
     print()
 
-print("gothic closed-form summands vs the exact limits of their rows at D =", D, ":")
-for r in (1, 2, 3, 6):
-    rows = [row for row in CLOSED_ROWS[Locus.G] if row[2] == r]
-    got = float(sum(c * sk_sum(k, D // r) for c, k, _ in rows)) / D**4
-    want = closed_limit(rows)
-    print(f"   r = {r}: {got:.3e} -> {want} = {want.to_float():.3e}")
+print("closed terms coeff * Sigma3(D // m) vs their exact limits at D =", D, ":")
+for locus in (Locus.H2, Locus.P3, Locus.P4, Locus.G):
+    for c, m in CLOSED_TERMS[locus]:
+        got = float(c * sigma3_sum(D // m)) / D**4
+        want = closed_limit([(c, m)])
+        print(f"   {locus.value:6s} {str(c):>6s} * Sigma3(D // {m}): "
+              f"{got:.3e} -> {want} = {want.to_float():.3e}")
+    if locus is Locus.H2:
+        print("          - (3/4) T(D), T(D) = O(D^3)")
+    print(f"          sum of the limits: {closed_limit(CLOSED_TERMS[locus])}")
 print()
 
-print("closed path (exact S_k sums by the hyperbola method) at large D:")
+print("closed path (exact Sigma3 and T sums by the hyperbola method) at large D:")
 for locus in (Locus.H2, Locus.P3, Locus.P4, Locus.G):
     for Dbig in (10**6, 10**9):
         est = volume_estimate(locus, Dbig, "closed")

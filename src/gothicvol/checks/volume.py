@@ -10,6 +10,26 @@ from math import gcd, lcm
 from .. import Locus, arith, euler, volume, zagier
 from ..verify import _check
 
+# The oracle for volume.CLOSED_TERMS: rows (coeff, k, r), the terms coeff *
+# S_k(D // r).  Gothic component r weights h = m/r, g = gcd(6, h) prime to r,
+# by 6 kappa'(g); inclusion-exclusion over k | 6 gives the coefficients of S_k.
+_ROWS = {
+    Locus.H2: ((Fraction(3, 8), 1, 1),),
+    Locus.P3: ((Fraction(5, 24), 1, 1), (Fraction(5, 48), 2, 1),
+               (Fraction(5, 24), 1, 2), (Fraction(-5, 24), 2, 2)),
+    Locus.P4: ((Fraction(7, 12), 1, 2),),
+    Locus.G: tuple(
+        (sum(arith.moebius(k // g) * 6 * euler.KAPPA_PRIME[g]
+             for g in (1, 2, 3, 6) if k % g == 0 and gcd(g, r) == 1), k, r)
+        for r in (1, 2, 3, 6) for k in (1, 2, 3, 6)),
+}
+
+
+def _rows_limit(rows) -> arith.PiQuantity:
+    """The exact limit of sum coeff * S_k(D // r) / D^4: sum coeff c_k / r^4."""
+    return sum((volume.sk_asymptotic_constant(k) * (c / r**4) for c, k, r in rows),
+               arith.PiQuantity(Fraction(0), 4))
+
 
 @_check("S_1(10^5) equals the sum of sigma_3(n), n <= 10^5", "volume")
 def _s1_identity():
@@ -56,20 +76,24 @@ def _direct_vs_closed():
     ssig = arith.sigma_prefix(Dmax)
     for locus, surrogate in ((Locus.P4, "main"), (Locus.P3, "main"),
                              (Locus.G, "leading"), (Locus.H2, "main")):
-        # each locus's rows through the table routes, over one denominator L
-        rows = volume.CLOSED_ROWS[locus]
-        L = lcm(*(c.denominator for c, _, _ in rows))
+        # the rows and the terms through the table routes, over one denominator L
+        rows, terms = _ROWS[locus], volume.CLOSED_TERMS[locus]
+        L = lcm(*(row[0].denominator for row in rows + terms))
         scaled = [(int(c * L), k, r) for c, k, r in rows]
+        scaled_terms = [(int(c * L), m) for c, m in terms]
         direct = volume.direct_prefix(locus, Dmax, surrogate)
         for D in range(1, Dmax + 1):
-            closed = Fraction(sum(n * S[k][D // r] for n, k, r in scaled), L)
+            num = sum(n * S[k][D // r] for n, k, r in scaled)
+            # the terms read Sigma3 = S_1; the g_k tails of the rows cancel
+            if sum(n * S[1][D // m] for n, m in scaled_terms) != num:
+                raise AssertionError((locus.value, "terms", D))
+            closed = Fraction(num, L)
             gap = 0
             if locus is Locus.H2:  # closed also counts m = 1 (-6 chi = -3/8), direct m >= 3
                 closed -= Fraction(3, 4) * T[D]
                 gap = Fraction(3, 8) * ssig[D]
             if direct[D] - closed != gap:
                 raise AssertionError((locus.value, D))
-            # closed_raw_sum reads the same rows, leaving out D // r = 0
             if D in (1, 2, 3, 5, 6, 7, Dmax) and volume.closed_raw_sum(locus, D) != closed:
                 raise AssertionError((locus.value, "closed_raw_sum", D))
     return "P3, P4 and gothic leading equal at every D; H(2) apart by its m = 1 term"
@@ -100,26 +124,17 @@ def _gothic_summands():
         want = euler.X_BR_RATIO[g] / 48 - zagier.kappa(g) / (180 * euler._C_D_SQUARE[g])
         if euler.KAPPA_PRIME[g] != want:
             raise AssertionError(("kappa'", g))
-    # the gothic rows: component r weights h = m/r by 6 kappa'(g), g = gcd(6, h),
-    # on the classes with gcd(g, r) = 1, and inclusion-exclusion over k | 6
-    # turns the weights into coefficients of S_k
-    derived = tuple(
-        (sum(arith.moebius(k // g) * 6 * euler.KAPPA_PRIME[g]
-             for g in (1, 2, 3, 6) if k % g == 0 and gcd(g, r) == 1), k, r)
-        for r in (1, 2, 3, 6) for k in (1, 2, 3, 6)
-    )
-    rows = volume.CLOSED_ROWS[Locus.G]
-    if derived != rows:
-        raise AssertionError(("gothic rows", set(rows) ^ set(derived)))
+    # the kappa'-derived rows and the production terms give the paper's volumes
     for locus in Locus:
-        if volume.closed_limit(volume.CLOSED_ROWS[locus]) != volume.volume_exact(locus):
-            raise AssertionError(("limit", locus.value))
+        limits = (_rows_limit(_ROWS[locus]), volume.closed_limit(volume.CLOSED_TERMS[locus]))
+        if limits != (volume.volume_exact(locus),) * 2:
+            raise AssertionError(("limit", locus.value, limits))
     D = 4000
     details = []
     for r in (1, 2, 3, 6):
-        part = [row for row in rows if row[2] == r]
+        part = [row for row in _ROWS[Locus.G] if row[2] == r]
         got = float(sum(c * volume.sk_sum(k, D // r) for c, k, _ in part)) / D**4
-        want = volume.closed_limit(part).to_float()
+        want = _rows_limit(part).to_float()
         rel = abs(got - want) / want
         if not rel <= 0.02:
             raise AssertionError((r, rel))

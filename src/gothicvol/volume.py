@@ -13,30 +13,32 @@ Two evaluation paths are implemented:
               floats only in the final division by D^dim.  Every table
               has D + 1 entries (the SPF sieve at least 2^16), and numpy is
               never loaded.  D is refused beyond DIRECT_MAX_D;
-    closed -- the sums S_k(D) = sum_{d<=D} sum_{m|d, k|m} sigma(d/m) a(m),
-              combined by one table of rows (coeff, k, r) per locus,
-              CLOSED_ROWS, each the term coeff * S_k(D // r); H(2) adds
-              -(3/4) T(D), T the Jordan-totient analogue.
+    closed -- at most four terms coeff * Sigma3(D // m), m | 6, per locus
+              (CLOSED_TERMS); H(2) adds -(3/4) T(D), T the Jordan-totient
+              analogue.
 
-The closed path needs no sieve table.  Since (sigma * a) = sigma_3,
+The closed path needs no sieve table.  Since (sigma * a) = sigma_3, the
+restricted sums S_k(D) = sum_{d<=D} sum_{m|d, k|m} sigma(d/m) a(m) are
 
     S_k(D) = sum_{n | k^inf, n <= D} g_k(n) Sigma3(floor(D/n)),
     Sigma3(x) = sum_{q<=x} q^3 floor(x/q),
 
 with g_k multiplicative, g_k(p^j) = (p^2 - 1) p^(j+2e-2) for p^e || k and
-j >= e (zero for j < e); likewise J_2 * sigma = Id_2 * Id gives
-T(D) = sum_{ab<=D} a^2 b.  Both are exact Python-int Dirichlet hyperbola sums
-with Faulhaber closed forms, O(sqrt D) steps each, up to D = 10^12.
+j >= e (zero for j < e).  Each locus's count is a sum of rows
+coeff * S_k(D // r), the verify oracle (checks/volume.py), whose g_k tails
+cancel outside m = r n | 6; CLOSED_TERMS is what is left.  J_2 * sigma =
+Id_2 * Id gives T(D) = sum_{ab<=D} a^2 b.  Sigma3 and T are exact Python-int
+Dirichlet hyperbola sums, O(sqrt D) steps each, up to D = 10^12.
 
 Both paths have a table oracle, each the running sum of one Dirichlet product
 (arith.dirichlet_convolve) with a sigma list of its own, one scalar sigma per
 n: sk_prefix, a(m) [k | m] with sigma, for sk_sum; direct_prefix, the
 counting.smm totals with sigma, for smm_totals and direct_raw_sum.
 
-S_k(D) ~ c_k D^4 for every k >= 1 (sk_asymptotic_constant) and T(D) = O(D^3),
-so the rows also give each volume exactly, as sum coeff c_k / r^4
-(closed_limit).  The raw estimator's error is O(1/D) relative, so it also
-reports the Richardson extrapolation 2 V(D) - V(D/2).
+Sigma3(x) ~ pi^4 x^4/360 and T(D) = O(D^3), so the terms give each volume
+exactly, as (pi^4/360) sum coeff / m^4 (closed_limit), and S_k(D) ~ c_k D^4
+(sk_asymptotic_constant).  The raw estimator's error is O(1/D) relative, so
+it also reports the Richardson extrapolation 2 V(D) - V(D/2).
 
 Exact targets: vol H(2) = pi^4/960, P3 = 5 pi^4/6912, P4 = 7 pi^4/69120,
 gothic = 13 pi^4/31104.  The AEZ quadratic-differential normalisation differs
@@ -79,7 +81,8 @@ class VolumeEstimate(namedtuple("VolumeEstimate", (
         return f"VolumeEstimate({shown})"
 
 
-# The stated reach of the closed path (S_6(10^12) takes one to two seconds).
+# The stated reach of the closed path.  Cold at 10^12 on 2 cores, the slowest
+# requests, gothic and H(2) volume, take 3.7-4.7 s; P3 2.6-2.9 s, sk --k 6 2 s.
 # Larger D is refused before any work rather than left to run for minutes.
 CLOSED_MAX_D = 10**12
 
@@ -328,39 +331,30 @@ def direct_prefix(locus: Locus, Dmax: int, surrogate: str = "main_term") -> list
 # Closed path
 # ---------------------------------------------------------------------------
 
-# Each row (coeff, k, r) is the term coeff * S_k(D // r) of sum_{d<=D} |C_d|;
-# H(2) adds -(3/4) T(D).  Gothic component r counts h = m/r with g = gcd(6, h)
-# prime to r, weighted 6 kappa'(g) (euler.KAPPA_PRIME); inclusion-exclusion
-# over k | 6 gives the weights of (S_1, S_2, S_3, S_6), in units of 13 r/720.
-CLOSED_ROWS = {
-    Locus.H2: ((Fraction(3, 8), 1, 1),),
-    Locus.P3: ((Fraction(5, 24), 1, 1), (Fraction(5, 48), 2, 1),
-               (Fraction(5, 24), 1, 2), (Fraction(-5, 24), 2, 2)),
-    Locus.P4: ((Fraction(7, 12), 1, 2),),
-    Locus.G: tuple(
-        (Fraction(13 * r * w, 720), k, r)
-        for r, weights in ((1, (6, 3, 2, 1)), (2, (3, -3, 1, -1)),
-                           (3, (2, 1, -2, -1)), (6, (1, -1, -1, 1)))
-        for k, w in zip((1, 2, 3, 6), weights)
-    ),
+# Each term (coeff, m) is coeff * Sigma3(D // m) in sum_{d<=D} |C_d|; H(2)
+# adds -(3/4) T(D).  Gothic is (13/120) sum_{m|6} m^2 Sigma3(D // m).
+CLOSED_TERMS = {
+    Locus.H2: ((Fraction(3, 8), 1),),
+    Locus.P3: ((Fraction(5, 24), 1), (Fraction(5, 6), 2)),
+    Locus.P4: ((Fraction(7, 12), 2),),
+    Locus.G: tuple((Fraction(13 * m * m, 120), m) for m in (1, 2, 3, 6)),
 }
 
 
 def closed_raw_sum(locus: Locus, D: int) -> Fraction:
-    """sum_{d<=D} |C_d| as the sum of the locus's CLOSED_ROWS at D, rows with
-    D // r = 0 left out, plus -(3/4) T(D) for H(2)."""
-    rows = CLOSED_ROWS[locus]
-    total = sum((c * sk_sum(k, D // r) for c, k, r in rows if D >= r), Fraction(0))
+    """sum_{d<=D} |C_d| as the sum of the locus's CLOSED_TERMS at D, plus
+    -(3/4) T(D) for H(2).  D is refused beyond CLOSED_MAX_D."""
+    _check_closed_bound(D)
+    total = sum((c * sigma3_sum(D // m) for c, m in CLOSED_TERMS[locus]), Fraction(0))
     if locus is Locus.H2:
         total -= Fraction(3, 4) * t_sum(D)
     return total
 
 
-def closed_limit(rows) -> PiQuantity:
-    """The exact limit of sum coeff * S_k(D // r) / D^4 over ``rows`` (a
-    locus's CLOSED_ROWS or any part of them): sum coeff c_k / r^4."""
-    zero = PiQuantity(Fraction(0), 4)
-    return sum((sk_asymptotic_constant(k) * (c / r**4) for c, k, r in rows), zero)
+def closed_limit(terms) -> PiQuantity:
+    """The exact limit of sum coeff * Sigma3(D // m) / D^4 over ``terms`` (a
+    locus's CLOSED_TERMS or any part of them): (pi^4/360) sum coeff / m^4."""
+    return PiQuantity(sum((c / m**4 for c, m in terms), Fraction(0)) / 360, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -277,9 +277,11 @@ def test_every_chi_is_a_fraction_and_empty_curves_are_zero():
         for family, value in values.items():
             assert type(value) is Fraction, (family, D)
             assert (value == 0) == euler.is_empty(family, D), (family, D)
-    for d in range(1, 40):
+    for d in range(1, 41):
         D = d * d
         assert not euler.is_empty("w4", D) and not euler.is_empty("g", D)
+        if d >= 2:  # W_4(2) is empty, and its chi = -(d - 2) J_2(d)/16 is 0
+            assert (chi_W2(D) == 0) == euler.is_empty("w2", D) == (d == 2), d
         for mode in ("main_term", "leading", "remark"):
             assert type(chi_G(D, 1, mode)) is Fraction
         assert type(chi_W4(D, 1, "main_term")) is type(chi_W6(D, "main_term")) is Fraction

@@ -190,12 +190,12 @@ def test_remark_check_fails_on_one_wrong_main_table_entry(monkeypatch):
 
 
 def test_one_wrong_gothic_row_fails_both_closed_checks(monkeypatch):
-    # both checks read volume.CLOSED_ROWS: the direct sums and the derived
-    # limits each catch one coefficient off by 1/720
-    rows = list(volume.CLOSED_ROWS[Locus.G])
-    c, k, r = rows[5]
-    rows[5] = (c + Fraction(1, 720), k, r)
-    monkeypatch.setitem(volume.CLOSED_ROWS, Locus.G, tuple(rows))
+    # both checks read volume.CLOSED_TERMS: the comparison with the S_k rows
+    # and the exact limits each catch one coefficient off by 1/720
+    terms = list(volume.CLOSED_TERMS[Locus.G])
+    c, m = terms[2]
+    terms[2] = (c + Fraction(1, 720), m)
+    monkeypatch.setitem(volume.CLOSED_TERMS, Locus.G, tuple(terms))
     for name in ("P4 direct equals closed at every D <= 2000; P3 and gothic too",
                  "gothic closed summands match their exact limits within 2% at D = 4000"):
         result = verify.run_check(name)

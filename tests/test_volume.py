@@ -16,9 +16,11 @@ from gothicvol import counting, euler, qforms, volume
 from gothicvol.arith import jordan2_table, sigma, sigma_prefix, sl2_order
 from gothicvol.counting import Locus
 from gothicvol.qforms import e_square_table
+from gothicvol.checks.volume import _ROWS
 from gothicvol.volume import (
-    CLOSED_ROWS,
+    CLOSED_TERMS,
     closed_limit,
+    closed_raw_sum,
     convert_convention,
     direct_prefix,
     sigma3_sum,
@@ -127,11 +129,21 @@ def test_volume_exact_targets():
 
 def test_gothic_closed_summands_approach_limits():
     D = 1200
-    for r in (1, 2, 3, 6):
-        rows = [row for row in CLOSED_ROWS[Locus.G] if row[2] == r]
-        got = float(sum(c * sk_sum(k, D // r) for c, k, _ in rows)) / D**4
-        want = closed_limit(rows).to_float()
-        assert abs(got - want) / want < 0.05, r
+    for c, m in CLOSED_TERMS[Locus.G]:
+        got = float(c * sigma3_sum(D // m)) / D**4
+        want = closed_limit([(c, m)]).to_float()
+        assert abs(got - want) / want < 0.05, m
+
+
+def test_closed_terms_equal_the_sk_rows_at_large_d():
+    # the verify oracle's S_k rows through the hyperbola route sk_sum, whose
+    # g_k tails cancel outside m | 6
+    for D in (10**6 + 3, 10**9 + 7):
+        for locus in Locus:
+            rows = sum((c * sk_sum(k, D // r) for c, k, r in _ROWS[locus]), Fraction(0))
+            if locus is Locus.H2:
+                rows -= Fraction(3, 4) * t_sum(D)
+            assert closed_raw_sum(locus, D) == rows, (locus, D)
 
 
 def test_convert_convention():
