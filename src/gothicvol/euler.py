@@ -80,13 +80,12 @@ def _is_square(D: int) -> int | None:
 def is_empty(family: str, D: int) -> bool:
     """Whether the curve family, named as by ``chi --family``, is empty at D.
 
-    W_4(2) ("w2") is empty, as no 2-square surface lies in H(2), W_D(4)
-    ("w4") when D = 5 mod 8 and G_D ("g") when D mod 24 is outside
-    GOTHIC_RESIDUES, which no square is.  No other curve is ever empty.  The
-    chi_* functions give an empty curve chi = 0.
+    W_4(2) ("w2") is empty, W_D(4) ("w4") when D = 5 mod 8 and G_D ("g") when
+    D mod 24 is outside GOTHIC_RESIDUES, which no square is.  No other curve
+    is ever empty.  The chi_* functions give an empty curve chi = 0.
     """
     if family == "w2":
-        return D == 4
+        return D == 4  # no 2-square surface lies in H(2)
     if family == "w4":
         return D % 8 == 5
     if family == "g":

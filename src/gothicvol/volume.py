@@ -24,11 +24,10 @@ restricted sums S_k(D) = sum_{d<=D} sum_{m|d, k|m} sigma(d/m) a(m) are
     Sigma3(x) = sum_{q<=x} q^3 floor(x/q),
 
 with g_k multiplicative, g_k(p^j) = (p^2 - 1) p^(j+2e-2) for p^e || k and
-j >= e (zero for j < e).  Each locus's count is a sum of rows
-coeff * S_k(D // r), the verify oracle (checks/volume.py), whose g_k tails
-cancel outside m = r n | 6; CLOSED_TERMS is what is left.  J_2 * sigma =
-Id_2 * Id gives T(D) = sum_{ab<=D} a^2 b.  Sigma3 and T are exact Python-int
-Dirichlet hyperbola sums, O(sqrt D) steps each, up to D = 10^12.
+j >= e (zero for j < e).  In each locus's rows coeff * S_k(D // r), the
+verify oracle (checks/volume.py), the g_k tails cancel outside m = r n | 6,
+which leaves CLOSED_TERMS.  T(D) = sum_{ab<=D} a^2 b (J_2 * sigma = Id_2 * Id);
+Sigma3 and T are exact hyperbola sums, O(sqrt D) steps each, to D = 10^12.
 
 Both paths have a table oracle, each the running sum of one Dirichlet product
 (arith.dirichlet_convolve) with a sigma list of its own, one scalar sigma per
@@ -82,7 +81,7 @@ class VolumeEstimate(namedtuple("VolumeEstimate", (
 
 
 # The stated reach of the closed path.  Cold at 10^12 on 2 cores, the slowest
-# requests, gothic and H(2) volume, take 3.7-4.7 s; P3 2.6-2.9 s, sk --k 6 2 s.
+# requests, gothic and H(2) volume, take 3.7-4.7 s; P3 2.6-3.1 s, sk --k 6 2 s.
 # Larger D is refused before any work rather than left to run for minutes.
 CLOSED_MAX_D = 10**12
 
