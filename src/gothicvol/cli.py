@@ -113,6 +113,8 @@ def _cmd_qexp(args):
     else:  # ek: the divisor-sum route
         if N < 1:
             raise ValueError("truncation bound must be >= 1")
+        if N > qforms.QEXP_MAX_N:
+            raise ValueError(f"N = {N} is beyond the q-expansion bound {qforms.QEXP_MAX_N}")
         coeffs = [qforms.ek_coeff(args.k, n) for n in range(N + 1)]
     inputs = {"series": args.series, "k": args.k, "N": N}
     rows = [(n, c) for n, c in enumerate(coeffs)]

@@ -60,6 +60,14 @@ SQUARE_TABLE_MAX_M = 10**4
 # one 64-bit Kronecker slot.
 CONVOLUTION_MAX_N = 3 * 10**6
 
+# The stated reach of the q-expansions: the largest N whose slowest series
+# stays within 15 s and 800 MB cold on 2 cores.  That is F_1, whose product
+# walks theta once per nonzero G2 entry, O(N^2/4k): at 20000 it took
+# 7.4-11.6 s and 20 MB, and 25000 took 15.2-15.8 s.  e_k by the divisor sum
+# took 3.2-4.1 s at 20000.  theta and G2 allocate N + 1 Fractions (191 MB for
+# theta at 10^6).  Larger N is refused before any list is allocated.
+QEXP_MAX_N = 20000
+
 
 def _cauchy_product(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     """The coefficients of a * b up to the shorter truncation, exact."""
@@ -76,9 +84,11 @@ def _cauchy_product(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 
 
 def theta_expansion(N: int) -> list[Fraction]:
-    """theta = sum_l q^(l^2): the coefficients of q^0 .. q^N."""
+    """theta = sum_l q^(l^2): the coefficients of q^0 .. q^N, N <= QEXP_MAX_N."""
     if N < 1:
         raise ValueError("truncation bound must be >= 1")
+    if N > QEXP_MAX_N:
+        raise ValueError(f"N = {N} is beyond the q-expansion bound {QEXP_MAX_N}")
     coeffs = [Fraction(0)] * (N + 1)
     coeffs[0] = Fraction(1)
     l = 1
@@ -89,9 +99,12 @@ def theta_expansion(N: int) -> list[Fraction]:
 
 
 def g2k_expansion(k: int, N: int) -> list[Fraction]:
-    """G2(2k tau) in the q = e^(pi i tau) variable: the coefficients of q^0 .. q^N."""
+    """G2(2k tau) in the q = e^(pi i tau) variable: the coefficients of q^0 .. q^N,
+    N <= QEXP_MAX_N."""
     if k < 1 or N < 1:
         raise ValueError("k and N must be >= 1")
+    if N > QEXP_MAX_N:
+        raise ValueError(f"N = {N} is beyond the q-expansion bound {QEXP_MAX_N}")
     coeffs = [Fraction(0)] * (N + 1)
     coeffs[0] = _SIGMA0
     for a in range(1, N // (4 * k) + 1):
@@ -100,7 +113,8 @@ def g2k_expansion(k: int, N: int) -> list[Fraction]:
 
 
 def fk_expansion(k: int, N: int) -> list[Fraction]:
-    """F_k = G2(2k tau) * theta(tau) up to q^N, by series multiplication."""
+    """F_k = G2(2k tau) * theta(tau) up to q^N, by series multiplication;
+    g2k_expansion refuses N beyond QEXP_MAX_N first."""
     return _cauchy_product(g2k_expansion(k, N), theta_expansion(N))
 
 

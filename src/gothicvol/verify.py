@@ -98,13 +98,11 @@ def run_check(name: str) -> CheckResult:
     return CheckResult(name, suite, ok, time.perf_counter() - t0, detail)
 
 
-def run_suite(
-    suite: str = "all", report=print, stop_on_failure: bool = True
-) -> list[CheckResult]:
+def run_suite(suite: str = "all", report=print) -> list[CheckResult]:
     """Run the named suite (or all), reporting one line per check.
 
-    Stops at the first violation unless told otherwise; the returned list
-    carries per-check status and timings.
+    Stops at the first violation; the returned list carries per-check status
+    and timings.
     """
     results = []
     for name in check_names(suite):
@@ -113,6 +111,6 @@ def run_suite(
         if report:
             status = "PASS" if r.ok else "FAIL"
             report(f"[{status}] ({r.suite}) {name} [{r.elapsed_s:.2f}s] {r.detail}")
-        if not r.ok and stop_on_failure:
+        if not r.ok:
             break
     return results

@@ -80,9 +80,10 @@ class VolumeEstimate(namedtuple("VolumeEstimate", (
         return f"VolumeEstimate({shown})"
 
 
-# The stated reach of the closed path.  Cold at 10^12 on 2 cores, the slowest
-# requests, gothic and H(2) volume, take 3.7-4.7 s; P3 2.6-3.1 s, sk --k 6 2 s.
-# Larger D is refused before any work rather than left to run for minutes.
+# The stated reach of the closed path.  Cold at 10^12 on 2 cores (4 runs
+# each), the slowest requests, gothic and H(2) volume, take 3.2-3.8 s and
+# 2.2-2.9 s; P3 2.3-2.6 s, P4 0.9-1.1 s, sk --k 6 1.4-1.7 s.  Larger D is
+# refused before any work rather than left to run for minutes.
 CLOSED_MAX_D = 10**12
 
 # The stated reach of the direct path: the largest D whose slowest request,
@@ -91,19 +92,6 @@ CLOSED_MAX_D = 10**12
 # 150 MB, mostly the Kronecker products of e(d^2, 6); 300000 took 13-18.5 s.
 # Far below qforms.CONVOLUTION_MAX_N.  Larger D is refused before any work.
 DIRECT_MAX_D = 250000
-
-
-def _faulhaber1(n: int) -> int:
-    return n * (n + 1) // 2
-
-
-def _faulhaber2(n: int) -> int:
-    return n * (n + 1) * (2 * n + 1) // 6
-
-
-def _faulhaber3(n: int) -> int:
-    t = n * (n + 1) // 2
-    return t * t
 
 
 def _check_closed_bound(D: int) -> None:
@@ -116,13 +104,19 @@ def sigma3_sum(x: int) -> int:
 
     Dirichlet hyperbola method with s = isqrt(x), in O(sqrt x) steps:
     Sigma3(x) = sum_{d<=s} F3(x//d) + sum_{q<=s} q^3 (x//q) - s F3(s),
-    where F3(n) = (n(n+1)/2)^2 is the Faulhaber sum of cubes.
+    where F3(n) = t^2 with t = n(n+1)/2 is the Faulhaber sum of cubes.  x is
+    refused below 0 and beyond CLOSED_MAX_D.
     """
+    if x < 0:
+        raise ValueError("need x >= 0")
+    _check_closed_bound(x)
     s = isqrt(x)
-    total = -s * _faulhaber3(s)
+    t = s * (s + 1) // 2
+    total = -s * t * t
     for q in range(1, s + 1):
         y = x // q
-        total += _faulhaber3(y) + q * q * q * y
+        t = y * (y + 1) // 2
+        total += t * t + q * q * q * y
     return total
 
 
@@ -169,16 +163,19 @@ def t_sum(D: int) -> int:
 
     J_2 * sigma = (J_2 * 1) * Id = Id_2 * Id, so T(D) = sum_{ab<=D} a^2 b, by
     the hyperbola method with s = isqrt(D):
-    T(D) = sum_{a<=s} a^2 F1(D//a) + sum_{b<=s} b F2(D//b) - F2(s) F1(s).
+    T(D) = sum_{a<=s} a^2 F1(D//a) + sum_{b<=s} b F2(D//b) - F2(s) F1(s),
+    with the Faulhaber sums F1(n) = t = n(n+1)/2 and F2(n) = t(2n+1)/3.
     """
     if D < 0:
         raise ValueError("need D >= 0")
     _check_closed_bound(D)
     s = isqrt(D)
-    total = -_faulhaber2(s) * _faulhaber1(s)
+    t = s * (s + 1) // 2
+    total = -(t * (2 * s + 1) // 3) * t
     for q in range(1, s + 1):
         y = D // q
-        total += q * q * _faulhaber1(y) + q * _faulhaber2(y)
+        t = y * (y + 1) // 2
+        total += q * (q * t + t * (2 * y + 1) // 3)
     return total
 
 

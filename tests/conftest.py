@@ -1,10 +1,17 @@
-"""Shared fixtures: each verify check runs at most once per test session."""
+"""Shared fixtures: each verify check runs at most once per test session, and
+fresh Python processes run this checkout's package."""
 
 import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from gothicvol import verify
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="session")
@@ -16,3 +23,17 @@ def check():
     runs every check fresh.
     """
     return functools.cache(verify.run_check)
+
+
+@pytest.fixture(scope="session")
+def run_python():
+    """Run ``python <args>`` in a fresh process with this checkout's ``src``
+    first on PYTHONPATH, capturing its output as text; keywords such as
+    ``timeout``, ``cwd`` and ``check`` go to subprocess.run."""
+    def run(*args, **kwargs):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                              text=True, **kwargs)
+
+    return run

@@ -6,11 +6,7 @@ brute-force oracle computed in this file (divisor loops, matrix enumeration).
 
 import json
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -389,8 +385,6 @@ def test_moebius_past_the_sieve_bound_uses_trial_division(monkeypatch):
         moebius(-4)
 
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-
 # Reports how far the SPF sieve has grown after each factorisation, and which
 # inputs went to trial division.
 _SIEVE_SIZING = """
@@ -414,18 +408,8 @@ print(json.dumps(doc))
 """
 
 
-def _fresh_process(code, *args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code, *args],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
-    )
-    return json.loads(proc.stdout)
-
-
-def test_sieve_grows_to_the_request_in_a_fresh_process():
-    doc = _fresh_process(_SIEVE_SIZING)
+def test_sieve_grows_to_the_request_in_a_fresh_process(run_python):
+    doc = json.loads(run_python("-c", _SIEVE_SIZING, timeout=120, check=True).stdout)
     assert doc["cap"] == arith.SIEVE_BOUND == 10**7
     factors, bound = doc["small"]
     assert factors == [[2, 3], [3, 2], [5, 1]]
@@ -455,8 +439,8 @@ print(json.dumps({
 
 
 @pytest.mark.parametrize("bound", [4, 5, 30, 65537])
-def test_sieve_at_tiny_bounds_in_a_fresh_process(bound):
-    doc = _fresh_process(_TINY_BOUND, str(bound))
+def test_sieve_at_tiny_bounds_in_a_fresh_process(run_python, bound):
+    doc = json.loads(run_python("-c", _TINY_BOUND, str(bound), timeout=120, check=True).stdout)
     assert doc["cap"] == bound
     assert doc["wrong"] == []
     assert 0 < doc["sieve"] <= bound

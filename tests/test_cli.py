@@ -2,9 +2,6 @@
 
 import json
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -12,18 +9,8 @@ import pytest
 from gothicvol.cli import build_parser, main
 from gothicvol.zagier import EBAR_MAX_D
 
-SRC = Path(__file__).resolve().parents[1] / "src"
 # The benchmark's recorded requests and their JSON results, read only.
 ANSWERS = Path(__file__).resolve().parents[1] / "perfbench" / "answers.json"
-
-
-def fresh_process(args):
-    """Run ``python <args>`` with this checkout's package."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
-    )
 
 
 def run_cli(capsys, *argv):
@@ -260,7 +247,7 @@ print(json.dumps(loaded))
 """
 
 
-def test_no_request_imports_numpy():
+def test_no_request_imports_numpy(run_python):
     requests = [
         ["sk", "--k", "6", "--D", "300000"],
         ["volume", "--locus", "gothic", "--dmax", "100000", "--mode", "closed"],
@@ -280,7 +267,7 @@ def test_no_request_imports_numpy():
         ["verify", "--suite", "zagier"],
         ["verify", "--suite", "ideals"],
     ]
-    proc = fresh_process(["-c", _NUMPY_LOADS, json.dumps(requests)])
+    proc = run_python("-c", _NUMPY_LOADS, json.dumps(requests), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[0, []]] * len(requests) + [[0, ["colorsys"]]]
 
@@ -297,7 +284,7 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("gothicvol
 """
 
 
-def test_each_request_loads_only_what_its_subcommand_runs():
+def test_each_request_loads_only_what_its_subcommand_runs(run_python):
     closed = {"gothicvol", "gothicvol.arith", "gothicvol.cli", "gothicvol.volume"}
     sk = ("sk", "--k", "6", "--D", "300000")
     gothic_closed = ("volume", "--locus", "gothic", "--dmax", "100000", "--mode", "closed")
@@ -323,7 +310,7 @@ def test_each_request_loads_only_what_its_subcommand_runs():
     requests = (sk, gothic_closed, e, oracle, *others)
     loaded = {}
     for argv in (*requests, *suite.values()):
-        proc = fresh_process(["-c", _MODULES_LOADED, json.dumps(argv)])
+        proc = run_python("-c", _MODULES_LOADED, json.dumps(argv), timeout=120)
         assert proc.returncode == 0, proc.stderr
         code, modules = json.loads(proc.stdout)
         assert code == 0, argv
@@ -360,10 +347,10 @@ def test_each_request_loads_only_what_its_subcommand_runs():
                                          "gothicvol.zagier"}
 
 
-def test_unknown_suite_exits_2_and_lists_every_suite():
+def test_unknown_suite_exits_2_and_lists_every_suite(run_python):
     from gothicvol.verify import SUITES
 
-    proc = fresh_process(["-m", "gothicvol", "verify", "--suite", "bogus"])
+    proc = run_python("-m", "gothicvol", "verify", "--suite", "bogus", timeout=120)
     assert proc.returncode == 2 and proc.stdout == ""
     assert "bogus" in proc.stderr
     for suite in SUITES:

@@ -1,8 +1,5 @@
 """Every demo script runs to completion."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -16,13 +13,6 @@ def test_demos_found():
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
-def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
-    proc = subprocess.run(
-        [sys.executable, str(demo)], env=env, cwd=ROOT,
-        capture_output=True, text=True, timeout=300,
-    )
+def test_demo_runs(run_python, demo):
+    proc = run_python(str(demo), cwd=ROOT, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -7,6 +7,7 @@ import pytest
 
 from gothicvol import qforms
 from gothicvol.arith import divisors, moebius, sigma
+from gothicvol.cli import main
 from gothicvol.prototypes import e_value
 from gothicvol.qforms import (
     CONVOLUTION_MAX_N,
@@ -58,6 +59,25 @@ def test_truncation_contract():
     # the product stops at the shorter truncation, in either operand order
     assert len(qforms._cauchy_product(g2k_expansion(1, 25), th)) == 11
     assert len(qforms._cauchy_product(th, g2k_expansion(1, 25))) == 11
+
+
+def test_qexp_refuses_beyond_bound_before_any_list(monkeypatch, capsys):
+    # the checks' F_k product runs at N = 4000 and the lookups at N <= 200
+    assert 4000 <= qforms.QEXP_MAX_N
+
+    def no_build(*args):
+        raise AssertionError("a series was built beyond the q-expansion bound")
+
+    for name in ("Fraction", "_cauchy_product", "ek_coeff"):
+        monkeypatch.setattr(qforms, name, no_build)
+    N = qforms.QEXP_MAX_N + 1
+    for build in (theta_expansion, lambda N: g2k_expansion(1, N),
+                  lambda N: fk_expansion(6, N)):
+        with pytest.raises(ValueError, match="beyond the q-expansion bound"):
+            build(N)
+    for series in ("theta", "g2", "fk", "ek"):
+        assert main(["qexp", "--series", series, "--N", str(N)]) == 2
+        assert "beyond the q-expansion bound" in capsys.readouterr().err
 
 
 def test_product_equals_divisor_sum_small():

@@ -3,12 +3,8 @@ and reprs, and that no module loads ``dataclasses``."""
 
 import copy
 import json
-import os
 import pickle
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -21,7 +17,6 @@ from gothicvol.verify import CheckResult
 from gothicvol.volume import SmmTotals, VolumeEstimate
 from gothicvol.zagier import AsymptoticReport
 
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _estimate(**fields):
@@ -164,9 +159,6 @@ print(json.dumps(sorted({"dataclasses", "inspect"} & sys.modules.keys())))
 """
 
 
-def test_no_module_loads_dataclasses():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _MODULES], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
+def test_no_module_loads_dataclasses(run_python):
+    proc = run_python("-c", _MODULES, timeout=120, check=True)
     assert json.loads(proc.stdout) == []

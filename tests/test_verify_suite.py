@@ -8,9 +8,6 @@ the acceptance criteria that name a check share its result.
 
 import ast
 import json
-import os
-import subprocess
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -38,21 +35,17 @@ def wrong_table(N):
     return table
 
 setattr(owner, sys.argv[2], wrong_table)
-results = verify.run_suite(sys.argv[3], report=None, stop_on_failure=False)
+results = [verify.run_check(name) for name in verify.check_names(sys.argv[3])]
 print(json.dumps({"optimize": sys.flags.optimize,
                   "failed": [r.name for r in results if not r.ok]}))
 """
 
 
-def _failed_under_python_O(owner, table, suite):
+def _failed_under_python_O(run_python, owner, table, suite):
     """The checks of ``suite`` that fail under ``python -O`` with the table
     ``owner.table`` off by one at entry 7."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", _FAULT_INJECTION, owner, table, suite],
-        env=env, capture_output=True, text=True, timeout=300, check=True,
-    )
+    proc = run_python("-O", "-c", _FAULT_INJECTION, owner, table, suite,
+                      timeout=300, check=True)
     doc = json.loads(proc.stdout)
     assert doc["optimize"] == 1
     return doc["failed"]
@@ -77,21 +70,21 @@ def test_check(check, name):
     assert result.ok, result.detail
 
 
-def test_checks_fail_under_python_O():
+def test_checks_fail_under_python_O(run_python):
     # python -O strips assert statements; the checks must still catch a
     # wrong a(d) table
-    assert _failed_under_python_O("checks.arith", "sl2_order_table", "arith") == [
+    assert _failed_under_python_O(run_python, "checks.arith", "sl2_order_table", "arith") == [
         "(sigma * a)(n) = sigma_3(n) for n <= 10^5",
         "sl2_order multiplicative on coprime pairs up to 500",
         "a(d) = p^(3v-2)(p^2-1) a(d_p) for all p | d, d <= 2000",
     ]
 
 
-def test_integer_ebar_checks_fail_under_python_O():
+def test_integer_ebar_checks_fail_under_python_O(run_python):
     # the integer sieves over the (12/5) ebar_1 table still catch one wrong
     # entry; the two Euler-product checks read ebar1_exact and the local
     # factors, not the table
-    assert _failed_under_python_O("zagier", "ebar1_five_twelfths", "zagier") == [
+    assert _failed_under_python_O(run_python, "zagier", "ebar1_five_twelfths", "zagier") == [
         "(12/5) moebius-sum of ebar_1(m^2) equals a(d), d <= 2000",
         "moebius-summed ebar_6 equals kappa(d) a(d)/60 exactly, d <= 1000",
     ]
@@ -227,11 +220,8 @@ print(json.dumps([verify._CHECKS[name][0] for name in verify.check_names()]))
 """
 
 
-def test_all_runs_suite_by_suite_whichever_suite_loaded_first():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _ORDER_AFTER_ONE_SUITE], env=env,
-                          capture_output=True, text=True, timeout=300, check=True)
+def test_all_runs_suite_by_suite_whichever_suite_loaded_first(run_python):
+    proc = run_python("-c", _ORDER_AFTER_ONE_SUITE, timeout=300, check=True)
     suites = json.loads(proc.stdout)
     assert list(dict.fromkeys(suites)) == list(verify.SUITES[1:])
     assert suites == sorted(suites, key=verify.SUITES.index)

@@ -3,14 +3,10 @@
 import itertools
 import json
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from functools import cache
-from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gothicvol import counting, euler, qforms, volume
 from gothicvol.arith import jordan2_table, sigma, sigma_prefix, sl2_order
@@ -31,9 +27,6 @@ from gothicvol.volume import (
     volume_estimate,
     volume_exact,
 )
-
-SRC = Path(__file__).resolve().parents[1] / "src"
-
 
 def brute_sk_prefix(k, Dmax):
     """S_k(D) for every D <= Dmax straight from the definition."""
@@ -88,6 +81,53 @@ def test_sigma3_sum_matches_naive_sum():
         sig3[q::q] = map((q**3).__add__, sig3[q::q])
     for x, want in enumerate(itertools.accumulate(sig3)):
         assert sigma3_sum(x) == want, x
+
+
+def block_sums(x):
+    """(Sigma3(x), T(x)) summed over the runs l <= n <= r of equal quotient
+    v = x // n: Sigma3(x) = sum_n F3(x // n) and T(x) = sum_n n F2(x // n),
+    with the Faulhaber sums F1, F2, F3 of this test, in about 2 sqrt(x) runs."""
+    def f1(n):
+        return n * (n + 1) // 2
+
+    def f2(n):
+        return n * (n + 1) * (2 * n + 1) // 6
+
+    def f3(n):
+        return f1(n) ** 2
+
+    s3 = t = 0
+    l = 1
+    while l <= x:
+        v = x // l
+        r = x // v
+        s3 += f3(v) * (r - l + 1)
+        t += f2(v) * (f1(r) - f1(l - 1))
+        l = r + 1
+    return s3, t
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 10**9))
+def test_hyperbola_loops_match_block_sums(x):
+    assert (sigma3_sum(x), t_sum(x)) == block_sums(x)
+
+
+def test_hyperbola_loops_match_block_sums_around_squares():
+    # the corner term -F(s) at s = isqrt(x) changes at x = s^2
+    for s in (10**4 + 7, 31622, 31623):
+        for x in (s * s - 1, s * s, s * s + 1):
+            assert (sigma3_sum(x), t_sum(x)) == block_sums(x), x
+
+
+def test_sigma3_sum_refuses_beyond_bound_before_any_step(monkeypatch):
+    def no_loop(x):
+        raise AssertionError("sigma3_sum started its loop")
+
+    monkeypatch.setattr(volume, "isqrt", no_loop)
+    for x, message in ((volume.CLOSED_MAX_D + 1, "closed-path bound"), (-1, "x >= 0")):
+        with pytest.raises(ValueError, match=message):
+            sigma3_sum(x)
 
 
 def test_closed_sums_refuse_beyond_bound():
@@ -228,23 +268,19 @@ print(json.dumps(report))
 """
 
 
-@cache
-def _e_builds():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _E_BUILDS], env=env,
-                          capture_output=True, text=True, timeout=120, check=True)
-    return json.loads(proc.stdout)
+@pytest.fixture(scope="module")
+def e_builds(run_python):
+    return json.loads(run_python("-c", _E_BUILDS, timeout=120, check=True).stdout)
 
 
-def test_gothic_leading_builds_no_e_table():
-    assert _e_builds()[0] == ["leading", [], 0]
+def test_gothic_leading_builds_no_e_table(e_builds):
+    assert e_builds[0] == ["leading", [], 0]
 
 
-def test_gothic_totals_and_chi_share_one_e_table():
+def test_gothic_totals_and_chi_share_one_e_table(e_builds):
     # main and remark read the euler store, and chi_G at d = 17 <= 300 finds
     # it filled, so the process builds e(d^2, 6) once
-    assert _e_builds()[1:] == [["main", [300], 301], ["remark", [300], 301],
+    assert e_builds[1:] == [["main", [300], 301], ["remark", [300], 301],
                                ["chi_G", [300], 301]]
 
 
