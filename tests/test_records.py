@@ -18,7 +18,6 @@ from gothicvol.volume import SmmTotals, VolumeEstimate
 from gothicvol.zagier import AsymptoticReport
 
 
-
 def _estimate(**fields):
     args = dict(locus=Locus.H2, D=40, mode="direct", surrogate="main_term", value=1.0,
                 extrapolated=1.5, exact_target=PiQuantity(Fraction(1, 960), 4),
