@@ -18,7 +18,7 @@ def _product_vs_direct():
         for n in range(N + 1):
             if fk[n] != qforms.ek_coeff(k, n):
                 raise AssertionError((k, n))
-    return "Cauchy product vs divisor sums, both k"
+    return "series product vs divisor sums, both k"
 
 
 @_check("e_k(D) = sum_{m|f} e(D/m^2, k), all valid D <= 4000, k in {1,6}", "qforms")

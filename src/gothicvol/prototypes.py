@@ -32,6 +32,22 @@ from fractions import Fraction
 
 from .arith import factorize, squarefree_decompose
 
+# The stated reach of e(D, k), at any D: the largest D whose slowest request
+# stays within 15 s and 800 MB cold on 2 cores.  A sum walks about sqrt(D)/2
+# rows for k = 1 and factorises each n = (D - b^2)/4k, by trial division
+# above arith.SIEVE_BOUND.  Near 10^10, `e --k 1` took 10.1 s, `chi --family
+# x` 11.8 s and `chi --family g` (two sums) 9.7-12.7 s, all in 73 MB;
+# `e --D 2 * 10^10 + 1` took 17.5 s.  Larger D is refused before D is
+# factorised or any row walked (`chi --family x` at D near 2 * 10^18 ran for
+# minutes, factorising D).
+E_MAX_D = 10**10
+
+# The stated reach of enumerate_prototypes, which builds every triple for
+# ``proto`` to print: at 10^9 + 1 the request took 12.3 s and 199 MB, at
+# 10^9 + 5 6.3 s; a single bound of 10^9 would refuse e(D, k) requests that
+# answer in 10-13 s.
+PROTO_MAX_D = 10**9
+
 
 class DiscriminantDecomposition(
     namedtuple("DiscriminantDecomposition", ("D", "f", "D0", "is_square"))
@@ -110,9 +126,17 @@ def enumerate_prototypes(D: int, k: int) -> list[tuple[int, int, int]]:
         raise ValueError("prototype enumeration needs D >= 2 (e(1,k) is a convention)")
     if k < 1:
         raise ValueError("k must be a positive integer")
+    if D > PROTO_MAX_D:
+        raise ValueError(f"D = {D} is beyond the prototype bound {PROTO_MAX_D}")
     rows = [(b, n, sorted(divs)) for b, n, divs in _prototype_rows(D, k, conductor_decompose(D).f)]
     rows = [(-b, n, divs) for b, n, divs in reversed(rows) if b] + rows
     return [(a, b, -(n // a)) for b, n, divs in rows for a in divs]
+
+
+def check_e_reach(D: int) -> None:
+    """Refuse D beyond E_MAX_D, before D is factorised or any row walked."""
+    if D > E_MAX_D:
+        raise ValueError(f"D = {D} is beyond the e(D, k) bound {E_MAX_D}")
 
 
 def _e_sum(D: int, k: int, f: int) -> int:
@@ -131,6 +155,7 @@ def e_value(D: int, k: int) -> Fraction:
     _validate_discriminant(D)
     if k < 1:
         raise ValueError("k must be a positive integer")
+    check_e_reach(D)
     if D == 1:
         return Fraction(-1, 12)
     return Fraction(_e_sum(D, k, conductor_decompose(D).f))

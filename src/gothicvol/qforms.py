@@ -61,26 +61,12 @@ SQUARE_TABLE_MAX_M = 10**4
 CONVOLUTION_MAX_N = 3 * 10**6
 
 # The stated reach of the q-expansions: the largest N whose slowest series
-# stays within 15 s and 800 MB cold on 2 cores.  That is F_1, whose product
-# walks theta once per nonzero G2 entry, O(N^2/4k): at 20000 it took
-# 7.4-11.6 s and 20 MB, and 25000 took 15.2-15.8 s.  e_k by the divisor sum
-# took 3.2-4.1 s at 20000.  theta and G2 allocate N + 1 Fractions (191 MB for
-# theta at 10^6).  Larger N is refused before any list is allocated.
-QEXP_MAX_N = 20000
-
-
-def _cauchy_product(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """The coefficients of a * b up to the shorter truncation, exact."""
-    N = min(len(a), len(b)) - 1
-    out = [Fraction(0)] * (N + 1)
-    # exact naive product; skip zero coefficients (theta is very sparse)
-    for i, ci in enumerate(a[: N + 1]):
-        if not ci:
-            continue
-        for j, cj in enumerate(b[: N + 1 - i]):
-            if cj:
-                out[i + j] += ci * cj
-    return out
+# stays within 15 s and 800 MB cold on 2 cores.  That is e_k by the divisor
+# sum: for k = 1 it took 12.5 s and 25 MB at 40000, and 15.2 s at 50000; F_1
+# took 1.1 s at 60000.  Larger N is refused before any list is allocated.  A
+# slot n of G2' theta in fk_expansion is at most (2 sqrt(n) + 1) max sigma(m)
+# over m <= n/4k, with sigma(m) <= m^2: below 401 * 10^8 < 2^64 here.
+QEXP_MAX_N = 40000
 
 
 def theta_expansion(N: int) -> list[Fraction]:
@@ -112,10 +98,30 @@ def g2k_expansion(k: int, N: int) -> list[Fraction]:
     return coeffs
 
 
+def _integers(series: list[Fraction]) -> list[int]:
+    """The entries of an integral series as ints; any other entry raises."""
+    if any(c.denominator != 1 for c in series):
+        raise ArithmeticError("a series entry is not an integer")
+    return [c.numerator for c in series]
+
+
 def fk_expansion(k: int, N: int) -> list[Fraction]:
-    """F_k = G2(2k tau) * theta(tau) up to q^N, by series multiplication;
-    g2k_expansion refuses N beyond QEXP_MAX_N first."""
-    return _cauchy_product(g2k_expansion(k, N), theta_expansion(N))
+    """F_k = G2(2k tau) theta(tau) up to q^N, as G2' theta - theta/24 with
+    G2' = G2(2k tau) + 1/24: one Kronecker product of nonnegative integer
+    series.  g2k_expansion refuses N beyond QEXP_MAX_N first."""
+    g2 = g2k_expansion(k, N)
+    g2[0] = Fraction(0)  # G2'
+    g2, theta = _integers(g2), _integers(theta_expansion(N))
+    return [Fraction(24 * c - t, 24) for c, t in zip(_kronecker_product(g2, theta, N + 1), theta)]
+
+
+def ek_expansion(k: int, N: int) -> list[Fraction]:
+    """e_k(n) for 0 <= n <= N <= QEXP_MAX_N, by the divisor sum."""
+    if N < 1:
+        raise ValueError("truncation bound must be >= 1")
+    if N > QEXP_MAX_N:
+        raise ValueError(f"N = {N} is beyond the q-expansion bound {QEXP_MAX_N}")
+    return [ek_coeff(k, n) for n in range(N + 1)]
 
 
 def ek_coeff(k: int, n: int) -> Fraction:

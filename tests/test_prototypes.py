@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from gothicvol import arith, prototypes, qforms
+from gothicvol import arith, euler, prototypes, qforms
 from gothicvol.arith import factorize
+from gothicvol.cli import main
 from gothicvol.prototypes import (
     DiscriminantDecomposition,
     conductor_decompose,
@@ -211,3 +212,35 @@ def test_gothic_empty_congruence_classes_give_empty_sets():
     for D in (8, 20, 29, 44):
         assert enumerate_prototypes(D, 6) == []
         assert e_value(D, 6) == 0
+
+
+def _past(bound, family=None):
+    """The first discriminant beyond ``bound`` that is no square and, for a
+    chi family, names a curve that is not empty."""
+    D = bound + 1
+    while D % 4 in (2, 3) or math.isqrt(D) ** 2 == D or (family and euler.is_empty(family, D)):
+        D += 1
+    return D
+
+
+def test_e_proto_and_chi_refuse_beyond_their_bounds_before_factorising(monkeypatch, capsys):
+    def no_work(*args):
+        raise AssertionError("D was factorised or a row walked beyond the bound")
+
+    for module in (arith, prototypes):
+        monkeypatch.setattr(module, "factorize", no_work)
+    monkeypatch.setattr(arith, "trial_factorize", no_work)
+    monkeypatch.setattr(prototypes, "_prototype_rows", no_work)
+    E, P = prototypes.E_MAX_D, prototypes.PROTO_MAX_D
+    refusals = [(["proto", "--D", str(_past(P)), "--k", "1"], "prototype bound"),
+                (["e", "--D", str(_past(E)), "--k", "1"], "e(D, k) bound"),
+                (["e", "--D", str((math.isqrt(E) + 1) ** 2), "--k", "6"], "e(D, k) bound")]
+    refusals += [(["chi", "--family", family, "--D", str(_past(E, family))], "e(D, k) bound")
+                 for family in ("x", "w2", "w4", "w6", "r", "g")]
+    for argv, message in refusals:
+        assert main(argv) == 2, argv
+        assert f"beyond the {message}" in capsys.readouterr().err, argv
+    with pytest.raises(ValueError, match="beyond the prototype bound"):
+        enumerate_prototypes(_past(P), 6)
+    with pytest.raises(ValueError, match=r"beyond the e\(D, k\) bound"):
+        e_value(_past(E), 1)

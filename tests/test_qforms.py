@@ -1,6 +1,7 @@
 """q-expansion coefficients against the divisor-sum formulas and against
 prototype counting."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -51,14 +52,54 @@ def test_ek_examples():
     assert ek_coeff(1, 0) == Fraction(-1, 24)
 
 
+def dense_product(a, b):
+    """The coefficients of a * b up to the shorter truncation, by the Cauchy
+    product over every pair of nonzero entries: the reference for fk_expansion."""
+    N = min(len(a), len(b)) - 1
+    out = [Fraction(0)] * (N + 1)
+    for i, ci in enumerate(a[: N + 1]):
+        if ci:
+            for j, cj in enumerate(b[: N + 1 - i]):
+                if cj:
+                    out[i + j] += ci * cj
+    return out
+
+
 def test_truncation_contract():
     th = theta_expansion(10)
     assert type(th) is list and len(th) == 11
     with pytest.raises(IndexError):
         th[11]
-    # the product stops at the shorter truncation, in either operand order
-    assert len(qforms._cauchy_product(g2k_expansion(1, 25), th)) == 11
-    assert len(qforms._cauchy_product(th, g2k_expansion(1, 25))) == 11
+    fk = fk_expansion(1, 10)
+    assert type(fk) is list and len(fk) == 11
+    assert all(type(c) is Fraction for c in fk)
+
+
+@pytest.mark.parametrize("k, N", [(k, N) for k in (1, 2, 3, 6) for N in (1, 2, 3, 25, 300)]
+                         + [(1, 4000)])
+def test_fk_equals_dense_product(k, N):
+    assert fk_expansion(k, N) == dense_product(g2k_expansion(k, N), theta_expansion(N))
+
+
+@pytest.mark.parametrize("builder", ["g2k_expansion", "theta_expansion"])
+def test_fk_refuses_a_non_integral_entry(monkeypatch, builder):
+    real = getattr(qforms, builder)
+
+    def halved(*args):
+        series = real(*args)
+        series[1] = Fraction(1, 2)
+        return series
+
+    monkeypatch.setattr(qforms, builder, halved)
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        fk_expansion(1, 50)
+
+
+def test_fk_slot_bound():
+    # a slot of G2' theta is at most (2 sqrt(n) + 1) times the largest sigma(m)
+    # with m <= n/4k, and sigma(m) <= m^2; evaluated at the bound, no list built
+    N = qforms.QEXP_MAX_N
+    assert (2 * math.isqrt(N) + 1) * (N // 4) ** 2 < 2**64
 
 
 def test_qexp_refuses_beyond_bound_before_any_list(monkeypatch, capsys):
@@ -68,11 +109,11 @@ def test_qexp_refuses_beyond_bound_before_any_list(monkeypatch, capsys):
     def no_build(*args):
         raise AssertionError("a series was built beyond the q-expansion bound")
 
-    for name in ("Fraction", "_cauchy_product", "ek_coeff"):
+    for name in ("Fraction", "_kronecker_product", "ek_coeff"):
         monkeypatch.setattr(qforms, name, no_build)
     N = qforms.QEXP_MAX_N + 1
     for build in (theta_expansion, lambda N: g2k_expansion(1, N),
-                  lambda N: fk_expansion(6, N)):
+                  lambda N: fk_expansion(6, N), lambda N: qforms.ek_expansion(1, N)):
         with pytest.raises(ValueError, match="beyond the q-expansion bound"):
             build(N)
     for series in ("theta", "g2", "fk", "ek"):
