@@ -38,8 +38,7 @@ from .arith import factorize, squarefree_decompose
 # above arith.SIEVE_BOUND.  Near 10^10, `e --k 1` took 10.1 s, `chi --family
 # x` 11.8 s and `chi --family g` (two sums) 9.7-12.7 s, all in 73 MB;
 # `e --D 2 * 10^10 + 1` took 17.5 s.  Larger D is refused before D is
-# factorised or any row walked (`chi --family x` at D near 2 * 10^18 ran for
-# minutes, factorising D).
+# factorised (by trial division too) or any row walked.
 E_MAX_D = 10**10
 
 # The stated reach of enumerate_prototypes, which builds every triple for

@@ -62,8 +62,8 @@ CONVOLUTION_MAX_N = 3 * 10**6
 
 # The stated reach of the q-expansions: the largest N whose slowest series
 # stays within 15 s and 800 MB cold on 2 cores.  That is e_k by the divisor
-# sum: for k = 1 it took 12.5 s and 25 MB at 40000, and 15.2 s at 50000; F_1
-# took 1.1 s at 60000.  Larger N is refused before any list is allocated.  A
+# sum: for k = 1 it took 7.8-12.5 s and 25 MB at 40000, and 15.2 s at 50000;
+# F_1 took 0.5 s at 40000.  Larger N is refused before any list is built.  A
 # slot n of G2' theta in fk_expansion is at most (2 sqrt(n) + 1) max sigma(m)
 # over m <= n/4k, with sigma(m) <= m^2: below 401 * 10^8 < 2^64 here.
 QEXP_MAX_N = 40000
