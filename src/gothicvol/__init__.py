@@ -34,12 +34,13 @@ the functions that call it, and ``cli`` builds the argument parser of the
 requested subcommand alone, so a command line request loads only what its
 subcommand runs.  Below them, ``euler`` loads ``qforms`` when its e(d^2, k)
 table first grows (it names the components at a square discriminant by its
-own divisor rule, without ``ideals``), ``zagier`` loads ``qforms`` inside
-``asymptotic_check_e``, ``counting`` loads ``euler`` at its first ``smm``,
-and ``verify`` loads the ``checks`` module of each suite it runs.  The
-records are namedtuple subclasses, all but ``PiQuantity``, a ``__slots__``
-class that does arithmetic, and the q-expansions are plain coefficient
-lists, so no module loads ``dataclasses``.
+own divisor rule, without ``ideals``), ``zagier`` loads ``euler``, for that
+table, and ``qforms`` inside ``asymptotic_check_e``, ``counting`` loads
+``euler`` at its first ``smm``, and ``verify`` loads the ``checks`` module of
+each suite it runs.  The records are namedtuple subclasses, all but
+``PiQuantity``, a ``__slots__`` class that does arithmetic, and the
+q-expansions are plain coefficient lists, so no module loads
+``dataclasses``.
 """
 
 from enum import Enum

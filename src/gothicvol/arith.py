@@ -19,7 +19,8 @@ Key objects:
 A smallest-prime-factor sieve backs factorisation.  It is sized to the
 request: the first build has 2^16 entries, and it grows geometrically to the
 largest n that factorize sees, up to the constant bound SIEVE_BOUND = 10^7.
-Inputs beyond the bound fall back to trial division.  The sieve is a stdlib
+Inputs beyond the bound fall back to trial division, which refuses n beyond
+its reach TRIAL_MAX_N before the first division.  The sieve is a stdlib
 array("i") behind a read-only memoryview.  The bulk tables (sigma_table,
 sigma_prefix, sl2_order_table, jordan2_table, moebius_table) are read-only
 tuples of Python ints, each built in one O(N) pass over the sieve, so they
@@ -36,6 +37,14 @@ from itertools import accumulate, repeat
 from operator import add, mul
 
 SIEVE_BOUND = 10**7
+
+# The stated reach of trial division, and so of every factorisation above
+# SIEVE_BOUND: its slowest request stays within 15 s and 800 MB cold on
+# 2 cores.  That is `cd --locus h2 --d p` at a prime p, which trial-divides p
+# three times: 9.1-11.7 s at p = 4 * 10^15 + 21, 11.8-12.8 s at 5 * 10^15 - 3
+# (`--locus p3` 12.0 s), 10.7-12.9 s at 6 * 10^15 + 1 and 15.5 s at
+# 10^16 + 61, all in 16 MB.  Larger n is refused before the first division.
+TRIAL_MAX_N = 5 * 10**15
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +191,13 @@ def trial_factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorisation of n >= 1 by trial division, without the sieve.
 
     The fallback of factorize beyond the sieve bound, and the route for a
-    single small n whose caller must not pay for building the sieve.
+    single small n whose caller must not pay for building the sieve.  n beyond
+    TRIAL_MAX_N is refused before the first division.
     """
     if n < 1:
         raise ValueError(f"trial_factorize expects n >= 1, got {n}")
+    if n > TRIAL_MAX_N:
+        raise ValueError(f"n = {n} is beyond the trial-division bound {TRIAL_MAX_N}")
     out = []
     m = n
     for p in (2, 3):

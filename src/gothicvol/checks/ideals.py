@@ -82,9 +82,9 @@ def _class_count_dedup():
     return "dedup by ideal_equal matches the sigma_0 rule"
 
 
-@_check("trace pairing has symplectic type (1,6), d <= 200", "ideals")
+@_check("trace pairing has symplectic type (1,6), d <= 500", "ideals")
 def _symplectic_type():
-    for d in range(2, 201):
+    for d in range(2, 501):
         for r in ideals.component_list(d):
             M = ideals.gram_matrix(d, 6, r)
             if not all(M[i][j] == -M[j][i] for i in range(4) for j in range(4)):

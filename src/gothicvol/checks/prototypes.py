@@ -1,11 +1,10 @@
-"""Checks of the ``prototypes`` suite: prototype invariants and e(D, 1) at
-conductor 1."""
+"""Checks of the ``prototypes`` suite: prototype invariants."""
 
 from __future__ import annotations
 
 import math
 
-from .. import arith, prototypes, qforms
+from .. import arith, prototypes
 from ..verify import _check
 
 
@@ -37,18 +36,3 @@ def _prototype_invariants():
                 raise AssertionError((D, k))
             checked += len(protos)
     return f"{checked} prototypes re-verified"
-
-
-@_check("fundamental non-square D <= 1000: e(D,1) equals e_1(D)", "prototypes")
-def _fundamental_matches_qexp():
-    for D in range(5, 1001):
-        if D % 4 in (2, 3) or math.isqrt(D) ** 2 == D:
-            continue
-        if prototypes.conductor_decompose(D).f != 1:
-            continue
-        e = prototypes.e_value(D, 1)
-        if e != qforms.ek_coeff(1, D):
-            raise AssertionError(D)
-        if not (e / 30).denominator <= 30:
-            raise AssertionError(D)
-    return "single-term Moebius inversion at conductor 1"

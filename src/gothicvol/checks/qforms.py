@@ -3,7 +3,6 @@ the routes to e(d^2, k)."""
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .. import qforms
@@ -30,16 +29,6 @@ def _e_and_a():
             if not qforms.check_e_and_a(D, k):
                 raise AssertionError((D, k))
     return "prototype counts against modular-form coefficients"
-
-
-@_check("empty residue class gives zero coefficient, k = 6, n <= 1000", "qforms")
-def _empty_class_zero():
-    for n in range(1001):
-        bs = [b for b in range(-math.isqrt(n), math.isqrt(n) + 1) if (n - b * b) % 24 == 0]
-        if not bs:
-            if qforms.ek_coeff(6, n) != 0:
-                raise AssertionError(n)
-    return "scanned n <= 1000"
 
 
 @_check("e(d^2, k) in twelfths equals the square tables, d <= 4000, k in {1,6}", "qforms")

@@ -88,7 +88,7 @@ def _cmd_proto(args):
     protos = prototypes.enumerate_prototypes(args.D, args.k)
     result = {
         "count": len(protos),
-        "a_sum": prototypes.e_value(args.D, args.k),
+        "a_sum": Fraction(sum(a for a, _, _ in protos)),  # e(D, k), printed as "p/q"
         "prototypes": protos,
     }
     return {"D": args.D, "k": args.k}, result, (("a", "b", "c"), protos)
@@ -108,10 +108,8 @@ def _cmd_qexp(args):
         coeffs = qforms.theta_expansion(N)
     elif args.series == "g2":
         coeffs = qforms.g2k_expansion(args.k, N)
-    elif args.series == "fk":
+    else:  # fk and ek name one series: F_k = sum_n e_k(n) q^n
         coeffs = qforms.fk_expansion(args.k, N)
-    else:  # ek: the divisor-sum route
-        coeffs = qforms.ek_expansion(args.k, N)
     inputs = {"series": args.series, "k": args.k, "N": N}
     rows = [(n, c) for n, c in enumerate(coeffs)]
     return inputs, {"coefficients": coeffs}, (("n", "coeff"), rows)
@@ -247,7 +245,7 @@ def _cmd_volume(args):
 def _cmd_verify(args):
     from . import verify
 
-    results = verify.run_suite(args.suite, report=lambda line: print(line, file=sys.stderr))
+    results = verify.run_suite(args.suite)
     ok = all(r.ok for r in results)
     result = {
         "suite": args.suite,

@@ -14,7 +14,9 @@ The coefficients have the closed divisor-sum form
     e_k(n) = sum_{b^2 = n mod 4k, |b| <= sqrt(n)} sigma((n - b^2) / 4k)
 
 with the convention sigma(0) = -1/24 (a special case of this module only;
-arith.sigma stays standard).  The identity
+arith.sigma stays standard).  ek_coeff evaluates it at one n and is the
+oracle of fk_expansion, which builds the whole series (``qexp --series ek``
+prints F_k too).  The identity
 
     e_k(D) = sum_{m | f} e(D/m^2, k)        (D = f^2 D_0 with conductor f)
 
@@ -61,12 +63,14 @@ SQUARE_TABLE_MAX_M = 10**4
 CONVOLUTION_MAX_N = 3 * 10**6
 
 # The stated reach of the q-expansions: the largest N whose slowest series
-# stays within 15 s and 800 MB cold on 2 cores.  That is e_k by the divisor
-# sum: for k = 1 it took 7.8-12.5 s and 25 MB at 40000, and 15.2 s at 50000;
-# F_1 took 0.5 s at 40000.  Larger N is refused before any list is built.  A
-# slot n of G2' theta in fk_expansion is at most (2 sqrt(n) + 1) max sigma(m)
-# over m <= n/4k, with sigma(m) <= m^2: below 401 * 10^8 < 2^64 here.
-QEXP_MAX_N = 40000
+# stays within 15 s and 800 MB cold on 2 cores.  That is F_k for k = 1 (which
+# `qexp --series ek` prints too), nearly all of it the Kronecker product: it
+# took 12.3-13.3 s and 117 MB at 400000, and 18.5-21.4 s at 500000; theta and
+# G2 took 1.9 and 2.1 s at 400000.  Larger N is refused before any list is
+# built.  A slot n of G2' theta in fk_expansion is at most (2 sqrt(n) + 1)
+# max sigma(m) over m <= n/4k, with sigma(m) <= m^2: below 1.3 * 10^13 < 2^64
+# here.
+QEXP_MAX_N = 400000
 
 
 def theta_expansion(N: int) -> list[Fraction]:
@@ -113,15 +117,6 @@ def fk_expansion(k: int, N: int) -> list[Fraction]:
     g2[0] = Fraction(0)  # G2'
     g2, theta = _integers(g2), _integers(theta_expansion(N))
     return [Fraction(24 * c - t, 24) for c, t in zip(_kronecker_product(g2, theta, N + 1), theta)]
-
-
-def ek_expansion(k: int, N: int) -> list[Fraction]:
-    """e_k(n) for 0 <= n <= N <= QEXP_MAX_N, by the divisor sum."""
-    if N < 1:
-        raise ValueError("truncation bound must be >= 1")
-    if N > QEXP_MAX_N:
-        raise ValueError(f"N = {N} is beyond the q-expansion bound {QEXP_MAX_N}")
-    return [ek_coeff(k, n) for n in range(N + 1)]
 
 
 def ek_coeff(k: int, n: int) -> Fraction:

@@ -25,6 +25,7 @@ pairs, closed asymptotic forms against direct summation.
 from __future__ import annotations
 
 import importlib
+import sys
 import time
 from collections import namedtuple
 from collections.abc import Callable
@@ -98,8 +99,9 @@ def run_check(name: str) -> CheckResult:
     return CheckResult(name, suite, ok, time.perf_counter() - t0, detail)
 
 
-def run_suite(suite: str = "all", report=print) -> list[CheckResult]:
-    """Run the named suite (or all), reporting one line per check.
+def run_suite(suite: str = "all") -> list[CheckResult]:
+    """Run the named suite (or all), writing one line per check to stderr,
+    which leaves stdout to the caller's JSON.
 
     Stops at the first violation; the returned list carries per-check status
     and timings.
@@ -108,9 +110,8 @@ def run_suite(suite: str = "all", report=print) -> list[CheckResult]:
     for name in check_names(suite):
         r = run_check(name)
         results.append(r)
-        if report:
-            status = "PASS" if r.ok else "FAIL"
-            report(f"[{status}] ({r.suite}) {name} [{r.elapsed_s:.2f}s] {r.detail}")
+        status = "PASS" if r.ok else "FAIL"
+        print(f"[{status}] ({r.suite}) {name} [{r.elapsed_s:.2f}s] {r.detail}", file=sys.stderr)
         if not r.ok:
             break
     return results

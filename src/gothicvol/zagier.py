@@ -269,25 +269,20 @@ class AsymptoticReport(namedtuple("AsymptoticReport", (
         return max(deltas[lo : hi + 1])
 
 
-# The stated reach of the deviation report: at 250000 the e(d^2, 6) route
-# and the report take about 14 s and 170 MB cold on 2 cores.  Larger d_max is
-# refused before any table is built.
-ASYMPTOTIC_MAX_D = 250000
-
-
 def asymptotic_check_e(d_max: int) -> AsymptoticReport:
     """Deviation report for e(d^2, 1) and e(d^2, 6), d <= d_max.
 
-    e(d^2, 1) is Besge's closed form, e(d^2, 6) the level-6 convolution route.
+    e(d^2, 1) is Besge's closed form, e(d^2, 6) is read from euler's store
+    of the level-6 convolution route, which refuses d_max beyond its reach
+    euler.E_SQUARE_MAX_D before any table is built.
     """
     if d_max < 24:
         raise ValueError("d_max must be >= 24")
-    if d_max > ASYMPTOTIC_MAX_D:
-        raise ValueError(f"d_max = {d_max} is beyond the bound {ASYMPTOTIC_MAX_D}")
-    from .qforms import e1_square_twelfths, e6_square_twelfths
+    from .euler import precompute_e_square
+    from .qforms import e1_square_twelfths
 
+    e6 = precompute_e_square(d_max)
     e1 = e1_square_twelfths(d_max)
-    e6 = e6_square_twelfths(d_max)
     atab = sl2_order_table(d_max)
     # kappa(d) = kn / kd by d mod 6, and e6[d] = 12 e(d^2, 6); each deviation
     # is one int / int division, correctly rounded as float(Fraction) is

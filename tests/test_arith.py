@@ -215,6 +215,19 @@ def test_factorize_beyond_sieve_uses_trial_division():
     assert math.prod(p**e for p, e in fac) == n
 
 
+def test_trial_division_refuses_past_its_reach_before_dividing():
+    class NoDivision(int):
+        def __mod__(self, other):
+            raise AssertionError("a division ran past the trial-division reach")
+
+    n = NoDivision(arith.TRIAL_MAX_N + 1)
+    for fn in (arith.trial_factorize, factorize, is_prime, moebius):
+        with pytest.raises(ValueError, match="beyond the trial-division bound"):
+            fn(n)
+    # a smooth n at the reach still factorises
+    assert math.prod(p**e for p, e in factorize(arith.TRIAL_MAX_N)) == arith.TRIAL_MAX_N
+
+
 def test_pi_quantity_algebra():
     x = PiQuantity(Fraction(13, 31104), 4)
     y = PiQuantity(Fraction(1, 960), 4)

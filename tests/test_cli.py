@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from gothicvol.arith import TRIAL_MAX_N
 from gothicvol.cli import build_parser, main
+from gothicvol.prototypes import e_value
 from gothicvol.zagier import EBAR_MAX_D
 
 # The benchmark's recorded requests and their JSON results, read only.
@@ -43,6 +45,15 @@ def test_proto_csv(capsys):
     code, out = run_cli(capsys, "proto", "--D", "5", "--k", "1", "--csv")
     assert code == 0
     assert out.splitlines() == ["a,b,c", "1,-1,-1", "1,1,-1"]
+
+
+def test_proto_a_sum_is_e_value(capsys):
+    # a_sum sums the printed prototypes' a, as a Fraction: a "p/q" string
+    for D in (5, 17, 60, 105, 1001):
+        for k in (1, 6):
+            code, out = run_cli(capsys, "proto", "--D", str(D), "--k", str(k))
+            assert code == 0
+            assert json.loads(out)["result"]["a_sum"] == str(e_value(D, k)), (D, k)
 
 
 def test_exact_values_never_decimal_without_flag(capsys):
@@ -176,6 +187,24 @@ def test_smm_contributions(capsys):
     doc = json.loads(out)
     comps = [(c["D"], c["component"]) for c in doc["result"]["contributions"]]
     assert comps == [[36, 1], [9, 2]] or comps == [(36, 1), (9, 2)]
+
+
+def test_scalar_requests_refuse_past_the_trial_division_reach(capsys):
+    # each factorises a d past arith.TRIAL_MAX_N (P4 at m/2), refused at the
+    # top of trial_factorize
+    d = TRIAL_MAX_N + 1
+    requests = [
+        *(("chi", "--family", fam, "--D", str(d * d), *extra)
+          for fam, extra in (("x", ()), ("xbr", ("--r", "1")), ("w2", ()),
+                             ("w4", ("--mode", "main")), ("w6", ("--mode", "main")))),
+        ("smm", "--locus", "h2", "--m", str(d)),
+        ("smm", "--locus", "p3", "--m", str(d)),
+        ("smm", "--locus", "p4", "--m", str(2 * d)),
+        *(("cd", "--locus", locus, "--d", str(d)) for locus in ("h2", "p3", "p4", "gothic")),
+    ]
+    for argv in requests:
+        assert main(list(argv)) == 2, argv
+        assert "beyond the trial-division bound" in capsys.readouterr().err, argv
 
 
 def test_zagier_asymptotic_report(capsys):

@@ -1,6 +1,7 @@
 """q-expansion coefficients against the divisor-sum formulas and against
 prototype counting."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -113,12 +114,28 @@ def test_qexp_refuses_beyond_bound_before_any_list(monkeypatch, capsys):
         monkeypatch.setattr(qforms, name, no_build)
     N = qforms.QEXP_MAX_N + 1
     for build in (theta_expansion, lambda N: g2k_expansion(1, N),
-                  lambda N: fk_expansion(6, N), lambda N: qforms.ek_expansion(1, N)):
+                  lambda N: fk_expansion(6, N)):
         with pytest.raises(ValueError, match="beyond the q-expansion bound"):
             build(N)
     for series in ("theta", "g2", "fk", "ek"):
         assert main(["qexp", "--series", series, "--N", str(N)]) == 2
         assert "beyond the q-expansion bound" in capsys.readouterr().err
+
+
+def test_qexp_ek_prints_the_fk_series(monkeypatch, capsys):
+    # F_k = sum_n e_k(n) q^n, so both names print the series product; the
+    # divisor sum ek_coeff is the oracle of the verify check alone
+    def no_divisor_sum(*args):
+        raise AssertionError("qexp called the divisor-sum oracle")
+
+    monkeypatch.setattr(qforms, "ek_coeff", no_divisor_sum)
+    for k in (1, 2, 3, 6):
+        for N in (1, 200):
+            results = []
+            for series in ("ek", "fk"):
+                assert main(["qexp", "--series", series, "--k", str(k), "--N", str(N)]) == 0
+                results.append(json.loads(capsys.readouterr().out)["result"])
+            assert results[0] == results[1], (k, N)
 
 
 def test_product_equals_divisor_sum_small():
@@ -244,8 +261,3 @@ def test_check_e_and_a_examples():
     assert check_e_and_a(5, 1)  # conductor 1, both sides 2
     assert check_e_and_a(4, 1)  # 11/12 = 1 + (-1/12)
     assert check_e_and_a(36, 6)
-    for D in range(4, 200):
-        if D % 4 in (0, 1):
-            assert check_e_and_a(D, 1), D
-            assert check_e_and_a(D, 6), D
-

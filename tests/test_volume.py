@@ -21,7 +21,6 @@ from gothicvol.volume import (
     direct_prefix,
     sigma3_sum,
     sk_asymptotic_constant,
-    sk_prefix,
     sk_sum,
     t_sum,
     volume_estimate,
@@ -53,15 +52,6 @@ def test_sk_brute_force():
         brute = brute_sk_prefix(k, Dmax)
         for D in range(1, Dmax + 1):
             assert sk_sum(k, D) == brute[D], (k, D)
-
-
-def test_sk_prefix_consistency():
-    # the table route is the oracle for the hyperbola route
-    Dmax = 2000
-    for k in (1, 2, 3, 6):
-        pre = sk_prefix(k, Dmax)
-        for D in range(1, Dmax + 1):
-            assert sk_sum(k, D) == pre[D], (k, D)
 
 
 def test_t_sum_matches_table_route():

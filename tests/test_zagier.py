@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from gothicvol import qforms, zagier
+from gothicvol import euler, qforms, zagier
 from gothicvol.arith import PiQuantity, coprime_part, divisors, moebius, nu, sl2_order
 from gothicvol.cli import main
 from gothicvol.zagier import (
@@ -184,13 +184,15 @@ def test_asymptotic_report_shape():
 
 
 def test_asymptotic_report_refuses_beyond_bound(monkeypatch):
+    # the reach is the e(d^2, 6) store's, checked before any table is built
     def no_tables(dmax):
         raise AssertionError("a table was built beyond the report's bound")
 
-    monkeypatch.setattr(qforms, "e1_square_twelfths", no_tables)
-    monkeypatch.setattr(qforms, "e6_square_twelfths", no_tables)
-    with pytest.raises(ValueError):
-        asymptotic_check_e(zagier.ASYMPTOTIC_MAX_D + 1)
+    for module, name in ((qforms, "e1_square_twelfths"), (qforms, "e6_square_twelfths"),
+                         (zagier, "sl2_order_table")):
+        monkeypatch.setattr(module, name, no_tables)
+    with pytest.raises(ValueError, match="beyond the e\\(d\\^2, k\\) bound"):
+        asymptotic_check_e(euler.E_SQUARE_MAX_D + 1)
 
 
 def test_truncation_of_gamma_beyond_bound():
