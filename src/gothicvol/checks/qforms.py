@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .. import qforms
+from .. import euler, qforms
 from ..verify import _check
 
 
@@ -33,10 +33,11 @@ def _e_and_a():
 
 @_check("e(d^2, k) in twelfths equals the square tables, d <= 4000, k in {1,6}", "qforms")
 def _e_square_routes():
-    # k = 6: level-6 convolution sums against the D^2/24 sigma-sieve route;
-    # k = 1: Besge's closed form 5 a(d) - 6 J_2(d) against the level-1 sums
+    # k = 6: the store production reads (level-6 convolution sums) against
+    # the D^2/24 sigma-sieve route; k = 1: Besge's closed form
+    # 5 a(d) - 6 J_2(d) against the level-1 sums
     dmax = 4000
-    new = qforms.e6_square_twelfths(dmax)
+    new = euler.precompute_e_square(dmax)
     old = qforms.e_square_table(6, dmax)
     for d in range(1, dmax + 1):
         if Fraction(new[d], 12) != old[d]:

@@ -1,14 +1,17 @@
 """Command line front end.
 
 Every subcommand writes a single JSON document to standard output (or to
-``--out FILE``): {"command", "inputs", "result", "elapsed_ms"}.  Exact
+``--out FILE``): {"command", "inputs", "result", "elapsed_ms"}, where
+"inputs" echoes the subcommand's own arguments as declared in _SUBCOMMANDS,
+in that order; a handler returns only its result and CSV rows.  Exact
 rationals are emitted as "p/q" strings (never as decimals unless ``--float``
 is passed), pi-multiples as {"coeff": "p/q", "pi_power": n}.  Series-shaped
 results (q-expansion tables, zagier scans, volume checkpoints) can be emitted
 as CSV with ``--csv``.
 
 Exit codes: 0 success, 2 input validation failure (an unwritable ``--out``
-included), 1 internal check failure.
+included), 1 internal check failure (a ``verify`` run that reports a failed
+check prints its document and exits 1).
 
 Each handler imports the modules it runs, and ``main`` builds the parser of
 the requested subcommand alone, so a request loads and sets up only what its
@@ -79,7 +82,8 @@ def _emit(args, command: str, inputs: dict, result, started: float, csv_rows=Non
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: return (inputs, result, csv_rows or None)
+# subcommand handlers: return (result, csv_rows or None); main echoes the
+# subcommand's declared arguments as the inputs
 # ---------------------------------------------------------------------------
 
 def _cmd_proto(args):
@@ -91,13 +95,13 @@ def _cmd_proto(args):
         "a_sum": Fraction(sum(a for a, _, _ in protos)),  # e(D, k), printed as "p/q"
         "prototypes": protos,
     }
-    return {"D": args.D, "k": args.k}, result, (("a", "b", "c"), protos)
+    return result, (("a", "b", "c"), protos)
 
 
 def _cmd_e(args):
     from . import prototypes
 
-    return {"D": args.D, "k": args.k}, prototypes.e_value(args.D, args.k), None
+    return prototypes.e_value(args.D, args.k), None
 
 
 def _cmd_qexp(args):
@@ -110,15 +114,13 @@ def _cmd_qexp(args):
         coeffs = qforms.g2k_expansion(args.k, N)
     else:  # fk and ek name one series: F_k = sum_n e_k(n) q^n
         coeffs = qforms.fk_expansion(args.k, N)
-    inputs = {"series": args.series, "k": args.k, "N": N}
     rows = [(n, c) for n, c in enumerate(coeffs)]
-    return inputs, {"coefficients": coeffs}, (("n", "coeff"), rows)
+    return {"coefficients": coeffs}, (("n", "coeff"), rows)
 
 
 def _cmd_zagier(args):
     from . import zagier
 
-    inputs = {"what": args.what, "dmax": args.dmax}
     if args.what == "asymptotic":
         rep = zagier.asymptotic_check_e(args.dmax)
         result = {
@@ -130,10 +132,10 @@ def _cmd_zagier(args):
             "delta6_ratio": rep.delta6_ratio,
         }
         rows = [(d, rep.delta1[d], rep.delta6[d]) for d in range(1, args.dmax + 1)]
-        return inputs, result, (("d", "delta1", "delta6"), rows)
+        return result, (("d", "delta1", "delta6"), rows)
     rows = zagier.ebar_rows(args.dmax)
     result = {"rows": [{"d": d, "ebar1": a, "ebar6": b} for d, a, b in rows]}
-    return inputs, result, (("d", "ebar1", "ebar6"), rows)
+    return result, (("d", "ebar1", "ebar6"), rows)
 
 
 def _cmd_ideals(args):
@@ -154,7 +156,7 @@ def _cmd_ideals(args):
             }
         )
     result = {"d": d, "n": n, "class_count": class_count, "components": comps}
-    return {"d": d, "n": n}, result, None
+    return result, None
 
 
 def _cmd_chi(args):
@@ -180,8 +182,7 @@ def _cmd_chi(args):
         value = euler.chi_G(D, args.r, mode)
     result = {"family": fam, "D": D, "mode": mode, "value": value,
               "empty": euler.is_empty(fam, D)}
-    inputs = {"family": fam, "D": D, "r": args.r, "j": args.j, "mode": args.mode}
-    return inputs, result, None
+    return result, None
 
 
 def _cmd_smm(args):
@@ -196,27 +197,25 @@ def _cmd_smm(args):
             for fam, D, comp, cnt in cover.contributions
         ],
     }
-    return {"locus": args.locus, "m": args.m, "surrogate": args.surrogate}, result, None
+    return result, None
 
 
 def _cmd_cd(args):
     from . import counting
 
-    value = counting.cd_count(Locus(args.locus), args.d, args.surrogate)
-    return {"locus": args.locus, "d": args.d, "surrogate": args.surrogate}, value, None
+    return counting.cd_count(Locus(args.locus), args.d, args.surrogate), None
 
 
 def _cmd_oracle_h2(args):
     from . import counting
 
-    value = counting.h2_permutation_oracle(args.d)
-    return {"d": args.d}, value, None
+    return counting.h2_permutation_oracle(args.d), None
 
 
 def _cmd_sk(args):
     from . import volume
 
-    return {"k": args.k, "D": args.D}, volume.sk_sum(args.k, args.D), None
+    return volume.sk_sum(args.k, args.D), None
 
 
 def _cmd_volume(args):
@@ -237,16 +236,13 @@ def _cmd_volume(args):
         "checkpoints": [{"D": Dc, "value": v} for Dc, v in est.series],
     }
     rows = [(Dc, v) for Dc, v in est.series]
-    inputs = {"locus": args.locus, "dmax": args.dmax, "mode": args.mode,
-              "surrogate": args.surrogate}
-    return inputs, result, (("D", "value"), rows)
+    return result, (("D", "value"), rows)
 
 
 def _cmd_verify(args):
     from . import verify
 
     results = verify.run_suite(args.suite)
-    ok = all(r.ok for r in results)
     result = {
         "suite": args.suite,
         "passed": sum(r.ok for r in results),
@@ -257,14 +253,7 @@ def _cmd_verify(args):
             for r in results
         ],
     }
-    if not ok:
-        raise _VerifyFailure(result)
-    return {"suite": args.suite}, result, None
-
-
-class _VerifyFailure(Exception):
-    def __init__(self, result):
-        self.result = result
+    return result, None
 
 
 _INT = {"type": int, "required": True}
@@ -347,23 +336,22 @@ def main(argv=None) -> int:
     ap = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     args = ap.parse_args(argv)
     started = time.perf_counter()
-    code = 0
     try:
-        inputs, result, csv_rows = args.fn(args)
-    except _VerifyFailure as vf:
-        code, inputs, result, csv_rows = 1, {"suite": args.suite}, vf.result, None
+        result, csv_rows = args.fn(args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 1
+    inputs = {flag[2:]: getattr(args, flag[2:]) for flag, _ in _SUBCOMMANDS[args.command][2]}
     try:
         _emit(args, args.command, inputs, result, started, csv_rows)
     except OSError as exc:  # an --out path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return code
+    # a verify run that found a violation still prints its report
+    return 1 if args.command == "verify" and result["failed"] else 0
 
 
 if __name__ == "__main__":

@@ -126,8 +126,12 @@ def cd_count(locus: Locus, d: int, mode: str = "main_term") -> Fraction:
     if d < 1:
         raise ValueError("need d >= 1")
     mode = surrogate_mode(mode, locus)
+    # the m = d term first: for the gothic locus it refuses a d beyond the
+    # e(d^2, 6) store before d is factorised
+    top = smm(locus, d, mode).total
     # the terms as ints over the least common denominator, as in smm
-    terms = [(sigma(1, d // m), smm(locus, m, mode).total) for m in divisors(d)]
+    terms = [(sigma(1, d // m), top if m == d else smm(locus, m, mode).total)
+             for m in divisors(d)]
     den = lcm(*(t.denominator for _, t in terms))
     return Fraction(sum(w * t.numerator * (den // t.denominator) for w, t in terms), den)
 

@@ -289,14 +289,16 @@ def chi_G(D: int, r: int = 1, mode: str = "exact") -> Fraction:
         return Fraction(num, 60 * rd * c)
     _check_component(d, r)
     g6 = math.gcd(6, d)
-    a = sl2_order(d)
     if mode == "leading":
         kappa = KAPPA_PRIME[g6]
-        return Fraction(-kappa.numerator * a, kappa.denominator)
+        return Fraction(-kappa.numerator * sl2_order(d), kappa.denominator)
+    # the store refuses d beyond its reach before sl2_order factorises d
+    e12 = precompute_e_square(d)[d]
+    a = sl2_order(d)
     ratio = X_BR_RATIO[g6]
     rn, rd = ratio.numerator, ratio.denominator
     c = _C_D_SQUARE[g6]
-    num = 4 * rd * precompute_e_square(d)[d] - 3 * c * rn * a  # over 144 rd c
+    num = 4 * rd * e12 - 3 * c * rn * a  # over 144 rd c
     if mode != "remark":
         return Fraction(num, 144 * rd * c)
     if r != 1:

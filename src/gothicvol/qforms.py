@@ -34,6 +34,11 @@ along two routes, both in Python ints without numpy:
     e_square_table     -- the oracle for any k, from ek_square_table, which
                           sums its own array("q") sigma sieve up to
                           dmax^2/4k, up to m = SQUARE_TABLE_MAX_M.
+
+Every series product here, F_k and the convolution sums alike, goes through
+one kernel, _kronecker_product, which packs 64-bit slots and itself refuses
+a pair of sequences whose slots could overflow; no caller restates that
+bound.
 """
 
 from __future__ import annotations
@@ -56,20 +61,12 @@ _SIGMA0 = Fraction(-1, 24)  # sigma(0) convention inside e_k only
 # is below n (1 + ln n) < 2^63.
 SQUARE_TABLE_MAX_M = 10**4
 
-# The level-6 convolution sums C(n) <= sum_{u+v=n} sigma(u) sigma(v)
-# = (5 sigma_3(n) + (1 - 6n) sigma(n))/12 < (5/12) zeta(3) n^3 < 0.5009 n^3
-# (Besge), so every C(n) with n <= 3 * 10^6 is below 1.36e19 < 2^64 and fits
-# one 64-bit Kronecker slot.
-CONVOLUTION_MAX_N = 3 * 10**6
-
 # The stated reach of the q-expansions: the largest N whose slowest series
 # stays within 15 s and 800 MB cold on 2 cores.  That is F_k for k = 1 (which
 # `qexp --series ek` prints too), nearly all of it the Kronecker product: it
 # took 12.3-13.3 s and 117 MB at 400000, and 18.5-21.4 s at 500000; theta and
 # G2 took 1.9 and 2.1 s at 400000.  Larger N is refused before any list is
-# built.  A slot n of G2' theta in fk_expansion is at most (2 sqrt(n) + 1)
-# max sigma(m) over m <= n/4k, with sigma(m) <= m^2: below 1.3 * 10^13 < 2^64
-# here.
+# built.
 QEXP_MAX_N = 400000
 
 
@@ -112,7 +109,8 @@ def _integers(series: list[Fraction]) -> list[int]:
 def fk_expansion(k: int, N: int) -> list[Fraction]:
     """F_k = G2(2k tau) theta(tau) up to q^N, as G2' theta - theta/24 with
     G2' = G2(2k tau) + 1/24: one Kronecker product of nonnegative integer
-    series.  g2k_expansion refuses N beyond QEXP_MAX_N first."""
+    series.  g2k_expansion refuses N beyond QEXP_MAX_N first, and the
+    kernel refuses entries that could overflow its slots."""
     g2 = g2k_expansion(k, N)
     g2[0] = Fraction(0)  # G2'
     g2, theta = _integers(g2), _integers(theta_expansion(N))
@@ -203,12 +201,18 @@ def _kronecker_product(xs, ys, n_out: int) -> array:
     Each sequence is packed into one Python int with a 64-bit slot per entry,
     and the product is unpacked slot by slot.  Entries are nonnegative, so a
     carry only moves upward: every c[n] with n < n_out is exact as long as
-    all of them are below 2^64, whatever the slots above n_out hold.
+    all of them are below 2^64, whatever the slots above n_out hold.  Each
+    c[n] is a sum of at most min(len(xs), len(ys)) products, so that count
+    times max(xs) max(ys) is checked against 2^64 first, and a sequence pair
+    that could overflow a slot raises ValueError before anything is packed.
     """
+    xs, ys = xs[:n_out], ys[:n_out]
+    if min(len(xs), len(ys)) * max(xs) * max(ys) >= 2**64:
+        raise ValueError("the product could overflow a 64-bit Kronecker slot")
     little = sys.byteorder == "little"
 
     def pack(seq) -> int:
-        slots = array("Q", seq[:n_out])
+        slots = array("Q", seq)
         if not little:
             slots.byteswap()
         return int.from_bytes(slots, "little")
@@ -239,18 +243,6 @@ def _convolution_sum(sig, nmax: int, a: int, b: int, x_residues) -> list[int]:
             conv = _kronecker_product(sig[i::A], sig[j::B], n_out)
             out[s::6] = map(add, out[s::6], conv)
     return out
-
-
-def _slot_sigma_table(dmax: int) -> tuple[int, ...]:
-    """arith.sigma_table(dmax), after refusing dmax < 1 and dmax beyond
-    CONVOLUTION_MAX_N, the bound of the 64-bit Kronecker slot."""
-    if dmax < 1:
-        raise ValueError(f"need dmax >= 1, got {dmax}")
-    if dmax > CONVOLUTION_MAX_N:
-        raise ValueError(
-            f"dmax = {dmax} is beyond the 64-bit convolution bound {CONVOLUTION_MAX_N}"
-        )
-    return arith.sigma_table(dmax)
 
 
 def _twelfths_from_sums(by_class, dmax: int) -> tuple[int, ...]:
@@ -287,9 +279,11 @@ def e6_square_twelfths(dmax: int) -> tuple[int, ...]:
 
     with C_{a,b}(n) = sum_{ax+by=n} sigma(x) sigma(y), x restricted by
     3 !| x, 2 !| x and (x, 6) = 1 in the last three.  sigma is needed only up
-    to dmax.  Refuses dmax > CONVOLUTION_MAX_N before anything is built.
+    to dmax.
     """
-    sig = _slot_sigma_table(dmax)
+    if dmax < 1:
+        raise ValueError(f"need dmax >= 1, got {dmax}")
+    sig = arith.sigma_table(dmax)
     c61 = _convolution_sum(sig, dmax, 6, 1, (0,))
     c23 = _convolution_sum(sig, dmax, 2, 3, (1, 2))
     c32 = _convolution_sum(sig, dmax, 3, 2, (1,))
@@ -309,7 +303,9 @@ def e1_convolution_twelfths(dmax: int) -> tuple[int, ...]:
     C_{1,1}(n) = sum_{x+y=n} sigma(x) sigma(y), one Kronecker product of the
     sigma table up to dmax with itself.  The oracle for e1_square_twelfths.
     """
-    sig = _slot_sigma_table(dmax)
+    if dmax < 1:
+        raise ValueError(f"need dmax >= 1, got {dmax}")
+    sig = arith.sigma_table(dmax)
     return _twelfths_from_sums((_kronecker_product(sig, sig, dmax + 1),) * 4, dmax)
 
 

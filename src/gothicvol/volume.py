@@ -90,7 +90,7 @@ CLOSED_MAX_D = 10**12
 # gothic main or remark, stays within 15 s and 800 MB cold on 2 cores (the
 # cost of gothic at the old bound 40000).  Measured at 250000: 10-12.5 s and
 # 150 MB, mostly the Kronecker products of e(d^2, 6); 300000 took 13-18.5 s.
-# Far below qforms.CONVOLUTION_MAX_N.  Larger D is refused before any work.
+# Larger D is refused before any work.
 DIRECT_MAX_D = 250000
 
 

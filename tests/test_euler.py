@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gothicvol import euler, ideals, qforms
+from gothicvol import Locus, arith, counting, euler, ideals, qforms
 from gothicvol.arith import divisors, moebius, sigma, sl2_order
 from gothicvol.cli import main
 from gothicvol.euler import (
@@ -265,6 +265,27 @@ def test_e_square_refuses_beyond_its_bound_before_any_build(monkeypatch, capsys)
         assert main(["chi", "--family", family, "--D", D, "--mode", "main"]) == 2
     assert "beyond the e(d^2, k) bound" in capsys.readouterr().err
     assert asked == [bound]
+
+
+def test_square_gothic_lookups_refuse_at_the_store_before_factorising(monkeypatch, capsys):
+    def no_factorising(n):
+        raise AssertionError(f"{n} was factorised before the store refused it")
+
+    monkeypatch.setattr(arith, "trial_factorize", no_factorising)
+    p = 10**12 + 39
+    for lookup in (lambda: counting.cd_count(Locus.G, p), lambda: counting.smm(Locus.G, p),
+                   lambda: chi_G(p * p, 1, "main_term"), lambda: chi_G(p * p, 1, "remark")):
+        with pytest.raises(ValueError, match="beyond the e\\(d\\^2, k\\) bound"):
+            lookup()
+    for argv in (("cd", "--locus", "gothic", "--d", str(p)),
+                 ("smm", "--locus", "gothic", "--m", str(p)),
+                 *(("chi", "--family", "g", "--D", str(p * p), "--mode", mode)
+                   for mode in ("main", "remark"))):
+        assert main(list(argv)) == 2, argv
+        assert "beyond the e(d^2, k) bound" in capsys.readouterr().err, argv
+    # the leading surrogate reads no store and still factorises
+    with pytest.raises(AssertionError, match="was factorised"):
+        chi_G(p * p, 1, "leading")
 
 
 def test_every_chi_is_a_fraction_and_empty_curves_are_zero():

@@ -2,7 +2,6 @@
 prototype counting."""
 
 import json
-import math
 from fractions import Fraction
 
 import pytest
@@ -12,7 +11,6 @@ from gothicvol.arith import divisors, moebius, sigma
 from gothicvol.cli import main
 from gothicvol.prototypes import e_value
 from gothicvol.qforms import (
-    CONVOLUTION_MAX_N,
     SQUARE_TABLE_MAX_M,
     check_e_and_a,
     e1_convolution_twelfths,
@@ -96,11 +94,11 @@ def test_fk_refuses_a_non_integral_entry(monkeypatch, builder):
         fk_expansion(1, 50)
 
 
-def test_fk_slot_bound():
-    # a slot of G2' theta is at most (2 sqrt(n) + 1) times the largest sigma(m)
-    # with m <= n/4k, and sigma(m) <= m^2; evaluated at the bound, no list built
-    N = qforms.QEXP_MAX_N
-    assert (2 * math.isqrt(N) + 1) * (N // 4) ** 2 < 2**64
+def test_fk_slot_bound(monkeypatch):
+    # integral G2 entries this large would wrap the 64-bit slots silently
+    monkeypatch.setattr(qforms, "g2k_expansion", lambda k, N: [Fraction(2**62)] * (N + 1))
+    with pytest.raises(ValueError, match="64-bit Kronecker slot"):
+        fk_expansion(1, 50)
 
 
 def test_qexp_refuses_beyond_bound_before_any_list(monkeypatch, capsys):
@@ -234,18 +232,20 @@ def test_convolution_sums_match_brute_force(a, b, x_residues, allowed):
 
 
 def test_convolution_slot_bound(monkeypatch):
-    # C(n) < (5/12) zeta(3) n^3 with zeta(3) < 1.2021 stays below 2^64 up to
-    # the bound, and the bound is refused before anything is built
-    assert Fraction(5, 12) * Fraction(12021, 10000) * CONVOLUTION_MAX_N**3 < 2**64
+    # the kernel's own guard: 2 * 2^32 * 2^32 = 2^65 could overflow a slot and
+    # is refused before packing, (2^32 - 1)^2 fits
+    assert list(qforms._kronecker_product([2**32 - 1], [2**32 - 1], 1)) == [(2**32 - 1) ** 2]
 
-    def no_tables(N):
-        raise AssertionError("a table was built beyond the convolution bound")
+    def no_build(*args):
+        raise AssertionError("built past a refusal")
 
-    monkeypatch.setattr(qforms.arith, "sigma_table", no_tables)
+    monkeypatch.setattr(qforms, "array", no_build)
+    with pytest.raises(ValueError, match="64-bit Kronecker slot"):
+        qforms._kronecker_product([2**32] * 2, [2**32] * 2, 3)
+    # the e(d^2, k) convolution routes refuse dmax < 1 before any table
+    monkeypatch.setattr(qforms.arith, "sigma_table", no_build)
     for route in (e6_square_twelfths, e1_convolution_twelfths):
-        with pytest.raises(ValueError):
-            route(CONVOLUTION_MAX_N + 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need dmax >= 1"):
             route(0)
 
 

@@ -227,6 +227,29 @@ def test_all_runs_suite_by_suite_whichever_suite_loaded_first(run_python):
     assert suites == sorted(suites, key=verify.SUITES.index)
 
 
+# Runs the qforms check of the e(d^2, k) routes and then the euler gap check,
+# in run order in a fresh process, and prints the dmax of every e(d^2, 6) build.
+_E6_BUILDS = """
+import json
+from gothicvol import qforms, verify
+
+built = []
+route = qforms.e6_square_twelfths
+qforms.e6_square_twelfths = lambda dmax: built.append(dmax) or route(dmax)
+for name in ("e(d^2, k) in twelfths equals the square tables, d <= 4000, k in {1,6}",
+             "main_term vs leading gap, scaled by d^(5/2), half-range check, d <= 2000"):
+    result = verify.run_check(name)
+    assert result.ok, result
+print(json.dumps(built))
+"""
+
+
+def test_the_checks_build_e6_once(run_python):
+    # the qforms check reads the store production reads, and the gap check finds it filled
+    proc = run_python("-c", _E6_BUILDS, timeout=300, check=True)
+    assert json.loads(proc.stdout) == [4000]
+
+
 def test_registry_refuses_duplicate_names():
     with pytest.raises(ValueError, match="duplicate check name"):
         verify._check(verify.check_names()[0], "arith")
