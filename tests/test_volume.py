@@ -202,6 +202,7 @@ def test_direct_prefix_matches_direct_raw_sum(locus, surrogate):
 
 
 def test_direct_path_refuses_beyond_bound(monkeypatch):
+    assert 40000 <= volume.DIRECT_MAX_D
     # refused before smm_totals builds anything
     def no_tables(*args):
         raise AssertionError("smm_totals ran beyond the direct-path bound")
