@@ -2,8 +2,9 @@
 and lattice-point confirmation of Masur-Veech volumes.
 
 Modules:
-    arith      -- exact rationals, pi-multiples, multiplicative functions,
-                  sieves, Hermite sublattice enumeration
+    arith      -- exact rationals, pi-multiples, trial-division factorisation,
+                  multiplicative functions and their sieved tables, Hermite
+                  sublattice enumeration
     prototypes -- prototype sets P_k(D) and the counts e(D, k)
     qforms     -- q-expansions of theta, G2, F_k and the coefficient oracle
     zagier     -- Gauss sums, Euler factors, exact ebar_1 / ebar_6

@@ -4,7 +4,8 @@ Everything downstream (prototype counts, q-expansions, Euler characteristics,
 volume sums) is built on the functions in this module.  All user-visible values
 are exact: rationals are ``fractions.Fraction`` (always reduced, positive
 denominator), integers are Python arbitrary-precision ints.  The one fixed-width
-array is the smallest-prime-factor sieve, whose entries fit its type.
+array is the smallest-prime-factor sieve inside each table build, whose
+entries (primes up to isqrt(N) < 2^31) fit its type.
 
 Key objects:
     moebius(n)             -- Moebius function
@@ -16,15 +17,14 @@ Key objects:
     hermite_sublattices(n) -- Hermite normal forms (a, s; 0, c) of index n
     PiQuantity             -- exact rational times an integer power of pi
 
-A smallest-prime-factor sieve backs factorisation.  It is sized to the
-request: the first build has 2^16 entries, and it grows geometrically to the
-largest n that factorize sees, up to the constant bound SIEVE_BOUND = 10^7.
-Inputs beyond the bound fall back to trial division, which refuses n beyond
-its reach TRIAL_MAX_N before the first division.  The sieve is a stdlib
-array("i") behind a read-only memoryview.  The bulk tables (sigma_table,
-sigma_prefix, sl2_order_table, jordan2_table, moebius_table) are read-only
-tuples of Python ints, each built in one O(N) pass over the sieve, so they
-stop below SIEVE_BOUND too; nothing here imports numpy.
+Every scalar value (factorize, is_prime, moebius, sigma, ...) comes from one
+factorisation route, trial division, which refuses n beyond its reach
+TRIAL_MAX_N before the first division and keeps no state.  The
+bulk tables (sigma_table, sigma_prefix, sl2_order_table, jordan2_table,
+moebius_table) are read-only tuples of Python ints.  Each is built in one
+O(N) pass over a smallest-prime-factor sieve of its own, a stdlib
+array("i") dropped after the build, and N >= SIEVE_BOUND = 10^7 is refused;
+nothing here imports numpy.
 """
 
 from __future__ import annotations
@@ -36,14 +36,16 @@ from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import add, mul
 
+# The bound of the bulk tables: a table up to N >= SIEVE_BOUND is refused
+# before its sieve is allocated.
 SIEVE_BOUND = 10**7
 
-# The stated reach of trial division, and so of every factorisation above
-# SIEVE_BOUND: its slowest request stays within 15 s and 800 MB cold on
-# 2 cores.  That is `cd --locus h2 --d p` at a prime p, which trial-divides p
-# three times: 9.1-11.7 s at p = 4 * 10^15 + 21, 11.8-12.8 s at 5 * 10^15 - 3
-# (`--locus p3` 12.0 s), 10.7-12.9 s at 6 * 10^15 + 1 and 15.5 s at
-# 10^16 + 61, all in 16 MB.  Larger n is refused before the first division.
+# The stated reach of trial division, and so of every scalar factorisation:
+# its slowest request stays within 15 s and 800 MB cold on 2 cores.  That is
+# `cd --locus h2 --d p` at a prime p, which trial-divides p three times:
+# 9.1-11.7 s at p = 4 * 10^15 + 21, 11.8-12.8 s at 5 * 10^15 - 3 (`--locus p3`
+# 12.0 s), 10.7-12.9 s at 6 * 10^15 + 1 and 15.5 s at 10^16 + 61, all in
+# 16 MB.  Larger n is refused before the first division.
 TRIAL_MAX_N = 5 * 10**15
 
 
@@ -125,77 +127,17 @@ class PiQuantity:
 
 
 # ---------------------------------------------------------------------------
-# Smallest-prime-factor sieve
+# Factorisation
 # ---------------------------------------------------------------------------
-
-_spf: memoryview | None = None  # spf[n] for composite n, 0 for n < 2 and primes
-_spf_bound = 0  # the sieve covers 0 <= n < _spf_bound
-_SPF_MIN_SIZE = 2**16
-
-
-def _ensure_sieve(size: int) -> memoryview:
-    """Grow the SPF sieve to cover 0 <= n < size, and return it.
-
-    A build has at least _SPF_MIN_SIZE entries and at least twice the last
-    one, so a run that asks for ever larger n pays for O(log) builds of a
-    geometric series; no build exceeds SIEVE_BOUND.  The primes p up to
-    isqrt(size - 1) write p at p^2, p^2 + p, ... in decreasing order, so the
-    smallest prime factor of each composite is written last.
-    """
-    global _spf, _spf_bound
-    if size > _spf_bound:
-        size = min(max(size, 2 * _spf_bound, _SPF_MIN_SIZE), SIEVE_BOUND)
-        if size > _spf_bound:
-            root = math.isqrt(size - 1)
-            composite = bytearray(root + 1)
-            primes = []
-            for p in range(2, root + 1):
-                if not composite[p]:
-                    primes.append(p)
-                    composite[p * p :: p] = b"\x01" * len(range(p * p, root + 1, p))
-            spf = array("i", [0]) * size
-            for p in reversed(primes):
-                spf[p * p :: p] = array("i", [p]) * len(range(p * p, size, p))
-            _spf, _spf_bound = memoryview(spf).toreadonly(), size
-    return _spf
-
 
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorisation of n >= 1 as ((p1, e1), (p2, e2), ...), p1 < p2 < ...
 
-    Uses the SPF sieve below the sieve bound, growing it to n when needed, and
-    trial division above the bound.
+    By trial division over 2, 3 and the 6k +- 1 wheel; n beyond TRIAL_MAX_N
+    is refused before the first division.
     """
     if n < 1:
         raise ValueError(f"factorize expects n >= 1, got {n}")
-    if n == 1:
-        return ()
-    if n >= _spf_bound:
-        if n >= SIEVE_BOUND:
-            return trial_factorize(n)
-        _ensure_sieve(n + 1)
-    spf = _spf
-    out = []
-    m = n
-    while m > 1:
-        p = spf[m] or m  # 0 marks a prime
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        out.append((p, e))
-    return tuple(out)
-
-
-def trial_factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorisation of n >= 1 by trial division, without the sieve.
-
-    The fallback of factorize beyond the sieve bound, and the route for a
-    single small n whose caller must not pay for building the sieve.  n beyond
-    TRIAL_MAX_N is refused before the first division.
-    """
-    if n < 1:
-        raise ValueError(f"trial_factorize expects n >= 1, got {n}")
     if n > TRIAL_MAX_N:
         raise ValueError(f"n = {n} is beyond the trial-division bound {TRIAL_MAX_N}")
     out = []
@@ -222,16 +164,11 @@ def trial_factorize(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def is_prime(n: int) -> bool:
-    """Primality of n: one sieve lookup below the sieve bound, growing the
-    sieve to n as factorize does, and trial division above the bound."""
+    """Primality of n, read off factorize(n)."""
     if n < 2:
         return False
-    if n >= _spf_bound:
-        if n >= SIEVE_BOUND:
-            fac = trial_factorize(n)
-            return len(fac) == 1 and fac[0][1] == 1
-        _ensure_sieve(n + 1)
-    return _spf[n] == 0
+    fac = factorize(n)
+    return len(fac) == 1 and fac[0][1] == 1
 
 
 def divisors(n: int) -> list[int]:
@@ -260,28 +197,12 @@ def nu(p: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 def moebius(n: int) -> int:
-    """mu(n): 0 if a square divides n, else (-1)^(number of prime factors).
-
-    Walks the SPF sieve, growing it as factorize does, and stops at the
-    first repeated prime; past the sieve bound it trial-factorises n.
-    """
+    """mu(n): 0 if a square divides n, else (-1)^(number of prime factors)."""
     if n < 1:
         raise ValueError(f"moebius expects n >= 1, got {n}")
-    if n == 1:
-        return 1
-    if n >= _spf_bound:
-        if n >= SIEVE_BOUND:
-            fac = trial_factorize(n)
-            if any(e > 1 for _, e in fac):
-                return 0
-            return -1 if len(fac) % 2 else 1
-        _ensure_sieve(n + 1)
-    spf = _spf
     mu = 1
-    while n > 1:
-        p = spf[n] or n  # 0 marks a prime
-        n //= p
-        if n % p == 0:
+    for _, e in factorize(n):
+        if e > 1:
             return 0
         mu = -mu
     return mu
@@ -389,15 +310,27 @@ def _multiplicative_table(N: int, step) -> tuple[int, ...]:
     ``step(p, f(p^(e-1)))`` gives f(p^e), starting from f(1) = 1.  One pass in
     increasing n: with p the smallest prime of n and p^e || n,
     f(n) = f(n / p^e) f(p^e), both entries already in the table unless n = p^e.
-    The smallest primes come from the SPF sieve, so N >= SIEVE_BOUND is
-    refused before anything is allocated.
+    The smallest primes come from a sieve local to the build: the primes p up
+    to isqrt(N) write p at p^2, p^2 + p, ... in decreasing order, so the
+    smallest prime factor of each composite is written last.  N >= SIEVE_BOUND
+    is refused before anything is allocated.
     """
     if N < 0:
         raise ValueError(f"a table needs N >= 0, got {N}")
     if N >= SIEVE_BOUND:
         raise ValueError(f"a table up to N = {N} is beyond the sieve bound {SIEVE_BOUND}")
+    root = math.isqrt(N)
+    composite = bytearray(root + 1)
+    primes = []
+    for p in range(2, root + 1):
+        if not composite[p]:
+            primes.append(p)
+            composite[p * p :: p] = b"\x01" * len(range(p * p, root + 1, p))
     # the smallest prime factor of n, or 0 where n < 2 or n is prime
-    least = _ensure_sieve(N + 1)[: N + 1].tolist()
+    least = array("i", [0]) * (N + 1)
+    for p in reversed(primes):
+        least[p * p :: p] = array("i", [p]) * len(range(p * p, N + 1, p))
+    least = least.tolist()
     out = [0] * (N + 1)
     head = [0] * (N + 1)  # head[n] = p^e, the full power of n's smallest prime
     if N >= 1:

@@ -34,17 +34,17 @@ from .arith import factorize, squarefree_decompose
 
 # The stated reach of e(D, k), at any D: the largest D whose slowest request
 # stays within 15 s and 800 MB cold on 2 cores.  A sum walks about sqrt(D)/2
-# rows for k = 1 and factorises each n = (D - b^2)/4k, by trial division
-# above arith.SIEVE_BOUND.  Near 10^10, `e --k 1` took 10.1 s, `chi --family
-# x` 11.8 s and `chi --family g` (two sums) 9.7-12.7 s, all in 73 MB;
+# rows for k = 1 and factorises each n = (D - b^2)/4k by trial division.
+# Cold at 10^10 - 3, `e --k 1` took 9.7-12.0 s and `chi --family x` 9.7-10.0 s;
+# `chi --family g --D 10^10 - 4` (two sums) took 14.2 s; all in 15-16 MB.
 # `e --D 2 * 10^10 + 1` took 17.5 s.  Larger D is refused before D is
-# factorised (by trial division too) or any row walked.
+# factorised or any row walked.
 E_MAX_D = 10**10
 
 # The stated reach of enumerate_prototypes, which builds every triple for
 # ``proto`` to print: at 10^9 + 1 the request took 12.3 s and 199 MB, at
-# 10^9 + 5 6.3 s; a single bound of 10^9 would refuse e(D, k) requests that
-# answer in 10-13 s.
+# 10^9 + 5 6.3 s, and at 10^9 - 3 4.7-5.4 s and 79 MB; a single bound of 10^9
+# would refuse e(D, k) requests that answer in 10-13 s.
 PROTO_MAX_D = 10**9
 
 

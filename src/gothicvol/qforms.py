@@ -87,15 +87,15 @@ def theta_expansion(N: int) -> list[Fraction]:
 
 def g2k_expansion(k: int, N: int) -> list[Fraction]:
     """G2(2k tau) in the q = e^(pi i tau) variable: the coefficients of q^0 .. q^N,
-    N <= QEXP_MAX_N."""
+    N <= QEXP_MAX_N, read from arith.sigma_table (ek_coeff, the oracle of
+    fk_expansion, sums scalar sigma instead)."""
     if k < 1 or N < 1:
         raise ValueError("k and N must be >= 1")
     if N > QEXP_MAX_N:
         raise ValueError(f"N = {N} is beyond the q-expansion bound {QEXP_MAX_N}")
     coeffs = [Fraction(0)] * (N + 1)
     coeffs[0] = _SIGMA0
-    for a in range(1, N // (4 * k) + 1):
-        coeffs[4 * k * a] = Fraction(sigma(1, a))
+    coeffs[4 * k :: 4 * k] = map(Fraction, arith.sigma_table(N // (4 * k))[1:])
     return coeffs
 
 

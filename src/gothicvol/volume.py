@@ -11,8 +11,8 @@ Two evaluation paths are implemented:
               euler._gothic_curve_counts, beside chi_G), and one
               dot product with the sigma prefix sums gives the raw sum;
               floats only in the final division by D^dim.  Every table
-              has D + 1 entries (the SPF sieve at least 2^16), and numpy is
-              never loaded.  D is refused beyond DIRECT_MAX_D;
+              has D + 1 entries, and numpy is never loaded.  D is
+              refused beyond DIRECT_MAX_D;
     closed -- at most four terms coeff * Sigma3(D // m), m | 6, per locus
               (CLOSED_TERMS); H(2) adds -(3/4) T(D), T the Jordan-totient
               analogue.
@@ -57,11 +57,11 @@ from . import Locus, surrogate_mode
 from .arith import (
     PiQuantity,
     dirichlet_convolve,
+    factorize,
     jordan2_table,
     sigma,
     sigma_prefix,
     sl2_order_table,
-    trial_factorize,
 )
 
 
@@ -125,11 +125,10 @@ def _gk_terms(k: int, D: int) -> list[tuple[int, int]]:
 
     g_k = a_k * a^(-1), where a_k(m) = a(m) [k | m], is multiplicative and
     supported on n | k^inf: for p^e || k it is g_k(p^j) = (p^2 - 1) p^(j+2e-2)
-    when j >= e and 0 when j < e.  Only k itself is factorised, by trial
-    division, so no sieve is built.
+    when j >= e and 0 when j < e.  Only k itself is factorised.
     """
     terms = [(1, 1)]
-    for p, e in trial_factorize(k):
+    for p, e in factorize(k):
         grown = []
         for n, g in terms:
             m = n * p**e
@@ -202,7 +201,7 @@ def sk_asymptotic_constant(k: int) -> PiQuantity:
     if k < 1:
         raise ValueError("need k >= 1")
     coeff = Fraction(1, 360)
-    for p, e in trial_factorize(k):
+    for p, e in factorize(k):
         coeff *= Fraction(p + 1, (p * p + p + 1) * p ** (e - 1))
     return PiQuantity(coeff, 4)
 

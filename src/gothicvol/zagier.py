@@ -119,11 +119,10 @@ def estar_euler_product(k: int, d: int) -> PiQuantity:
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    primes = factorize(2 * k * d)
     if not is_squarefree(k):
         raise ValueError(f"k = {k} must be squarefree")
     num, den = 15, 1  # zeta(2)/zeta(4) = 15/pi^2
-    for p, _ in primes:
+    for p, _ in factorize(2 * k * d):
         # the factor, divided by 1 + p^-2 = (p^2 + 1)/p^2
         fnum, fden = _euler_factor_ints(k, p, d)
         num *= fnum * p * p
@@ -263,10 +262,6 @@ class AsymptoticReport(namedtuple("AsymptoticReport", (
         shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self)
                           if name not in ("delta1", "delta6"))
         return f"AsymptoticReport({shown})"
-
-    def range_max(self, k: int, lo: int, hi: int) -> float:
-        deltas = self.delta1 if k == 1 else self.delta6
-        return max(deltas[lo : hi + 1])
 
 
 def asymptotic_check_e(d_max: int) -> AsymptoticReport:

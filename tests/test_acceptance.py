@@ -91,10 +91,10 @@ def test_criterion_6_exact_identities(check):
 
 def test_criterion_7_asymptotic_constants():
     rep = zagier.asymptotic_check_e(2000)
-    hi1 = rep.range_max(1, 1000, 2000)
-    lo1 = rep.range_max(1, 250, 500)
-    hi6 = rep.range_max(6, 1000, 2000)
-    lo6 = rep.range_max(6, 250, 500)
+    hi1 = max(rep.delta1[1000:2001])
+    lo1 = max(rep.delta1[250:501])
+    hi6 = max(rep.delta6[1000:2001])
+    lo6 = max(rep.delta6[250:501])
     ok = (
         math.isfinite(hi1) and math.isfinite(hi6) and hi1 <= lo1 and hi6 <= lo6
     )

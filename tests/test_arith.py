@@ -4,7 +4,6 @@ Expected values are either hand-checkable or frozen from an independent
 brute-force oracle computed in this file (divisor loops, matrix enumeration).
 """
 
-import json
 import math
 from fractions import Fraction
 
@@ -118,7 +117,7 @@ def test_coprime_part_examples():
     assert coprime_part(7, 10) == 7
 
 
-@settings(deadline=None)  # the first example may pay the one-off sieve build
+@settings(deadline=None)
 @given(st.integers(1, 10**6), st.integers(1, 10**6))
 def test_coprime_part_is_largest_coprime_divisor(d, m):
     dm = coprime_part(d, m)
@@ -210,7 +209,7 @@ def test_factorize_examples():
 
 
 def test_factorize_beyond_sieve_uses_trial_division():
-    n = 10**14 + 37  # beyond any configured sieve bound
+    n = 10**14 + 37  # far beyond the tables' SIEVE_BOUND
     fac = factorize(n)
     assert math.prod(p**e for p, e in fac) == n
 
@@ -221,7 +220,7 @@ def test_trial_division_refuses_past_its_reach_before_dividing():
             raise AssertionError("a division ran past the trial-division reach")
 
     n = NoDivision(arith.TRIAL_MAX_N + 1)
-    for fn in (arith.trial_factorize, factorize, is_prime, moebius):
+    for fn in (factorize, is_prime, moebius):
         with pytest.raises(ValueError, match="beyond the trial-division bound"):
             fn(n)
     # a smooth n at the reach still factorises
@@ -292,36 +291,27 @@ def test_multiplicative_tables_match_scalars():
 
 
 def test_multiplicative_table_past_the_sieve_bound(monkeypatch):
-    # a sieve of 50 entries: the tables stop at N = 49, and N = 50 is refused
-    # before the sieve or the table is allocated
-    def no_sieve(size):
-        raise AssertionError(f"a sieve of {size} entries was asked for")
+    # under a bound of 50 the tables stop at N = 49, and N = 50 is refused
+    # before the table's sieve is allocated
+    def no_sieve(*args):
+        raise AssertionError("a sieve was allocated")
 
     def step(p, prev):
         return p * prev + 1
 
     monkeypatch.setattr(arith, "SIEVE_BOUND", 50)
-    monkeypatch.setattr(arith, "_spf", None)
-    monkeypatch.setattr(arith, "_spf_bound", 0)
     assert list(arith._multiplicative_table(49, step)) == [0] + [sigma(1, n) for n in range(1, 50)]
-    assert arith._spf_bound == 50
-    monkeypatch.setattr(arith, "_ensure_sieve", no_sieve)
+    monkeypatch.setattr(arith, "array", no_sieve)
     for N in (50, 51, 10**12):
         with pytest.raises(ValueError, match="beyond the sieve bound 50"):
             arith._multiplicative_table(N, step)
 
 
 def test_cached_tables_are_read_only():
-    factorize(360)
     for table in (arith.sigma_table(100), arith.sigma_prefix(100)):
         with pytest.raises(TypeError):
             table[5] = 0
     assert arith.sigma_table(100)[5] == 6
-    # the SPF sieve is a read-only memoryview, which raises TypeError
-    assert arith._spf.readonly
-    with pytest.raises(TypeError):
-        arith._spf[6] = 0
-    assert arith._spf[6] == 2
 
 
 def test_list_tables_are_read_only():
@@ -333,63 +323,28 @@ def test_list_tables_are_read_only():
     assert arith.jordan2_table(100)[5] == 24
 
 
-def test_sieve_matches_trial_division_across_a_regrow(monkeypatch):
-    # start from no sieve, so the ascending n grow it from 2^16 past 2^17
-    monkeypatch.setattr(arith, "_spf", None)
-    monkeypatch.setattr(arith, "_spf_bound", 0)
-    sizes = set()
-    for n in range(1, 2**17 + 64):
-        assert factorize(n) == arith.trial_factorize(n), n
-        sizes.add(arith._spf_bound)
-    assert sizes == {0, 2**16, 2**17, 2**18}
-
-
-def test_is_prime_is_the_factorisation_definition_across_a_regrow(monkeypatch):
-    # start from no sieve, so is_prime itself grows it from 2^16 past 2^17
-    monkeypatch.setattr(arith, "_spf", None)
-    monkeypatch.setattr(arith, "_spf_bound", 0)
-    sizes = set()
+def test_is_prime_is_the_factorisation_definition_across_a_regrow():
     for n in range(-3, 2**17 + 2):
-        prime = is_prime(n)
-        sizes.add(arith._spf_bound)
         fac = factorize(n) if n >= 1 else ()
-        assert prime == (len(fac) == 1 and fac[0][1] == 1), n
-    assert sizes == {0, 2**16, 2**17, 2**18}
+        assert is_prime(n) == (len(fac) == 1 and fac[0][1] == 1), n
     assert not any(is_prime(n) for n in (-7, -2, -1, 0, 1))
 
 
-def test_is_prime_past_the_sieve_bound_uses_trial_division(monkeypatch):
-    def no_sieve(size):
-        raise AssertionError(f"a sieve of {size} entries was asked for")
-
-    monkeypatch.setattr(arith, "_ensure_sieve", no_sieve)
-    assert arith.SIEVE_BOUND <= 10_000_001
+def test_is_prime_past_the_sieve_bound_uses_trial_division():
     assert is_prime(10_000_019) and is_prime(2_147_483_647)  # 2^31 - 1
     assert not is_prime(10_000_001)  # 11 * 909091
     assert not is_prime(10_000_021)  # 97 * 103093
     assert not is_prime(3163**2)  # 10004569, the square of a prime
 
 
-def test_moebius_is_the_factorisation_definition_across_a_regrow(monkeypatch):
-    # start from no sieve, so moebius itself grows it from 2^16 past 2^17
-    monkeypatch.setattr(arith, "_spf", None)
-    monkeypatch.setattr(arith, "_spf_bound", 0)
-    sizes = set()
+def test_moebius_is_the_factorisation_definition_across_a_regrow():
     for n in range(1, 2**17 + 2):
-        mu = moebius(n)
-        sizes.add(arith._spf_bound)
         fac = factorize(n)
         want = 0 if any(e > 1 for _, e in fac) else (-1) ** len(fac)
-        assert mu == want, n
-    assert sizes == {0, 2**16, 2**17, 2**18}
+        assert moebius(n) == want, n
 
 
-def test_moebius_past_the_sieve_bound_uses_trial_division(monkeypatch):
-    def no_sieve(size):
-        raise AssertionError(f"a sieve of {size} entries was asked for")
-
-    monkeypatch.setattr(arith, "_ensure_sieve", no_sieve)
-    assert arith.SIEVE_BOUND <= 10_000_001
+def test_moebius_past_the_sieve_bound_uses_trial_division():
     assert moebius(10_000_019) == -1  # prime
     assert moebius(10_000_001) == 1  # 11 * 909091
     assert moebius(2_147_483_647) == -1  # 2^31 - 1, prime
@@ -398,62 +353,23 @@ def test_moebius_past_the_sieve_bound_uses_trial_division(monkeypatch):
         moebius(-4)
 
 
-# Reports how far the SPF sieve has grown after each factorisation, and which
-# inputs went to trial division.
-_SIEVE_SIZING = """
-import json
-from gothicvol import arith
+# Traces the first call named by sys.argv[1] in a fresh process, after every
+# import, and prints its peak traced allocation in bytes.
+_FIRST_CALL_PEAK = """
+import sys, tracemalloc
+from gothicvol import Locus, arith, counting, euler
 
-trial = arith.trial_factorize
-trialled = []
-
-def counted_trial(n):
-    trialled.append(n)
-    return trial(n)
-
-arith.trial_factorize = counted_trial
-doc = {"cap": arith.SIEVE_BOUND}
-doc["small"] = [arith.factorize(360), arith._spf_bound]
-doc["large"] = [arith.factorize(9_999_991) == trial(9_999_991), arith._spf_bound]
-doc["huge"] = [arith.factorize(10**14 + 37) == trial(10**14 + 37), arith._spf_bound]
-doc["trialled"] = trialled
-print(json.dumps(doc))
+call = {"factorize": lambda: arith.factorize(9_999_991),
+        "cd_count": lambda: counting.cd_count(Locus.H2, 9_999_991)}[sys.argv[1]]
+tracemalloc.start()
+call()
+print(tracemalloc.get_traced_memory()[1])
 """
 
 
-def test_sieve_grows_to_the_request_in_a_fresh_process(run_python):
-    doc = json.loads(run_python("-c", _SIEVE_SIZING, timeout=120, check=True).stdout)
-    assert doc["cap"] == arith.SIEVE_BOUND == 10**7
-    factors, bound = doc["small"]
-    assert factors == [[2, 3], [3, 2], [5, 1]]
-    assert 361 <= bound <= 2**17
-    ok, bound = doc["large"]
-    assert ok and 9_999_991 < bound <= doc["cap"]
-    ok, bound = doc["huge"]
-    assert ok and bound == doc["large"][1]
-    assert doc["trialled"] == [10**14 + 37]
-
-
-# Factorises every n <= 300 and one n above the sieve bound under the tiny
-# bound sys.argv[1], set before the first factorisation.
-_TINY_BOUND = """
-import json, sys
-from gothicvol import arith
-
-arith.SIEVE_BOUND = int(sys.argv[1])
-cap = arith.SIEVE_BOUND
-ns = [*range(1, 301), 6 * (cap + 1)]
-print(json.dumps({
-    "cap": cap,
-    "wrong": [n for n in ns if arith.factorize(n) != arith.trial_factorize(n)],
-    "sieve": arith._spf_bound,
-}))
-"""
-
-
-@pytest.mark.parametrize("bound", [4, 5, 30, 65537])
-def test_sieve_at_tiny_bounds_in_a_fresh_process(run_python, bound):
-    doc = json.loads(run_python("-c", _TINY_BOUND, str(bound), timeout=120, check=True).stdout)
-    assert doc["cap"] == bound
-    assert doc["wrong"] == []
-    assert 0 < doc["sieve"] <= bound
+@pytest.mark.parametrize("call", ["factorize", "cd_count"])
+def test_a_first_factorisation_near_the_table_bound_builds_no_table(run_python, call):
+    # a smallest-prime-factor sieve reaching 9999991 would trace about 60 MB;
+    # trial division traces a few hundred bytes
+    out = run_python("-c", _FIRST_CALL_PEAK, call, timeout=120, check=True).stdout
+    assert int(out) < 2**20

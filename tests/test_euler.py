@@ -271,7 +271,7 @@ def test_square_gothic_lookups_refuse_at_the_store_before_factorising(monkeypatc
     def no_factorising(n):
         raise AssertionError(f"{n} was factorised before the store refused it")
 
-    monkeypatch.setattr(arith, "trial_factorize", no_factorising)
+    monkeypatch.setattr(arith, "factorize", no_factorising)
     p = 10**12 + 39
     for lookup in (lambda: counting.cd_count(Locus.G, p), lambda: counting.smm(Locus.G, p),
                    lambda: chi_G(p * p, 1, "main_term"), lambda: chi_G(p * p, 1, "remark")):

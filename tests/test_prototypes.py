@@ -229,7 +229,6 @@ def test_e_proto_and_chi_refuse_beyond_their_bounds_before_factorising(monkeypat
 
     for module in (arith, prototypes):
         monkeypatch.setattr(module, "factorize", no_work)
-    monkeypatch.setattr(arith, "trial_factorize", no_work)
     monkeypatch.setattr(prototypes, "_prototype_rows", no_work)
     E, P = prototypes.E_MAX_D, prototypes.PROTO_MAX_D
     refusals = [(["proto", "--D", str(_past(P)), "--k", "1"], "prototype bound"),

@@ -109,8 +109,11 @@ def test_euler_factor_equals_the_definitional_sum():
 def test_euler_factor_rejects_non_squarefree_k():
     with pytest.raises(ValueError):
         euler_factor(4, 2, 1)
-    with pytest.raises(ValueError, match="k = 4 must be squarefree"):
-        estar_euler_product(4, 1)
+    # k is refused before 2kd is factorised, also where 2kd is past the
+    # trial-division reach
+    for d in (1, 10**15):
+        with pytest.raises(ValueError, match="k = 4 must be squarefree"):
+            estar_euler_product(4, d)
 
 
 def test_p1_at_coprime_prime_is_1_plus_p_minus_2():
@@ -178,7 +181,7 @@ def test_asymptotic_report_shape():
     assert rep.d_max == 64
     assert len(rep.delta1) == 65 and len(rep.delta6) == 65
     assert rep.delta1_upper_max >= 0 and rep.delta6_upper_max >= 0
-    assert rep.range_max(1, 33, 64) == rep.delta1_upper_max
+    assert max(rep.delta1[33:65]) == rep.delta1_upper_max
     with pytest.raises(ValueError):
         asymptotic_check_e(10)
 
