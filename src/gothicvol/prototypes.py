@@ -35,10 +35,11 @@ from .arith import factorize, squarefree_decompose
 # The stated reach of e(D, k), at any D: the largest D whose slowest request
 # stays within 15 s and 800 MB cold on 2 cores.  A sum walks about sqrt(D)/2
 # rows for k = 1 and factorises each n = (D - b^2)/4k by trial division.
-# Cold at 10^10 - 3, `e --k 1` took 9.7-12.0 s and `chi --family x` 9.7-10.0 s;
-# `chi --family g --D 10^10 - 4` (two sums) took 14.2 s; all in 15-16 MB.
-# `e --D 2 * 10^10 + 1` took 17.5 s.  Larger D is refused before D is
-# factorised or any row walked.
+# Cold at 10^10 - 3, `e --k 1` took 9.7-12.0 s and `chi --family x` 9.7-10.0 s,
+# and `chi --family g --D 10^10 - 4` (two sums) 14.2 s, all in 15-16 MB, in a
+# slow phase of the shared machine (in an earlier phase the g request took
+# 9.7-12.7 s near 10^10).  `e --D 2 * 10^10 + 1` took 17.5 s.  Larger D is
+# refused before D is factorised or any row walked.
 E_MAX_D = 10**10
 
 # The stated reach of enumerate_prototypes, which builds every triple for

@@ -324,9 +324,18 @@ def test_list_tables_are_read_only():
 
 
 def test_is_prime_is_the_factorisation_definition_across_a_regrow():
-    for n in range(-3, 2**17 + 2):
+    # is_prime is read off factorize, so the sieve of Eratosthenes is the
+    # oracle independent of trial division
+    N = 2**17 + 1
+    eratosthenes = bytearray([1]) * (N + 1)
+    eratosthenes[:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(N) + 1):
+        if eratosthenes[p]:
+            eratosthenes[p * p :: p] = bytes(len(range(p * p, N + 1, p)))
+    for n in range(-3, N + 1):
         fac = factorize(n) if n >= 1 else ()
-        assert is_prime(n) == (len(fac) == 1 and fac[0][1] == 1), n
+        prime = n >= 2 and eratosthenes[n] == 1
+        assert is_prime(n) == (len(fac) == 1 and fac[0][1] == 1) == prime, n
     assert not any(is_prime(n) for n in (-7, -2, -1, 0, 1))
 
 
