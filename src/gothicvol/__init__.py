@@ -58,13 +58,6 @@ class Locus(Enum):
     P4 = "p4"
     G = "gothic"
 
-    @property
-    def complex_dim(self) -> int:
-        # dim H(2) = 2g + n - 1 = 4; the Prym and gothic loci are
-        # four-dimensional affine invariant manifolds.  This exponent drives
-        # the D^dim normalisation of the volume estimator.
-        return 4
-
 
 # Every accepted spelling of a mode, mapped to its canonical name; "main" is
 # the command line's short spelling of main_term.

@@ -57,8 +57,9 @@ class PiQuantity:
     """An exact rational coefficient times an integer power of pi.
 
     Represents values such as 13*pi^4/31104 or 30*pi^-2 without rounding.
-    Multiplication adds pi-powers; addition is defined only between equal
-    pi-powers (adding pi^4 to pi^2 has no exact rational representation).
+    Multiplication adds pi-powers; addition is defined only between two
+    PiQuantity values of equal pi-power (adding pi^4 to pi^2 has no exact
+    rational representation).
     Immutable and hashable; the coefficient is always a Fraction.
     """
 
@@ -98,18 +99,12 @@ class PiQuantity:
 
     def __add__(self, other):
         if not isinstance(other, PiQuantity):
-            other = PiQuantity(Fraction(other), 0)
+            return NotImplemented
         if self.pi_power != other.pi_power:
             raise ValueError(
                 f"cannot add pi^{self.pi_power} to pi^{other.pi_power} exactly"
             )
         return PiQuantity(self.coeff + other.coeff, self.pi_power)
-
-    def __neg__(self):
-        return PiQuantity(-self.coeff, self.pi_power)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def as_rational(self) -> Fraction:
         """The coefficient, provided all pi powers have cancelled."""
@@ -378,7 +373,6 @@ def jordan2_table(N: int) -> tuple[int, ...]:
     return _multiplicative_table(N, lambda p, prev: p * p * prev if prev > 1 else p * p - 1)
 
 
-@lru_cache(maxsize=4)
 def moebius_table(N: int) -> tuple[int, ...]:
     """mu(m) for 0 <= m <= N (entry 0 unused), read-only."""
     return _multiplicative_table(N, lambda p, prev: -1 if prev == 1 else 0)

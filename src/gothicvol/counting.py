@@ -82,7 +82,9 @@ def smm(locus: Locus, m: int, mode: str = "main_term") -> CoverCount:
 
     ``mode`` is a surrogate the locus offers (SURROGATES): main_term, or for
     the gothic locus also leading / remark; H(2) values are exact under the
-    main_term label, P3/P4 use their main-term formulas.
+    main_term label, P3/P4 use their main-term formulas.  So the P3/P4
+    values are surrogates, not square-tiled counts: smm(P3, 1) is 5/24,
+    though a surface in H(4) needs at least 5 squares.
     """
     if m < 1:
         raise ValueError("need m >= 1")
@@ -122,7 +124,12 @@ def smm(locus: Locus, m: int, mode: str = "main_term") -> CoverCount:
 
 
 def cd_count(locus: Locus, d: int, mode: str = "main_term") -> Fraction:
-    """|C_d| = sum_{m|d} sigma(d/m) |S_{m,m}|: all torus covers of degree d."""
+    """|C_d| = sum_{m|d} sigma(d/m) |S_{m,m}|: all torus covers of degree d.
+
+    For P3/P4 this sums smm's main-term surrogates, so it is not a
+    square-tiled count either: cd_count(P4, 2) is 7/12, though a surface in
+    H(6) needs at least 7 squares.
+    """
     if d < 1:
         raise ValueError("need d >= 1")
     mode = surrogate_mode(mode, locus)
@@ -177,7 +184,6 @@ def _three_cycles(d: int):
         yield x, w, y
 
 
-@cache
 def _three_cycle_orbits(part: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     """One 3-cycle of each orbit of Z(h) on the 3-cycles, as a permutation
     tuple, with the orbit's size; h is the representative of cycle type
@@ -187,8 +193,7 @@ def _three_cycle_orbits(part: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], i
     it carries the ordered triple (x, y, w) onto every triple with the same
     h-cycle lengths, the same pairs in a shared h-cycle and the same offsets
     within each shared h-cycle, and onto no other.  A 3-cycle's key is the
-    least such description over its three rotations.  Cached per cycle type:
-    the oracle's guard d <= 10 bounds the cache to 138 types.
+    least such description over its three rotations.
     """
     d = sum(part)
     length = []

@@ -1,6 +1,6 @@
 """Masur-Veech volume estimators from lattice-point counts.
 
-The volume of the area-1 locus is the limit of (1/D^dim) sum_{d<=D} |C_d|,
+The volume of the area-1 locus is the limit of (1/D^4) sum_{d<=D} |C_d|,
 where |C_d| = sum_{m|d} sigma(d/m) |S_{m,m}| counts torus covers of degree d.
 Two evaluation paths are implemented:
 
@@ -10,7 +10,7 @@ Two evaluation paths are implemented:
               gothic curve counts -6 L chi(G_{h^2}) from
               euler._gothic_curve_counts, beside chi_G), and one
               dot product with the sigma prefix sums gives the raw sum;
-              floats only in the final division by D^dim.  Every table
+              floats only in the final division by D^4.  Every table
               has D + 1 entries, and numpy is never loaded.  D is
               refused beyond DIRECT_MAX_D;
     closed -- at most four terms coeff * Sigma3(D // m), m | 6, per locus
@@ -373,7 +373,6 @@ def volume_estimate(
     surrogate = surrogate_mode(surrogate, locus)
     if surrogate == "remark" and mode == "closed":
         raise ValueError("the closed path has no remark term; use --mode direct")
-    dim = locus.complex_dim
     checkpoints = [D // 8, D // 4, D // 2, D]
     if mode == "direct":
         totals = smm_totals(locus, D, surrogate)
@@ -381,7 +380,8 @@ def volume_estimate(
     else:
         raw = {Dc: closed_raw_sum(locus, Dc) for Dc in checkpoints}
     series_exact = [(Dc, raw[Dc]) for Dc in checkpoints]
-    series = [(Dc, float(raw[Dc]) / Dc**dim) for Dc in checkpoints]
+    # all four loci are four-dimensional: dim H(2) = 2g + n - 1 = 4
+    series = [(Dc, float(raw[Dc]) / Dc**4) for Dc in checkpoints]
     value = series[-1][1]
     v_half = series[-2][1]
     extrapolated = 2.0 * value - v_half

@@ -235,6 +235,9 @@ def test_pi_quantity_algebra():
     assert (3 * y).coeff == Fraction(1, 320)
     with pytest.raises(ValueError):
         _ = x + PiQuantity(Fraction(1), 2)
+    # addition takes PiQuantity operands only; a bare number is not a pi^0 value
+    with pytest.raises(TypeError):
+        _ = PiQuantity(Fraction(1, 2), 0) + 1
     with pytest.raises(ValueError):
         PiQuantity(Fraction(1), 2).as_rational()
     assert PiQuantity(Fraction(3, 2), 0).as_rational() == Fraction(3, 2)

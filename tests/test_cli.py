@@ -87,6 +87,13 @@ def test_exact_values_never_decimal_without_flag(capsys):
     assert json.loads(out)["result"] == "-1/12"
     code, out = run_cli(capsys, "e", "--D", "1", "--k", "6", "--float")
     assert json.loads(out)["result"] == pytest.approx(-1 / 12)
+    # --float turns a pi-multiple into one JSON number too
+    code, out = run_cli(capsys, "volume", "--locus", "h2", "--dmax", "100", "--float")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert isinstance(result["exact_target"], float)
+    assert result["exact_target"] == result["target_float"]
+    assert result["exact_target"] == pytest.approx(math.pi**4 / 960, rel=1e-15)
 
 
 def test_volume_json_contract(capsys):

@@ -266,7 +266,3 @@ def test_oracle_guard():
         h2_permutation_oracle(11)
     with pytest.raises(ValueError):
         h2_permutation_oracle(0)
-
-
-def test_locus_dims():
-    assert {locus.complex_dim for locus in Locus} == {4}

@@ -191,6 +191,11 @@ def test_e6_convolution_route_matches_square_table():
     assert new[1] == -1
     for d in range(1, 1001):
         assert Fraction(new[d], 12) == old[d], d
+    # dmax <= 6 leaves some residue pairs (i, j) of _convolution_sum with
+    # no term at all
+    for dmax in range(1, 13):
+        assert list(e6_square_twelfths(dmax)) == [12 * v for v in e_square_table(6, dmax)], dmax
+        assert e1_convolution_twelfths(dmax) == e1_square_twelfths(dmax), dmax
 
 
 def test_e6_convolution_route_matches_moebius_sum():

@@ -64,6 +64,34 @@ def test_no_module_imports_numpy():
             assert not any(n.split(".")[0] == "numpy" for n in names), (path, node.lineno)
 
 
+# Every function of the package that keeps a functools cache, with the reason
+# it keeps one; a new cache has to be added here on purpose.
+CACHED = {
+    "arith.sigma_table": "a table whose cache_info() the benchmark tracer reads",
+    "arith.sigma_prefix": "a table whose cache_info() the benchmark tracer reads",
+    "arith.sl2_order_table": "a table whose cache_info() the benchmark tracer reads",
+    "arith.jordan2_table": "a table whose cache_info() the benchmark tracer reads",
+    "counting._euler": "14111 hits in one verify --suite all: each smm call reads it",
+}
+
+
+def _is_functools_cache(decorator):
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+    return name in ("cache", "lru_cache")
+
+
+def test_only_the_listed_functions_keep_a_cache():
+    cached = set()
+    for path in sorted((SRC / "gothicvol").rglob("*.py")):
+        module = ".".join(path.relative_to(SRC / "gothicvol").with_suffix("").parts)
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(map(_is_functools_cache, node.decorator_list)):
+                    cached.add(f"{module}.{node.name}")
+    assert cached == set(CACHED)
+
+
 @pytest.mark.parametrize("name", verify.check_names())
 def test_check(check, name):
     result = check(name)
