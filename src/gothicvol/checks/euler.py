@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 
-from .. import arith, euler, ideals
+from .. import arith, euler, ideals, prototypes
 from ..arith import moebius_table
 from ..verify import _check
 
@@ -42,9 +42,15 @@ def _gothic_residues():
         if D % 4 in (2, 3) or math.isqrt(D) ** 2 == D:
             continue
         # a curve has chi < 0, and an empty one chi = 0
+        empty = euler.is_empty("g", D)
         chi = euler.chi_G(D, 1, "exact")
-        if not (chi < 0 if D % 24 in euler.GOTHIC_RESIDUES else chi == 0):
+        if not (chi == 0 if empty else chi < 0):
             raise AssertionError(D)
+        # independently: a = n, c = -1 makes every row of the k = 6 walk a
+        # prototype, so e(D, 6) = 0 iff no |b| < sqrt(D) has b^2 = D (mod 24);
+        # at D = 12 the one root, b = 6, lies above sqrt(12)
+        if D != 12 and empty != (prototypes.e_value(D, 6) == 0):
+            raise AssertionError(("e(D, 6)", D))
     return "emptiness scan"
 
 

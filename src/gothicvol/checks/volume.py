@@ -121,7 +121,7 @@ def _estimate_direct_vs_closed():
 def _gothic_summands():
     # kappa'(g) from the X_{d^2}(b_r) ratio and the e(d^2, 6) constant
     for g in (1, 2, 3, 6):
-        want = euler.X_BR_RATIO[g] / 48 - zagier.kappa(g) / (180 * euler._C_D_SQUARE[g])
+        want = euler.X_BR_RATIO[g] / 48 - zagier.kappa(g) / (180 * euler.c_D(g * g))
         if euler.KAPPA_PRIME[g] != want:
             raise AssertionError(("kappa'", g))
     # the kappa'-derived rows and the production terms give the paper's volumes

@@ -8,7 +8,8 @@ formulas:
     chi(X_D)            = e(D, 1) / 30                     (D not a square)
     chi(X_{d^2}(b_r))   = ratio * chi(X_{d^2}),  ratio in {1, 3/2, 4/3, 2}
                           by gcd(6, d) in {1, 2, 3, 6}
-    chi(R_D^r)          = -e(D, 6) / (6 c_D)
+    chi(R_D^r)          = -e(D, 6) / (6 c_D),  c_D = #{b mod 12 : b^2 = D mod 24}
+                          the number of ideals of norm 6; G_D is empty iff c_D = 0
     chi(W_D(2))         = -(9/2) chi(X_D)                  (D > 4 non-square)
     chi(W_{d^2}(2))     = -d^2 (d-2)/16 * sum_{r|d} mu(r)/r^2 = -(d-2) J_2(d)/16
     chi(W_D^j(4))       = -(5/2) chi(X_D) if f odd, -(15/4) chi(X_D) if f even
@@ -66,11 +67,9 @@ KAPPA_PRIME = {
 # Remark correction coefficients (r = 1), by gcd(6, d)
 REMARK_COEFF = {1: 2, 2: 6, 3: 3, 6: 9}
 
-# Gothic non-emptiness residues and component counts for non-square D
-_C_D_NONSQUARE = {0: 1, 12: 1, 4: 2, 9: 2, 16: 2, 1: 4}
-GOTHIC_RESIDUES = frozenset(_C_D_NONSQUARE)
-# c_D = sigma_0(6/(d, 6)) for square D = d^2, by gcd(6, d)
-_C_D_SQUARE = {1: 4, 2: 2, 3: 2, 6: 1}
+# c_D, the number of ideals of norm 6 in O_D, by D mod 24: the number of
+# b mod 12 with b^2 = D (mod 24).  G_D is empty exactly where it is 0.
+_NORM6 = tuple(sum((b * b - r) % 24 == 0 for b in range(12)) for r in range(24))
 
 
 def _is_square(D: int) -> int | None:
@@ -82,7 +81,7 @@ def is_empty(family: str, D: int) -> bool:
     """Whether the curve family, named as by ``chi --family``, is empty at D.
 
     W_4(2) ("w2") is empty, W_D(4) ("w4") when D = 5 mod 8 and G_D ("g") when
-    D mod 24 is outside GOTHIC_RESIDUES, which no square is.  No other curve
+    O_D has no ideal of norm 6 (c_D = 0), which no square is.  No other curve
     is ever empty.  The chi_* functions give an empty curve chi = 0.
     """
     if family == "w2":
@@ -90,7 +89,7 @@ def is_empty(family: str, D: int) -> bool:
     if family == "w4":
         return D % 8 == 5
     if family == "g":
-        return D % 24 not in GOTHIC_RESIDUES
+        return _NORM6[D % 24] == 0
     return False
 
 
@@ -157,8 +156,6 @@ def chi_X_nonsquare(D: int) -> Fraction:
     _validate_discriminant(D)
     if _is_square(D) is not None:
         raise ValueError(f"D = {D} is a square; use chi_X_square")
-    if D <= 4:
-        raise ValueError("need D > 4")
     return e_value(D, 1) / 30
 
 
@@ -171,8 +168,8 @@ def chi_X(D: int) -> Fraction:
 
 def _check_component(d: int, r: int) -> None:
     """Refuse an r that names no component of G_{d^2}: the components are the
-    r dividing 6/(6, d), one per ideal of norm 6 (so c_D = sigma_0(6/(d, 6)),
-    as in _C_D_SQUARE); d = 1 accepts any r | 6."""
+    r dividing 6/(6, d), one per ideal of norm 6, so there are
+    sigma_0(6/(d, 6)) = c_{d^2} of them; d = 1 accepts any r | 6."""
     if r < 1 or (6 // math.gcd(6, d)) % r:
         raise ValueError(f"r = {r} does not name a component for d = {d}")
 
@@ -194,16 +191,13 @@ def chi_X_br(d: int, r: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def c_D(D: int) -> int:
-    """Number of ideals of norm 6: sigma_0(6/(d,6)) for squares; the residue
-    table of the gothic theorem for non-squares (errors outside it)."""
+    """Number of ideals of norm 6 in O_D, the b mod 12 with b^2 = D (mod 24);
+    refused where there is none (G_D empty)."""
     _validate_discriminant(D)
-    d = _is_square(D)
-    if d is not None:
-        return _C_D_SQUARE[math.gcd(d, 6)]
-    m = D % 24
-    if m not in _C_D_NONSQUARE:
+    c = _NORM6[D % 24]
+    if not c:
         raise ValueError(f"c_D undefined: D = {D} is outside the gothic residue table")
-    return _C_D_NONSQUARE[m]
+    return c
 
 
 def chi_R(D: int, mode: str = "exact") -> Fraction:
@@ -211,7 +205,7 @@ def chi_R(D: int, mode: str = "exact") -> Fraction:
     -E / (72 c_D) with E = 12 e(d^2, 6)."""
     d = check_mode("r", D, mode)
     if d is not None:
-        return Fraction(-precompute_e_square(d)[d], 72 * _C_D_SQUARE[math.gcd(6, d)])
+        return Fraction(-precompute_e_square(d)[d], 72 * _NORM6[D % 24])
     return -e_value(D, 6) / (6 * c_D(D))
 
 
@@ -227,8 +221,6 @@ def chi_W2(D: int) -> Fraction:
             raise ValueError("W_1(2) is undefined")
         # d^2 sum_{r|d} mu(r)/r^2 = J_2(d)
         return Fraction(-(d - 2) * jordan2(d), 16)
-    if D <= 4:
-        raise ValueError("need D > 4")
     return Fraction(-9, 2) * chi_X_nonsquare(D)
 
 
@@ -297,7 +289,7 @@ def chi_G(D: int, r: int = 1, mode: str = "exact") -> Fraction:
     a = sl2_order(d)
     ratio = X_BR_RATIO[g6]
     rn, rd = ratio.numerator, ratio.denominator
-    c = _C_D_SQUARE[g6]
+    c = _NORM6[D % 24]
     num = 4 * rd * e12 - 3 * c * rn * a  # over 144 rd c
     if mode != "remark":
         return Fraction(num, 144 * rd * c)
@@ -327,7 +319,7 @@ def _gothic_curve_counts(h_max: int, mode: str) -> tuple[int, list[int]]:
     leading:   -6 chi = 6 kappa'(g) a(h);
     main_term: -6 chi = (ratio(g)/8) a(h) - (2/c(g)) e(h^2, 6), with
                c(g) = sigma_0(6/g) the number of ideals of norm 6,
-    where g = gcd(6, h), ratio is X_BR_RATIO and c is _C_D_SQUARE: the
+    where g = gcd(6, h), ratio is X_BR_RATIO and c is _NORM6[g^2 mod 24]: the
     table form of chi_G at D = h^2, r = 1, which volume.smm_totals reads.
     e(h^2, 6) is read from precompute_e_square, the store chi_G reads, so a
     process builds that table once.
@@ -340,7 +332,7 @@ def _gothic_curve_counts(h_max: int, mode: str) -> tuple[int, list[int]]:
     L = 48
     ca = _by_residue(L, lambda g: X_BR_RATIO[g] / 8)
     # e(h^2, 6) = e12[h] / 12
-    ce = _by_residue(L, lambda g: Fraction(-2, 12 * _C_D_SQUARE[g]))
+    ce = _by_residue(L, lambda g: Fraction(-2, 12 * _NORM6[g * g % 24]))
     e12 = precompute_e_square(h_max)
     return L, [0] + [ca[h % 6] * atab[h] + ce[h % 6] * e12[h] for h in range(1, h_max + 1)]
 

@@ -195,8 +195,6 @@ def _second_coord_kernel(gens: tuple[QuadPair, QuadPair], coord: int) -> QuadPai
     v1 = (gens[0].a1, gens[0].a2)[coord]
     v2 = (gens[1].a1, gens[1].a2)[coord]
     g = math.gcd(v1, v2)
-    if g == 0:
-        raise ValueError("both generators already vanish on that coordinate")
     alpha, beta = v2 // g, -(v1 // g)
     return gens[0].scale(alpha) + gens[1].scale(beta)
 

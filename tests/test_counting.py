@@ -196,6 +196,12 @@ def test_sts_count():
         sts_count(Fraction(1, 2))
 
 
+@pytest.mark.parametrize("fn, message", [(smm, "need m >= 1"), (cd_count, "need d >= 1")])
+def test_nonpositive_degree_is_refused(fn, message):
+    with pytest.raises(ValueError, match=message):
+        fn(Locus.H2, 0)
+
+
 def test_smm_h2():
     assert smm(Locus.H2, 1).total == 0
     assert smm(Locus.H2, 2).total == 0

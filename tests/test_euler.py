@@ -122,6 +122,17 @@ def test_chi_r_and_c_d():
         c_D(20)  # outside the gothic residue table
     with pytest.raises(ValueError):
         chi_R(25, "exact")
+    # the paper's table by D mod 24, at the first non-square D of each class
+    table = {0: 1, 12: 1, 4: 2, 9: 2, 16: 2, 1: 4}
+    for r in range(24):
+        if r % 4 in (2, 3):
+            continue
+        D = next(D for D in range(r or 24, 200, 24) if euler._is_square(D) is None)
+        if r in table:
+            assert c_D(D) == table[r], D
+        else:
+            with pytest.raises(ValueError, match="outside the gothic residue table"):
+                c_D(D)
 
 
 def test_chi_g_nonsquare():
@@ -211,6 +222,10 @@ def test_invalid_discriminants_rejected():
     for f, D in ((chi_X, -4), (c_D, -4), (chi_X, 0), (c_D, 7)):
         with pytest.raises(ValueError, match="is not a discriminant"):
             f(D)
+    with pytest.raises(ValueError, match="need d >= 1"):
+        chi_X_square(0)
+    with pytest.raises(ValueError, match="need d >= 2"):
+        chi_boundary_gap(1, 1)
 
 
 def test_chi_w2_square_matches_moebius_sum():

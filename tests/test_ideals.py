@@ -164,6 +164,16 @@ def test_symplectic_divisors_against_determinantal_divisors():
             assert symplectic_divisors(M) == divisor_oracle(M), (d, r)
 
 
+@pytest.mark.parametrize("fn, args, message", [
+    (ideal_basis, (1, 6, 1), "need d >= 2"),
+    (galois_conjugate, (4, 6), "r = 4 must divide n = 6"),
+    (component_list, (1,), "need d >= 2"),
+])
+def test_out_of_range_arguments_are_refused(fn, args, message):
+    with pytest.raises(ValueError, match=message):
+        fn(*args)
+
+
 def test_symplectic_divisors_rejects_bad_input():
     with pytest.raises(ValueError):
         symplectic_divisors([[0, 1], [-1, 0]])

@@ -128,6 +128,8 @@ def test_validation():
         enumerate_prototypes(7, 1)
     with pytest.raises(ValueError):
         enumerate_prototypes(1, 1)
+    with pytest.raises(ValueError, match="k must be a positive integer"):
+        enumerate_prototypes(5, 0)
     # k is checked before the D = 1 convention is returned
     for D in (1, 5):
         for k in (0, -1):

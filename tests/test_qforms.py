@@ -166,6 +166,18 @@ def test_e_square_table_matches_moebius_sum():
             assert tab[d] == expected, (k, d)
 
 
+@pytest.mark.parametrize("fn, args, message", [
+    (theta_expansion, (0,), "truncation bound must be >= 1"),
+    (ek_coeff, (0, 5), "need k >= 1 and n >= 0"),
+    (ek_coeff, (1, -1), "need k >= 1 and n >= 0"),
+    (ek_square_table, (0, 5), "need k >= 1 and mmax >= 1"),
+    (e1_square_twelfths, (0,), "need dmax >= 1"),
+])
+def test_out_of_range_arguments_are_refused(fn, args, message):
+    with pytest.raises(ValueError, match=message):
+        fn(*args)
+
+
 def test_square_tables_refuse_beyond_int64_bound():
     # refused before the sigma sieve of about 2.5 * 10^7 entries is built
     with pytest.raises(ValueError):

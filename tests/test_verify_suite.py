@@ -223,6 +223,18 @@ def test_one_wrong_gothic_row_fails_both_closed_checks(monkeypatch):
         assert not result.ok and result.detail.startswith("FAILED"), (name, result.detail)
 
 
+@pytest.mark.parametrize("residue, count", [(12, 0), (8, 1)])
+def test_one_wrong_norm6_count_fails_the_emptiness_check(monkeypatch, residue, count):
+    # a wrongly empty class keeps chi_G = 0 and a wrongly non-empty one keeps
+    # chi_G < 0; the k = 6 prototype walk catches both
+    counts = list(euler._NORM6)
+    counts[residue] = count
+    monkeypatch.setattr(euler, "_NORM6", tuple(counts))
+    result = verify.run_check(
+        "gothic non-square non-emptiness exactly on the residue set, D <= 2000")
+    assert not result.ok and result.detail.startswith("FAILED"), result.detail
+
+
 def test_check_that_raises_is_a_failed_check(monkeypatch, capsys):
     # an exception other than AssertionError is a FAIL with its type named:
     # exit 1 with the JSON document, not exit 2 for an input error
@@ -281,6 +293,8 @@ def test_the_checks_build_e6_once(run_python):
 def test_registry_refuses_duplicate_names():
     with pytest.raises(ValueError, match="duplicate check name"):
         verify._check(verify.check_names()[0], "arith")
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        verify.check_names("nope")
     assert verify.SUITES == (
         "all", "arith", "prototypes", "qforms", "zagier", "ideals", "euler",
         "counting", "volume",

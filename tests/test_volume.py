@@ -120,6 +120,16 @@ def test_sigma3_sum_refuses_beyond_bound_before_any_step(monkeypatch):
             sigma3_sum(x)
 
 
+@pytest.mark.parametrize("fn, args, message", [
+    (t_sum, (-1,), "need D >= 0"),
+    (volume.smm_totals, (Locus.H2, 0), "need mmax >= 1"),
+    (volume_estimate, (Locus.H2, 100, "sideways"), "mode must be 'direct' or 'closed'"),
+])
+def test_out_of_range_arguments_are_refused(fn, args, message):
+    with pytest.raises(ValueError, match=message):
+        fn(*args)
+
+
 def test_closed_sums_refuse_beyond_bound():
     assert volume.CLOSED_MAX_D == 10**12
     # the bound itself is accepted; S_k(k) = a(k) sigma(1)

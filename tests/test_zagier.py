@@ -85,6 +85,10 @@ def test_gamma_case_table():
 def test_gamma_rejects_non_prime():
     with pytest.raises(ValueError):
         gauss_gamma(6, 1, 1)
+    with pytest.raises(ValueError, match="need r >= 0 and d >= 1"):
+        gauss_gamma(2, -1, 5)
+    with pytest.raises(ValueError, match="4 is not prime"):
+        euler_factor(1, 4, 5)
 
 
 def test_euler_factor_examples():
