@@ -11,7 +11,7 @@ routes must agree at every discriminant -- the library's primary anti-bug
 oracle.
 """
 
-from gothicvol.prototypes import conductor_decompose, e_value, enumerate_prototypes
+from gothicvol.prototypes import conductor, e_value, enumerate_prototypes
 from gothicvol.qforms import check_e_and_a, ek_coeff, fk_expansion
 
 print("prototypes for D = 5, k = 1:")
@@ -33,8 +33,8 @@ print()
 
 # e_k(D) = sum_{m | f} e(D/m^2, k): at D = 45 the conductor is 3, so the
 # coefficient aggregates two prototype counts
-dec = conductor_decompose(45)
-print(f"D = 45 decomposes as f^2 D0 = {dec.f}^2 * {dec.D0}")
+f = conductor(45)
+print(f"D = 45 decomposes as f^2 D0 = {f}^2 * {45 // f**2}")
 print("e_1(45) =", ek_coeff(1, 45), "= e(45,1) + e(5,1) =", e_value(45, 1), "+", e_value(5, 1))
 print()
 

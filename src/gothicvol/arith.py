@@ -42,10 +42,10 @@ SIEVE_BOUND = 10**7
 
 # The stated reach of trial division, and so of every scalar factorisation:
 # its slowest request stays within 15 s and 800 MB cold on 2 cores.  That is
-# `cd --locus h2 --d p` at a prime p, which trial-divides p three times:
-# 9.1-11.7 s at p = 4 * 10^15 + 21, 11.8-12.8 s at 5 * 10^15 - 3 (`--locus p3`
-# 12.0 s), 10.7-12.9 s at 6 * 10^15 + 1 and 15.5 s at 10^16 + 61, all in
-# 16 MB.  Larger n is refused before the first division.
+# `cd --locus h2|p3 --d p` at a prime p, which trial-divides p twice, in
+# divisors and in the chi of counting.smm: at p = 5 * 10^15 - 3, 7.2-8.7 s
+# (h2) and 6.8-8.7 s (p3) in 16 MB, against 9.8-13.0 s when p was divided
+# three times.  Larger n is refused before the first division.
 TRIAL_MAX_N = 5 * 10**15
 
 

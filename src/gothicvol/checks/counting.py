@@ -3,7 +3,7 @@
 
 from __future__ import annotations
 
-from .. import SURROGATES, Locus, counting, volume
+from .. import SURROGATES, Locus, counting, euler, volume
 from ..verify import _check
 
 
@@ -57,7 +57,13 @@ def _p3_gating():
         has_second = any(comp == 2 for _, _, comp, _ in cover.contributions)
         if has_second != (m % 4 == 2):
             raise AssertionError(m)
-        if has_second:
-            if not ((m // 2) % 2 == 1 and ((m // 2) ** 2) % 8 == 1):
+        if m % 2 == 0:
+            # and exactly where chi_W4's own rule defines W^2_{(m/2)^2}(4)
+            try:
+                euler.chi_W4((m // 2) ** 2, 2, "main_term")
+                defined = True
+            except ValueError:
+                defined = False
+            if has_second != defined:
                 raise AssertionError(m)
     return "component gating matches the discriminant residue"

@@ -16,7 +16,7 @@ def _prototype_invariants():
     for D in range(4, 5001):
         if D % 4 in (2, 3):
             continue
-        f = prototypes.conductor_decompose(D).f
+        f = prototypes.conductor(D)
         for k in (1, 6):
             protos = prototypes.enumerate_prototypes(D, k)
             for a, b, c in protos:

@@ -82,6 +82,7 @@ def _direct_vs_closed():
         scaled = [(int(c * L), k, r) for c, k, r in rows]
         scaled_terms = [(int(c * L), m) for c, m in terms]
         direct = volume.direct_prefix(locus, Dmax, surrogate)
+        spots, at_spots = [1, 2, 3, 5, 6, 7, Dmax], []
         for D in range(1, Dmax + 1):
             num = sum(n * S[k][D // r] for n, k, r in scaled)
             # the terms read Sigma3 = S_1; the g_k tails of the rows cancel
@@ -94,8 +95,10 @@ def _direct_vs_closed():
                 gap = Fraction(3, 8) * ssig[D]
             if direct[D] - closed != gap:
                 raise AssertionError((locus.value, D))
-            if D in (1, 2, 3, 5, 6, 7, Dmax) and volume.closed_raw_sum(locus, D) != closed:
-                raise AssertionError((locus.value, "closed_raw_sum", D))
+            if D in spots:
+                at_spots.append(closed)
+        if volume.closed_raw_sum(locus, spots) != at_spots:
+            raise AssertionError((locus.value, "closed_raw_sum"))
     return "P3, P4 and gothic leading equal at every D; H(2) apart by its m = 1 term"
 
 

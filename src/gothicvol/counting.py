@@ -137,8 +137,9 @@ def cd_count(locus: Locus, d: int, mode: str = "main_term") -> Fraction:
     # e(d^2, 6) store before d is factorised
     top = smm(locus, d, mode).total
     # the terms as ints over the least common denominator, as in smm
-    terms = [(sigma(1, d // m), top if m == d else smm(locus, m, mode).total)
-             for m in divisors(d)]
+    divs = divisors(d)  # their sum is sigma(d), the weight at m = 1
+    terms = [(sum(divs) if m == 1 else sigma(1, d // m),
+              top if m == d else smm(locus, m, mode).total) for m in divs]
     den = lcm(*(t.denominator for _, t in terms))
     return Fraction(sum(w * t.numerator * (den // t.denominator) for w, t in terms), den)
 

@@ -49,8 +49,7 @@ import math
 from fractions import Fraction
 
 from .arith import jordan2, sl2_order, sl2_order_table
-from .prototypes import (_e_sum, _validate_discriminant, check_e_reach, conductor_decompose,
-                         e_value)
+from .prototypes import _e_sum, _validate_discriminant, check_e_reach, conductor, e_value
 
 # chi(X_{d^2}(b_r)) / chi(X_{d^2}) by gcd(6, d); also the gothic coefficient
 # -chi coefficient table is 3/2 times this.
@@ -240,7 +239,7 @@ def chi_W4(D: int, j: int = 1, mode: str = "exact") -> Fraction:
     if is_empty("w4", D):
         return Fraction(0)
     check_e_reach(D)
-    factor = Fraction(-5, 2) if conductor_decompose(D).f % 2 else Fraction(-15, 4)
+    factor = Fraction(-5, 2) if conductor(D) % 2 else Fraction(-15, 4)
     return factor * chi_X_nonsquare(D)
 
 
@@ -274,7 +273,7 @@ def chi_G(D: int, r: int = 1, mode: str = "exact") -> Fraction:
         if not 1 <= r <= c:
             raise ValueError(f"component index {r} out of range for D = {D}")
         check_e_reach(D)
-        f = conductor_decompose(D).f
+        f = conductor(D)
         ratio = X_BR_RATIO[math.gcd(6, f)]
         rn, rd = ratio.numerator, ratio.denominator
         num = 20 * rd * _e_sum(D, 6, f) - 3 * c * rn * _e_sum(D, 1, f)

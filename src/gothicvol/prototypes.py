@@ -5,9 +5,9 @@ A prototype for the pair (D, k) is an integer triple [a, b, c] with
     a > 0 > c,    D = b^2 - 4*k*a*c,    gcd(f, b, c0) = 1,
 
 where D = f^2 D_0 with conductor f, and c = c0^2 c' with c' squarefree.
-f is read off the squarefree part of D: if D = s^2 t with t squarefree, then
-(f, D_0) = (s, t) when t = 1 mod 4 and (s/2, 4t) otherwise, and a square D
-has f = sqrt(D), D_0 = 1.
+``conductor`` reads f off the squarefree part of D: if D = s^2 t with t
+squarefree, then (f, D_0) = (s, t) when t = 1 mod 4 and (s/2, 4t) otherwise,
+and a square D has f = sqrt(D), D_0 = 1.
 The weighted count e(D, k) is the sum of a over all prototypes; by convention
 e(1, k) = -1/12.  Enumeration runs b over |b| < sqrt(D) with b^2 = D mod 4k
 and splits n = (D - b^2)/(4k) into ordered factor pairs a * (-c), so the
@@ -27,7 +27,6 @@ coefficient route in ``qforms`` (see check_e_and_a there).
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from fractions import Fraction
 
 from .arith import factorize, squarefree_decompose
@@ -49,35 +48,24 @@ E_MAX_D = 10**10
 PROTO_MAX_D = 10**9
 
 
-class DiscriminantDecomposition(
-    namedtuple("DiscriminantDecomposition", ("D", "f", "D0", "is_square"))
-):
-    """D = f^2 * D0 with D0 a fundamental discriminant, or D0 = 1 for squares;
-    an immutable, hashable tuple (D, f, D0, is_square)."""
-
-    __slots__ = ()
-
-
 def _validate_discriminant(D: int) -> None:
     if D < 1 or D % 4 in (2, 3):
         raise ValueError(f"{D} is not a discriminant (need D >= 1, D = 0,1 mod 4)")
 
 
-def conductor_decompose(D: int) -> DiscriminantDecomposition:
-    """Split D = f^2 * D0 with D0 fundamental; square D returns (f=sqrt(D), D0=1).
+def conductor(D: int) -> int:
+    """The conductor f of D = f^2 * D0 with D0 fundamental; sqrt(D) for squares.
 
-    With D = c0^2 * c' and c' squarefree, (f, D0) = (c0, c') if c' = 1 mod 4
-    and (c0/2, 4c') otherwise; c0 is then even, as D = 0,1 mod 4 while
-    c' = 2,3 mod 4.
+    With D = c0^2 * c' and c' squarefree, f = c0 (D0 = c') if c' = 1 mod 4
+    and f = c0/2 (D0 = 4c') otherwise; c0 is then even, as D = 0,1 mod 4
+    while c' = 2,3 mod 4.
     """
     _validate_discriminant(D)
     r = math.isqrt(D)
     if r * r == D:
-        return DiscriminantDecomposition(D, r, 1, True)
+        return r
     c0, cp = squarefree_decompose(D)
-    if cp % 4 == 1:
-        return DiscriminantDecomposition(D, c0, cp, False)
-    return DiscriminantDecomposition(D, c0 // 2, 4 * cp, False)
+    return c0 if cp % 4 == 1 else c0 // 2
 
 
 def _admissible_divisors(n: int, gb: int) -> list[int]:
@@ -128,7 +116,7 @@ def enumerate_prototypes(D: int, k: int) -> list[tuple[int, int, int]]:
         raise ValueError("k must be a positive integer")
     if D > PROTO_MAX_D:
         raise ValueError(f"D = {D} is beyond the prototype bound {PROTO_MAX_D}")
-    rows = [(b, n, sorted(divs)) for b, n, divs in _prototype_rows(D, k, conductor_decompose(D).f)]
+    rows = [(b, n, sorted(divs)) for b, n, divs in _prototype_rows(D, k, conductor(D))]
     rows = [(-b, n, divs) for b, n, divs in reversed(rows) if b] + rows
     return [(a, b, -(n // a)) for b, n, divs in rows for a in divs]
 
@@ -158,4 +146,4 @@ def e_value(D: int, k: int) -> Fraction:
     check_e_reach(D)
     if D == 1:
         return Fraction(-1, 12)
-    return Fraction(_e_sum(D, k, conductor_decompose(D).f))
+    return Fraction(_e_sum(D, k, conductor(D)))

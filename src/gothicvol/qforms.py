@@ -52,7 +52,7 @@ from operator import add, sub
 
 from . import arith
 from .arith import divisors, sigma
-from .prototypes import conductor_decompose, e_value
+from .prototypes import conductor, e_value
 
 _SIGMA0 = Fraction(-1, 24)  # sigma(0) convention inside e_k only
 
@@ -326,6 +326,5 @@ def e1_square_twelfths(dmax: int) -> tuple[int, ...]:
 
 def check_e_and_a(D: int, k: int) -> bool:
     """Does e_k(D) equal sum_{m|f} e(D/m^2, k) with e from prototype counting?"""
-    f = conductor_decompose(D).f
-    rhs = sum((e_value(D // (m * m), k) for m in divisors(f)), Fraction(0))
+    rhs = sum((e_value(D // (m * m), k) for m in divisors(conductor(D))), Fraction(0))
     return ek_coeff(k, D) == rhs

@@ -80,10 +80,11 @@ class VolumeEstimate(namedtuple("VolumeEstimate", (
         return f"VolumeEstimate({shown})"
 
 
-# The stated reach of the closed path.  Cold at 10^12 on 2 cores (4 runs
-# each), the slowest requests, gothic and H(2) volume, take 3.2-3.8 s and
-# 2.2-2.9 s; P3 2.3-2.6 s, P4 0.9-1.1 s, sk --k 6 1.4-1.7 s.  Larger D is
-# refused before any work rather than left to run for minutes.
+# The stated reach of the closed path.  Cold at 10^12 on 2 cores (3-4 runs
+# each, the benchmark's reference job at 1.05-1.3 times its nominal time),
+# the slowest request, H(2) volume, takes 2.7-2.8 s; gothic 1.4-2.2 s, P3
+# 1.0-1.6 s, P4 0.9-1.1 s, sk --k 6 1.3-1.6 s.  Larger D is refused before
+# any work rather than left to run for minutes.
 CLOSED_MAX_D = 10**12
 
 # The stated reach of the direct path: the largest D whose slowest request,
@@ -336,14 +337,16 @@ CLOSED_TERMS = {
 }
 
 
-def closed_raw_sum(locus: Locus, D: int) -> Fraction:
-    """sum_{d<=D} |C_d| as the sum of the locus's CLOSED_TERMS at D, plus
-    -(3/4) T(D) for H(2).  D is refused beyond CLOSED_MAX_D."""
-    _check_closed_bound(D)
-    total = sum((c * sigma3_sum(D // m) for c, m in CLOSED_TERMS[locus]), Fraction(0))
-    if locus is Locus.H2:
-        total -= Fraction(3, 4) * t_sum(D)
-    return total
+def closed_raw_sum(locus: Locus, Ds: list[int]) -> list[Fraction]:
+    """sum_{d<=D} |C_d| for each D of ``Ds``, in order: -(3/4) T(D) for H(2)
+    plus the locus's CLOSED_TERMS at D.  The D share arguments D // m, as
+    floor(floor(D/c)/m) = floor(D/(c m)), and each distinct one is summed
+    once.  max(Ds) is refused beyond CLOSED_MAX_D."""
+    _check_closed_bound(max(Ds))
+    terms = CLOSED_TERMS[locus]
+    s3 = {x: sigma3_sum(x) for x in {D // m for D in Ds for _, m in terms}}
+    return [sum((c * s3[D // m] for c, m in terms),
+                -Fraction(3, 4) * t_sum(D) if locus is Locus.H2 else Fraction(0)) for D in Ds]
 
 
 def closed_limit(terms) -> PiQuantity:
@@ -376,12 +379,12 @@ def volume_estimate(
     checkpoints = [D // 8, D // 4, D // 2, D]
     if mode == "direct":
         totals = smm_totals(locus, D, surrogate)
-        raw = {Dc: direct_raw_sum(totals, Dc) for Dc in checkpoints}
+        raw = [direct_raw_sum(totals, Dc) for Dc in checkpoints]
     else:
-        raw = {Dc: closed_raw_sum(locus, Dc) for Dc in checkpoints}
-    series_exact = [(Dc, raw[Dc]) for Dc in checkpoints]
+        raw = closed_raw_sum(locus, checkpoints)
+    series_exact = list(zip(checkpoints, raw))
     # all four loci are four-dimensional: dim H(2) = 2g + n - 1 = 4
-    series = [(Dc, float(raw[Dc]) / Dc**4) for Dc in checkpoints]
+    series = [(Dc, float(x) / Dc**4) for Dc, x in series_exact]
     value = series[-1][1]
     v_half = series[-2][1]
     extrapolated = 2.0 * value - v_half

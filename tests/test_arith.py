@@ -288,7 +288,7 @@ def test_sigma_tables_match_pointwise():
 
 
 def test_sigma_prefix_refuses_int64_overflow():
-    # raised before sigma_table allocates the 3 * 10^9 sieve
+    # refused at SIEVE_BOUND = 10^7, before sigma_table allocates any sieve
     with pytest.raises(ValueError):
         arith.sigma_prefix(3 * 10**9)
 

@@ -8,7 +8,7 @@ from functools import cache
 
 import pytest
 
-from gothicvol import SURROGATES
+from gothicvol import SURROGATES, arith
 from gothicvol.counting import (
     Locus,
     _partitions,
@@ -242,6 +242,25 @@ def test_cd_count_examples():
     assert cd_count(Locus.H2, 3) == 3
     assert cd_count(Locus.H2, 4) == 9
     assert cd_count(Locus.H2, 6) == 45  # sigma(2)*3 + 36
+
+
+@pytest.mark.parametrize("locus, calls", [(Locus.H2, 2), (Locus.P3, 2), (Locus.P4, 1)])
+def test_cd_count_at_a_prime_factorises_it_once_per_route(monkeypatch, locus, calls):
+    # divisors(p) factorises p, and so does the chi of smm(locus, p) for H(2)
+    # and P3 (P4 has no curve at odd m); sigma(p) is the sum of the divisors
+    p = 1000003
+    seen = []
+
+    def counted(n):
+        seen.append(n)
+        return real(n)
+
+    real = arith.factorize
+    monkeypatch.setattr(arith, "factorize", counted)
+    got = cd_count(locus, p)
+    assert seen.count(p) == calls
+    monkeypatch.undo()
+    assert got == (p + 1) * smm(locus, 1).total + smm(locus, p).total
 
 
 def test_cd_counts_are_nonneg_integers_for_h2():

@@ -154,7 +154,7 @@ def test_chi_g_nonsquare_matches_composed_formula():
         if euler.is_empty("g", D):
             assert chi_G(D) == 0, D
             continue
-        ratio = euler.X_BR_RATIO[math.gcd(6, euler.conductor_decompose(D).f)]
+        ratio = euler.X_BR_RATIO[math.gcd(6, euler.conductor(D))]
         want = Fraction(-3, 2) * ratio * chi_X_nonsquare(D) - 2 * chi_R(D)
         for r in range(1, c_D(D) + 1):
             assert chi_G(D, r) == want, (D, r)

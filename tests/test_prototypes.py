@@ -8,12 +8,7 @@ import pytest
 from gothicvol import arith, euler, prototypes, qforms
 from gothicvol.arith import factorize
 from gothicvol.cli import main
-from gothicvol.prototypes import (
-    DiscriminantDecomposition,
-    conductor_decompose,
-    e_value,
-    enumerate_prototypes,
-)
+from gothicvol.prototypes import conductor, e_value, enumerate_prototypes
 
 
 def brute_is_fundamental(n):
@@ -62,7 +57,7 @@ def filter_walk(D, k):
     """Reference: every divisor a of each row's n with its exponent vector,
     kept when gcd(gcd(f, b), c0) = 1 (the enumeration before the walk over
     admissible exponents), by increasing b then a."""
-    f = conductor_decompose(D).f
+    f = conductor(D)
     bmax = math.isqrt(D - 1)
     for b in range(-bmax, bmax + 1):
         rem = D - b * b
@@ -80,24 +75,25 @@ def filter_walk(D, k):
 
 
 def test_conductor_examples():
-    assert conductor_decompose(5) == DiscriminantDecomposition(5, 1, 5, False)
-    assert conductor_decompose(9) == DiscriminantDecomposition(9, 3, 1, True)
-    assert conductor_decompose(45) == DiscriminantDecomposition(45, 3, 5, False)
-    with pytest.raises(ValueError):
-        conductor_decompose(7)  # 7 = 3 mod 4
-    with pytest.raises(ValueError):
-        conductor_decompose(6)
+    assert conductor(5) == 1
+    assert conductor(9) == 3  # a square D gives isqrt(D)
+    assert conductor(45) == 3
+    assert conductor(48) == 2  # 48 = 2^2 * 12, and 12 is fundamental
+    for D in (7, 6, 0, -3):  # 7 = 3 mod 4
+        with pytest.raises(ValueError, match="is not a discriminant"):
+            conductor(D)
 
 
 def test_conductor_brute_force():
     for D in range(1, 2001):
         if D % 4 in (2, 3):
             continue
-        dec = conductor_decompose(D)
-        assert dec.f == brute_conductor(D), D
-        assert dec.f * dec.f * dec.D0 == D
-        if not dec.is_square:
-            assert brute_is_fundamental(dec.D0)
+        f = conductor(D)
+        assert f == brute_conductor(D), D
+        if math.isqrt(D) ** 2 == D:
+            assert f * f == D
+        else:
+            assert D % (f * f) == 0 and brute_is_fundamental(D // (f * f)), D
 
 
 def test_enumeration_examples():

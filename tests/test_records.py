@@ -12,7 +12,6 @@ from gothicvol import Locus
 from gothicvol.arith import PiQuantity
 from gothicvol.counting import CoverCount
 from gothicvol.ideals import IdealSpec, QuadPair
-from gothicvol.prototypes import DiscriminantDecomposition
 from gothicvol.verify import CheckResult
 from gothicvol.volume import SmmTotals, VolumeEstimate
 from gothicvol.zagier import AsymptoticReport
@@ -35,8 +34,6 @@ def _report(delta6):
 # its last field.
 FROZEN = {
     "PiQuantity": (lambda: PiQuantity(Fraction(1, 3), 4), PiQuantity(Fraction(1, 3), 2)),
-    "DiscriminantDecomposition": (lambda: DiscriminantDecomposition(45, 3, 5, False),
-                                  DiscriminantDecomposition(45, 3, 5, True)),
     "QuadPair": (lambda: QuadPair(1, 2), QuadPair(1, 3)),
     "IdealSpec": (lambda: IdealSpec(5, 6, 1, (QuadPair(5, 0), QuadPair(0, 5))),
                   IdealSpec(5, 6, 1, (QuadPair(5, 0), QuadPair(0, 15)))),
@@ -55,9 +52,9 @@ MUTABLE = {
 }
 
 # The first field of each record, assigned to below.
-FIRST_FIELD = {"PiQuantity": "coeff", "DiscriminantDecomposition": "D", "QuadPair": "a1",
-               "IdealSpec": "d", "CoverCount": "m", "SmmTotals": "numerators",
-               "CheckResult": "name", "VolumeEstimate": "locus", "AsymptoticReport": "d_max"}
+FIRST_FIELD = {"PiQuantity": "coeff", "QuadPair": "a1", "IdealSpec": "d", "CoverCount": "m",
+               "SmmTotals": "numerators", "CheckResult": "name", "VolumeEstimate": "locus",
+               "AsymptoticReport": "d_max"}
 
 
 @pytest.mark.parametrize("name", [*FROZEN, *MUTABLE])
@@ -127,8 +124,6 @@ def test_record_reprs():
     assert repr(PiQuantity(Fraction(1, 3), 4)) == "1/3*pi^4"
     assert repr(PiQuantity(3)) == "3"
     assert repr(QuadPair(1, 2)) == "QuadPair(a1=1, a2=2)"
-    assert repr(DiscriminantDecomposition(45, 3, 5, False)) == (
-        "DiscriminantDecomposition(D=45, f=3, D0=5, is_square=False)")
     assert repr(IdealSpec(5, 6, 1, (QuadPair(5, 0), QuadPair(0, 5)))) == (
         "IdealSpec(d=5, n=6, r=1, basis=(QuadPair(a1=5, a2=0), QuadPair(a1=0, a2=5)))")
     assert repr(CoverCount(6, (), Fraction(1))) == (

@@ -64,6 +64,14 @@ def test_no_module_imports_numpy():
             assert not any(n.split(".")[0] == "numpy" for n in names), (path, node.lineno)
 
 
+
+def test_no_module_uses_assert():
+    # python -O strips assert statements, so a check written with one could
+    # be switched off; the package raises instead
+    for path in sorted((SRC / "gothicvol").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            assert not isinstance(node, ast.Assert), (path, node.lineno)
+
 # Every function of the package that keeps a functools cache, with the reason
 # it keeps one; a new cache has to be added here on purpose.
 CACHED = {
@@ -233,6 +241,20 @@ def test_one_wrong_norm6_count_fails_the_emptiness_check(monkeypatch, residue, c
     result = verify.run_check(
         "gothic non-square non-emptiness exactly on the residue set, D <= 2000")
     assert not result.ok and result.detail.startswith("FAILED"), result.detail
+
+
+def test_p3_second_component_at_every_even_m_fails_the_gating_check(monkeypatch):
+    # chi_W4 that also defines W^2_{h^2}(4) at even h: smm still lists no
+    # second component at m = 4, so the tie to chi_W4's own rule fails there
+    real = euler.chi_W4
+
+    def lenient(D, j=1, mode="exact"):
+        return real(D, 1 if j == 2 else j, mode)
+
+    monkeypatch.setattr(euler, "chi_W4", lenient)
+    result = verify.run_check(
+        "P3 second component appears iff m = 2 mod 4, with (m/2)^2 = 1 mod 8")
+    assert (result.ok, result.detail) == (False, "FAILED at 4")
 
 
 def test_check_that_raises_is_a_failed_check(monkeypatch, capsys):

@@ -175,6 +175,27 @@ def test_gothic_closed_summands_approach_limits():
         assert abs(got - want) / want < 0.05, m
 
 
+@pytest.mark.parametrize("locus, calls", [(Locus.G, 10), (Locus.P3, 5), (Locus.P4, 4),
+                                          (Locus.H2, 4)])
+def test_closed_estimate_sums_each_distinct_sigma3_once(monkeypatch, locus, calls):
+    # the checkpoints D/8, D/4, D/2, D share arguments D // m, as
+    # floor(floor(D/c)/m) = floor(D/(c m)): gothic's 16 terms read 10 sums
+    D = 10**6
+    seen = []
+
+    def counted(x):
+        seen.append(x)
+        return real(x)
+
+    real = volume.sigma3_sum
+    monkeypatch.setattr(volume, "sigma3_sum", counted)
+    series = volume_estimate(locus, D, "closed").series_exact
+    assert len(seen) == len(set(seen)) == calls
+    monkeypatch.undo()
+    checkpoints = [D // 8, D // 4, D // 2, D]
+    assert series == [(Dc, closed_raw_sum(locus, [Dc])[0]) for Dc in checkpoints]
+
+
 def test_closed_terms_equal_the_sk_rows_at_large_d():
     # the verify oracle's S_k rows through the hyperbola route sk_sum, whose
     # g_k tails cancel outside m | 6
@@ -183,7 +204,7 @@ def test_closed_terms_equal_the_sk_rows_at_large_d():
             rows = sum((c * sk_sum(k, D // r) for c, k, r in _ROWS[locus]), Fraction(0))
             if locus is Locus.H2:
                 rows -= Fraction(3, 4) * t_sum(D)
-            assert closed_raw_sum(locus, D) == rows, (locus, D)
+            assert closed_raw_sum(locus, [D]) == [rows], (locus, D)
 
 
 def test_convert_convention():
