@@ -11,7 +11,7 @@ from ..arith import hermite_sublattices, moebius, nu, sigma, sl2_order_table
 from ..verify import _check
 
 
-@_check("(sigma * a)(n) = sigma_3(n) for n <= 10^5", "arith")
+@_check("(sigma * a)(n) = sigma_3(n) for n <= 10^5")
 def _sigma_conv_identity():
     N = 10**5
     conv = arith.dirichlet_convolve(arith.sigma_table(N), sl2_order_table(N), N)
@@ -24,7 +24,7 @@ def _sigma_conv_identity():
     return f"dirichlet_convolve of sigma_table and sl2_order_table at N = {N}"
 
 
-@_check("sl2_order multiplicative on coprime pairs up to 500", "arith")
+@_check("sl2_order multiplicative on coprime pairs up to 500")
 def _sl2_multiplicative():
     atab = sl2_order_table(500 * 500)
     small = sl2_order_table(500)
@@ -36,7 +36,7 @@ def _sl2_multiplicative():
     return "all coprime pairs m,n <= 500"
 
 
-@_check("moebius inversion roundtrip at N = 2000", "arith")
+@_check("moebius inversion roundtrip at N = 2000")
 def _moebius_roundtrip():
     N = 2000
     # deterministic pseudo-random exact rationals
@@ -52,7 +52,7 @@ def _moebius_roundtrip():
     return "g = f * 1, then g * mu recovers f exactly"
 
 
-@_check("hermite_sublattices: sigma(n) forms, each of index n, n <= 200", "arith")
+@_check("hermite_sublattices: sigma(n) forms, each of index n, n <= 200")
 def _hermite_count():
     for n in range(1, 201):
         forms = hermite_sublattices(n)
@@ -66,7 +66,7 @@ def _hermite_count():
     return "count sigma(n) and determinant a*c = n"
 
 
-@_check("a(d) = p^(3v-2)(p^2-1) a(d_p) for all p | d, d <= 2000", "arith")
+@_check("a(d) = p^(3v-2)(p^2-1) a(d_p) for all p | d, d <= 2000")
 def _a_recursion():
     atab = sl2_order_table(2000)
     for d in range(2, 2001):

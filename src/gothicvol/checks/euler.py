@@ -10,7 +10,7 @@ from ..arith import moebius_table
 from ..verify import _check
 
 
-@_check("chi(X_{d^2}) = a(d)/72 against the mu-sum definition, d <= 5000", "euler")
+@_check("chi(X_{d^2}) = a(d)/72 against the mu-sum definition, d <= 5000")
 def _chi_x_square():
     # 72 chi(X_{d^2}) against the integer d * sum_{r|d} mu(r) (d/r)^2
     N = 5000
@@ -23,7 +23,7 @@ def _chi_x_square():
     return "both formulas agree"
 
 
-@_check("-6 chi(W_{m^2}(2)) is a nonnegative integer, zero iff m = 2, m <= 2000", "euler")
+@_check("-6 chi(W_{m^2}(2)) is a nonnegative integer, zero iff m = 2, m <= 2000")
 def _w2_integrality():
     for m in range(2, 2001):
         # -6 chi = -6 n / q with chi = n / q in lowest terms
@@ -36,7 +36,7 @@ def _w2_integrality():
     return "orbifold counts are honest integers"
 
 
-@_check("gothic non-square non-emptiness exactly on the residue set, D <= 2000", "euler")
+@_check("gothic non-square non-emptiness exactly on the residue set, D <= 2000")
 def _gothic_residues():
     for D in range(5, 2001):
         if D % 4 in (2, 3) or math.isqrt(D) ** 2 == D:
@@ -54,7 +54,7 @@ def _gothic_residues():
     return "emptiness scan"
 
 
-@_check("main_term vs leading gap, scaled by d^(5/2), half-range check, d <= 2000", "euler")
+@_check("main_term vs leading gap, scaled by d^(5/2), half-range check, d <= 2000")
 def _main_vs_leading():
     dmax = 2000
     # the integer tables -6 L chi(G_{d^2}); the remark check and the counting
@@ -73,7 +73,7 @@ def _main_vs_leading():
     return f"max gap {max(gaps):.4f}, upper half {hi:.4f} <= lower half {lo:.4f}"
 
 
-@_check("components offered by chi_G(d^2, r) equal component_list(d), d <= 200", "euler")
+@_check("components offered by chi_G(d^2, r) equal component_list(d), d <= 200")
 def _chi_g_components():
     for d in range(2, 201):
         offered = []
@@ -88,7 +88,7 @@ def _chi_g_components():
     return "validation mirrors the ideal classes"
 
 
-@_check("remark values sit inside the boundary sandwich, d <= 500", "euler")
+@_check("remark values sit inside the boundary sandwich, d <= 500")
 def _remark_sandwich():
     # main_term chi_G against the integer table the gap check reads
     L, table = euler._gothic_curve_counts(500, "main_term")

@@ -28,7 +28,7 @@ def _lattice_hnf(gens) -> tuple:
     return tuple(rows[0]), tuple(rows[1])
 
 
-@_check("ideal bases: membership and index 6 in the order, d <= 200, r | 6", "ideals")
+@_check("ideal bases: membership and index 6 in the order, d <= 200, r | 6")
 def _ideal_bases():
     for d in range(2, 201):
         for r in (1, 2, 3, 6):
@@ -41,7 +41,7 @@ def _ideal_bases():
     return "all divisors r of 6"
 
 
-@_check("ideal_equal matches brute-force lattice equality, d <= 100", "ideals")
+@_check("ideal_equal matches brute-force lattice equality, d <= 100")
 def _ideal_equal_brute():
     for d in range(2, 101):
         rs = (1, 2, 3, 6)
@@ -53,7 +53,7 @@ def _ideal_equal_brute():
     return "lcm criterion vs HNF comparison"
 
 
-@_check("galois conjugation swaps b_r and b_{6/r}, d <= 100", "ideals")
+@_check("galois conjugation swaps b_r and b_{6/r}, d <= 100")
 def _galois_swap():
     for d in range(2, 101):
         for r in (1, 2, 3, 6):
@@ -68,7 +68,7 @@ def _galois_swap():
     return "membership of conjugated generators both ways"
 
 
-@_check("class_count = sigma_0(6/(d,6)) = deduplicated ideal count, d <= 500", "ideals")
+@_check("class_count = sigma_0(6/(d,6)) = deduplicated ideal count, d <= 500")
 def _class_count_dedup():
     for d in range(2, 501):
         distinct = []
@@ -82,7 +82,7 @@ def _class_count_dedup():
     return "dedup by ideal_equal matches the sigma_0 rule"
 
 
-@_check("trace pairing has symplectic type (1,6), d <= 500", "ideals")
+@_check("trace pairing has symplectic type (1,6), d <= 500")
 def _symplectic_type():
     for d in range(2, 501):
         for r in ideals.component_list(d):
@@ -94,7 +94,7 @@ def _symplectic_type():
     return "gcd of the entries and |Pfaffian| on every component"
 
 
-@_check("polarization restriction = (lcm(d,r), lcm(d,6/r)), d <= 500", "ideals")
+@_check("polarization restriction = (lcm(d,r), lcm(d,6/r)), d <= 500")
 def _polarization():
     for d in range(2, 501):
         for r in ideals.component_list(d):

@@ -8,7 +8,7 @@ from .. import arith, prototypes
 from ..verify import _check
 
 
-@_check("prototype invariants and b -> -b parity, D <= 5000, k in {1,6}", "prototypes")
+@_check("prototype invariants and b -> -b parity, D <= 5000, k in {1,6}")
 def _prototype_invariants():
     # c = c0^2 c' is decomposed, and c' tested squarefree, once per distinct c
     c0_of: dict[int, int] = {}

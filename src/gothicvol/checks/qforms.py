@@ -9,7 +9,7 @@ from .. import euler, qforms
 from ..verify import _check
 
 
-@_check("F_k series product equals divisor-sum e_k(n), n <= 4000, k in {1,6}", "qforms")
+@_check("F_k series product equals divisor-sum e_k(n), n <= 4000, k in {1,6}")
 def _product_vs_direct():
     N = 4000
     for k in (1, 6):
@@ -20,7 +20,7 @@ def _product_vs_direct():
     return "series product vs divisor sums, both k"
 
 
-@_check("e_k(D) = sum_{m|f} e(D/m^2, k), all valid D <= 4000, k in {1,6}", "qforms")
+@_check("e_k(D) = sum_{m|f} e(D/m^2, k), all valid D <= 4000, k in {1,6}")
 def _e_and_a():
     for D in range(4, 4001):
         if D % 4 in (2, 3):
@@ -31,7 +31,7 @@ def _e_and_a():
     return "prototype counts against modular-form coefficients"
 
 
-@_check("e(d^2, k) in twelfths equals the square tables, d <= 4000, k in {1,6}", "qforms")
+@_check("e(d^2, k) in twelfths equals the square tables, d <= 4000, k in {1,6}")
 def _e_square_routes():
     # k = 6: the store production reads (level-6 convolution sums) against
     # the D^2/24 sigma-sieve route; k = 1: Besge's closed form

@@ -31,7 +31,7 @@ def _rows_limit(rows) -> arith.PiQuantity:
                arith.PiQuantity(Fraction(0), 4))
 
 
-@_check("S_1(10^5) equals the sum of sigma_3(n), n <= 10^5", "volume")
+@_check("S_1(10^5) equals the sum of sigma_3(n), n <= 10^5")
 def _s1_identity():
     # (sigma * a) = sigma_3 termwise is the arith suite's; here the
     # hyperbola route against the plain sum_{q<=N} q^3 floor(N/q)
@@ -41,7 +41,7 @@ def _s1_identity():
     return "S_1 equals the prefix sum of sigma_3"
 
 
-@_check("S_k asymptotics: ratio in [0.99, 1.01] at 10^5, O(1/D) deviation", "volume")
+@_check("S_k asymptotics: ratio in [0.99, 1.01] at 10^5, O(1/D) deviation")
 def _sk_asymptotics():
     N = 10**5
     for k in (1, 2, 3, 6):
@@ -63,7 +63,7 @@ def _sk_asymptotics():
     return "all four k inside the 8/D envelope"
 
 
-@_check("P4 direct equals closed at every D <= 2000; P3 and gothic too", "volume")
+@_check("P4 direct equals closed at every D <= 2000; P3 and gothic too")
 def _direct_vs_closed():
     Dmax = 2000
     S = {k: volume.sk_prefix(k, Dmax) for k in (1, 2, 3, 6)}
@@ -102,7 +102,7 @@ def _direct_vs_closed():
     return "P3, P4 and gothic leading equal at every D; H(2) apart by its m = 1 term"
 
 
-@_check("volume_estimate direct equals closed at the D = 4000 checkpoints", "volume")
+@_check("volume_estimate direct equals closed at the D = 4000 checkpoints")
 def _estimate_direct_vs_closed():
     # the production direct path (smm_totals, direct_raw_sum) past the
     # D <= 2000 range of the check above, through volume_estimate itself
@@ -120,7 +120,7 @@ def _estimate_direct_vs_closed():
     return "P3, P4 and gothic leading equal at D = 500..4000; H(2) apart by its m = 1 term"
 
 
-@_check("gothic closed summands match their exact limits within 2% at D = 4000", "volume")
+@_check("gothic closed summands match their exact limits within 2% at D = 4000")
 def _gothic_summands():
     # kappa'(g) from the X_{d^2}(b_r) ratio and the e(d^2, 6) constant
     for g in (1, 2, 3, 6):
@@ -145,7 +145,7 @@ def _gothic_summands():
     return "; ".join(details)
 
 
-@_check("volume estimators inside the acceptance tolerances", "volume")
+@_check("volume estimators inside the acceptance tolerances")
 def _estimator_errors():
     h2 = volume.volume_estimate(Locus.H2, 4000)
     if not h2.relative_error <= 0.01:
@@ -164,7 +164,7 @@ def _estimator_errors():
     )
 
 
-@_check("AEZ conversion constants are reproduced exactly", "volume")
+@_check("AEZ conversion constants are reproduced exactly")
 def _aez_constants():
     p3 = volume.convert_convention(Locus.P3)
     p4 = volume.convert_convention(Locus.P4)

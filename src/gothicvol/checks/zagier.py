@@ -10,7 +10,7 @@ from ..arith import moebius_table, nu, sl2_order_table
 from ..verify import _check
 
 
-@_check("gauss sums vanish beyond r = nu_p(d^2) + 2, p <= 50, d <= 200", "zagier")
+@_check("gauss sums vanish beyond r = nu_p(d^2) + 2, p <= 50, d <= 200")
 def _gamma_truncation():
     ps = [p for p in range(2, 51) if arith.is_prime(p)]
     for p in ps:
@@ -22,7 +22,7 @@ def _gamma_truncation():
     return "five extra prime-power levels all zero"
 
 
-@_check("euler factor reduction rules from P_1", "zagier")
+@_check("euler factor reduction rules from P_1")
 def _euler_factor_reduction():
     for d in range(1, 101):
         p1_2 = zagier.euler_factor(1, 2, d)
@@ -37,7 +37,7 @@ def _euler_factor_reduction():
     return "p = 2 and p = 3 rules, d <= 100"
 
 
-@_check("ebar_1 divisor sum equals Euler product with zeta tail, d <= 500", "zagier")
+@_check("ebar_1 divisor sum equals Euler product with zeta tail, d <= 500")
 def _ebar1_routes():
     for d in range(1, 501):
         if zagier.ebar1_exact(d) != zagier.ebar1_via_euler_product(d):
@@ -45,7 +45,7 @@ def _ebar1_routes():
     return "both exact routes equal"
 
 
-@_check("(12/5) moebius-sum of ebar_1(m^2) equals a(d), d <= 2000", "zagier")
+@_check("(12/5) moebius-sum of ebar_1(m^2) equals a(d), d <= 2000")
 def _ebar1_quadruple_convolution():
     # on the integer scale E = (12/5) ebar_1: sum_{m|d} mu(d/m) E(m) = a(d)
     N = 2000
@@ -57,7 +57,7 @@ def _ebar1_quadruple_convolution():
     return "exact quadruple-convolution identity"
 
 
-@_check("e*_6(d^2) Euler product equals the four-term e*_1 combination, d <= 500", "zagier")
+@_check("e*_6(d^2) Euler product equals the four-term e*_1 combination, d <= 500")
 def _estar6_routes():
     # the product of P_6(p, d^2) over p | 6d with the 15/pi^2 tail, against
     # estar6's combination of e*_1 at d, d_2, d_3, d_6 (each e*_1 built once)
@@ -69,7 +69,7 @@ def _estar6_routes():
     return "exact at every d"
 
 
-@_check("moebius-summed ebar_6 equals kappa(d) a(d)/60 exactly, d <= 1000", "zagier")
+@_check("moebius-summed ebar_6 equals kappa(d) a(d)/60 exactly, d <= 1000")
 def _ebar6_kappa():
     # The raw ratio ebar_6(d^2) * 60 / a(d) tends to kappa(d) only along
     # d coprime to 6; in the other classes it converges to a factorisation-

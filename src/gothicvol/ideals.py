@@ -71,13 +71,14 @@ class IdealSpec(namedtuple("IdealSpec", ("d", "n", "r", "basis"))):
         return abs(det)
 
 
-def _validate(d: int, n: int, r: int | None = None) -> None:
-    if d < 2:
+def _validate(n: int, *rs: int, d: int | None = None) -> None:
+    if d is not None and d < 2:
         raise ValueError("need d >= 2")
     if n < 1 or not is_squarefree(n):
         raise ValueError(f"n = {n} must be a squarefree positive integer")
-    if r is not None and (r < 1 or n % r):
-        raise ValueError(f"r = {r} must be a positive divisor of n = {n}")
+    for r in rs:
+        if r < 1 or n % r:
+            raise ValueError(f"r = {r} must be a positive divisor of n = {n}")
 
 
 def ideal_membership(spec: IdealSpec, x: QuadPair) -> bool:
@@ -95,7 +96,7 @@ def ideal_basis(d: int, n: int, r: int) -> IdealSpec:
     taking b as its least nonnegative residue: the inverse of (n/r)/g mod d/g,
     which is 0 when d/g = 1.
     """
-    _validate(d, n, r)
+    _validate(n, r, d=d)
     s = n // r
     g = math.gcd(d, s)
     b = pow(s // g, -1, d // g)
@@ -106,24 +107,20 @@ def ideal_basis(d: int, n: int, r: int) -> IdealSpec:
 
 def ideal_equal(d: int, n: int, r: int, s: int) -> bool:
     """b_r = b_s iff lcm(r, g) = lcm(s, g) with g = gcd(d, n)."""
-    _validate(d, n, r)
-    _validate(d, n, s)
+    _validate(n, r, s, d=d)
     g = math.gcd(d, n)
     return math.lcm(r, g) == math.lcm(s, g)
 
 
 def galois_conjugate(r: int, n: int) -> int:
     """Galois conjugation sends b_r to b_{n/r}."""
-    if n < 1 or not is_squarefree(n):
-        raise ValueError(f"n = {n} must be a squarefree positive integer")
-    if r < 1 or n % r:
-        raise ValueError(f"r = {r} must divide n = {n}")
+    _validate(n, r)
     return n // r
 
 
 def class_count(d: int, n: int) -> int:
     """Number of distinct ideals b_r, r | n: sigma_0(n / (d, n))."""
-    _validate(d, n)
+    _validate(n, d=d)
     return sigma(0, n // math.gcd(d, n))
 
 

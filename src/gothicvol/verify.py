@@ -8,13 +8,13 @@ stops loudly at the first violation.  The CLI subcommand ``verify`` runs
 every check fresh; the test suite runs each one once per session and names
 the checks its acceptance criteria rest on.
 
-The check bodies live in ``gothicvol.checks``, one module per suite, and a
-suite's module registers its checks here when it is imported.  ``run_suite``
-imports the modules of the suites it runs and no other, and each of them
-imports the library modules its checks call, so a suite compiles and loads
-only what it runs: ``verify --suite ideals`` loads ``arith``, ``ideals`` and
-``checks.ideals`` and nothing else of the library.  ``check_names`` loads
-every suite and lists the checks in run order.
+The check bodies live in ``gothicvol.checks``: each module holds the suite
+named after it, and registers its checks here when it is imported.
+``run_suite`` imports the modules of the suites it runs and no other, and
+each of them imports the library modules its checks call, so a suite
+compiles and loads only what it runs: ``verify --suite ideals`` loads
+``arith``, ``ideals`` and ``checks.ideals`` and nothing else of the library.
+``check_names`` loads every suite and lists the checks in run order.
 
 The checks are deliberately redundant with independent routes: prototype
 enumeration against modular-form coefficients, divisor-sum formulas against
@@ -43,12 +43,12 @@ class CheckResult(namedtuple("CheckResult", ("name", "suite", "ok", "elapsed_s",
 _CHECKS: dict[str, tuple[str, Callable[[], str | None]]] = {}
 
 
-def _check(name: str, suite: str):
+def _check(name: str):
     if name in _CHECKS:
         raise ValueError(f"duplicate check name {name!r}")
 
     def deco(fn):
-        _CHECKS[name] = (suite, fn)
+        _CHECKS[name] = (fn.__module__.rpartition(".")[2], fn)
         return fn
 
     return deco

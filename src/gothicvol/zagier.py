@@ -135,14 +135,19 @@ def estar1(d: int) -> PiQuantity:
     return estar_euler_product(1, d)
 
 
+def _estar6_terms(d: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (c, m) of 25/36 e*_6(d^2) = sum c e*_1(m^2), m = d, d_2, d_3, d_6."""
+    return ((25, d), (-15, coprime_part(d, 2)), (-20, coprime_part(d, 3)),
+            (12, coprime_part(d, 6)))
+
+
 def estar6(d: int, e1=estar1) -> PiQuantity:
     """e*_6(d^2) = 36 (e*_1(d^2) - 3/5 e*_1(d_2^2) - 4/5 e*_1(d_3^2) + 12/25 e*_1(d_6^2)),
     with e*_1(m^2) read from the callable ``e1``; the four terms are summed
     as integers over one denominator."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    d2, d3, d6 = coprime_part(d, 2), coprime_part(d, 3), coprime_part(d, 6)
-    terms = ((25, e1(d)), (-15, e1(d2)), (-20, e1(d3)), (12, e1(d6)))
+    terms = [(c, e1(m)) for c, m in _estar6_terms(d)]
     power = terms[0][1].pi_power
     if any(e.pi_power != power for _, e in terms):
         raise ValueError("the e*_1 values must carry one power of pi")
@@ -157,14 +162,9 @@ def _ebar1_five_twelfths_at(d: int) -> int:
 
 
 def _ebar6_sixtieths_at(d: int, e1) -> int:
-    """60 ebar_6(d^2), given E = (12/5) ebar_1 as the callable ``e1``."""
-    d2, d3, d6 = coprime_part(d, 2), coprime_part(d, 3), coprime_part(d, 6)
-    return (
-        25 * e1(d)
-        - 15 * (d // d2) ** 3 * e1(d2)
-        - 20 * (d // d3) ** 3 * e1(d3)
-        + 12 * (d // d6) ** 3 * e1(d6)
-    )
+    """60 ebar_6(d^2) from E = (12/5) ebar_1, the callable ``e1``: e*_6's four
+    terms, each weighed by (d/m)^3, as ebar_k = pi^2 d^3 e*_k / (72 k^2)."""
+    return sum(c * (d // m) ** 3 * e1(m) for c, m in _estar6_terms(d))
 
 
 def ebar1_five_twelfths(N: int) -> tuple[int, ...]:

@@ -221,7 +221,7 @@ def test_factorize_examples():
         assert primes == sorted(set(primes))
 
 
-def test_factorize_beyond_sieve_uses_trial_division():
+def test_factorize_of_a_large_n_is_exact():
     n = 10**14 + 37  # far beyond the tables' SIEVE_BOUND
     fac = factorize(n)
     assert math.prod(p**e for p, e in fac) == n
@@ -287,13 +287,13 @@ def test_sigma_tables_match_pointwise():
         assert atab[n] == sl2_order(n)
 
 
-def test_sigma_prefix_refuses_int64_overflow():
+def test_sigma_prefix_refuses_past_the_table_bound():
     # refused at SIEVE_BOUND = 10^7, before sigma_table allocates any sieve
     with pytest.raises(ValueError):
         arith.sigma_prefix(3 * 10**9)
 
 
-def test_sigma_table_pair_sieve_matches_sigma():
+def test_sigma_table_matches_sigma():
     # every N <= 400, then perfect squares and prime powers at the end
     ref = [0] + [sigma(1, n) for n in range(1, 4097)]
     for N in [*range(401), 441, 1024, 2025, 4096]:
@@ -341,7 +341,7 @@ def test_list_tables_are_read_only():
     assert arith.jordan2_table(100)[5] == 24
 
 
-def test_is_prime_is_the_factorisation_definition_across_a_regrow():
+def test_is_prime_is_the_factorisation_definition():
     # is_prime is read off factorize, so the sieve of Eratosthenes is the
     # oracle independent of trial division
     N = 2**17 + 1
@@ -364,7 +364,7 @@ def test_is_prime_past_the_sieve_bound_uses_trial_division():
     assert not is_prime(3163**2)  # 10004569, the square of a prime
 
 
-def test_moebius_is_the_factorisation_definition_across_a_regrow():
+def test_moebius_is_the_factorisation_definition():
     for n in range(1, 2**17 + 2):
         fac = factorize(n)
         want = 0 if any(e > 1 for _, e in fac) else (-1) ** len(fac)

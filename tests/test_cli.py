@@ -503,7 +503,7 @@ def test_locus_commands_keep_their_usage_text(capsys, monkeypatch):
         assert "\n  --locus {h2,p3,p4,gothic}\n" in text, command
 
 
-def test_sk_beyond_the_sieve_range(capsys):
+def test_sk_beyond_the_table_range(capsys):
     # 3 * 10^9 is past every int64 table; the closed path answers exactly
     D = 3 * 10**9
     code, out = run_cli(capsys, "sk", "--k", "1", "--D", str(D))

@@ -166,7 +166,7 @@ def test_symplectic_divisors_against_determinantal_divisors():
 
 @pytest.mark.parametrize("fn, args, message", [
     (ideal_basis, (1, 6, 1), "need d >= 2"),
-    (galois_conjugate, (4, 6), "r = 4 must divide n = 6"),
+    (galois_conjugate, (4, 6), "r = 4 must be a positive divisor of n = 6"),
     (component_list, (1,), "need d >= 2"),
 ])
 def test_out_of_range_arguments_are_refused(fn, args, message):

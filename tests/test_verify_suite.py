@@ -7,6 +7,7 @@ the acceptance criteria that name a check share its result.
 """
 
 import ast
+import inspect
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -170,6 +171,30 @@ def test_smm_cd_check_fails_on_one_wrong_leading_smm(monkeypatch):
     assert (result.ok, result.detail) == (False, "FAILED at ('gothic', 'leading', 7)")
 
 
+def _smm_off_by_one_at(monkeypatch, hit):
+    real = counting.smm
+
+    def wrong_smm(locus, m, mode="main_term"):
+        cover = real(locus, m, mode)
+        return cover._replace(total=cover.total + 1) if (locus, m, mode) == hit else cover
+
+    monkeypatch.setattr(counting, "smm", wrong_smm)
+    return verify.run_check("smm/cd consistency, d <= 200")
+
+
+def test_smm_cd_check_fails_on_a_wrong_main_term_total_at_the_range_edge(monkeypatch):
+    # 199 is prime and 2 * 199 > 200, so only cd_count(gothic, 199) reads it:
+    # the check ties no main_term total to smm_totals and must fail there
+    result = _smm_off_by_one_at(monkeypatch, (Locus.G, 199, "main_term"))
+    assert (result.ok, result.detail) == (False, "FAILED at ('gothic', 199)")
+
+
+def test_smm_cd_check_fails_on_a_wrong_remark_total_at_the_range_edge(monkeypatch):
+    # cd_count never reads the remark surrogate: the tie to smm_totals does
+    result = _smm_off_by_one_at(monkeypatch, (Locus.G, 200, "remark"))
+    assert (result.ok, result.detail) == (False, "FAILED at ('gothic', 'remark', 200)")
+
+
 def test_leading_check_fails_on_one_negative_table_entry(monkeypatch):
     real = volume.smm_totals
 
@@ -312,9 +337,19 @@ def test_the_checks_build_e6_once(run_python):
     assert json.loads(proc.stdout) == [4000]
 
 
+def test_registry_files_each_check_under_its_own_module():
+    # a check's suite is read off the module it sits in, never passed in
+    assert list(inspect.signature(verify._check).parameters) == ["name"]
+    names = verify.check_names("all")
+    for name in names:
+        suite, fn = verify._CHECKS[name]
+        assert suite == fn.__module__.rpartition(".")[2], name
+    assert {verify._CHECKS[name][0] for name in names} == set(verify.SUITES[1:])
+
+
 def test_registry_refuses_duplicate_names():
     with pytest.raises(ValueError, match="duplicate check name"):
-        verify._check(verify.check_names()[0], "arith")
+        verify._check(verify.check_names()[0])
     with pytest.raises(ValueError, match="unknown suite 'nope'"):
         verify.check_names("nope")
     assert verify.SUITES == (
