@@ -3,8 +3,6 @@ the routes to e(d^2, k)."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .. import euler, qforms
 from ..verify import _check
 
@@ -37,11 +35,10 @@ def _e_square_routes():
     # the D^2/24 sigma-sieve route; k = 1: Besge's closed form
     # 5 a(d) - 6 J_2(d) against the level-1 sums
     dmax = 4000
-    new = euler.precompute_e_square(dmax)
+    new = euler.precompute_e_square(dmax)[: dmax + 1]
     old = qforms.e_square_table(6, dmax)
-    for d in range(1, dmax + 1):
-        if Fraction(new[d], 12) != old[d]:
-            raise AssertionError((6, d))
+    if new != old:
+        raise AssertionError((6, next(d for d in range(dmax + 1) if new[d] != old[d])))
     if qforms.e1_square_twelfths(dmax) != qforms.e1_convolution_twelfths(dmax):
         raise AssertionError((1, dmax))
     return "convolution route (k = 6) and Besge (k = 1) exact at every d"

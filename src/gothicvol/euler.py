@@ -239,8 +239,8 @@ def chi_W4(D: int, j: int = 1, mode: str = "exact") -> Fraction:
     if is_empty("w4", D):
         return Fraction(0)
     check_e_reach(D)
-    factor = Fraction(-5, 2) if conductor(D) % 2 else Fraction(-15, 4)
-    return factor * chi_X_nonsquare(D)
+    f = conductor(D)
+    return Fraction(-_e_sum(D, 1, f), 12 if f % 2 else 8)  # chi(X_D) = e(D, 1)/30
 
 
 def chi_W6(D: int, mode: str = "exact") -> Fraction:

@@ -126,8 +126,7 @@ def class_count(d: int, n: int) -> int:
 
 def component_list(d: int) -> list[int]:
     """Canonical representatives r | 6 of the distinct ideals of norm 6."""
-    if d < 2:
-        raise ValueError("need d >= 2")
+    _validate(6, d=d)
     m = d % 6
     if m == 0:
         return [1]

@@ -23,10 +23,11 @@ prints F_k too).  The identity
 ties these coefficients to the prototype counts and is the primary
 anti-bug oracle between the two modules: see check_e_and_a.  Moebius
 inversion of the same identity gives e(d^2, k) for every d <= dmax at once,
-along two routes, both in Python ints without numpy:
+along two routes.  Each table holds 12 e(d^2, k) as Python ints, without
+numpy, and each inversion in code is one in-place step, _twelfths_by_moebius:
 
-    e6_square_twelfths -- the production route, 12 e(d^2, 6) as exact ints
-                          from four level-6 divisor convolutions, each one
+    e6_square_twelfths -- the production route, 12 e(d^2, 6) from four
+                          level-6 divisor convolutions, each one
                           Kronecker product; sigma is needed only up to
                           dmax.  e1_square_twelfths closes k = 1 by Besge's
                           identity, and e1_convolution_twelfths is its
@@ -54,7 +55,7 @@ from . import arith
 from .arith import divisors, sigma
 from .prototypes import conductor, e_value
 
-_SIGMA0 = Fraction(-1, 24)  # sigma(0) convention inside e_k only
+_SIGMA0 = Fraction(-1, 24)  # G2's constant term, sigma(0) in e_k's convention
 
 # The sigma sieve of ek_square_table has m^2/4k + 2 entries of 8 bytes, so
 # at this bound 2.5 * 10^7 entries (200 MB) for k = 1; every sigma(n) there
@@ -118,21 +119,22 @@ def fk_expansion(k: int, N: int) -> list[Fraction]:
 
 
 def ek_coeff(k: int, n: int) -> Fraction:
-    """e_k(n) by the direct divisor sum (independent of series multiplication)."""
+    """e_k(n) by the direct divisor sum (independent of series multiplication),
+    summed as 24 e_k(n) in ints: sigma(0) = -1/24 adds -1."""
     if k < 1 or n < 0:
         raise ValueError("need k >= 1 and n >= 0")
-    total = Fraction(0)
+    total = 0
     B = math.isqrt(n)
     for b in range(-B, B + 1):
         rem = n - b * b
         if rem % (4 * k) == 0:
             m = rem // (4 * k)
-            total += _SIGMA0 if m == 0 else sigma(1, m)
-    return total
+            total += 24 * sigma(1, m) if m else -1
+    return Fraction(total, 24)
 
 
-def ek_square_table(k: int, mmax: int) -> list[Fraction]:
-    """e_k(m^2) for 0 <= m <= mmax (entry 0 unused), via a sigma sieve.
+def ek_square_table(k: int, mmax: int) -> tuple[int, ...]:
+    """12 e_k(m^2) for 0 <= m <= mmax (entry 0 unused), via a sigma sieve.
 
     Of the terms b in [-m, m], b = +-m give sigma(0) = -1/24 each, and b, -b
     give equal terms, so e_k(m^2) + 1/12 = 2 sum_{0<=b<m} - (the b = 0 term)
@@ -159,7 +161,7 @@ def ek_square_table(k: int, mmax: int) -> list[Fraction]:
 
     roots = [[r for r in range(two_k) if (r * r - m * m) % four_k == 0] for m in range(two_k)]
     quot = [b * b // four_k for b in range(mmax)]
-    out = [Fraction(0)] * (mmax + 1)
+    out = [0] * (mmax + 1)
     for m in range(1, mmax + 1):
         q = m * m // four_k
         shifted = 2 * sum(
@@ -167,32 +169,28 @@ def ek_square_table(k: int, mmax: int) -> list[Fraction]:
         )
         if m * m % four_k == 0:
             shifted -= sig[q]
-        out[m] = Fraction(12 * shifted - 1, 12)
-    return out
+        out[m] = 12 * shifted - 1
+    return tuple(out)
 
 
-def _moebius_invert(f: list[int]) -> None:
-    """f(d) <- sum_{m | d} mu(d/m) f(m) for 1 <= d < len(f), in place, by
-    f[2d::d] -= f[d] for d = 1, 2, ..."""
+def _twelfths_by_moebius(f: list[int]) -> tuple[int, ...]:
+    """12 e(d^2, k) for 0 <= d < len(f) (entry 0 unused) from the ints
+    f(m) = e_k(m^2) + 1/12, by e(d^2, k) = sum_{m | d} mu(d/m) e_k(m^2) in
+    place: f[2d::d] -= f[d] for d = 1, 2, ...  Since sum_{m|d} mu(d/m) =
+    [d = 1], the 1/12 comes back at d = 1 only."""
     for d in range(1, (len(f) - 1) // 2 + 1):
         f[2 * d :: d] = map(sub, f[2 * d :: d], repeat(f[d]))
+    twelfths = [12 * v for v in f]
+    twelfths[1] -= 1
+    return tuple(twelfths)
 
 
-def e_square_table(k: int, dmax: int) -> list[Fraction]:
-    """Exact e(d^2, k) for 0 <= d <= dmax via Moebius inversion of e_and_a.
-
-    e(d^2, k) = sum_{m | d} mu(d/m) e_k(m^2); exact because the relation
-    e_k(D) = sum_{m|f} e(D/m^2, k) is an identity of the coefficients
-    (verified against prototype enumeration by check_e_and_a).  The inversion
-    runs in place on the integers f(m) = e_k(m^2) + 1/12; since
-    sum_{m|d} mu(d/m) = [d = 1], the 1/12 comes back at d = 1 only.
-    """
-    # e_k(m^2) = (12 f(m) - 1) / 12 in lowest terms, so f = (numerator + 1) / 12
-    f = [(x.numerator + 1) // 12 for x in ek_square_table(k, dmax)]
-    _moebius_invert(f)
-    out = list(map(Fraction, f))
-    out[1] -= Fraction(1, 12)
-    return out
+def e_square_table(k: int, dmax: int) -> tuple[int, ...]:
+    """12 e(d^2, k) for 0 <= d <= dmax (entry 0 unused), Moebius-inverted from
+    ek_square_table; exact because e_k(D) = sum_{m|f} e(D/m^2, k) is an
+    identity of the coefficients (verified against prototype enumeration by
+    check_e_and_a)."""
+    return _twelfths_by_moebius([(t + 1) // 12 for t in ek_square_table(k, dmax)])
 
 
 def _kronecker_product(xs, ys, n_out: int) -> array:
@@ -251,8 +249,7 @@ def _twelfths_from_sums(by_class, dmax: int) -> tuple[int, ...]:
         e_k(m^2) + 1/12 = sum_{g | m} mu(g) g K_g(m/g)
 
     where K_g is by_class[i] with i = 0, 1, 2, 3 as (g, 6) = 1, g even, 3 | g,
-    6 | g.  Moebius inversion over m | d, in place, then gives
-    e(d^2, k) + [d = 1]/12.
+    6 | g.
     """
     mu = arith.moebius_table(dmax)
     f = [0] * (dmax + 1)
@@ -260,10 +257,7 @@ def _twelfths_from_sums(by_class, dmax: int) -> tuple[int, ...]:
         if mu[g]:
             k = by_class[(g % 2 == 0) + 2 * (g % 3 == 0)]
             f[g::g] = map(add, f[g::g], map((mu[g] * g).__mul__, k[1 : dmax // g + 1]))
-    _moebius_invert(f)
-    twelfths = [12 * v for v in f]
-    twelfths[1] -= 1
-    return tuple(twelfths)
+    return _twelfths_by_moebius(f)
 
 
 def e6_square_twelfths(dmax: int) -> tuple[int, ...]:

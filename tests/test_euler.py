@@ -78,6 +78,23 @@ def test_chi_w2():
         chi_W2(1)
 
 
+def test_chi_w4_factorises_a_non_square_d_once(monkeypatch):
+    # chi_W4 sums e(D, 1) with the conductor it has already taken
+    D = 1000001  # 101 * 9901, D = 1 mod 8
+    seen = []
+    real = arith.factorize
+
+    def counted(n):
+        seen.append(n)
+        return real(n)
+
+    monkeypatch.setattr(arith, "factorize", counted)
+    got = chi_W4(D, 2)
+    assert seen.count(D) == 1
+    monkeypatch.undo()
+    assert got == Fraction(-5, 2) * chi_X_nonsquare(D)
+
+
 def test_chi_w4_components_and_values():
     assert chi_W4(13, 1) == 0 and euler.is_empty("w4", 13)  # 13 = 5 mod 8
     assert chi_W4(17, 1) == Fraction(-5, 2) * chi_X_nonsquare(17)
@@ -242,7 +259,7 @@ def test_e_square_cache_is_read_only():
     assert cache is euler._E6_TWELFTHS
     with pytest.raises(TypeError):
         cache[5] = 0
-    assert cache[5] == 12 * e_square_table(6, 5)[5]
+    assert cache[5] == e_square_table(6, 5)[5]
 
 
 def test_e_square_table_grows_geometrically(monkeypatch):

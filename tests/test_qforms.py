@@ -147,14 +147,14 @@ def test_ek_square_table_matches_pointwise():
     for k in (1, 6):
         tab = ek_square_table(k, 60)
         for m in range(1, 61):
-            assert tab[m] == ek_coeff(k, m * m), (k, m)
+            assert tab[m] == 12 * ek_coeff(k, m * m), (k, m)
 
 
 def test_ek_square_table_matches_divisor_sum():
     for k in (1, 2, 3, 6):
         tab = ek_square_table(k, 150)
         for m in range(1, 151):
-            assert tab[m] == ek_coeff(k, m * m), (k, m)
+            assert tab[m] == 12 * ek_coeff(k, m * m), (k, m)
 
 
 def test_e_square_table_matches_moebius_sum():
@@ -163,7 +163,16 @@ def test_e_square_table_matches_moebius_sum():
         tab = e_square_table(k, 200)
         for d in range(1, 201):
             expected = sum((moebius(d // m) * ek[m] for m in divisors(d)), Fraction(0))
-            assert tab[d] == expected, (k, d)
+            assert tab[d] == 12 * expected, (k, d)
+
+
+def test_oracle_square_tables_are_tuples_of_ints():
+    # the sigma-sieve oracle holds twelfths, the format of every other
+    # e(d^2, k) table
+    for k in (1, 6):
+        for tab in (ek_square_table(k, 60), e_square_table(k, 60)):
+            assert type(tab) is tuple and len(tab) == 61, k
+            assert all(type(t) is int for t in tab), k
 
 
 @pytest.mark.parametrize("fn, args, message", [
@@ -193,20 +202,17 @@ def test_square_tables_build_no_cached_sigma_table(monkeypatch):
         raise AssertionError("the square tables built a cached sigma table")
 
     monkeypatch.setattr(qforms.arith, "sigma_table", no_tables)
-    tab = e_square_table(1, 100)
-    assert tab[1:] == [Fraction(v, 12) for v in e1_square_twelfths(100)[1:]]
+    assert e_square_table(1, 100) == e1_square_twelfths(100)
 
 
 def test_e6_convolution_route_matches_square_table():
     new = e6_square_twelfths(1000)
-    old = e_square_table(6, 1000)
     assert new[1] == -1
-    for d in range(1, 1001):
-        assert Fraction(new[d], 12) == old[d], d
+    assert new == e_square_table(6, 1000)
     # dmax <= 6 leaves some residue pairs (i, j) of _convolution_sum with
     # no term at all
     for dmax in range(1, 13):
-        assert list(e6_square_twelfths(dmax)) == [12 * v for v in e_square_table(6, dmax)], dmax
+        assert e6_square_twelfths(dmax) == e_square_table(6, dmax), dmax
         assert e1_convolution_twelfths(dmax) == e1_square_twelfths(dmax), dmax
 
 
@@ -220,9 +226,7 @@ def test_e6_convolution_route_matches_moebius_sum():
 
 def test_besge_closed_form_matches_square_table():
     new = e1_square_twelfths(1000)
-    old = e_square_table(1, 1000)
-    for d in range(1, 1001):
-        assert Fraction(new[d], 12) == old[d], d
+    assert new == e_square_table(1, 1000)
     assert e1_square_twelfths(50) == new[:51]
     # the level-1 convolution reaches the same values without Besge
     assert e1_convolution_twelfths(1000) == new
@@ -269,9 +273,9 @@ def test_convolution_slot_bound(monkeypatch):
 def test_e_square_table_matches_enumeration():
     for k in (1, 6):
         tab = e_square_table(k, 40)
-        assert tab[1] == Fraction(-1, 12)
+        assert tab[1] == -1
         for d in range(2, 41):
-            assert tab[d] == e_value(d * d, k), (k, d)
+            assert tab[d] == 12 * e_value(d * d, k), (k, d)
 
 
 def test_check_e_and_a_examples():

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from gothicvol import Locus, counting, euler, verify, volume, zagier
+from gothicvol import Locus, counting, euler, qforms, verify, volume, zagier
 from gothicvol.checks import arith as arith_checks
 from gothicvol.cli import main
 
@@ -158,7 +158,7 @@ def test_smm_cd_check_fails_on_one_wrong_smm_total(monkeypatch):
 
 def test_smm_cd_check_fails_on_one_wrong_leading_smm(monkeypatch):
     # cd_count reads the main_term surrogate only; the tie of counting.smm
-    # to smm_totals covers every surrogate
+    # to smm_totals covers the gothic leading and remark surrogates
     real = counting.smm
 
     def wrong_smm(locus, m, mode="main_term"):
@@ -193,6 +193,36 @@ def test_smm_cd_check_fails_on_a_wrong_remark_total_at_the_range_edge(monkeypatc
     # cd_count never reads the remark surrogate: the tie to smm_totals does
     result = _smm_off_by_one_at(monkeypatch, (Locus.G, 200, "remark"))
     assert (result.ok, result.detail) == (False, "FAILED at ('gothic', 'remark', 200)")
+
+
+_SQUARE_TABLES = "e(d^2, k) in twelfths equals the square tables, d <= 4000, k in {1,6}"
+
+
+def test_square_table_check_fails_on_one_wrong_oracle_twelfth(monkeypatch):
+    # the k = 6 comparison names the first d where the two routes differ
+    real = qforms.e_square_table
+
+    def wrong_table(k, dmax):
+        table = list(real(k, dmax))
+        table[4000] += 1
+        return tuple(table)
+
+    monkeypatch.setattr(qforms, "e_square_table", wrong_table)
+    result = verify.run_check(_SQUARE_TABLES)
+    assert (result.ok, result.detail) == (False, "FAILED at (6, 4000)")
+
+
+def test_square_table_check_fails_on_one_wrong_besge_twelfth(monkeypatch):
+    real = qforms.e1_square_twelfths
+
+    def wrong_table(dmax):
+        table = list(real(dmax))
+        table[4000] += 1
+        return tuple(table)
+
+    monkeypatch.setattr(qforms, "e1_square_twelfths", wrong_table)
+    result = verify.run_check(_SQUARE_TABLES)
+    assert (result.ok, result.detail) == (False, "FAILED at (1, 4000)")
 
 
 def test_leading_check_fails_on_one_negative_table_entry(monkeypatch):

@@ -258,8 +258,7 @@ def test_integer_totals_match_smm(monkeypatch, locus, surrogate):
     mmax = 2000
     monkeypatch.setattr(euler, "_E6_TWELFTHS", ())
     totals = volume.smm_totals(locus, mmax, surrogate)
-    monkeypatch.setattr(euler, "_E6_TWELFTHS",
-                        tuple(int(12 * e) for e in e_square_table(6, mmax)))
+    monkeypatch.setattr(euler, "_E6_TWELFTHS", e_square_table(6, mmax))
     assert len(totals.numerators) == mmax + 1 and totals.numerators[0] == 0
     assert all(isinstance(t, int) for t in totals.numerators)
     for m in range(1, mmax + 1):
