@@ -43,10 +43,10 @@ SIEVE_BOUND = 10**7
 # The stated reach of trial division, and so of every scalar factorisation:
 # its slowest request stays within 15 s and 800 MB cold on 2 cores.  That is
 # `cd --locus p3|h2 --d 2p` at a prime p, where cd_count factorises p or 2p
-# five times for P3 and four for H(2): at 2p = 5 * 10^15 - 178, 10.5-13.1 s
-# (p3) and 7.6-8.3 s (h2) in 16 MB, against 7.2 s (p3) and 6.5 s (h2) for
-# `cd --d p` at p = 5 * 10^15 - 3.  Larger n is refused before the first
-# division.
+# four times for P3 and three for H(2): at 2p = 5 * 10^15 - 178, 7.3-7.5 s
+# (p3) and 5.9-6.5 s (h2) of CPU in 16 MB, against 6.4-6.5 s (p3) and
+# 6.4-6.8 s (h2) for `cd --d p` at p = 5 * 10^15 - 3.  Larger n is refused
+# before the first division.
 TRIAL_MAX_N = 5 * 10**15
 
 

@@ -42,8 +42,7 @@ from functools import cache
 from fractions import Fraction
 from math import factorial, lcm, prod
 
-from . import Locus, surrogate_mode
-from .arith import divisors, sigma
+from . import Locus, arith, surrogate_mode
 
 
 class CoverCount(namedtuple("CoverCount", ("m", "contributions", "total"))):
@@ -128,7 +127,8 @@ def cd_count(locus: Locus, d: int, mode: str = "main_term") -> Fraction:
 
     For P3/P4 this sums smm's main-term surrogates, so it is not a
     square-tiled count either: cd_count(P4, 2) is 7/12, though a surface in
-    H(6) needs at least 7 squares.
+    H(6) needs at least 7 squares.  The divisors m and their weights
+    sigma(d/m) come from one factorisation of d.
     """
     if d < 1:
         raise ValueError("need d >= 1")
@@ -136,10 +136,13 @@ def cd_count(locus: Locus, d: int, mode: str = "main_term") -> Fraction:
     # the m = d term first: for the gothic locus it refuses a d beyond the
     # e(d^2, 6) store before d is factorised
     top = smm(locus, d, mode).total
+    # (m, sigma(d/m)) for each m | d, with sigma(p^j) = (p^(j+1) - 1)/(p - 1)
+    pairs = [(1, 1)]
+    for p, e in arith.factorize(d):
+        pairs = [(m * p ** (e - j), w * ((p ** (j + 1) - 1) // (p - 1)))
+                 for m, w in pairs for j in range(e + 1)]
     # the terms as ints over the least common denominator, as in smm
-    divs = divisors(d)  # their sum is sigma(d), the weight at m = 1
-    terms = [(sum(divs) if m == 1 else sigma(1, d // m),
-              top if m == d else smm(locus, m, mode).total) for m in divs]
+    terms = [(w, top if m == d else smm(locus, m, mode).total) for m, w in pairs]
     den = lcm(*(t.denominator for _, t in terms))
     return Fraction(sum(w * t.numerator * (den // t.denominator) for w, t in terms), den)
 

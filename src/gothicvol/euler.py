@@ -38,9 +38,10 @@ self-growing tuple of 12 e(d^2, 6), which precompute_e_square grows and
 hands out; k = 6 is the only weight any formula asks for at a square.  It
 refuses d > E_SQUARE_MAX_D before any build.  Every chi_* at a square D
 builds one Fraction from integers: a(d), 12 e(d^2, 6) and the small
-constants above.  _gothic_curve_counts gives the same gothic values as a
-whole table of integers -6 L chi(G_{h^2}), h <= N, for the main_term and
-leading surrogates; volume.smm_totals and the verify scans read it.
+constants above; at a non-square D, the sums e(D, k) from one conductor.
+_gothic_curve_counts gives the same gothic values as a whole table of
+integers -6 L chi(G_{h^2}), h <= N, for the main_term and leading
+surrogates; volume.smm_totals and the verify scans read it.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import math
 from fractions import Fraction
 
 from .arith import jordan2, sl2_order, sl2_order_table
-from .prototypes import _e_sum, _validate_discriminant, check_e_reach, conductor, e_value
+from .prototypes import _e_sum, _validate_discriminant, check_e_reach, conductor
 
 # chi(X_{d^2}(b_r)) / chi(X_{d^2}) by gcd(6, d); also the gothic coefficient
 # -chi coefficient table is 3/2 times this.
@@ -150,19 +151,25 @@ def precompute_e_square(dmax: int) -> tuple[int, ...]:
     return _E6_TWELFTHS
 
 
+def _e_sums(D: int, *ks: int) -> tuple[int, ...]:
+    """(f, e(D, k) for each k in ks) at a non-square D that check_mode has
+    validated: the reach is checked and the conductor f taken once."""
+    check_e_reach(D)
+    f = conductor(D)
+    return (f, *(_e_sum(D, k, f) for k in ks))
+
+
 def chi_X_nonsquare(D: int) -> Fraction:
     """chi(X_D) = e(D, 1)/30 for a non-square discriminant D > 4."""
-    _validate_discriminant(D)
-    if _is_square(D) is not None:
+    if check_mode("x", D, "exact") is not None:
         raise ValueError(f"D = {D} is a square; use chi_X_square")
-    return e_value(D, 1) / 30
+    return Fraction(_e_sums(D, 1)[1], 30)
 
 
 def chi_X(D: int) -> Fraction:
     """chi(X_D), dispatching on squareness."""
-    _validate_discriminant(D)
-    d = _is_square(D)
-    return chi_X_square(d) if d is not None else chi_X_nonsquare(D)
+    d = check_mode("x", D, "exact")
+    return chi_X_square(d) if d is not None else Fraction(_e_sums(D, 1)[1], 30)
 
 
 def _check_component(d: int, r: int) -> None:
@@ -205,7 +212,7 @@ def chi_R(D: int, mode: str = "exact") -> Fraction:
     d = check_mode("r", D, mode)
     if d is not None:
         return Fraction(-precompute_e_square(d)[d], 72 * _NORM6[D % 24])
-    return -e_value(D, 6) / (6 * c_D(D))
+    return Fraction(-_e_sums(D, 6)[1], 6 * c_D(D))  # e(D, 6) before c_D's refusal
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +227,7 @@ def chi_W2(D: int) -> Fraction:
             raise ValueError("W_1(2) is undefined")
         # d^2 sum_{r|d} mu(r)/r^2 = J_2(d)
         return Fraction(-(d - 2) * jordan2(d), 16)
-    return Fraction(-9, 2) * chi_X_nonsquare(D)
+    return Fraction(-3 * _e_sums(D, 1)[1], 20)  # -(9/2) e(D, 1)/30
 
 
 def chi_W4(D: int, j: int = 1, mode: str = "exact") -> Fraction:
@@ -238,9 +245,8 @@ def chi_W4(D: int, j: int = 1, mode: str = "exact") -> Fraction:
         return Fraction(-5 * sl2_order(d), 144 if d % 2 else 96)
     if is_empty("w4", D):
         return Fraction(0)
-    check_e_reach(D)
-    f = conductor(D)
-    return Fraction(-_e_sum(D, 1, f), 12 if f % 2 else 8)  # chi(X_D) = e(D, 1)/30
+    f, e = _e_sums(D, 1)
+    return Fraction(-e, 12 if f % 2 else 8)  # chi(X_D) = e(D, 1)/30
 
 
 def chi_W6(D: int, mode: str = "exact") -> Fraction:
@@ -249,7 +255,7 @@ def chi_W6(D: int, mode: str = "exact") -> Fraction:
     d = check_mode("w6", D, mode)
     if d is not None:
         return Fraction(-7 * sl2_order(d), 72)
-    return -7 * chi_X_nonsquare(D)
+    return Fraction(-7 * _e_sums(D, 1)[1], 30)
 
 
 def chi_G(D: int, r: int = 1, mode: str = "exact") -> Fraction:
@@ -265,19 +271,15 @@ def chi_G(D: int, r: int = 1, mode: str = "exact") -> Fraction:
     """
     d = check_mode("g", D, mode)
     if d is None:
-        if is_empty("g", D):
-            if r != 1:
-                raise ValueError(f"component index {r} out of range for D = {D}")
-            return Fraction(0)
-        c = c_D(D)
-        if not 1 <= r <= c:
+        c = _NORM6[D % 24]
+        if not 1 <= r <= max(c, 1):
             raise ValueError(f"component index {r} out of range for D = {D}")
-        check_e_reach(D)
-        f = conductor(D)
+        if not c:
+            return Fraction(0)
+        f, e1, e6 = _e_sums(D, 1, 6)
         ratio = X_BR_RATIO[math.gcd(6, f)]
         rn, rd = ratio.numerator, ratio.denominator
-        num = 20 * rd * _e_sum(D, 6, f) - 3 * c * rn * _e_sum(D, 1, f)
-        return Fraction(num, 60 * rd * c)
+        return Fraction(20 * rd * e6 - 3 * c * rn * e1, 60 * rd * c)
     _check_component(d, r)
     g6 = math.gcd(6, d)
     if mode == "leading":

@@ -244,10 +244,17 @@ def test_cd_count_examples():
     assert cd_count(Locus.H2, 6) == 45  # sigma(2)*3 + 36
 
 
+# the factorisations of p or 2p in cd_count(locus, 2p): one of 2p, and one per
+# curve at p^2 or (2p)^2 -- W_{p^2}(2) and W_{(2p)^2}(2) for H(2);
+# W^1_{p^2}(4), W^1_{(2p)^2}(4) and W^2_{p^2}(4) for P3; W_{p^2}(6) for P4
+_CALLS_AT_2P = {Locus.H2: 3, Locus.P3: 4, Locus.P4: 2}
+
+
 @pytest.mark.parametrize("locus, calls", [(Locus.H2, 2), (Locus.P3, 2), (Locus.P4, 1)])
 def test_cd_count_at_a_prime_factorises_it_once_per_route(monkeypatch, locus, calls):
-    # divisors(p) factorises p, and so does the chi of smm(locus, p) for H(2)
-    # and P3 (P4 has no curve at odd m); sigma(p) is the sum of the divisors
+    # cd_count factorises d once for its divisors and their weights sigma(d/m),
+    # and the chi of smm(locus, p) factorises p for H(2) and P3 (P4 has no
+    # curve at odd m)
     p = 1000003
     seen = []
 
@@ -259,8 +266,13 @@ def test_cd_count_at_a_prime_factorises_it_once_per_route(monkeypatch, locus, ca
     monkeypatch.setattr(arith, "factorize", counted)
     got = cd_count(locus, p)
     assert seen.count(p) == calls
+    seen.clear()
+    got2 = cd_count(locus, 2 * p)
+    assert seen.count(p) + seen.count(2 * p) == _CALLS_AT_2P[locus]
     monkeypatch.undo()
     assert got == (p + 1) * smm(locus, 1).total + smm(locus, p).total
+    s = [smm(locus, m).total for m in (1, 2, p, 2 * p)]
+    assert got2 == 3 * (p + 1) * s[0] + (p + 1) * s[1] + 3 * s[2] + s[3]
 
 
 def test_cd_counts_are_nonneg_integers_for_h2():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gothicvol import Locus, arith, counting, euler, ideals, qforms
+from gothicvol import Locus, arith, counting, euler, ideals, prototypes, qforms
 from gothicvol.arith import divisors, moebius, sigma, sl2_order
 from gothicvol.cli import main
 from gothicvol.euler import (
@@ -78,21 +78,46 @@ def test_chi_w2():
         chi_W2(1)
 
 
-def test_chi_w4_factorises_a_non_square_d_once(monkeypatch):
-    # chi_W4 sums e(D, 1) with the conductor it has already taken
-    D = 1000001  # 101 * 9901, D = 1 mod 8
-    seen = []
-    real = arith.factorize
+def _factorisations_and_e_values(monkeypatch, fn, D):
+    """fn(D), the number of times it factorises D and its calls of
+    prototypes.e_value, by whatever module name it reaches that through."""
+    seen, e_calls = [], []
+    real, real_e = arith.factorize, prototypes.e_value
 
     def counted(n):
         seen.append(n)
         return real(n)
 
+    def counted_e(*args):
+        e_calls.append(args)
+        return real_e(*args)
+
     monkeypatch.setattr(arith, "factorize", counted)
-    got = chi_W4(D, 2)
-    assert seen.count(D) == 1
+    for module in (prototypes, euler):
+        if hasattr(module, "e_value"):
+            monkeypatch.setattr(module, "e_value", counted_e)
+    got = fn(D)
     monkeypatch.undo()
-    assert got == Fraction(-5, 2) * chi_X_nonsquare(D)
+    return got, seen.count(D), len(e_calls)
+
+
+def test_chi_w4_factorises_a_non_square_d_once(monkeypatch):
+    # every chi_* sums e(D, k) with the one conductor it takes, not through
+    # prototypes.e_value
+    D = 1000001  # 101 * 9901, D = 1 mod 8
+    got, factorised, e_calls = _factorisations_and_e_values(monkeypatch, lambda D: chi_W4(D, 2), D)
+    assert (factorised, e_calls) == (1, 0)
+    assert got == Fraction(-5, 2) * e_value(D, 1) / 30
+    D = 1000009  # 293 * 3413, D = 1 mod 24, so G_D is not empty
+    e1, e6 = e_value(D, 1), e_value(D, 6)
+    chi_r = -e6 / (6 * c_D(D))
+    ratio = euler.X_BR_RATIO[math.gcd(6, prototypes.conductor(D))]
+    for fn, want in ((chi_X, e1 / 30), (chi_X_nonsquare, e1 / 30),
+                     (chi_W2, Fraction(-9, 2) * e1 / 30), (chi_W6, -7 * e1 / 30),
+                     (chi_R, chi_r), (chi_G, Fraction(-3, 2) * ratio * e1 / 30 - 2 * chi_r)):
+        got, factorised, e_calls = _factorisations_and_e_values(monkeypatch, fn, D)
+        assert (factorised, e_calls) == (1, 0), fn.__name__
+        assert got == want, fn.__name__
 
 
 def test_chi_w4_components_and_values():
