@@ -24,11 +24,12 @@ closed volume path share, so that neither loads ``euler`` or ``counting``:
                       ``counting.Locus``
     MODES          -- every accepted spelling of a mode, mapped to its
                       canonical name
+    FAMILY_MODES   -- the modes each ``chi`` family offers at a square D
     SURROGATES     -- the square-discriminant surrogates each locus offers
     surrogate_mode -- the canonical name of a surrogate that a locus offers
 
-Every locus entry point validates its surrogate through ``surrogate_mode``;
-``euler.check_mode`` reads the modes of each ``chi`` family, FAMILY_MODES.
+Every locus entry point validates its surrogate through ``surrogate_mode``,
+and ``euler.check_mode`` a family's mode through FAMILY_MODES.
 
 ``cli`` and ``volume`` import a module that only some subcommands need inside
 the functions that call it, and ``cli`` builds the argument parser of the
@@ -48,7 +49,7 @@ from enum import Enum
 
 from .arith import PiQuantity
 
-__all__ = ["Locus", "MODES", "PiQuantity", "SURROGATES", "surrogate_mode"]
+__all__ = ["FAMILY_MODES", "Locus", "MODES", "PiQuantity", "SURROGATES", "surrogate_mode"]
 __version__ = "0.1.0"
 
 
@@ -65,12 +66,17 @@ MODES = {"exact": "exact", "main": "main_term", "main_term": "main_term",
          "leading": "leading", "remark": "remark"}
 
 
-# The surrogates each locus offers.  H(2) is exact but keeps the label
-# main_term, which recorded answers carry.  Gothic closed main_term still
-# reports the leading sums, the only ones the closed rows compute, until the
-# recorded answers are re-recorded (ROADMAP item 2).
-SURROGATES = {Locus.H2: ("main_term",), Locus.P3: ("main_term",),
-              Locus.P4: ("main_term",), Locus.G: ("main_term", "leading", "remark")}
+# The modes each family, named as by ``chi --family``, offers at a square D.
+FAMILY_MODES = {"x": ("exact",), "xbr": ("exact",), "w2": ("exact",),
+                "w4": ("main_term",), "w6": ("main_term",), "r": ("main_term",),
+                "g": ("main_term", "leading", "remark")}
+
+# The surrogates each locus offers: those of its family, W(4), W(6) or G.
+# H(2)'s chi_W2 is exact, but recorded answers carry the label main_term.
+# Gothic closed main_term still reports the leading sums, the only ones the
+# closed rows compute, until the answers are re-recorded (ROADMAP item 2).
+SURROGATES = {Locus.H2: ("main_term",), Locus.P3: FAMILY_MODES["w4"],
+              Locus.P4: FAMILY_MODES["w6"], Locus.G: FAMILY_MODES["g"]}
 
 
 def surrogate_mode(name: str, locus: Locus) -> str:

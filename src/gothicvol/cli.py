@@ -28,7 +28,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import MODES, Locus, arith
+from . import FAMILY_MODES, MODES, Locus, arith
 from .arith import PiQuantity
 
 
@@ -163,23 +163,24 @@ def _cmd_chi(args):
     from . import euler
 
     D, mode, fam = args.D, MODES[args.mode], args.family
-    d = euler.check_mode(fam, D, mode)  # the square root of D, or None
-    if fam == "x":
-        value = euler.chi_X(D)
-    elif fam == "xbr":
-        if d is None:
-            raise ValueError("family=xbr needs a square D")
-        value = euler.chi_X_br(d, args.r)
-    elif fam == "w2":
-        value = euler.chi_W2(D)
-    elif fam == "w4":
+    if fam == "w4":  # each chi_* that takes a mode checks it
         value = euler.chi_W4(D, args.j, mode)
     elif fam == "w6":
         value = euler.chi_W6(D, mode)
     elif fam == "r":
         value = euler.chi_R(D, mode)
-    else:  # g
+    elif fam == "g":
         value = euler.chi_G(D, args.r, mode)
+    else:  # x, xbr and w2 take no mode; xbr takes d, the square root of D
+        d = euler.check_mode(fam, D, mode)
+        if fam == "x":
+            value = euler.chi_X(D)
+        elif fam == "w2":
+            value = euler.chi_W2(D)
+        elif d is None:
+            raise ValueError("family=xbr needs a square D")
+        else:
+            value = euler.chi_X_br(d, args.r)
     result = {"family": fam, "D": D, "mode": mode, "value": value,
               "empty": euler.is_empty(fam, D)}
     return result, None
@@ -275,8 +276,7 @@ _SUBCOMMANDS = {
     "ideals": ("ideal bases, class counts, polarizations", _cmd_ideals,
                (("--d", _INT), ("--n", {"type": int, "default": 6}))),
     "chi": ("Euler characteristics chi(...)", _cmd_chi,
-            (("--family", {"choices": ("x", "xbr", "w2", "w4", "w6", "r", "g"),
-                           "required": True}),
+            (("--family", {"choices": tuple(FAMILY_MODES), "required": True}),
              ("--D", _INT),
              ("--r", {"type": int, "default": 1}),
              ("--j", {"type": int, "default": 1}),

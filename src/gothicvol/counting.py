@@ -132,9 +132,8 @@ def cd_count(locus: Locus, d: int, mode: str = "main_term") -> Fraction:
     """
     if d < 1:
         raise ValueError("need d >= 1")
-    mode = surrogate_mode(mode, locus)
-    # the m = d term first: for the gothic locus it refuses a d beyond the
-    # e(d^2, 6) store before d is factorised
+    # the m = d term first: it refuses a surrogate the locus lacks, and for
+    # the gothic locus a d beyond the e(d^2, 6) store, before d is factorised
     top = smm(locus, d, mode).total
     # (m, sigma(d/m)) for each m | d, with sigma(p^j) = (p^(j+1) - 1)/(p - 1)
     pairs = [(1, 1)]

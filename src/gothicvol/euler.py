@@ -19,7 +19,7 @@ formulas:
 For square discriminants the curve formulas (other than genus 2) are not
 unconditional: the Baily-Borel boundary contributes an unknown correction of
 relative size O(1/d).  Those values are therefore typed by a ``mode``, and
-check_mode refuses a mode that the family's entry in FAMILY_MODES lacks:
+check_mode refuses a mode missing from its family's gothicvol.FAMILY_MODES:
 
     exact      -- unconditional formula (non-square D; X, X(b_r), W(2) at squares)
     main_term  -- the boundary-free lower bound of the square-discriminant
@@ -49,6 +49,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from . import FAMILY_MODES
 from .arith import jordan2, sl2_order, sl2_order_table
 from .prototypes import _e_sum, _validate_discriminant, check_e_reach, conductor
 
@@ -91,13 +92,6 @@ def is_empty(family: str, D: int) -> bool:
     if family == "g":
         return _NORM6[D % 24] == 0
     return False
-
-
-# The modes each family, named as by ``chi --family``, offers at a square D;
-# at a non-square D every family is exact.
-FAMILY_MODES = {"x": ("exact",), "xbr": ("exact",), "w2": ("exact",),
-                "w4": ("main_term",), "w6": ("main_term",), "r": ("main_term",),
-                "g": ("main_term", "leading", "remark")}
 
 
 def check_mode(family: str, D: int, mode: str) -> int | None:

@@ -1,5 +1,6 @@
-"""The two mode tables: the surrogates of each locus (``gothicvol.SURROGATES``)
-and the modes of each ``chi`` family (``euler.FAMILY_MODES``).
+"""The mode tables at the package root: the modes of each ``chi`` family
+(``gothicvol.FAMILY_MODES``) and the surrogates of each locus
+(``gothicvol.SURROGATES``), which reads P3, P4 and gothic from the first.
 
 Every entry point that reads a table runs each mode the table accepts and
 refuses every other mode with a ValueError naming the accepted ones.
@@ -7,6 +8,7 @@ refuses every other mode with a ValueError naming the accepted ones.
 
 import pytest
 
+import gothicvol
 from gothicvol import SURROGATES, Locus, counting, euler, volume
 from gothicvol.cli import main
 
@@ -83,3 +85,40 @@ def test_the_tables_name_every_locus_and_family():
     assert set(euler.FAMILY_MODES) == {"x", "xbr", "w2", "w4", "w6", "r", "g"}
     for offered in (*SURROGATES.values(), *euler.FAMILY_MODES.values()):
         assert offered and set(offered) <= set(MODES)
+
+
+def test_one_family_table_that_the_loci_and_euler_read():
+    assert euler.FAMILY_MODES is gothicvol.FAMILY_MODES
+    for locus, family in ((Locus.P3, "w4"), (Locus.P4, "w6"), (Locus.G, "g")):
+        assert SURROGATES[locus] is gothicvol.FAMILY_MODES[family]
+
+
+def _counted(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+# check_mode runs in the chi_* of a family that takes a mode, and in the
+# handler for x, xbr and w2, whose chi_X and chi_W2 check again
+@pytest.mark.parametrize("family, D, want", [
+    ("x", 1000009, 2), ("xbr", 3600, 1), ("w2", 1000009, 2), ("w4", 1000009, 1),
+    ("w6", 1000009, 1), ("r", 1000009, 1), ("g", 1000009, 1),
+])
+def test_check_mode_calls_per_chi_request(monkeypatch, capsys, family, D, want):
+    calls = _counted(monkeypatch, euler, "check_mode")
+    assert main(["chi", "--family", family, "--D", str(D)]) == 0, capsys.readouterr().err
+    assert len(calls) == want
+
+
+@pytest.mark.parametrize("locus", list(Locus), ids=[locus.value for locus in Locus])
+def test_cd_count_checks_the_surrogate_once_per_divisor(monkeypatch, locus):
+    calls = _counted(monkeypatch, counting, "surrogate_mode")
+    counting.cd_count(locus, 60)
+    assert len(calls) == 12  # one smm per divisor of 60
