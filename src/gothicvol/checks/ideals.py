@@ -9,25 +9,6 @@ from .. import ideals
 from ..verify import _check
 
 
-def _lattice_hnf(gens) -> tuple:
-    """HNF of the lattice spanned by two QuadPairs (for brute-force equality)."""
-    a, b = (gens[0].a1, gens[0].a2), (gens[1].a1, gens[1].a2)
-    rows = [list(a), list(b)]
-    # integer row reduction to upper triangular
-    while rows[1][0]:
-        if rows[0][0] == 0 or (rows[1][0] and abs(rows[1][0]) < abs(rows[0][0])):
-            rows[0], rows[1] = rows[1], rows[0]
-        q = rows[1][0] // rows[0][0]
-        rows[1] = [x - q * y for x, y in zip(rows[1], rows[0])]
-    if rows[0][0] < 0:
-        rows[0] = [-x for x in rows[0]]
-    if rows[1][1] < 0:
-        rows[1] = [-x for x in rows[1]]
-    if rows[1][1]:
-        rows[0][1] %= rows[1][1]
-    return tuple(rows[0]), tuple(rows[1])
-
-
 @_check("ideal bases: membership and index 6 in the order, d <= 200, r | 6")
 def _ideal_bases():
     for d in range(2, 201):
@@ -43,14 +24,17 @@ def _ideal_bases():
 
 @_check("ideal_equal matches brute-force lattice equality, d <= 100")
 def _ideal_equal_brute():
+    # each basis spans its ideal (_ideal_bases), so two ideals are equal iff
+    # each one's basis lies in the other
     for d in range(2, 101):
-        rs = (1, 2, 3, 6)
-        hnfs = {r: _lattice_hnf(ideals.ideal_basis(d, 6, r).basis) for r in rs}
-        for r in rs:
-            for s in rs:
-                if ideals.ideal_equal(d, 6, r, s) != (hnfs[r] == hnfs[s]):
+        specs = {r: ideals.ideal_basis(d, 6, r) for r in (1, 2, 3, 6)}
+        for r in specs:
+            for s in specs:
+                same = all(ideals.ideal_membership(specs[t], g)
+                           for t, u in ((r, s), (s, r)) for g in specs[u].basis)
+                if ideals.ideal_equal(d, 6, r, s) != same:
                     raise AssertionError((d, r, s))
-    return "lcm criterion vs HNF comparison"
+    return "lcm criterion vs mutual membership of the bases"
 
 
 @_check("galois conjugation swaps b_r and b_{6/r}, d <= 100")

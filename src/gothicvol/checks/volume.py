@@ -172,6 +172,4 @@ def _aez_constants():
         raise AssertionError(p3)
     if (p4.coeff, p4.pi_power) != (Fraction(28, 135), 4):
         raise AssertionError(p4)
-    if not (2**4 * 2**3 * 6 == 768 and Fraction(5, 6912) * 768 == Fraction(5, 9)):
-        raise AssertionError("P3 factor chain")
     return "5 pi^4/9 and 28 pi^4/135 from the factor chains"

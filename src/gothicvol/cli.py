@@ -3,11 +3,11 @@
 Every subcommand writes a single JSON document to standard output (or to
 ``--out FILE``): {"command", "inputs", "result", "elapsed_ms"}, where
 "inputs" echoes the subcommand's own arguments as declared in _SUBCOMMANDS,
-in that order; a handler returns only its result and CSV rows.  Exact
-rationals are emitted as "p/q" strings (never as decimals unless ``--float``
-is passed), pi-multiples as {"coeff": "p/q", "pi_power": n}.  Series-shaped
-results (q-expansion tables, zagier scans, volume checkpoints) can be emitted
-as CSV with ``--csv``.
+in that order.  Exact rationals are emitted as "p/q" strings (never as
+decimals unless ``--float`` is passed), pi-multiples as {"coeff": "p/q",
+"pi_power": n}.  A handler returns its result and, for series-shaped results
+(q-expansion tables, zagier scans, volume checkpoints), CSV rows that
+``_emit`` reads only under ``--csv``.
 
 Exit codes: 0 success, 2 input validation failure (an unwritable ``--out``
 included), 1 a ``verify`` run that reports a failed check (it still prints
@@ -33,7 +33,6 @@ from .arith import PiQuantity
 
 
 def _frac_str(x: Fraction) -> str:
-    x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -82,8 +81,8 @@ def _emit(args, command: str, inputs: dict, result, started: float, csv_rows):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: return (result, csv_rows or None); main echoes the
-# subcommand's declared arguments as the inputs
+# subcommand handlers: return (result, csv_rows or None), csv_rows being
+# (header, iterable of rows); main echoes the declared arguments as inputs
 # ---------------------------------------------------------------------------
 
 def _cmd_proto(args):
@@ -114,8 +113,7 @@ def _cmd_qexp(args):
         coeffs = qforms.g2k_expansion(args.k, N)
     else:  # fk and ek name one series: F_k = sum_n e_k(n) q^n
         coeffs = qforms.fk_expansion(args.k, N)
-    rows = [(n, c) for n, c in enumerate(coeffs)]
-    return {"coefficients": coeffs}, (("n", "coeff"), rows)
+    return {"coefficients": coeffs}, (("n", "coeff"), enumerate(coeffs))
 
 
 def _cmd_zagier(args):
@@ -123,15 +121,9 @@ def _cmd_zagier(args):
 
     if args.what == "asymptotic":
         rep = zagier.asymptotic_check_e(args.dmax)
-        result = {
-            "delta1_upper_max": rep.delta1_upper_max,
-            "delta1_lower_max": rep.delta1_lower_max,
-            "delta1_ratio": rep.delta1_ratio,
-            "delta6_upper_max": rep.delta6_upper_max,
-            "delta6_lower_max": rep.delta6_lower_max,
-            "delta6_ratio": rep.delta6_ratio,
-        }
-        rows = [(d, rep.delta1[d], rep.delta6[d]) for d in range(1, args.dmax + 1)]
+        # the fields after d_max and the two delta lists
+        result = dict(zip(rep._fields[3:], rep[3:]))
+        rows = zip(range(1, args.dmax + 1), rep.delta1[1:], rep.delta6[1:])
         return result, (("d", "delta1", "delta6"), rows)
     rows = zagier.ebar_rows(args.dmax)
     result = {"rows": [{"d": d, "ebar1": a, "ebar6": b} for d, a, b in rows]}
@@ -236,8 +228,7 @@ def _cmd_volume(args):
         "extrapolated_relative_error": est.extrapolated_relative_error,
         "checkpoints": [{"D": Dc, "value": v} for Dc, v in est.series],
     }
-    rows = [(Dc, v) for Dc, v in est.series]
-    return result, (("D", "value"), rows)
+    return result, (("D", "value"), est.series)
 
 
 def _cmd_verify(args):
@@ -248,11 +239,7 @@ def _cmd_verify(args):
         "suite": args.suite,
         "passed": sum(r.ok for r in results),
         "failed": sum(not r.ok for r in results),
-        "checks": [
-            {"name": r.name, "suite": r.suite, "ok": r.ok,
-             "elapsed_s": round(r.elapsed_s, 3), "detail": r.detail}
-            for r in results
-        ],
+        "checks": [{**r._asdict(), "elapsed_s": round(r.elapsed_s, 3)} for r in results],
     }
     return result, None
 

@@ -293,13 +293,10 @@ def chi_G(D: int, r: int = 1, mode: str = "exact") -> Fraction:
     return Fraction(d * num + 2 * c * REMARK_COEFF[g6] * rn * a, 144 * rd * c * d)
 
 
-_GCD6_BY_RESIDUE = (6, 1, 2, 3, 2, 1)  # gcd(6, h) by h mod 6
-
-
 def _by_residue(L: int, coeff) -> tuple[int, ...]:
     """L * coeff(gcd(6, h)) indexed by h mod 6; each must be an integer."""
     out = []
-    for g in _GCD6_BY_RESIDUE:
+    for g in (math.gcd(6, h) for h in range(6)):
         x = L * Fraction(coeff(g))
         if x.denominator != 1:
             raise ArithmeticError(f"{L} * {coeff(g)} is not an integer")

@@ -3,12 +3,14 @@
 import json
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from gothicvol import cli, volume, zagier
 from gothicvol.arith import TRIAL_MAX_N
-from gothicvol.cli import _SUBCOMMANDS, build_parser, main
+from gothicvol.cli import _SUBCOMMANDS, _encode, build_parser, main
 from gothicvol.prototypes import e_value
 from gothicvol.zagier import EBAR_MAX_D
 
@@ -191,6 +193,11 @@ def test_qexp_subcommand(capsys):
     doc = json.loads(out)
     assert doc["result"]["coefficients"][0] == "-1/24"
     assert doc["result"]["coefficients"][4] == "1"
+    code, out = run_cli(capsys, "qexp", "--series", "g2", "--k", "1", "--N", "8", "--csv")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "n,coeff"
+    assert lines[1:] == [f"{n},{c}" for n, c in enumerate(doc["result"]["coefficients"])]
 
 
 def test_zagier_csv(capsys):
@@ -243,8 +250,56 @@ def test_scalar_requests_refuse_past_the_trial_division_reach(capsys):
 def test_zagier_asymptotic_report(capsys):
     code, out = run_cli(capsys, "zagier", "--what", "asymptotic", "--dmax", "32")
     assert code == 0
-    doc = json.loads(out)
-    assert {"delta1_upper_max", "delta6_ratio"} <= set(doc["result"])
+    rep = zagier.asymptotic_check_e(32)
+    # the report's scalar fields, in the record's order
+    assert list(json.loads(out)["result"].items()) == [
+        (name, getattr(rep, name)) for name in (
+            "delta1_upper_max", "delta1_lower_max", "delta1_ratio",
+            "delta6_upper_max", "delta6_lower_max", "delta6_ratio")]
+    code, out = run_cli(capsys, "zagier", "--what", "asymptotic", "--dmax", "32", "--csv")
+    assert code == 0
+    assert out.splitlines() == ["d,delta1,delta6"] + [
+        f"{d},{rep.delta1[d]},{rep.delta6[d]}" for d in range(1, 33)]
+
+
+def test_encoding_fractions_rebuilds_none(monkeypatch):
+    # each printed rational is read off the Fraction it is, for "p/q" and --float
+    values = [Fraction(n, 7) for n in range(50)]
+    real = Fraction.__new__
+    built = []
+
+    def counted_new(cls, *args, **kwargs):
+        built.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+    as_text, as_float = _encode(values, False), _encode(values, True)
+    monkeypatch.undo()
+    assert built == []
+    assert as_text == [str(v) for v in values]
+    assert as_float == [float(v) for v in values]
+
+
+def test_a_json_document_builds_no_csv_rows(monkeypatch):
+    # the CSV rows of a series request are a lazy iterator or the record's own
+    # list, which _emit reads only under --csv
+    emitted, estimates = [], []
+    real_estimate = volume.volume_estimate
+
+    def recorded_estimate(*args):
+        estimates.append(real_estimate(*args))
+        return estimates[-1]
+
+    monkeypatch.setattr(cli, "_emit", lambda *args: emitted.append(args[-1]))  # csv_rows
+    monkeypatch.setattr(volume, "volume_estimate", recorded_estimate)
+    for argv in (("qexp", "--series", "theta", "--N", "50"),
+                 ("zagier", "--what", "asymptotic", "--dmax", "32")):
+        assert main(list(argv)) == 0
+        _, rows = emitted.pop()
+        assert iter(rows) is rows, argv
+    assert main(["volume", "--locus", "h2", "--dmax", "64"]) == 0
+    _, rows = emitted.pop()
+    assert rows is estimates.pop().series
 
 
 def test_invalid_input_exits_2(capsys):

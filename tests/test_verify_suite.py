@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from gothicvol import Locus, counting, euler, qforms, verify, volume, zagier
+from gothicvol import Locus, counting, euler, ideals, qforms, verify, volume, zagier
 from gothicvol.checks import arith as arith_checks
 from gothicvol.cli import main
 
@@ -310,6 +310,22 @@ def test_p3_second_component_at_every_even_m_fails_the_gating_check(monkeypatch)
     result = verify.run_check(
         "P3 second component appears iff m = 2 mod 4, with (m/2)^2 = 1 mod 8")
     assert (result.ok, result.detail) == (False, "FAILED at 4")
+
+
+_REAL_IDEAL_EQUAL = ideals.ideal_equal
+
+
+@pytest.mark.parametrize("wrong, where", [
+    (lambda d, n, r, s: _REAL_IDEAL_EQUAL(d, n, r, s) != (d == 30), (30, 1, 1)),
+    (lambda d, n, r, s: r == s, (2, 1, 2)),
+    (lambda d, n, r, s: True, (2, 1, 3)),
+], ids=["negated-at-30", "r-equals-s", "always-true"])
+def test_ideal_equality_check_fails_on_a_wrong_criterion(monkeypatch, wrong, where):
+    # mutual membership of the bases catches each wrong ideal_equal at the
+    # first (d, r, s) it gets wrong
+    monkeypatch.setattr(ideals, "ideal_equal", wrong)
+    result = verify.run_check("ideal_equal matches brute-force lattice equality, d <= 100")
+    assert (result.ok, result.detail) == (False, f"FAILED at {where}")
 
 
 def test_check_that_raises_is_a_failed_check(monkeypatch, capsys):
