@@ -65,9 +65,9 @@ SQUARE_TABLE_MAX_M = 10**4
 # The stated reach of the q-expansions: the largest N whose slowest series
 # stays within 15 s and 800 MB cold on 2 cores.  That is F_k for k = 1 (which
 # `qexp --series ek` prints too), nearly all of it the Kronecker product: it
-# took 12.3-13.3 s and 117 MB at 400000, and 18.5-21.4 s at 500000; theta and
-# G2 took 1.9 and 2.1 s at 400000.  Larger N is refused before any list is
-# built.
+# took 9.2-14.3 s and 90 MB at 400000 in 5 runs, and 11.6-14.8 s and 113 MB at
+# 500000 in 3 runs with the bound raised by assignment; theta took 0.53-0.75 s
+# and G2 0.66-0.97 s at 400000.  Larger N is refused before any list is built.
 QEXP_MAX_N = 400000
 
 

@@ -88,10 +88,9 @@ class VolumeEstimate(namedtuple("VolumeEstimate", (
 CLOSED_MAX_D = 10**12
 
 # The stated reach of the direct path: the largest D whose slowest request,
-# gothic main or remark, stays within 15 s and 800 MB cold on 2 cores (the
-# cost of gothic at the old bound 40000).  Measured at 250000: 10-12.5 s and
-# 150 MB, mostly the Kronecker products of e(d^2, 6); 300000 took 13-18.5 s.
-# Larger D is refused before any work.
+# gothic main or remark, stays within 15 s and 800 MB cold on 2 cores.
+# Measured at 250000: 10-12.5 s and 150 MB, mostly the Kronecker products of
+# e(d^2, 6); 300000 took 13-18.5 s.  Larger D is refused before any work.
 DIRECT_MAX_D = 250000
 
 

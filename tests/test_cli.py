@@ -225,7 +225,7 @@ def test_smm_contributions(capsys):
     code, out = run_cli(capsys, "smm", "--locus", "p3", "--m", "6")
     doc = json.loads(out)
     comps = [(c["D"], c["component"]) for c in doc["result"]["contributions"]]
-    assert comps == [[36, 1], [9, 2]] or comps == [(36, 1), (9, 2)]
+    assert comps == [(36, 1), (9, 2)]
 
 
 def test_scalar_requests_refuse_past_the_trial_division_reach(capsys):

@@ -194,15 +194,6 @@ def test_polarization_examples():
     assert polarization_restriction(11, 1, 1) == (11, 11)
 
 
-def test_polarization_formula_small_range():
-    for d in range(2, 60):
-        for r in component_list(d):
-            assert polarization_restriction(d, 6, r) == (
-                math.lcm(d, r),
-                math.lcm(d, 6 // r),
-            )
-
-
 def test_ideal_spec_is_frozen():
     spec = ideal_basis(5, 6, 1)
     assert isinstance(spec, IdealSpec)

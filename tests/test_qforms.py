@@ -136,20 +136,6 @@ def test_qexp_ek_prints_the_fk_series(monkeypatch, capsys):
             assert results[0] == results[1], (k, N)
 
 
-def test_product_equals_divisor_sum_small():
-    for k in (1, 6):
-        fk = fk_expansion(k, 300)
-        for n in range(301):
-            assert fk[n] == ek_coeff(k, n), (k, n)
-
-
-def test_ek_square_table_matches_pointwise():
-    for k in (1, 6):
-        tab = ek_square_table(k, 60)
-        for m in range(1, 61):
-            assert tab[m] == 12 * ek_coeff(k, m * m), (k, m)
-
-
 def test_ek_square_table_matches_divisor_sum():
     for k in (1, 2, 3, 6):
         tab = ek_square_table(k, 150)

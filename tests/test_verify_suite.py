@@ -1,7 +1,7 @@
 """Run the consolidated cross-oracle suite end to end, one test per check.
 
-This exercises every module invariant at its full stated range; the unit
-test files cover the same ground at smaller ranges with independent oracles.
+This exercises every module invariant at its full stated range; no unit test
+restates a check, so a check that is the only statement is shown to fail.
 Each check body runs once per session (the ``check`` fixture memoises it), so
 the acceptance criteria that name a check share its result.
 """
@@ -325,6 +325,39 @@ def test_ideal_equality_check_fails_on_a_wrong_criterion(monkeypatch, wrong, whe
     # first (d, r, s) it gets wrong
     monkeypatch.setattr(ideals, "ideal_equal", wrong)
     result = verify.run_check("ideal_equal matches brute-force lattice equality, d <= 100")
+    assert (result.ok, result.detail) == (False, f"FAILED at {where}")
+
+
+# Each check below is the only statement of its invariant: one value made
+# wrong in the function it reads must fail it, at the first place it reads it.
+@pytest.mark.parametrize("owner, name, wrong, check, where", [
+    (arith_checks, "hermite_sublattices",
+     lambda real: lambda n: real(n)[1:] if n == 12 else real(n),
+     "hermite_sublattices: sigma(n) forms, each of index n, n <= 200", 12),
+    (euler, "sl2_order",
+     lambda real: lambda d: real(d) + (d == 4999),
+     "chi(X_{d^2}) = a(d)/72 against the mu-sum definition, d <= 5000", 4999),
+    (qforms, "fk_expansion",
+     lambda real: lambda k, N: [c + ((k, n) == (6, 3999)) for n, c in enumerate(real(k, N))],
+     "F_k series product equals divisor-sum e_k(n), n <= 4000, k in {1,6}", (6, 3999)),
+    (zagier, "gauss_gamma",
+     lambda real: lambda p, r, d: real(p, r, d) + ((p, r, d) == (47, 7, 200)),
+     "gauss sums vanish beyond r = nu_p(d^2) + 2, p <= 50, d <= 200", (47, 7, 200)),
+    (zagier, "ebar1_exact",
+     lambda real: lambda d: real(d) + (d == 500),
+     "ebar_1 divisor sum equals Euler product with zeta tail, d <= 500", 500),
+    (ideals, "polarization_restriction",
+     lambda real: lambda d, n, r: real(d, n, 6 // r if d == 499 else r),
+     "polarization restriction = (lcm(d,r), lcm(d,6/r)), d <= 500", (499, 1, (2994, 499))),
+    (volume, "convert_convention",
+     lambda real: lambda locus: real(locus) * (2 if locus is Locus.P4 else 1),
+     "AEZ conversion constants are reproduced exactly", "56/135*pi^4"),
+], ids=["hermite", "sl2_order", "fk_expansion", "gauss_gamma", "ebar1", "polarization",
+        "aez"])
+def test_a_sole_cover_check_fails_where_one_value_is_wrong(monkeypatch, owner, name, wrong,
+                                                          check, where):
+    monkeypatch.setattr(owner, name, wrong(getattr(owner, name)))
+    result = verify.run_check(check)
     assert (result.ok, result.detail) == (False, f"FAILED at {where}")
 
 

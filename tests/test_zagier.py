@@ -133,12 +133,10 @@ def test_estar1_is_pi_minus_2_quantity():
     assert v.coeff == 30 and v.pi_power == -2
 
 
-def test_ebar1_examples_and_route_equality():
+def test_ebar1_examples():
     assert ebar1_exact(1) == Fraction(5, 12)
     assert ebar1_exact(2) == Fraction(35, 12)  # (5/12) * 8 * (1 + 1/8 - 1/4)
     assert Fraction(12, 5) * (ebar1_exact(2) - ebar1_exact(1)) == 6 == sl2_order(2)
-    for d in range(1, 120):
-        assert ebar1_exact(d) == ebar1_via_euler_product(d), d
 
 
 def test_ebar6_examples_and_route_equality():
@@ -154,16 +152,6 @@ def test_ebar6_examples_and_route_equality():
     assert ebar6_exact(6) == expect
     for d in range(1, 120):
         assert ebar6_exact(d) == ebar6_via_euler_product(d), d
-
-
-def test_estar6_euler_product_matches_four_term_combination():
-    # the product of P_6(p, d^2) over p | 6d against estar6's e*_1 combination
-    table = [None] + [estar1(d) for d in range(1, 61)]
-    for d in range(1, 61):
-        assert estar_euler_product(1, d) == estar1(d), d
-        assert estar_euler_product(6, d) == estar6(d) == estar6(d, table.__getitem__), d
-    with pytest.raises(ValueError):
-        estar_euler_product(6, 0)
 
 
 def test_estar6_keeps_the_power_of_pi_of_its_terms():
@@ -200,14 +188,6 @@ def test_asymptotic_report_refuses_beyond_bound(monkeypatch):
         monkeypatch.setattr(module, name, no_tables)
     with pytest.raises(ValueError, match="beyond the e\\(d\\^2, k\\) bound"):
         asymptotic_check_e(euler.E_SQUARE_MAX_D + 1)
-
-
-def test_truncation_of_gamma_beyond_bound():
-    for p in (2, 3, 5):
-        for d in (1, 2, 6, 12):
-            v = 2 * nu(p, d)
-            for r in range(v + 3, v + 6):
-                assert gauss_gamma(p, r, d) == 0
 
 
 def test_integer_ebar1_equals_the_definition(reference):
