@@ -69,17 +69,17 @@ def _estar6_routes():
     return "exact at every d"
 
 
-@_check("moebius-summed ebar_6 equals kappa(d) a(d)/60 exactly, d <= 1000")
+@_check("moebius-summed ebar_6 equals kappa(d) a(d)/60 exactly, d <= 2000")
 def _ebar6_kappa():
     # The raw ratio ebar_6(d^2) * 60 / a(d) tends to kappa(d) only along
     # d coprime to 6; in the other classes it converges to a factorisation-
     # dependent constant (deviations up to ~30%).  The main-term statement
     # behind the e(d^2, 6) asymptotics is the moebius-summed one, and that
-    # turns out to be an exact identity, checked here for every d <= 1000.
-    # All on the integer scale e6 = 60 ebar_6.
-    e6 = zagier.ebar6_sixtieths(zagier.ebar1_five_twelfths(2000))
-    atab = sl2_order_table(2000)
-    N = 1000
+    # turns out to be an exact identity, checked here at every d the table
+    # holds.  All on the integer scale e6 = 60 ebar_6.
+    N = 2000
+    e6 = zagier.ebar6_sixtieths(zagier.ebar1_five_twelfths(N))
+    atab = sl2_order_table(N)
     s = arith.dirichlet_convolve(moebius_table(N), e6, N)
     for d in range(1, N + 1):
         kap = zagier.kappa(d)
@@ -87,7 +87,7 @@ def _ebar6_kappa():
             raise AssertionError(d)
     # the coprime-to-6 raw ratio ebar_6 * 30 / a(d) = e6 / (2 a(d)) does
     # approach 1: within 10% for d >= 500
-    for d in range(500, 2001):
+    for d in range(500, N + 1):
         if math.gcd(6, d) == 1:
             if not 5 * abs(e6[d] - 2 * atab[d]) < atab[d]:
                 raise AssertionError(d)

@@ -189,8 +189,15 @@ def e_square_table(k: int, dmax: int) -> tuple[int, ...]:
     """12 e(d^2, k) for 0 <= d <= dmax (entry 0 unused), Moebius-inverted from
     ek_square_table; exact because e_k(D) = sum_{m|f} e(D/m^2, k) is an
     identity of the coefficients (verified against prototype enumeration by
-    check_e_and_a)."""
-    return _twelfths_by_moebius([(t + 1) // 12 for t in ek_square_table(k, dmax)])
+    check_e_and_a).  Every entry 12 e_k(m^2) for m >= 1 is 12 f - 1 for an
+    int f; one that is not raises ArithmeticError naming (k, m)."""
+    f = [0]
+    for m, t in enumerate(ek_square_table(k, dmax)[1:], 1):
+        q, r = divmod(t + 1, 12)
+        if r:
+            raise ArithmeticError(f"12 e_k(m^2) + 1 is not a multiple of 12 at (k, m) = {(k, m)}")
+        f.append(q)
+    return _twelfths_by_moebius(f)
 
 
 def _kronecker_product(xs, ys, n_out: int) -> array:

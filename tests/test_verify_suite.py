@@ -65,13 +65,15 @@ def test_no_module_imports_numpy():
             assert not any(n.split(".")[0] == "numpy" for n in names), (path, node.lineno)
 
 
-
 def test_no_module_uses_assert():
-    # python -O strips assert statements, so a check written with one could
-    # be switched off; the package raises instead
+    # python -O strips assert statements and sets __debug__ to False, so a
+    # check written with either could be switched off; the package raises
+    # instead, and one -O run covers the plain one
     for path in sorted((SRC / "gothicvol").rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             assert not isinstance(node, ast.Assert), (path, node.lineno)
+            assert not (isinstance(node, ast.Name) and node.id == "__debug__"), (path, node.lineno)
+
 
 # Every function of the package that keeps a functools cache, with the reason
 # it keeps one; a new cache has to be added here on purpose.
@@ -123,242 +125,143 @@ def test_integer_ebar_checks_fail_under_python_O(run_python):
     # factors, not the table
     assert _failed_under_python_O(run_python, "zagier", "ebar1_five_twelfths", "zagier") == [
         "(12/5) moebius-sum of ebar_1(m^2) equals a(d), d <= 2000",
-        "moebius-summed ebar_6 equals kappa(d) a(d)/60 exactly, d <= 1000",
+        "moebius-summed ebar_6 equals kappa(d) a(d)/60 exactly, d <= 2000",
     ]
 
 
-def test_estar6_check_fails_on_one_wrong_euler_factor(monkeypatch):
-    # the Euler product reads the integer local factors (numerator, p^(2J))
-    real = zagier._euler_factor_ints
-
-    def wrong_factor(k, p, d):
-        num, den = real(k, p, d)
-        return num + den * ((k, p, d) == (6, 3, 9)), den
-
-    monkeypatch.setattr(zagier, "_euler_factor_ints", wrong_factor)
-    result = verify.run_check(
-        "e*_6(d^2) Euler product equals the four-term e*_1 combination, d <= 500"
-    )
-    assert (result.ok, result.detail) == (False, "FAILED at 9")
+def _replaced(seq, i, value):
+    return (*seq[:i], value, *seq[i + 1:])
 
 
-def test_smm_cd_check_fails_on_one_wrong_smm_total(monkeypatch):
-    # cd_count reads counting.smm, the direct raw sums do not: a wrong
-    # |S_{7,7}| shows at every degree d divisible by 7
-    real = counting.smm
-
-    def wrong_smm(locus, m, mode="main_term"):
-        cover = real(locus, m, mode)
-        return cover._replace(total=cover.total + 1) if m == 7 else cover
-
-    monkeypatch.setattr(counting, "smm", wrong_smm)
-    result = verify.run_check("smm/cd consistency, d <= 200")
-    assert (result.ok, result.detail) == (False, "FAILED at ('h2', 7)")
+def _plus_one(seq, i):
+    return _replaced(seq, i, seq[i] + 1)
 
 
-def test_smm_cd_check_fails_on_one_wrong_leading_smm(monkeypatch):
-    # cd_count reads the main_term surrogate only; the tie of counting.smm
-    # to smm_totals covers the gothic leading and remark surrogates
-    real = counting.smm
-
-    def wrong_smm(locus, m, mode="main_term"):
-        cover = real(locus, m, mode)
-        hit = (locus, m, mode) == (Locus.G, 7, "leading")
-        return cover._replace(total=cover.total + 1) if hit else cover
-
-    monkeypatch.setattr(counting, "smm", wrong_smm)
-    result = verify.run_check("smm/cd consistency, d <= 200")
-    assert (result.ok, result.detail) == (False, "FAILED at ('gothic', 'leading', 7)")
+def _result_changed(f):
+    # a `wrong` that returns f(real(*args), *args) for each call real(*args)
+    return lambda real: lambda *args: f(real(*args), *args)
 
 
-def _smm_off_by_one_at(monkeypatch, hit):
-    real = counting.smm
-
-    def wrong_smm(locus, m, mode="main_term"):
-        cover = real(locus, m, mode)
-        return cover._replace(total=cover.total + 1) if (locus, m, mode) == hit else cover
-
-    monkeypatch.setattr(counting, "smm", wrong_smm)
-    return verify.run_check("smm/cd consistency, d <= 200")
+def _smm_total_plus_one(hit):
+    # counting.smm with the total of one (locus, m, mode) off by one
+    return _result_changed(lambda cover, locus, m, mode="main_term": cover._replace(
+        total=cover.total + 1) if (locus, m, mode) == hit else cover)
 
 
-def test_smm_cd_check_fails_on_a_wrong_main_term_total_at_the_range_edge(monkeypatch):
-    # 199 is prime and 2 * 199 > 200, so only cd_count(gothic, 199) reads it:
-    # the check ties no main_term total to smm_totals and must fail there
-    result = _smm_off_by_one_at(monkeypatch, (Locus.G, 199, "main_term"))
-    assert (result.ok, result.detail) == (False, "FAILED at ('gothic', 199)")
+def _gothic_closed_term_off(real):
+    # volume.CLOSED_TERMS with the third gothic coefficient off by 1/720
+    c, m = real[Locus.G][2]
+    return {**real, Locus.G: _replaced(real[Locus.G], 2, (c + Fraction(1, 720), m))}
 
 
-def test_smm_cd_check_fails_on_a_wrong_remark_total_at_the_range_edge(monkeypatch):
-    # cd_count never reads the remark surrogate: the tie to smm_totals does
-    result = _smm_off_by_one_at(monkeypatch, (Locus.G, 200, "remark"))
-    assert (result.ok, result.detail) == (False, "FAILED at ('gothic', 'remark', 200)")
-
-
+_SMM_CD = "smm/cd consistency, d <= 200"
 _SQUARE_TABLES = "e(d^2, k) in twelfths equals the square tables, d <= 4000, k in {1,6}"
+_NON_EMPTINESS = "gothic non-square non-emptiness exactly on the residue set, D <= 2000"
+_IDEAL_EQUAL = "ideal_equal matches brute-force lattice equality, d <= 100"
 
 
-def test_square_table_check_fails_on_one_wrong_oracle_twelfth(monkeypatch):
-    # the k = 6 comparison names the first d where the two routes differ
-    real = qforms.e_square_table
-
-    def wrong_table(k, dmax):
-        table = list(real(k, dmax))
-        table[4000] += 1
-        return tuple(table)
-
-    monkeypatch.setattr(qforms, "e_square_table", wrong_table)
-    result = verify.run_check(_SQUARE_TABLES)
-    assert (result.ok, result.detail) == (False, "FAILED at (6, 4000)")
-
-
-def test_square_table_check_fails_on_one_wrong_besge_twelfth(monkeypatch):
-    real = qforms.e1_square_twelfths
-
-    def wrong_table(dmax):
-        table = list(real(dmax))
-        table[4000] += 1
-        return tuple(table)
-
-    monkeypatch.setattr(qforms, "e1_square_twelfths", wrong_table)
-    result = verify.run_check(_SQUARE_TABLES)
-    assert (result.ok, result.detail) == (False, "FAILED at (1, 4000)")
-
-
-def test_leading_check_fails_on_one_negative_table_entry(monkeypatch):
-    real = volume.smm_totals
-
-    def wrong_totals(locus, mmax, surrogate="main_term"):
-        totals = real(locus, mmax, surrogate)
-        t = list(totals.numerators)
-        t[4321] = -1
-        return totals._replace(numerators=tuple(t))
-
-    monkeypatch.setattr(volume, "smm_totals", wrong_totals)
-    result = verify.run_check("gothic leading smm totals are nonnegative, m <= 5000")
-    assert (result.ok, result.detail) == (False, "FAILED at 4321")
-
-
-def test_estimate_check_fails_on_one_wrong_p3_total_past_2000(monkeypatch):
-    # one P3 numerator off by one at m = 3000, past the D <= 2000 range of
-    # the other direct-vs-closed check, shows at the last checkpoint only
-    real = volume.smm_totals
-
-    def wrong_totals(locus, mmax, surrogate="main_term"):
-        totals = real(locus, mmax, surrogate)
-        if locus is not Locus.P3 or mmax < 3000:
-            return totals
-        t = list(totals.numerators)
-        t[3000] += 1
-        return totals._replace(numerators=tuple(t))
-
-    monkeypatch.setattr(volume, "smm_totals", wrong_totals)
-    result = verify.run_check("volume_estimate direct equals closed at the D = 4000 checkpoints")
-    assert (result.ok, result.detail) == (False, "FAILED at ('p3', 4000)")
-
-
-def test_remark_check_fails_on_one_wrong_main_table_entry(monkeypatch):
-    # the remark check ties chi_G(d^2, 1, "main_term") to the integer table
-    # that the gap check and smm_totals read
-    real = euler._gothic_curve_counts
-
-    def wrong_counts(h_max, mode):
-        L, table = real(h_max, mode)
-        table = list(table)
-        table[7] += mode == "main_term"
-        return L, table
-
-    monkeypatch.setattr(euler, "_gothic_curve_counts", wrong_counts)
-    result = verify.run_check("remark values sit inside the boundary sandwich, d <= 500")
-    assert (result.ok, result.detail) == (False, "FAILED at 7")
-
-
-def test_one_wrong_gothic_row_fails_both_closed_checks(monkeypatch):
-    # both checks read volume.CLOSED_TERMS: the comparison with the S_k rows
-    # and the exact limits each catch one coefficient off by 1/720
-    terms = list(volume.CLOSED_TERMS[Locus.G])
-    c, m = terms[2]
-    terms[2] = (c + Fraction(1, 720), m)
-    monkeypatch.setitem(volume.CLOSED_TERMS, Locus.G, tuple(terms))
-    for name in ("P4 direct equals closed at every D <= 2000; P3 and gothic too",
-                 "gothic closed summands match their exact limits within 2% at D = 4000"):
-        result = verify.run_check(name)
-        assert not result.ok and result.detail.startswith("FAILED"), (name, result.detail)
-
-
-@pytest.mark.parametrize("residue, count", [(12, 0), (8, 1)])
-def test_one_wrong_norm6_count_fails_the_emptiness_check(monkeypatch, residue, count):
-    # a wrongly empty class keeps chi_G = 0 and a wrongly non-empty one keeps
-    # chi_G < 0; the k = 6 prototype walk catches both
-    counts = list(euler._NORM6)
-    counts[residue] = count
-    monkeypatch.setattr(euler, "_NORM6", tuple(counts))
-    result = verify.run_check(
-        "gothic non-square non-emptiness exactly on the residue set, D <= 2000")
-    assert not result.ok and result.detail.startswith("FAILED"), result.detail
-
-
-def test_p3_second_component_at_every_even_m_fails_the_gating_check(monkeypatch):
-    # chi_W4 that also defines W^2_{h^2}(4) at even h: smm still lists no
-    # second component at m = 4, so the tie to chi_W4's own rule fails there
-    real = euler.chi_W4
-
-    def lenient(D, j=1, mode="exact"):
-        return real(D, 1 if j == 2 else j, mode)
-
-    monkeypatch.setattr(euler, "chi_W4", lenient)
-    result = verify.run_check(
-        "P3 second component appears iff m = 2 mod 4, with (m/2)^2 = 1 mod 8")
-    assert (result.ok, result.detail) == (False, "FAILED at 4")
-
-
-_REAL_IDEAL_EQUAL = ideals.ideal_equal
-
-
-@pytest.mark.parametrize("wrong, where", [
-    (lambda d, n, r, s: _REAL_IDEAL_EQUAL(d, n, r, s) != (d == 30), (30, 1, 1)),
-    (lambda d, n, r, s: r == s, (2, 1, 2)),
-    (lambda d, n, r, s: True, (2, 1, 3)),
-], ids=["negated-at-30", "r-equals-s", "always-true"])
-def test_ideal_equality_check_fails_on_a_wrong_criterion(monkeypatch, wrong, where):
-    # mutual membership of the bases catches each wrong ideal_equal at the
-    # first (d, r, s) it gets wrong
-    monkeypatch.setattr(ideals, "ideal_equal", wrong)
-    result = verify.run_check("ideal_equal matches brute-force lattice equality, d <= 100")
-    assert (result.ok, result.detail) == (False, f"FAILED at {where}")
-
-
-# Each check below is the only statement of its invariant: one value made
-# wrong in the function it reads must fail it, at the first place it reads it.
-@pytest.mark.parametrize("owner, name, wrong, check, where", [
-    (arith_checks, "hermite_sublattices",
-     lambda real: lambda n: real(n)[1:] if n == 12 else real(n),
-     "hermite_sublattices: sigma(n) forms, each of index n, n <= 200", 12),
-    (euler, "sl2_order",
-     lambda real: lambda d: real(d) + (d == 4999),
-     "chi(X_{d^2}) = a(d)/72 against the mu-sum definition, d <= 5000", 4999),
-    (qforms, "fk_expansion",
-     lambda real: lambda k, N: [c + ((k, n) == (6, 3999)) for n, c in enumerate(real(k, N))],
-     "F_k series product equals divisor-sum e_k(n), n <= 4000, k in {1,6}", (6, 3999)),
-    (zagier, "gauss_gamma",
-     lambda real: lambda p, r, d: real(p, r, d) + ((p, r, d) == (47, 7, 200)),
-     "gauss sums vanish beyond r = nu_p(d^2) + 2, p <= 50, d <= 200", (47, 7, 200)),
-    (zagier, "ebar1_exact",
-     lambda real: lambda d: real(d) + (d == 500),
-     "ebar_1 divisor sum equals Euler product with zeta tail, d <= 500", 500),
-    (ideals, "polarization_restriction",
-     lambda real: lambda d, n, r: real(d, n, 6 // r if d == 499 else r),
-     "polarization restriction = (lcm(d,r), lcm(d,6/r)), d <= 500", (499, 1, (2994, 499))),
-    (volume, "convert_convention",
-     lambda real: lambda locus: real(locus) * (2 if locus is Locus.P4 else 1),
-     "AEZ conversion constants are reproduced exactly", "56/135*pi^4"),
-], ids=["hermite", "sl2_order", "fk_expansion", "gauss_gamma", "ebar1", "polarization",
-        "aez"])
-def test_a_sole_cover_check_fails_where_one_value_is_wrong(monkeypatch, owner, name, wrong,
-                                                          check, where):
+# Each row replaces owner.name by wrong(real), one value wrong in what the check
+# reads, and gives the full detail of the check's failure where it reads that
+# value.  Each check that is the only statement of its invariant has a row.
+@pytest.mark.parametrize("owner, name, wrong, check, detail", [
+    pytest.param(arith_checks, "hermite_sublattices",
+                 lambda real: lambda n: real(n)[1:] if n == 12 else real(n),
+                 "hermite_sublattices: sigma(n) forms, each of index n, n <= 200",
+                 "FAILED at 12", id="hermite"),
+    pytest.param(euler, "sl2_order", lambda real: lambda d: real(d) + (d == 4999),
+                 "chi(X_{d^2}) = a(d)/72 against the mu-sum definition, d <= 5000",
+                 "FAILED at 4999", id="sl2_order"),
+    pytest.param(qforms, "fk_expansion", lambda real: lambda k, N: [
+                     c + ((k, n) == (6, 3999)) for n, c in enumerate(real(k, N))],
+                 "F_k series product equals divisor-sum e_k(n), n <= 4000, k in {1,6}",
+                 "FAILED at (6, 3999)", id="fk_expansion"),
+    pytest.param(zagier, "gauss_gamma",
+                 lambda real: lambda p, r, d: real(p, r, d) + ((p, r, d) == (47, 7, 200)),
+                 "gauss sums vanish beyond r = nu_p(d^2) + 2, p <= 50, d <= 200",
+                 "FAILED at (47, 7, 200)", id="gauss_gamma"),
+    pytest.param(zagier, "ebar1_exact", lambda real: lambda d: real(d) + (d == 500),
+                 "ebar_1 divisor sum equals Euler product with zeta tail, d <= 500",
+                 "FAILED at 500", id="ebar1"),
+    pytest.param(ideals, "polarization_restriction",
+                 lambda real: lambda d, n, r: real(d, n, 6 // r if d == 499 else r),
+                 "polarization restriction = (lcm(d,r), lcm(d,6/r)), d <= 500",
+                 "FAILED at (499, 1, (2994, 499))", id="polarization"),
+    pytest.param(volume, "convert_convention",
+                 lambda real: lambda locus: real(locus) * (2 if locus is Locus.P4 else 1),
+                 "AEZ conversion constants are reproduced exactly", "FAILED at 56/135*pi^4",
+                 id="aez"),
+    # the Euler product reads the integer local factors (numerator, p^(2J))
+    pytest.param(zagier, "_euler_factor_ints",
+                 _result_changed(lambda nd, *kpd: (nd[0] + nd[1] * (kpd == (6, 3, 9)), nd[1])),
+                 "e*_6(d^2) Euler product equals the four-term e*_1 combination, d <= 500",
+                 "FAILED at 9", id="estar6"),
+    # cd_count reads main_term smm; the tie to smm_totals reads gothic leading and remark
+    pytest.param(counting, "smm", _smm_total_plus_one((Locus.H2, 7, "main_term")), _SMM_CD,
+                 "FAILED at ('h2', 7)", id="smm-h2-7"),
+    pytest.param(counting, "smm", _smm_total_plus_one((Locus.G, 7, "leading")), _SMM_CD,
+                 "FAILED at ('gothic', 'leading', 7)", id="smm-gothic-leading-7"),
+    # 199 is prime and 2 * 199 > 200, so only cd_count(gothic, 199) reads it
+    pytest.param(counting, "smm", _smm_total_plus_one((Locus.G, 199, "main_term")), _SMM_CD,
+                 "FAILED at ('gothic', 199)", id="smm-gothic-main-term-199"),
+    pytest.param(counting, "smm", _smm_total_plus_one((Locus.G, 200, "remark")), _SMM_CD,
+                 "FAILED at ('gothic', 'remark', 200)", id="smm-gothic-remark-200"),
+    pytest.param(qforms, "e_square_table", _result_changed(lambda t, *_: _plus_one(t, 4000)),
+                 _SQUARE_TABLES, "FAILED at (6, 4000)", id="square-oracle"),
+    pytest.param(qforms, "e1_square_twelfths", _result_changed(lambda t, _: _plus_one(t, 4000)),
+                 _SQUARE_TABLES, "FAILED at (1, 4000)", id="square-besge"),
+    # every sigma-sieve oracle entry is 12 f - 1, so one off by 1 to 11 raises
+    pytest.param(qforms, "ek_square_table", _result_changed(lambda t, *_: _plus_one(t, 2667)),
+                 _SQUARE_TABLES,
+                 "ArithmeticError: 12 e_k(m^2) + 1 is not a multiple of 12 at (k, m) = (6, 2667)",
+                 id="square-sieve-oracle"),
+    pytest.param(volume, "smm_totals", _result_changed(
+                     lambda t, *_: t._replace(numerators=_replaced(t.numerators, 4321, -1))),
+                 "gothic leading smm totals are nonnegative, m <= 5000", "FAILED at 4321",
+                 id="leading-negative"),
+    # P3 off at m = 3000, past the D <= 2000 of the other direct-vs-closed check
+    pytest.param(volume, "smm_totals", _result_changed(lambda t, locus, *_: t._replace(
+                     numerators=_plus_one(t.numerators, 3000)) if locus is Locus.P3 else t),
+                 "volume_estimate direct equals closed at the D = 4000 checkpoints",
+                 "FAILED at ('p3', 4000)", id="estimate-p3-3000"),
+    # chi_G(d^2, 1, "main_term") against the table the gap check and smm_totals read
+    pytest.param(euler, "_gothic_curve_counts", _result_changed(lambda Lt, h_max, mode: (
+                     Lt[0], _plus_one(Lt[1], 7)) if mode == "main_term" else Lt),
+                 "remark values sit inside the boundary sandwich, d <= 500", "FAILED at 7",
+                 id="remark-main-table"),
+    pytest.param(volume, "CLOSED_TERMS", _gothic_closed_term_off,
+                 "P4 direct equals closed at every D <= 2000; P3 and gothic too",
+                 "FAILED at ('gothic', 'terms', 3)", id="gothic-row-terms"),
+    pytest.param(volume, "CLOSED_TERMS", _gothic_closed_term_off,
+                 "gothic closed summands match their exact limits within 2% at D = 4000",
+                 "FAILED at ('limit', 'gothic', (13/31104*pi^4, 1097/2624400*pi^4))",
+                 id="gothic-row-limit"),
+    # a wrongly empty class keeps chi_G = 0, a wrongly non-empty one chi_G < 0
+    pytest.param(euler, "_NORM6", lambda real: _replaced(real, 12, 0), _NON_EMPTINESS,
+                 "FAILED at ('e(D, 6)', 60)", id="norm6-12-empty"),
+    pytest.param(euler, "_NORM6", lambda real: _replaced(real, 8, 1), _NON_EMPTINESS,
+                 "FAILED at ('e(D, 6)', 8)", id="norm6-8-nonempty"),
+    # chi_W4 admitting j = 2 at every even h: smm lists no second component at m = 4
+    pytest.param(euler, "chi_W4",
+                 lambda real: lambda D, j=1, mode="exact": real(D, 1 if j == 2 else j, mode),
+                 "P3 second component appears iff m = 2 mod 4, with (m/2)^2 = 1 mod 8",
+                 "FAILED at 4", id="p3-second-component"),
+    # mutual membership of the bases names the first (d, r, s) ideal_equal gets wrong
+    pytest.param(ideals, "ideal_equal",
+                 lambda real: lambda d, n, r, s: real(d, n, r, s) != (d == 30), _IDEAL_EQUAL,
+                 "FAILED at (30, 1, 1)", id="ideal-negated-at-30"),
+    pytest.param(ideals, "ideal_equal", lambda real: lambda d, n, r, s: r == s, _IDEAL_EQUAL,
+                 "FAILED at (2, 1, 2)", id="ideal-r-equals-s"),
+    pytest.param(ideals, "ideal_equal", lambda real: lambda *args: True, _IDEAL_EQUAL,
+                 "FAILED at (2, 1, 3)", id="ideal-always-true"),
+    # the exact identity is read at every d the table holds, d > 1000 included
+    pytest.param(zagier, "ebar6_sixtieths", _result_changed(lambda t, _: _plus_one(t, 1500)),
+                 "moebius-summed ebar_6 equals kappa(d) a(d)/60 exactly, d <= 2000",
+                 "FAILED at 1500", id="ebar6-past-1000"),
+])
+def test_a_check_fails_where_one_value_is_wrong(monkeypatch, owner, name, wrong, check, detail):
     monkeypatch.setattr(owner, name, wrong(getattr(owner, name)))
     result = verify.run_check(check)
-    assert (result.ok, result.detail) == (False, f"FAILED at {where}")
+    assert (result.ok, result.detail) == (False, detail)
 
 
 def test_check_that_raises_is_a_failed_check(monkeypatch, capsys):
