@@ -90,8 +90,10 @@ def g2k_expansion(k: int, N: int) -> list[Fraction]:
     """G2(2k tau) in the q = e^(pi i tau) variable: the coefficients of q^0 .. q^N,
     N <= QEXP_MAX_N, read from arith.sigma_table (ek_coeff, the oracle of
     fk_expansion, sums scalar sigma instead)."""
-    if k < 1 or N < 1:
-        raise ValueError("k and N must be >= 1")
+    if N < 1:
+        raise ValueError("truncation bound must be >= 1")
+    if k < 1:
+        raise ValueError("need k >= 1")
     if N > QEXP_MAX_N:
         raise ValueError(f"N = {N} is beyond the q-expansion bound {QEXP_MAX_N}")
     coeffs = [Fraction(0)] * (N + 1)
@@ -145,7 +147,7 @@ def ek_square_table(k: int, mmax: int) -> tuple[int, ...]:
     if k < 1 or mmax < 1:
         raise ValueError("need k >= 1 and mmax >= 1")
     if mmax > SQUARE_TABLE_MAX_M:
-        raise ValueError(f"mmax = {mmax} is beyond the sieve bound {SQUARE_TABLE_MAX_M}")
+        raise ValueError(f"mmax = {mmax} is beyond the square-table bound {SQUARE_TABLE_MAX_M}")
     two_k, four_k = 2 * k, 4 * k
 
     # sigma(n) for n <= N from the divisor pairs (d, n/d) with d <= sqrt(N),

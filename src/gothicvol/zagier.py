@@ -226,7 +226,7 @@ def ebar_rows(d_max: int) -> list[tuple[int, Fraction, Fraction]]:
     if d_max < 1:
         raise ValueError(f"need dmax >= 1, got {d_max}")
     if d_max > EBAR_MAX_D:
-        raise ValueError(f"d_max = {d_max} is beyond the bound {EBAR_MAX_D}")
+        raise ValueError(f"d_max = {d_max} is beyond the ebar-rows bound {EBAR_MAX_D}")
     e1 = ebar1_five_twelfths(d_max)
     e6 = ebar6_sixtieths(e1)
     return [(d, Fraction(5 * e1[d], 12), Fraction(e6[d], 60)) for d in range(1, d_max + 1)]

@@ -65,39 +65,15 @@ def test_moebius_brute_force():
         assert moebius(n) == brute_moebius(n), n
 
 
-def test_moebius_rejects_zero():
-    with pytest.raises(ValueError):
-        moebius(0)
-
-
-@pytest.mark.parametrize("fn, args, message", [
-    (factorize, (0,), "factorize expects n >= 1"),
-    (sigma, (-1, 5), "sigma expects k >= 0"),
-    (jordan2, (0,), "jordan2 expects m >= 1"),
-    (coprime_part, (0, 6), "coprime_part expects positive integers"),
-    (arith.sigma_table, (-1,), "a table needs N >= 0"),
-    (hermite_sublattices, (0,), "hermite_sublattices expects n >= 1"),
-])
-def test_out_of_range_arguments_are_refused(fn, args, message):
-    with pytest.raises(ValueError, match=message):
-        fn(*args)
-
-
-def test_nu_examples_and_bad_arguments():
+def test_nu_examples():
     assert [nu(2, n) for n in (1, 2, 12, 1024)] == [0, 1, 2, 10]
     assert nu(3, 162) == 4 and nu(7, 10) == 0
-    # p = 0 divided by zero and p = 1 looped forever; n = 0 loops too
-    for p, n in ((0, 5), (1, 5), (-2, 8), (2, 0)):
-        with pytest.raises(ValueError):
-            nu(p, n)
 
 
 def test_sigma_examples():
     assert sigma(1, 1) == 1
     assert sigma(3, 2) == 9  # 1 + 8
     assert sigma(0, 6) == 4  # divisors 1, 2, 3, 6
-    with pytest.raises(ValueError):
-        sigma(1, 0)
 
 
 def test_sigma_brute_force():
@@ -111,8 +87,6 @@ def test_sl2_order_examples():
     assert sl2_order(2) == 6
     # 216 * (3/4) * (8/9) = 144
     assert sl2_order(6) == 144
-    with pytest.raises(ValueError):
-        sl2_order(0)
 
 
 def test_sl2_order_matches_matrix_enumeration():
@@ -143,8 +117,6 @@ def test_squarefree_decompose_examples():
     assert squarefree_decompose(1) == (1, 1)
     assert squarefree_decompose(12) == (2, 3)
     assert squarefree_decompose(-8) == (2, -2)
-    with pytest.raises(ValueError):
-        squarefree_decompose(0)
 
 
 @settings(deadline=None)
@@ -185,11 +157,6 @@ def test_dirichlet_convolve_identities():
         assert conv2[n] == sl2_order(n)
 
 
-def test_dirichlet_convolve_length_mismatch():
-    with pytest.raises(ValueError):
-        dirichlet_convolve([Fraction(0), Fraction(1)], [Fraction(0)], 1)
-
-
 def test_hermite_sublattices_examples():
     assert hermite_sublattices(1) == [(1, 0, 1)]
     assert hermite_sublattices(2) == [(1, 0, 2), (2, 0, 1), (2, 1, 1)]
@@ -212,32 +179,15 @@ def test_factorize_of_a_large_n_is_exact():
     assert math.prod(p**e for p, e in fac) == n
 
 
-def test_trial_division_refuses_past_its_reach_before_dividing():
-    class NoDivision(int):
-        def __mod__(self, other):
-            raise AssertionError("a division ran past the trial-division reach")
-
-    n = NoDivision(arith.TRIAL_MAX_N + 1)
-    for fn in (factorize, is_prime, moebius):
-        with pytest.raises(ValueError, match="beyond the trial-division bound"):
-            fn(n)
-    # a smooth n at the reach still factorises
-    assert math.prod(p**e for p, e in factorize(arith.TRIAL_MAX_N)) == arith.TRIAL_MAX_N
-
-
 def test_pi_quantity_algebra():
     x = PiQuantity(Fraction(13, 31104), 4)
     y = PiQuantity(Fraction(1, 960), 4)
     assert (x + y).pi_power == 4
     assert x * PiQuantity(Fraction(15), -2) == PiQuantity(Fraction(13 * 15, 31104), 2)
     assert (3 * y).coeff == Fraction(1, 320)
-    with pytest.raises(ValueError):
-        _ = x + PiQuantity(Fraction(1), 2)
     # addition takes PiQuantity operands only; a bare number is not a pi^0 value
     with pytest.raises(TypeError):
         _ = PiQuantity(Fraction(1, 2), 0) + 1
-    with pytest.raises(ValueError):
-        PiQuantity(Fraction(1), 2).as_rational()
     with pytest.raises(AttributeError, match="cannot delete field 'coeff'"):
         del x.coeff
     assert PiQuantity(Fraction(3, 2), 0).as_rational() == Fraction(3, 2)
@@ -258,12 +208,6 @@ def test_pi_quantity_mul_adds_powers(c1, c2, p1, p2):
         assert (a + b).coeff == c1 + c2
 
 
-def test_sigma_prefix_refuses_past_the_table_bound():
-    # refused at SIEVE_BOUND = 10^7, before sigma_table allocates any sieve
-    with pytest.raises(ValueError):
-        arith.sigma_prefix(3 * 10**9)
-
-
 def test_sigma_table_matches_sigma():
     # every N <= 400, then perfect squares and prime powers at the end
     ref = [0] + [sigma(1, n) for n in range(1, 4097)]
@@ -278,23 +222,6 @@ def test_multiplicative_tables_match_scalars():
     assert list(arith.sl2_order_table(N))[1:] == [sl2_order(n) for n in range(1, N + 1)]
     sig = [0] + [sigma(1, n) for n in range(1, N + 1)]
     assert list(arith.sigma_prefix(N)) == list(accumulate(sig))
-
-
-def test_multiplicative_table_past_the_sieve_bound(monkeypatch):
-    # under a bound of 50 the tables stop at N = 49, and N = 50 is refused
-    # before the table's sieve is allocated
-    def no_sieve(*args):
-        raise AssertionError("a sieve was allocated")
-
-    def step(p, prev):
-        return p * prev + 1
-
-    monkeypatch.setattr(arith, "SIEVE_BOUND", 50)
-    assert list(arith._multiplicative_table(49, step)) == [0] + [sigma(1, n) for n in range(1, 50)]
-    monkeypatch.setattr(arith, "array", no_sieve)
-    for N in (50, 51, 10**12):
-        with pytest.raises(ValueError, match="beyond the sieve bound 50"):
-            arith._multiplicative_table(N, step)
 
 
 def test_cached_tables_are_read_only():
@@ -339,8 +266,6 @@ def test_moebius_past_the_sieve_bound_uses_trial_division():
     assert moebius(10_000_001) == 1  # 11 * 909091
     assert moebius(2_147_483_647) == -1  # 2^31 - 1, prime
     assert moebius(3163**2 * 2) == 0
-    with pytest.raises(ValueError, match="moebius expects n >= 1"):
-        moebius(-4)
 
 
 # Traces the first call named by sys.argv[1] in a fresh process, after every

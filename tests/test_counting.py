@@ -192,14 +192,6 @@ def test_sts_count():
     assert sts_count(Fraction(-1, 2)) == 3
     assert sts_count(Fraction(0)) == 0
     assert sts_count(Fraction(-3, 2)) == 9
-    with pytest.raises(ValueError):
-        sts_count(Fraction(1, 2))
-
-
-@pytest.mark.parametrize("fn, message", [(smm, "need m >= 1"), (cd_count, "need d >= 1")])
-def test_nonpositive_degree_is_refused(fn, message):
-    with pytest.raises(ValueError, match=message):
-        fn(Locus.H2, 0)
 
 
 def test_smm_h2():
@@ -296,10 +288,3 @@ def test_oracle_matches_all_pairs_reference():
 def test_oracle_matches_cd_count():
     for d in range(1, 10):
         assert h2_permutation_oracle(d) == cd_count(Locus.H2, d), d
-
-
-def test_oracle_guard():
-    with pytest.raises(ValueError):
-        h2_permutation_oracle(11)
-    with pytest.raises(ValueError):
-        h2_permutation_oracle(0)

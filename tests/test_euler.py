@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gothicvol import Locus, arith, counting, euler, ideals, prototypes, qforms
+from gothicvol import arith, euler, ideals, prototypes, qforms
 from gothicvol.arith import divisors, moebius, sigma, sl2_order
 from gothicvol.cli import main
 from gothicvol.euler import (
@@ -36,8 +36,6 @@ def test_chi_x_nonsquare_examples():
     assert chi_X_nonsquare(5) == Fraction(1, 15)
     assert chi_X_nonsquare(8) == Fraction(1, 6)
     assert chi_X_nonsquare(12) == e_value(12, 1) / 30
-    with pytest.raises(ValueError):
-        chi_X_nonsquare(9)
 
 
 def test_chi_x_br_ratios():
@@ -45,8 +43,6 @@ def test_chi_x_br_ratios():
     assert chi_X_br(2, 1) == Fraction(3, 2) * chi_X_square(2)
     assert chi_X_br(9, 2) == Fraction(4, 3) * chi_X_square(9)
     assert chi_X_br(6, 1) == 2 * chi_X_square(6)
-    with pytest.raises(ValueError):
-        chi_X_br(6, 2)  # 2 is not a component for d = 0 mod 6
 
 
 def test_component_rule_equals_the_ideal_classes():
@@ -61,19 +57,12 @@ def test_component_rule_equals_the_ideal_classes():
             except ValueError:
                 pass
         assert offered == ideals.component_list(d), d
-    for r in (-6, -1, 0, 4, 12):
-        with pytest.raises(ValueError, match="does not name a component"):
-            chi_X_br(1, r)
-        with pytest.raises(ValueError, match="does not name a component"):
-            chi_G(25, r, "main_term")
 
 
 def test_chi_w2():
     assert chi_W2(9) == Fraction(-1, 2)
     assert chi_W2(4) == 0
     assert chi_W2(5) == Fraction(-3, 10)
-    with pytest.raises(ValueError):
-        chi_W2(1)
 
 
 def _factorisations_and_e_values(monkeypatch, fn, D):
@@ -122,13 +111,9 @@ def test_chi_w4_components_and_values():
     assert chi_W4(13, 1) == 0 and euler.is_empty("w4", 13)  # 13 = 5 mod 8
     assert chi_W4(17, 1) == Fraction(-5, 2) * chi_X_nonsquare(17)
     assert chi_W4(17, 2) == chi_W4(17, 1)
-    with pytest.raises(ValueError):
-        chi_W4(12, 2)  # second component needs D = 1 mod 8
     assert chi_W4(16, 1, "main_term") == Fraction(-15, 4) * chi_X_square(4)
     assert chi_W4(8, 1) == Fraction(-5, 2) * chi_X_nonsquare(8)  # 8 fundamental
     assert chi_W4(32, 1) == Fraction(-15, 4) * chi_X_nonsquare(32)  # f = 2
-    with pytest.raises(ValueError):
-        chi_W4(16, 1, "exact")
 
 
 def test_empty_curves_check_mode_and_component():
@@ -158,10 +143,6 @@ def test_chi_r_and_c_d():
     # non-squares: the residue table
     assert c_D(12) == 1 and c_D(28) == 2 and c_D(33) == 2 and c_D(73) == 4
     assert chi_R(12) == -e_value(12, 6) / 6
-    with pytest.raises(ValueError):
-        c_D(20)  # outside the gothic residue table
-    with pytest.raises(ValueError):
-        chi_R(25, "exact")
     # the paper's table by D mod 24, at the first non-square D of each class
     table = {0: 1, 12: 1, 4: 2, 9: 2, 16: 2, 1: 4}
     for r in range(24):
@@ -180,10 +161,6 @@ def test_chi_g_nonsquare():
     assert chi_G(12, 1) == Fraction(-3, 2) * chi_X_nonsquare(12) - 2 * chi_R(12)
     # (6, f) cases scale the coefficient; 33 = 9 mod 24, f = 1
     assert chi_G(33, 1) == Fraction(-3, 2) * chi_X_nonsquare(33) - 2 * chi_R(33)
-    with pytest.raises(ValueError):
-        chi_G(73, 5)  # only c_D = 4 components
-    with pytest.raises(ValueError):
-        chi_G(12, 1, "main_term")
 
 
 def test_chi_g_nonsquare_matches_composed_formula():
@@ -221,10 +198,6 @@ def test_chi_g_square_modes():
     main = chi_G(25, 1, "main_term")
     assert main == Fraction(-3, 2) * chi_X_br(5, 1) - 2 * chi_R(25, "main_term")
     assert chi_G(25, 1, "remark") == main + Fraction(2, 5) * chi_X_br(5, 1)
-    with pytest.raises(ValueError):
-        chi_G(25, 2, "remark")  # remark is r = 1 only
-    with pytest.raises(ValueError):
-        chi_G(25, 1, "exact")
 
 
 def test_chi_g_negativity_nonempty():
@@ -251,21 +224,6 @@ def test_d_equals_one_value_chain():
     assert chi_R(1, "main_term") == Fraction(1, 288)
     assert chi_G(1, 1, "main_term") == Fraction(-1, 36)
     assert chi_G(1, 1, "leading") == Fraction(-13, 720)
-
-
-def test_invalid_discriminants_rejected():
-    for D in (7, 11, 2, 3):
-        with pytest.raises(ValueError):
-            chi_W2(D)
-        with pytest.raises(ValueError):
-            chi_G(D)
-    for f, D in ((chi_X, -4), (c_D, -4), (chi_X, 0), (c_D, 7)):
-        with pytest.raises(ValueError, match="is not a discriminant"):
-            f(D)
-    with pytest.raises(ValueError, match="need d >= 1"):
-        chi_X_square(0)
-    with pytest.raises(ValueError, match="need d >= 2"):
-        chi_boundary_gap(1, 1)
 
 
 def test_chi_w2_square_matches_moebius_sum():
@@ -300,49 +258,6 @@ def test_e_square_table_grows_geometrically(monkeypatch):
     assert asked == [64, 128, 256, 512, 1024]
 
 
-def test_e_square_refuses_beyond_its_bound_before_any_build(monkeypatch, capsys):
-    asked = []
-
-    def recorded(dmax):
-        asked.append(dmax)
-        return (0,) * (dmax + 1)  # stands in for the table, which is not built
-
-    monkeypatch.setattr(euler, "_E6_TWELFTHS", (0,) * 200001)
-    monkeypatch.setattr(qforms, "e6_square_twelfths", recorded)
-    bound = euler.E_SQUARE_MAX_D
-    with pytest.raises(ValueError):
-        euler.precompute_e_square(bound + 1)
-    assert asked == []
-    assert euler.precompute_e_square(bound)[bound] == 0  # the growth stops at the bound
-    assert asked == [bound]
-    D = str((bound + 1) ** 2)
-    for family in ("r", "g"):
-        assert main(["chi", "--family", family, "--D", D, "--mode", "main"]) == 2
-    assert "beyond the e(d^2, k) bound" in capsys.readouterr().err
-    assert asked == [bound]
-
-
-def test_square_gothic_lookups_refuse_at_the_store_before_factorising(monkeypatch, capsys):
-    def no_factorising(n):
-        raise AssertionError(f"{n} was factorised before the store refused it")
-
-    monkeypatch.setattr(arith, "factorize", no_factorising)
-    p = 10**12 + 39
-    for lookup in (lambda: counting.cd_count(Locus.G, p), lambda: counting.smm(Locus.G, p),
-                   lambda: chi_G(p * p, 1, "main_term"), lambda: chi_G(p * p, 1, "remark")):
-        with pytest.raises(ValueError, match="beyond the e\\(d\\^2, k\\) bound"):
-            lookup()
-    for argv in (("cd", "--locus", "gothic", "--d", str(p)),
-                 ("smm", "--locus", "gothic", "--m", str(p)),
-                 *(("chi", "--family", "g", "--D", str(p * p), "--mode", mode)
-                   for mode in ("main", "remark"))):
-        assert main(list(argv)) == 2, argv
-        assert "beyond the e(d^2, k) bound" in capsys.readouterr().err, argv
-    # the leading surrogate reads no store and still factorises
-    with pytest.raises(AssertionError, match="was factorised"):
-        chi_G(p * p, 1, "leading")
-
-
 def test_every_chi_is_a_fraction_and_empty_curves_are_zero():
     for D in range(5, 400):
         if D % 4 in (2, 3) or euler._is_square(D) is not None:
@@ -363,18 +278,6 @@ def test_every_chi_is_a_fraction_and_empty_curves_are_zero():
         assert type(chi_W4(D, 1, "main_term")) is type(chi_W6(D, "main_term")) is Fraction
 
 
-def test_mode_errors_name_the_branch():
-    for chi in (lambda D, m: chi_W4(D, 1, m), chi_W6, chi_R, lambda D, m: chi_G(D, 1, m)):
-        with pytest.raises(ValueError, match="non-square discriminants use mode='exact'"):
-            chi(12, "main_term")
-    for chi in (lambda D, m: chi_W4(D, 1, m), chi_W6, chi_R):
-        with pytest.raises(ValueError, match="square discriminants require mode='main_term'"):
-            chi(25, "exact")
-    with pytest.raises(ValueError, match="square discriminants have no unconditional formula; "
-                       "pick mode in {'main_term', 'leading', 'remark'}"):
-        chi_G(25, 1, "exact")
-
-
 def test_square_branches_match_the_composed_formulas():
     # at D = d^2, chi_W4, chi_W6, chi_X_br and chi_R build one Fraction from
     # a(d) or 12 e(d^2, 6); the compositions through chi_X_square, e(d^2, 6)
@@ -391,31 +294,3 @@ def test_square_branches_match_the_composed_formulas():
         assert chi_R(D, "main_term") == -e / (6 * c_D(D)), d
         for r in divisors(6 // math.gcd(6, d)):
             assert chi_X_br(d, r) == euler.X_BR_RATIO[math.gcd(6, d)] * x, (d, r)
-
-
-@pytest.mark.parametrize("chi, args, message", [
-    (chi_W4, (16, 2, "main_term"), "W_D(4) has a single component for D = 16"),
-    (chi_W4, (16, 2, "exact"), "square discriminants require mode='main_term'"),
-    (chi_W4, (16, 3, "main_term"), "component j must be 1 or 2"),
-    (chi_W4, (9, 3, "exact"), "square discriminants require mode='main_term'"),
-    (chi_W4, (0, 1, "main_term"), "0 is not a discriminant (need D >= 1, D = 0,1 mod 4)"),
-    (chi_W6, (16, "remark"), "square discriminants require mode='main_term'"),
-    (chi_W6, (15, "main_term"), "15 is not a discriminant (need D >= 1, D = 0,1 mod 4)"),
-    (chi_R, (16, "leading"), "square discriminants require mode='main_term'"),
-    (chi_R, (250001**2, "main_term"), "d = 250001 is beyond the e(d^2, k) bound 250000"),
-    (chi_X_br, (6, 2), "r = 2 does not name a component for d = 6"),
-    (chi_X_br, (0, 4), "r = 4 does not name a component for d = 0"),
-    (chi_X_br, (0, 1), "need d >= 1"),
-    (chi_X_br, (-5, 2), "need d >= 1"),
-])
-def test_square_branch_errors_keep_their_text_and_order(chi, args, message):
-    with pytest.raises(ValueError) as info:
-        chi(*args)
-    assert str(info.value) == message
-
-
-def test_chi_w4_single_component_error_on_the_command_line(capsys):
-    assert main(["chi", "--family", "w4", "--D", "16", "--j", "2", "--mode", "main"]) == 2
-    assert capsys.readouterr().err == "error: W_D(4) has a single component for D = 16\n"
-    assert main(["chi", "--family", "w4", "--D", "16", "--j", "2"]) == 2
-    assert capsys.readouterr().err == "error: square discriminants require mode='main_term'\n"

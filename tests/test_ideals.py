@@ -81,10 +81,6 @@ def test_basis_examples():
     full = ideal_basis(7, 1, 1)
     assert [(g.a1, g.a2) for g in full.basis] == [(1, 1), (0, 7)]
     assert full.index_in_order() == 1
-    with pytest.raises(ValueError):
-        ideal_basis(5, 6, 4)
-    with pytest.raises(ValueError):
-        ideal_basis(5, 12, 2)  # n not squarefree
 
 
 def test_basis_membership_and_index():
@@ -113,8 +109,6 @@ def test_ideal_equal_examples():
 def test_galois_conjugate():
     assert galois_conjugate(1, 6) == 6
     assert galois_conjugate(2, 6) == 3
-    with pytest.raises(ValueError):
-        galois_conjugate(2, 4)  # n must be squarefree
 
 
 def test_class_count_examples():
@@ -162,30 +156,6 @@ def test_symplectic_divisors_against_determinantal_divisors():
         for r in component_list(d):
             M = gram_matrix(d, 6, r)
             assert symplectic_divisors(M) == divisor_oracle(M), (d, r)
-
-
-@pytest.mark.parametrize("fn, args, message", [
-    (ideal_basis, (1, 6, 1), "need d >= 2"),
-    (galois_conjugate, (4, 6), "r = 4 must be a positive divisor of n = 6"),
-    (component_list, (1,), "need d >= 2"),
-])
-def test_out_of_range_arguments_are_refused(fn, args, message):
-    with pytest.raises(ValueError, match=message):
-        fn(*args)
-
-
-def test_symplectic_divisors_rejects_bad_input():
-    with pytest.raises(ValueError):
-        symplectic_divisors([[0, 1], [-1, 0]])
-    with pytest.raises(ValueError):
-        symplectic_divisors([[1, 0, 0, 0]] * 4)
-    degenerate = [[0] * 4 for _ in range(4)]
-    with pytest.raises(ValueError):
-        symplectic_divisors(degenerate)
-    # rank 2: the entries have gcd 1 but the Pfaffian is 0
-    rank2 = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
-    with pytest.raises(ValueError, match="degenerate form"):
-        symplectic_divisors(rank2)
 
 
 def test_polarization_examples():

@@ -6,19 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from gothicvol import euler, qforms, zagier
 from gothicvol.arith import PiQuantity, coprime_part, divisors, moebius, nu, sl2_order
 from gothicvol.cli import main
 from gothicvol.zagier import (
     asymptotic_check_e,
     ebar1_exact,
     ebar1_five_twelfths,
-    ebar1_via_euler_product,
     ebar6_exact,
     ebar6_sixtieths,
     estar1,
     estar6,
-    estar_euler_product,
     euler_factor,
     gauss_gamma,
     kappa,
@@ -82,15 +79,6 @@ def test_gamma_case_table():
     assert gauss_gamma(5, 2, 5) == 4
 
 
-def test_gamma_rejects_non_prime():
-    with pytest.raises(ValueError):
-        gauss_gamma(6, 1, 1)
-    with pytest.raises(ValueError, match="need r >= 0 and d >= 1"):
-        gauss_gamma(2, -1, 5)
-    with pytest.raises(ValueError, match="4 is not prime"):
-        euler_factor(1, 4, 5)
-
-
 def test_euler_factor_examples():
     assert euler_factor(1, 2, 1) == Fraction(5, 2)
     assert euler_factor(1, 3, 1) == Fraction(10, 9)
@@ -108,16 +96,6 @@ def test_euler_factor_equals_the_definitional_sum():
                     for j in range(1, top + 1)
                 )
                 assert euler_factor(k, p, d) == want, (k, p, d)
-
-
-def test_euler_factor_rejects_non_squarefree_k():
-    with pytest.raises(ValueError):
-        euler_factor(4, 2, 1)
-    # k is refused before 2kd is factorised, also where 2kd is past the
-    # trial-division reach
-    for d in (1, 10**15):
-        with pytest.raises(ValueError, match="k = 4 must be squarefree"):
-            estar_euler_product(4, d)
 
 
 def test_p1_at_coprime_prime_is_1_plus_p_minus_2():
@@ -157,8 +135,6 @@ def test_ebar6_examples_and_route_equality():
 def test_estar6_keeps_the_power_of_pi_of_its_terms():
     # d = 2: d_2 = d_6 = 1, d_3 = 2, so 36 (2 - 3/5 - 8/5 + 12/25) = 252/25
     assert estar6(2, lambda m: PiQuantity(Fraction(m), 0)) == PiQuantity(Fraction(252, 25), 0)
-    with pytest.raises(ValueError, match="one power of pi"):
-        estar6(2, lambda m: PiQuantity(Fraction(1), -2 if m == 2 else 0))
 
 
 def test_kappa_values():
@@ -174,20 +150,6 @@ def test_asymptotic_report_shape():
     assert len(rep.delta1) == 65 and len(rep.delta6) == 65
     assert rep.delta1_upper_max >= 0 and rep.delta6_upper_max >= 0
     assert max(rep.delta1[33:65]) == rep.delta1_upper_max
-    with pytest.raises(ValueError):
-        asymptotic_check_e(10)
-
-
-def test_asymptotic_report_refuses_beyond_bound(monkeypatch):
-    # the reach is the e(d^2, 6) store's, checked before any table is built
-    def no_tables(dmax):
-        raise AssertionError("a table was built beyond the report's bound")
-
-    for module, name in ((qforms, "e1_square_twelfths"), (qforms, "e6_square_twelfths"),
-                         (zagier, "sl2_order_table")):
-        monkeypatch.setattr(module, name, no_tables)
-    with pytest.raises(ValueError, match="beyond the e\\(d\\^2, k\\) bound"):
-        asymptotic_check_e(euler.E_SQUARE_MAX_D + 1)
 
 
 def test_integer_ebar1_equals_the_definition(reference):
@@ -216,8 +178,6 @@ def test_tables_are_read_only_tuples():
         with pytest.raises(TypeError):
             table[1] = 0
     assert ebar1_five_twelfths(0) == (0,) and ebar6_sixtieths((0,)) == (0,)
-    with pytest.raises(ValueError):
-        ebar1_five_twelfths(-1)
 
 
 def test_cli_ebar_rows_equal_the_reference(capsys, reference):
@@ -231,22 +191,3 @@ def test_cli_ebar_rows_equal_the_reference(capsys, reference):
     assert doc["result"] == {"rows": [
         {"d": d, "ebar1": text(ebar1[d]), "ebar6": text(ebar6[d])} for d in range(1, 101)
     ]}
-
-
-def test_ebar_rows_refuse_beyond_bound_before_any_table(monkeypatch):
-    def no_tables(N):
-        raise AssertionError("a table was built beyond the bound")
-
-    monkeypatch.setattr(zagier, "ebar1_five_twelfths", no_tables)
-    with pytest.raises(ValueError, match="beyond the bound"):
-        zagier.ebar_rows(zagier.EBAR_MAX_D + 1)
-    with pytest.raises(ValueError, match="need dmax >= 1"):
-        zagier.ebar_rows(0)
-
-
-@pytest.mark.parametrize("fn", [kappa, ebar6_exact, estar6, ebar6_via_euler_product,
-                                ebar1_exact, ebar1_via_euler_product])
-def test_nonpositive_d_is_refused(fn):
-    for d in (0, -3):
-        with pytest.raises(ValueError, match="d must be >= 1"):
-            fn(d)
