@@ -230,6 +230,12 @@ def test_smm_gothic_dispatch():
     assert [c[2] for c in smm(Locus.G, 4).contributions] == [1]
 
 
+@pytest.mark.parametrize("fn, message", [(smm, "need m >= 1"), (cd_count, "need d >= 1")])
+def test_nonpositive_degree_is_refused(fn, message):
+    with pytest.raises(ValueError, match=message):
+        fn(Locus.H2, 0)
+
+
 def test_cd_count_examples():
     assert cd_count(Locus.H2, 3) == 3
     assert cd_count(Locus.H2, 4) == 9

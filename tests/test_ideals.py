@@ -169,3 +169,13 @@ def test_ideal_spec_is_frozen():
     assert isinstance(spec, IdealSpec)
     with pytest.raises(AttributeError):
         spec.d = 7
+
+
+@pytest.mark.parametrize("fn, args, message", [
+    (ideal_basis, (1, 6, 1), "need d >= 2"),
+    (galois_conjugate, (4, 6), "r = 4 must be a positive divisor of n = 6"),
+    (component_list, (1,), "need d >= 2"),
+])
+def test_out_of_range_arguments_are_refused(fn, args, message):
+    with pytest.raises(ValueError, match=message):
+        fn(*args)

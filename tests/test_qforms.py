@@ -141,6 +141,18 @@ def test_oracle_square_tables_are_tuples_of_ints():
             assert all(type(t) is int for t in tab), k
 
 
+@pytest.mark.parametrize("fn, args, message", [
+    (theta_expansion, (0,), "truncation bound must be >= 1"),
+    (ek_coeff, (0, 5), "need k >= 1 and n >= 0"),
+    (ek_coeff, (1, -1), "need k >= 1 and n >= 0"),
+    (ek_square_table, (0, 5), "need k >= 1 and mmax >= 1"),
+    (e1_square_twelfths, (0,), "need dmax >= 1"),
+])
+def test_out_of_range_arguments_are_refused(fn, args, message):
+    with pytest.raises(ValueError, match=message):
+        fn(*args)
+
+
 def test_square_tables_build_no_cached_sigma_table(monkeypatch):
     # the oracle sums its own local sigma sieve: the cached tuple for
     # e_square_table(1, 4000) alone would hold 4 * 10^6 Python ints

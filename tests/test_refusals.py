@@ -322,7 +322,8 @@ def _row_id(row):
     if isinstance(call[0], str):
         text = " ".join(("gothicvol", *call))
     else:
-        args = (getattr(a, "__name__", None) or getattr(a, "name", None) or repr(a)
+        args = (getattr(a, "__name__", None) or getattr(a, "name", None)
+                or (f"[{', '.join(map(str, a))}]" if isinstance(a, list) else repr(a))
                 for a in call[1:])
         text = f"{call[0].__name__}({', '.join(args)})"
     return f"{text} past {reach}" if reach else text

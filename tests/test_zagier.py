@@ -12,6 +12,7 @@ from gothicvol.zagier import (
     asymptotic_check_e,
     ebar1_exact,
     ebar1_five_twelfths,
+    ebar1_via_euler_product,
     ebar6_exact,
     ebar6_sixtieths,
     estar1,
@@ -191,3 +192,11 @@ def test_cli_ebar_rows_equal_the_reference(capsys, reference):
     assert doc["result"] == {"rows": [
         {"d": d, "ebar1": text(ebar1[d]), "ebar6": text(ebar6[d])} for d in range(1, 101)
     ]}
+
+
+@pytest.mark.parametrize("fn", [kappa, ebar6_exact, estar6, ebar6_via_euler_product,
+                                ebar1_exact, ebar1_via_euler_product])
+def test_nonpositive_d_is_refused(fn):
+    for d in (0, -3):
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            fn(d)
