@@ -108,6 +108,8 @@ def _cmd_qexp(args):
 
     N = args.N
     if args.series == "theta":
+        if args.k < 1 <= N:  # as g2 refuses k: after N < 1, before N past its reach
+            raise ValueError("need k >= 1")
         coeffs = qforms.theta_expansion(N)
     elif args.series == "g2":
         coeffs = qforms.g2k_expansion(args.k, N)
@@ -325,7 +327,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         result, csv_rows = args.fn(args)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     inputs = {flag[2:]: getattr(args, flag[2:]) for flag, _ in _SUBCOMMANDS[args.command][2]}

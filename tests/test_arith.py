@@ -65,19 +65,6 @@ def test_moebius_brute_force():
         assert moebius(n) == brute_moebius(n), n
 
 
-@pytest.mark.parametrize("fn, args, message", [
-    (factorize, (0,), "factorize expects n >= 1"),
-    (sigma, (-1, 5), "sigma expects k >= 0"),
-    (jordan2, (0,), "jordan2 expects m >= 1"),
-    (coprime_part, (0, 6), "coprime_part expects positive integers"),
-    (arith.sigma_table, (-1,), "a table needs N >= 0"),
-    (hermite_sublattices, (0,), "hermite_sublattices expects n >= 1"),
-])
-def test_out_of_range_arguments_are_refused(fn, args, message):
-    with pytest.raises(ValueError, match=message):
-        fn(*args)
-
-
 def test_nu_examples():
     assert [nu(2, n) for n in (1, 2, 12, 1024)] == [0, 1, 2, 10]
     assert nu(3, 162) == 4 and nu(7, 10) == 0

@@ -11,6 +11,7 @@ import pytest
 from gothicvol import SURROGATES, arith
 from gothicvol.counting import (
     Locus,
+    _centralizer_size,
     _partitions,
     _perm_from_cycle_type,
     _three_cycle_orbits,
@@ -26,31 +27,14 @@ from gothicvol.euler import chi_G, chi_W2, chi_W4, chi_W6
 
 def brute_oracle(d):
     """All-pairs reference count (only feasible for tiny d)."""
-    import math
-
     count = 0
     perms = list(itertools.permutations(range(d)))
     for h in perms:
-        hinv = [0] * d
-        for i, x in enumerate(h):
-            hinv[x] = i
+        hinv = _inverse(h)
         for v in perms:
-            vinv = [0] * d
-            for i, x in enumerate(v):
-                vinv[x] = i
+            vinv = _inverse(v)
             moved = [i for i in range(d) if h[v[hinv[vinv[i]]]] != i]
-            if len(moved) != 3:
-                continue
-            # transitivity
-            seen = {0}
-            stack = [0]
-            while stack:
-                i = stack.pop()
-                for j in (h[i], v[i]):
-                    if j not in seen:
-                        seen.add(j)
-                        stack.append(j)
-            if len(seen) == d:
+            if len(moved) == 3 and _orbit_is_everything(h, v):
                 count += 1
     return Fraction(count, math.factorial(d))
 
@@ -93,21 +77,12 @@ def class_brute_force(d):
     return counts
 
 
-def _class_weight(part):
-    """|Z(h)| for h of cycle type part: prod l^(m_l) m_l!."""
-    size = 1
-    for length in set(part):
-        mult = part.count(length)
-        size *= length**mult * math.factorial(mult)
-    return size
-
-
 @pytest.mark.parametrize("d", range(1, 8))
 def test_coset_oracle_matches_class_brute_force(d):
     # d = 6 and 7 are the first sizes with repeated cycles of length >= 2,
     # as in (2, 2, 2) and (3, 3)
     counts = class_brute_force(d)
-    want = sum((Fraction(n, _class_weight(part)) for (part, _), n in counts.items()), Fraction(0))
+    want = sum(Fraction(n, _centralizer_size(part)) for (part, _), n in counts.items())
     assert h2_permutation_oracle(d) == want
 
 
@@ -145,7 +120,7 @@ def test_three_cycle_orbit_sizes_sum_to_every_three_cycle():
             assert sum(sizes) == d * (d - 1) * (d - 2) // 3, part
 
 
-@pytest.mark.parametrize("d", range(3, 7))
+@pytest.mark.parametrize("d", range(3, 8))
 def test_three_cycle_orbits_are_the_centralizer_orbits(d):
     # Z(h) from its definition, every z in S_d with z h = h z, and each
     # orbit by conjugating its representative with all of Z(h)
@@ -153,7 +128,7 @@ def test_three_cycle_orbits_are_the_centralizer_orbits(d):
         h = _perm_from_cycle_type(part, d)
         centralizer = [z for z in itertools.permutations(range(d))
                        if all(z[h[x]] == h[z[x]] for x in range(d))]
-        assert len(centralizer) == _class_weight(part)
+        assert len(centralizer) == _centralizer_size(part)
         covered = set()
         for c, size in _three_cycle_orbits(part):
             orbit = set()
@@ -228,12 +203,6 @@ def test_smm_gothic_dispatch():
     assert got10 == {1: 100, 2: 25}
     # m = 4: nu_2 = 2 -> {1}
     assert [c[2] for c in smm(Locus.G, 4).contributions] == [1]
-
-
-@pytest.mark.parametrize("fn, message", [(smm, "need m >= 1"), (cd_count, "need d >= 1")])
-def test_nonpositive_degree_is_refused(fn, message):
-    with pytest.raises(ValueError, match=message):
-        fn(Locus.H2, 0)
 
 
 def test_cd_count_examples():

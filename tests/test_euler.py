@@ -294,24 +294,3 @@ def test_square_branches_match_the_composed_formulas():
         assert chi_R(D, "main_term") == -e / (6 * c_D(D)), d
         for r in divisors(6 // math.gcd(6, d)):
             assert chi_X_br(d, r) == euler.X_BR_RATIO[math.gcd(6, d)] * x, (d, r)
-
-
-@pytest.mark.parametrize("chi, args, message", [
-    (chi_W4, (16, 2, "main_term"), "W_D(4) has a single component for D = 16"),
-    (chi_W4, (16, 2, "exact"), "square discriminants require mode='main_term'"),
-    (chi_W4, (16, 3, "main_term"), "component j must be 1 or 2"),
-    (chi_W4, (9, 3, "exact"), "square discriminants require mode='main_term'"),
-    (chi_W4, (0, 1, "main_term"), "0 is not a discriminant (need D >= 1, D = 0,1 mod 4)"),
-    (chi_W6, (16, "remark"), "square discriminants require mode='main_term'"),
-    (chi_W6, (15, "main_term"), "15 is not a discriminant (need D >= 1, D = 0,1 mod 4)"),
-    (chi_R, (16, "leading"), "square discriminants require mode='main_term'"),
-    (chi_R, (250001**2, "main_term"), "d = 250001 is beyond the e(d^2, k) bound 250000"),
-    (chi_X_br, (6, 2), "r = 2 does not name a component for d = 6"),
-    (chi_X_br, (0, 4), "r = 4 does not name a component for d = 0"),
-    (chi_X_br, (0, 1), "need d >= 1"),
-    (chi_X_br, (-5, 2), "need d >= 1"),
-])
-def test_square_branch_errors_keep_their_text_and_order(chi, args, message):
-    with pytest.raises(ValueError) as info:
-        chi(*args)
-    assert str(info.value) == message

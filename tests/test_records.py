@@ -1,8 +1,7 @@
 """The package's plain records: constructors, equality, hashing, immutability
-and reprs, and that no module loads ``dataclasses``."""
+and reprs; that no request loads ``dataclasses`` is test_cli's census."""
 
 import copy
-import json
 import pickle
 from fractions import Fraction
 
@@ -139,20 +138,3 @@ def test_record_reprs():
     assert repr(_report([0.0, 0.25])) == (
         "AsymptoticReport(d_max=30, delta1_upper_max=0.5, delta1_lower_max=0.0, "
         "delta1_ratio=0.0, delta6_upper_max=0.0, delta6_lower_max=0.0, delta6_ratio=0.0)")
-
-
-# Imports every module of the package and reports which of the watched
-# standard-library modules are loaded by then.
-_MODULES = """
-import json, sys
-import gothicvol.cli, gothicvol.counting, gothicvol.euler, gothicvol.ideals
-import gothicvol.prototypes, gothicvol.qforms, gothicvol.verify, gothicvol.volume
-import gothicvol.zagier
-
-print(json.dumps(sorted({"dataclasses", "inspect"} & sys.modules.keys())))
-"""
-
-
-def test_no_module_loads_dataclasses(run_python):
-    proc = run_python("-c", _MODULES, timeout=120, check=True)
-    assert json.loads(proc.stdout) == []

@@ -112,7 +112,7 @@ REFUSALS = [
     *((None, ("qexp", "--series", series, "--k", "1", "--N", N), "truncation bound must be >= 1")
       for series in ("theta", "g2", "fk", "ek") for N in ("0", "-1")),
     *((None, ("qexp", "--series", series, "--k", "0", "--N", "5"), "need k >= 1")
-      for series in ("g2", "fk", "ek")),
+      for series in ("theta", "g2", "fk", "ek")),
     *(("QEXP_MAX_N", (fn, *args), PAST_QEXP) for fn, *args in (
         (qforms.theta_expansion, 400001), (qforms.g2k_expansion, 1, 400001),
         (qforms.fk_expansion, 6, 400001))),

@@ -20,37 +20,6 @@ from gothicvol.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Runs one suite with one wrong entry injected into a table: the table
-# builder named by sys.argv[2], an attribute of the module gothicvol.<sys.argv[1]>,
-# is replaced by one whose entry 7 is off by one.
-_FAULT_INJECTION = """
-import importlib, json, sys
-from gothicvol import verify
-
-owner = importlib.import_module("gothicvol." + sys.argv[1])
-real = getattr(owner, sys.argv[2])
-
-def wrong_table(N):
-    table = list(real(N))
-    table[7] += 1
-    return table
-
-setattr(owner, sys.argv[2], wrong_table)
-results = [verify.run_check(name) for name in verify.check_names(sys.argv[3])]
-print(json.dumps({"optimize": sys.flags.optimize,
-                  "failed": [r.name for r in results if not r.ok]}))
-"""
-
-
-def _failed_under_python_O(run_python, owner, table, suite):
-    """The checks of ``suite`` that fail under ``python -O`` with the table
-    ``owner.table`` off by one at entry 7."""
-    proc = run_python("-O", "-c", _FAULT_INJECTION, owner, table, suite,
-                      timeout=300, check=True)
-    doc = json.loads(proc.stdout)
-    assert doc["optimize"] == 1
-    return doc["failed"]
-
 
 def test_no_module_imports_numpy():
     # every import statement of the package, lazy ones in function bodies too
@@ -109,26 +78,6 @@ def test_check(check, name):
     assert result.ok, result.detail
 
 
-def test_checks_fail_under_python_O(run_python):
-    # python -O strips assert statements; the checks must still catch a
-    # wrong a(d) table
-    assert _failed_under_python_O(run_python, "checks.arith", "sl2_order_table", "arith") == [
-        "(sigma * a)(n) = sigma_3(n) for n <= 10^5",
-        "sl2_order multiplicative on coprime pairs up to 500",
-        "a(d) = p^(3v-2)(p^2-1) a(d_p) for all p | d, d <= 2000",
-    ]
-
-
-def test_integer_ebar_checks_fail_under_python_O(run_python):
-    # the integer sieves over the (12/5) ebar_1 table still catch one wrong
-    # entry; the two Euler-product checks read ebar1_exact and the local
-    # factors, not the table
-    assert _failed_under_python_O(run_python, "zagier", "ebar1_five_twelfths", "zagier") == [
-        "(12/5) moebius-sum of ebar_1(m^2) equals a(d), d <= 2000",
-        "moebius-summed ebar_6 equals kappa(d) a(d)/60 exactly, d <= 2000",
-    ]
-
-
 def _replaced(seq, i, value):
     return (*seq[:i], value, *seq[i + 1:])
 
@@ -140,6 +89,9 @@ def _plus_one(seq, i):
 def _result_changed(f):
     # a `wrong` that returns f(real(*args), *args) for each call real(*args)
     return lambda real: lambda *args: f(real(*args), *args)
+
+
+_ENTRY_7_PLUS_ONE = _result_changed(lambda table, _: _plus_one(table, 7))
 
 
 def _smm_total_plus_one(hit):
@@ -163,7 +115,24 @@ _IDEAL_EQUAL = "ideal_equal matches brute-force lattice equality, d <= 100"
 # Each row replaces owner.name by wrong(real), one value wrong in what the check
 # reads, and gives the full detail of the check's failure where it reads that
 # value.  Each check that is the only statement of its invariant has a row.
+# CI runs the table once more under python -O, with asserts stripped.
 @pytest.mark.parametrize("owner, name, wrong, check, detail", [
+    # entry 7 of a table off by one; of the zagier checks only the integer
+    # sieves read the ebar_1 table, the Euler-product ones read the local factors
+    pytest.param(arith_checks, "sl2_order_table", _ENTRY_7_PLUS_ONE,
+                 "(sigma * a)(n) = sigma_3(n) for n <= 10^5", "FAILED at 7", id="a-convolution"),
+    pytest.param(arith_checks, "sl2_order_table", _ENTRY_7_PLUS_ONE,
+                 "sl2_order multiplicative on coprime pairs up to 500", "FAILED at (2, 7)",
+                 id="a-multiplicative"),
+    pytest.param(arith_checks, "sl2_order_table", _ENTRY_7_PLUS_ONE,
+                 "a(d) = p^(3v-2)(p^2-1) a(d_p) for all p | d, d <= 2000", "FAILED at (7, 7)",
+                 id="a-recursion"),
+    pytest.param(zagier, "ebar1_five_twelfths", _ENTRY_7_PLUS_ONE,
+                 "(12/5) moebius-sum of ebar_1(m^2) equals a(d), d <= 2000", "FAILED at 7",
+                 id="ebar1-table-a"),
+    pytest.param(zagier, "ebar1_five_twelfths", _ENTRY_7_PLUS_ONE,
+                 "moebius-summed ebar_6 equals kappa(d) a(d)/60 exactly, d <= 2000",
+                 "FAILED at 7", id="ebar1-table-ebar6"),
     pytest.param(arith_checks, "hermite_sublattices",
                  lambda real: lambda n: real(n)[1:] if n == 12 else real(n),
                  "hermite_sublattices: sigma(n) forms, each of index n, n <= 200",

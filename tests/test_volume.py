@@ -108,16 +108,6 @@ def test_hyperbola_loops_match_block_sums_around_squares():
             assert (sigma3_sum(x), t_sum(x)) == block_sums(x), x
 
 
-@pytest.mark.parametrize("fn, args, message", [
-    (t_sum, (-1,), "need D >= 0"),
-    (volume.smm_totals, (Locus.H2, 0), "need mmax >= 1"),
-    (volume_estimate, (Locus.H2, 100, "sideways"), "mode must be 'direct' or 'closed'"),
-])
-def test_out_of_range_arguments_are_refused(fn, args, message):
-    with pytest.raises(ValueError, match=message):
-        fn(*args)
-
-
 def test_sk_constants():
     assert sk_asymptotic_constant(1).coeff == Fraction(1, 360)
     assert sk_asymptotic_constant(2).coeff == Fraction(1, 840)
