@@ -138,7 +138,9 @@ def _cmd_ideals(args):
     d, n = args.d, args.n
     class_count = ideals.class_count(d, n)  # refuses a bad d or n first
     comps = []
-    for r in ideals.component_list(d) if n == 6 else arith.divisors(n):
+    for r in arith.divisors(n):
+        if any(ideals.ideal_equal(d, n, r, c["r"]) for c in comps):
+            continue  # one component per ideal class, named by its least r
         spec = ideals.ideal_basis(d, n, r)
         M = ideals.gram_matrix(d, n, r)
         comps.append(

@@ -63,8 +63,10 @@ def sts_count(chi: Fraction) -> Fraction:
 @cache
 def _euler():
     """The ``euler`` module, imported on the first ``smm`` call, so the
-    permutation oracle runs without it; a cached call costs a twentieth of an
-    import statement in ``smm``, which ``verify`` calls thousands of times."""
+    permutation oracle runs without it.  ``verify`` calls ``smm`` thousands of
+    times, and a cached call costs about a ninth of an import statement (35
+    against 330 ns): without the cache ``verify --suite counting`` takes 6-9%
+    more CPU (Python 3.11 on a 2-core Xeon, 41 alternated fresh runs)."""
     from . import euler
 
     return euler
@@ -113,7 +115,9 @@ def smm(locus: Locus, m: int, mode: str = "main_term") -> CoverCount:
                 rmode = "main_term"
             parts.append(("G", h * h, r, sts_count(euler.chi_G(h * h, r, rmode))))
     if len(parts) == 1:
-        # most calls have one part; the lcm form below costs one more Fraction
+        # most calls have one part; the lcm form below costs one more
+        # Fraction per call, 8-9% of verify --suite counting's CPU, measured
+        # as in _euler
         total = parts[0][3]
     else:
         counts = [part[3] for part in parts]

@@ -176,6 +176,8 @@ def symplectic_divisors(M) -> tuple[int, int]:
     A = [[int(v) for v in row] for row in M]
     if len(M) != 4 or any(len(row) != 4 for row in A):
         raise ValueError("expected a 4x4 matrix")
+    if A != list(map(list, M)):
+        raise ValueError("matrix has a non-integral entry")
     if any(A[i][j] != -A[j][i] for i in range(4) for j in range(4)):
         raise ValueError("matrix is not antisymmetric")
     pf = A[0][1] * A[2][3] - A[0][2] * A[1][3] + A[0][3] * A[1][2]

@@ -16,7 +16,6 @@ from gothicvol.arith import (
     PiQuantity,
     coprime_part,
     dirichlet_convolve,
-    divisors,
     factorize,
     hermite_sublattices,
     is_prime,
@@ -127,12 +126,6 @@ def test_squarefree_decompose_roundtrip(c):
     assert c0 * c0 * cp == c
     assert arith.is_squarefree(abs(cp))
     assert (cp < 0) == (c < 0)
-
-
-def test_jordan2():
-    assert jordan2(1) == 1 and jordan2(2) == 3 and jordan2(6) == 24
-    for m in range(1, 100):
-        assert jordan2(m) == sum(moebius(r) * (m // r) ** 2 for r in divisors(m))
 
 
 def test_dirichlet_convolve_identities():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gothicvol import cli, prototypes, volume, zagier
+from gothicvol import arith, cli, prototypes, volume, zagier
 from gothicvol.cli import _SUBCOMMANDS, _encode, build_parser, main
 from gothicvol.prototypes import e_value
 
@@ -172,15 +172,12 @@ def test_a_mode_the_locus_or_family_does_not_offer_exits_2(capsys):
     assert "unrecognized arguments: --d 6" in capsys.readouterr().err
 
 
-def test_ideals_subcommand(capsys):
-    code, out = run_cli(capsys, "ideals", "--d", "5")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["result"]["class_count"] == 4
-    comp1 = doc["result"]["components"][0]
-    assert comp1["r"] == 1
-    assert comp1["symplectic_type"] == [1, 6]
-    assert comp1["polarization"] == [5, 30]
+def test_ideals_lists_one_component_per_ideal_class(capsys):
+    for n in filter(arith.is_squarefree, range(1, 31)):
+        for d in range(2, 61):
+            code, out = run_cli(capsys, "ideals", "--d", str(d), "--n", str(n))
+            result = json.loads(out)["result"]
+            assert len(result["components"]) == result["class_count"], (d, n)
 
 
 def test_qexp_subcommand(capsys):

@@ -20,7 +20,6 @@ from gothicvol.counting import (
     cd_count,
     h2_permutation_oracle,
     smm,
-    sts_count,
 )
 from gothicvol.euler import chi_G, chi_W2, chi_W4, chi_W6
 
@@ -161,12 +160,6 @@ def test_smm_total_is_minus_six_times_the_chi_of_its_parts():
                     assert count == -6 * chi, (locus, m, mode, family, D, r)
                     chis.append(chi)
                 assert cover.total == -6 * sum(chis, Fraction(0)), (locus, m, mode)
-
-
-def test_sts_count():
-    assert sts_count(Fraction(-1, 2)) == 3
-    assert sts_count(Fraction(0)) == 0
-    assert sts_count(Fraction(-3, 2)) == 9
 
 
 def test_smm_h2():

@@ -38,13 +38,6 @@ def test_chi_x_nonsquare_examples():
     assert chi_X_nonsquare(12) == e_value(12, 1) / 30
 
 
-def test_chi_x_br_ratios():
-    assert chi_X_br(5, 1) == chi_X_square(5)
-    assert chi_X_br(2, 1) == Fraction(3, 2) * chi_X_square(2)
-    assert chi_X_br(9, 2) == Fraction(4, 3) * chi_X_square(9)
-    assert chi_X_br(6, 1) == 2 * chi_X_square(6)
-
-
 def test_component_rule_equals_the_ideal_classes():
     # euler names the components by r | 6/(6, d), without ideals; the ideal
     # classes of norm 6 are the independent rule
@@ -156,13 +149,6 @@ def test_chi_r_and_c_d():
                 c_D(D)
 
 
-def test_chi_g_nonsquare():
-    assert chi_G(8) == 0 and euler.is_empty("g", 8)
-    assert chi_G(12, 1) == Fraction(-3, 2) * chi_X_nonsquare(12) - 2 * chi_R(12)
-    # (6, f) cases scale the coefficient; 33 = 9 mod 24, f = 1
-    assert chi_G(33, 1) == Fraction(-3, 2) * chi_X_nonsquare(33) - 2 * chi_R(33)
-
-
 def test_chi_g_nonsquare_matches_composed_formula():
     # the readable composition is the oracle for the one-numerator form
     for D in range(5, 3001):
@@ -198,6 +184,10 @@ def test_chi_g_square_modes():
     main = chi_G(25, 1, "main_term")
     assert main == Fraction(-3, 2) * chi_X_br(5, 1) - 2 * chi_R(25, "main_term")
     assert chi_G(25, 1, "remark") == main + Fraction(2, 5) * chi_X_br(5, 1)
+    # one d for each other gcd(6, d): remark - main = (REMARK_COEFF/d) chi_X_br
+    for d, coeff, gap in ((4, 6, Fraction(3, 2)), (9, 3, 4), (12, 9, 24)):
+        remark_gap = chi_G(d * d, 1, "remark") - chi_G(d * d, 1, "main_term")
+        assert remark_gap == Fraction(coeff, d) * chi_X_br(d, 1) == gap, d
 
 
 def test_chi_g_negativity_nonempty():

@@ -161,6 +161,8 @@ REFUSALS = [
     # rank 2: the entries have gcd 1 but the Pfaffian is 0
     (None, (ideals.symplectic_divisors, [[0, 1, 0, 0], [-1, 0, 0, 0], [0] * 4, [0] * 4]),
      "degenerate form"),
+    (None, (ideals.symplectic_divisors, [[0, 1.5, 0, 0], [-1.5, 0, 0, 0], [0, 0, 0, 6],
+                                         [0, 0, -6, 0]]), "matrix has a non-integral entry"),
     *((None, (fn, D), NOT_DISC.format(D)) for fn, D in (
         *((chi, D) for chi in (euler.chi_W2, euler.chi_G) for D in (7, 11, 2, 3)),
         (euler.chi_X, -4), (euler.c_D, -4), (euler.chi_X, 0), (euler.c_D, 7))),

@@ -22,7 +22,6 @@ from gothicvol.volume import (
     sk_sum,
     t_sum,
     volume_estimate,
-    volume_exact,
 )
 
 def brute_sk_prefix(k, Dmax):
@@ -119,14 +118,6 @@ def test_sk_constants():
     for k in (4, 5, 9, 12, 36):
         ratio = sk_sum(k, D) / (sk_asymptotic_constant(k).to_float() * D**4)
         assert abs(ratio - 1) < 1e-6, k
-
-
-def test_volume_exact_targets():
-    assert volume_exact(Locus.H2).coeff == Fraction(1, 960)
-    assert volume_exact(Locus.P3).coeff == Fraction(5, 6912)
-    assert volume_exact(Locus.P4).coeff == Fraction(7, 69120)
-    assert volume_exact(Locus.G).coeff == Fraction(13, 31104)
-    assert all(volume_exact(l).pi_power == 4 for l in Locus)
 
 
 def test_gothic_closed_summands_approach_limits():

@@ -18,7 +18,6 @@ from gothicvol.zagier import (
     estar6,
     euler_factor,
     gauss_gamma,
-    kappa,
 )
 
 REF_MAX_D = 1000
@@ -135,13 +134,6 @@ def test_ebar6_examples_and_route_equality():
 def test_estar6_keeps_the_power_of_pi_of_its_terms():
     # d = 2: d_2 = d_6 = 1, d_3 = 2, so 36 (2 - 3/5 - 8/5 + 12/25) = 252/25
     assert estar6(2, lambda m: PiQuantity(Fraction(m), 0)) == PiQuantity(Fraction(252, 25), 0)
-
-
-def test_kappa_values():
-    assert kappa(5) == 2
-    assert kappa(4) == Fraction(3, 2)
-    assert kappa(9) == Fraction(4, 3)
-    assert kappa(6) == 1
 
 
 def test_asymptotic_report_shape():
