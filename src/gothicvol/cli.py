@@ -163,20 +163,20 @@ def _cmd_chi(args):
         value = euler.chi_W4(D, args.j, mode)
     elif fam == "w6":
         value = euler.chi_W6(D, mode)
-    elif fam == "r":
+    elif fam == "r":  # chi_R takes no component; R_D^r has those of G_D
+        euler._check_component(D, euler._is_square(D), args.r)
         value = euler.chi_R(D, mode)
     elif fam == "g":
         value = euler.chi_G(D, args.r, mode)
-    else:  # x, xbr and w2 take no mode; xbr takes d, the square root of D
+    elif fam == "xbr":  # takes no mode, and d, the square root of D
         d = euler.check_mode(fam, D, mode)
-        if fam == "x":
-            value = euler.chi_X(D)
-        elif fam == "w2":
-            value = euler.chi_W2(D)
-        elif d is None:
+        if d is None:
             raise ValueError("family=xbr needs a square D")
-        else:
-            value = euler.chi_X_br(d, args.r)
+        value = euler.chi_X_br(d, args.r)
+    else:  # x and w2 offer exact alone, which chi_X and chi_W2 check
+        if mode != "exact":
+            euler.check_mode(fam, D, mode)  # refuses it, with D's own message
+        value = euler.chi_X(D) if fam == "x" else euler.chi_W2(D)
     result = {"family": fam, "D": D, "mode": mode, "value": value,
               "empty": euler.is_empty(fam, D)}
     return result, None

@@ -74,7 +74,7 @@ _NORM6 = tuple(sum((b * b - r) % 24 == 0 for b in range(12)) for r in range(24))
 
 
 def _is_square(D: int) -> int | None:
-    r = math.isqrt(D)
+    r = math.isqrt(max(D, 0))
     return r if r * r == D else None
 
 
@@ -166,11 +166,16 @@ def chi_X(D: int) -> Fraction:
     return chi_X_square(d) if d is not None else Fraction(_e_sums(D, 1)[1], 30)
 
 
-def _check_component(d: int, r: int) -> None:
-    """Refuse an r that names no component of G_{d^2}: the components are the
-    r dividing 6/(6, d), one per ideal of norm 6, so there are
-    sigma_0(6/(d, 6)) = c_{d^2} of them; d = 1 accepts any r | 6."""
-    if r < 1 or (6 // math.gcd(6, d)) % r:
+def _check_component(D: int, d: int | None, r: int) -> None:
+    """Refuse an r that names no component of G_D, or of R_D^r, which has the
+    same ones: one per ideal of norm 6.  At a square D = d^2 they are the r
+    dividing 6/(6, d), sigma_0(6/(d, 6)) = c_{d^2} of them, and d = 1 accepts
+    any r | 6; at a non-square D (d None) they are 1, ..., c_D, and an empty
+    G_D accepts component 1 only."""
+    if d is None:
+        if not 1 <= r <= max(_NORM6[D % 24], 1):
+            raise ValueError(f"component index {r} out of range for D = {D}")
+    elif r < 1 or (6 // math.gcd(6, d)) % r:
         raise ValueError(f"r = {r} does not name a component for d = {d}")
 
 
@@ -179,7 +184,7 @@ def chi_X_br(d: int, r: int) -> Fraction:
 
     r must name a component (r | 6/(6, d), which is ideals.component_list(d)).
     """
-    _check_component(d, r)
+    _check_component(d * d, d, r)
     if d < 1:
         raise ValueError("need d >= 1")
     ratio = X_BR_RATIO[math.gcd(6, d)]
@@ -264,17 +269,15 @@ def chi_G(D: int, r: int = 1, mode: str = "exact") -> Fraction:
     a/(72 d).  An empty G_D accepts component 1 only.
     """
     d = check_mode("g", D, mode)
+    _check_component(D, d, r)
     if d is None:
         c = _NORM6[D % 24]
-        if not 1 <= r <= max(c, 1):
-            raise ValueError(f"component index {r} out of range for D = {D}")
         if not c:
             return Fraction(0)
         f, e1, e6 = _e_sums(D, 1, 6)
         ratio = X_BR_RATIO[math.gcd(6, f)]
         rn, rd = ratio.numerator, ratio.denominator
         return Fraction(20 * rd * e6 - 3 * c * rn * e1, 60 * rd * c)
-    _check_component(d, r)
     g6 = math.gcd(6, d)
     if mode == "leading":
         kappa = KAPPA_PRIME[g6]

@@ -37,15 +37,15 @@ numpy, and each inversion in code is one in-place step, _twelfths_by_moebius:
                           dmax^2/4k, up to m = SQUARE_TABLE_MAX_M.
 
 Every series product here, F_k and the convolution sums alike, goes through
-one kernel, _kronecker_product, which packs 64-bit slots and itself refuses
-a pair of sequences whose slots could overflow; no caller restates that
-bound.
+one kernel, _kronecker_product, which sizes its slots from its own bound on
+the product's entries and refuses a bound of 2^64 or more; no caller
+restates that bound.
 """
 
 from __future__ import annotations
 
 import math
-import sys
+import struct
 from array import array
 from fractions import Fraction
 from itertools import repeat
@@ -64,10 +64,9 @@ SQUARE_TABLE_MAX_M = 10**4
 
 # The stated reach of the q-expansions: the largest N whose slowest series
 # stays within 15 s and 800 MB cold on 2 cores.  That is F_k for k = 1 (which
-# `qexp --series ek` prints too), nearly all of it the Kronecker product: it
-# took 9.2-14.3 s and 90 MB at 400000 in 5 runs, and 11.6-14.8 s and 113 MB at
-# 500000 in 3 runs with the bound raised by assignment; theta took 0.53-0.75 s
-# and G2 0.66-0.97 s at 400000.  Larger N is refused before any list is built.
+# `qexp --series ek` prints too), about two thirds of it the Kronecker
+# product: 5.2-6.3 s and 82 MB at 400000 in 5 runs; theta took 0.53-0.75 s and
+# G2 0.66-0.97 s there.  Larger N is refused before any list is built.
 QEXP_MAX_N = 400000
 
 
@@ -205,30 +204,30 @@ def e_square_table(k: int, dmax: int) -> tuple[int, ...]:
 def _kronecker_product(xs, ys, n_out: int) -> array:
     """c[n] = sum_{i+j=n} xs[i] ys[j] for 0 <= n < n_out, as array("Q").
 
-    Each sequence is packed into one Python int with a 64-bit slot per entry,
-    and the product is unpacked slot by slot.  Entries are nonnegative, so a
-    carry only moves upward: every c[n] with n < n_out is exact as long as
-    all of them are below 2^64, whatever the slots above n_out hold.  Each
-    c[n] is a sum of at most min(len(xs), len(ys)) products, so that count
-    times max(xs) max(ys) is checked against 2^64 first, and a sequence pair
-    that could overflow a slot raises ValueError before anything is packed.
+    The entries are nonnegative, and every c[n], past n_out too, sums at most
+    min(nonzero entries of xs, of ys) products, so that count times max(xs)
+    max(ys) bounds every c[n]; a bound of 2^64 or more raises ValueError
+    before anything is packed.  Each sequence is packed into one int of
+    w-byte slots, w the bound's byte length, so no slot carries into the
+    next: w strided copies keep the low w bytes of struct's little-endian
+    8-byte words, and the product's slots are widened back the same way.
     """
     xs, ys = xs[:n_out], ys[:n_out]
-    if min(len(xs), len(ys)) * max(xs) * max(ys) >= 2**64:
+    bound = min(len(xs) - xs.count(0), len(ys) - ys.count(0)) * max(xs) * max(ys)
+    if bound >= 2**64:
         raise ValueError("the product could overflow a 64-bit Kronecker slot")
-    little = sys.byteorder == "little"
+    w = (bound.bit_length() + 7) // 8
 
     def pack(seq) -> int:
-        slots = array("Q", seq)
-        if not little:
-            slots.byteswap()
+        wide, slots = struct.pack(f"<{len(seq)}Q", *seq), bytearray(w * len(seq))
+        for b in range(w):  # byte b of every entry
+            slots[b::w] = wide[b::8]
         return int.from_bytes(slots, "little")
 
-    out = array("Q")
-    out.frombytes((pack(xs) * pack(ys)).to_bytes(16 * n_out, "little")[: 8 * n_out])
-    if not little:
-        out.byteswap()
-    return out
+    c, wide = (pack(xs) * pack(ys)).to_bytes(2 * w * n_out, "little"), bytearray(8 * n_out)
+    for b in range(w):
+        wide[b::8] = c[b : w * n_out : w]
+    return array("Q", struct.unpack(f"<{n_out}Q", wide))
 
 
 def _convolution_sum(sig, nmax: int, a: int, b: int, x_residues) -> list[int]:

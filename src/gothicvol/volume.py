@@ -89,8 +89,9 @@ CLOSED_MAX_D = 10**12
 
 # The stated reach of the direct path: the largest D whose slowest request,
 # gothic main or remark, stays within 15 s and 800 MB cold on 2 cores.
-# Measured at 250000: 10-12.5 s and 150 MB, mostly the Kronecker products of
-# e(d^2, 6); 300000 took 13-18.5 s.  Larger D is refused before any work.
+# Measured at 250000: 7.8-11.4 s and 147 MB in 5 runs, about three quarters
+# of it the Kronecker products of e(d^2, 6).  Larger D is refused before any
+# work.
 DIRECT_MAX_D = 250000
 
 

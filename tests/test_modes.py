@@ -105,10 +105,11 @@ def _counted(monkeypatch, module, name):
     return calls
 
 
-# check_mode runs in the chi_* of a family that takes a mode, and in the
-# handler for x, xbr and w2, whose chi_X and chi_W2 check again
+# check_mode runs once per request: in the chi_* the handler calls, and for
+# xbr, whose chi_X_br takes d, in the handler; the handler checks x and w2
+# itself only to refuse a mode other than exact
 @pytest.mark.parametrize("family, D, want", [
-    ("x", 1000009, 2), ("xbr", 3600, 1), ("w2", 1000009, 2), ("w4", 1000009, 1),
+    ("x", 1000009, 1), ("xbr", 3600, 1), ("w2", 1000009, 1), ("w4", 1000009, 1),
     ("w6", 1000009, 1), ("r", 1000009, 1), ("g", 1000009, 1),
 ])
 def test_check_mode_calls_per_chi_request(monkeypatch, capsys, family, D, want):

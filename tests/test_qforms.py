@@ -67,7 +67,8 @@ def test_fk_refuses_a_non_integral_entry(monkeypatch, builder):
 
 
 def test_fk_slot_bound(monkeypatch):
-    # integral G2 entries this large would wrap the 64-bit slots silently
+    # the product of integral G2 entries this large could pass 2^64, the
+    # width of the kernel's output array, and its guard refuses it
     monkeypatch.setattr(qforms, "g2k_expansion", lambda k, N: [Fraction(2**62)] * (N + 1))
     with pytest.raises(ValueError, match="64-bit Kronecker slot"):
         fk_expansion(1, 50)
@@ -160,10 +161,32 @@ def test_convolution_sums_match_brute_force(a, b, x_residues, allowed):
         assert 12 * want <= 5 * sigma(3, n) + (1 - 6 * n) * sigma(1, n), n
 
 
-def test_convolution_slot_bound():
-    # the kernel's own guard refuses 2 * 2^32 * 2^32 = 2^65 (a row of
-    # test_refusals), and (2^32 - 1)^2 fits
-    assert list(qforms._kronecker_product([2**32 - 1], [2**32 - 1], 1)) == [(2**32 - 1) ** 2]
+def _kernel_cases():
+    """(xs, ys, n_out) whose largest product entry reaches the kernel's bound
+    min(nonzero entries) * max(xs) * max(ys), at every slot width."""
+    for w in range(1, 9):
+        top, third = 2 ** (8 * w), (2 ** (8 * w) - 1) // 3
+        # 3 nonzero entries of 6 on each side meet at c[5] = top - 1, and
+        # n_out runs past the last entry, c[10]
+        yield pytest.param([1, 0, 1, 0, 0, 1], [third, 0, 0, third, 0, third], 14,
+                           id=f"sparse-2^{8 * w}-1")
+        yield pytest.param([1, 1], [top // 2] * 2, 3, id=f"2^{8 * w}")  # c[1] = top
+    yield pytest.param([2**32 - 1], [2**32 - 1], 1, id="(2^32-1)^2")
+    # a side that is all zero makes the bound 0, though the other side's
+    # entries need slots of their own
+    yield pytest.param([0], [300], 1, id="zero-xs")
+    yield pytest.param([7, 300], [0, 0, 0], 5, id="zero-ys")
+
+
+@pytest.mark.parametrize("xs, ys, n_out", _kernel_cases())
+def test_kronecker_product_matches_cauchy_product(xs, ys, n_out):
+    want = [sum(x * ys[n - i] for i, x in enumerate(xs) if 0 <= n - i < len(ys))
+            for n in range(n_out)]
+    if max(want) >= 2**64:  # the output is array("Q"); the message is a row of test_refusals
+        with pytest.raises(ValueError, match="64-bit Kronecker slot"):
+            qforms._kronecker_product(xs, ys, n_out)
+    else:
+        assert qforms._kronecker_product(xs, ys, n_out).tolist() == want
 
 
 def test_e_square_table_matches_enumeration():
