@@ -36,22 +36,42 @@ def _w2_integrality():
     return "orbifold counts are honest integers"
 
 
-@_check("gothic non-square non-emptiness exactly on the residue set, D <= 2000")
+@_check("gothic non-square 6 chi(G_D) is an integer, < 0 exactly on the residue set, D <= 2000")
 def _gothic_residues():
     for D in range(5, 2001):
         if D % 4 in (2, 3) or math.isqrt(D) ** 2 == D:
             continue
-        # a curve has chi < 0, and an empty one chi = 0
+        # a = n, c = -1 makes every row of the k = 6 walk a prototype, so
+        # e(D, 6) = 0 iff no |b| < sqrt(D) has b^2 = D (mod 24); at D = 12
+        # the one root, b = 6, lies above sqrt(12)
         empty = euler.is_empty("g", D)
-        chi = euler.chi_G(D, 1, "exact")
-        if not (chi == 0 if empty else chi < 0):
-            raise AssertionError(D)
-        # independently: a = n, c = -1 makes every row of the k = 6 walk a
-        # prototype, so e(D, 6) = 0 iff no |b| < sqrt(D) has b^2 = D (mod 24);
-        # at D = 12 the one root, b = 6, lies above sqrt(12)
         if D != 12 and empty != (prototypes.e_value(D, 6) == 0):
             raise AssertionError(("e(D, 6)", D))
+        # a curve has chi < 0, and an empty one chi = 0; 6 chi(G_D) is an
+        # integer at every non-square D <= 20000 (measured, not a theorem)
+        six_chi = 6 * euler.chi_G(D, 1, "exact")
+        if six_chi.denominator != 1 or not (six_chi == 0 if empty else six_chi < 0):
+            raise AssertionError(D)
     return "emptiness scan"
+
+
+@_check("2 chi(W_D(2)), 6 chi(W_D(4)) and 3 chi(W_D(6)) are integers, non-square D in (8, 500]")
+def _w_denominators():
+    # W_D(2), D > 8, has orbifold points of order 2 only (Mukamel); the other
+    # two bounds are measured at every non-square D <= 20000.  Each family
+    # walks the e(D, 1) rows again, so the range stays short
+    for D in range(9, 501):
+        if D % 4 in (2, 3) or math.isqrt(D) ** 2 == D:
+            continue
+        js = (1, 2) if D % 8 == 1 else (1,)
+        for family, values in (
+            ("w2", [2 * euler.chi_W2(D)]),
+            ("w4", [6 * euler.chi_W4(D, j) for j in js]),
+            ("w6", [3 * euler.chi_W6(D)]),
+        ):
+            if any(v.denominator != 1 for v in values):
+                raise AssertionError((family, D))
+    return "orbifold denominators of W_D(2), W_D(4), W_D(6)"
 
 
 @_check("main_term vs leading gap, scaled by d^(5/2), half-range check, d <= 2000")

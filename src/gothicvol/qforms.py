@@ -101,36 +101,31 @@ def g2k_expansion(k: int, N: int) -> list[Fraction]:
     return coeffs
 
 
-def _integers(series: list[Fraction]) -> list[int]:
-    """The entries of an integral series as ints; any other entry raises."""
-    if any(c.denominator != 1 for c in series):
-        raise ArithmeticError("a series entry is not an integer")
-    return [c.numerator for c in series]
-
-
 def fk_expansion(k: int, N: int) -> list[Fraction]:
     """F_k = G2(2k tau) theta(tau) up to q^N, as G2' theta - theta/24 with
-    G2' = G2(2k tau) + 1/24: one Kronecker product of nonnegative integer
-    series.  g2k_expansion refuses N beyond QEXP_MAX_N first, and the
-    kernel refuses entries that could overflow its slots."""
-    g2 = g2k_expansion(k, N)
-    g2[0] = Fraction(0)  # G2'
-    g2, theta = _integers(g2), _integers(theta_expansion(N))
+    G2' = G2(2k tau) + 1/24: one Kronecker product of the numerators of two
+    integral series (theta is 0, 1 or 2, G2' is 0 or sigma).  g2k_expansion
+    refuses N beyond QEXP_MAX_N first, and the kernel refuses entries that
+    could overflow its slots."""
+    g2 = [c.numerator for c in g2k_expansion(k, N)]
+    g2[0] = 0  # G2'
+    theta = [c.numerator for c in theta_expansion(N)]
     return [Fraction(24 * c - t, 24) for c, t in zip(_kronecker_product(g2, theta, N + 1), theta)]
 
 
 def ek_coeff(k: int, n: int) -> Fraction:
     """e_k(n) by the direct divisor sum (independent of series multiplication),
-    summed as 24 e_k(n) in ints: sigma(0) = -1/24 adds -1."""
+    summed as 24 e_k(n) in ints: sigma(0) = -1/24 adds -1.  As in the
+    prototype rows, b^2 = n mod 4 forces b = n mod 2, and each term of a
+    b > 0 stands for the term of -b too."""
     if k < 1 or n < 0:
         raise ValueError("need k >= 1 and n >= 0")
-    total = 0
-    B = math.isqrt(n)
-    for b in range(-B, B + 1):
+    four_k, total = 4 * k, 0
+    for b in range(n % 2, math.isqrt(n) + 1, 2):
         rem = n - b * b
-        if rem % (4 * k) == 0:
-            m = rem // (4 * k)
-            total += 24 * sigma(1, m) if m else -1
+        if rem % four_k == 0:
+            term = 24 * sigma(1, rem // four_k) if rem else -1
+            total += 2 * term if b else term
     return Fraction(total, 24)
 
 

