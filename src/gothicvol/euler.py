@@ -38,7 +38,7 @@ self-growing tuple of 12 e(d^2, 6), which precompute_e_square grows and
 hands out; k = 6 is the only weight any formula asks for at a square.  It
 refuses d > E_SQUARE_MAX_D before any build.  Every chi_* at a square D
 builds one Fraction from integers: a(d), 12 e(d^2, 6) and the small
-constants above; at a non-square D, the sums e(D, k) from one conductor.
+constants above; at a non-square D, the sums e(D, k) of prototypes.e_sums.
 _gothic_curve_counts gives the same gothic values as a whole table of
 integers -6 L chi(G_{h^2}), h <= N, for the main_term and leading
 surrogates; volume.smm_totals and the verify scans read it.
@@ -51,7 +51,7 @@ from fractions import Fraction
 
 from . import FAMILY_MODES
 from .arith import jordan2, sl2_order, sl2_order_table
-from .prototypes import _e_sum, _validate_discriminant, check_e_reach, conductor
+from .prototypes import _validate_discriminant, e_sums
 
 # chi(X_{d^2}(b_r)) / chi(X_{d^2}) by gcd(6, d); also the gothic coefficient
 # -chi coefficient table is 3/2 times this.
@@ -130,9 +130,9 @@ _E6_TWELFTHS: tuple[int, ...] = ()
 def precompute_e_square(dmax: int) -> tuple[int, ...]:
     """The table of 12 e(d^2, 6), grown to cover dmax.
 
-    A build covers at least 64 values of d and at least twice the last one,
-    so rising lookups pay for O(log) builds of a geometric series; no build
-    exceeds E_SQUARE_MAX_D, and dmax beyond it is refused first.
+    A build covers max(dmax, twice the last one), so rising lookups pay for
+    O(log) builds of a geometric series; no build exceeds E_SQUARE_MAX_D, and
+    dmax beyond it is refused first.
     """
     global _E6_TWELFTHS
     if dmax > E_SQUARE_MAX_D:
@@ -140,30 +140,22 @@ def precompute_e_square(dmax: int) -> tuple[int, ...]:
     if len(_E6_TWELFTHS) <= dmax:
         from .qforms import e6_square_twelfths
 
-        size = min(max(dmax, 2 * (len(_E6_TWELFTHS) - 1), 64), E_SQUARE_MAX_D)
+        size = min(max(dmax, 2 * (len(_E6_TWELFTHS) - 1)), E_SQUARE_MAX_D)
         _E6_TWELFTHS = e6_square_twelfths(size)
     return _E6_TWELFTHS
-
-
-def _e_sums(D: int, *ks: int) -> tuple[int, ...]:
-    """(f, e(D, k) for each k in ks) at a non-square D that check_mode has
-    validated: the reach is checked and the conductor f taken once."""
-    check_e_reach(D)
-    f = conductor(D)
-    return (f, *(_e_sum(D, k, f) for k in ks))
 
 
 def chi_X_nonsquare(D: int) -> Fraction:
     """chi(X_D) = e(D, 1)/30 for a non-square discriminant D > 4."""
     if check_mode("x", D, "exact") is not None:
         raise ValueError(f"D = {D} is a square; use chi_X_square")
-    return Fraction(_e_sums(D, 1)[1], 30)
+    return Fraction(e_sums(D, 1)[1], 30)
 
 
 def chi_X(D: int) -> Fraction:
     """chi(X_D), dispatching on squareness."""
     d = check_mode("x", D, "exact")
-    return chi_X_square(d) if d is not None else Fraction(_e_sums(D, 1)[1], 30)
+    return chi_X_square(d) if d is not None else Fraction(e_sums(D, 1)[1], 30)
 
 
 def _check_component(D: int, d: int | None, r: int) -> None:
@@ -211,7 +203,7 @@ def chi_R(D: int, mode: str = "exact") -> Fraction:
     d = check_mode("r", D, mode)
     if d is not None:
         return Fraction(-precompute_e_square(d)[d], 72 * _NORM6[D % 24])
-    return Fraction(-_e_sums(D, 6)[1], 6 * c_D(D))  # e(D, 6) before c_D's refusal
+    return Fraction(-e_sums(D, 6)[1], 6 * c_D(D))  # e(D, 6) before c_D's refusal
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +218,7 @@ def chi_W2(D: int) -> Fraction:
             raise ValueError("W_1(2) is undefined")
         # d^2 sum_{r|d} mu(r)/r^2 = J_2(d)
         return Fraction(-(d - 2) * jordan2(d), 16)
-    return Fraction(-3 * _e_sums(D, 1)[1], 20)  # -(9/2) e(D, 1)/30
+    return Fraction(-3 * e_sums(D, 1)[1], 20)  # -(9/2) e(D, 1)/30
 
 
 def chi_W4(D: int, j: int = 1, mode: str = "exact") -> Fraction:
@@ -244,7 +236,7 @@ def chi_W4(D: int, j: int = 1, mode: str = "exact") -> Fraction:
         return Fraction(-5 * sl2_order(d), 144 if d % 2 else 96)
     if is_empty("w4", D):
         return Fraction(0)
-    f, e = _e_sums(D, 1)
+    f, e = e_sums(D, 1)
     return Fraction(-e, 12 if f % 2 else 8)  # chi(X_D) = e(D, 1)/30
 
 
@@ -254,7 +246,7 @@ def chi_W6(D: int, mode: str = "exact") -> Fraction:
     d = check_mode("w6", D, mode)
     if d is not None:
         return Fraction(-7 * sl2_order(d), 72)
-    return Fraction(-7 * _e_sums(D, 1)[1], 30)
+    return Fraction(-7 * e_sums(D, 1)[1], 30)
 
 
 def chi_G(D: int, r: int = 1, mode: str = "exact") -> Fraction:
@@ -274,7 +266,7 @@ def chi_G(D: int, r: int = 1, mode: str = "exact") -> Fraction:
         c = _NORM6[D % 24]
         if not c:
             return Fraction(0)
-        f, e1, e6 = _e_sums(D, 1, 6)
+        f, e1, e6 = e_sums(D, 1, 6)
         ratio = X_BR_RATIO[math.gcd(6, f)]
         rn, rd = ratio.numerator, ratio.denominator
         return Fraction(20 * rd * e6 - 3 * c * rn * e1, 60 * rd * c)

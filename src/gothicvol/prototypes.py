@@ -19,6 +19,9 @@ one, without building triples or sorting them.  The rows of b and -b have
 the same n and the same gcd(f, |b|), so both walk b >= 0 only: e(D, k)
 counts each row with b > 0 twice, and enumerate_prototypes emits the rows
 of b > 0 mirrored to -b, in reverse, before the rows of b >= 0.
+``e_sums`` is the one route to e(D, k) at D >= 2: it refuses D beyond E_MAX_D
+before D is factorised and takes the conductor once for every k it sums;
+``e_value`` and the non-square ``euler.chi_*`` read it.
 
 The independent cross-check against these counts is the modular-form
 coefficient route in ``qforms`` (see check_e_and_a there).
@@ -121,16 +124,16 @@ def enumerate_prototypes(D: int, k: int) -> list[tuple[int, int, int]]:
     return [(a, b, -(n // a)) for b, n, divs in rows for a in divs]
 
 
-def check_e_reach(D: int) -> None:
-    """Refuse D beyond E_MAX_D, before D is factorised or any row walked."""
+def e_sums(D: int, *ks: int) -> tuple[int, ...]:
+    """(f, e(D, k) for each k in ks) as ints, for a discriminant D >= 2 and
+    each k >= 1: D beyond E_MAX_D is refused before it is factorised, then
+    the conductor f is taken once and the rows of each k walked.  Each row of
+    b > 0 stands for the row of -b too."""
     if D > E_MAX_D:
         raise ValueError(f"D = {D} is beyond the e(D, k) bound {E_MAX_D}")
-
-
-def _e_sum(D: int, k: int, f: int) -> int:
-    """e(D, k) as an int for a discriminant D >= 2 of conductor f and k >= 1:
-    each row of b > 0 stands for the row of -b too."""
-    return sum(2 * sum(divs) if b else sum(divs) for b, _, divs in _prototype_rows(D, k, f))
+    f = conductor(D)
+    return (f, *(sum(2 * sum(divs) if b else sum(divs) for b, _, divs in _prototype_rows(D, k, f))
+                 for k in ks))
 
 
 def e_value(D: int, k: int) -> Fraction:
@@ -143,7 +146,6 @@ def e_value(D: int, k: int) -> Fraction:
     _validate_discriminant(D)
     if k < 1:
         raise ValueError("k must be a positive integer")
-    check_e_reach(D)
     if D == 1:
         return Fraction(-1, 12)
-    return Fraction(_e_sum(D, k, conductor(D)))
+    return Fraction(e_sums(D, k)[1])

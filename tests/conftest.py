@@ -1,5 +1,6 @@
-"""Shared fixtures: each verify check runs at most once per test session, and
-fresh Python processes run this checkout's package."""
+"""Shared fixtures: each verify check runs at most once per test session,
+fresh Python processes run this checkout's package, and a test can record the
+calls of a module's function."""
 
 import functools
 import os
@@ -37,3 +38,22 @@ def run_python():
                               text=True, **kwargs)
 
     return run
+
+
+@pytest.fixture
+def calls_of(monkeypatch):
+    """calls_of(module, name) replaces module.name, until the test ends, by a
+    wrapper that records the argument tuple of each call and calls through;
+    it returns the list of those tuples."""
+    def record(module, name):
+        seen = []
+        real = getattr(module, name)
+
+        def counted(*args):
+            seen.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+        return seen
+
+    return record

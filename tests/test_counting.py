@@ -211,25 +211,17 @@ _CALLS_AT_2P = {Locus.H2: 3, Locus.P3: 4, Locus.P4: 2}
 
 
 @pytest.mark.parametrize("locus, calls", [(Locus.H2, 2), (Locus.P3, 2), (Locus.P4, 1)])
-def test_cd_count_at_a_prime_factorises_it_once_per_route(monkeypatch, locus, calls):
+def test_cd_count_at_a_prime_factorises_it_once_per_route(calls_of, locus, calls):
     # cd_count factorises d once for its divisors and their weights sigma(d/m),
     # and the chi of smm(locus, p) factorises p for H(2) and P3 (P4 has no
     # curve at odd m)
     p = 1000003
-    seen = []
-
-    def counted(n):
-        seen.append(n)
-        return real(n)
-
-    real = arith.factorize
-    monkeypatch.setattr(arith, "factorize", counted)
+    seen = calls_of(arith, "factorize")
     got = cd_count(locus, p)
-    assert seen.count(p) == calls
+    assert seen.count((p,)) == calls
     seen.clear()
     got2 = cd_count(locus, 2 * p)
-    assert seen.count(p) + seen.count(2 * p) == _CALLS_AT_2P[locus]
-    monkeypatch.undo()
+    assert seen.count((p,)) + seen.count((2 * p,)) == _CALLS_AT_2P[locus]
     assert got == (p + 1) * smm(locus, 1).total + smm(locus, p).total
     s = [smm(locus, m).total for m in (1, 2, p, 2 * p)]
     assert got2 == 3 * (p + 1) * s[0] + (p + 1) * s[1] + 3 * s[2] + s[3]

@@ -93,18 +93,6 @@ def test_one_family_table_that_the_loci_and_euler_read():
         assert SURROGATES[locus] is gothicvol.FAMILY_MODES[family]
 
 
-def _counted(monkeypatch, module, name):
-    calls = []
-    real = getattr(module, name)
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 # check_mode runs once per request: in the chi_* the handler calls, and for
 # xbr, whose chi_X_br takes d, in the handler; the handler checks x and w2
 # itself only to refuse a mode other than exact
@@ -112,14 +100,14 @@ def _counted(monkeypatch, module, name):
     ("x", 1000009, 1), ("xbr", 3600, 1), ("w2", 1000009, 1), ("w4", 1000009, 1),
     ("w6", 1000009, 1), ("r", 1000009, 1), ("g", 1000009, 1),
 ])
-def test_check_mode_calls_per_chi_request(monkeypatch, capsys, family, D, want):
-    calls = _counted(monkeypatch, euler, "check_mode")
+def test_check_mode_calls_per_chi_request(calls_of, capsys, family, D, want):
+    calls = calls_of(euler, "check_mode")
     assert main(["chi", "--family", family, "--D", str(D)]) == 0, capsys.readouterr().err
     assert len(calls) == want
 
 
 @pytest.mark.parametrize("locus", list(Locus), ids=[locus.value for locus in Locus])
-def test_cd_count_checks_the_surrogate_once_per_divisor(monkeypatch, locus):
-    calls = _counted(monkeypatch, counting, "surrogate_mode")
+def test_cd_count_checks_the_surrogate_once_per_divisor(calls_of, locus):
+    calls = calls_of(counting, "surrogate_mode")
     counting.cd_count(locus, 60)
     assert len(calls) == 12  # one smm per divisor of 60

@@ -163,6 +163,12 @@ _IDEAL_EQUAL = "ideal_equal matches brute-force lattice equality, d <= 100"
                  lambda real: lambda d, n, r: real(d, n, 6 // r if d == 499 else r),
                  "polarization restriction = (lcm(d,r), lcm(d,6/r)), d <= 500",
                  "FAILED at (499, 1, (2994, 499))", id="polarization"),
+    # one sign flipped: symplectic_divisors refuses the matrix, a FAIL too
+    pytest.param(ideals, "gram_matrix", _result_changed(lambda M, d, n, r: [
+                     [-v if (d, r, i, j) == (499, 1, 3, 0) else v for j, v in enumerate(row)]
+                     for i, row in enumerate(M)]),
+                 "trace pairing has symplectic type (1,6), d <= 500",
+                 "ValueError: matrix is not antisymmetric", id="gram-not-antisymmetric"),
     pytest.param(volume, "convert_convention",
                  lambda real: lambda locus: real(locus) * (2 if locus is Locus.P4 else 1),
                  "AEZ conversion constants are reproduced exactly", "FAILED at 56/135*pi^4",

@@ -130,21 +130,13 @@ def test_gothic_closed_summands_approach_limits():
 
 @pytest.mark.parametrize("locus, calls", [(Locus.G, 10), (Locus.P3, 5), (Locus.P4, 4),
                                           (Locus.H2, 4)])
-def test_closed_estimate_sums_each_distinct_sigma3_once(monkeypatch, locus, calls):
+def test_closed_estimate_sums_each_distinct_sigma3_once(calls_of, locus, calls):
     # the checkpoints D/8, D/4, D/2, D share arguments D // m, as
     # floor(floor(D/c)/m) = floor(D/(c m)): gothic's 16 terms read 10 sums
     D = 10**6
-    seen = []
-
-    def counted(x):
-        seen.append(x)
-        return real(x)
-
-    real = volume.sigma3_sum
-    monkeypatch.setattr(volume, "sigma3_sum", counted)
+    seen = calls_of(volume, "sigma3_sum")
     series = volume_estimate(locus, D, "closed").series_exact
     assert len(seen) == len(set(seen)) == calls
-    monkeypatch.undo()
     checkpoints = [D // 8, D // 4, D // 2, D]
     assert series == [(Dc, closed_raw_sum(locus, [Dc])[0]) for Dc in checkpoints]
 
