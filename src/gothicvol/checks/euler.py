@@ -80,8 +80,8 @@ def _main_vs_leading():
     # the integer tables -6 L chi(G_{d^2}); the remark check and the counting
     # suite tie them to chi_G.  |main - lead| = |Gl Lm - Gm Ll| / (6 Lm Ll),
     # and an int true division rounds as float() of the Fraction does
-    Lm, main = euler._gothic_curve_counts(dmax, "main_term")
-    Ll, lead = euler._gothic_curve_counts(dmax, "leading")
+    Lm, main = euler._curve_counts("g", dmax, "main_term")
+    Ll, lead = euler._curve_counts("g", dmax, "leading")
     den = 6 * Lm * Ll
     gaps = [0.0] * (dmax + 1)
     for d in range(1, dmax + 1):
@@ -111,7 +111,7 @@ def _chi_g_components():
 @_check("remark values sit inside the boundary sandwich, d <= 500")
 def _remark_sandwich():
     # main_term chi_G against the integer table the gap check reads
-    L, table = euler._gothic_curve_counts(500, "main_term")
+    L, table = euler._curve_counts("g", 500, "main_term")
     for d in range(2, 501):
         main = euler.chi_G(d * d, 1, "main_term")
         if -6 * L * main.numerator != table[d] * main.denominator:

@@ -15,7 +15,7 @@ cd_count(locus, d) = sum_{m|d} sigma(d/m) |S_{m,m}| then counts all torus
 covers of degree d (minimal or not), the quantity whose partial sums give the
 Masur-Veech volume.  smm is the scalar route, one m at a time through the
 euler.chi_* values; volume.smm_totals builds the same totals as one integer
-table, its gothic curves from euler._gothic_curve_counts.
+table, its curves from euler._curve_counts.
 
 The genus-2 oracle counts pairs (h, v) of permutations of d letters with
 <h, v> transitive and commutator h v h^-1 v^-1 a single 3-cycle, weighted by

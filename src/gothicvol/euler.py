@@ -39,9 +39,9 @@ hands out; k = 6 is the only weight any formula asks for at a square.  It
 refuses d > E_SQUARE_MAX_D before any build.  Every chi_* at a square D
 builds one Fraction from integers: a(d), 12 e(d^2, 6) and the small
 constants above; at a non-square D, the sums e(D, k) of prototypes.e_sums.
-_gothic_curve_counts gives the same gothic values as a whole table of
-integers -6 L chi(G_{h^2}), h <= N, for the main_term and leading
-surrogates; volume.smm_totals and the verify scans read it.
+_curve_counts gives the W(2), W(4), W(6) and gothic values at every D = h^2,
+h <= N, as one table of integers -6 L chi: the only statement of those
+table formulas, which volume.smm_totals and the verify scans read.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ import math
 from fractions import Fraction
 
 from . import FAMILY_MODES
-from .arith import jordan2, sl2_order, sl2_order_table
+from .arith import jordan2, jordan2_table, sl2_order, sl2_order_table
 from .prototypes import _validate_discriminant, e_sums
 
 # chi(X_{d^2}(b_r)) / chi(X_{d^2}) by gcd(6, d); also the gothic coefficient
@@ -299,29 +299,42 @@ def _by_residue(L: int, coeff) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _gothic_curve_counts(h_max: int, mode: str) -> tuple[int, list[int]]:
-    """(L, G) with G[h] = -6 L chi(G_{h^2}) for 1 <= h <= h_max, in ``mode``
-    (main_term or leading; no remark term), entry 0 is 0.
+def _curve_counts(family: str, h_max: int, mode: str) -> tuple[int, list[int]]:
+    """(L, C) with C[h] = -6 L chi of the family's component 1 at D = h^2,
+    1 <= h <= h_max (C[0] = 0): chi_W2, chi_W4, chi_W6 and chi_G (r = 1, in
+    ``mode``) as one integer table, which volume.smm_totals distributes.
+    With g = gcd(6, h), ratio = X_BR_RATIO[g] and c = _NORM6[g^2 mod 24]:
 
-    leading:   -6 chi = 6 kappa'(g) a(h);
-    main_term: -6 chi = (ratio(g)/8) a(h) - (2/c(g)) e(h^2, 6), with
-               c(g) = sigma_0(6/g) the number of ideals of norm 6,
-    where g = gcd(6, h), ratio is X_BR_RATIO and c is _NORM6[g^2 mod 24]: the
-    table form of chi_G at D = h^2, r = 1, which volume.smm_totals reads.
-    e(h^2, 6) is read from precompute_e_square, the store chi_G reads, so a
-    process builds that table once.
+        w2: 3 (h - 2) J_2(h)/8, and 0 at h = 1 (W_1(2) is undefined);
+        w4: 5 a(h)/24 (h odd) or 5 a(h)/16 (h even);
+        w6: 7 a(h)/12;
+        g:  leading 6 kappa'(g) a(h); main_term (ratio/8) a(h) - (2/c) e(h^2, 6);
+            remark adds -6 (REMARK_COEFF/h) chi(X_{h^2}(b_1)) = -(REMARK_COEFF
+            ratio/12) J_2(h) except at h = 2, as a(h)/h = J_2(h).
+
+    e(h^2, 6) is read from precompute_e_square, the store chi_G reads.
     """
+    if family == "w2":
+        jtab = jordan2_table(h_max)
+        return 8, [3 * (h - 2) * jtab[h] if h > 2 else 0 for h in range(h_max + 1)]
     atab = sl2_order_table(h_max)
-    if mode == "leading":
-        L = 720
-        ca = _by_residue(L, lambda g: 6 * KAPPA_PRIME[g])
+    if family != "g" or mode == "leading":
+        L, coeff = {"w4": (48, lambda g: Fraction(5, 24 if g % 2 else 16)),
+                    "w6": (12, lambda g: Fraction(7, 12)),
+                    "g": (720, lambda g: 6 * KAPPA_PRIME[g])}[family]
+        ca = _by_residue(L, coeff)
         return L, [ca[h % 6] * atab[h] for h in range(h_max + 1)]
     L = 48
     ca = _by_residue(L, lambda g: X_BR_RATIO[g] / 8)
     # e(h^2, 6) = e12[h] / 12
     ce = _by_residue(L, lambda g: Fraction(-2, 12 * _NORM6[g * g % 24]))
     e12 = precompute_e_square(h_max)
-    return L, [0] + [ca[h % 6] * atab[h] + ce[h % 6] * e12[h] for h in range(1, h_max + 1)]
+    C = [0] + [ca[h % 6] * atab[h] + ce[h % 6] * e12[h] for h in range(1, h_max + 1)]
+    if mode == "remark":
+        jtab = jordan2_table(h_max)
+        cj = _by_residue(L, lambda g: -REMARK_COEFF[g] * X_BR_RATIO[g] / 12)
+        C[1:] = (x + cj[h % 6] * jtab[h] if h != 2 else x for h, x in enumerate(C[1:], 1))
+    return L, C
 
 
 def chi_boundary_gap(d: int, r: int) -> Fraction:

@@ -6,9 +6,8 @@ Two evaluation paths are implemented:
 
     direct -- sum the cover counts exactly: the totals L |S_{m,m}| are
               Python ints over one denominator L per locus and surrogate,
-              built from the a(m), J_2(m) and 12 e(m^2, 6) tables (the
-              gothic curve counts -6 L chi(G_{h^2}) from
-              euler._gothic_curve_counts, beside chi_G), and one
+              the curve counts -6 L chi at D = h^2 of euler._curve_counts
+              placed at the degrees each curve meets, and one
               dot product with the sigma prefix sums gives the raw sum;
               floats only in the final division by D^4.  Every table
               has D + 1 entries, and numpy is never loaded.  D is
@@ -58,7 +57,6 @@ from .arith import (
     PiQuantity,
     dirichlet_convolve,
     factorize,
-    jordan2_table,
     sigma,
     sigma_prefix,
     sl2_order_table,
@@ -243,50 +241,36 @@ class SmmTotals(namedtuple("SmmTotals", ("numerators", "denominator"))):
 
 
 def smm_totals(locus: Locus, mmax: int, surrogate: str = "main_term") -> SmmTotals:
-    """|S_{m,m}| for 1 <= m <= mmax as Python ints over one denominator.
+    """|S_{m,m}| for 1 <= m <= mmax as Python ints over one denominator L.
 
-    Every |S_{m,m}| is -6 chi of at most four curves (counting.smm), and
-    each chi is a fixed rational combination of a(h), J_2(h) and e(h^2, 6)
-    with a small denominator, so L |S_{m,m}| is an integer for one L per
-    locus and surrogate.  Built from whole tables; e(h^2, 6) only for the
-    gothic main_term and remark surrogates, the only ones that read it, from
-    the euler store, which refuses mmax beyond euler.E_SQUARE_MAX_D.
+    euler._curve_counts gives the locus's curves as -6 L chi at every D = h^2,
+    h <= mmax (refusing mmax past euler.E_SQUARE_MAX_D where it reads
+    e(h^2, 6)), and this adds each component at the degrees m it meets.
     """
     mode = surrogate_mode(surrogate, locus)
     if mmax < 1:
         raise ValueError(f"need mmax >= 1, got {mmax}")
-    ms = range(1, mmax + 1)
-    if locus is Locus.H2:
-        # -6 chi(W_{m^2}(2)) = 3 (m - 2) J_2(m) / 8, counted for m > 2 only
-        jtab = jordan2_table(mmax)
-        return SmmTotals(tuple(3 * (m - 2) * jtab[m] if m > 2 else 0
-                               for m in range(mmax + 1)), 8)
-    atab = sl2_order_table(mmax)
-    if locus is Locus.P3:
-        # -6 chi(W^1_{m^2}(4)) = 5 a(m)/24 (m odd) or 5 a(m)/16 (m even),
-        # plus -6 chi(W^2_{h^2}(4)) = 5 a(h)/24 at h = m/2 iff m = 2 mod 4
-        t = [0] + [(15 if m % 2 == 0 else 10) * atab[m] for m in ms]
-        t[2::4] = map(add, t[2::4], (10 * x for x in atab[1::2]))
-        return SmmTotals(tuple(t), 48)
-    if locus is Locus.P4:
-        # -6 chi(W_{h^2}(6)) = 7 a(h)/12 at h = m/2, for even m
-        t = [0] * (mmax + 1)
-        t[2::2] = (7 * x for x in atab[1 : mmax // 2 + 1])
-        return SmmTotals(tuple(t), 12)
-    from .euler import REMARK_COEFF, X_BR_RATIO, _by_residue, _gothic_curve_counts
+    from .euler import _curve_counts
 
-    L, curve = _gothic_curve_counts(mmax, "leading" if mode == "leading" else "main_term")
-    t = list(curve)  # the component r = 1, at h = m
-    if mode == "remark":
-        # r = 1 gains -6 (REMARK/h) chi(X_{h^2}(b_1)) = -(REMARK ratio/12) J_2(h),
-        # as a(h)/h = J_2(h); not at h = 2, where the main term is kept
-        jtab = jordan2_table(mmax)
-        cj = _by_residue(L, lambda g: -REMARK_COEFF[g] * X_BR_RATIO[g] / 12)
-        t[1:] = (x + cj[m % 6] * jtab[m] if m != 2 else x for m, x in zip(ms, t[1:]))
-    # r = 2 iff nu_2(m) = 1 (m = 2 mod 4), r = 3 iff nu_3(m) = 1 (m = 3, 6
-    # mod 9), r = 6 iff both (m = 6, 30 mod 36); each at h = m/r
-    for start, step, r in ((2, 4, 2), (3, 9, 3), (6, 9, 3), (6, 36, 6), (30, 36, 6)):
-        t[start::step] = map(add, t[start::step], curve[start // r :: step // r])
+    family = {Locus.H2: "w2", Locus.P3: "w4", Locus.P4: "w6", Locus.G: "g"}[locus]
+    L, curve = _curve_counts(family, mmax, mode)
+    if locus is Locus.P4:
+        # W_{h^2}(6) at h = m/2, for even m
+        t = [0] * (mmax + 1)
+        t[2::2] = curve[1 : mmax // 2 + 1]
+        return SmmTotals(tuple(t), L)
+    t = list(curve)  # component 1 at h = m
+    if locus is Locus.P3:
+        # W^2_{h^2}(4), whose chi is that of W^1, at h = m/2 iff m = 2 mod 4
+        t[2::4] = map(add, t[2::4], curve[1::2])
+    elif locus is Locus.G:
+        if mode == "remark":
+            # the remark term is stated for r = 1 only
+            curve = _curve_counts("g", mmax, "main_term")[1]
+        # r = 2 iff nu_2(m) = 1 (m = 2 mod 4), r = 3 iff nu_3(m) = 1 (m = 3, 6
+        # mod 9), r = 6 iff both (m = 6, 30 mod 36); each at h = m/r
+        for start, step, r in ((2, 4, 2), (3, 9, 3), (6, 9, 3), (6, 36, 6), (30, 36, 6)):
+            t[start::step] = map(add, t[start::step], curve[start // r :: step // r])
     return SmmTotals(tuple(t), L)
 
 

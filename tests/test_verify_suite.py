@@ -100,6 +100,12 @@ def _smm_total_plus_one(hit):
         total=cover.total + 1) if (locus, m, mode) == hit else cover)
 
 
+def _curve_entry_7_plus_one(hit):
+    # euler._curve_counts with entry 7 of one family's main_term table off by one
+    return _result_changed(lambda Lt, family, h_max, mode: (
+        Lt[0], _plus_one(Lt[1], 7)) if (family, mode) == (hit, "main_term") else Lt)
+
+
 def _gothic_closed_term_off(real):
     # volume.CLOSED_TERMS with the third gothic coefficient off by 1/720
     c, m = real[Locus.G][2]
@@ -207,10 +213,16 @@ _IDEAL_EQUAL = "ideal_equal matches brute-force lattice equality, d <= 100"
                  "volume_estimate direct equals closed at the D = 4000 checkpoints",
                  "FAILED at ('p3', 4000)", id="estimate-p3-3000"),
     # chi_G(d^2, 1, "main_term") against the table the gap check and smm_totals read
-    pytest.param(euler, "_gothic_curve_counts", _result_changed(lambda Lt, h_max, mode: (
-                     Lt[0], _plus_one(Lt[1], 7)) if mode == "main_term" else Lt),
+    pytest.param(euler, "_curve_counts", _curve_entry_7_plus_one("g"),
                  "remark values sit inside the boundary sandwich, d <= 500", "FAILED at 7",
                  id="remark-main-table"),
+    # the curve table off at h = 7: smm_totals places it at m = 7, and P4's at m = 14
+    pytest.param(euler, "_curve_counts", _curve_entry_7_plus_one("w2"), _SMM_CD,
+                 "FAILED at ('h2', 7)", id="curve-table-w2-7"),
+    pytest.param(euler, "_curve_counts", _curve_entry_7_plus_one("w4"), _SMM_CD,
+                 "FAILED at ('p3', 7)", id="curve-table-w4-7"),
+    pytest.param(euler, "_curve_counts", _curve_entry_7_plus_one("w6"), _SMM_CD,
+                 "FAILED at ('p4', 14)", id="curve-table-w6-7"),
     pytest.param(volume, "CLOSED_TERMS", _gothic_closed_term_off,
                  "P4 direct equals closed at every D <= 2000; P3 and gothic too",
                  "FAILED at ('gothic', 'terms', 3)", id="gothic-row-terms"),
