@@ -274,6 +274,11 @@ def is_squarefree(n: int) -> bool:
     return moebius(n) != 0
 
 
+def _validate_discriminant(D: int) -> None:
+    if D < 1 or D % 4 in (2, 3):
+        raise ValueError(f"{D} is not a discriminant (need D >= 1, D = 0,1 mod 4)")
+
+
 # ---------------------------------------------------------------------------
 # Dirichlet convolution on 1-indexed coefficient sequences
 # ---------------------------------------------------------------------------

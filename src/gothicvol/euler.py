@@ -38,7 +38,8 @@ self-growing tuple of 12 e(d^2, 6), which precompute_e_square grows and
 hands out; k = 6 is the only weight any formula asks for at a square.  It
 refuses d > E_SQUARE_MAX_D before any build.  Every chi_* at a square D
 builds one Fraction from integers: a(d), 12 e(d^2, 6) and the small
-constants above; at a non-square D, the sums e(D, k) of prototypes.e_sums.
+constants above; at a non-square D, the sums e(D, k) of prototypes.e_sums,
+imported where they are read, so a square D loads no prototype code.
 _curve_counts gives the W(2), W(4), W(6) and gothic values at every D = h^2,
 h <= N, as one table of integers -6 L chi: the only statement of those
 table formulas, which volume.smm_totals and the verify scans read.
@@ -50,8 +51,7 @@ import math
 from fractions import Fraction
 
 from . import FAMILY_MODES
-from .arith import jordan2, jordan2_table, sl2_order, sl2_order_table
-from .prototypes import _validate_discriminant, e_sums
+from .arith import _validate_discriminant, jordan2, jordan2_table, sl2_order, sl2_order_table
 
 # chi(X_{d^2}(b_r)) / chi(X_{d^2}) by gcd(6, d); also the gothic coefficient
 # -chi coefficient table is 3/2 times this.
@@ -149,13 +149,19 @@ def chi_X_nonsquare(D: int) -> Fraction:
     """chi(X_D) = e(D, 1)/30 for a non-square discriminant D > 4."""
     if check_mode("x", D, "exact") is not None:
         raise ValueError(f"D = {D} is a square; use chi_X_square")
+    from .prototypes import e_sums
+
     return Fraction(e_sums(D, 1)[1], 30)
 
 
 def chi_X(D: int) -> Fraction:
     """chi(X_D), dispatching on squareness."""
     d = check_mode("x", D, "exact")
-    return chi_X_square(d) if d is not None else Fraction(e_sums(D, 1)[1], 30)
+    if d is not None:
+        return chi_X_square(d)
+    from .prototypes import e_sums
+
+    return Fraction(e_sums(D, 1)[1], 30)
 
 
 def _check_component(D: int, d: int | None, r: int) -> None:
@@ -203,6 +209,8 @@ def chi_R(D: int, mode: str = "exact") -> Fraction:
     d = check_mode("r", D, mode)
     if d is not None:
         return Fraction(-precompute_e_square(d)[d], 72 * _NORM6[D % 24])
+    from .prototypes import e_sums
+
     return Fraction(-e_sums(D, 6)[1], 6 * c_D(D))  # e(D, 6) before c_D's refusal
 
 
@@ -218,6 +226,8 @@ def chi_W2(D: int) -> Fraction:
             raise ValueError("W_1(2) is undefined")
         # d^2 sum_{r|d} mu(r)/r^2 = J_2(d)
         return Fraction(-(d - 2) * jordan2(d), 16)
+    from .prototypes import e_sums
+
     return Fraction(-3 * e_sums(D, 1)[1], 20)  # -(9/2) e(D, 1)/30
 
 
@@ -236,6 +246,8 @@ def chi_W4(D: int, j: int = 1, mode: str = "exact") -> Fraction:
         return Fraction(-5 * sl2_order(d), 144 if d % 2 else 96)
     if is_empty("w4", D):
         return Fraction(0)
+    from .prototypes import e_sums
+
     f, e = e_sums(D, 1)
     return Fraction(-e, 12 if f % 2 else 8)  # chi(X_D) = e(D, 1)/30
 
@@ -246,6 +258,8 @@ def chi_W6(D: int, mode: str = "exact") -> Fraction:
     d = check_mode("w6", D, mode)
     if d is not None:
         return Fraction(-7 * sl2_order(d), 72)
+    from .prototypes import e_sums
+
     return Fraction(-7 * e_sums(D, 1)[1], 30)
 
 
@@ -266,6 +280,8 @@ def chi_G(D: int, r: int = 1, mode: str = "exact") -> Fraction:
         c = _NORM6[D % 24]
         if not c:
             return Fraction(0)
+        from .prototypes import e_sums
+
         f, e1, e6 = e_sums(D, 1, 6)
         ratio = X_BR_RATIO[math.gcd(6, f)]
         rn, rd = ratio.numerator, ratio.denominator

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .arith import factorize, squarefree_decompose
+from .arith import _validate_discriminant, factorize, squarefree_decompose
 
 # The stated reach of e(D, k), at any D: the largest D whose slowest request
 # stays within 15 s and 800 MB cold on 2 cores.  A sum walks about sqrt(D)/2
@@ -49,11 +49,6 @@ E_MAX_D = 10**10
 # 10^9 + 5 6.3 s, and at 10^9 - 3 4.7-5.4 s and 79 MB; a single bound of 10^9
 # would refuse e(D, k) requests that answer in 10-13 s.
 PROTO_MAX_D = 10**9
-
-
-def _validate_discriminant(D: int) -> None:
-    if D < 1 or D % 4 in (2, 3):
-        raise ValueError(f"{D} is not a discriminant (need D >= 1, D = 0,1 mod 4)")
 
 
 def conductor(D: int) -> int:

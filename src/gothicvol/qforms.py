@@ -53,7 +53,6 @@ from operator import add, sub
 
 from . import arith
 from .arith import divisors, sigma
-from .prototypes import conductor, e_value
 
 _SIGMA0 = Fraction(-1, 24)  # G2's constant term, sigma(0) in e_k's convention
 
@@ -323,5 +322,7 @@ def e1_square_twelfths(dmax: int) -> tuple[int, ...]:
 
 def check_e_and_a(D: int, k: int) -> bool:
     """Does e_k(D) equal sum_{m|f} e(D/m^2, k) with e from prototype counting?"""
+    from .prototypes import conductor, e_value
+
     rhs = sum((e_value(D // (m * m), k) for m in divisors(conductor(D))), Fraction(0))
     return ek_coeff(k, D) == rhs

@@ -12,7 +12,7 @@ of the named checks.  What no check holds is asserted here ("here" below):
   3. P3/P4 volumes: direct at D = 4000 within 2%; the closed forms equal
      the direct path exactly at every D <= 2000 and at the D = 4000
      checkpoints
-  4. permutation oracle == cd_count(H2, d) for d = 1..8, under 2 minutes
+  4. permutation oracle == cd_count(H2, d) for d = 1..15, under 2 minutes
   5. modular-form oracle: e_and_a for all valid D <= 4000, k in {1, 6};
      series product == ek_coeff up to n = 4000 (exact)
   6. exact identities: sigma*a = sigma_3 to 10^5; the ebar_1 moebius identity
@@ -70,7 +70,7 @@ def test_criterion_3_prym_volumes(check):
 
 
 def test_criterion_4_oracle_equivalence(check):
-    criterion(4, check, ["permutation oracle equals cd_count(H2, d), d = 1..8"], under_s=120)
+    criterion(4, check, ["permutation oracle equals cd_count(H2, d), d = 1..15"], under_s=120)
 
 
 def test_criterion_5_modular_form_oracle(check):

@@ -305,6 +305,11 @@ def test_each_request_loads_only_what_its_subcommand_runs(run_python):
              for name in ("ideals", "zagier", "euler", "counting")}
     gothic_leading = ("volume", "--locus", "gothic", "--dmax", "200", "--mode", "direct",
                       "--surrogate", "leading")
+    # the prototype walk serves non-square discriminants alone
+    no_prototypes = [("volume", "--locus", "p3", "--dmax", "20", "--mode", "direct"),
+                     ("volume", "--locus", "gothic", "--dmax", "200", "--mode", "direct"),
+                     ("chi", "--family", "w6", "--D", "144", "--mode", "main"),
+                     ("smm", "--locus", "h2", "--m", "6")]
     others = [
         ("proto", "--D", "17", "--k", "1"),
         ("qexp", "--series", "fk", "--k", "1", "--N", "20"),
@@ -313,9 +318,8 @@ def test_each_request_loads_only_what_its_subcommand_runs(run_python):
         ("chi", "--family", "g", "--D", "97"),
         ("chi", "--family", "x", "--D", "144"),
         ("smm", "--locus", "gothic", "--m", "6"),
-        ("smm", "--locus", "h2", "--m", "6"),
         ("cd", "--locus", "h2", "--d", "6"),
-        ("volume", "--locus", "gothic", "--dmax", "200", "--mode", "direct"),
+        *no_prototypes,
         gothic_leading,
         ("chi", "--family", "r", "--D", "3600", "--mode", "main"),
         ("qexp", "--series", "ek", "--k", "6", "--N", "200"),
@@ -348,6 +352,8 @@ def test_each_request_loads_only_what_its_subcommand_runs(run_python):
     gothic_smm = loaded[("smm", "--locus", "gothic", "--m", "6")]
     assert "gothicvol.qforms" in gothic_smm and "gothicvol.ideals" not in gothic_smm
     assert "gothicvol.ideals" not in loaded[suite["counting"]]
+    for argv in no_prototypes:
+        assert "gothicvol.prototypes" not in loaded[argv], argv
     # the leading surrogate reads no e(d^2, 6) table
     assert "gothicvol.qforms" not in loaded[gothic_leading]
     # only the asymptotic report reads qforms' e(d^2, k) routes

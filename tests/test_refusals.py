@@ -63,7 +63,7 @@ NO_FORMULA = ("square discriminants have no unconditional formula; "
               "pick mode in {'main_term', 'leading', 'remark'}")
 SUITE_CHOICES = ("; choose from ('all', 'arith', 'prototypes', 'qforms', 'zagier', 'ideals', "
                  "'euler', 'counting', 'volume')")
-ORACLE = "oracle is cost-guarded to 1 <= d <= 10"
+ORACLE = "oracle is cost-guarded to 1 <= d <= 50"
 
 REFUSALS = [
     (None, (arith.factorize, 0), "factorize expects n >= 1, got 0"),
@@ -225,8 +225,8 @@ REFUSALS = [
     (None, (counting.sts_count, Fraction(1, 2)), "Teichmueller curves have chi <= 0"),
     (None, (counting.smm, Locus.H2, 0), "need m >= 1"),
     (None, (counting.cd_count, Locus.H2, 0), "need d >= 1"),
-    *(("oracle-cap", (counting.h2_permutation_oracle, d), ORACLE) for d in (11, 0)),
-    *(("oracle-cap", ("oracle-h2", "--d", d), ORACLE) for d in ("0", "11")),
+    *(("oracle-cap", (counting.h2_permutation_oracle, d), ORACLE) for d in (51, 0)),
+    *(("oracle-cap", ("oracle-h2", "--d", d), ORACLE) for d in ("0", "51")),
     (None, (volume.sigma3_sum, -1), "need x >= 0"),
     (None, (volume.sk_sum, 0, 10), "need k, D >= 1"),
     (None, (volume.t_sum, -1), "need D >= 0"),
@@ -276,7 +276,7 @@ _GUARDED = {
     "PROTO_MAX_D": ((arith, "factorize"), (prototypes, "factorize"),
                     (prototypes, "_prototype_rows")),
     "EBAR_MAX_D": ((zagier, "ebar1_five_twelfths"), (zagier, "ebar6_sixtieths")),
-    "oracle-cap": ((counting, "_partitions"), (counting, "factorial")),
+    "oracle-cap": ((counting, "_partitions"),),
     "kronecker-slot": ((qforms, "array"),),
 }
 
