@@ -38,11 +38,12 @@ self-growing tuple of 12 e(d^2, 6), which precompute_e_square grows and
 hands out; k = 6 is the only weight any formula asks for at a square.  It
 refuses d > E_SQUARE_MAX_D before any build.  Every chi_* at a square D
 builds one Fraction from integers: a(d), 12 e(d^2, 6) and the small
-constants above; at a non-square D, the sums e(D, k) of prototypes.e_sums,
-imported where they are read, so a square D loads no prototype code.
-_curve_counts gives the W(2), W(4), W(6) and gothic values at every D = h^2,
-h <= N, as one table of integers -6 L chi: the only statement of those
-table formulas, which volume.smm_totals and the verify scans read.
+constants above.  At a non-square D, every chi_* hands the sums of
+prototypes.e_sums, imported where read, to _nonsquare_chi, the only
+statement of those formulas, which the verify scan reads too.  _curve_counts
+gives the W(2), W(4), W(6) and gothic values at every D = h^2, h <= N, as
+one table of integers -6 L chi: the only statement of those table formulas,
+which volume.smm_totals and the verify scans read.
 """
 
 from __future__ import annotations
@@ -149,9 +150,7 @@ def chi_X_nonsquare(D: int) -> Fraction:
     """chi(X_D) = e(D, 1)/30 for a non-square discriminant D > 4."""
     if check_mode("x", D, "exact") is not None:
         raise ValueError(f"D = {D} is a square; use chi_X_square")
-    from .prototypes import e_sums
-
-    return Fraction(e_sums(D, 1)[1], 30)
+    return chi_X(D)
 
 
 def chi_X(D: int) -> Fraction:
@@ -161,7 +160,7 @@ def chi_X(D: int) -> Fraction:
         return chi_X_square(d)
     from .prototypes import e_sums
 
-    return Fraction(e_sums(D, 1)[1], 30)
+    return _nonsquare_chi("x", D, *e_sums(D, 1), None)
 
 
 def _check_component(D: int, d: int | None, r: int) -> None:
@@ -211,7 +210,8 @@ def chi_R(D: int, mode: str = "exact") -> Fraction:
         return Fraction(-precompute_e_square(d)[d], 72 * _NORM6[D % 24])
     from .prototypes import e_sums
 
-    return Fraction(-e_sums(D, 6)[1], 6 * c_D(D))  # e(D, 6) before c_D's refusal
+    f, e6 = e_sums(D, 6)  # e(D, 6) before c_D's refusal
+    return _nonsquare_chi("r", D, f, None, e6)
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +228,14 @@ def chi_W2(D: int) -> Fraction:
         return Fraction(-(d - 2) * jordan2(d), 16)
     from .prototypes import e_sums
 
-    return Fraction(-3 * e_sums(D, 1)[1], 20)  # -(9/2) e(D, 1)/30
+    return _nonsquare_chi("w2", D, *e_sums(D, 1), None)
 
 
 def chi_W4(D: int, j: int = 1, mode: str = "exact") -> Fraction:
     """chi(W_D^j(4)): empty (0) if D = 5 mod 8, one component if D = 0,4 mod 8,
-    two if D = 1 mod 8; -(5/2) chi(X_D) when the conductor is odd, -(15/4)
-    when it is even.  Square discriminants require mode='main_term'; at
-    D = d^2 the conductor is d and chi(X_D) = a(d)/72, so the value is
-    -5 a(d)/144 (d odd) or -5 a(d)/96 (d even)."""
+    two if D = 1 mod 8, both of _nonsquare_chi's value at a non-square D.
+    Square discriminants require mode='main_term'; at D = d^2 the conductor is
+    d and chi(X_D) = a(d)/72: -5 a(d)/144 (d odd) or -5 a(d)/96 (d even)."""
     d = check_mode("w4", D, mode)
     if j == 2 and D % 8 != 1:
         raise ValueError(f"W_D(4) has a single component for D = {D}")
@@ -248,8 +247,7 @@ def chi_W4(D: int, j: int = 1, mode: str = "exact") -> Fraction:
         return Fraction(0)
     from .prototypes import e_sums
 
-    f, e = e_sums(D, 1)
-    return Fraction(-e, 12 if f % 2 else 8)  # chi(X_D) = e(D, 1)/30
+    return _nonsquare_chi("w4", D, *e_sums(D, 1), None)
 
 
 def chi_W6(D: int, mode: str = "exact") -> Fraction:
@@ -260,32 +258,27 @@ def chi_W6(D: int, mode: str = "exact") -> Fraction:
         return Fraction(-7 * sl2_order(d), 72)
     from .prototypes import e_sums
 
-    return Fraction(-7 * e_sums(D, 1)[1], 30)
+    return _nonsquare_chi("w6", D, *e_sums(D, 1), None)
 
 
 def chi_G(D: int, r: int = 1, mode: str = "exact") -> Fraction:
     """chi(G_D^r) per the four-case formula, 0 where G_D is empty; at a square
     D in one of the surrogates FAMILY_MODES["g"] (remark: r = 1 only).
 
-    The value is one numerator over one denominator.  At a non-square D,
-    -(3/2) ratio chi(X_D) - 2 chi(R_D) = -ratio e(D, 1)/20 + e(D, 6)/(3 c_D).
-    At D = d^2 (E = 12 e(d^2, 6), a = a(d), ratio = X_BR_RATIO[gcd(6, d)]),
-    main_term -(3/2) chi(X_{d^2}(b_r)) - 2 chi(R_D) = -ratio a/48 + E/(36 c_D)
-    and remark adds (REMARK_COEFF/d) chi(X_{d^2}(b_1)) = REMARK_COEFF ratio
-    a/(72 d).  An empty G_D accepts component 1 only.
+    The value is one numerator over one denominator, _nonsquare_chi's at a
+    non-square D.  At D = d^2 (E = 12 e(d^2, 6), a = a(d), ratio =
+    X_BR_RATIO[gcd(6, d)]), main_term -(3/2) chi(X_{d^2}(b_r)) - 2 chi(R_D) =
+    -ratio a/48 + E/(36 c_D) and remark adds (REMARK_COEFF/d) chi(X_{d^2}(b_1))
+    = REMARK_COEFF ratio a/(72 d).  An empty G_D accepts component 1 only.
     """
     d = check_mode("g", D, mode)
     _check_component(D, d, r)
     if d is None:
-        c = _NORM6[D % 24]
-        if not c:
+        if is_empty("g", D):
             return Fraction(0)
         from .prototypes import e_sums
 
-        f, e1, e6 = e_sums(D, 1, 6)
-        ratio = X_BR_RATIO[math.gcd(6, f)]
-        rn, rd = ratio.numerator, ratio.denominator
-        return Fraction(20 * rd * e6 - 3 * c * rn * e1, 60 * rd * c)
+        return _nonsquare_chi("g", D, *e_sums(D, 1, 6))
     g6 = math.gcd(6, d)
     if mode == "leading":
         kappa = KAPPA_PRIME[g6]
@@ -293,8 +286,7 @@ def chi_G(D: int, r: int = 1, mode: str = "exact") -> Fraction:
     # the store refuses d beyond its reach before sl2_order factorises d
     e12 = precompute_e_square(d)[d]
     a = sl2_order(d)
-    ratio = X_BR_RATIO[g6]
-    rn, rd = ratio.numerator, ratio.denominator
+    rn, rd = X_BR_RATIO[g6].as_integer_ratio()
     c = _NORM6[D % 24]
     num = 4 * rd * e12 - 3 * c * rn * a  # over 144 rd c
     if mode != "remark":
@@ -302,6 +294,23 @@ def chi_G(D: int, r: int = 1, mode: str = "exact") -> Fraction:
     if r != 1:
         raise ValueError("the remark formula is stated for r = 1 only")
     return Fraction(d * num + 2 * c * REMARK_COEFF[g6] * rn * a, 144 * rd * c * d)
+
+
+def _nonsquare_chi(family: str, D: int, f: int, e1: int | None, e6: int | None) -> Fraction:
+    """chi of component 1 of ``family`` (as ``chi --family`` names it) at a
+    non-square D from the conductor f, e1 = e(D, 1) and e6 = e(D, 6), None
+    where unread: the one statement of the non-square formulas above."""
+    if is_empty(family, D):
+        return Fraction(0)
+    if family == "r":  # c_D refuses an empty G_D
+        return Fraction(-e6, 6 * c_D(D))
+    if family == "g":  # -(3/2) ratio e1/30 + e6/(3 c) over one denominator
+        c = _NORM6[D % 24]
+        rn, rd = X_BR_RATIO[math.gcd(6, f)].as_integer_ratio()
+        return Fraction(20 * rd * e6 - 3 * c * rn * e1, 60 * rd * c)
+    num, den = {"x": (1, 1), "w2": (-9, 2), "w6": (-7, 1),
+                "w4": (-5, 2) if f % 2 else (-15, 4)}[family]
+    return Fraction(num * e1, 30 * den)  # num/den times chi(X_D) = e1/30
 
 
 def _by_residue(L: int, coeff) -> tuple[int, ...]:

@@ -21,7 +21,7 @@ counts each row with b > 0 twice, and enumerate_prototypes emits the rows
 of b > 0 mirrored to -b, in reverse, before the rows of b >= 0.
 ``e_sums`` is the one route to e(D, k) at D >= 2: it refuses D beyond E_MAX_D
 before D is factorised and takes the conductor once for every k it sums;
-``e_value`` and the non-square ``euler.chi_*`` read it.
+``e_value``, the non-square ``euler.chi_*`` and the euler suite's scan read it.
 
 The independent cross-check against these counts is the modular-form
 coefficient route in ``qforms`` (see check_e_and_a there).

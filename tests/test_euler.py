@@ -85,6 +85,13 @@ def test_chi_w4_factorises_a_non_square_d_once(calls_of):
         got, factorised, e_calls = _factorisations_and_e_values(calls_of, fn, D)
         assert (factorised, e_calls) == (1, 0), fn.__name__
         assert got == want, fn.__name__
+    # an empty curve is never walked: 10^10 - 3 is 5 mod 8 and 13 mod 24, so
+    # W_D(4) and G_D are empty, and one sum there would take seconds
+    D = 10**10 - 3
+    sums = calls_of(prototypes, "e_sums")
+    for fn in (chi_W4, chi_G):
+        assert _factorisations_and_e_values(calls_of, fn, D) == (0, 0, 0), fn.__name__
+    assert sums == []
 
 
 def test_chi_w4_components_and_values():
