@@ -1,6 +1,5 @@
-"""Checks of the ``euler`` suite: chi(X_{d^2}), W_{m^2}(2) integrality, the
-non-square curves and the gothic values at squares, with ``ideals`` as the
-independent rule for the components."""
+"""Checks of the ``euler`` suite: chi(X_{d^2}), W_{m^2}(2) integrality, the non-square
+curves and the gothic values at squares, with ``ideals`` ruling the components."""
 
 from __future__ import annotations
 
@@ -37,32 +36,33 @@ def _w2_integrality():
     return "orbifold counts are honest integers"
 
 
-@_check("non-square D <= 2000: G_D empty iff e(D, 6) = 0, 6 chi(G_D) an integer < 0 elsewhere; "
-        "2 chi(W_D(2)), 6 chi(W_D(4)), 3 chi(W_D(6)) integers, D > 8")
-def _nonsquare_curves():
-    # one e_sums per D: every clause reads euler._nonsquare_chi on its sums
-    for D in range(5, 2001):
-        if D % 4 in (2, 3) or math.isqrt(D) ** 2 == D:
-            continue
-        sums = prototypes.e_sums(D, 1, 6)
-        # a = n, c = -1 makes every row of the k = 6 walk a prototype, so
-        # e(D, 6) = 0 iff no |b| < sqrt(D) has b^2 = D (mod 24); at D = 12
-        # the one root, b = 6, lies above sqrt(12)
-        empty = euler.is_empty("g", D)
-        if D != 12 and empty != (sums[2] == 0):
+@_check("gothic non-square 6 chi(G_D) is an integer, < 0 exactly on the residue set, D <= 2000")
+def _gothic_residues():
+    # a = n, c = -1 makes every k = 6 row a prototype, so e(D, 6) = 0 iff no
+    # |b| < sqrt(D) has b^2 = D (mod 24); at D = 12 the root b = 6 exceeds
+    # sqrt(12).  chi < 0 on a curve, 0 on an empty one, and 6 chi(G_D) is an
+    # integer at every non-square D <= 20000 (measured, not a theorem)
+    for D in (D for D in range(5, 2001) if D % 4 < 2 and math.isqrt(D) ** 2 != D):
+        empty = euler.is_empty("g", D)  # an empty G_D reads no e(D, 1)
+        f, e6, e1 = (*prototypes.e_sums(D, 6), None) if empty else prototypes.e_sums(D, 6, 1)
+        if D != 12 and empty != (e6 == 0):
             raise AssertionError(("e(D, 6)", D))
-        # a curve has chi < 0, and an empty one chi = 0; 6 chi(G_D) is an
-        # integer at every non-square D <= 20000 (measured, not a theorem).
-        # s chi is an integer iff the denominator of chi divides s
-        x = euler._nonsquare_chi("g", D, *sums)
+        x = euler._nonsquare_chi("g", D, f, e1, e6)
         if 6 % x.denominator or not (x.numerator == 0 if empty else x.numerator < 0):
             raise AssertionError(D)
-        # W_D(2), D > 8, has orbifold points of order 2 only (Mukamel); the
-        # other two bounds are measured at every non-square D <= 20000
-        for family, s in (("w2", 2), ("w4", 6), ("w6", 3)) if D > 8 else ():
-            if s % euler._nonsquare_chi(family, D, *sums).denominator:
+    return "emptiness scan"
+
+
+@_check("2 chi(W_D(2)), 6 chi(W_D(4)) and 3 chi(W_D(6)) are integers, non-square D in (8, 2000]")
+def _w_denominators():
+    # W_D(2), D > 8, has orbifold points of order 2 only (Mukamel); the other
+    # two bounds are measured at every non-square D <= 20000
+    for D in (D for D in range(9, 2001) if D % 4 < 2 and math.isqrt(D) ** 2 != D):
+        f, e1 = prototypes.e_sums(D, 1)  # one walk serves all three families
+        for family, s in (("w2", 2), ("w4", 6), ("w6", 3)):
+            if s % euler._nonsquare_chi(family, D, f, e1, None).denominator:
                 raise AssertionError((family, D))
-    return "emptiness and orbifold denominators of G_D, W_D(2), W_D(4), W_D(6)"
+    return "orbifold denominators of W_D(2), W_D(4), W_D(6)"
 
 
 @_check("main_term vs leading gap, scaled by d^(5/2), half-range check, d <= 2000")

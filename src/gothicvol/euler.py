@@ -40,7 +40,7 @@ refuses d > E_SQUARE_MAX_D before any build.  Every chi_* at a square D
 builds one Fraction from integers: a(d), 12 e(d^2, 6) and the small
 constants above.  At a non-square D, every chi_* hands the sums of
 prototypes.e_sums, imported where read, to _nonsquare_chi, the only
-statement of those formulas, which the verify scan reads too.  _curve_counts
+statement of those formulas, which the verify checks read too.  _curve_counts
 gives the W(2), W(4), W(6) and gothic values at every D = h^2, h <= N, as
 one table of integers -6 L chi: the only statement of those table formulas,
 which volume.smm_totals and the verify scans read.

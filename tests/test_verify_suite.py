@@ -119,8 +119,9 @@ def _nonsquare_off(family, D, delta):
 
 _SMM_CD = "smm/cd consistency, d <= 200"
 _SQUARE_TABLES = "e(d^2, k) in twelfths equals the square tables, d <= 4000, k in {1,6}"
-_NONSQUARE_CURVES = ("non-square D <= 2000: G_D empty iff e(D, 6) = 0, 6 chi(G_D) an integer "
-                     "< 0 elsewhere; 2 chi(W_D(2)), 6 chi(W_D(4)), 3 chi(W_D(6)) integers, D > 8")
+_GOTHIC_RESIDUES = "gothic non-square 6 chi(G_D) is an integer, < 0 exactly on the residue set, D <= 2000"
+_W_DENOMINATORS = ("2 chi(W_D(2)), 6 chi(W_D(4)) and 3 chi(W_D(6)) are integers, "
+                   "non-square D in (8, 2000]")
 _IDEAL_EQUAL = "ideal_equal matches brute-force lattice equality, d <= 100"
 
 
@@ -232,25 +233,25 @@ _IDEAL_EQUAL = "ideal_equal matches brute-force lattice equality, d <= 100"
                  "gothic closed summands match their exact limits within 2% at D = 4000",
                  "FAILED at ('limit', 'gothic', (13/31104*pi^4, 1097/2624400*pi^4))",
                  id="gothic-row-limit"),
-    # the e(D, 6) clause, read before the chi clauses, names a wrong norm-6 count
-    pytest.param(euler, "_NORM6", lambda real: _replaced(real, 12, 0), _NONSQUARE_CURVES,
+    # the e(D, 6) clause, read before the chi clause, names a wrong norm-6 count
+    pytest.param(euler, "_NORM6", lambda real: _replaced(real, 12, 0), _GOTHIC_RESIDUES,
                  "FAILED at ('e(D, 6)', 60)", id="norm6-12-empty"),
-    pytest.param(euler, "_NORM6", lambda real: _replaced(real, 8, 1), _NONSQUARE_CURVES,
+    pytest.param(euler, "_NORM6", lambda real: _replaced(real, 8, 1), _GOTHIC_RESIDUES,
                  "FAILED at ('e(D, 6)', 8)", id="norm6-8-nonempty"),
     # one family's value off at a non-square D = 33 (two W_D(4) components):
-    # each keeps chi < 0 and moves the scaled chi the scan reads by 1/10,
+    # each keeps chi < 0 and moves the scaled chi its check reads by 1/10,
     # 3/10, 1/2, 7/10
     pytest.param(euler, "_nonsquare_chi", _nonsquare_off("g", 33, Fraction(1, 60)),
-                 _NONSQUARE_CURVES, "FAILED at 33", id="chi-g-33"),
+                 _GOTHIC_RESIDUES, "FAILED at 33", id="chi-g-33"),
     pytest.param(euler, "_nonsquare_chi", _nonsquare_off("w2", 33, Fraction(3, 20)),
-                 _NONSQUARE_CURVES, "FAILED at ('w2', 33)", id="chi-w2-33"),
+                 _W_DENOMINATORS, "FAILED at ('w2', 33)", id="chi-w2-33"),
     pytest.param(euler, "_nonsquare_chi", _nonsquare_off("w4", 33, Fraction(1, 12)),
-                 _NONSQUARE_CURVES, "FAILED at ('w4', 33)", id="chi-w4-33"),
+                 _W_DENOMINATORS, "FAILED at ('w4', 33)", id="chi-w4-33"),
     pytest.param(euler, "_nonsquare_chi", _nonsquare_off("w6", 33, Fraction(7, 30)),
-                 _NONSQUARE_CURVES, "FAILED at ('w6', 33)", id="chi-w6-33"),
-    # at the top of the scan, which reads the W_D denominators at every D <= 2000
+                 _W_DENOMINATORS, "FAILED at ('w6', 33)", id="chi-w6-33"),
+    # at the top of the W_D denominators check, which reaches every D <= 2000
     pytest.param(euler, "_nonsquare_chi", _nonsquare_off("w4", 2000, Fraction(1, 12)),
-                 _NONSQUARE_CURVES, "FAILED at ('w4', 2000)", id="chi-w4-2000"),
+                 _W_DENOMINATORS, "FAILED at ('w4', 2000)", id="chi-w4-2000"),
     # chi_W4 admitting j = 2 at every even h: smm lists no second component at m = 4
     pytest.param(euler, "chi_W4",
                  lambda real: lambda D, j=1, mode="exact": real(D, 1 if j == 2 else j, mode),
