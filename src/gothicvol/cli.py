@@ -163,9 +163,8 @@ def _cmd_chi(args):
         value = euler.chi_W4(D, args.j, mode)
     elif fam == "w6":
         value = euler.chi_W6(D, mode)
-    elif fam == "r":  # chi_R takes no component; R_D^r has those of G_D
-        euler._check_component(D, euler._is_square(D), args.r)
-        value = euler.chi_R(D, mode)
+    elif fam == "r":
+        value = euler.chi_R(D, mode, args.r)
     elif fam == "g":
         value = euler.chi_G(D, args.r, mode)
     elif fam == "xbr":  # takes no mode, and d, the square root of D

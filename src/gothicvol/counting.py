@@ -2,20 +2,16 @@
 permutation-pair oracle for the minimal stratum in genus 2.
 
 A minimal torus cover of degree and area m on an arithmetic Teichmueller
-curve contributes to |S_{m,m}|, which equals -6 chi(C) of the curve.  The
-distribution of these covers among curves depends on the locus:
-
-    H(2): W_{m^2}(2) only (zero for m <= 2);
-    P3:   W^1_{m^2}(4) always, plus W^2_{(m/2)^2}(4) iff m = 2 mod 4;
-    P4:   W_{(m/2)^2}(6) iff m is even;
-    G:    components r with  r=1 always, r=2 iff nu_2(m)=1, r=3 iff nu_3(m)=1,
-          r=6 iff both, each at discriminant (m/r)^2.
+curve contributes to |S_{m,m}|, which equals -6 chi(C) of the curve.  Which
+curves meet degree m is stated once, in euler._PLACEMENT: for each locus a
+family (W(2) for H(2), W(4) for P3, W(6) for P4, G for the gothic locus) and
+its components, each meeting m = r h at D = h^2 where it exists.
 
 cd_count(locus, d) = sum_{m|d} sigma(d/m) |S_{m,m}| then counts all torus
 covers of degree d (minimal or not), the quantity whose partial sums give the
 Masur-Veech volume.  smm is the scalar route, one m at a time through the
 euler.chi_* values; volume.smm_totals builds the same totals as one integer
-table, its curves from euler._curve_counts.
+table, its curves from euler._curve_counts placed by the same table.
 
 The genus-2 oracle counts pairs (h, v) of permutations of d letters with
 <h, v> transitive and commutator h v h^-1 v^-1 a single 3-cycle, weighted by
@@ -35,7 +31,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cache
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import Locus, arith, surrogate_mode
 
@@ -67,14 +63,9 @@ def _euler():
     return euler
 
 
-# The gothic components r that meet degree m, keyed by (nu_2(m) = 1,
-# nu_3(m) = 1), that is by (m = 2 mod 4, m = 3 or 6 mod 9)
-_GOTHIC_COMPONENTS = {(False, False): (1,), (True, False): (1, 2),
-                      (False, True): (1, 3), (True, True): (1, 2, 3, 6)}
-
-
 def smm(locus: Locus, m: int, mode: str = "main_term") -> CoverCount:
-    """|S_{m,m}(locus)| by the distribution rules, as curve contributions.
+    """|S_{m,m}(locus)| as curve contributions, one per component that
+    euler._PLACEMENT places at degree m.
 
     ``mode`` is a surrogate the locus offers (SURROGATES): main_term, or for
     the gothic locus also leading / remark; H(2) values are exact under the
@@ -86,29 +77,28 @@ def smm(locus: Locus, m: int, mode: str = "main_term") -> CoverCount:
         raise ValueError("need m >= 1")
     mode = surrogate_mode(mode, locus)
     euler = _euler()
+    family, components = euler._PLACEMENT[locus]
     parts: list[tuple[str, int, int | None, Fraction]] = []
-    if locus is Locus.H2:
-        if m > 2:
-            parts.append(("W2", m * m, None, sts_count(euler.chi_W2(m * m))))
-    elif locus is Locus.P3:
-        parts.append(("W4", m * m, 1, sts_count(euler.chi_W4(m * m, 1, "main_term"))))
-        if m % 4 == 2:
-            h = m // 2
-            parts.append(("W4", h * h, 2, sts_count(euler.chi_W4(h * h, 2, "main_term"))))
-    elif locus is Locus.P4:
-        if m % 2 == 0:
-            h = m // 2
-            parts.append(("W6", h * h, None, sts_count(euler.chi_W6(h * h, "main_term"))))
-    elif locus is Locus.G:
-        for r in _GOTHIC_COMPONENTS[m % 4 == 2, m % 9 in (3, 6)]:
-            h = m // r
-            rmode = mode
-            if mode == "remark" and (r != 1 or h == 2):
-                # the remark correction is known for r = 1 only, and at d = 2
-                # it exceeds the main term (the one chi > 0 artifact of the
-                # conjectural formula); fall back to the sandwich lower bound
-                rmode = "main_term"
-            parts.append(("G", h * h, r, sts_count(euler.chi_G(h * h, r, rmode))))
+    for component, r, q in components:
+        h = m // r  # the component meets m = r h at the h prime to q
+        if h * r != m or q > 1 and gcd(h, q) > 1:
+            continue
+        D = h * h
+        if family == "g":
+            # the remark correction is known for r = 1 only, and at d = 2
+            # it exceeds the main term (the one chi > 0 artifact of the
+            # conjectural formula); fall back to the sandwich lower bound
+            fallback = mode == "remark" and (component != 1 or h == 2)
+            chi = euler.chi_G(D, component, "main_term" if fallback else mode)
+        elif family == "w4":
+            chi = euler.chi_W4(D, component, mode)
+        elif family == "w6":
+            chi = euler.chi_W6(D, mode)
+        elif m > 2:
+            chi = euler.chi_W2(D)
+        else:
+            continue
+        parts.append((family.upper(), D, component, sts_count(chi)))
     if len(parts) == 1:
         # most calls have one part; the lcm form below costs one more
         # Fraction per call, 8-9% of verify --suite counting's CPU, measured

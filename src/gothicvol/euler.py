@@ -43,7 +43,9 @@ prototypes.e_sums, imported where read, to _nonsquare_chi, the only
 statement of those formulas, which the verify checks read too.  _curve_counts
 gives the W(2), W(4), W(6) and gothic values at every D = h^2, h <= N, as
 one table of integers -6 L chi: the only statement of those table formulas,
-which volume.smm_totals and the verify scans read.
+which volume.smm_totals and the verify scans read.  Beside it, _PLACEMENT
+states which curve components meet each degree of |S_{m,m}|: the one
+placement, which counting.smm and volume.smm_totals read.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import FAMILY_MODES
+from . import FAMILY_MODES, Locus
 from .arith import _validate_discriminant, jordan2, jordan2_table, sl2_order, sl2_order_table
 
 # chi(X_{d^2}(b_r)) / chi(X_{d^2}) by gcd(6, d); also the gothic coefficient
@@ -202,10 +204,12 @@ def c_D(D: int) -> int:
     return c
 
 
-def chi_R(D: int, mode: str = "exact") -> Fraction:
-    """chi(R_D^r) = -e(D, 6) / (6 c_D); square D is a main-term surrogate,
-    -E / (72 c_D) with E = 12 e(d^2, 6)."""
+def chi_R(D: int, mode: str = "exact", r: int = 1) -> Fraction:
+    """chi(R_D^r) = -e(D, 6) / (6 c_D), the same for each component r, which
+    are those of G_D; square D is a main-term surrogate, -E / (72 c_D) with
+    E = 12 e(d^2, 6)."""
     d = check_mode("r", D, mode)
+    _check_component(D, d, r)
     if d is not None:
         return Fraction(-precompute_e_square(d)[d], 72 * _NORM6[D % 24])
     from .prototypes import e_sums
@@ -311,6 +315,16 @@ def _nonsquare_chi(family: str, D: int, f: int, e1: int | None, e6: int | None) 
     num, den = {"x": (1, 1), "w2": (-9, 2), "w6": (-7, 1),
                 "w4": (-5, 2) if f % 2 else (-15, 4)}[family]
     return Fraction(num * e1, 30 * den)  # num/den times chi(X_D) = e1/30
+
+
+# Which curves meet degree m of |S_{m,m}| in each locus: its family, as
+# ``chi --family`` names it, and each component as (component, r, q), None for
+# an irreducible family.  At D = h^2 it meets m = r h and exists at the h prime
+# to q: W^2_{h^2}(4) at odd h, gothic r where _check_component accepts it.
+_PLACEMENT = {Locus.H2: ("w2", ((None, 1, 1),)),
+              Locus.P3: ("w4", ((1, 1, 1), (2, 2, 2))),
+              Locus.P4: ("w6", ((None, 2, 1),)),
+              Locus.G: ("g", ((1, 1, 1), (2, 2, 2), (3, 3, 3), (6, 6, 6)))}
 
 
 def _by_residue(L: int, coeff) -> tuple[int, ...]:

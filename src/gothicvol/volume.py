@@ -49,7 +49,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import add, mul
 
 from . import Locus, surrogate_mode
@@ -245,32 +245,28 @@ def smm_totals(locus: Locus, mmax: int, surrogate: str = "main_term") -> SmmTota
 
     euler._curve_counts gives the locus's curves as -6 L chi at every D = h^2,
     h <= mmax (refusing mmax past euler.E_SQUARE_MAX_D where it reads
-    e(h^2, 6)), and this adds each component at the degrees m it meets.
+    e(h^2, 6)), and each component that euler._PLACEMENT names is added at
+    the degrees m = r h it meets, one slice of h at a time.
     """
     mode = surrogate_mode(surrogate, locus)
     if mmax < 1:
         raise ValueError(f"need mmax >= 1, got {mmax}")
-    from .euler import _curve_counts
+    from .euler import _PLACEMENT, _curve_counts
 
-    family = {Locus.H2: "w2", Locus.P3: "w4", Locus.P4: "w6", Locus.G: "g"}[locus]
+    family, ((_, r, _), *others) = _PLACEMENT[locus]
     L, curve = _curve_counts(family, mmax, mode)
-    if locus is Locus.P4:
-        # W_{h^2}(6) at h = m/2, for even m
-        t = [0] * (mmax + 1)
-        t[2::2] = curve[1 : mmax // 2 + 1]
-        return SmmTotals(tuple(t), L)
-    t = list(curve)  # component 1 at h = m
-    if locus is Locus.P3:
-        # W^2_{h^2}(4), whose chi is that of W^1, at h = m/2 iff m = 2 mod 4
-        t[2::4] = map(add, t[2::4], curve[1::2])
-    elif locus is Locus.G:
-        if mode == "remark":
-            # the remark term is stated for r = 1 only
-            curve = _curve_counts("g", mmax, "main_term")[1]
-        # r = 2 iff nu_2(m) = 1 (m = 2 mod 4), r = 3 iff nu_3(m) = 1 (m = 3, 6
-        # mod 9), r = 6 iff both (m = 6, 30 mod 36); each at h = m/r
-        for start, step, r in ((2, 4, 2), (3, 9, 3), (6, 9, 3), (6, 36, 6), (30, 36, 6)):
-            t[start::step] = map(add, t[start::step], curve[start // r :: step // r])
+    # the first component exists at every h and lands on zeros: a copy
+    t = list(curve) if r == 1 else [0] * (mmax + 1)
+    if r > 1:
+        t[r::r] = curve[1 : mmax // r + 1]
+    if mode == "remark":
+        # the remark term is stated for component 1 only
+        curve = _curve_counts(family, mmax, "main_term")[1]
+    for _, r, q in others:
+        # the h <= mmax // r prime to q, one residue a mod q at a time
+        for a in range(1, q + 1):
+            if gcd(a, q) == 1:
+                t[r * a :: r * q] = map(add, t[r * a :: r * q], curve[a : mmax // r + 1 : q])
     return SmmTotals(tuple(t), L)
 
 

@@ -196,11 +196,15 @@ REFUSALS = [
     (None, ("chi", "--family", "g", "--D", "25", "--mode", "exact"), NO_FORMULA),
     (None, (euler.c_D, 20), "c_D undefined: D = 20 is outside the gothic residue table"),
     (None, (euler.chi_G, 73, 5), "component index 5 out of range for D = 73"),
-    # R_D^r has the components of G_D, which the handler checks as chi_G does
+    # R_D^r has the components of G_D, which chi_R checks as chi_G does
     (None, ("chi", "--family", "r", "--D", "57", "--r", "3"),
      "component index 3 out of range for D = 57"),
     (None, ("chi", "--family", "r", "--D", "36", "--mode", "main", "--r", "2"),
      NO_COMPONENT.format(2, 6)),
+    # the discriminant and the mode are checked before the component
+    *((None, ("chi", "--family", "r", "--D", str(D), "--r", r), NOT_DISC.format(D))
+      for D, r in ((7, "2"), (0, "3"))),
+    (None, ("chi", "--family", "r", "--D", "4", "--mode", "leading", "--r", "2"), SQUARE_MAIN),
     (None, (euler.chi_G, 25, 2, "remark"), "the remark formula is stated for r = 1 only"),
     (None, (euler.chi_boundary_gap, 1, 1), "need d >= 2"),
     (None, ("chi", "--family", "xbr", "--D", "37"), "family=xbr needs a square D"),
