@@ -21,16 +21,18 @@ def _oracle_vs_cd():
 
 @_check("smm/cd consistency, d <= 200")
 def _smm_cd_consistency():
-    # cd_count sums sigma(d/m) counting.smm(m) over m | d; the direct path's
-    # raw sums build |S_{m,m}| from whole tables and weight it by the sigma
-    # prefix sums, so each degree's difference is |C_d| by another route
+    # cd_count sums sigma(d/m) counting.smm(m) over m | d, each smm total
+    # taken once per m; the direct path's raw sums build |S_{m,m}| from whole
+    # tables and weight it by the sigma prefix sums, so each degree's
+    # difference is |C_d| by another route
     tables = {(locus, s): volume.smm_totals(locus, 200, s)
               for locus, offered in SURROGATES.items() for s in offered}
     for locus in Locus:
         totals = tables[locus, "main_term"]
         raw = [volume.direct_raw_sum(totals, D) for D in range(201)]
+        smm = [None] + [counting.smm(locus, m).total for m in range(1, 201)]
         for d in range(1, 201):
-            if counting.cd_count(locus, d) != raw[d] - raw[d - 1]:
+            if counting.cd_count(locus, d, smm_total=smm.__getitem__) != raw[d] - raw[d - 1]:
                 raise AssertionError((locus.value, d))
     # the loop above pins main_term (cd_count's m = d term has weight 1): tie the rest
     for (locus, s), totals in tables.items():

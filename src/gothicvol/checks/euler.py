@@ -1,11 +1,16 @@
 """Checks of the ``euler`` suite: chi(X_{d^2}), W_{m^2}(2) integrality, the non-square
-curves and the gothic values at squares, with ``ideals`` ruling the components."""
+curves and the gothic values at squares, with ``ideals`` ruling the components.
+
+The two non-square checks read e(D, k) off the F_k coefficients (qforms.fk_ints),
+Moebius-inverted over the conductor, and hand it to euler._nonsquare_chi; the
+prototype walk of prototypes.e_sums is tied to the same coefficients by the
+qforms suite's e_and_a check, at every D <= 4000."""
 
 from __future__ import annotations
 
 import math
 
-from .. import arith, euler, ideals, prototypes
+from .. import arith, euler, ideals, prototypes, qforms
 from ..arith import moebius_table
 from ..verify import _check
 
@@ -36,15 +41,30 @@ def _w2_integrality():
     return "orbifold counts are honest integers"
 
 
+def _nonsquare_sums(lo: int, hi: int, *ks: int):
+    """(D, f, e(D, k) for each k in ks) at every non-square discriminant D in
+    [lo, hi], by increasing D, from one F_k table per k: the Moebius
+    inversion over the conductor f of the qforms suite's identity,
+    e(D, k) = sum_{m | f} mu(m) e_k(D/m^2), where every D/m^2 is a
+    non-square, so e_k(D/m^2) is an entry of qforms.fk_ints."""
+    tables = [qforms.fk_ints(k, hi) for k in ks]
+    mu = moebius_table(math.isqrt(hi))
+    for D in range(lo, hi + 1):
+        if D % 4 > 1 or math.isqrt(D) ** 2 == D:
+            continue
+        f = prototypes.conductor(D)
+        terms = [(mu[m], D // (m * m)) for m in range(1, f + 1) if f % m == 0 and mu[m]]
+        yield (D, f, *(sum(s * t[n] for s, n in terms) for t in tables))
+
+
 @_check("gothic non-square 6 chi(G_D) is an integer, < 0 exactly on the residue set, D <= 2000")
 def _gothic_residues():
     # a = n, c = -1 makes every k = 6 row a prototype, so e(D, 6) = 0 iff no
     # |b| < sqrt(D) has b^2 = D (mod 24); at D = 12 the root b = 6 exceeds
     # sqrt(12).  chi < 0 on a curve, 0 on an empty one, and 6 chi(G_D) is an
     # integer at every non-square D <= 20000 (measured, not a theorem)
-    for D in (D for D in range(5, 2001) if D % 4 < 2 and math.isqrt(D) ** 2 != D):
-        empty = euler.is_empty("g", D)  # an empty G_D reads no e(D, 1)
-        f, e6, e1 = (*prototypes.e_sums(D, 6), None) if empty else prototypes.e_sums(D, 6, 1)
+    for D, f, e1, e6 in _nonsquare_sums(5, 2000, 1, 6):
+        empty = euler.is_empty("g", D)
         if D != 12 and empty != (e6 == 0):
             raise AssertionError(("e(D, 6)", D))
         x = euler._nonsquare_chi("g", D, f, e1, e6)
@@ -57,8 +77,7 @@ def _gothic_residues():
 def _w_denominators():
     # W_D(2), D > 8, has orbifold points of order 2 only (Mukamel); the other
     # two bounds are measured at every non-square D <= 20000
-    for D in (D for D in range(9, 2001) if D % 4 < 2 and math.isqrt(D) ** 2 != D):
-        f, e1 = prototypes.e_sums(D, 1)  # one walk serves all three families
+    for D, f, e1 in _nonsquare_sums(9, 2000, 1):
         for family, s in (("w2", 2), ("w4", 6), ("w6", 3)):
             if s % euler._nonsquare_chi(family, D, f, e1, None).denominator:
                 raise AssertionError((family, D))

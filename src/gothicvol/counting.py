@@ -111,26 +111,33 @@ def smm(locus: Locus, m: int, mode: str = "main_term") -> CoverCount:
     return CoverCount(m, tuple(parts), total)
 
 
-def cd_count(locus: Locus, d: int, mode: str = "main_term") -> Fraction:
+def cd_count(locus: Locus, d: int, mode: str = "main_term", smm_total=None) -> Fraction:
     """|C_d| = sum_{m|d} sigma(d/m) |S_{m,m}|: all torus covers of degree d.
 
     For P3/P4 this sums smm's main-term surrogates, so it is not a
     square-tiled count either: cd_count(P4, 2) is 7/12, though a surface in
     H(6) needs at least 7 squares.  The divisors m and their weights
-    sigma(d/m) come from one factorisation of d.
+    sigma(d/m) come from one factorisation of d.  ``smm_total(m)`` gives
+    |S_{m,m}| at each m | d; it defaults to smm(locus, m, mode).total, and a
+    caller that sums many d, as the verify smm/cd check does, hands in the
+    totals it took once per m, and ``mode`` goes unread.
     """
     if d < 1:
         raise ValueError("need d >= 1")
-    # the m = d term first: it refuses a surrogate the locus lacks, and for
-    # the gothic locus a d beyond the e(d^2, 6) store, before d is factorised
-    top = smm(locus, d, mode).total
+    if smm_total is None:
+        def smm_total(m):
+            return smm(locus, m, mode).total
+    # the m = d term first: by default it refuses a surrogate the locus
+    # lacks, and for the gothic locus a d beyond the e(d^2, 6) store, before
+    # d is factorised
+    top = smm_total(d)
     # (m, sigma(d/m)) for each m | d, with sigma(p^j) = (p^(j+1) - 1)/(p - 1)
     pairs = [(1, 1)]
     for p, e in arith.factorize(d):
         pairs = [(m * p ** (e - j), w * ((p ** (j + 1) - 1) // (p - 1)))
                  for m, w in pairs for j in range(e + 1)]
     # the terms as ints over the least common denominator, as in smm
-    terms = [(w, top if m == d else smm(locus, m, mode).total) for m, w in pairs]
+    terms = [(w, top if m == d else smm_total(m)) for m, w in pairs]
     den = lcm(*(t.denominator for _, t in terms))
     return Fraction(sum(w * t.numerator * (den // t.denominator) for w, t in terms), den)
 

@@ -19,9 +19,11 @@ one, without building triples or sorting them.  The rows of b and -b have
 the same n and the same gcd(f, |b|), so both walk b >= 0 only: e(D, k)
 counts each row with b > 0 twice, and enumerate_prototypes emits the rows
 of b > 0 mirrored to -b, in reverse, before the rows of b >= 0.
-``e_sums`` is the one route to e(D, k) at D >= 2: it refuses D beyond E_MAX_D
-before D is factorised and takes the conductor once for every k it sums;
-``e_value``, the non-square ``euler.chi_*`` and the euler suite's scan read it.
+``e_sums`` is the library's one route to e(D, k) at D >= 2: it refuses D
+beyond E_MAX_D before D is factorised and takes the conductor once for every
+k it sums; ``e_value`` and the non-square ``euler.chi_*`` read it.  The euler
+suite's non-square checks read e(D, k) off the F_k coefficients instead
+(qforms.fk_ints), which the qforms suite ties to these counts.
 
 The independent cross-check against these counts is the modular-form
 coefficient route in ``qforms`` (see check_e_and_a there).

@@ -16,14 +16,18 @@ The coefficients have the closed divisor-sum form
 with the convention sigma(0) = -1/24 (a special case of this module only;
 arith.sigma stays standard).  ek_coeff evaluates it at one n and is the
 oracle of fk_expansion, which builds the whole series (``qexp --series ek``
-prints F_k too).  The identity
+prints F_k too) from one int core, fk_ints = G2' theta with
+G2' = G2(2k tau) + 1/24, whose entry n is e_k(n) at every non-square n.
+The identity
 
     e_k(D) = sum_{m | f} e(D/m^2, k)        (D = f^2 D_0 with conductor f)
 
 ties these coefficients to the prototype counts and is the primary
-anti-bug oracle between the two modules: see check_e_and_a.  Moebius
-inversion of the same identity gives e(d^2, k) for every d <= dmax at once,
-along two routes.  Each table holds 12 e(d^2, k) as Python ints, without
+anti-bug oracle between the two modules: see check_e_and_a.  Its Moebius
+inversion over the conductor, e(D, k) = sum_{m | f} mu(m) e_k(D/m^2), gives
+the euler suite's non-square e(D, k) from fk_ints.  At the squares, the
+same inversion gives e(d^2, k) for every d <= dmax at once, along two
+routes.  Each table holds 12 e(d^2, k) as Python ints, without
 numpy, and each inversion in code is one in-place step, _twelfths_by_moebius:
 
     e6_square_twelfths -- the production route, 12 e(d^2, 6) from four
@@ -55,6 +59,7 @@ from . import arith
 from .arith import divisors, sigma
 
 _SIGMA0 = Fraction(-1, 24)  # G2's constant term, sigma(0) in e_k's convention
+_SMALL = (Fraction(0), Fraction(1), Fraction(2))  # theta's coefficients
 
 # The sigma sieve of ek_square_table has m^2/4k + 2 entries of 8 bytes, so
 # at this bound 2.5 * 10^7 entries (200 MB) for k = 1; every sigma(n) there
@@ -75,12 +80,31 @@ def theta_expansion(N: int) -> list[Fraction]:
         raise ValueError("truncation bound must be >= 1")
     if N > QEXP_MAX_N:
         raise ValueError(f"N = {N} is beyond the q-expansion bound {QEXP_MAX_N}")
-    coeffs = [Fraction(0)] * (N + 1)
-    coeffs[0] = Fraction(1)
-    l = 1
-    while l * l <= N:
-        coeffs[l * l] = Fraction(2)
-        l += 1
+    return list(map(_SMALL.__getitem__, _theta_ints(N)))
+
+
+def _theta_ints(N: int) -> list[int]:
+    """theta's coefficients of q^0 .. q^N as ints: 1 at q^0, 2 at the
+    positive squares, 0 elsewhere."""
+    coeffs = [0] * (N + 1)
+    coeffs[0] = 1
+    for l in range(1, math.isqrt(N) + 1):
+        coeffs[l * l] = 2
+    return coeffs
+
+
+def _g2_prime_ints(k: int, N: int) -> list[int]:
+    """G2' = G2(2k tau) + 1/24 up to q^N as ints, sigma(a) at q^(4ka) and 0
+    elsewhere, read from arith.sigma_table: the refusals of g2k_expansion and
+    fk_expansion, N < 1, then k < 1, then N beyond QEXP_MAX_N."""
+    if N < 1:
+        raise ValueError("truncation bound must be >= 1")
+    if k < 1:
+        raise ValueError("need k >= 1")
+    if N > QEXP_MAX_N:
+        raise ValueError(f"N = {N} is beyond the q-expansion bound {QEXP_MAX_N}")
+    coeffs = [0] * (N + 1)
+    coeffs[4 * k :: 4 * k] = arith.sigma_table(N // (4 * k))[1:]
     return coeffs
 
 
@@ -88,28 +112,26 @@ def g2k_expansion(k: int, N: int) -> list[Fraction]:
     """G2(2k tau) in the q = e^(pi i tau) variable: the coefficients of q^0 .. q^N,
     N <= QEXP_MAX_N, read from arith.sigma_table (ek_coeff, the oracle of
     fk_expansion, sums scalar sigma instead)."""
-    if N < 1:
-        raise ValueError("truncation bound must be >= 1")
-    if k < 1:
-        raise ValueError("need k >= 1")
-    if N > QEXP_MAX_N:
-        raise ValueError(f"N = {N} is beyond the q-expansion bound {QEXP_MAX_N}")
-    coeffs = [Fraction(0)] * (N + 1)
+    zero = _SMALL[0]
+    coeffs = [Fraction(c) if c else zero for c in _g2_prime_ints(k, N)]
     coeffs[0] = _SIGMA0
-    coeffs[4 * k :: 4 * k] = map(Fraction, arith.sigma_table(N // (4 * k))[1:])
     return coeffs
 
 
-def fk_expansion(k: int, N: int) -> list[Fraction]:
-    """F_k = G2(2k tau) theta(tau) up to q^N, as G2' theta - theta/24 with
-    G2' = G2(2k tau) + 1/24: one Kronecker product of the numerators of two
-    integral series (theta is 0, 1 or 2, G2' is 0 or sigma).  g2k_expansion
-    refuses N beyond QEXP_MAX_N first, and the kernel refuses entries that
+def fk_ints(k: int, N: int) -> array:
+    """G2' theta up to q^N as ints, G2' = G2(2k tau) + 1/24: one Kronecker
+    product of two integral series (theta is 0, 1 or 2, G2' is 0 or sigma),
+    the int core of F_k = G2' theta - theta/24.  So entry n is e_k(n) at
+    every non-square n, where theta vanishes.  It refuses what g2k_expansion
+    refuses before any list is built, and the kernel refuses entries that
     could overflow its slots."""
-    g2 = [c.numerator for c in g2k_expansion(k, N)]
-    g2[0] = 0  # G2'
-    theta = [c.numerator for c in theta_expansion(N)]
-    return [Fraction(24 * c - t, 24) for c, t in zip(_kronecker_product(g2, theta, N + 1), theta)]
+    return _kronecker_product(_g2_prime_ints(k, N), _theta_ints(N), N + 1)
+
+
+def fk_expansion(k: int, N: int) -> list[Fraction]:
+    """F_k = G2(2k tau) theta(tau) up to q^N, as the Fractions
+    (24 c - t)/24 of fk_ints' entries c and theta's t."""
+    return [Fraction(24 * c - t, 24) for c, t in zip(fk_ints(k, N), _theta_ints(N))]
 
 
 def ek_coeff(k: int, n: int) -> Fraction:

@@ -56,7 +56,7 @@ def test_fk_equals_dense_product(k, N):
 def test_fk_slot_bound(monkeypatch):
     # the product of integral G2 entries this large could pass 2^64, the
     # width of the kernel's output array, and its guard refuses it
-    monkeypatch.setattr(qforms, "g2k_expansion", lambda k, N: [Fraction(2**62)] * (N + 1))
+    monkeypatch.setattr(qforms.arith, "sigma_table", lambda n: (2**62,) * (n + 1))
     with pytest.raises(ValueError, match="64-bit Kronecker slot"):
         fk_expansion(1, 50)
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from gothicvol import Locus, counting, euler, ideals, qforms, verify, volume, zagier
+from gothicvol import Locus, counting, euler, ideals, prototypes, qforms, verify, volume, zagier
 from gothicvol.checks import arith as arith_checks
 from gothicvol.cli import main
 
@@ -116,6 +116,11 @@ def _gothic_component_6_dropped(real):
     # euler._PLACEMENT without gothic component 6
     family, components = real[Locus.G]
     return {**real, Locus.G: (family, tuple(c for c in components if c[0] != 6))}
+
+
+def _fk_entry_plus_one(k, n):
+    # qforms.fk_ints with entry n of the F_k table off by one
+    return _result_changed(lambda table, *args: _plus_one(table, n) if args[0] == k else table)
 
 
 def _nonsquare_off(family, D, delta):
@@ -262,6 +267,17 @@ _IDEAL_EQUAL = "ideal_equal matches brute-force lattice equality, d <= 100"
     # at the top of the W_D denominators check, which reaches every D <= 2000
     pytest.param(euler, "_nonsquare_chi", _nonsquare_off("w4", 2000, Fraction(1, 12)),
                  _W_DENOMINATORS, "FAILED at ('w4', 2000)", id="chi-w4-2000"),
+    # the non-square checks read e(D, k) off the F_k tables: G_1997 is empty
+    # (1997 = 5 mod 24), and only e(2000, 1) reads entry 2000 of F_1
+    pytest.param(qforms, "fk_ints", _fk_entry_plus_one(6, 1997), _GOTHIC_RESIDUES,
+                 "FAILED at ('e(D, 6)', 1997)", id="fk6-1997"),
+    pytest.param(qforms, "fk_ints", _fk_entry_plus_one(1, 2000), _W_DENOMINATORS,
+                 "FAILED at ('w2', 2000)", id="fk1-2000"),
+    # conductor 1 in place of 15 at D = 1800: the Moebius inversion keeps
+    # e(D/m^2, k) of m = 3, 5, 15 in e(D, k), and gcd(6, f) changes
+    pytest.param(prototypes, "conductor",
+                 lambda real: lambda D: 1 if D == 1800 else real(D), _GOTHIC_RESIDUES,
+                 "FAILED at 1800", id="conductor-1800"),
     # chi_W4 admitting j = 2 at every even h: smm lists no second component at m = 4
     pytest.param(euler, "chi_W4",
                  lambda real: lambda D, j=1, mode="exact": real(D, 1 if j == 2 else j, mode),
@@ -339,6 +355,23 @@ def test_the_checks_build_e6_once(run_python):
     # the qforms check reads the store production reads, and the gap check finds it filled
     proc = run_python("-c", _E6_BUILDS, timeout=300, check=True)
     assert json.loads(proc.stdout) == [4000]
+
+
+def test_the_euler_suite_walks_no_prototype_row(calls_of):
+    # its non-square checks read e(D, k) off the F_k tables; the qforms
+    # suite's e_and_a check ties the prototype walk to the same coefficients
+    sums = calls_of(prototypes, "e_sums")
+    walks = calls_of(prototypes, "_prototype_rows")
+    assert all(result.ok for result in verify.run_suite("euler"))
+    assert (len(sums), len(walks)) == (0, 0)
+
+
+def test_the_smm_cd_check_takes_each_smm_total_once(calls_of):
+    # one main_term total per (locus, m) for the cd_count loop, and one per
+    # (m, surrogate) for the tie of gothic leading and remark, m <= 200
+    calls = calls_of(counting, "smm")
+    assert verify.run_check(_SMM_CD).ok
+    assert len(calls) == len(set(calls)) == 1200
 
 
 def test_registry_files_each_check_under_its_own_module():
