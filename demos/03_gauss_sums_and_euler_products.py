@@ -24,7 +24,7 @@ from gothicvol.zagier import (
     ebar1_exact,
     ebar1_via_euler_product,
     ebar6_exact,
-    estar1,
+    estar_euler_product,
     euler_factor,
     gauss_gamma,
     kappa,
@@ -33,7 +33,7 @@ from gothicvol.zagier import (
 print("gamma_{2^r}(1) for r = 0..4:", [str(gauss_gamma(2, r, 1)) for r in range(5)])
 print("local factor P_1(2, 1) =", euler_factor(1, 2, 1))
 print("local factor P_1(3, 1) =", euler_factor(1, 3, 1))
-print("e*_1(1) =", estar1(1), " ->  ebar_1(1) =", ebar1_exact(1))
+print("e*_1(1) =", estar_euler_product(1, 1), " ->  ebar_1(1) =", ebar1_exact(1))
 print()
 
 print("two exact routes to ebar_1(d^2):")

@@ -39,8 +39,13 @@ def _euler_factor_reduction():
 
 @_check("ebar_1 divisor sum equals Euler product with zeta tail, d <= 500")
 def _ebar1_routes():
+    # the scalar divisor sum against the P_1 product and against the table
+    # E = (12/5) ebar_1, which the e*_6 check reads in place of e*_1 products
+    E = zagier.ebar1_five_twelfths(500)
     for d in range(1, 501):
-        if zagier.ebar1_exact(d) != zagier.ebar1_via_euler_product(d):
+        value = zagier.ebar1_exact(d)
+        if (value != zagier.ebar1_via_euler_product(d)
+                or 12 * value.numerator != 5 * E[d] * value.denominator):
             raise AssertionError(d)
     return "both exact routes equal"
 
@@ -59,12 +64,15 @@ def _ebar1_quadruple_convolution():
 
 @_check("e*_6(d^2) Euler product equals the four-term e*_1 combination, d <= 500")
 def _estar6_routes():
-    # the product of P_6(p, d^2) over p | 6d with the 15/pi^2 tail, against
-    # estar6's combination of e*_1 at d, d_2, d_3, d_6 (each e*_1 built once)
+    # the product of P_6(p, d^2) over p | 6d with the 15/pi^2 tail, c pi^-2,
+    # against the divisor-sum table 60 ebar_6(d^2), the four-term combination
+    # of E(m) = (12/5) ebar_1(m^2), which the ebar_1 check ties to the P_1
+    # product: in ints, 60 ebar_6 = 60 d^3 c / (72 * 36) = 5 d^3 c / 216
     N = 500
-    e1 = [None] + [zagier.estar1(d) for d in range(1, N + 1)]
+    e6 = zagier.ebar6_sixtieths(zagier.ebar1_five_twelfths(N))
     for d in range(1, N + 1):
-        if zagier.estar_euler_product(6, d) != zagier.estar6(d, e1.__getitem__):
+        c = zagier.estar_euler_product(6, d).coeff
+        if 216 * e6[d] * c.denominator != 5 * d**3 * c.numerator:
             raise AssertionError(d)
     return "exact at every d"
 

@@ -20,7 +20,8 @@ a PiQuantity (rational times pi^-2), while
 
     ebar_k(d^2) = pi^2/(72 k^2) * d^3 * e*_k(d^2)
 
-is an exact rational (the pi powers cancel).  This is the Euler-product route.
+is an exact rational (the pi powers cancel).  This is the Euler-product route,
+estar_euler_product(k, d), the one e*_k of the module.
 
 ebar_1 also has the independent divisor-sum form
 (5/12) d^3 sum_{ac | d} mu(a) / (c^3 a^2), the divisor-sum route.  Its inner
@@ -34,7 +35,10 @@ The divisor-sum route works on these integers: per d in ebar1_exact and
 ebar6_exact, which build one Fraction at the end, and for every d <= N at
 once in the tables ebar1_five_twelfths (one Dirichlet-product sieve of
 mu(a) a with sigma_3, never a closed form at prime powers) and
-ebar6_sixtieths.  Both routes are exposed and must agree exactly.
+ebar6_sixtieths.  The four (coefficient, m) pairs of the ebar_6 reduction
+are stated once, in _ebar6_sixtieths_at, which both ebar_6 forms read.  Both
+routes are exposed and must agree exactly: the verify suite crosses the e*_1
+and e*_6 products with the ebar_1 and ebar_6 tables.
 """
 
 from __future__ import annotations
@@ -130,41 +134,17 @@ def estar_euler_product(k: int, d: int) -> PiQuantity:
     return PiQuantity(Fraction(num, den), -2)
 
 
-def estar1(d: int) -> PiQuantity:
-    """e*_1(d^2) as an exact rational times pi^-2 (Euler product with zeta tail)."""
-    return estar_euler_product(1, d)
-
-
-def _estar6_terms(d: int) -> tuple[tuple[int, int], ...]:
-    """The pairs (c, m) of 25/36 e*_6(d^2) = sum c e*_1(m^2), m = d, d_2, d_3, d_6."""
-    return ((25, d), (-15, coprime_part(d, 2)), (-20, coprime_part(d, 3)),
-            (12, coprime_part(d, 6)))
-
-
-def estar6(d: int, e1=estar1) -> PiQuantity:
-    """e*_6(d^2) = 36 (e*_1(d^2) - 3/5 e*_1(d_2^2) - 4/5 e*_1(d_3^2) + 12/25 e*_1(d_6^2)),
-    with e*_1(m^2) read from the callable ``e1``; the four terms are summed
-    as integers over one denominator."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    terms = [(c, e1(m)) for c, m in _estar6_terms(d)]
-    power = terms[0][1].pi_power
-    if any(e.pi_power != power for _, e in terms):
-        raise ValueError("the e*_1 values must carry one power of pi")
-    den = math.lcm(*(e.coeff.denominator for _, e in terms))
-    num = sum(c * e.coeff.numerator * (den // e.coeff.denominator) for c, e in terms)
-    return PiQuantity(Fraction(36 * num, 25 * den), power)
-
-
 def _ebar1_five_twelfths_at(d: int) -> int:
     """E(d) = (12/5) ebar_1(d^2) = sum_{a|d} mu(a) a sigma_3(d/a), for d >= 1."""
     return sum(mu * a * sigma(3, d // a) for a in divisors(d) if (mu := moebius(a)))
 
 
 def _ebar6_sixtieths_at(d: int, e1) -> int:
-    """60 ebar_6(d^2) from E = (12/5) ebar_1, the callable ``e1``: e*_6's four
-    terms, each weighed by (d/m)^3, as ebar_k = pi^2 d^3 e*_k / (72 k^2)."""
-    return sum(c * (d // m) ** 3 * e1(m) for c, m in _estar6_terms(d))
+    """60 ebar_6(d^2) from E = (12/5) ebar_1, the callable ``e1``: the four
+    pairs (c, m) of 25/36 e*_6(d^2) = sum c e*_1(m^2), m = d, d_2, d_3, d_6,
+    each term weighed by (d/m)^3, as ebar_k = pi^2 d^3 e*_k / (72 k^2)."""
+    return sum(c * (d // m) ** 3 * e1(m) for c, m in (
+        (25, d), (-15, coprime_part(d, 2)), (-20, coprime_part(d, 3)), (12, coprime_part(d, 6))))
 
 
 def ebar1_five_twelfths(N: int) -> tuple[int, ...]:
@@ -200,7 +180,7 @@ def ebar1_exact(d: int) -> Fraction:
 
 def ebar1_via_euler_product(d: int) -> Fraction:
     """ebar_1(d^2) through pi^2/72 * d^3 * e*_1(d^2); the pi powers cancel."""
-    return (PiQuantity(Fraction(d**3, 72), 2) * estar1(d)).as_rational()
+    return (PiQuantity(Fraction(d**3, 72), 2) * estar_euler_product(1, d)).as_rational()
 
 
 def ebar6_exact(d: int) -> Fraction:

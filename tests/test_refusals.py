@@ -132,11 +132,10 @@ REFUSALS = [
     (None, (zagier.euler_factor, 1, 4, 5), "4 is not prime"),
     # k is refused before 2kd is factorised, also past the trial-division reach
     *((None, (zagier.estar_euler_product, 4, d), "k = 4 must be squarefree") for d in (1, 10**15)),
+    *((None, (zagier.estar_euler_product, 6, d), "d must be >= 1") for d in (0, -3)),
     *((None, (fn, d), "d must be >= 1") for d in (0, -3) for fn in (
-        zagier.kappa, zagier.ebar6_exact, zagier.estar6, zagier.ebar1_exact,
+        zagier.kappa, zagier.ebar6_exact, zagier.ebar1_exact,
         zagier.ebar1_via_euler_product)),
-    (None, (zagier.estar6, 2, lambda m: PiQuantity(Fraction(1), -2 if m == 2 else 0)),
-     "the e*_1 values must carry one power of pi"),
     (None, (zagier.ebar1_five_twelfths, -1), "a table needs N >= 0, got -1"),
     (None, (zagier.ebar_rows, 0), "need dmax >= 1, got 0"),
     *((None, ("zagier", "--what", "ebar", "--dmax", d), f"need dmax >= 1, got {d}")

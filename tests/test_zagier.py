@@ -14,8 +14,7 @@ from gothicvol.zagier import (
     ebar1_five_twelfths,
     ebar6_exact,
     ebar6_sixtieths,
-    estar1,
-    estar6,
+    estar_euler_product,
     euler_factor,
     gauss_gamma,
 )
@@ -26,7 +25,7 @@ REF_MAX_D = 1000
 def ebar6_via_euler_product(d):
     """ebar_6(d^2) through pi^2/(72*36) * d^3 * e*_6(d^2): the Euler-product
     route, the oracle of the four-term ebar_1 combination."""
-    return (PiQuantity(Fraction(d**3, 72 * 36), 2) * estar6(d)).as_rational()
+    return (PiQuantity(Fraction(d**3, 72 * 36), 2) * estar_euler_product(6, d)).as_rational()
 
 
 def _ebar1_definition(d):
@@ -105,7 +104,7 @@ def test_p1_at_coprime_prime_is_1_plus_p_minus_2():
 
 
 def test_estar1_is_pi_minus_2_quantity():
-    v = estar1(1)
+    v = estar_euler_product(1, 1)
     assert isinstance(v, PiQuantity)
     assert v.coeff == 30 and v.pi_power == -2
 
@@ -129,11 +128,6 @@ def test_ebar6_examples_and_route_equality():
     assert ebar6_exact(6) == expect
     for d in range(1, 120):
         assert ebar6_exact(d) == ebar6_via_euler_product(d), d
-
-
-def test_estar6_keeps_the_power_of_pi_of_its_terms():
-    # d = 2: d_2 = d_6 = 1, d_3 = 2, so 36 (2 - 3/5 - 8/5 + 12/25) = 252/25
-    assert estar6(2, lambda m: PiQuantity(Fraction(m), 0)) == PiQuantity(Fraction(252, 25), 0)
 
 
 def test_asymptotic_report_shape():
