@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
 
-from .. import Locus, arith, euler, volume, zagier
+from .. import Locus, arith, counting, euler, volume, zagier
 from ..verify import _check
 
 # The oracle for volume.CLOSED_TERMS: rows (coeff, k, r), the terms coeff *
@@ -81,7 +81,10 @@ def _direct_vs_closed():
         L = lcm(*(row[0].denominator for row in rows + terms))
         scaled = [(int(c * L), k, r) for c, k, r in rows]
         scaled_terms = [(int(c * L), m) for c, m in terms]
-        direct = volume.direct_prefix(locus, Dmax, surrogate)
+        # the direct side is the cd command's own |C_d|, each |S_{m,m}| taken once
+        smm = [None] + [counting.smm(locus, m, surrogate).total for m in range(1, Dmax + 1)]
+        direct = [0, *accumulate(counting.cd_count(locus, d, smm_total=smm.__getitem__)
+                                 for d in range(1, Dmax + 1))]
         spots, at_spots = [1, 2, 3, 5, 6, 7, Dmax], []
         for D in range(1, Dmax + 1):
             num = sum(n * S[k][D // r] for n, k, r in scaled)

@@ -119,8 +119,8 @@ def cd_count(locus: Locus, d: int, mode: str = "main_term", smm_total=None) -> F
     H(6) needs at least 7 squares.  The divisors m and their weights
     sigma(d/m) come from one factorisation of d.  ``smm_total(m)`` gives
     |S_{m,m}| at each m | d; it defaults to smm(locus, m, mode).total, and a
-    caller that sums many d, as the verify smm/cd check does, hands in the
-    totals it took once per m, and ``mode`` goes unread.
+    caller that sums many d, as the verify smm/cd and direct-vs-closed checks
+    do, hands in the totals it took once per m, and ``mode`` goes unread.
     """
     if d < 1:
         raise ValueError("need d >= 1")

@@ -28,10 +28,10 @@ verify oracle (checks/volume.py), the g_k tails cancel outside m = r n | 6,
 which leaves CLOSED_TERMS.  T(D) = sum_{ab<=D} a^2 b (J_2 * sigma = Id_2 * Id);
 Sigma3 and T are exact hyperbola sums, O(sqrt D) steps each, to D = 10^12.
 
-Both paths have a table oracle, each the running sum of one Dirichlet product
-(arith.dirichlet_convolve) with a sigma list of its own, one scalar sigma per
-n: sk_prefix, a(m) [k | m] with sigma, for sk_sum; direct_prefix, the
-counting.smm totals with sigma, for smm_totals and direct_raw_sum.
+Both paths have an oracle in verify.  sk_sum's is sk_prefix, the running sum
+of one Dirichlet product (arith.dirichlet_convolve) of a(m) [k | m] with a
+sigma list of one scalar sigma per n; smm_totals and direct_raw_sum are held
+to the running sum of counting.cd_count, the |C_d| that the cd command prints.
 
 Sigma3(x) ~ pi^4 x^4/360 and T(D) = O(D^3), so the terms give each volume
 exactly, as (pi^4/360) sum coeff / m^4 (closed_limit), and S_k(D) ~ c_k D^4
@@ -49,7 +49,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from operator import add, mul
 
 from . import Locus, surrogate_mode
@@ -177,21 +177,17 @@ def t_sum(D: int) -> int:
     return total
 
 
-def _sigma_list(N: int) -> list[int]:
-    """sigma(n) for 0 <= n <= N (entry 0 = 0), one scalar arith.sigma per n:
-    the oracles' own sigma, apart from the sigma_table the direct path reads."""
-    return [0] + [sigma(1, n) for n in range(1, N + 1)]
-
-
 def sk_prefix(k: int, Dmax: int) -> list[int]:
     """S_k(D) for every D <= Dmax (entry 0 = 0): the running sum of the
     Dirichlet product of a(m) [k | m] with sigma.
 
-    The table route from the a(m) sieve table and _sigma_list, kept as the
+    The table route from the a(m) sieve table and one scalar arith.sigma per
+    n, apart from the sigma_table the direct path reads, kept as the
     independent oracle for sk_sum.
     """
     ak = [x if m % k == 0 else 0 for m, x in enumerate(sl2_order_table(Dmax))]
-    return list(accumulate(dirichlet_convolve(ak, _sigma_list(Dmax), Dmax)))
+    sig = [0] + [sigma(1, n) for n in range(1, Dmax + 1)]
+    return list(accumulate(dirichlet_convolve(ak, sig, Dmax)))
 
 
 def sk_asymptotic_constant(k: int) -> PiQuantity:
@@ -283,24 +279,6 @@ def direct_raw_sum(totals: SmmTotals, D: int) -> Fraction:
     ssig = sigma_prefix(len(t) - 1)
     counts = map(ssig.__getitem__, map(D.__floordiv__, range(1, D + 1)))
     return Fraction(sum(map(mul, t[1 : D + 1], counts)), totals.denominator)
-
-
-def direct_prefix(locus: Locus, Dmax: int, surrogate: str = "main_term") -> list[Fraction]:
-    """Partial sums sum_{d<=D} |C_d| for every D <= Dmax (entry 0 = 0).
-
-    The oracle for smm_totals and direct_raw_sum: |S_{m,m}| from
-    counting.smm per m, scaled to ints L |S_{m,m}| over their common
-    denominator L, and |C_d| as the Dirichlet product of those with
-    _sigma_list, so it shares no table with the direct path.
-    """
-    from .counting import smm
-
-    mode = surrogate_mode(surrogate, locus)
-    totals = [smm(locus, m, mode).total for m in range(1, Dmax + 1)]
-    L = lcm(*(t.denominator for t in totals))
-    t = [0] + [x.numerator * (L // x.denominator) for x in totals]  # L |S_{m,m}|
-    cd = dirichlet_convolve(t, _sigma_list(Dmax), Dmax)  # L |C_d|
-    return [Fraction(x, L) for x in accumulate(cd)]
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ def _locus_calls(locus, mode):
         lambda: counting.smm(locus, 6, mode),
         lambda: counting.cd_count(locus, 6, mode),
         lambda: volume.smm_totals(locus, 12, mode),
-        lambda: volume.direct_prefix(locus, 12, mode),
         lambda: volume.volume_estimate(locus, 12, "direct", mode),
     ]
 

@@ -259,6 +259,11 @@ _PROTOTYPES = "prototype invariants and b -> -b parity, D <= 5000, k in {1,6}"
     pytest.param(volume, "CLOSED_TERMS", _gothic_closed_term_off,
                  "P4 direct equals closed at every D <= 2000; P3 and gothic too",
                  "FAILED at ('gothic', 'terms', 3)", id="gothic-row-terms"),
+    # cd_count off past the smm/cd check's d <= 200: only the running sums see it
+    pytest.param(counting, "cd_count", lambda real: lambda locus, d, *args, **kwargs:
+                     real(locus, d, *args, **kwargs) + ((locus, d) == (Locus.P3, 1999)),
+                 "P4 direct equals closed at every D <= 2000; P3 and gothic too",
+                 "FAILED at ('p3', 1999)", id="cd-count-p3-1999"),
     pytest.param(volume, "CLOSED_TERMS", _gothic_closed_term_off,
                  "gothic closed summands match their exact limits within 2% at D = 4000",
                  "FAILED at ('limit', 'gothic', (13/31104*pi^4, 1097/2624400*pi^4))",

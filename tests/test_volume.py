@@ -16,7 +16,6 @@ from gothicvol.volume import (
     CLOSED_TERMS,
     closed_limit,
     closed_raw_sum,
-    direct_prefix,
     sigma3_sum,
     sk_asymptotic_constant,
     sk_sum,
@@ -157,10 +156,12 @@ def test_closed_terms_equal_the_sk_rows_at_large_d():
     [(Locus.H2, "main"), (Locus.P3, "main"), (Locus.P4, "main"),
      (Locus.G, "main"), (Locus.G, "leading"), (Locus.G, "remark")],
 )
-def test_direct_prefix_matches_direct_raw_sum(locus, surrogate):
-    # the divisor-sum route against the sigma-prefix dot product
+def test_cd_count_prefix_matches_direct_raw_sum(locus, surrogate):
+    # cd_count's divisor sum, each smm total read on its default route,
+    # against the sigma-prefix dot product
     Dmax = 300
-    prefix = direct_prefix(locus, Dmax, surrogate)
+    prefix = [0, *itertools.accumulate(counting.cd_count(locus, d, surrogate)
+                                       for d in range(1, Dmax + 1))]
     totals = volume.smm_totals(locus, Dmax, surrogate)
     for D in range(Dmax + 1):
         assert prefix[D] == volume.direct_raw_sum(totals, D), D
